@@ -23,11 +23,6 @@ Scenarios
     compiled): per-batch latency must stay flat and the fact census
     empty, demonstrating the bounded-retention fixes (no leak-driven
     slowdown, no residual per-workflow facts).
-``rest_concurrency``
-    The same concurrent REST workload driven against the thread-per-
-    request frontend and the asyncio frontend, plus a single-connection
-    pipelined burst only the asyncio frontend can serve.  Reported for
-    trend-watching; no pass/fail guard (HTTP timing is noisy in CI).
 ``sharded``
     Batch-advice throughput through the shard router with every shard a
     separate :class:`~repro.policy.sharding.ProcessShardBackend` worker
@@ -149,150 +144,6 @@ def run_long_lived(engine: str, lifetimes: int, per_batch: int) -> dict:
         "mean_last_third_s": sum(tail) / len(tail),
         "residual_facts": census,
     }
-
-
-# -- REST frontend throughput ------------------------------------------------
-def _drive_clients(url: str, clients: int, requests_each: int) -> float:
-    """Concurrent keep-alive clients, each issuing sequential POSTs."""
-    import http.client
-    import threading
-    import urllib.parse
-
-    parsed = urllib.parse.urlsplit(url)
-    errors: list = []
-
-    def worker(cid: int) -> None:
-        conn = http.client.HTTPConnection(parsed.hostname, parsed.port)
-        try:
-            for i in range(requests_each):
-                doc = {
-                    "workflow": f"wf{cid}",
-                    "job": "stage",
-                    "transfers": _specs(1, tag=f"c{cid}r{i}-"),
-                }
-                conn.request(
-                    "POST", "/policy/transfers",
-                    json.dumps(doc).encode(),
-                    {"Content-Type": "application/json"},
-                )
-                resp = conn.getresponse()
-                body = resp.read()
-                if resp.status != 200:
-                    errors.append((cid, i, resp.status, body[:200]))
-                    return
-        except Exception as exc:  # noqa: BLE001 - report, don't hang the bench
-            errors.append((cid, "exception", repr(exc)))
-        finally:
-            conn.close()
-
-    threads = [
-        threading.Thread(target=worker, args=(cid,)) for cid in range(clients)
-    ]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - t0
-    if errors:
-        raise RuntimeError(f"REST clients failed: {errors[:3]}")
-    return elapsed
-
-
-def _pipelined_burst(url: str, total: int) -> float:
-    """One connection, every request written before any response is read."""
-    import socket
-    import urllib.parse
-
-    parsed = urllib.parse.urlsplit(url)
-
-    def request_bytes(i: int) -> bytes:
-        doc = {
-            "workflow": "wfpipe",
-            "job": "stage",
-            "transfers": _specs(1, tag=f"p{i}-"),
-        }
-        body = json.dumps(doc).encode()
-        head = (
-            f"POST /policy/transfers HTTP/1.1\r\n"
-            f"Host: {parsed.hostname}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode()
-        return head + body
-
-    payload = b"".join(request_bytes(i) for i in range(total))
-    sock = socket.create_connection((parsed.hostname, parsed.port), timeout=60)
-    try:
-        t0 = time.perf_counter()
-        sock.sendall(payload)
-        fp = sock.makefile("rb")
-        for i in range(total):
-            status = fp.readline().decode()
-            if " 200 " not in status:
-                raise RuntimeError(f"pipelined request {i} got {status!r}")
-            length = 0
-            while True:
-                line = fp.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode().partition(":")
-                if name.strip().lower() == "content-length":
-                    length = int(value.strip())
-            fp.read(length)
-        return time.perf_counter() - t0
-    finally:
-        sock.close()
-
-
-def run_rest_concurrency(clients: int, requests_each: int) -> dict:
-    """Threaded vs asyncio REST frontend under the same concurrent load."""
-    from repro.policy import (
-        AsyncPolicyRestServer,
-        PolicyConfig,
-        PolicyRestServer,
-        PolicyService,
-    )
-
-    total = clients * requests_each
-    results: dict = {"clients": clients, "requests_per_client": requests_each}
-    for name, frontend in (
-        ("threaded", PolicyRestServer),
-        ("async", AsyncPolicyRestServer),
-    ):
-        service = PolicyService(
-            PolicyConfig(policy="greedy", default_streams=4, max_streams=4000),
-            engine="compiled",
-        )
-        server = frontend(service).start()
-        try:
-            elapsed = _drive_clients(server.url, clients, requests_each)
-        finally:
-            server.stop()
-        results[name] = {
-            "requests": total,
-            "elapsed_s": elapsed,
-            "req_per_s": total / elapsed,
-        }
-
-    service = PolicyService(
-        PolicyConfig(policy="greedy", default_streams=4, max_streams=4000),
-        engine="compiled",
-    )
-    server = AsyncPolicyRestServer(service).start()
-    try:
-        elapsed = _pipelined_burst(server.url, total)
-    finally:
-        server.stop()
-    results["async_pipelined"] = {
-        "requests": total,
-        "elapsed_s": elapsed,
-        "req_per_s": total / elapsed,
-    }
-    results["async_vs_threaded"] = (
-        results["async"]["req_per_s"] / results["threaded"]["req_per_s"]
-    )
-    return results
 
 
 # -- sharded batch-advice scaling --------------------------------------------
@@ -513,12 +364,10 @@ def main(argv=None) -> int:
         calibration = (200, 20)
         batch = (1000, 100)
         lifetimes, per_batch = (10, 10)
-        clients, requests_each = (4, 10)
     else:
         calibration = (500, 50)
         batch = (10_000, 1000)
         lifetimes, per_batch = (30, 20)
-        clients, requests_each = (8, 25)
 
     report = {
         "benchmark": "bench_rules",
@@ -549,15 +398,6 @@ def main(argv=None) -> int:
           f"{report['scenarios']['sharded']['speedup_4_vs_1']:.2f}x wall, "
           f"{report['scenarios']['sharded']['critical_path_speedup_4_vs_1']:.2f}x "
           f"critical-path", flush=True)
-
-    print("[rest_concurrency]", flush=True)
-    rest = run_rest_concurrency(clients, requests_each)
-    report["scenarios"]["rest_concurrency"] = rest
-    print(f"  threaded: {rest['threaded']['req_per_s']:.0f} req/s, "
-          f"async: {rest['async']['req_per_s']:.0f} req/s "
-          f"({rest['async_vs_threaded']:.2f}x), "
-          f"async pipelined: {rest['async_pipelined']['req_per_s']:.0f} req/s",
-          flush=True)
 
     out = pathlib.Path(args.out)
     out.write_text(json.dumps(report, indent=2) + "\n")

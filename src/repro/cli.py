@@ -18,7 +18,9 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 from typing import Optional, Sequence
 
 __all__ = ["main", "build_parser"]
@@ -84,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="indexed",
                        help="rule engine variant (advice is identical; "
                             "compiled is the fastest on large batches)")
-    serve.add_argument("--frontend", choices=["threaded", "async"],
-                       default="threaded",
-                       help="HTTP frontend: thread-per-connection or a "
-                            "single asyncio loop with keep-alive pipelining")
     serve.add_argument("--access-control", action="store_true",
                        help="enable host denials and staging quotas")
     serve.add_argument("--shards", type=int, default=0,
@@ -362,27 +360,26 @@ def _cmd_serve(args, out) -> int:
     else:
         service = PolicyService(config, engine=args.engine)
         flavor = "single service"
-    if args.frontend == "async":
-        from repro.policy.rest_async import AsyncPolicyRestServer
-
-        server = AsyncPolicyRestServer(service, host=args.host, port=args.port)
-    else:
-        server = PolicyRestServer(service, host=args.host, port=args.port)
+    server = PolicyRestServer(service, host=args.host, port=args.port)
     server.start()
     print(
-        f"Policy Service ({args.policy}, {args.engine} engine, "
-        f"{args.frontend} frontend, {flavor}) listening on {server.url}",
+        f"Policy Service ({args.policy}, {args.engine} engine, {flavor}) "
+        f"listening on {server.url}",
         file=out,
     )
     print("Ctrl-C to stop.", file=out)
+    # SIGTERM (systemd, `docker stop`) takes the Ctrl-C route: 503 new
+    # requests, drain in-flight ones, close the service.
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        import threading
-
         threading.Event().wait()
     except KeyboardInterrupt:
         pass
     finally:
         server.stop()
+        if args.shards >= 1:
+            service.close()
     return 0
 
 

@@ -46,7 +46,6 @@ from repro.policy.controller import PolicyController, PolicyRequestError
 from repro.policy.journal import JournalError, PolicyJournal
 from repro.policy.model import PolicyConfig, TransferAdvice
 from repro.policy.rest import PolicyRestServer
-from repro.policy.rest_async import AsyncPolicyRestServer
 from repro.policy.service import PolicyService
 from repro.policy.sharding import (
     HashRing,
@@ -55,7 +54,6 @@ from repro.policy.sharding import (
 )
 
 __all__ = [
-    "AsyncPolicyRestServer",
     "CircuitBreaker",
     "CircuitOpenError",
     "HashRing",

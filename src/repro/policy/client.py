@@ -27,9 +27,10 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
 
 from repro.des.core import Environment
+from repro.policy.controller import ROUTES
 from repro.policy.model import CleanupAdvice, TransferAdvice
 from repro.policy.service import PolicyService
 
@@ -172,6 +173,9 @@ class CircuitBreaker:
             }
 
 
+_ROUTE_OF = {route.op: route for route in ROUTES}
+
+
 class HTTPPolicyClient:
     """Blocking JSON/HTTP client for :class:`PolicyRestServer`.
 
@@ -206,7 +210,13 @@ class HTTPPolicyClient:
             self._request_seq += 1
             return f"cli-{id(self) & 0xFFFF:04x}-{self._request_seq}"
 
-    def _call(self, request_fn: Callable[[], dict]) -> dict:
+    def _request(self, op: str, payload: Optional[dict] = None, arg=None, decode=json.loads):
+        """Call operation ``op`` with the verb and path :data:`ROUTES`
+        declares for it (``arg`` fills the path's typed segment), under
+        the retry policy and the breaker."""
+        route = _ROUTE_OF[op]
+        url = self.base_url + route.url(arg)
+        data = None if payload is None else json.dumps(payload).encode()
         breaker = self.breaker
         if breaker is not None and not breaker.allow():
             raise CircuitOpenError("policy service circuit is open")
@@ -214,8 +224,15 @@ class HTTPPolicyClient:
         for attempt in range(self.retry.retries + 1):
             if attempt > 0:
                 self._sleep(self.retry.delay_for(attempt - 1, self._rng))
+            headers = {"X-Repro-Request-Id": self._next_request_id()}
+            if data is not None:
+                headers["Content-Type"] = "application/json"
+            request = urllib.request.Request(
+                url, data=data, headers=headers, method=route.verb
+            )
             try:
-                result = request_fn()
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    result = decode(response.read())
             except urllib.error.HTTPError as exc:
                 if exc.code < 500:
                     raise  # client error: retrying cannot help
@@ -234,51 +251,22 @@ class HTTPPolicyClient:
             f"policy service unreachable at {self.base_url}: {last_error}"
         ) from last_error
 
-    def _post(self, path: str, payload: dict) -> dict:
-        data = json.dumps(payload).encode()
-
-        def request_fn() -> dict:
-            request = urllib.request.Request(
-                f"{self.base_url}{path}",
-                data=data,
-                headers={
-                    "Content-Type": "application/json",
-                    "X-Repro-Request-Id": self._next_request_id(),
-                },
-                method="POST",
-            )
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-
-        return self._call(request_fn)
-
-    def _get(self, path: str) -> dict:
-        def request_fn() -> dict:
-            request = urllib.request.Request(
-                f"{self.base_url}{path}",
-                headers={"X-Repro-Request-Id": self._next_request_id()},
-            )
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-
-        return self._call(request_fn)
-
     # -- API ----------------------------------------------------------------
     def submit_transfers(self, workflow: str, job: str, transfers: list[dict]) -> list[TransferAdvice]:
-        doc = self._post(
-            "/policy/transfers",
+        doc = self._request(
+            "submit_transfers",
             {"workflow": workflow, "job": job, "transfers": transfers},
         )
         return [TransferAdvice.from_dict(a) for a in doc["advice"]]
 
     def complete_transfers(self, done: Iterable[int] = (), failed: Iterable[int] = ()) -> dict:
-        return self._post(
-            "/policy/transfers/complete", {"done": list(done), "failed": list(failed)}
+        return self._request(
+            "complete_transfers", {"done": list(done), "failed": list(failed)}
         )
 
     def submit_cleanups(self, workflow: str, job: str, files: list[tuple[str, str]]) -> list[CleanupAdvice]:
-        doc = self._post(
-            "/policy/cleanups",
+        doc = self._request(
+            "submit_cleanups",
             {
                 "workflow": workflow,
                 "job": job,
@@ -288,21 +276,32 @@ class HTTPPolicyClient:
         return [CleanupAdvice.from_dict(a) for a in doc["advice"]]
 
     def complete_cleanups(self, ids: Iterable[int]) -> dict:
-        return self._post("/policy/cleanups/complete", {"ids": list(ids)})
+        return self._request("complete_cleanups", {"ids": list(ids)})
 
     def staging_state(self, lfn: str, url: str) -> str:
-        return self._post("/policy/staging", {"lfn": lfn, "url": url})["state"]
+        return self._request("staging_state", {"lfn": lfn, "url": url})["state"]
 
     def transfer_state(self, tid: int) -> str:
-        return self._get(f"/policy/transfers/{tid}")["state"]
+        return self._request("transfer_state", arg=tid)["state"]
+
+    def explain(self, tid: int) -> Optional[dict]:
+        """The decision-provenance record for a transfer (None = unknown)."""
+        try:
+            return self._request("explain", arg=tid)
+        except urllib.error.HTTPError as exc:
+            if exc.code != 404:
+                raise
+            return None
 
     def register_priorities(self, workflow: str, priorities: dict) -> dict:
-        return self._post(
-            "/policy/priorities", {"workflow": workflow, "priorities": priorities}
+        return self._request(
+            "register_priorities", {"workflow": workflow, "priorities": priorities}
         )
 
-    def unregister_workflow(self, workflow: str) -> dict:
-        return self._post("/policy/workflows/unregister", {"workflow": workflow})
+    def unregister_workflow(self, workflow: str, retain_staged: bool = False) -> dict:
+        return self._request(
+            "unregister_workflow", {"workflow": workflow, "retain_staged": retain_staged}
+        )
 
     def reconcile_staged(self, workflow: str, files: Iterable[tuple]) -> dict:
         docs = []
@@ -311,69 +310,61 @@ class HTTPPolicyClient:
             if rest:
                 doc["nbytes"] = rest[0]
             docs.append(doc)
-        return self._post(
-            "/policy/staged/reconcile", {"workflow": workflow, "files": docs}
-        )
+        return self._request("reconcile_staged", {"workflow": workflow, "files": docs})
 
     def deny_host(self, host: str, direction: str = "any", reason: str = "") -> dict:
-        return self._post(
-            "/policy/denials", {"host": host, "direction": direction, "reason": reason}
+        return self._request(
+            "deny_host", {"host": host, "direction": direction, "reason": reason}
         )
 
     def allow_host(self, host: str) -> dict:
-        return self._post("/policy/denials/remove", {"host": host})
+        return self._request("allow_host", {"host": host})
 
     def set_quota(self, workflow: str, max_bytes: float) -> dict:
-        return self._post(
-            "/policy/quotas", {"workflow": workflow, "max_bytes": max_bytes}
-        )
+        return self._request("set_quota", {"workflow": workflow, "max_bytes": max_bytes})
 
     def register_tenant(self, tenant: str, **spec) -> dict:
         """``spec``: weight, priority_class, max_bytes, max_streams,
         max_concurrent (all optional)."""
-        return self._post("/policy/tenants", {"tenant": tenant, **spec})
+        return self._request("register_tenant", {"tenant": tenant, **spec})
 
     def unregister_tenant(self, tenant: str) -> dict:
-        return self._post("/policy/tenants/remove", {"tenant": tenant})
+        return self._request("unregister_tenant", {"tenant": tenant})
 
     def bind_workflow(self, workflow: str, tenant: str) -> dict:
-        return self._post(
-            "/policy/tenants/bind", {"workflow": workflow, "tenant": tenant}
-        )
+        return self._request("bind_workflow", {"workflow": workflow, "tenant": tenant})
 
     def tenants(self) -> list[dict]:
-        return self._get("/policy/tenants")["tenants"]
+        return self._request("tenants")["tenants"]
 
     def catalog_census(self) -> dict:
-        return self._get("/policy/catalog")
+        return self._request("catalog_census")
 
     def catalog_replicas(self, lfn: str) -> list[dict]:
-        from urllib.parse import quote
-
-        return self._get(f"/policy/catalog/replicas/{quote(lfn, safe='')}")[
-            "replicas"
-        ]
+        return self._request("catalog_replicas", arg=lfn)["replicas"]
 
     def set_site_capacity(self, site: str, capacity_bytes) -> dict:
-        return self._post(
-            "/policy/catalog/sites",
-            {"site": site, "capacity_bytes": capacity_bytes},
+        return self._request(
+            "set_site_capacity", {"site": site, "capacity_bytes": capacity_bytes}
         )
 
     def catalog_pin(self, url: str, pinned: bool = True) -> dict:
-        return self._post(
-            "/policy/catalog/pins", {"url": url, "pinned": pinned}
-        )
+        return self._request("catalog_pin", {"url": url, "pinned": pinned})
 
     def status(self) -> dict:
-        return self._get("/policy/status")
+        return self._request("status")
+
+    def metrics_text(self) -> str:
+        return self._request("metrics_text", decode=bytes.decode)
 
 
 class InProcessPolicyClient:
     """Simulation-side client: direct service calls + simulated latency.
 
-    Every method is a generator to be driven with ``yield from`` inside a
-    DES process; each call costs ``latency`` seconds of simulated time
+    One method per :data:`~repro.policy.controller.ROUTES` operation,
+    generated below the class, each taking the service method's
+    arguments.  Every one is a generator to be driven with ``yield from``
+    inside a DES process; each call costs ``latency`` seconds of simulated time
     (HTTP round trip + rule evaluation, the paper's service-call overhead).
 
     Fault injection hooks in through ``fault_gate``: a callable invoked
@@ -405,6 +396,10 @@ class InProcessPolicyClient:
         self.calls = 0
         self.failed_calls = 0
         self.time_in_calls = 0.0
+
+    if TYPE_CHECKING:  # the generated methods, for the type checker only
+
+        def __getattr__(self, op: str) -> Callable[..., Generator]: ...
 
     def _charge(self):
         self.calls += 1
@@ -455,131 +450,32 @@ class InProcessPolicyClient:
             f"policy service unreachable ({name}): {last_error}"
         ) from last_error
 
-    def submit_transfers(self, workflow: str, job: str, transfers: list[dict]):
+
+def _materialized(value):
+    """Iterable arguments are walked once, before the retry loop: a
+    generator must not arrive exhausted at the second attempt."""
+    if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
+        return value
+    return list(value)
+
+
+def _rpc(op: str, service_op: str):
+    def method(self, *args, **kwargs):
+        args = [_materialized(a) for a in args]
+        kwargs = {k: _materialized(v) for k, v in kwargs.items()}
         return (
             yield from self._invoke(
-                "submit_transfers",
-                lambda: self.service.submit_transfers(workflow, job, transfers),
+                op, lambda: getattr(self.service, service_op)(*args, **kwargs)
             )
         )
 
-    def complete_transfers(self, done=(), failed=()):
-        done, failed = list(done), list(failed)
-        return (
-            yield from self._invoke(
-                "complete_transfers",
-                lambda: self.service.complete_transfers(done=done, failed=failed),
-            )
-        )
+    method.__name__ = op
+    method.__qualname__ = f"InProcessPolicyClient.{op}"
+    method.__doc__ = f"``PolicyService.{service_op}`` as a DES process generator."
+    return method
 
-    def submit_cleanups(self, workflow: str, job: str, files):
-        files = list(files)
-        return (
-            yield from self._invoke(
-                "submit_cleanups",
-                lambda: self.service.submit_cleanups(workflow, job, files),
-            )
-        )
 
-    def complete_cleanups(self, ids):
-        ids = list(ids)
-        return (
-            yield from self._invoke(
-                "complete_cleanups", lambda: self.service.complete_cleanups(ids)
-            )
-        )
-
-    def staging_state(self, lfn: str, url: str):
-        return (
-            yield from self._invoke(
-                "staging_state", lambda: self.service.staging_state(lfn, url)
-            )
-        )
-
-    def transfer_state(self, tid: int):
-        return (
-            yield from self._invoke(
-                "transfer_state", lambda: self.service.transfer_state(tid)
-            )
-        )
-
-    def register_priorities(self, workflow: str, priorities: dict):
-        return (
-            yield from self._invoke(
-                "register_priorities",
-                lambda: self.service.register_priorities(workflow, priorities),
-            )
-        )
-
-    def unregister_workflow(self, workflow: str, retain_staged: bool = False):
-        return (
-            yield from self._invoke(
-                "unregister_workflow",
-                lambda: self.service.unregister_workflow(
-                    workflow, retain_staged=retain_staged
-                ),
-            )
-        )
-
-    def reconcile_staged(self, workflow: str, files):
-        files = list(files)
-        return (
-            yield from self._invoke(
-                "reconcile_staged",
-                lambda: self.service.reconcile_staged(workflow, files),
-            )
-        )
-
-    def register_tenant(self, tenant: str, **spec):
-        return (
-            yield from self._invoke(
-                "register_tenant",
-                lambda: self.service.register_tenant(tenant, **spec),
-            )
-        )
-
-    def unregister_tenant(self, tenant: str):
-        return (
-            yield from self._invoke(
-                "unregister_tenant", lambda: self.service.unregister_tenant(tenant)
-            )
-        )
-
-    def bind_workflow(self, workflow: str, tenant: str):
-        return (
-            yield from self._invoke(
-                "bind_workflow", lambda: self.service.bind_workflow(workflow, tenant)
-            )
-        )
-
-    def tenants(self):
-        return (yield from self._invoke("tenants", lambda: self.service.tenants()))
-
-    def catalog_census(self):
-        return (
-            yield from self._invoke(
-                "catalog_census", lambda: self.service.catalog_census()
-            )
-        )
-
-    def catalog_replicas(self, lfn: str):
-        return (
-            yield from self._invoke(
-                "catalog_replicas", lambda: self.service.catalog_replicas(lfn)
-            )
-        )
-
-    def set_site_capacity(self, site: str, capacity_bytes):
-        return (
-            yield from self._invoke(
-                "set_site_capacity",
-                lambda: self.service.set_site_capacity(site, capacity_bytes),
-            )
-        )
-
-    def catalog_pin(self, url: str, pinned: bool = True):
-        return (
-            yield from self._invoke(
-                "catalog_pin", lambda: self.service.catalog_pin(url, pinned)
-            )
-        )
+# One generated method per operation of the wire surface, with the
+# service method's own signature.
+for _route in ROUTES:
+    setattr(InProcessPolicyClient, _route.op, _rpc(_route.op, _route.service_op or _route.op))

@@ -5,20 +5,93 @@ between the web interface and the policy engine".  Here it is the layer
 that accepts JSON-able dict payloads (from the REST frontend or any other
 transport), validates them, delegates to :class:`PolicyService`, and
 returns JSON-able dict responses.
+
+:data:`ROUTES` is the one declaration of the wire surface: the frontend
+routes through :meth:`PolicyController.dispatch`, the HTTP client takes
+each operation's verb and path from it, and the in-process client
+generates its methods from it.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
+from urllib.parse import quote, unquote
 
 from repro.policy.service import PolicyService
 
-__all__ = ["PolicyController", "PolicyRequestError"]
+__all__ = ["ROUTES", "PolicyController", "PolicyRequestError", "PolicyRouteError", "Route"]
 
 
 class PolicyRequestError(ValueError):
     """A malformed request payload (maps to HTTP 400)."""
+
+
+class PolicyRouteError(LookupError):
+    """Nothing to answer with: 404 (unknown path or record), or 405 with
+    the verbs the path does accept in ``allow``."""
+
+    def __init__(self, status: int, message: str, allow: tuple = ()):
+        super().__init__(message)
+        self.status = status
+        self.allow = allow
+
+
+class Route(NamedTuple):
+    """One operation of the wire surface.
+
+    ``path`` may end in one typed segment, ``<name:int>`` or
+    ``<name:str>``, whose decoded value is the operation's only
+    argument; otherwise a GET takes none and a POST the JSON body.
+    ``op`` names the method on :class:`PolicyController` and on both
+    clients, ``service_op`` the service method behind it where that is
+    named differently.
+    """
+
+    verb: str
+    path: str
+    op: str
+    service_op: str = ""
+
+    def url(self, arg=None) -> str:
+        """The request path, ``arg`` quoted into the typed segment."""
+        if arg is None:
+            return self.path
+        return self.path.partition("<")[0] + quote(str(arg), safe="")
+
+
+ROUTES: tuple[Route, ...] = (
+    Route("POST", "/policy/transfers", "submit_transfers"),
+    Route("POST", "/policy/transfers/complete", "complete_transfers"),
+    Route("GET", "/policy/transfers/<tid:int>", "transfer_state"),
+    Route("GET", "/policy/explain/<tid:int>", "explain"),
+    Route("POST", "/policy/staging", "staging_state"),
+    Route("POST", "/policy/cleanups", "submit_cleanups"),
+    Route("POST", "/policy/cleanups/complete", "complete_cleanups"),
+    Route("POST", "/policy/staged/reconcile", "reconcile_staged"),
+    Route("POST", "/policy/priorities", "register_priorities"),
+    Route("POST", "/policy/workflows/unregister", "unregister_workflow"),
+    Route("POST", "/policy/denials", "deny_host"),
+    Route("POST", "/policy/denials/remove", "allow_host"),
+    Route("POST", "/policy/quotas", "set_quota"),
+    Route("POST", "/policy/tenants", "register_tenant"),
+    Route("POST", "/policy/tenants/remove", "unregister_tenant"),
+    Route("POST", "/policy/tenants/bind", "bind_workflow"),
+    Route("GET", "/policy/tenants", "tenants"),
+    Route("GET", "/policy/catalog", "catalog_census"),
+    Route("GET", "/policy/catalog/replicas/<lfn:str>", "catalog_replicas"),
+    Route("POST", "/policy/catalog/sites", "set_site_capacity"),
+    Route("POST", "/policy/catalog/pins", "catalog_pin"),
+    Route("GET", "/policy/status", "status", "snapshot"),
+    Route("GET", "/policy/metrics", "metrics_text"),
+)
+
+#: request path -> verb -> route; a typed route is keyed by the path up
+#: to and including the "/" before its segment
+_BY_PATH: dict[str, dict[str, Route]] = {}
+for _route in ROUTES:
+    _BY_PATH.setdefault(_route.path.partition("<")[0], {})[_route.verb] = _route
 
 
 def _require(payload: dict, key: str, types: tuple = (str,)) -> Any:
@@ -33,6 +106,22 @@ def _require(payload: dict, key: str, types: tuple = (str,)) -> Any:
             f"got {type(value).__name__}"
         )
     return value
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true``/``false`` decode to ``bool``, an ``int``
+    subclass, and would pass a bare ``isinstance(value, int)``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_object(body: bytes) -> dict:
+    try:
+        doc = json.loads(body or b"{}")
+    except json.JSONDecodeError as exc:
+        raise PolicyRequestError(f"invalid JSON body: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PolicyRequestError("request body must be a JSON object")
+    return doc
 
 
 def _finite_nonneg(value: float, name: str) -> float:
@@ -50,6 +139,41 @@ class PolicyController:
     def __init__(self, service: PolicyService):
         self.service = service
 
+    def dispatch(self, verb: str, path: str, body: bytes = b""):
+        """Route one request through :data:`ROUTES`; returns the response
+        document (``str`` for the metrics text exposition).
+
+        Raises :exc:`PolicyRequestError` (400) or :exc:`PolicyRouteError`
+        (404 unknown path or record, 405 known path under another verb).
+        The JSON body is decoded only once a route is found, so a bad
+        body on an unknown path is still a 404.
+        """
+        head, _, segment = path.rpartition("/")
+        routes = {**_BY_PATH.get(head + "/", {}), **_BY_PATH.get(path, {})}
+        route = routes.get(verb)
+        if route is None:
+            if routes:
+                raise PolicyRouteError(
+                    405, f"method {verb} not allowed on {path!r}", tuple(sorted(routes))
+                )
+            raise PolicyRouteError(404, f"no such endpoint {path!r}")
+        # Looked up per request, so a method replaced on a live
+        # controller (tests, operators) is the one that runs.
+        handler = getattr(self, route.op)
+        if route.path.endswith(":int>"):
+            if not segment.isdigit():
+                raise PolicyRequestError(f"{route.path.rpartition('/')[2]} must be an integer")
+            result = handler(int(segment))
+        elif route.path.endswith(":str>"):
+            result = handler(unquote(segment))
+        elif verb == "GET":
+            result = handler()
+        else:
+            result = handler(_json_object(body))
+        if result is None:
+            raise PolicyRouteError(404, f"no {route.op} record for {segment}")
+        return result
+
     # -- transfers ---------------------------------------------------------
     def submit_transfers(self, payload: dict) -> dict:
         workflow = _require(payload, "workflow")
@@ -62,10 +186,11 @@ class PolicyController:
             for field in ("lfn", "src_url", "dst_url"):
                 _require(item, field)
             nbytes = item.get("nbytes", 0)
-            if not isinstance(nbytes, (int, float)) or nbytes < 0:
+            if not isinstance(nbytes, (int, float)):
                 raise PolicyRequestError(f"transfers[{idx}].nbytes must be >= 0")
+            _finite_nonneg(nbytes, f"transfers[{idx}].nbytes")
             streams = item.get("streams")
-            if streams is not None and (not isinstance(streams, int) or streams < 1):
+            if streams is not None and (not _is_int(streams) or streams < 1):
                 raise PolicyRequestError(f"transfers[{idx}].streams must be int >= 1")
             specs.append(item)
         advice = self.service.submit_transfers(workflow, job, specs)
@@ -75,7 +200,7 @@ class PolicyController:
         done = payload.get("done", [])
         failed = payload.get("failed", [])
         for name, ids in (("done", done), ("failed", failed)):
-            if not isinstance(ids, list) or not all(isinstance(i, int) for i in ids):
+            if not isinstance(ids, list) or not all(_is_int(i) for i in ids):
                 raise PolicyRequestError(f"field {name!r} must be a list of transfer ids")
         return self.service.complete_transfers(done=done, failed=failed)
 
@@ -110,7 +235,7 @@ class PolicyController:
 
     def complete_cleanups(self, payload: dict) -> dict:
         ids = _require(payload, "ids", (list,))
-        if not all(isinstance(i, int) for i in ids):
+        if not all(_is_int(i) for i in ids):
             raise PolicyRequestError("field 'ids' must be a list of cleanup ids")
         return self.service.complete_cleanups(ids)
 
@@ -135,7 +260,7 @@ class PolicyController:
         return self.service.reconcile_staged(workflow, entries)
 
     # -- staged-data catalog --------------------------------------------------
-    def catalog(self) -> dict:
+    def catalog_census(self) -> dict:
         """The staged-data catalog census (replicas + site budgets)."""
         try:
             return self.service.catalog_census()
@@ -215,7 +340,7 @@ class PolicyController:
                 or not math.isfinite(weight) or weight <= 0:
             raise PolicyRequestError("weight must be a finite number > 0")
         priority_class = payload.get("priority_class", 0)
-        if not isinstance(priority_class, int) or isinstance(priority_class, bool):
+        if not _is_int(priority_class):
             raise PolicyRequestError("priority_class must be an integer")
         max_bytes: Optional[float] = payload.get("max_bytes")
         if max_bytes is not None:
@@ -225,9 +350,7 @@ class PolicyController:
         caps: dict[str, Optional[int]] = {}
         for name in ("max_streams", "max_concurrent"):
             value = payload.get(name)
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool) or value < 1
-            ):
+            if value is not None and (not _is_int(value) or value < 1):
                 raise PolicyRequestError(f"{name} must be an integer >= 1 or null")
             caps[name] = value
         self.service.register_tenant(

@@ -596,7 +596,9 @@ class ShardedPolicyService:
         ]
         results = self._dispatch(calls)
         evicted: list[dict] = []
-        catalog_answered = False
+        # With no shard to ask (empty or unknown ids) a catalog-enabled
+        # fleet still answers like the single service: no victims.
+        catalog_answered = not calls and self.config.catalog is not None
         for shard_idx, result in zip(order, results):
             if result is None:
                 # Buffer the report; redelivered after journal replay so

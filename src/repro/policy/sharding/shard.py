@@ -5,7 +5,7 @@ slice of the keyspace, wrapped in two layers:
 
 * a **backend** that hosts the service — in the router's process
   (:class:`InProcessShardBackend`, used by the DES, chaos harness, and
-  REST frontends) or in a worker process
+  REST frontend) or in a worker process
   (:class:`~repro.policy.sharding.procshard.ProcessShardBackend`, used
   by the scaling benchmark);
 * a :class:`ShardHandle` that the router talks to — it folds liveness

@@ -1,4 +1,4 @@
-"""Catalog endpoints over real HTTP, on both REST frontends."""
+"""Catalog endpoints over real HTTP."""
 
 import json
 import urllib.error
@@ -10,12 +10,6 @@ from repro.datacatalog.model import CatalogConfig
 from repro.policy import PolicyConfig, PolicyService
 from repro.policy.client import HTTPPolicyClient
 from repro.policy.rest import PolicyRestServer
-from repro.policy.rest_async import AsyncPolicyRestServer
-
-FRONTENDS = [
-    pytest.param(PolicyRestServer, id="threaded"),
-    pytest.param(AsyncPolicyRestServer, id="async"),
-]
 
 
 def make_service(catalog=True):
@@ -31,9 +25,9 @@ def make_service(catalog=True):
     )
 
 
-@pytest.fixture(params=FRONTENDS)
-def server(request):
-    with request.param(make_service()) as srv:
+@pytest.fixture
+def server():
+    with PolicyRestServer(make_service()) as srv:
         yield srv
 
 
@@ -96,9 +90,8 @@ def test_pin_endpoints_over_http(client):
     assert err.value.code == 400
 
 
-@pytest.mark.parametrize("frontend", FRONTENDS)
-def test_catalog_routes_400_when_disabled(frontend):
-    with frontend(make_service(catalog=False)) as srv:
+def test_catalog_routes_400_when_disabled():
+    with PolicyRestServer(make_service(catalog=False)) as srv:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{srv.url}/policy/catalog", timeout=5)
         assert err.value.code == 400

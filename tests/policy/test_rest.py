@@ -1,26 +1,24 @@
 """Integration tests: real HTTP against the RESTful web interface."""
 
 import json
+import re
+import socket
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
-from repro.policy import PolicyConfig, PolicyService
+from repro.policy import PolicyConfig, PolicyService, rest
 from repro.policy.client import HTTPPolicyClient
+from repro.policy.controller import ROUTES
 from repro.policy.rest import PolicyRestServer
-from repro.policy.rest_async import AsyncPolicyRestServer
-
-FRONTENDS = [
-    pytest.param(PolicyRestServer, id="threaded"),
-    pytest.param(AsyncPolicyRestServer, id="async"),
-]
 
 
-@pytest.fixture(params=FRONTENDS)
-def server(request):
+@pytest.fixture
+def server():
     service = PolicyService(PolicyConfig(policy="greedy", default_streams=4, max_streams=50))
-    with request.param(service) as srv:
+    with PolicyRestServer(service) as srv:
         yield srv
 
 
@@ -103,16 +101,37 @@ def test_unknown_endpoint_is_http_404(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(f"{server.url}/policy/nope", timeout=5)
     assert excinfo.value.code == 404
+    assert excinfo.value.headers["X-Repro-Request-Id"] == json.loads(
+        excinfo.value.read())["request_id"]
+
+
+@pytest.mark.parametrize("method, path, allow", [
+    ("GET", "/policy/transfers", "POST"),
+    ("POST", "/policy/status", "GET"),
+    ("PUT", "/policy/tenants", "GET, POST"),
+])
+def test_known_path_under_wrong_verb_is_http_405(server, method, path, allow):
+    request = urllib.request.Request(
+        f"{server.url}{path}", data=b"{}" if method != "GET" else None, method=method)
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=5)
+    assert excinfo.value.code == 405
+    assert excinfo.value.headers["Allow"] == allow
+    assert "request_id" in json.loads(excinfo.value.read())
+
+
+def test_module_docstring_lists_exactly_the_routes():
+    listed = re.findall(r"^(GET|POST)\s+(/policy/\S+)", rest.__doc__, re.MULTILINE)
+    assert listed == [(r.verb, r.path) for r in ROUTES]
 
 
 def test_unknown_transfer_id_state(client):
     assert client.transfer_state(424242) == "unknown"
 
 
-@pytest.mark.parametrize("frontend", FRONTENDS)
-def test_server_restart_guard(frontend):
+def test_server_restart_guard():
     service = PolicyService(PolicyConfig())
-    server = frontend(service).start()
+    server = PolicyRestServer(service).start()
     try:
         with pytest.raises(RuntimeError):
             server.start()
@@ -160,36 +179,17 @@ def test_concurrent_http_clients_are_serialized_safely(server):
     assert status["memory"].get("TransferFact") is None
 
 
+def _connect(server, timeout=10):
+    parts = urlsplit(server.url)
+    return socket.create_connection((parts.hostname, parts.port), timeout=timeout)
+
+
 def _raw_request(server, payload: bytes) -> tuple[int, dict]:
     """Send raw bytes over a socket; return (status, decoded JSON body)."""
-    import socket
-    from urllib.parse import urlsplit
-
-    parts = urlsplit(server.url)
-    with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+    with _connect(server, timeout=5) as sock:
         sock.sendall(payload)
-        sock.settimeout(5)
-        chunks = []
-        while True:
-            try:
-                chunk = sock.recv(65536)
-            except TimeoutError:
-                break
-            if not chunk:
-                break
-            chunks.append(chunk)
-            if b"\r\n\r\n" in b"".join(chunks):
-                head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
-                declared = 0
-                for line in head.split(b"\r\n"):
-                    if line.lower().startswith(b"content-length:"):
-                        declared = int(line.split(b":", 1)[1])
-                if len(body) >= declared:
-                    break
-    raw = b"".join(chunks)
-    head, _, body = raw.partition(b"\r\n\r\n")
-    status = int(head.split(b" ", 2)[1])
-    return status, json.loads(body or b"{}")
+        status, _, doc = _read_response(sock.makefile("rb"))
+    return status, doc
 
 
 def test_non_numeric_content_length_is_http_400(server):
@@ -278,7 +278,7 @@ def test_post_internal_error_is_http_500(server):
 
 
 def test_explain_over_http(client, server):
-    """Both frontends serve the decision-provenance record for a tid."""
+    """The decision-provenance record for a tid, over the wire."""
     advice = client.submit_transfers("wf1", "j1", transfers_for("x", "y"))
     tid = advice[0].tid
     with urllib.request.urlopen(
@@ -305,3 +305,131 @@ def test_explain_non_integer_tid_is_http_400(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(f"{server.url}/policy/explain/abc", timeout=5)
     assert excinfo.value.code == 400
+
+
+# -- keep-alive and pipelining: many requests in flight on one connection,
+# -- answered in order
+def _request_bytes(method: str, path: str, doc=None, rid=None) -> bytes:
+    body = json.dumps(doc).encode() if doc is not None else b""
+    head = f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n"
+    if rid:
+        head += f"X-Repro-Request-Id: {rid}\r\n"
+    head += f"Content-Length: {len(body)}\r\n\r\n"
+    return head.encode() + body
+
+
+def _read_response(fp) -> tuple[int, dict, dict]:
+    """Read one framed HTTP response: (status, headers, JSON body)."""
+    status_line = fp.readline()
+    status = int(status_line.split(b" ", 2)[1])
+    headers = {}
+    while True:
+        line = fp.readline().rstrip(b"\r\n")
+        if not line:
+            break
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = fp.read(int(headers.get("content-length", "0")))
+    return status, headers, json.loads(body or b"{}")
+
+
+def _transfer_payload(workflow: str, i: int) -> dict:
+    return {
+        "workflow": workflow,
+        "job": f"job{i}",
+        "transfers": [
+            {
+                "lfn": f"{workflow}_f{i}",
+                "src_url": f"gsiftp://fg-vm/data/{workflow}_f{i}",
+                "dst_url": f"gsiftp://obelix/scratch/{workflow}_f{i}",
+                "nbytes": 1000,
+            }
+        ],
+    }
+
+
+def test_keep_alive_reuses_one_connection(server):
+    with _connect(server) as sock:
+        fp = sock.makefile("rb")
+        for i in range(3):
+            sock.sendall(
+                _request_bytes("POST", "/policy/transfers", _transfer_payload("wf", i))
+            )
+            status, headers, doc = _read_response(fp)
+            assert status == 200
+            assert headers["connection"] == "keep-alive"
+            assert len(doc["advice"]) == 1
+
+
+def test_pipelined_burst_is_answered_in_order(server):
+    """A burst of advice calls written back-to-back without waiting gets
+    one response per request, in request order, ids preserved."""
+    n = 20
+    with _connect(server) as sock:
+        burst = b"".join(
+            _request_bytes(
+                "POST", "/policy/transfers", _transfer_payload("wf", i), rid=f"burst-{i}"
+            )
+            for i in range(n)
+        )
+        sock.sendall(burst)
+        fp = sock.makefile("rb")
+        tids = []
+        for i in range(n):
+            status, headers, doc = _read_response(fp)
+            assert status == 200
+            assert headers["x-repro-request-id"] == f"burst-{i}"
+            advice = doc["advice"]
+            assert advice[0]["action"] == "transfer"
+            tids.append(advice[0]["tid"])
+    assert len(set(tids)) == n  # every request saw its own evaluation
+    log = server.access_log
+    assert [e["request_id"] for e in log] == [f"burst-{i}" for i in range(n)]
+
+
+def test_pipelined_mixed_methods_keep_order(server):
+    with _connect(server) as sock:
+        sock.sendall(
+            _request_bytes("POST", "/policy/transfers", _transfer_payload("wf", 0))
+            + _request_bytes("GET", "/policy/status")
+            + _request_bytes("POST", "/policy/transfers", _transfer_payload("wf", 1))
+        )
+        fp = sock.makefile("rb")
+        _, _, first = _read_response(fp)
+        _, _, status_doc = _read_response(fp)
+        _, _, second = _read_response(fp)
+    assert first["advice"][0]["action"] == "transfer"
+    # The GET observes the state after the first POST, before the second.
+    assert status_doc["memory"]["TransferFact"] == 1
+    assert second["advice"][0]["action"] == "transfer"
+
+
+def test_error_mid_pipeline_closes_connection_after_reply(server):
+    """A malformed request gets its 400 and ends the connection; the
+    later pipelined request is never half-applied."""
+    with _connect(server) as sock:
+        sock.sendall(
+            _request_bytes("POST", "/policy/transfers", {"job": "only"})
+            + _request_bytes("POST", "/policy/transfers", _transfer_payload("wf", 9))
+        )
+        fp = sock.makefile("rb")
+        status, headers, doc = _read_response(fp)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "workflow" in doc["error"]
+        assert fp.read() == b""  # server closed; second request discarded
+    assert server.controller.status()["memory"].get("TransferFact") is None
+
+
+def test_compiled_engine_is_served_over_http():
+    service = PolicyService(
+        PolicyConfig(policy="greedy", default_streams=4, max_streams=50),
+        engine="compiled",
+    )
+    with PolicyRestServer(service) as srv:
+        client = HTTPPolicyClient(srv.url)
+        advice = client.submit_transfers("wf1", "j1", transfers_for("a"))
+        assert advice[0].action == "transfer"
+        assert advice[0].streams == 4
+        client.complete_transfers(done=[advice[0].tid])
+        assert client.staging_state("a", "gsiftp://obelix/scratch/a") == "staged"

@@ -11,21 +11,15 @@ import pytest
 from repro.policy import PolicyConfig, PolicyService
 from repro.policy.client import HTTPPolicyClient, RetryPolicy
 from repro.policy.rest import PolicyRestServer
-from repro.policy.rest_async import AsyncPolicyRestServer
 
 
-@pytest.fixture(
-    params=[
-        pytest.param(PolicyRestServer, id="threaded"),
-        pytest.param(AsyncPolicyRestServer, id="async"),
-    ]
-)
-def make_server(request):
+@pytest.fixture
+def make_server():
     def factory(**kwargs):
         service = PolicyService(
             PolicyConfig(policy="greedy", default_streams=4, max_streams=50)
         )
-        return request.param(service, **kwargs)
+        return PolicyRestServer(service, **kwargs)
 
     return factory
 
@@ -130,9 +124,13 @@ def test_stop_reports_timeout_when_request_hangs(make_server):
     original = server.controller.status
     server.controller.status = lambda: (release.wait(10), original())[1]
 
-    t = threading.Thread(
-        target=lambda: urllib.request.urlopen(f"{url}/policy/status", timeout=15).read()
-    )
+    def hung_request():
+        try:
+            urllib.request.urlopen(f"{url}/policy/status", timeout=15).read()
+        except OSError:
+            pass  # the failed drain closed the connection under it
+
+    t = threading.Thread(target=hung_request)
     t.daemon = True
     t.start()
     deadline = time.monotonic() + 5

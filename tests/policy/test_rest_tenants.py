@@ -46,6 +46,11 @@ def post_error_code(url, payload) -> int:
     return excinfo.value.code
 
 
+def one_transfer(**field) -> dict:
+    transfer = {"lfn": "f", "src_url": "gsiftp://a/f", "dst_url": "gsiftp://b/f"}
+    return {"workflow": "wf", "job": "j", "transfers": [{**transfer, **field}]}
+
+
 def test_tenant_crud_roundtrip(server):
     doc = post(f"{server.url}/policy/tenants",
                {"tenant": "acme", "weight": 4, "priority_class": 1,
@@ -100,10 +105,21 @@ def test_bind_unknown_tenant_is_400(server):
     {"tenant": "t", "max_concurrent": -1},
     {"tenant": "t", "priority_class": "high"},
     {"tenant": ""},
+    # the same poison through the other numeric fields of the surface:
+    # ``true`` is an int to isinstance, and NaN compares False to any bound
+    ("/policy/transfers", one_transfer(nbytes=float("nan"))),
+    ("/policy/transfers", one_transfer(nbytes=float("inf"))),
+    ("/policy/transfers", one_transfer(nbytes=True)),
+    ("/policy/transfers", one_transfer(streams=True)),
+    ("/policy/transfers/complete", {"done": [True]}),
+    ("/policy/transfers/complete", {"failed": [False]}),
+    ("/policy/cleanups/complete", {"ids": [True]}),
 ])
 def test_tenant_registration_rejects_poisoned_numbers(server, payload):
-    assert post_error_code(f"{server.url}/policy/tenants", payload) == 400
+    path, payload = payload if isinstance(payload, tuple) else ("/policy/tenants", payload)
+    assert post_error_code(f"{server.url}{path}", payload) == 400
     assert json.loads(get(f"{server.url}/policy/tenants"))["tenants"] == []
+    assert "TransferFact" not in json.loads(get(f"{server.url}/policy/status"))["memory"]
 
 
 @pytest.mark.parametrize("max_bytes", [float("nan"), float("inf"),

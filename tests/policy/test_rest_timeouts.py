@@ -1,9 +1,8 @@
-"""Slow-loris hardening: idle and body-read timeouts on both frontends.
+"""Slow-loris hardening: idle and body-read timeouts.
 
 A client that opens a connection and never sends (or trickles) a
 request must not pin a handler; a client that sends a complete head but
-stalls the declared body gets 408 and a closed connection.  Both the
-thread-per-request and asyncio servers enforce the same contract.
+stalls the declared body gets 408 and a closed connection.
 """
 
 import json
@@ -13,12 +12,7 @@ import urllib.request
 
 import pytest
 
-from repro.policy import (
-    AsyncPolicyRestServer,
-    PolicyConfig,
-    PolicyRestServer,
-    PolicyService,
-)
+from repro.policy import PolicyConfig, PolicyRestServer, PolicyService
 
 
 def _service():
@@ -26,9 +20,8 @@ def _service():
         PolicyConfig(policy="greedy", default_streams=4, max_streams=50))
 
 
-def _make(kind, **kw):
-    cls = PolicyRestServer if kind == "threaded" else AsyncPolicyRestServer
-    return cls(_service(), **kw)
+def _make(**kw):
+    return PolicyRestServer(_service(), **kw)
 
 
 def _hostport(url):
@@ -58,9 +51,8 @@ FULL_HEAD = (
 )
 
 
-@pytest.mark.parametrize("kind", ["threaded", "async"])
-def test_idle_connection_is_closed_silently(kind):
-    with _make(kind, idle_timeout=0.5, read_timeout=0.5) as server:
+def test_idle_connection_is_closed_silently():
+    with _make(idle_timeout=0.5, read_timeout=0.5) as server:
         sock = socket.create_connection(_hostport(server.url))
         t0 = time.monotonic()
         data = _recv_all(sock, timeout=5.0)
@@ -71,9 +63,8 @@ def test_idle_connection_is_closed_silently(kind):
         assert elapsed < 4.0
 
 
-@pytest.mark.parametrize("kind", ["threaded", "async"])
-def test_trickled_request_head_is_closed_without_response(kind):
-    with _make(kind, idle_timeout=0.5, read_timeout=0.5) as server:
+def test_trickled_request_head_is_closed_without_response():
+    with _make(idle_timeout=0.5, read_timeout=0.5) as server:
         sock = socket.create_connection(_hostport(server.url))
         sock.sendall(STALLED_HEAD)  # head never finishes
         data = _recv_all(sock, timeout=5.0)
@@ -81,9 +72,8 @@ def test_trickled_request_head_is_closed_without_response(kind):
         assert data == b""
 
 
-@pytest.mark.parametrize("kind", ["threaded", "async"])
-def test_stalled_body_gets_408_and_close(kind):
-    with _make(kind, idle_timeout=5.0, read_timeout=0.5) as server:
+def test_stalled_body_gets_408_and_close():
+    with _make(idle_timeout=5.0, read_timeout=0.5) as server:
         sock = socket.create_connection(_hostport(server.url))
         sock.sendall(FULL_HEAD + b'{"lfn": "par')  # 200 declared, stalls
         data = _recv_all(sock, timeout=5.0)
@@ -95,9 +85,8 @@ def test_stalled_body_gets_408_and_close(kind):
         assert data.endswith(b"}")
 
 
-@pytest.mark.parametrize("kind", ["threaded", "async"])
-def test_prompt_requests_are_unaffected(kind):
-    with _make(kind, idle_timeout=1.0, read_timeout=0.5) as server:
+def test_prompt_requests_are_unaffected():
+    with _make(idle_timeout=1.0, read_timeout=0.5) as server:
         body = json.dumps(
             {"lfn": "f", "url": "gsiftp://obelix/scratch/f"}).encode()
         req = urllib.request.Request(
@@ -107,9 +96,8 @@ def test_prompt_requests_are_unaffected(kind):
         assert doc["state"] in {"unknown", "staged", "in_progress"}
 
 
-@pytest.mark.parametrize("kind", ["threaded", "async"])
-def test_timeouts_can_be_disabled(kind):
-    with _make(kind, idle_timeout=None, read_timeout=None) as server:
+def test_timeouts_can_be_disabled():
+    with _make(idle_timeout=None, read_timeout=None) as server:
         sock = socket.create_connection(_hostport(server.url))
         # Trickle the head slower than any default timeout tick.
         sock.sendall(b"GET /policy/status")
@@ -120,9 +108,8 @@ def test_timeouts_can_be_disabled(kind):
         assert data.split(b"\r\n", 1)[0].endswith(b"200 OK")
 
 
-@pytest.mark.parametrize("kind", ["threaded", "async"])
-def test_timeout_values_validated(kind):
+def test_timeout_values_validated():
     with pytest.raises(ValueError):
-        _make(kind, idle_timeout=0.0)
+        _make(idle_timeout=0.0)
     with pytest.raises(ValueError):
-        _make(kind, read_timeout=-1.0)
+        _make(read_timeout=-1.0)

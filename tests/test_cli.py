@@ -252,6 +252,34 @@ def test_serve_parser_accepts_shards():
     assert args.shards == 4 and args.journal_root == "/tmp/j"
 
 
+def test_serve_subprocess_exits_cleanly_on_sigterm():
+    """SIGTERM (systemd, `docker stop`) takes the Ctrl-C route: drain,
+    close the shards, exit 0 — promptly when idle."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--shards", "2"],
+        env={**os.environ, "PYTHONPATH": "src", "PYTHONUNBUFFERED": "1"},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        url = "http://" + server.stdout.readline().rsplit("http://", 1)[1].strip()
+        with urllib.request.urlopen(f"{url}/policy/status", timeout=5) as r:
+            assert json.loads(r.read())["shards"] == 2
+        t0 = time.monotonic()
+        server.send_signal(signal.SIGTERM)
+        _, err = server.communicate(timeout=10)
+        assert server.returncode == 0, err
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        server.kill()
+        server.wait()
+
+
 def test_trace_command_engines_agree(tmp_path):
     run_cli("trace", "--out", str(tmp_path / "a"), "--images", "4",
             "--extra-mb", "2", "--engine", "indexed")
