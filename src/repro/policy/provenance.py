@@ -52,6 +52,7 @@ from repro.policy.model import (
     StagedFileFact,
     TransferFact,
 )
+from repro.policy.rules_fairshare import TenantFact
 from repro.policy.salience import TIERS
 from repro.rules import Fact
 
@@ -66,6 +67,7 @@ __all__ = [
     "transfer_record",
     "cleanup_record",
     "eviction_record",
+    "index_firings",
     "attribute_firings_by_ref",
     "degraded_record",
     "degraded_cleanup_record",
@@ -168,42 +170,46 @@ def _bound_ids(bindings: dict) -> tuple[set, set]:
     return tids, cids
 
 
-def _encode_ops(ops: Iterable) -> list[dict]:
-    encoded = []
-    for _fid, fact, op, changed in ops:
-        encoded.append({
-            "op": op,
-            "fact": stable_ref(fact),
-            "changed": sorted(changed) if changed else None,
-        })
-    return encoded
+def _encode_firing(rule, ops: Iterable) -> dict:
+    return {
+        "rule": rule.name,
+        "salience": rule.salience,
+        "tier": tier_name(rule.salience),
+        "ops": [
+            {
+                "op": op,
+                "fact": stable_ref(fact),
+                "changed": sorted(changed) if changed else None,
+            }
+            for _fid, fact, op, changed in ops
+        ],
+    }
 
 
-def attribute_firings(
-    firings: Iterable[tuple],
-    *,
-    tids: frozenset = frozenset(),
-    cids: frozenset = frozenset(),
-) -> list[dict]:
-    """Encode the firings attributable to the given transfer/cleanup ids.
+def index_firings(firings: Iterable[tuple]) -> tuple[dict, dict]:
+    """Encode a batch's firings once; file each under the ids it bound.
 
-    Attribution is by *bindings*: a firing belongs to a record when it
-    bound one of the record's facts, whether or not it mutated it (the
-    group-creation rule, for instance, binds the transfer but only
-    asserts a host-pair fact).  One firing may belong to several records
-    (batch de-duplication binds both twins).
+    Returns ``(by_tid, by_cid)``: transfer id / cleanup id -> the encoded
+    firings attributable to it, in firing order.  Attribution is by
+    *bindings*: a firing belongs to a record when it bound one of the
+    record's facts, whether or not it mutated it (the group-creation
+    rule, for instance, binds the transfer but only asserts a host-pair
+    fact).  One firing may belong to several records (batch
+    de-duplication binds both twins); they then share one encoded dict,
+    which nothing downstream mutates.
     """
-    attributed = []
+    by_tid: dict[int, list[dict]] = {}
+    by_cid: dict[int, list[dict]] = {}
     for rule, bindings, ops in firings:
-        bound_tids, bound_cids = _bound_ids(bindings)
-        if bound_tids & tids or bound_cids & cids:
-            attributed.append({
-                "rule": rule.name,
-                "salience": rule.salience,
-                "tier": tier_name(rule.salience),
-                "ops": _encode_ops(ops),
-            })
-    return attributed
+        tids, cids = _bound_ids(bindings)
+        if not tids and not cids:
+            continue
+        encoded = _encode_firing(rule, ops)
+        for tid in tids:
+            by_tid.setdefault(tid, []).append(encoded)
+        for cid in cids:
+            by_cid.setdefault(cid, []).append(encoded)
+    return by_tid, by_cid
 
 
 def attribute_firings_by_ref(firings: Iterable[tuple], refs: frozenset) -> list[dict]:
@@ -216,50 +222,56 @@ def attribute_firings_by_ref(firings: Iterable[tuple], refs: frozenset) -> list[
     belong to several records.
     """
     attributed = []
-    for rule, bindings, ops in firings:
-        encoded = _encode_ops(ops)
-        if any(op["fact"] in refs for op in encoded):
-            attributed.append({
-                "rule": rule.name,
-                "salience": rule.salience,
-                "tier": tier_name(rule.salience),
-                "ops": encoded,
-            })
+    for rule, _bindings, ops in firings:
+        encoded = _encode_firing(rule, ops)
+        if any(op["fact"] in refs for op in encoded["ops"]):
+            attributed.append(encoded)
     return attributed
 
 
 # --------------------------------------------------------------------------
 # Ledger snapshots
 # --------------------------------------------------------------------------
-def ledger_snapshot(memory) -> dict:
-    """Budget/ledger state relevant to gating decisions, by stable key."""
-    pairs = {}
-    for f in memory.facts_of(HostPairFact):
-        pairs[f"{f.src_host}->{f.dst_host}"] = {
-            "allocated": f.allocated,
-            "threshold": f.threshold,
-        }
-    clusters = {}
-    for f in memory.facts_of(ClusterAllocationFact):
-        clusters[f"{f.src_host}->{f.dst_host}/{f.cluster}"] = {
-            "allocated": f.allocated,
-        }
-    tenants = {}
-    staged = {}
-    for f in memory:
-        cls = type(f).__name__
-        if cls == "TenantFact":
-            tenants[f.tenant] = {
+def ledger_snapshot(memory, cleanup_files: Optional[Iterable[tuple]] = None) -> dict:
+    """The budget/ledger state a batch's decision records cite, by stable key.
+
+    A probe, not a census: its cost follows the ledgers and the batch,
+    never the resident staged files.  Transfer records (``cleanup_files``
+    left out) consult the host-pair, cluster and tenant ledgers; cleanup
+    records consult only the staged-file entries of the batch's own
+    ``(lfn, url)`` pairs, fetched through the memory's hash index.
+    """
+    if cleanup_files is not None:
+        staged = {}
+        for lfn, url in cleanup_files:
+            matches = memory.lookup(StagedFileFact, lfn=lfn, dst_url=url)
+            if matches:
+                newest = matches[-1]  # one key per file: the last match wins
+                staged[f"{lfn}@{url}"] = {
+                    "status": newest.status,
+                    "users": sorted(newest.users),
+                }
+        return {"staged": staged}
+    return {
+        "pairs": {
+            f"{f.src_host}->{f.dst_host}": {
+                "allocated": f.allocated,
+                "threshold": f.threshold,
+            }
+            for f in memory.facts_of(HostPairFact)
+        },
+        "clusters": {
+            f"{f.src_host}->{f.dst_host}/{f.cluster}": {"allocated": f.allocated}
+            for f in memory.facts_of(ClusterAllocationFact)
+        },
+        "tenants": {
+            f.tenant: {
                 "inflight_streams": f.inflight_streams,
                 "bytes_staged": f.bytes_staged,
             }
-        elif isinstance(f, StagedFileFact):
-            staged[f"{f.lfn}@{f.dst_url}"] = {
-                "status": f.status,
-                "users": sorted(f.users),
-            }
-    return {"pairs": pairs, "clusters": clusters, "tenants": tenants,
-            "staged": staged}
+            for f in memory.facts_of(TenantFact)
+        },
+    }
 
 
 def _pair_entry(key: str, before: dict, after: dict) -> Optional[dict]:

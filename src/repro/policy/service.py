@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import as_tracer
-from repro.rules import CompiledSession, Rule, Session, WorkingMemory, compile_rules
+from repro.rules import CompiledSession, Rule, Session, WorkingMemory
 
 from repro.datacatalog.catalog import DataCatalog
 from repro.datacatalog.model import EvictionSweepFact
@@ -37,10 +37,10 @@ from repro.policy.model import (
 from repro.policy.provenance import (
     DecisionLog,
     FiringCollector,
-    attribute_firings,
     attribute_firings_by_ref,
     cleanup_record,
     eviction_record,
+    index_firings,
     ledger_snapshot,
     transfer_record,
 )
@@ -118,7 +118,7 @@ class PolicyService:
         advice census in the args) on the ``policy`` track.
     profiler:
         Optional :class:`~repro.obs.profiler.RuleProfiler` attached to
-        every rule session the service opens (see
+        the service's rule session (see
         :meth:`profile_report`).
     """
 
@@ -166,9 +166,6 @@ class PolicyService:
             rules += eviction_rules()
         rules += list(extra_rules)
         self._rules = rules
-        # One compilation pass per service: every compiled session shares
-        # the (immutable) plan set; per-call state lives in its network.
-        self._ruleset = compile_rules(rules) if self.engine == "compiled" else None
         # Plain integer counters (not itertools.count) so snapshots can
         # read the high-water marks and recovery can restore them.
         self._tid_last = 0
@@ -181,6 +178,20 @@ class PolicyService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = as_tracer(tracer)
         self.profiler = profiler
+        # The one rule session of this service.  Its agendas (or join
+        # network) outlive the call and follow the memory's change log,
+        # so a call pays for the facts it touches, not for re-matching
+        # the resident set; ``_session()`` hands it out reset.
+        self._rule_session: Session = (
+            CompiledSession(
+                rules, memory=self.memory, globals=self.globals, profiler=profiler
+            )
+            if self.engine == "compiled"
+            else Session(
+                rules, memory=self.memory, globals=self.globals,
+                incremental=self.engine == "indexed", profiler=profiler,
+            )
+        )
         #: decision-provenance log (None when config.decision_log is off)
         self.decisions: Optional[DecisionLog] = (
             DecisionLog(self.config.decision_log_cap)
@@ -395,13 +406,19 @@ class PolicyService:
 
     @contextmanager
     def _transaction(self):
-        """Scope one service call's journal records; abort them on error."""
+        """Scope one service call's journal records; abort them on error.
+
+        Either way the rule session is released without its firing
+        listener: a collector must not outlive the call it served.
+        """
         try:
             yield
         except BaseException:
             if self.journal is not None:
                 self.journal.abort()
             raise
+        finally:
+            self._rule_session.firing_listener = None
 
     def _commit_journal(self, done: Iterable[int] = (), failed: Iterable[int] = ()) -> None:
         journal = self.journal
@@ -488,21 +505,9 @@ class PolicyService:
 
     # ------------------------------------------------------------------ session
     def _session(self) -> Session:
-        if self.engine == "compiled":
-            return CompiledSession(
-                self._rules,
-                memory=self.memory,
-                globals=self.globals,
-                profiler=self.profiler,
-                ruleset=self._ruleset,
-            )
-        return Session(
-            self._rules,
-            memory=self.memory,
-            globals=self.globals,
-            incremental=self.engine == "indexed",
-            profiler=self.profiler,
-        )
+        """The service's rule session, reset for one evaluation."""
+        self._rule_session.reset()
+        return self._rule_session
 
     def _fire(self, session: Session) -> int:
         fired = session.fire_all()
@@ -721,6 +726,7 @@ class PolicyService:
         if collector is not None:
             after = ledger_snapshot(self.memory)
             by_tid = {item.tid: item for item in advice}
+            firings_of, _ = index_firings(collector.firings)
             for fact in facts:
                 item = by_tid.get(fact.tid)
                 if item is None:  # pragma: no cover - defensive
@@ -728,9 +734,7 @@ class PolicyService:
                 record = transfer_record(
                     fact,
                     item,
-                    attribute_firings(
-                        collector.firings, tids=frozenset((fact.tid,))
-                    ),
+                    firings_of.get(fact.tid, []),
                     before,
                     after,
                     batch=batch,
@@ -930,7 +934,7 @@ class PolicyService:
             if self.decisions is not None:
                 collector = FiringCollector()
                 session.firing_listener = collector
-                before = ledger_snapshot(self.memory)
+                before = ledger_snapshot(self.memory, files)
             lease = (
                 None
                 if self.config.lease_seconds is None
@@ -970,16 +974,15 @@ class PolicyService:
                     self.memory.retract(fact)
                     self._m_cleanups["skipped"].inc()
             if collector is not None:
-                after = ledger_snapshot(self.memory)
+                after = ledger_snapshot(self.memory, files)
                 by_cid = {item.cid: item for item in advice}
+                _, firings_of = index_firings(collector.firings)
                 for fact in facts:
                     self._record_decision(
                         cleanup_record(
                             fact,
                             by_cid[fact.cid],
-                            attribute_firings(
-                                collector.firings, cids=frozenset((fact.cid,))
-                            ),
+                            firings_of.get(fact.cid, []),
                             before,
                             after,
                             batch=batch,
@@ -1005,18 +1008,24 @@ class PolicyService:
         t0 = time.perf_counter()
         with self._transaction():
             matched = 0
-            for fact in list(self.memory.facts_of(CleanupFact)):
-                if fact.cid in ids and fact.status == "in_progress":
-                    for resource in list(
-                        self.memory.lookup(StagedFileFact, dst_url=fact.url)
-                    ):
-                        self.memory.retract(resource)
-                    if self.catalog is not None:
-                        # The file is gone from disk; the catalog must stop
-                        # advertising it (and release its site bytes).
-                        self.catalog.unregister(fact.url)
-                    self.memory.retract(fact)
-                    matched += 1
+            in_progress = [
+                fact
+                for cid in ids
+                for fact in self.memory.lookup(CleanupFact, cid=cid)
+                if fact.status == "in_progress"
+            ]
+            # Oldest grant first, as a walk over every cleanup fact would
+            # visit them: the journal records the retractions in order.
+            in_progress.sort(key=self.memory.fid_of)
+            for fact in in_progress:
+                for resource in self.memory.lookup(StagedFileFact, dst_url=fact.url):
+                    self.memory.retract(resource)
+                if self.catalog is not None:
+                    # The file is gone from disk; the catalog must stop
+                    # advertising it (and release its site bytes).
+                    self.catalog.unregister(fact.url)
+                self.memory.retract(fact)
+                matched += 1
             self._commit_journal()
             self._m_call_seconds["complete_cleanups"].observe(
                 time.perf_counter() - t0

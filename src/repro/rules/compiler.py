@@ -135,8 +135,7 @@ class CompiledRuleset:
 
     Immutable once built; a :class:`~repro.rules.network.JoinNetwork`
     holds the per-evaluation runtime state (beta memories, candidate
-    heaps, probes) and many networks may share one ruleset — the Policy
-    Service compiles its pack once and reuses it for every request.
+    heaps, probes) and many networks may share one ruleset.
     """
 
     def __init__(self, rules: Sequence[Rule]):

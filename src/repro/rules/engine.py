@@ -25,8 +25,9 @@ By default (``incremental=True``) a session maintains one *agenda* per
 rule — the set of computed, not-yet-fired activations — and after each
 firing re-derives only what the firing's mutations can have changed:
 
-* a rule none of whose referenced fact types changed is untouched
-  (type-stamp check, as before);
+* each scan reads the tail of the memory's change log **once** and
+  routes every mutation to the agendas of the rules whose referenced
+  fact types it touches; a rule nothing was routed to is not visited;
 * a dirty fact only matched by :class:`~repro.rules.patterns.Pattern`
   elements triggers a *delta* update: activations referencing the fact are
   dropped and the rule is re-joined with each Pattern position restricted
@@ -236,11 +237,13 @@ def _activation_key(memory: WorkingMemory, rule: Rule, bindings: dict):
 class _Agenda:
     """Computed activations of one rule, kept in sync with the memory."""
 
-    __slots__ = ("stamp", "seq", "entries", "by_fid", "verify_gates")
+    __slots__ = ("pending", "entries", "by_fid", "verify_gates")
 
     def __init__(self) -> None:
-        self.stamp = -1
-        self.seq = -1
+        #: ``(fid, fact, op)`` mutations of the rule's fact types not yet
+        #: applied, oldest first; ``None`` = rebuild from scratch (a new
+        #: agenda, or the bounded change log was overrun)
+        self.pending: Optional[list[tuple[int, Fact, str]]] = None
         #: activation key -> bindings (insertion order = discovery order)
         self.entries: dict[tuple, dict] = {}
         #: fid -> set of activation keys referencing that fact
@@ -315,8 +318,10 @@ class Session:
         profiler: Optional[Any] = None,
         tie_break: Optional[Callable[[Rule, int, tuple], Any]] = None,
     ):
-        names = [r.name for r in rules]
-        dupes = {n for n in names if names.count(n) > 1}
+        names: set[str] = set()
+        dupes: set[str] = set()
+        for rule in rules:
+            (dupes if rule.name in names else names).add(rule.name)
         if dupes:
             raise RuleEngineError(f"duplicate rule names: {sorted(dupes)}")
         self.rules = list(rules)
@@ -336,7 +341,13 @@ class Session:
             tiers.setdefault(rule.salience, []).append((order, rule))
         self._tiers = [tiers[s] for s in sorted(tiers, reverse=True)]
         self._match_cache: dict[str, tuple[int, list[dict]]] = {}
-        self._agendas: dict[str, _Agenda] = {}
+        self._agendas: dict[str, _Agenda] = (
+            {rule.name: _Agenda() for rule in self.rules} if self.incremental else {}
+        )
+        # concrete fact type -> agendas of the rules referencing it
+        self._agendas_of: dict[type, list[_Agenda]] = {}
+        # memory clock up to which mutations were routed to the agendas
+        self._routed = -1
         self._halted = False
         self._tie_break = tie_break
         self.trace: list[str] = []
@@ -349,6 +360,22 @@ class Session:
         self.profiler = profiler
         if profiler is not None:
             profiler.register(rule.name for rule in self.rules)
+
+    def reset(self) -> None:
+        """Forget everything one evaluation leaves behind, keep the agendas.
+
+        A long-lived caller (the Policy Service keeps one session for its
+        whole life) calls this before each request.  Refraction memory,
+        ``no_loop`` history, the halt flag, the firing listener and the
+        trace start empty, exactly as in a new session; the agendas stay
+        and catch up from the memory's change log, which is sound because
+        an agenda is a pure function of the memory.
+        """
+        self._fired = set()
+        self._last_fired_versions = {}
+        self._halted = False
+        self.firing_listener = None
+        self.trace = []
 
     # -- memory passthrough --------------------------------------------------
     def insert(self, fact: Fact, _modifier: Optional[str] = None) -> Fact:
@@ -462,45 +489,66 @@ class Session:
             for bindings in rule.matches(self.memory, seed, restrict=(position, candidates)):
                 agenda.add(_activation_key(self.memory, rule, bindings), bindings)
 
-    def _sync_agenda(self, rule: Rule, seed: dict) -> _Agenda:
-        agenda = self._agendas.get(rule.name)
-        if agenda is None:
-            agenda = self._agendas[rule.name] = _Agenda()
-        stamp = self.memory.stamp(rule.types)
-        if agenda.stamp == stamp:
-            return agenda
+    def _route_changes(self) -> None:
+        """Hand the mutations since the last scan to the agendas they touch.
+
+        One walk of the change-log tail per scan, whatever the number of
+        rules; an agenda nothing was routed to stays clean and its rule
+        is skipped.  When the session fell behind the bounded log every
+        agenda is marked for a rebuild instead.
+        """
+        memory = self.memory
+        if self._routed == memory.clock:
+            return
+        changes = memory.changes_since(self._routed) if self._routed >= 0 else None
+        self._routed = memory.clock
+        if changes is None:
+            for agenda in self._agendas.values():
+                agenda.pending = None
+            return
+        agendas_of = self._agendas_of
+        for change in changes:
+            fact_type = type(change[1])
+            agendas = agendas_of.get(fact_type)
+            if agendas is None:
+                agendas = agendas_of[fact_type] = [
+                    self._agendas[rule.name]
+                    for rule in self.rules
+                    if issubclass(fact_type, rule.types)
+                ]
+            for agenda in agendas:
+                if agenda.pending is not None:
+                    agenda.pending.append(change)
+
+    def _sync_agenda(self, agenda: _Agenda, rule: Rule, seed: dict) -> None:
+        """Apply the agenda's pending mutations (delta when provably
+        enough, rebuild otherwise)."""
+        pending, agenda.pending = agenda.pending, []
         dirty: Optional[list[tuple[int, Fact]]] = None
         verify = False
-        if agenda.seq >= 0:
-            changes = self.memory.changes_since(agenda.seq)
-            if changes is not None:
-                relevant = [
-                    (fid, fact, op)
-                    for fid, fact, op in changes
-                    if isinstance(fact, rule.types)
-                ]
-                rebuild = False
-                for _fid, fact, op in relevant:
-                    if rule.hard_gate_types and isinstance(fact, rule.hard_gate_types):
-                        # Exists can be newly satisfied by an insert and
-                        # Collect rebinds on any change: no delta possible.
+        if pending is not None:
+            rebuild = False
+            for _fid, fact, op in pending:
+                if rule.hard_gate_types and isinstance(fact, rule.hard_gate_types):
+                    # Exists can be newly satisfied by an insert and
+                    # Collect rebinds on any change: no delta possible.
+                    rebuild = True
+                    break
+                if rule.absent_types and isinstance(fact, rule.absent_types):
+                    if op == "i" and self.memory.contains(fact):
+                        # A new blocker can only invalidate existing
+                        # activations — keep them, re-verify at fire
+                        # time instead of rebuilding.
+                        verify = True
+                    else:
+                        # An update may flip the Absent guard either
+                        # way; a retract can enable activations that
+                        # bind no dirty fact.  Only a rebuild finds
+                        # those.
                         rebuild = True
                         break
-                    if rule.absent_types and isinstance(fact, rule.absent_types):
-                        if op == "i" and self.memory.contains(fact):
-                            # A new blocker can only invalidate existing
-                            # activations — keep them, re-verify at fire
-                            # time instead of rebuilding.
-                            verify = True
-                        else:
-                            # An update may flip the Absent guard either
-                            # way; a retract can enable activations that
-                            # bind no dirty fact.  Only a rebuild finds
-                            # those.
-                            rebuild = True
-                            break
-                if not rebuild:
-                    dirty = [(fid, fact) for fid, fact, _op in relevant]
+            if not rebuild:
+                dirty = [(fid, fact) for fid, fact, _op in pending]
         profiler = self.profiler
         before = len(agenda.entries)
         t0 = profiler.clock() if profiler is not None else 0.0
@@ -516,9 +564,6 @@ class Session:
                 max(len(agenda.entries) - before, 0),
                 profiler.clock() - t0,
             )
-        agenda.stamp = stamp
-        agenda.seq = self.memory.clock
-        return agenda
 
     def _gates_still_pass(self, rule: Rule, bindings: dict) -> bool:
         """Re-check a stored activation's Absent gates against the memory."""
@@ -529,10 +574,14 @@ class Session:
 
     def _next_activation_incremental(self, seed: dict):
         tie_break = self._tie_break
+        self._route_changes()
+        agendas = self._agendas
         for tier in self._tiers:
             best = None
             for order, rule in tier:
-                agenda = self._sync_agenda(rule, seed)
+                agenda = agendas[rule.name]
+                if agenda.pending is None or agenda.pending:
+                    self._sync_agenda(agenda, rule, seed)
                 if not agenda.entries:
                     continue
                 fired = self._fired

@@ -23,6 +23,11 @@ driven by the memory's change log:
   memory), so the store only ever needs to be a *superset* of the true
   activations: the first valid pop is provably the same activation the
   seed and indexed engines would fire.
+* **Spent candidates** — a candidate that was popped and is still a
+  match (it fired, or refraction / ``no_loop`` held it back) stays in
+  the store but not in the heap.  :meth:`JoinNetwork.rearm` pushes
+  those back, so a network that outlives one evaluation offers the next
+  one exactly what a freshly built network would.
 
 :class:`CompiledSession` plugs the network into the ordinary
 :class:`~repro.rules.engine.Session` firing loop, inheriting refraction,
@@ -84,6 +89,7 @@ class _Bucket:
 
     def add(self, entry: _PrefixEntry) -> None:
         if entry.fids in self.inlist:
+            self.dead -= 1  # its tombstoned slot is live again
             return
         insort(self.ranked, (entry.rank, entry.fids))
         self.inlist.add(entry.fids)
@@ -162,12 +168,19 @@ class _PrefixStore:
             )
             if bucket is not None:
                 bucket.dead += 1
+                if bucket.dead == len(bucket.ranked) and bucket is not self.wildcard:
+                    # Nothing alive under this key any more.  Keys are
+                    # as many as the values ever joined on (every lfn a
+                    # long-lived service has seen), so an empty bucket
+                    # is forgotten, not kept; a probe still holding it
+                    # just finds it exhausted.
+                    del self.buckets[entry.bucket_key]
                 # Fired prefixes die in rank order, piling tombstones at
                 # the front of the ranked list where every fresh probe
                 # starts its walk — compact early (bounds a probe's dead
                 # skips at len/16) but proportionally (a big bucket with
                 # scattered deaths still compacts only O(log) times).
-                if bucket.dead > 8 and bucket.dead * 16 >= len(bucket.ranked):
+                elif bucket.dead > 8 and bucket.dead * 16 >= len(bucket.ranked):
                     bucket.compact(self.entries)
 
     def buckets_for_fact(self, fact: Fact) -> tuple[_Bucket, _Bucket]:
@@ -191,12 +204,11 @@ class _PrefixStore:
 class _Cand:
     """A stored candidate activation (a superset member, validated at pop)."""
 
-    __slots__ = ("key_fids", "facts", "bindings", "alive")
+    __slots__ = ("key_fids", "facts", "alive")
 
-    def __init__(self, key_fids: tuple, facts: tuple, bindings: dict):
+    def __init__(self, key_fids: tuple, facts: tuple):
         self.key_fids = key_fids   # sorted bound fids = agenda rank
         self.facts = facts         # position-ordered Pattern facts (None if unbound)
-        self.bindings = bindings
         self.alive = True
 
 
@@ -297,12 +309,15 @@ class JoinNetwork:
         self._seq = -1
         self._states: dict[str, _RuleState] = {}
         self._heaps: list[list] = [[] for _ in ruleset.tiers]
+        # popped candidates that are still matches, awaiting rearm()
+        self._spent: list[tuple[_RuleState, _Cand]] = []
         self._build_all()
 
     # ------------------------------------------------------------- build
     def _build_all(self) -> None:
         self._states.clear()
         self._heaps = [[] for _ in self.ruleset.tiers]
+        self._spent.clear()
         for tier_index, tier in enumerate(self.ruleset.tiers):
             for plan in tier:
                 state = _RuleState(plan, tier_index)
@@ -367,16 +382,34 @@ class JoinNetwork:
 
     # ------------------------------------------------------- candidates
     def _add_cand(self, state: _RuleState, facts: tuple, bindings: dict) -> None:
-        memory = self.memory
-        key_fids = _activation_key(memory, state.plan.rule, bindings)[1]
+        key_fids = _activation_key(self.memory, state.plan.rule, bindings)[1]
         existing = state.cands.get(key_fids)
         if existing is not None and existing.alive:
             return
-        cand = _Cand(key_fids, facts, bindings)
+        cand = self._store_cand(state, key_fids, facts)
+        self._push(state, key_fids, ("c", state, cand))
+
+    @staticmethod
+    def _store_cand(state: _RuleState, key_fids: tuple, facts: tuple) -> _Cand:
+        cand = _Cand(key_fids, facts)
         state.cands[key_fids] = cand
         for fid in key_fids:
             state.by_fid.setdefault(fid, set()).add(key_fids)
-        self._push(state, key_fids, ("c", state, cand))
+        return cand
+
+    def rearm(self) -> None:
+        """Offer again every candidate an earlier evaluation consumed.
+
+        Called when the owning session is reset: with its refraction and
+        ``no_loop`` memory gone, a stored match that already fired is
+        fireable again, as it would be in a network built from scratch.
+        Costs one push per candidate still alive, i.e. per activation
+        the coming evaluation will consider anyway.
+        """
+        spent, self._spent = self._spent, []
+        for state, cand in spent:
+            if cand.alive:
+                self._push(state, cand.key_fids, ("c", state, cand))
 
     def _push(self, state: _RuleState, rank: tuple, payload: tuple) -> None:
         self._serial += 1
@@ -639,11 +672,10 @@ class JoinNetwork:
                             if refs is not None:
                                 refs.discard(cand.key_fids)
                         continue
+                    self._spent.append((state, cand))
                     if result == "skip":
                         continue
-                    if result is not None:
-                        return result
-                    continue
+                    return result
                 _tag, state, probe, entry = payload
                 if not probe.alive:
                     continue
@@ -654,13 +686,15 @@ class JoinNetwork:
                 existing = state.cands.get(rank)
                 if existing is not None and existing.alive:
                     continue  # already covered by an eager candidate
-                result = self._validate(
-                    session, state, entry.facts + (probe.driver,), rank, order
-                )
-                if result in ("dead", "skip"):
+                facts = entry.facts + (probe.driver,)
+                result = self._validate(session, state, facts, rank, order)
+                if result == "dead":
                     continue
-                if result is not None:
-                    return result
+                # A match: from here on it is an ordinary (spent) candidate.
+                self._spent.append((state, self._store_cand(state, rank, facts)))
+                if result == "skip":
+                    continue
+                return result
         return None
 
     def _validate(self, session: Session, state: _RuleState, facts: tuple,
@@ -670,7 +704,8 @@ class JoinNetwork:
         Returns the ``(rank, rule, bindings, key)`` tuple when the
         activation is live and fireable, ``"dead"`` when it is no longer
         a match (drop and await re-derivation), ``"skip"`` when it is a
-        match but must not fire now (refraction / ``no_loop``)."""
+        match but must not fire in this evaluation (refraction /
+        ``no_loop``, both forgotten by ``Session.reset``)."""
         memory = self.memory
         rule = state.plan.rule
         bindings = dict(self.seed)
@@ -696,10 +731,8 @@ class JoinNetwork:
                     return "dead"
                 bindings = expanded[0]
         key = _activation_key(memory, rule, bindings)
-        if key in session._fired:
+        if key in session._fired or session._suppressed_by_no_loop(rule, key):
             return "skip"
-        if session._suppressed_by_no_loop(rule, key):
-            return "dead"
         return ((key[1], order), rule, bindings, key)
 
     # ------------------------------------------------------------ stats
@@ -712,10 +745,13 @@ class CompiledSession(Session):
     :class:`JoinNetwork` (the ``engine="compiled"`` runtime).
 
     Accepts a pre-built :class:`~repro.rules.compiler.CompiledRuleset`
-    so long-lived callers (the Policy Service) compile their pack once;
-    compiles on the fly otherwise.  Everything else — refraction,
-    ``no_loop``, tracing, profiler hooks, ``max_firings`` — is inherited,
-    and the firing sequence is identical to the interpreted engines.
+    so callers running several sessions over one pack compile it once;
+    compiles on the fly otherwise.  The network is built on the first
+    evaluation and kept: ``reset()`` re-arms it instead of discarding it
+    (the Policy Service runs one session for its whole life).
+    Everything else — refraction, ``no_loop``, tracing, profiler hooks,
+    ``max_firings`` — is inherited, and the firing sequence is identical
+    to the interpreted engines.
     """
 
     def __init__(
@@ -735,6 +771,11 @@ class CompiledSession(Session):
             raise ValueError("ruleset was compiled from a different rule pack")
         self.ruleset = ruleset if ruleset is not None else compile_rules(self.rules)
         self.network: Optional[JoinNetwork] = None
+
+    def reset(self) -> None:
+        super().reset()
+        if self.network is not None:
+            self.network.rearm()
 
     def _next_activation(self):
         if self.network is None:

@@ -1,0 +1,197 @@
+"""A service call costs O(batch), not O(resident facts).
+
+Count-based and deterministic: the same 2-file staging cycle
+(``submit_transfers`` -> ``complete_transfers`` -> ``submit_cleanups``
+-> ``complete_cleanups``) is run against a service holding 200 resident
+staged files and against one holding 20,000.  Guard evaluations and the
+facts the working memory hands out must be *equal*, the memory must not
+be iterated, and the staged-file extent must not be listed.
+"""
+
+import pytest
+
+import repro.policy.service as service_module
+import repro.rules.network as network_module
+import repro.rules.patterns as patterns_module
+from repro.policy import PolicyConfig, PolicyService
+from repro.policy.model import ClusterAllocationFact, HostPairFact, StagedFileFact
+from repro.policy.provenance import ledger_snapshot
+from repro.rules import WorkingMemory
+
+from tests.policy.conftest import spec
+
+DST = "gsiftp://obelix/scratch"
+
+
+class CountingMemory(WorkingMemory):
+    """Counts the facts handed to callers and the scans that list them."""
+
+    def __init__(self, indexed=True):
+        super().__init__(indexed=indexed)
+        self.reset_counts()
+
+    def reset_counts(self):
+        self.visited = 0
+        self.iterations = 0
+        self.extents_listed = []
+
+    def facts_of(self, fact_type):
+        facts = super().facts_of(fact_type)
+        self.extents_listed.append(fact_type)
+        self.visited += len(facts)
+        return facts
+
+    def lookup(self, fact_type, **keys):
+        if not keys:
+            return self.facts_of(fact_type)
+        facts = super().lookup(fact_type, **keys)
+        self.visited += len(facts)
+        return facts
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.fixture
+def guard_checks(monkeypatch):
+    """Number of guard evaluations, whichever engine performs them."""
+    counts = [0]
+    check = patterns_module._check
+
+    def counting_check(guard, fact, bindings):
+        counts[0] += 1
+        return check(guard, fact, bindings)
+
+    monkeypatch.setattr(patterns_module, "_check", counting_check)
+    monkeypatch.setattr(network_module, "_check", counting_check)
+    return counts
+
+
+def cycle(service, tag):
+    """One staging job of two files, start to deleted."""
+    advice = service.submit_transfers(
+        "wf", f"job-{tag}", [spec(f"{tag}-a"), spec(f"{tag}-b")]
+    )
+    assert [a.action for a in advice] == ["transfer", "transfer"]
+    service.complete_transfers(done=[a.tid for a in advice])
+    files = [(a.lfn, a.dst_url) for a in advice]
+    cleanups = service.submit_cleanups("wf", f"clean-{tag}", files)
+    assert [c.action for c in cleanups] == ["delete", "delete"]
+    assert service.complete_cleanups([c.cid for c in cleanups]) == {"acknowledged": 2}
+
+
+def measure(monkeypatch, guard_checks, engine, resident):
+    monkeypatch.setattr(service_module, "WorkingMemory", CountingMemory)
+    service = PolicyService(
+        PolicyConfig(policy="greedy", default_streams=4, max_streams=50), engine=engine
+    )
+    memory = service.memory
+    assert isinstance(memory, CountingMemory)
+    service.reconcile_staged(
+        "resident", [(f"res-{i}", f"{DST}/res-{i}") for i in range(resident)]
+    )
+    cycle(service, "warm")  # builds the indexes and the agendas / network
+    assert len(memory) >= resident
+    memory.reset_counts()
+    guard_checks[0] = 0
+    cycle(service, "timed")
+    return {
+        "guard_checks": guard_checks[0],
+        "facts_visited": memory.visited,
+        "iterations": memory.iterations,
+        "extents_listed": memory.extents_listed,
+        "explained": [r["digest"] for r in service.decision_records()[-4:]],
+    }
+
+
+@pytest.mark.parametrize("engine", ("indexed", "compiled"))
+def test_staging_cycle_cost_is_independent_of_resident_files(
+    monkeypatch, guard_checks, engine
+):
+    small = measure(monkeypatch, guard_checks, engine, resident=200)
+    large = measure(monkeypatch, guard_checks, engine, resident=20_000)
+    assert small["guard_checks"] == large["guard_checks"] > 0
+    assert small["facts_visited"] == large["facts_visited"] > 0
+    assert small["iterations"] == large["iterations"] == 0
+    assert StagedFileFact not in small["extents_listed"] + large["extents_listed"]
+    # Same decisions either way: the resident files are bystanders.
+    assert small["explained"] == large["explained"]
+
+
+# ------------------------------------------------------------------ oracle
+def full_scan_ledger_snapshot(memory) -> dict:
+    """The census ``ledger_snapshot`` used to take: every fact, twice per
+    submit.  Kept here as the oracle for the keyed probe."""
+    pairs = {}
+    for f in memory.facts_of(HostPairFact):
+        pairs[f"{f.src_host}->{f.dst_host}"] = {
+            "allocated": f.allocated,
+            "threshold": f.threshold,
+        }
+    clusters = {}
+    for f in memory.facts_of(ClusterAllocationFact):
+        clusters[f"{f.src_host}->{f.dst_host}/{f.cluster}"] = {
+            "allocated": f.allocated,
+        }
+    tenants = {}
+    staged = {}
+    for f in memory:
+        cls = type(f).__name__
+        if cls == "TenantFact":
+            tenants[f.tenant] = {
+                "inflight_streams": f.inflight_streams,
+                "bytes_staged": f.bytes_staged,
+            }
+        elif isinstance(f, StagedFileFact):
+            staged[f"{f.lfn}@{f.dst_url}"] = {
+                "status": f.status,
+                "users": sorted(f.users),
+            }
+    return {"pairs": pairs, "clusters": clusters, "tenants": tenants,
+            "staged": staged}
+
+
+@pytest.mark.parametrize("policy", ("greedy", "balanced"))
+def test_ledger_probe_equals_the_full_scan_on_the_cited_keys(policy):
+    service = PolicyService(
+        PolicyConfig(policy=policy, default_streams=4, max_streams=6, cluster_count=2)
+    )
+    service.register_tenant("astro", max_streams=8)
+    service.register_tenant("bio")
+    service.bind_workflow("wf", "astro")
+    service.reconcile_staged(
+        "other", [(f"res-{i}", f"{DST}/res-{i}") for i in range(50)]
+    )
+    advice = service.submit_transfers(
+        "wf", "j1",
+        [spec("a"), spec("b", src="gsiftp://site-b/data"), spec("res-3"), spec("a")],
+    )
+    service.complete_transfers(
+        done=[a.tid for a in advice if a.action == "transfer"][:1]
+    )
+    memory = service.memory
+    oracle = full_scan_ledger_snapshot(memory)
+    assert oracle["pairs"] and oracle["tenants"] and len(oracle["staged"]) > 50
+
+    probe = ledger_snapshot(memory)
+    assert probe == {k: oracle[k] for k in ("pairs", "clusters", "tenants")}
+
+    files = [("a", f"{DST}/a"), ("res-3", f"{DST}/res-3"), ("ghost", f"{DST}/ghost")]
+    probe = ledger_snapshot(memory, files)
+    cited = [f"{lfn}@{url}" for lfn, url in files]
+    assert probe == {
+        "staged": {k: oracle["staged"][k] for k in cited if k in oracle["staged"]}
+    }
+    assert set(probe["staged"]) == {cited[0], cited[1]}
+
+    # And the records built from the probes cite exactly those values.
+    cleanups = service.submit_cleanups("wf", "clean", files)
+    for item in cleanups:
+        key = f"{item.lfn}@{item.url}"
+        ledger = service.explain_cleanup(item.cid)["ledger"]
+        if key in oracle["staged"]:
+            assert ledger["staged"]["key"] == key
+            assert ledger["staged"]["before"] == oracle["staged"][key]
+        else:
+            assert ledger == {}

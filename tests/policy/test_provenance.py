@@ -238,3 +238,83 @@ def test_narrative_tells_the_causal_story():
     assert "ALLOCATION" in text
     assert "pair ledger fg-vm->obelix" in text
     assert "digest" in text
+
+
+# ------------------------------------------- single-pass firing attribution
+def per_record_attribution(firings, *, tids=frozenset(), cids=frozenset()):
+    """The oracle: the per-record rescan ``index_firings`` replaced — one
+    walk over every firing of the batch for each record."""
+    from repro.policy.model import CleanupFact
+
+    attributed = []
+    for rule, bindings, ops in firings:
+        bound_tids, bound_cids = set(), set()
+        for value in bindings.values():
+            items = value if isinstance(value, (list, tuple, set)) else (value,)
+            for item in items:
+                if isinstance(item, TransferFact):
+                    bound_tids.add(item.tid)
+                elif isinstance(item, CleanupFact):
+                    bound_cids.add(item.cid)
+        if bound_tids & tids or bound_cids & cids:
+            attributed.append({
+                "rule": rule.name,
+                "salience": rule.salience,
+                "tier": tier_name(rule.salience),
+                "ops": [
+                    {
+                        "op": op,
+                        "fact": stable_ref(fact),
+                        "changed": sorted(changed) if changed else None,
+                    }
+                    for _fid, fact, op, changed in ops
+                ],
+            })
+    return attributed
+
+
+@pytest.mark.parametrize("engine", ["indexed", "compiled"])
+def test_big_batch_records_equal_per_record_attribution(monkeypatch, engine):
+    from repro.policy import provenance, service as service_module
+
+    collectors = []
+
+    class KeptCollector(provenance.FiringCollector):
+        def __init__(self):
+            super().__init__()
+            collectors.append(self)
+
+    monkeypatch.setattr(service_module, "FiringCollector", KeptCollector)
+    service = make_service(engine, max_streams=400)
+    # 300 requests over 3 source hosts; every 10th repeats an earlier lfn,
+    # so one de-duplication firing binds two transfers of the batch.
+    batch = [
+        spec(f"f{i if i % 10 else i // 2}", src=f"gsiftp://site{i % 3}/data")
+        for i in range(300)
+    ]
+    advice = service.submit_transfers("wf", "big", batch)
+    assert len(advice) == 300 and len(collectors) == 1
+    firings = collectors[0].firings
+    assert len(firings) > 600
+    # Some firing binds two transfers, so it belongs to two records.
+    assert any(
+        sum(isinstance(v, TransferFact) for v in bindings.values()) > 1
+        for _rule, bindings, _ops in firings
+    )
+    for item in advice:
+        record = service.explain(item.tid)
+        oracle = per_record_attribution(firings, tids=frozenset((item.tid,)))
+        assert record["firings"] == oracle and oracle
+
+    service.complete_transfers(
+        done=[a.tid for a in advice if a.action == "transfer"]
+    )
+    files = [(a.lfn, a.dst_url) for a in advice if a.action == "transfer"]
+    cleanups = service.submit_cleanups("wf", "sweep", files + files[:20])
+    assert len(collectors) == 2 and len(cleanups) == len(files) + 20
+    firings = collectors[1].firings
+    for item in cleanups:
+        record = service.explain_cleanup(item.cid)
+        oracle = per_record_attribution(firings, cids=frozenset((item.cid,)))
+        assert record["firings"] == oracle and oracle
+        assert record["digest"] == decision_digest(record)
