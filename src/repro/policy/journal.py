@@ -4,11 +4,13 @@ The paper's Policy Service is a long-lived daemon whose *persistent*
 policy memory is what lets concurrent workflows share staged files
 safely.  This module makes that memory survive a crash:
 
-* every working-memory mutation (insert / update / retract) performed by
-  a service call is appended to a JSONL **journal** as a full-state fact
-  record, buffered per call and flushed together with a ``commit`` record
-  carrying the service counters — so a torn write can only ever lose the
-  *uncommitted tail*, never corrupt acknowledged state;
+* every service call that changes working memory appends one
+  transaction to a JSONL **journal**: the *net* effect per fact — one
+  full-state record for each fact the call left inserted or updated, one
+  retract record for each fact it removed — encoded once at commit and
+  flushed together with a ``commit`` record carrying the service
+  counters, so a torn write can only ever lose the *uncommitted tail*,
+  never corrupt acknowledged state (``docs/durability.md``);
 * every ``snapshot_interval`` commits the whole memory is dumped to a
   **snapshot** file (atomic tmp-file + rename) and the journal is
   truncated, bounding replay time on restart;
@@ -27,6 +29,7 @@ property the byte-identical-advice guarantee rests on.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zlib
@@ -86,6 +89,11 @@ class JournalError(RuntimeError):
 # --------------------------------------------------------------------------
 # Journal-line integrity
 # --------------------------------------------------------------------------
+def _seal(payload: str) -> int:
+    """CRC32 of a record's canonical (sorted-keys) JSON text."""
+    return zlib.crc32(payload.encode("utf-8"))
+
+
 def _sealed_line(record: dict) -> str:
     """Serialize ``record`` with a CRC32 seal over its canonical form.
 
@@ -93,11 +101,12 @@ def _sealed_line(record: dict) -> str:
     a corrupted sector can also flip bits *inside* a line that still parses
     — the seal lets :meth:`PolicyJournal.load` reject those too instead of
     replaying silently wrong state.
+
+    The seal is spliced into the canonical text as a last ``"ck"`` member
+    (one encode per line); the reader pops it wherever it sits.
     """
     payload = json.dumps(record, sort_keys=True)
-    sealed = dict(record)
-    sealed["ck"] = zlib.crc32(payload.encode("utf-8"))
-    return json.dumps(sealed, sort_keys=True)
+    return f'{payload[:-1]}, "ck": {_seal(payload)}}}'
 
 
 def _open_line(line: str) -> Optional[dict]:
@@ -114,8 +123,7 @@ def _open_line(line: str) -> Optional[dict]:
     if not isinstance(record, dict):
         return None
     seal = record.pop("ck", None)
-    payload = json.dumps(record, sort_keys=True)
-    if seal != zlib.crc32(payload.encode("utf-8")):
+    if seal != _seal(json.dumps(record, sort_keys=True)):
         return None
     return record
 
@@ -133,6 +141,16 @@ def _decode_value(value):
     if isinstance(value, dict) and "__set__" in value:
         return set(value["__set__"])
     return value
+
+
+def _write_array(handle: IO[str], docs) -> None:
+    """Stream ``docs`` to ``handle`` as one JSON array, one encode each."""
+    handle.write("[")
+    sep = ""
+    for doc in docs:
+        handle.write(sep + json.dumps(doc))
+        sep = ", "
+    handle.write("]")
 
 
 def fact_to_doc(fact: Fact) -> dict:
@@ -207,7 +225,11 @@ class PolicyJournal:
         self.snapshot_interval = int(snapshot_interval)
         self.fsync = bool(fsync)
         self._file: Optional[IO[str]] = None
-        self._pending: list[str] = []
+        #: the open transaction: net working-memory effect per fid in
+        #: first-touch order (``fid -> (op, fact)``), and the decision
+        #: records in emission order — nothing is encoded before commit
+        self._dirty: dict[int, tuple[str, Fact]] = {}
+        self._pending: list[dict] = []
         self._commits_since_snapshot = 0
         self.commits = 0
         self.snapshots = 0
@@ -234,13 +256,22 @@ class PolicyJournal:
 
     # ------------------------------------------------------------------ write
     def record_mutation(self, fact: Fact, fid: int, op: str) -> None:
-        """Buffer one working-memory mutation (flushed at commit)."""
+        """Note one working-memory mutation of the open transaction.
+
+        O(1): only the *net* effect per fid is kept, because replay only
+        ever applies whole transactions.  A fact inserted and retracted
+        inside one transaction leaves nothing; an update after an insert
+        stays an insert; the state written is the fact's state at commit.
+        """
+        dirty = self._dirty
         if op == "r":
-            self._pending.append(_sealed_line({"op": "r", "fid": fid}))
-        else:
-            self._pending.append(
-                _sealed_line({"op": op, "fid": fid, "fact": fact_to_doc(fact)})
-            )
+            if fid in dirty and dirty[fid][0] == "i":
+                del dirty[fid]
+            else:
+                dirty[fid] = ("r", fact)
+            return
+        if fid not in dirty:
+            dirty[fid] = (op, fact)
 
     def record_decision(self, record: dict) -> None:
         """Buffer one decision-provenance record (flushed at commit).
@@ -249,7 +280,12 @@ class PolicyJournal:
         produced them, so recovery replays exactly the decisions whose
         advice the client could have observed.
         """
-        self._pending.append(_sealed_line({"op": "d", "record": record}))
+        self._pending.append(record)
+
+    @property
+    def has_pending(self) -> bool:
+        """True when the open transaction would write a record."""
+        return bool(self._dirty or self._pending)
 
     def commit(
         self,
@@ -257,19 +293,31 @@ class PolicyJournal:
         done: list[int] = (),
         failed: list[int] = (),
     ) -> None:
-        """Flush the buffered transaction with its commit record.
+        """Encode and flush the open transaction with its commit record.
 
-        An empty transaction (no mutations, no retention deltas) is
-        skipped entirely unless the counters advanced — queries stay free.
+        Each dirty fact is serialised once, from its final state, then the
+        decision records in emission order.  Skipping transactions that
+        changed nothing durable is the caller's job (the service does, so
+        queries stay free).
         """
+        lines = []
+        for fid, (op, fact) in self._dirty.items():
+            if op == "r":
+                lines.append(_sealed_line({"op": "r", "fid": fid}))
+            else:
+                lines.append(
+                    _sealed_line({"op": op, "fid": fid, "fact": fact_to_doc(fact)})
+                )
+        for decision in self._pending:
+            lines.append(_sealed_line({"op": "d", "record": decision}))
         record: dict = {"op": "commit", "counters": dict(counters)}
         if done:
             record["done"] = list(done)
         if failed:
             record["failed"] = list(failed)
-        lines = self._pending
-        self._pending = []
         lines.append(_sealed_line(record))
+        self._dirty.clear()
+        self._pending.clear()
         handle = self._handle()
         handle.write("\n".join(lines) + "\n")
         handle.flush()
@@ -279,7 +327,8 @@ class PolicyJournal:
         self._commits_since_snapshot += 1
 
     def abort(self) -> None:
-        """Drop buffered mutations of a failed call (nothing was written)."""
+        """Drop the open transaction of a failed call (nothing was written)."""
+        self._dirty.clear()
         self._pending.clear()
 
     @property
@@ -290,33 +339,46 @@ class PolicyJournal:
         """Dump the service's full durable state; truncate the journal.
 
         The snapshot lands via tmp-file + rename so a crash mid-dump
-        leaves the previous snapshot/journal pair intact.
+        leaves the previous snapshot/journal pair intact; if the dump
+        fails with an ``OSError`` the tmp file is removed, the journal is
+        left as it was, and the error propagates.  The document is
+        streamed — head, then one ``json.dumps`` per fact and per decision
+        record — so every element goes through the C encoder and no
+        whole-memory document is ever built.
         """
-        facts = []
         memory = service.memory
-        for fact in memory:
-            facts.append({"fid": memory.fid_of(fact), **fact_to_doc(fact)})
-        facts.sort(key=lambda doc: doc["fid"])
-        doc = {
+        facts = sorted((memory.fid_of(fact), fact) for fact in memory)
+        head = json.dumps({
             "version": _SNAPSHOT_VERSION,
             "fingerprint": service.config_fingerprint(),
             "counters": service.counters(),
             "done": service._done_tids.ids(),
             "failed": service._failed_tids.ids(),
-            "facts": facts,
-        }
+        })
         # Optional key (read back via .get): snapshots from services
         # without a decision log stay loadable and vice versa.
         decisions = getattr(service, "decision_records", None)
-        if decisions is not None:
-            doc["decisions"] = decisions()
         tmp = self.snapshot_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, self.snapshot_path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(head[:-1])
+                handle.write(', "facts": ')
+                _write_array(
+                    handle,
+                    ({"fid": fid, **fact_to_doc(fact)} for fid, fact in facts),
+                )
+                if decisions is not None:
+                    handle.write(', "decisions": ')
+                    _write_array(handle, decisions())
+                handle.write("}")
+                handle.flush()
+                if self.fsync:
+                    os.fsync(handle.fileno())
+            os.replace(tmp, self.snapshot_path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
         # Truncate: everything up to now lives in the snapshot.
         self.close()
         self._file = open(self.journal_path, "w", encoding="utf-8")

@@ -274,6 +274,10 @@ class PolicyService:
             "repro_policy_journal_commit_seconds",
             "Journal commit wall-clock latency",
         )._only_child()
+        self._m_journal_snapshot_failures = m.counter(
+            "repro_policy_journal_snapshot_failures_total",
+            "Journal snapshots that failed with an OS error (retried next commit)",
+        )._only_child()
         self._m_ids = m.gauge(
             "repro_policy_id_highwater", "Id counter high-water marks", ("kind",)
         )
@@ -426,7 +430,7 @@ class PolicyService:
             return
         done, failed = list(done), list(failed)
         counters = self.counters()
-        if not journal._pending and not done and not failed \
+        if not journal.has_pending and not done and not failed \
                 and counters == self._last_committed_counters:
             return  # nothing durable changed — queries stay free
         t0 = time.perf_counter()
@@ -435,7 +439,13 @@ class PolicyService:
         self._m_journal_commits.inc()
         self._last_committed_counters = counters
         if journal.wants_snapshot:
-            journal.write_snapshot(self)
+            try:
+                journal.write_snapshot(self)
+            except OSError:
+                # The call is already durable in the journal; a snapshot
+                # only compacts it.  ``wants_snapshot`` stays true, so the
+                # next commit tries again.
+                self._m_journal_snapshot_failures.inc()
 
     @classmethod
     def recover(

@@ -27,6 +27,7 @@ __all__ = ["Fact", "WorkingMemory"]
 F = TypeVar("F", bound="Fact")
 
 _MISSING = object()
+_NO_FACTS: dict[int, "Fact"] = {}  # the extent of a type no fact has (read-only)
 
 #: Mutations remembered for :meth:`WorkingMemory.changes_since`.  Sessions
 #: that fall behind further than this simply rebuild their agendas.
@@ -79,7 +80,8 @@ class WorkingMemory:
 
     def __init__(self, indexed: bool = True) -> None:
         self._entries: dict[int, _Entry] = {}   # id(fact) -> entry
-        self._by_type: dict[type, list[Fact]] = {}
+        # type -> {id(fact): fact} in insertion order (O(1) retract)
+        self._by_type: dict[type, dict[int, Fact]] = {}
         self._by_fid: dict[int, Fact] = {}
         self._next_fid = 0
         self._clock = 0
@@ -222,7 +224,7 @@ class WorkingMemory:
     def _build_index(self, fact_type: type, attrs: tuple[str, ...]):
         buckets: dict[tuple, dict[int, Fact]] = {}
         entries = self._entries
-        for fact in self._by_type.get(fact_type, ()):
+        for fact in self._by_type.get(fact_type, _NO_FACTS).values():
             key = self._index_key(fact, attrs)
             if key is not None:
                 buckets.setdefault(key, {})[entries[id(fact)].fid] = fact
@@ -244,7 +246,7 @@ class WorkingMemory:
         for klass in type(fact).__mro__:
             if klass is object:
                 break
-            self._by_type.setdefault(klass, []).append(fact)
+            self._by_type.setdefault(klass, {})[id(fact)] = fact
         if self._indexes:
             for attrs, buckets in self._applicable_indexes(fact):
                 self._index_add(fact, entry.fid, attrs, buckets)
@@ -295,7 +297,7 @@ class WorkingMemory:
                 break
             bucket = self._by_type.get(klass)
             if bucket is not None:
-                bucket.remove(fact)
+                del bucket[id(fact)]
         if self._indexes:
             for attrs, buckets in self._applicable_indexes(fact):
                 self._index_discard(fact, entry.fid, attrs, buckets)
@@ -308,7 +310,7 @@ class WorkingMemory:
     def facts_of(self, fact_type: Type[F]) -> list[F]:
         """All live facts of ``fact_type`` (including subclasses), in
         insertion order."""
-        return list(self._by_type.get(fact_type, ()))
+        return list(self._by_type.get(fact_type, _NO_FACTS).values())
 
     def lookup(self, fact_type: Type[F], **keys: Any) -> list[F]:
         """Live facts of ``fact_type`` whose attributes equal ``keys``.
@@ -325,7 +327,7 @@ class WorkingMemory:
             values = tuple(keys[a] for a in attrs)
             return [
                 f
-                for f in self._by_type.get(fact_type, ())
+                for f in self._by_type.get(fact_type, _NO_FACTS).values()
                 if all(getattr(f, a, _MISSING) == v for a, v in zip(attrs, values))
             ]
         buckets = self._indexes.get((fact_type, attrs))
@@ -338,10 +340,10 @@ class WorkingMemory:
 
     def single(self, fact_type: Type[F]) -> Optional[F]:
         """The unique fact of a type, or None (error if several)."""
-        found = self._by_type.get(fact_type, [])
+        found = self._by_type.get(fact_type, _NO_FACTS)
         if len(found) > 1:
             raise ValueError(f"multiple {fact_type.__name__} facts in memory")
-        return found[0] if found else None
+        return next(iter(found.values()), None)
 
     def version_of(self, fact: Fact) -> int:
         return self._entries[id(fact)].version

@@ -23,6 +23,10 @@ driven by the memory's change log:
   memory), so the store only ever needs to be a *superset* of the true
   activations: the first valid pop is provably the same activation the
   seed and indexed engines would fire.
+* **Tier-lazy sync** — a scan routes the change-log tail to per-rule
+  pending lists; a rule applies them only when its salience tier is
+  about to be popped, so rules below a busy tier sync once per
+  quiescence of the tiers above, not once per firing.
 * **Spent candidates** — a candidate that was popped and is still a
   match (it fired, or refraction / ``no_loop`` held it back) stays in
   the store but not in the heap.  :meth:`JoinNetwork.rearm` pushes
@@ -278,11 +282,13 @@ class _Probe:
 class _RuleState:
     """Per-network runtime state of one rule."""
 
-    __slots__ = ("plan", "tier", "cands", "by_fid", "stores", "probes")
+    __slots__ = ("plan", "tier", "pending", "cands", "by_fid", "stores", "probes")
 
     def __init__(self, plan: RulePlan, tier: int):
         self.plan = plan
         self.tier = tier
+        # change-log entries routed to this rule and not yet applied
+        self.pending: list = []
         self.cands: dict[tuple, _Cand] = {}
         self.by_fid: dict[int, set] = {}
         # join plans: beta memory feeding position p lives at stores[p]
@@ -308,6 +314,8 @@ class JoinNetwork:
         self._serial = 0
         self._seq = -1
         self._states: dict[str, _RuleState] = {}
+        # rule states grouped like ``ruleset.tiers``, one heap per tier
+        self._tiers: list[list[_RuleState]] = []
         self._heaps: list[list] = [[] for _ in ruleset.tiers]
         # popped candidates that are still matches, awaiting rearm()
         self._spent: list[tuple[_RuleState, _Cand]] = []
@@ -315,13 +323,15 @@ class JoinNetwork:
 
     # ------------------------------------------------------------- build
     def _build_all(self) -> None:
-        self._states.clear()
         self._heaps = [[] for _ in self.ruleset.tiers]
         self._spent.clear()
-        for tier_index, tier in enumerate(self.ruleset.tiers):
-            for plan in tier:
-                state = _RuleState(plan, tier_index)
-                self._states[plan.rule.name] = state
+        self._tiers = [
+            [_RuleState(plan, tier_index) for plan in tier]
+            for tier_index, tier in enumerate(self.ruleset.tiers)
+        ]
+        self._states = {
+            state.plan.rule.name: state for tier in self._tiers for state in tier
+        }
         # Build in definition order so candidate discovery order (the
         # heap tie-breaker) matches the interpreted engines' enumeration.
         for plan in self.ruleset.plans:
@@ -438,7 +448,15 @@ class JoinNetwork:
         state.by_fid.clear()
 
     # ------------------------------------------------------------- sync
-    def sync(self) -> None:
+    def _route_changes(self) -> None:
+        """Hand the mutations since the last scan to the rules they touch.
+
+        Routing is all a scan pays up front: a rule applies its pending
+        mutations only when its salience tier is reached
+        (:meth:`_sync_tier`), so a low-tier rule that every firing of a
+        higher tier dirties is synced once per quiescence of the tiers
+        above it, not once per firing.
+        """
         memory = self.memory
         if self._seq == memory.clock:
             return
@@ -448,21 +466,27 @@ class JoinNetwork:
             self._build_all()
             return
         self._seq = memory.clock
-        # Group mutations per rule, preserving arrival order.
-        per_rule: dict[str, list] = {}
         dispatch = self.ruleset.dispatch
+        states = self._states
         for change in changes:
-            for plan, info in dispatch(type(change[1])):
-                per_rule.setdefault(plan.rule.name, []).append(change)
+            for plan, _info in dispatch(type(change[1])):
+                states[plan.rule.name].pending.append(change)
+
+    def _sync_tier(self, tier: list[_RuleState]) -> None:
+        """Apply the pending mutations of one tier's rules."""
         profiler = self.profiler
-        for name, dirty in per_rule.items():
-            state = self._states[name]
+        for state in tier:
+            if not state.pending:
+                continue
+            dirty, state.pending = state.pending, []
             t0 = profiler.clock() if profiler is not None else 0.0
             before = len(state.cands)
             self._sync_rule(state, dirty)
             if profiler is not None:
                 profiler.record_match(
-                    name, max(len(state.cands) - before, 0), profiler.clock() - t0
+                    state.plan.rule.name,
+                    max(len(state.cands) - before, 0),
+                    profiler.clock() - t0,
                 )
 
     def _sync_rule(self, state: _RuleState, dirty: list) -> None:
@@ -653,9 +677,9 @@ class JoinNetwork:
     def next_activation(self, session: Session):
         """The next fireable activation, or None — same contract as
         ``Session._next_activation_incremental``."""
-        self.sync()
-        memory = self.memory
-        for heap in self._heaps:
+        self._route_changes()
+        for tier, heap in zip(self._tiers, self._heaps):
+            self._sync_tier(tier)
             while heap:
                 rank, order, _serial, payload = heapq.heappop(heap)
                 kind = payload[0]

@@ -14,7 +14,12 @@ import repro.policy.service as service_module
 import repro.rules.network as network_module
 import repro.rules.patterns as patterns_module
 from repro.policy import PolicyConfig, PolicyService
-from repro.policy.model import ClusterAllocationFact, HostPairFact, StagedFileFact
+from repro.policy.model import (
+    ClusterAllocationFact,
+    HostPairFact,
+    StagedFileFact,
+    TransferFact,
+)
 from repro.policy.provenance import ledger_snapshot
 from repro.rules import WorkingMemory
 
@@ -195,3 +200,66 @@ def test_ledger_probe_equals_the_full_scan_on_the_cited_keys(policy):
             assert ledger["staged"]["before"] == oracle["staged"][key]
         else:
             assert ledger == {}
+
+
+# ------------------------------------------------------------------ retract
+def test_retract_compares_no_resident_fact(monkeypatch):
+    """Retracting one fact is a keyed delete from each type extent — in
+    particular from the ``Fact`` base extent, which holds every live
+    fact — not an equality scan over it."""
+    compared = [0]
+    for cls in (StagedFileFact, TransferFact):
+        eq = cls.__eq__
+
+        def counting_eq(self, other, _eq=eq):
+            compared[0] += 1
+            return _eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counting_eq)
+
+    def comparisons(resident):
+        memory = WorkingMemory()
+        for i in range(resident):
+            memory.insert(StagedFileFact(
+                lfn=f"res-{i}", dst_url=f"{DST}/res-{i}", owner_tid=0, workflow="wf"
+            ))
+        transfer = memory.insert(TransferFact(
+            tid=1, workflow="wf", job="j", lfn="a", src_url="gsiftp://fg-vm/data/a",
+            dst_url=f"{DST}/a", nbytes=1.0,
+        ))
+        compared[0] = 0
+        memory.retract(transfer)
+        assert not memory.contains(transfer)
+        assert len(memory.facts_of(StagedFileFact)) == resident
+        assert memory.facts_of(TransferFact) == []
+        return compared[0]
+
+    assert comparisons(200) == comparisons(20_000) == 0
+
+
+# ------------------------------------------------------------------ network
+def test_join_network_syncs_a_gated_rule_once_per_tier_not_per_firing(monkeypatch):
+    """An ``Absent``-gated delta rule that every firing of a higher tier
+    dirties is re-enumerated when its tier is reached, not per firing."""
+    service = PolicyService(
+        PolicyConfig(policy="greedy", default_streams=4, max_streams=50),
+        engine="compiled",
+    )
+    batch = 300
+    advice = service.submit_transfers(
+        "wf", "stage", [spec(f"f-{i}") for i in range(batch)]
+    )
+    service.complete_transfers(done=[a.tid for a in advice])
+    files = [(a.lfn, a.dst_url) for a in advice]
+
+    rebuilds = [0]
+    rebuild = network_module.JoinNetwork._rebuild_delta
+
+    def counting_rebuild(self, state):
+        rebuilds[0] += 1
+        return rebuild(self, state)
+
+    monkeypatch.setattr(network_module.JoinNetwork, "_rebuild_delta", counting_rebuild)
+    cleanups = service.submit_cleanups("wf", "clean", files)
+    assert [c.action for c in cleanups] == ["delete"] * batch
+    assert rebuilds[0] <= 5
