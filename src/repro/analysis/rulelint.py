@@ -28,7 +28,11 @@ R009      warning   compiled-engine fast path — a join-plan rule whose
                     *last* pattern declares no ``keys``, so the lazy probe
                     walks the whole prefix frontier instead of one bucket;
                     info — a multi-pattern rule that falls back to the
-                    ``delta`` plan (reported with the compiler's reason).
+                    ``delta`` plan (reported with the compiler's reason)
+                    or whose first condition is not a Pattern (no alpha
+                    memory: visited on every mutation of its types);
+                    warning — a position-0 guard reading ``_globals``
+                    (alpha membership goes stale without a fact change).
 R010      error     duplicate rule name across the loaded packs — names key
                     profiling rows, suppressions, and the compiler's plan
                     report, so a collision silently merges two rules'
@@ -581,12 +585,46 @@ def _check_salience_names(rules: Sequence[Rule], report: Report) -> None:
 # --------------------------------------------------------------------------
 # R009: compiled-engine fast path
 # --------------------------------------------------------------------------
+def _mentions_globals(func, depth: int = 2) -> bool:
+    """Does ``func``, or a module-level helper it calls, name the
+    ``"_globals"`` binding?"""
+    code = getattr(func, "__code__", None)
+    if code is None:
+        return False
+    if "_globals" in harvest_constants([func])["str"]:
+        return True
+    helpers = (getattr(func, "__globals__", {}).get(name) for name in code.co_names)
+    return depth > 0 and any(_mentions_globals(h, depth - 1) for h in helpers)
+
+
 def _check_fast_path(rules: Sequence[Rule], report: Report) -> None:
     from repro.rules.compiler import PLAN_JOIN, fast_path_report
 
     patterns_of = {rule.name: rule for rule in rules}
     for row in fast_path_report(rules):
         rule = patterns_of[row["rule"]]
+        if not row["alpha_routed"]:
+            report.add(
+                "R009",
+                Severity.INFO,
+                rule.name,
+                f"first condition is {type(rule.when[0]).__name__}, not a "
+                f"Pattern: the rule has no position-0 alpha memory and is "
+                f"visited on every mutation of its fact types",
+                location=location_of(rule.then),
+                plan=row["plan"],
+            )
+        elif _mentions_globals(rule.when[0].where):
+            report.add(
+                "R009",
+                Severity.WARNING,
+                rule.name,
+                "position-0 guard reads bindings[\"_globals\"]: its alpha "
+                "memory (and the agendas' activations) can go stale when a "
+                "global changes without any fact changing",
+                location=location_of(rule.then),
+                plan=row["plan"],
+            )
         if row["plan"] == PLAN_JOIN:
             if row["last_position_keyed"] is False:
                 report.add(

@@ -234,7 +234,7 @@ def _fresh_session(
     rules: Sequence[Rule],
     session_globals: dict,
     soup: Sequence[tuple],
-    engine: str = "indexed",
+    engine: str = "compiled",
     tie_break: Optional[Callable] = None,
     max_firings: int = 20_000,
 ):
@@ -268,8 +268,9 @@ def run_confluence_scenario(
     returns the canonical final state, or None if an action crashed on the
     synthetic facts (inconclusive)."""
     tie_break = tie_break_for(permutation, rules)
+    # Tie-break permutations exist only on the interpreted session.
     session, memory = _fresh_session(
-        rules, session_globals, soup, tie_break=tie_break
+        rules, session_globals, soup, engine="indexed", tie_break=tie_break
     )
     try:
         session.fire_all()

@@ -83,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--default-streams", type=int, default=4)
     serve.add_argument("--cluster-count", type=int, default=None)
     serve.add_argument("--engine", choices=["indexed", "seed", "compiled"],
-                       default="indexed",
+                       default="compiled",
                        help="rule engine variant (advice is identical; "
-                            "compiled is the fastest on large batches)")
+                            "compiled, the join network, is the default)")
     serve.add_argument("--access-control", action="store_true",
                        help="enable host denials and staging quotas")
     serve.add_argument("--shards", type=int, default=0,
@@ -169,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max streams between a host pair")
     trace.add_argument("--images", type=int, default=12,
                        help="Montage input images (= staging jobs)")
-    trace.add_argument("--engine", choices=["indexed", "seed", "compiled"], default="indexed",
-                       help="rule engine variant (traces are identical)")
+    trace.add_argument("--engine", choices=["indexed", "seed", "compiled"], default="compiled",
+                       help="rule engine variant (traces are identical; default compiled)")
     trace.add_argument("--seed", type=int, default=0)
 
     explain = sub.add_parser(
@@ -197,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--images", type=int, default=12,
                          help="Montage input images (= staging jobs)")
     explain.add_argument("--engine", choices=["indexed", "seed", "compiled"],
-                         default="indexed",
-                         help="rule engine variant (records are identical)")
+                         default="compiled",
+                         help="rule engine variant (records are identical; "
+                              "default compiled)")
     explain.add_argument("--shards", type=int, default=0,
                          help="shard the policy service N ways "
                               "(0 = single service; records are identical)")
@@ -233,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="default parallel streams per transfer")
     ensemble.add_argument("--threshold", type=int, default=50,
                           help="max streams between a host pair")
-    ensemble.add_argument("--engine", choices=["indexed", "seed", "compiled"], default="indexed")
+    ensemble.add_argument("--engine", choices=["indexed", "seed", "compiled"], default="compiled",
+                          help="rule engine variant (advice is identical; default compiled)")
     ensemble.add_argument("--seed", type=int, default=0)
 
     return parser

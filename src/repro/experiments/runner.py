@@ -68,7 +68,7 @@ class ExperimentConfig:
     catalog: Optional[CatalogConfig] = None  # staged-data catalog (None = off)
     retry_backoff: float = 0.0            # base delay between job retries
     n_images: int = 89                    # paper: 89 data staging jobs
-    engine: str = "indexed"               # rule engine: "indexed" or "seed"
+    engine: str = "compiled"              # rule engine: "compiled", "indexed" or "seed"
     shards: int = 0                       # 0 = single service, N >= 1 = sharded router
     journal_root: Optional[str] = None    # per-shard journals under this dir
     seed: int = 0

@@ -23,7 +23,7 @@ standard artifact set:
 Because trace events carry only simulation-derived data (wall-clock
 timings live in the registry and profiler), ``events.jsonl`` is a
 deterministic function of (workflow, config, seed) — including across
-``engine="seed"`` and ``engine="indexed"``.
+``engine="seed"``, ``"indexed"`` and ``"compiled"``.
 """
 
 from __future__ import annotations

@@ -95,14 +95,14 @@ class PolicyService:
         Additional rules appended to the pack (deployment customization —
         the paper stresses rules are separated from application logic).
     engine:
-        ``"indexed"`` (default) uses the hash-indexed working memory and
-        the incremental rule agenda; ``"seed"`` keeps the original
-        scan-everything engine — same advice, used as the baseline by
-        ``benchmarks/bench_rules.py`` and the equivalence tests;
-        ``"compiled"`` compiles the rule pack once into a Rete/TREAT-style
-        join network with memoized partial matches (see
-        :mod:`repro.rules.compiler` and ``docs/engine.md``) — advice is
-        byte-identical across all three engines.
+        ``"compiled"`` (default) compiles the rule pack once into a
+        Rete/TREAT-style join network with alpha-routed change dispatch
+        and memoized partial matches (see :mod:`repro.rules.compiler`
+        and ``docs/engine.md``); ``"indexed"`` uses the hash-indexed
+        working memory and the incremental per-rule agendas; ``"seed"``
+        keeps the original scan-everything engine, the baseline of
+        ``benchmarks/bench_rules.py`` and the equivalence tests — advice
+        is byte-identical across all three engines.
     journal:
         A :class:`~repro.policy.journal.PolicyJournal` making the policy
         memory durable.  The journal directory must be empty/fresh here;
@@ -127,7 +127,7 @@ class PolicyService:
         config: Optional[PolicyConfig] = None,
         extra_rules: Sequence[Rule] = (),
         clock: Optional[Callable[[], float]] = None,
-        engine: str = "indexed",
+        engine: str = "compiled",
         journal: Optional[PolicyJournal] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
@@ -454,7 +454,7 @@ class PolicyService:
         config: Optional[PolicyConfig] = None,
         extra_rules: Sequence[Rule] = (),
         clock: Optional[Callable[[], float]] = None,
-        engine: str = "indexed",
+        engine: str = "compiled",
         snapshot_interval: int = 1000,
         fsync: bool = False,
         metrics: Optional[MetricsRegistry] = None,

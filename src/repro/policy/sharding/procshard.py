@@ -92,7 +92,7 @@ class ProcessShardBackend:
     def __init__(
         self,
         config: Optional[PolicyConfig] = None,
-        engine: str = "indexed",
+        engine: str = "compiled",
         journal_dir=None,
         snapshot_interval: int = 1000,
         fsync: bool = False,

@@ -152,7 +152,7 @@ class ShardedPolicyService:
         self,
         config: Optional[PolicyConfig] = None,
         num_shards: int = 2,
-        engine: str = "indexed",
+        engine: str = "compiled",
         clock: Optional[Callable[[], float]] = None,
         journal_root=None,
         backends: Optional[Sequence] = None,

@@ -138,7 +138,7 @@ class InProcessShardBackend:
     def __init__(
         self,
         config: Optional[PolicyConfig] = None,
-        engine: str = "indexed",
+        engine: str = "compiled",
         clock: Optional[Callable[[], float]] = None,
         journal_dir=None,
         snapshot_interval: int = 1000,

@@ -31,7 +31,9 @@ packs that will not compile to the join network.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import dis
+import functools
+from typing import Any, Optional, Sequence
 
 from repro.rules.engine import Rule
 from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test
@@ -50,10 +52,34 @@ PLAN_JOIN = "join"
 PLAN_DELTA = "delta"
 
 
+@functools.lru_cache(maxsize=None)
+def _is_constant(code) -> bool:
+    """Can only constants reach the result of a one-argument function
+    with this code — no names, no closure, the argument never touched?"""
+    return (
+        code.co_argcount == 1
+        and not (code.co_names or code.co_freevars or code.co_kwonlyargcount)
+        and not any(
+            ins.argval == code.co_varnames[0] for ins in dis.get_instructions(code)
+        )
+    )
+
+
+def _constant_keys(element: Pattern) -> tuple[tuple[str, Any], ...]:
+    """``(attribute, value)`` for every key function of ``element`` that
+    never reads its bindings; such a key is evaluated here, once."""
+    return tuple(
+        (attr, fn(None))
+        for attr, fn in sorted((element.keys or {}).items())
+        if hasattr(fn, "__code__") and _is_constant(fn.__code__)
+    )
+
+
 class PositionPlan:
     """Static join information for one Pattern position of a rule."""
 
-    __slots__ = ("index", "element", "fact_type", "binding", "key_attrs")
+    __slots__ = ("index", "element", "fact_type", "binding", "key_attrs",
+                 "const_keys")
 
     def __init__(self, index: int, element: Pattern):
         self.index = index
@@ -66,13 +92,16 @@ class PositionPlan:
         self.key_attrs: Optional[tuple[str, ...]] = (
             tuple(sorted(element.keys)) if element.keys is not None else None
         )
+        #: key equalities that hold whatever the bindings: a fact whose
+        #: attributes differ cannot pass the guard (keys are implied by it)
+        self.const_keys = _constant_keys(element)
 
 
 class RulePlan:
     """One rule's compiled execution plan."""
 
     __slots__ = ("rule", "order", "kind", "reason", "positions",
-                 "pattern_types", "gates")
+                 "gates", "alpha", "lone", "slots")
 
     def __init__(self, rule: Rule, order: int, kind: str, reason: str,
                  positions: list[PositionPlan]):
@@ -85,14 +114,27 @@ class RulePlan:
         self.reason = reason
         #: Pattern positions in condition order (join plans: all of them)
         self.positions = positions
-        self.pattern_types: tuple[type, ...] = tuple(
-            {p.fact_type for p in positions}
-        )
         #: typed non-Pattern elements (Absent / Exists / Collect) — the
         #: gates whose truth a mutation of their fact type may flip.
         self.gates: tuple = tuple(
             el for el in rule.when
             if isinstance(el, (Absent, Exists, Collect))
+        )
+        #: the position whose alpha memory routes changes to this rule:
+        #: the first condition element when it is a Pattern, else None
+        #: (such a rule is visited on every mutation of its types).
+        self.alpha: Optional[PositionPlan] = (
+            positions[0] if positions and positions[0].index == 0 else None
+        )
+        #: the rule is that one bound pattern and nothing else
+        self.lone = (
+            len(rule.when) == 1 and self.alpha is not None and bool(self.alpha.binding)
+        )
+        #: per condition element, its index into a candidate's
+        #: position-ordered facts (-1 for non-Pattern elements)
+        by_index = {p.index: slot for slot, p in enumerate(positions)}
+        self.slots: tuple[int, ...] = tuple(
+            by_index.get(i, -1) for i in range(len(rule.when))
         )
 
 
@@ -149,39 +191,33 @@ class CompiledRuleset:
         self.tiers: list[list[RulePlan]] = [
             tiers[s] for s in sorted(tiers, reverse=True)
         ]
-        self._tier_of = {
-            plan.rule.name: i for i, tier in enumerate(self.tiers) for plan in tier
-        }
-        # concrete fact type -> [(plan, dispatch info)], filled lazily:
-        # the set of concrete types is only known at runtime.
-        self._dispatch: dict[type, list[tuple[RulePlan, dict]]] = {}
 
-    def tier_of(self, rule_name: str) -> int:
-        return self._tier_of[rule_name]
-
-    def dispatch(self, fact_type: type) -> list[tuple[RulePlan, dict]]:
-        """Plans interested in mutations of ``fact_type`` plus how the
-        type participates: Pattern positions, Absent / hard-gate roles."""
-        cached = self._dispatch.get(fact_type)
-        if cached is not None:
-            return cached
-        out: list[tuple[RulePlan, dict]] = []
+    def dispatch(self, fact_type: type) -> list[tuple[RulePlan, Optional[tuple]]]:
+        """Plans interested in mutations of ``fact_type`` and how each is
+        routed to: None for a plan that sees every mutation of its types,
+        ``(head, wide, later)`` for an alpha-routed one — its position 0
+        when the type feeds it; whether the type reaches a gate or a
+        later position without constant keys (it then matters whenever
+        the alpha memory is non-empty); the constant keys of the later
+        positions it feeds (None: it feeds position 0 only)."""
+        out: list[tuple[RulePlan, Optional[tuple]]] = []
         for plan in self.plans:
-            rule = plan.rule
-            if not issubclass(fact_type, rule.types):
+            if not issubclass(fact_type, plan.rule.types):
                 continue
-            info = {
-                "positions": [
-                    p.index for p in plan.positions
-                    if issubclass(fact_type, p.fact_type)
-                ],
-                "absent": bool(rule.absent_types)
-                and issubclass(fact_type, rule.absent_types),
-                "hard": bool(rule.hard_gate_types)
-                and issubclass(fact_type, rule.hard_gate_types),
-            }
-            out.append((plan, info))
-        self._dispatch[fact_type] = out
+            head = plan.alpha
+            if head is None:
+                out.append((plan, None))
+                continue
+            later = [
+                p.const_keys for p in plan.positions[1:]
+                if issubclass(fact_type, p.fact_type)
+            ]
+            gated = any(issubclass(fact_type, g.fact_type) for g in plan.gates)
+            out.append((plan, (
+                head if issubclass(fact_type, head.fact_type) else None,
+                gated or () in later,
+                tuple(later) if later or gated else None,
+            )))
         return out
 
 
@@ -194,9 +230,11 @@ def fast_path_report(rules: Sequence[Rule]) -> list[dict]:
     """Per-rule plan assignment for static analysis / the rule linter.
 
     Each row carries the rule name, the assigned plan kind, the reason a
-    rule fell back to the ``delta`` plan, and whether the rule's *last*
+    rule fell back to the ``delta`` plan, whether the rule's *last*
     pattern declares join keys (an unkeyed last position makes the lazy
-    probe walk the whole prefix frontier instead of one bucket).
+    probe walk the whole prefix frontier instead of one bucket), and
+    whether changes are routed through a position-0 alpha memory (the
+    first condition element is a Pattern).
     """
     report = []
     for order, rule in enumerate(rules):
@@ -210,5 +248,6 @@ def fast_path_report(rules: Sequence[Rule]) -> list[dict]:
             "plan": plan.kind,
             "reason": plan.reason,
             "last_position_keyed": last_keyed,
+            "alpha_routed": plan.alpha is not None,
         })
     return report

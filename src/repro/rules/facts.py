@@ -92,6 +92,7 @@ class WorkingMemory:
         self.observer: Optional[Any] = None
         # (fact type, sorted attr names) -> key tuple -> {id(fact): fact}
         self._indexes: dict[tuple[type, tuple[str, ...]], dict[tuple, dict[int, Fact]]] = {}
+        self._indexes_of: dict[type, list] = {}  # see _applicable_indexes
         # (clock, fid, fact, op) log feeding incremental agendas.  A ring
         # buffer: appending beyond the cap drops the oldest entry in O(1)
         # instead of the O(cap) copy-shift a list compaction would cost on
@@ -179,10 +180,17 @@ class WorkingMemory:
         return out
 
     # -- index maintenance ---------------------------------------------------
-    def _applicable_indexes(self, fact: Fact):
-        for (klass, attrs), buckets in self._indexes.items():
-            if isinstance(fact, klass):
-                yield attrs, buckets
+    def _applicable_indexes(self, fact: Fact) -> list:
+        """``(attrs, buckets)`` of every index ``fact`` belongs in,
+        cached per concrete type until an index is built."""
+        applicable = self._indexes_of.get(type(fact))
+        if applicable is None:
+            applicable = self._indexes_of[type(fact)] = [
+                (attrs, buckets)
+                for (klass, attrs), buckets in self._indexes.items()
+                if isinstance(fact, klass)
+            ]
+        return applicable
 
     @staticmethod
     def _index_key(fact: Fact, attrs: tuple[str, ...]):
@@ -229,6 +237,7 @@ class WorkingMemory:
             if key is not None:
                 buckets.setdefault(key, {})[entries[id(fact)].fid] = fact
         self._indexes[(fact_type, attrs)] = buckets
+        self._indexes_of.clear()
         return buckets
 
     # -- mutation -----------------------------------------------------------

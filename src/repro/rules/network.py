@@ -23,10 +23,12 @@ driven by the memory's change log:
   memory), so the store only ever needs to be a *superset* of the true
   activations: the first valid pop is provably the same activation the
   seed and indexed engines would fire.
-* **Tier-lazy sync** — a scan routes the change-log tail to per-rule
-  pending lists; a rule applies them only when its salience tier is
-  about to be popped, so rules below a busy tier sync once per
-  quiescence of the tiers above, not once per firing.
+* **Alpha routing, tier-lazy sync** — a scan routes the change-log tail
+  to the pending lists of the rules each mutation can concern, judged by
+  the rule's position-0 alpha memory (``docs/engine.md``); a rule
+  applies them only when its salience tier is about to be popped, so
+  rules below a busy tier sync once per quiescence of the tiers above,
+  not once per firing.
 * **Spent candidates** — a candidate that was popped and is still a
   match (it fired, or refraction / ``no_loop`` held it back) stays in
   the store but not in the heap.  :meth:`JoinNetwork.rearm` pushes
@@ -53,11 +55,23 @@ from repro.rules.compiler import (
 )
 from repro.rules.engine import Rule, Session, _activation_key
 from repro.rules.facts import Fact, WorkingMemory
-from repro.rules.patterns import Absent, Pattern, _check
+from repro.rules.patterns import Absent, _check
 
 __all__ = ["JoinNetwork", "CompiledSession"]
 
 _MISSING = object()
+
+
+def _feeds(later: tuple, fact: Fact) -> bool:
+    """Do ``fact``'s attributes equal the constant keys of one of these
+    positions?  (A mismatch refutes the position's guard.)"""
+    for const_keys in later:
+        for attr, value in const_keys:
+            if getattr(fact, attr, _MISSING) != value:
+                break
+        else:
+            return True
+    return False
 
 
 class _PrefixEntry:
@@ -128,27 +142,23 @@ class _PrefixStore:
         self.buckets: dict[tuple, _Bucket] = {}
         self.wildcard = _Bucket()
 
-    def _entry_bucket(self, bindings: dict) -> tuple[Optional[tuple], _Bucket]:
-        if self.key_fns is None:
-            return None, self.wildcard
-        try:
-            key = tuple(fn(bindings) for fn in self.key_fns)
-        except AttributeError:
-            # Mirrors Pattern.candidates: a key fn that cannot be computed
-            # falls back to the unkeyed path (the guard still decides).
-            return None, self.wildcard
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            bucket = self.buckets[key] = _Bucket()
-        return key, bucket
-
     def add(self, fids: tuple, bindings: dict, facts: tuple) -> Optional[_PrefixEntry]:
-        existing = self.entries.get(fids)
-        if existing is not None and existing.alive:
+        if fids in self.entries:  # only live entries are kept there
             return None
-        key, bucket = self._entry_bucket(bindings)
-        entry = _PrefixEntry(fids, bindings, facts, key)
-        self.entries[fids] = entry
+        key, bucket = None, self.wildcard
+        if self.key_fns is not None:
+            try:
+                key = tuple([fn(bindings) for fn in self.key_fns])
+            except AttributeError:
+                # Mirrors Pattern.candidates: a key fn that cannot be
+                # computed falls back to the unkeyed path (the guard
+                # still decides).
+                pass
+            else:
+                bucket = self.buckets.get(key)
+                if bucket is None:
+                    bucket = self.buckets[key] = _Bucket()
+        entry = self.entries[fids] = _PrefixEntry(fids, bindings, facts, key)
         for fid in fids:
             self.by_fid.setdefault(fid, set()).add(fids)
         bucket.add(entry)
@@ -166,6 +176,8 @@ class _PrefixStore:
                     refs = self.by_fid.get(other)
                     if refs is not None:
                         refs.discard(fids)
+                        if not refs:
+                            del self.by_fid[other]
             bucket = (
                 self.wildcard if entry.bucket_key is None
                 else self.buckets.get(entry.bucket_key)
@@ -197,12 +209,15 @@ class _PrefixStore:
             return self.wildcard, self.wildcard
         return bucket, self.wildcard
 
-    def live_in(self, bucket: _Bucket):
-        entries = self.entries
-        for _rank, fids in bucket.ranked:
-            entry = entries.get(fids)
-            if entry is not None and entry.alive:
-                yield entry
+    def joinable(self, fact: Fact):
+        """Live prefixes ``fact`` may extend: its keyed bucket, then the
+        wildcard bucket (an entry sits in exactly one of them)."""
+        bucket, wildcard = self.buckets_for_fact(fact)
+        for source in (bucket,) if bucket is wildcard else (bucket, wildcard):
+            for _rank, fids in source.ranked:
+                entry = self.entries.get(fids)
+                if entry is not None and entry.alive:
+                    yield entry
 
 
 class _Cand:
@@ -229,11 +244,12 @@ class _Probe:
                  "marker_b", "marker_w", "gen_b", "gen_w",
                  "next_b", "next_w", "alive")
 
-    def __init__(self, driver: Fact, fid: int, store: _PrefixStore):
+    def __init__(self, driver: Fact, fid: int, store: _PrefixStore,
+                 bucket: _Bucket, wildcard: _Bucket):
         self.driver = driver
         self.fid = fid
         self.store = store
-        self.bucket, self.wildcard = store.buckets_for_fact(driver)
+        self.bucket, self.wildcard = bucket, wildcard  # store.buckets_for_fact(driver)
         start = ((), ())
         self.marker_b = start
         self.marker_w = start
@@ -282,7 +298,8 @@ class _Probe:
 class _RuleState:
     """Per-network runtime state of one rule."""
 
-    __slots__ = ("plan", "tier", "pending", "cands", "by_fid", "stores", "probes")
+    __slots__ = ("plan", "tier", "pending", "cands", "by_fid", "stores",
+                 "probes", "alpha", "refs")
 
     def __init__(self, plan: RulePlan, tier: int):
         self.plan = plan
@@ -295,6 +312,12 @@ class _RuleState:
         # (prefixes over positions 0..p-1); stores[0] is unused.
         self.stores: list[Optional[_PrefixStore]] = []
         self.probes: dict[int, _Probe] = {}
+        # position-0 alpha memory: fids of the facts passing the first
+        # Pattern's guard (None when the first element is no Pattern)
+        self.alpha: Optional[set[int]] = None
+        # the fid-keyed maps above: a fid in none of them is referenced
+        # by nothing this rule stores
+        self.refs: tuple = ()
 
 
 class JoinNetwork:
@@ -314,9 +337,12 @@ class JoinNetwork:
         self._serial = 0
         self._seq = -1
         self._states: dict[str, _RuleState] = {}
-        # rule states grouped like ``ruleset.tiers``, one heap per tier
-        self._tiers: list[list[_RuleState]] = []
-        self._heaps: list[list] = [[] for _ in ruleset.tiers]
+        # per salience tier (as ``ruleset.tiers``): the rules with
+        # pending mutations, and the rank heap
+        self._dirty: list[list[_RuleState]] = []
+        self._heaps: list[list] = []
+        # concrete fact type -> [(state, route)], see ``_route_changes``
+        self._routes: dict[type, list] = {}
         # popped candidates that are still matches, awaiting rearm()
         self._spent: list[tuple[_RuleState, _Cand]] = []
         self._build_all()
@@ -324,31 +350,38 @@ class JoinNetwork:
     # ------------------------------------------------------------- build
     def _build_all(self) -> None:
         self._heaps = [[] for _ in self.ruleset.tiers]
+        self._dirty = [[] for _ in self.ruleset.tiers]
+        self._routes = {}
         self._spent.clear()
-        self._tiers = [
-            [_RuleState(plan, tier_index) for plan in tier]
-            for tier_index, tier in enumerate(self.ruleset.tiers)
-        ]
-        self._states = {
-            state.plan.rule.name: state for tier in self._tiers for state in tier
-        }
         # Build in definition order so candidate discovery order (the
         # heap tie-breaker) matches the interpreted engines' enumeration.
+        self._states = {
+            plan.rule.name: _RuleState(plan, tier)
+            for tier, plans in enumerate(self.ruleset.tiers) for plan in plans
+        }
         for plan in self.ruleset.plans:
             self._build_rule(self._states[plan.rule.name])
         self._seq = self.memory.clock
 
     def _build_rule(self, state: _RuleState) -> None:
         plan = state.plan
+        memory, seed = self.memory, self.seed
         profiler = self.profiler
         t0 = profiler.clock() if profiler is not None else 0.0
-        before = len(state.cands)
+        if plan.alpha is not None:
+            head = plan.alpha.element
+            state.alpha = {
+                memory.fid_of(fact) for fact in head.candidates(memory, seed)
+                if _check(head.where, fact, seed)
+            }
         if plan.kind == PLAN_JOIN:
             state.stores = [None] + [
                 _PrefixStore(pos) for pos in plan.positions[1:]
             ]
-            memory = self.memory
-            frontier = [((), self.seed, ())]
+            state.refs = (
+                state.by_fid, state.probes, *(s.by_fid for s in state.stores[1:])
+            )
+            frontier = [((), seed, ())]
             for pos in plan.positions[:-1]:
                 element = pos.element
                 store = state.stores[pos.index + 1]
@@ -357,9 +390,11 @@ class JoinNetwork:
                     for fact in element.candidates(memory, bindings):
                         if not _check(element.where, fact, bindings):
                             continue
-                        nb = dict(bindings)
-                        nb[element.binding] = fact
-                        child = (fids + (memory.fid_of(fact),), nb, facts + (fact,))
+                        child = (
+                            fids + (memory.fid_of(fact),),
+                            {**bindings, element.binding: fact},
+                            facts + (fact,),
+                        )
                         store.add(*child)
                         nxt.append(child)
                 frontier = nxt
@@ -369,30 +404,36 @@ class JoinNetwork:
             for fids, bindings, facts in frontier:
                 for fact in last.candidates(memory, bindings):
                     if _check(last.where, fact, bindings):
-                        nb = dict(bindings)
-                        nb[last.binding] = fact
-                        self._add_cand(state, facts + (fact,), nb)
+                        self._add_cand(
+                            state, tuple(sorted(fids + (memory.fid_of(fact),))), facts + (fact,)
+                        )
         else:
+            state.refs = (state.by_fid,)
             self._rebuild_delta(state)
         if profiler is not None:
             profiler.record_match(
-                plan.rule.name, len(state.cands) - before, profiler.clock() - t0
+                plan.rule.name, len(state.cands), profiler.clock() - t0
             )
 
     def _rebuild_delta(self, state: _RuleState) -> None:
         """(Re)enumerate a delta-plan rule from scratch."""
         self._drop_all(state)
-        rule = state.plan.rule
-        for bindings in rule.matches(self.memory, self.seed):
-            facts = tuple(
-                bindings.get(pos.binding) if pos.binding else None
-                for pos in state.plan.positions
+        self._add_matches(state, state.plan.rule.matches(self.memory, self.seed))
+
+    def _add_matches(self, state: _RuleState, matches: list[dict]) -> None:
+        memory, plan = self.memory, state.plan
+        for bindings in matches:
+            self._add_cand(
+                state,
+                _activation_key(memory, plan.rule, bindings)[1],
+                tuple(
+                    bindings.get(pos.binding) if pos.binding else None
+                    for pos in plan.positions
+                ),
             )
-            self._add_cand(state, facts, bindings)
 
     # ------------------------------------------------------- candidates
-    def _add_cand(self, state: _RuleState, facts: tuple, bindings: dict) -> None:
-        key_fids = _activation_key(self.memory, state.plan.rule, bindings)[1]
+    def _add_cand(self, state: _RuleState, key_fids: tuple, facts: tuple) -> None:
         existing = state.cands.get(key_fids)
         if existing is not None and existing.alive:
             return
@@ -429,6 +470,7 @@ class JoinNetwork:
         )
 
     def _drop_fid(self, state: _RuleState, fid: int) -> None:
+        """Tombstone every candidate, prefix and probe that binds ``fid``."""
         for key_fids in state.by_fid.pop(fid, ()):
             cand = state.cands.get(key_fids)
             if cand is None or not cand.alive:
@@ -440,6 +482,14 @@ class JoinNetwork:
                     refs = state.by_fid.get(other)
                     if refs is not None:
                         refs.discard(key_fids)
+                        if not refs:
+                            del state.by_fid[other]
+        if state.stores:
+            for store in state.stores[1:]:
+                store.discard_fid(fid)
+            probe = state.probes.pop(fid, None)
+            if probe is not None:
+                probe.alive = False
 
     def _drop_all(self, state: _RuleState) -> None:
         for cand in state.cands.values():
@@ -449,13 +499,17 @@ class JoinNetwork:
 
     # ------------------------------------------------------------- sync
     def _route_changes(self) -> None:
-        """Hand the mutations since the last scan to the rules they touch.
+        """Hand the mutations since the last scan to the rules they concern.
 
-        Routing is all a scan pays up front: a rule applies its pending
-        mutations only when its salience tier is reached
-        (:meth:`_sync_tier`), so a low-tier rule that every firing of a
-        higher tier dirties is synced once per quiescence of the tiers
-        above it, not once per firing.
+        A rule whose first condition element is a Pattern keeps the fids
+        passing that pattern's guard — its position-0 alpha memory, exact
+        after every call — and is handed a mutation only when the fact
+        is in or enters it, when the fid is referenced by what the rule
+        stores, or, while the memory is non-empty, when the fact can
+        feed a gate or a later position (``docs/engine.md``, "Alpha
+        routing", has the conditions and why skipping the rest is
+        sound).  Any other rule sees every mutation of its types.  A
+        routed rule syncs when its salience tier is reached.
         """
         memory = self.memory
         if self._seq == memory.clock:
@@ -466,39 +520,73 @@ class JoinNetwork:
             self._build_all()
             return
         self._seq = memory.clock
-        dispatch = self.ruleset.dispatch
-        states = self._states
+        seed, routes, dirty = self.seed, self._routes, self._dirty
         for change in changes:
-            for plan, _info in dispatch(type(change[1])):
-                states[plan.rule.name].pending.append(change)
+            fid, fact, op = change[0], change[1], change[2]
+            groups = routes.get(type(fact))
+            if groups is None:
+                groups = routes[type(fact)] = self._route_groups(type(fact))
+            for heads, members in groups:
+                fits = heads is not None and op != "r" and _feeds(heads, fact)
+                for state, where, wide, later in members:
+                    alpha = state.alpha
+                    if alpha is None:
+                        pass
+                    elif fits and _check(where, fact, seed):
+                        alpha.add(fid)
+                    elif fid in alpha:
+                        alpha.discard(fid)
+                    elif later is None:
+                        # the type reaches position 0 only, and what is
+                        # stored for that position is in the alpha memory
+                        continue
+                    elif not (alpha and (wide or (later and _feeds(later, fact)))):
+                        for refs in state.refs:
+                            if fid in refs:
+                                break
+                        else:
+                            continue
+                    if not state.pending:
+                        dirty[state.tier].append(state)
+                    state.pending.append(change)
 
-    def _sync_tier(self, tier: list[_RuleState]) -> None:
-        """Apply the pending mutations of one tier's rules."""
+    def _route_groups(self, fact_type: type) -> list:
+        """The rules a mutation of ``fact_type`` may concern, grouped by
+        the constant keys of the position 0 it feeds (None: it feeds
+        none) so one comparison refuses a whole group's guards."""
+        groups: dict = {}
+        for plan, route in self.ruleset.dispatch(fact_type):
+            head, wide, later = route or (None, True, ())
+            heads, where = ((head.const_keys,), head.element.where) if head else (None, None)
+            groups.setdefault(heads, []).append(
+                (self._states[plan.rule.name], where, wide, later)
+            )
+        return list(groups.items())
+
+    def _sync_tier(self, dirty: list[_RuleState]) -> None:
+        """Apply the pending mutations of one tier's dirty rules."""
         profiler = self.profiler
-        for state in tier:
-            if not state.pending:
-                continue
-            dirty, state.pending = state.pending, []
+        for state in dirty:
+            changes, state.pending = state.pending, []
             t0 = profiler.clock() if profiler is not None else 0.0
             before = len(state.cands)
-            self._sync_rule(state, dirty)
+            self._sync_rule(state, changes)
             if profiler is not None:
                 profiler.record_match(
                     state.plan.rule.name,
                     max(len(state.cands) - before, 0),
                     profiler.clock() - t0,
                 )
+        dirty.clear()
 
     def _sync_rule(self, state: _RuleState, dirty: list) -> None:
         plan = state.plan
-        rule = plan.rule
-        if plan.kind != PLAN_JOIN:
-            if self._gates_dirty(plan, dirty):
-                self._rebuild_delta(state)
-                return
+        if plan.kind == PLAN_JOIN:
+            self._sync_join(state, dirty)
+        elif plan.gates and self._gates_dirty(plan, dirty):
+            self._rebuild_delta(state)
+        else:
             self._delta_patterns(state, dirty)
-            return
-        self._sync_join(state, dirty)
 
     @staticmethod
     def _gates_dirty(plan: RulePlan, dirty: list) -> bool:
@@ -526,133 +614,105 @@ class JoinNetwork:
                 return True
         return False
 
+    def _touched(self, state: _RuleState, dirty: list):
+        """Tombstone what these mutations touched in ``state``; returns
+        the distinct facts among them that are still in memory."""
+        contains = self.memory.contains
+        if len(dirty) == 1:  # the usual scan: one fact changed
+            self._drop_fid(state, dirty[0][0])
+            fact = dirty[0][1]
+            return (fact,) if contains(fact) else ()
+        for fid in {change[0] for change in dirty}:
+            self._drop_fid(state, fid)
+        return {
+            id(change[1]): change[1] for change in dirty if contains(change[1])
+        }.values()
+
     def _delta_patterns(self, state: _RuleState, dirty: list) -> None:
         """Delta plan: drop touched candidates, re-join dirty facts at
         every Pattern position (the incremental agenda's strategy)."""
-        memory = self.memory
-        rule = state.plan.rule
-        for fid, _fact, _op, _ch in dirty:
-            self._drop_fid(state, fid)
-        live: list[Fact] = []
-        seen: set[int] = set()
-        for _fid, fact, _op, _ch in dirty:
-            if id(fact) not in seen and memory.contains(fact):
-                seen.add(id(fact))
-                live.append(fact)
+        live = self._touched(state, dirty)
         if not live:
+            return
+        rule, alpha, fid_of = state.plan.rule, state.alpha, self.memory.fid_of
+        if state.plan.lone:  # alpha membership is the whole match
+            for fact in live:
+                if (fid := fid_of(fact)) in alpha:
+                    self._add_cand(state, (fid,), (fact,))
             return
         for pos in state.plan.positions:
-            candidates = [f for f in live if isinstance(f, pos.fact_type)]
-            if not candidates:
-                continue
-            for bindings in rule.matches(
-                memory, self.seed, restrict=(pos.index, candidates)
-            ):
-                facts = tuple(
-                    bindings.get(p.binding) if p.binding else None
-                    for p in state.plan.positions
-                )
-                self._add_cand(state, facts, bindings)
+            candidates = [
+                f for f in live if isinstance(f, pos.fact_type)
+                # position 0's guard is the one routing evaluated
+                and (pos.index or alpha is None or fid_of(f) in alpha)
+            ]
+            if candidates:
+                self._add_matches(state, rule.matches(
+                    self.memory, self.seed, restrict=(pos.index, candidates)
+                ))
 
     def _sync_join(self, state: _RuleState, dirty: list) -> None:
-        memory = self.memory
-        plan = state.plan
-        positions = plan.positions
-        last_index = len(positions) - 1
-        # 1. Tombstone everything referencing a dirty fact.
-        seen_fids: set[int] = set()
-        for fid, _fact, _op, _ch in dirty:
-            if fid in seen_fids:
-                continue
-            seen_fids.add(fid)
-            self._drop_fid(state, fid)
-            for store in state.stores[1:]:
-                store.discard_fid(fid)
-            probe = state.probes.pop(fid, None)
-            if probe is not None:
-                probe.alive = False
-        # 2. Live dirty facts per position.
-        live: list[Fact] = []
-        seen_ids: set[int] = set()
-        for _fid, fact, _op, _ch in dirty:
-            if id(fact) not in seen_ids and memory.contains(fact):
-                seen_ids.add(id(fact))
-                live.append(fact)
+        live = self._touched(state, dirty)
         if not live:
             return
-        # 3. Re-derive prefixes left to right; cascades stay eager (a
-        #    dirty transfer joins few counters), only the last position's
-        #    dirt goes lazy (a dirty counter joins the whole frontier).
-        added: list[list[_PrefixEntry]] = [[] for _ in range(len(positions) + 1)]
-        for p, pos in enumerate(positions[:-1]):
-            element = pos.element
-            store = state.stores[p + 1]
-            if p == 0:
-                for fact in live:
-                    if not isinstance(fact, pos.fact_type):
-                        continue
-                    if _check(element.where, fact, self.seed):
-                        nb = dict(self.seed)
-                        nb[element.binding] = fact
-                        entry = store.add(
-                            (memory.fid_of(fact),), nb, (fact,)
-                        )
-                        if entry is not None:
-                            added[1].append(entry)
-            else:
-                source = state.stores[p]
-                for fact in live:
-                    if not isinstance(fact, pos.fact_type):
-                        continue
-                    bucket, wildcard = source.buckets_for_fact(fact)
-                    seen_prefix: set = set()
-                    for b in (bucket, wildcard):
-                        for prefix in source.live_in(b):
-                            if prefix.fids in seen_prefix:
-                                continue
-                            seen_prefix.add(prefix.fids)
-                            if _check(element.where, fact, prefix.bindings):
-                                nb = dict(prefix.bindings)
-                                nb[element.binding] = fact
-                                entry = store.add(
-                                    prefix.fids + (memory.fid_of(fact),),
-                                    nb, prefix.facts + (fact,),
-                                )
-                                if entry is not None:
-                                    added[p + 1].append(entry)
-                # New prefixes from earlier positions extend over the full
-                # extent at this position.
-                for prefix in added[p]:
-                    if not prefix.alive:
-                        continue
-                    for fact in element.candidates(memory, prefix.bindings):
-                        if _check(element.where, fact, prefix.bindings):
-                            nb = dict(prefix.bindings)
-                            nb[element.binding] = fact
-                            entry = store.add(
-                                prefix.fids + (memory.fid_of(fact),),
-                                nb, prefix.facts + (fact,),
-                            )
-                            if entry is not None:
-                                added[p + 1].append(entry)
-        # 4. Last position: eager extension of new prefixes...
-        last = positions[-1].element
-        for prefix in added[last_index]:
-            if not prefix.alive:
-                continue
-            for fact in last.candidates(memory, prefix.bindings):
-                if _check(last.where, fact, prefix.bindings):
-                    nb = dict(prefix.bindings)
-                    nb[last.binding] = fact
-                    self._add_cand(state, prefix.facts + (fact,), nb)
-        # ... and a lazy probe per dirty last-position fact.
+        memory = self.memory
+        fid_of = memory.fid_of
+        positions, stores = state.plan.positions, state.stores
+        # A dirty fact at the last position (a counter every firing
+        # updates) joins the whole frontier: it goes lazy, one probe
+        # each — over the prefixes that exist now; the ones added below
+        # extend eagerly.  No prefix to walk, no probe.
+        last = len(positions) - 1
         for fact in live:
-            if not isinstance(fact, positions[-1].fact_type):
-                continue
-            fid = memory.fid_of(fact)
-            probe = _Probe(fact, fid, state.stores[last_index])
-            state.probes[fid] = probe
-            self._advance_probe(state, probe)
+            if isinstance(fact, positions[last].fact_type):
+                bucket, wildcard = stores[last].buckets_for_fact(fact)
+                if bucket.ranked or wildcard.ranked:
+                    fid = fid_of(fact)
+                    probe = state.probes[fid] = _Probe(
+                        fact, fid, stores[last], bucket, wildcard
+                    )
+                    self._advance_probe(state, probe)
+        # Re-derive prefixes left to right; these cascades stay eager (a
+        # dirty transfer joins few counters).  ``new`` holds the
+        # prefixes added over positions 0..p-1.
+        new: list[_PrefixEntry] = []
+        for p, pos in enumerate(positions):
+            element = pos.element
+            where, binding = element.where, element.binding
+            grown: list[Optional[_PrefixEntry]] = []
+            # New prefixes extend over the full extent at this position.
+            for prefix in new:
+                bindings = prefix.bindings
+                for fact in element.candidates(memory, bindings):
+                    if not _check(where, fact, bindings):
+                        continue
+                    fids, facts = prefix.fids + (fid_of(fact),), prefix.facts + (fact,)
+                    if p == last:
+                        self._add_cand(state, tuple(sorted(fids)), facts)
+                    else:
+                        grown.append(stores[p + 1].add(
+                            fids, {**bindings, binding: fact}, facts
+                        ))
+            if p == last:
+                return
+            for fact in live:
+                if not isinstance(fact, pos.fact_type):
+                    continue
+                fid = fid_of(fact)
+                if p == 0:
+                    if fid in state.alpha:  # the guard routing evaluated
+                        grown.append(stores[1].add(
+                            (fid,), {**self.seed, binding: fact}, (fact,)
+                        ))
+                    continue
+                for prefix in stores[p].joinable(fact):
+                    if _check(where, fact, prefix.bindings):
+                        grown.append(stores[p + 1].add(
+                            prefix.fids + (fid,),
+                            {**prefix.bindings, binding: fact},
+                            prefix.facts + (fact,),
+                        ))
+            new = [entry for entry in grown if entry is not None]
 
     def _advance_probe(self, state: _RuleState, probe: _Probe) -> None:
         """Push the probe's next head into the heap, guard *unchecked*.
@@ -678,8 +738,9 @@ class JoinNetwork:
         """The next fireable activation, or None — same contract as
         ``Session._next_activation_incremental``."""
         self._route_changes()
-        for tier, heap in zip(self._tiers, self._heaps):
-            self._sync_tier(tier)
+        for dirty, heap in zip(self._dirty, self._heaps):
+            if dirty:
+                self._sync_tier(dirty)
             while heap:
                 rank, order, _serial, payload = heapq.heappop(heap)
                 kind = payload[0]
@@ -687,7 +748,7 @@ class JoinNetwork:
                     _tag, state, cand = payload
                     if not cand.alive:
                         continue
-                    result = self._validate(session, state, cand.facts, rank, order)
+                    result = self._validate(session, state, cand.facts, order)
                     if result == "dead":
                         cand.alive = False
                         state.cands.pop(cand.key_fids, None)
@@ -711,7 +772,7 @@ class JoinNetwork:
                 if existing is not None and existing.alive:
                     continue  # already covered by an eager candidate
                 facts = entry.facts + (probe.driver,)
-                result = self._validate(session, state, facts, rank, order)
+                result = self._validate(session, state, facts, order)
                 if result == "dead":
                     continue
                 # A match: from here on it is an ordinary (spent) candidate.
@@ -722,7 +783,7 @@ class JoinNetwork:
         return None
 
     def _validate(self, session: Session, state: _RuleState, facts: tuple,
-                  rank: tuple, order: int):
+                  order: int):
         """Re-evaluate a candidate against current memory.
 
         Returns the ``(rank, rule, bindings, key)`` tuple when the
@@ -733,27 +794,20 @@ class JoinNetwork:
         memory = self.memory
         rule = state.plan.rule
         bindings = dict(self.seed)
-        pattern_at = {pos.index: i for i, pos in enumerate(state.plan.positions)}
-        for index, element in enumerate(rule.when):
-            if isinstance(element, Pattern):
-                i = pattern_at[index]
-                fact = facts[i] if i < len(facts) else None
-                if fact is None:
-                    # Unbound pattern (delta plan): existential re-check.
-                    if not element.expand(memory, bindings):
-                        return "dead"
-                    continue
-                if not memory.contains(fact):
-                    return "dead"
-                if not _check(element.where, fact, bindings):
-                    return "dead"
-                if element.binding:
-                    bindings[element.binding] = fact
-            else:
+        for element, slot in zip(rule.when, state.plan.slots):
+            fact = facts[slot] if slot >= 0 else None
+            if fact is None:
+                # A gate, a Test, or an unbound pattern (delta plan):
+                # re-check against memory.
                 expanded = element.expand(memory, bindings)
                 if not expanded:
                     return "dead"
-                bindings = expanded[0]
+                if slot < 0:
+                    bindings = expanded[0]
+            elif not memory.contains(fact) or not _check(element.where, fact, bindings):
+                return "dead"
+            elif element.binding:
+                bindings[element.binding] = fact
         key = _activation_key(memory, rule, bindings)
         if key in session._fired or session._suppressed_by_no_loop(rule, key):
             return "skip"

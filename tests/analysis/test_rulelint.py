@@ -162,6 +162,48 @@ def test_delta_fallback_is_r009_info():
     assert "Absent" in hits[0].message
 
 
+def _threshold(bindings):
+    return bindings["_globals"]["threshold"]
+
+
+def test_alpha_routing_findings_are_r009():
+    from repro.rules import Pattern, Rule, Test
+
+    noop = lambda ctx: None  # noqa: E731
+    rules = [
+        Rule("Opens with a test", then=noop,
+             when=[Test(lambda b: True), Pattern(defects.ProbeFact, "t")]),
+        Rule("Guard reads a global", then=noop,
+             when=[Pattern(defects.ProbeFact, "t",
+                           where=lambda t, b: t.tid > b["_globals"]["threshold"])]),
+        Rule("Guard reads a global through a helper", then=noop,
+             when=[Pattern(defects.ProbeFact, "t",
+                           where=lambda t, b: t.tid > _threshold(b))]),
+        Rule("Only a later guard reads a global", then=noop,
+             when=[Pattern(defects.ProbeFact, "t"),
+                   Pattern(defects.CounterFact, "c",
+                           where=lambda c, b: c.value > _threshold(b))]),
+    ]
+    hits = {
+        f.subject: f for f in _lint_defect(rules).findings
+        if f.check == "R009" and "alpha memory" in f.message
+    }
+    assert sorted(hits) == sorted(rule.name for rule in rules[:3])
+    assert hits["Opens with a test"].severity == Severity.INFO
+    assert "visited on every mutation" in hits["Opens with a test"].message
+    for name in ("Guard reads a global", "Guard reads a global through a helper"):
+        assert hits[name].severity == Severity.WARNING
+        assert "_globals" in hits[name].message
+
+
+@pytest.mark.parametrize("name", sorted(shipped_rule_sets()))
+def test_shipped_rule_sets_are_all_alpha_routed(name):
+    report = lint_rule_set(name, seed=0, trials=2)
+    assert not [
+        f for f in report.findings if f.check == "R009" and "alpha memory" in f.message
+    ]
+
+
 def test_probing_is_deterministic():
     first = _lint_defect(defects.bad_key_hint_rules())
     second = _lint_defect(defects.bad_key_hint_rules())

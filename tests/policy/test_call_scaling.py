@@ -263,3 +263,60 @@ def test_join_network_syncs_a_gated_rule_once_per_tier_not_per_firing(monkeypatc
     cleanups = service.submit_cleanups("wf", "clean", files)
     assert [c.action for c in cleanups] == ["delete"] * batch
     assert rebuilds[0] <= 5
+
+
+# ------------------------------------------------------------------ routing
+def _resident_service(resident):
+    """A default-engine service, warmed, holding ``resident`` staged files."""
+    service = PolicyService(
+        PolicyConfig(policy="greedy", default_streams=4, max_streams=4000)
+    )
+    service.reconcile_staged(
+        "resident", [(f"res-{i}", f"{DST}/res-{i}") for i in range(resident)]
+    )
+    cycle(service, "warm")
+    return service
+
+
+def test_one_file_cleanup_visits_few_rules_whatever_the_resident_set(monkeypatch):
+    """Alpha routing: a 1-file ``submit_cleanups`` syncs only the rules
+    the cleanup's own status changes concern (24 without routing)."""
+    visits = [0]
+    sync_rule = network_module.JoinNetwork._sync_rule
+
+    def counting_sync(self, state, dirty):
+        visits[0] += 1
+        return sync_rule(self, state, dirty)
+
+    monkeypatch.setattr(network_module.JoinNetwork, "_sync_rule", counting_sync)
+
+    def visited(resident):
+        service = _resident_service(resident)
+        visits[0] = 0
+        advice = service.submit_cleanups("resident", "clean", [("res-7", f"{DST}/res-7")])
+        assert [c.action for c in advice] == ["delete"]
+        return visits[0]
+
+    small, large = visited(200), visited(20_000)
+    assert 0 < small == large <= 12
+
+
+def test_big_batch_submit_does_not_rejoin_the_batch_per_counter_update(monkeypatch):
+    """300 transfers against 10,000 resident files: every grant updates a
+    HostPairFact, and the default engine must not re-join the whole batch
+    from position 0 each time (883,975 ``expand_over`` calls when it did)."""
+    service = _resident_service(10_000)
+    calls = [0]
+    expand_over = patterns_module.Pattern.expand_over
+
+    def counting_expand_over(self, facts, bindings):
+        calls[0] += 1
+        return expand_over(self, facts, bindings)
+
+    monkeypatch.setattr(patterns_module.Pattern, "expand_over", counting_expand_over)
+    advice = service.submit_transfers(
+        "wf", "stage",
+        [spec(f"big-{i}", src=f"gsiftp://site-{i % 8}/data") for i in range(300)],
+    )
+    assert [a.action for a in advice] == ["transfer"] * 300
+    assert calls[0] < 10_000

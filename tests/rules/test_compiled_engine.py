@@ -318,6 +318,10 @@ def test_fast_path_report_classifies_plans():
     assert rows["single"]["plan"] == "delta"
     assert rows["unbound"]["plan"] == "delta"
     assert "unbound" in rows["unbound"]["reason"]
+    assert all(row["alpha_routed"] for row in rows.values())
+    gate_first = Rule("gate first", when=[Absent(Audit), Pattern(Order, "o")],
+                      then=lambda ctx: None)
+    assert [r["alpha_routed"] for r in fast_path_report([gate_first])] == [False]
 
 
 # ------------------------------------------------- randomized fact soups

@@ -69,6 +69,23 @@ def test_lookup_index_built_lazily_covers_existing_facts(wm):
     assert wm.lookup(Transfer, dst="u1") == facts
 
 
+def test_index_built_after_mutations_is_maintained_for_every_type(wm):
+    """The per-type list of applicable indexes is cached; an index built
+    later (here on the base class, after subclass facts were mutated)
+    must still see every subsequent insert, update and retract."""
+    p = wm.insert(Priority("a", "u1"))
+    assert wm.lookup(Priority, lfn="a") == [p]
+    wm.update(p, dst="u2")  # walks (and caches) Priority's indexes
+    assert wm.lookup(Transfer, dst="u2") == [p]  # a new index, on the base
+    q = wm.insert(Priority("b", "u2"))
+    t = wm.insert(Transfer("c", "u2"))
+    assert wm.lookup(Transfer, dst="u2") == [p, q, t]
+    wm.update(q, dst="u3", lfn="a")
+    wm.retract(p)
+    assert wm.lookup(Transfer, dst="u2") == [t]
+    assert wm.lookup(Priority, lfn="a") == [q]
+
+
 def test_lookup_skips_facts_missing_the_attribute(wm):
     wm.insert(Bare())
     t = wm.insert(Transfer("a", "u1"))
