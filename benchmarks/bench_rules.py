@@ -1,28 +1,18 @@
 #!/usr/bin/env python
-"""Rule-engine microbenchmark: compiled vs indexed vs seed policy engine.
+"""Policy-service microbenchmark: a long-lived memory and a shard fleet.
 
 Measures the policy service's decision hot path under the regime the
 paper's future work worries about — a long-lived Policy Memory serving
-large transfer batches — and emits ``BENCH_rules.json`` so the repo's
-perf trajectory has a committed baseline per PR.
+transfer batches — and emits ``BENCH_rules.json``.  (Big batches against
+a large resident set are the ``svc_bigbatch`` workload of ``bench/``.)
 
 Scenarios
 ---------
-``calibration``
-    A scale small enough that the seed (full re-scan) engine finishes,
-    giving a *measured* speedup for all three engines.
-``batch``
-    The acceptance scenario: one 1,000-transfer batch against a memory
-    pre-loaded with 10,000 staged-file facts.  The seed engine is run in
-    a subprocess under a timeout budget; when it times out the reported
-    speedup is a **lower bound** (budget / indexed time).  The compiled
-    engine (join network + memoized partial matches) must beat the
-    indexed engine by >= 10x here, with byte-identical advice.
 ``long_lived``
-    Repeated workflow lifetimes against one service (indexed *and*
-    compiled): per-batch latency must stay flat and the fact census
-    empty, demonstrating the bounded-retention fixes (no leak-driven
-    slowdown, no residual per-workflow facts).
+    Repeated workflow lifetimes against one service: per-batch latency
+    must stay flat and the fact census empty, demonstrating the
+    bounded-retention fixes (no leak-driven slowdown, no residual
+    per-workflow facts).
 ``sharded``
     Batch-advice throughput through the shard router with every shard a
     separate :class:`~repro.policy.sharding.ProcessShardBackend` worker
@@ -41,55 +31,24 @@ Usage
     PYTHONPATH=src python benchmarks/bench_rules.py [--quick] [--out PATH]
 
 ``--quick`` (or ``REPRO_QUICK=1``) shrinks every scenario for CI smoke
-runs.  Each engine measurement runs in a fresh subprocess so the
-engines never share interpreter state and the seed run can be killed.
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import pathlib
 import platform
-import subprocess
 import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
-SEED_TIMEOUT = 120.0  # seconds granted to the seed engine per scenario
 
-# The compiled engine's acceptance bar against indexed on the ``batch``
-# scenario.  Quick mode runs a ~10x smaller problem where fixed per-batch
-# overheads dominate, so the bar is lower there.
-COMPILED_SPEEDUP_FULL = 10.0
-COMPILED_SPEEDUP_QUICK = 1.5
-
-
-def _build_service(engine: str, staged: int):
-    from repro.policy import PolicyConfig, PolicyService
-    from repro.policy.model import StagedFileFact
-
-    service = PolicyService(
-        PolicyConfig(policy="greedy", default_streams=4, max_streams=4000),
-        engine=engine,
-    )
-    for i in range(staged):
-        fact = StagedFileFact(
-            lfn=f"pre{i}",
-            dst_url=f"gsiftp://obelix/pre/{i}",
-            owner_tid=-1,
-            workflow="wfpre",
-        )
-        fact.status = "staged"
-        service.memory.insert(fact)
-    return service
-
-
-def _specs(n: int, tag: str = "f"):
+def _specs(n: int, tag: str):
     return [
         {
             "lfn": f"{tag}{i}",
@@ -101,28 +60,13 @@ def _specs(n: int, tag: str = "f"):
     ]
 
 
-def run_batch(engine: str, staged: int, transfers: int) -> dict:
-    """One submit_transfers batch; the measured hot path."""
-    service = _build_service(engine, staged)
-    specs = _specs(transfers)
-    t0 = time.perf_counter()
-    advice = service.submit_transfers("bench", "stage", specs)
-    elapsed = time.perf_counter() - t0
-    approved = sum(1 for a in advice if a.action == "transfer")
-    digest = hashlib.sha256(
-        json.dumps([a.to_dict() for a in advice], sort_keys=True).encode()
-    ).hexdigest()
-    return {
-        "elapsed_s": elapsed,
-        "approved": approved,
-        "advice": len(advice),
-        "advice_sha256": digest,
-    }
-
-
-def run_long_lived(engine: str, lifetimes: int, per_batch: int) -> dict:
+def run_long_lived(lifetimes: int, per_batch: int) -> dict:
     """Repeated workflow lifetimes on one service."""
-    service = _build_service(engine, staged=0)
+    from repro.policy import PolicyConfig, PolicyService
+
+    service = PolicyService(
+        PolicyConfig(policy="greedy", default_streams=4, max_streams=4000)
+    )
     latencies = []
     for life in range(lifetimes):
         wf = f"wf{life}"
@@ -137,7 +81,6 @@ def run_long_lived(engine: str, lifetimes: int, per_batch: int) -> dict:
     head = latencies[: max(1, lifetimes // 3)]
     tail = latencies[-max(1, lifetimes // 3):]
     return {
-        "engine": engine,
         "lifetimes": lifetimes,
         "per_batch": per_batch,
         "mean_first_third_s": sum(head) / len(head),
@@ -212,13 +155,9 @@ def run_sharded(num_shards: int, batches: int, batch_size: int,
     cpus = len(os.sched_getaffinity(0))
     concurrent = cpus >= num_shards
     config = PolicyConfig(policy="greedy", default_streams=4, max_streams=4000)
-    backends = [
-        _TimedBackend(ProcessShardBackend(config, engine="compiled"))
-        for _ in range(num_shards)
-    ]
+    backends = [_TimedBackend(ProcessShardBackend(config)) for _ in range(num_shards)]
     router = ShardedPolicyService(
-        config, num_shards=num_shards, engine="compiled", backends=backends,
-        concurrent=concurrent,
+        config, num_shards=num_shards, backends=backends, concurrent=concurrent
     )
     try:
         # Warm up: fork the workers' rule sessions before the clock starts.
@@ -280,115 +219,28 @@ def run_sharded_scaling(batches: int, batch_size: int) -> dict:
     return results
 
 
-# -- subprocess driver -------------------------------------------------------
-def _worker_main(engine: str, staged: int, transfers: int) -> None:
-    print(json.dumps(run_batch(engine, staged, transfers)))
-
-
-def _measure(engine: str, staged: int, transfers: int, timeout: float) -> dict:
-    """Run one batch measurement in a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [
-        sys.executable, str(pathlib.Path(__file__).resolve()),
-        "--worker", engine, str(staged), str(transfers),
-    ]
-    try:
-        proc = subprocess.run(
-            cmd, env=env, capture_output=True, text=True, timeout=timeout
-        )
-    except subprocess.TimeoutExpired:
-        return {"engine": engine, "timed_out": True, "timeout_s": timeout}
-    if proc.returncode != 0:
-        raise RuntimeError(f"{engine} worker failed:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    result.update({"engine": engine, "timed_out": False})
-    return result
-
-
-def _scenario(name: str, staged: int, transfers: int, timeout: float) -> dict:
-    print(f"[{name}] staged={staged} transfers={transfers}", flush=True)
-    indexed = _measure("indexed", staged, transfers, timeout)
-    print(f"  indexed: {indexed['elapsed_s']:.3f}s", flush=True)
-    compiled = _measure("compiled", staged, transfers, timeout)
-    compiled_speedup = indexed["elapsed_s"] / compiled["elapsed_s"]
-    print(f"  compiled: {compiled['elapsed_s']:.3f}s "
-          f"-> {compiled_speedup:.1f}x vs indexed", flush=True)
-    if compiled["advice_sha256"] != indexed["advice_sha256"]:
-        raise RuntimeError(
-            "compiled and indexed engines produced different advice")
-    seed = _measure("seed", staged, transfers, timeout)
-    if seed["timed_out"]:
-        speedup = timeout / indexed["elapsed_s"]
-        kind = "lower_bound"
-        print(f"  seed: timed out after {timeout:.0f}s -> speedup >= {speedup:.1f}x",
-              flush=True)
-    else:
-        speedup = seed["elapsed_s"] / indexed["elapsed_s"]
-        kind = "measured"
-        print(f"  seed: {seed['elapsed_s']:.3f}s -> speedup {speedup:.1f}x",
-              flush=True)
-        if seed["advice_sha256"] != indexed["advice_sha256"]:
-            raise RuntimeError(
-                "seed and indexed engines produced different advice")
-    return {
-        "staged_files": staged,
-        "transfer_batch": transfers,
-        "indexed": indexed,
-        "compiled": compiled,
-        "seed": seed,
-        "speedup": speedup,
-        "speedup_kind": kind,
-        "compiled_speedup_vs_indexed": compiled_speedup,
-        "advice_identical": True,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_rules.json"))
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke scale (also via REPRO_QUICK=1)")
-    parser.add_argument("--seed-timeout", type=float, default=SEED_TIMEOUT)
-    parser.add_argument("--worker", nargs=3, metavar=("ENGINE", "STAGED", "N"),
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
-    if args.worker:
-        engine, staged, transfers = args.worker
-        _worker_main(engine, int(staged), int(transfers))
-        return 0
-
     quick = args.quick or os.environ.get("REPRO_QUICK", "0") == "1"
-    if quick:
-        calibration = (200, 20)
-        batch = (1000, 100)
-        lifetimes, per_batch = (10, 10)
-    else:
-        calibration = (500, 50)
-        batch = (10_000, 1000)
-        lifetimes, per_batch = (30, 20)
+    lifetimes, per_batch = (10, 10) if quick else (30, 20)
 
     report = {
         "benchmark": "bench_rules",
         "quick": quick,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "seed_timeout_s": args.seed_timeout,
-        "scenarios": {
-            "calibration": _scenario("calibration", *calibration,
-                                     timeout=args.seed_timeout),
-            "batch": _scenario("batch", *batch, timeout=args.seed_timeout),
-        },
+        "scenarios": {},
     }
     print("[long_lived]", flush=True)
-    report["scenarios"]["long_lived"] = {}
-    for engine in ("indexed", "compiled"):
-        ll = run_long_lived(engine, lifetimes, per_batch)
-        report["scenarios"]["long_lived"][engine] = ll
-        print(f"  {engine}: first third {ll['mean_first_third_s'] * 1e3:.1f}ms/batch, "
-              f"last third {ll['mean_last_third_s'] * 1e3:.1f}ms/batch, "
-              f"residual facts: {ll['residual_facts'] or '{}'}", flush=True)
+    ll = report["scenarios"]["long_lived"] = run_long_lived(lifetimes, per_batch)
+    print(f"  first third {ll['mean_first_third_s'] * 1e3:.1f}ms/batch, "
+          f"last third {ll['mean_last_third_s'] * 1e3:.1f}ms/batch, "
+          f"residual facts: {ll['residual_facts'] or '{}'}", flush=True)
 
     print("[sharded]", flush=True)
     sharded_batches, sharded_size = (4, 64) if quick else (12, 128)
@@ -404,19 +256,8 @@ def main(argv=None) -> int:
     print(f"wrote {out}")
 
     failures = []
-    for name in ("calibration", "batch"):
-        if report["scenarios"][name]["speedup"] < 5.0:
-            failures.append(f"{name}: indexed-vs-seed speedup below 5x")
-    compiled_bar = COMPILED_SPEEDUP_QUICK if quick else COMPILED_SPEEDUP_FULL
-    batch_compiled = report["scenarios"]["batch"]["compiled_speedup_vs_indexed"]
-    if batch_compiled < compiled_bar:
-        failures.append(
-            f"batch: compiled-vs-indexed speedup {batch_compiled:.1f}x "
-            f"below {compiled_bar:.0f}x")
-    for engine, ll in report["scenarios"]["long_lived"].items():
-        if ll["residual_facts"]:
-            failures.append(
-                f"long_lived[{engine}]: residual facts {ll['residual_facts']}")
+    if ll["residual_facts"]:
+        failures.append(f"long_lived: residual facts {ll['residual_facts']}")
     sharded_speedup = report["scenarios"]["sharded"][
         "critical_path_speedup_4_vs_1"]
     if not quick and sharded_speedup < SHARDED_SPEEDUP_FULL:
@@ -427,8 +268,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print(f"PASS: >=5x vs seed, >={compiled_bar:.0f}x compiled vs indexed, "
-          "no residual facts"
+    print("PASS: no residual facts"
           + ("" if quick else
              f", >={SHARDED_SPEEDUP_FULL:.1f}x sharded 4-vs-1"))
     return 0

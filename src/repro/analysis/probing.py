@@ -334,12 +334,12 @@ def snapshot_memory(memory) -> list[tuple[Type[Fact], dict]]:
     return [snapshot_fact(fact) for fact in memory]
 
 
-def clone_memory(soup: Iterable[tuple[Type[Fact], dict]], indexed: bool = True):
+def clone_memory(soup: Iterable[tuple[Type[Fact], dict]]):
     """A fresh WorkingMemory holding clones of the snapshotted facts,
     inserted in snapshot order (fact ids restart from 1)."""
     from repro.rules.facts import WorkingMemory
 
-    memory = WorkingMemory(indexed=indexed)
+    memory = WorkingMemory()
     for spec in soup:
         memory.insert(clone_fact(spec))
     return memory

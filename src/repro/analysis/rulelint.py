@@ -341,7 +341,7 @@ def _universe(rules: Sequence[Rule]) -> list[Type[Fact]]:
 def _random_memory(
     universe: Sequence[Type[Fact]], factory: FactFactory, per_type: int = 4
 ) -> WorkingMemory:
-    memory = WorkingMemory(indexed=True)
+    memory = WorkingMemory()
     for fact_type in universe:
         for _ in range(factory.rng.randint(1, per_type)):
             fact = factory.make_random(fact_type)
@@ -474,9 +474,7 @@ def _probe_divergence(
     snapshots, at a fraction of the cost of re-synthesizing facts."""
     memory = clone_memory(soup)
     probe_globals = dict(session_globals)
-    session = Session(
-        [rule], memory=memory, globals=probe_globals, max_firings=500, incremental=True
-    )
+    session = Session([rule], memory=memory, globals=probe_globals, max_firings=500)
     try:
         session.fire_all()
     except RuleEngineError:

@@ -52,7 +52,8 @@ CHECK_DESCRIPTIONS = {
             "agenda tie-break (counterexample attached)",
     "V002": "reserve-shaped charge is never released on a terminal path",
     "V003": "higher tier retracts facts a lower tier still matches",
-    "V004": "engines reach different final states on the same fact soup "
+    "V004": "join network and reference session reach different final "
+            "states on the same fact soup "
             "(counterexample attached)",
     "V005": "compiler plan or reads declaration disagrees with the "
             "interaction graph",

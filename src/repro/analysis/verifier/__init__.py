@@ -13,8 +13,9 @@ V002    error/info reserve-shaped charge never released on a terminal
                    accounting)
 V003    warning    higher tier retracts facts a lower tier still matches
                    (info when the action is too opaque to analyse)
-V004    error      engines (seed/indexed/compiled) reach different final
-                   states on the same soup (counterexample replays it)
+V004    error      the join network and the reference session reach
+                   different final states on the same soup
+                   (counterexample replays both)
 V005    error      compiler join/delta plan or ``reads`` change-gating
                    disagrees with the interaction graph (static-exact)
 ======  =========  =====================================================
@@ -42,7 +43,6 @@ from repro.analysis.findings import Report
 from repro.analysis.probing import FactFactory, harvest_constants, snapshot_memory
 from repro.analysis.rulelint import _random_memory, _rule_set_functions, _universe
 from repro.analysis.verifier.composition import (
-    ENGINES,
     check_compiler_agreement,
     check_engine_parity,
     verify_compositions,
@@ -61,7 +61,6 @@ __all__ = [
     "build_graph",
     "InteractionGraph",
     "replay_counterexample",
-    "ENGINES",
 ]
 
 
@@ -91,7 +90,6 @@ class VerifyOptions:
     per_type: int = 2
     #: randomized entry-lifecycle trials per terminal state (V002)
     ledger_trials: int = 8
-    engines: tuple = ENGINES
     #: apply VERIFY_SUPPRESSIONS (tests disable to see raw findings)
     apply_suppressions: bool = True
     extra_suppressions: tuple = ()
@@ -134,10 +132,7 @@ def verify_pack(
         report, trials=options.ledger_trials,
     )
     check_retracts(graph, report)
-    check_engine_parity(
-        name, rules, rule_builders, session_globals, soups,
-        options.engines, report,
-    )
+    check_engine_parity(name, rules, rule_builders, session_globals, soups, report)
     check_compiler_agreement(rules, graph, report)
 
     if options.apply_suppressions:

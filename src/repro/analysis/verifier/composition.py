@@ -1,10 +1,11 @@
-"""V004/V005 — cross-engine parity and compiler-plan agreement.
+"""V004/V005 — network-versus-reference parity and compiler-plan agreement.
 
-V004 (dynamic): the same fact soup fired through every engine the service
-ships (``seed`` full re-enumeration, ``indexed`` incremental agenda,
-``compiled`` join network) must land in the same canonical final state.
-Any split is an **error** carrying a minimized counterexample that
-replays the disagreement engine-by-engine.
+V004 (dynamic): the same fact soup fired through the join network and
+through the full-rescan :class:`~repro.rules.reference.ReferenceSession`
+must land in the same canonical final state.  Any split is an **error**
+carrying a minimized counterexample that replays both runs — typically a
+pack whose ``reads=`` declaration lies, so the network skips a
+re-evaluation the rescan performs.
 
 V005 (static-exact): the compiler's join/delta classification and the
 ``reads=(...)`` change-gating declarations must agree with what the
@@ -14,7 +15,7 @@ interaction graph sees in the same rules:
   join plan but was classified delta — or vice versa — is an **error**
   (the classifier and the engine disagree about the rule's semantics);
 * a gate's ``reads`` declaration that omits an attribute its guard or
-  keys provably read is an **error**: the compiled engine skips
+  keys provably read is an **error**: the join network skips
   re-checking a gate when an update's changed attributes are disjoint
   from its declared reads, so the gate's truth goes stale.  These
   findings are exact consequences of the scanned bytecode (the witness
@@ -43,11 +44,9 @@ from repro.rules.patterns import Pattern, _TypedElement
 
 __all__ = ["check_engine_parity", "check_compiler_agreement", "verify_compositions"]
 
-ENGINES = ("seed", "indexed", "compiled")
-
 
 # --------------------------------------------------------------------------
-# V004: engine parity
+# V004: join network vs reference session
 # --------------------------------------------------------------------------
 def check_engine_parity(
     name: str,
@@ -55,51 +54,35 @@ def check_engine_parity(
     rule_builders: Sequence[Callable],
     session_globals: dict,
     soups: Sequence[Sequence[tuple]],
-    engines: Sequence[str],
     report: Report,
 ) -> None:
-    engines = [e for e in engines if e in ENGINES]
-    if len(engines) < 2:
-        return
     for soup in soups:
-        states = run_engine_scenario(rules, session_globals, soup, engines)
+        states = run_engine_scenario(rules, session_globals, soup)
         if states is None:
             continue  # an action crashed on synthetic facts: inconclusive
         if len({tuple(s) for s in states.values()}) == 1:
             continue
 
         def still_splits(candidate: Sequence[tuple]) -> bool:
-            found = run_engine_scenario(rules, session_globals, candidate, engines)
+            found = run_engine_scenario(rules, session_globals, candidate)
             return found is not None and len({tuple(s) for s in found.values()}) > 1
 
         minimal = minimize_soup(soup, still_splits)
         doc = counterexample_doc(
-            "engine", rule_builders, session_globals, minimal,
-            engines=list(engines), pack=name,
+            "engine", rule_builders, session_globals, minimal, pack=name,
         )
         result = replay_counterexample(doc)
         if not result["reproduced"]:
             continue  # no heuristic-only errors
-        split = {
-            engine: tuple(state) for engine, state in result["states"].items()
-        }
-        groups: dict[tuple, list[str]] = {}
-        for engine, state in split.items():
-            groups.setdefault(state, []).append(engine)
         report.add(
             "V004",
             Severity.ERROR,
             f"pack:{name}",
-            f"engines disagree on the final working-memory state for a "
-            f"{len(minimal)}-fact soup: "
-            + "; ".join(
-                "{" + ",".join(sorted(members)) + "}"
-                for members in groups.values()
-            )
-            + " each reach different states — advice would depend on the "
-            "engine flag",
+            f"the join network and the reference session reach different "
+            f"final working-memory states for a {len(minimal)}-fact soup — "
+            f"the network skips a re-evaluation the full rescan performs "
+            f"(a reads= declaration or key that omits what a guard reads?)",
             counterexample=doc,
-            engines=list(engines),
         )
         return  # one replayed split per composition is enough
 
@@ -139,7 +122,7 @@ def check_compiler_agreement(
                 reason=plan.reason,
             )
 
-        # the compiled engine re-evaluates a rule only when a mutation
+        # the join network re-evaluates a rule only when a mutation
         # touches a fact type the plan dispatches on: every type the
         # interaction graph sees in the conditions must dispatch back.
         io = graph.nodes[rule.name]
@@ -152,12 +135,12 @@ def check_compiler_agreement(
                     rule.name,
                     f"mutations of {element.fact_type.__name__} (condition "
                     f"{element.index}) do not dispatch to this rule's plan: "
-                    f"the compiled engine would never re-evaluate it",
+                    f"the join network would never re-evaluate it",
                     location=location_of(rule.then),
                     fact_type=element.fact_type.__name__,
                 )
 
-    # reads-declaration soundness: the compiled engine only re-checks a
+    # reads-declaration soundness: the join network only re-checks a
     # gate (Absent/Exists/Collect) whose declared reads intersect an
     # update's changed attrs, so the declaration must cover every
     # attribute the gate's guard/keys actually read.
@@ -180,7 +163,7 @@ def check_compiler_agreement(
                     f"reads declaration on condition {element_io.index} "
                     f"({element_io.fact_type.__name__}) omits "
                     f"{', '.join(missing)} — the guard/keys read these, so "
-                    f"indexed/compiled change-gating skips re-evaluation "
+                    f"change-gating skips re-evaluation "
                     f"when they change and matches go stale",
                     location=location_of(element.where or rule.then),
                     missing=missing,

@@ -3,7 +3,8 @@
 Every V-series *error* the verifier emits carries a counterexample
 document: a JSON-safe description of a concrete fact soup, session
 globals, and the scenario (tie-break permutation, terminal drive, or
-engine pair) that reproduces the violation in a real :class:`Session`.
+network-versus-reference run) that reproduces the violation in a real
+:class:`Session`.
 :func:`replay_counterexample` decodes such a document, runs the scenario
 from scratch, and reports whether the violation still reproduces — so a
 finding is never "the analyzer thinks"; it is "run this and watch".
@@ -24,6 +25,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Type
 from repro.analysis.probing import clone_memory
 from repro.rules.engine import Rule, Session
 from repro.rules.facts import Fact, WorkingMemory
+from repro.rules.reference import ReferenceSession
 
 __all__ = [
     "canonical_state",
@@ -198,7 +200,7 @@ def decode_globals(doc: dict) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Tie-break permutations (see Session(tie_break=...))
+# Tie-break permutations (see ReferenceSession(tie_break=...))
 # --------------------------------------------------------------------------
 def tie_break_for(permutation: dict, rules: Sequence[Rule]) -> Optional[Callable]:
     """Build the deterministic agenda tie-break a permutation spec names.
@@ -234,27 +236,14 @@ def _fresh_session(
     rules: Sequence[Rule],
     session_globals: dict,
     soup: Sequence[tuple],
-    engine: str = "compiled",
-    tie_break: Optional[Callable] = None,
-    max_firings: int = 20_000,
+    session_class: type = Session,
+    **options,
 ):
-    memory = clone_memory(soup, indexed=True)
-    run_globals = copy.deepcopy(session_globals)
-    if engine == "compiled":
-        from repro.rules.network import CompiledSession
-
-        session: Session = CompiledSession(
-            rules, memory=memory, globals=run_globals, max_firings=max_firings
-        )
-    else:
-        session = Session(
-            rules,
-            memory=memory,
-            globals=run_globals,
-            max_firings=max_firings,
-            incremental=(engine == "indexed"),
-            tie_break=tie_break,
-        )
+    memory = clone_memory(soup)
+    session = session_class(
+        rules, memory=memory, globals=copy.deepcopy(session_globals),
+        max_firings=20_000, **options,
+    )
     return session, memory
 
 
@@ -267,10 +256,10 @@ def run_confluence_scenario(
     """Fire the pack over a clone of ``soup`` under a tie-break permutation;
     returns the canonical final state, or None if an action crashed on the
     synthetic facts (inconclusive)."""
-    tie_break = tie_break_for(permutation, rules)
-    # Tie-break permutations exist only on the interpreted session.
+    # Tie-break permutations exist only on the reference session.
     session, memory = _fresh_session(
-        rules, session_globals, soup, engine="indexed", tie_break=tie_break
+        rules, session_globals, soup, ReferenceSession,
+        tie_break=tie_break_for(permutation, rules),
     )
     try:
         session.fire_all()
@@ -368,18 +357,18 @@ def run_engine_scenario(
     rules: Sequence[Rule],
     session_globals: dict,
     soup: Sequence[tuple],
-    engines: Sequence[str],
 ) -> Optional[dict[str, list[str]]]:
-    """Run the same soup under each engine; engine name -> canonical state.
-    None if any engine's run crashed on the synthetic facts."""
+    """Run the same soup through the join network and the reference
+    session; side name -> canonical state.  None if either run crashed
+    on the synthetic facts."""
     states: dict[str, list[str]] = {}
-    for engine in engines:
-        session, memory = _fresh_session(rules, session_globals, soup, engine=engine)
+    for side, session_class in (("network", Session), ("reference", ReferenceSession)):
+        session, memory = _fresh_session(rules, session_globals, soup, session_class)
         try:
             session.fire_all()
         except Exception:
             return None
-        states[engine] = canonical_state(memory)
+        states[side] = canonical_state(memory)
     return states
 
 
@@ -467,9 +456,9 @@ def replay_counterexample(doc: dict) -> dict:
         }
 
     if kind == "engine":
-        states = run_engine_scenario(
-            rules, session_globals, soup, doc["engines"]
-        )
+        # An "engines" list in the document (written while there were
+        # several to choose from) is not read.
+        states = run_engine_scenario(rules, session_globals, soup)
         if states is None:
             return {"kind": kind, "reproduced": False, "states": None}
         unique = {tuple(state) for state in states.values()}

@@ -82,10 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--threshold", type=int, default=50)
     serve.add_argument("--default-streams", type=int, default=4)
     serve.add_argument("--cluster-count", type=int, default=None)
-    serve.add_argument("--engine", choices=["indexed", "seed", "compiled"],
-                       default="compiled",
-                       help="rule engine variant (advice is identical; "
-                            "compiled, the join network, is the default)")
     serve.add_argument("--access-control", action="store_true",
                        help="enable host denials and staging quotas")
     serve.add_argument("--shards", type=int, default=0,
@@ -129,14 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "(repeatable)")
     lint.add_argument("--verify", action="store_true",
                       help="run the semantic verifier (V001-V005: "
-                           "confluence, ledger balance, engine parity, "
+                           "confluence, ledger balance, reference parity, "
                            "compiler agreement) over every composition "
                            "the Policy Service instantiates — or only "
                            "those named in --rules; every dynamic error "
                            "carries a machine-replayed counterexample")
-    lint.add_argument("--engines", default=None, metavar="ENGINE[,ENGINE...]",
-                      help="engines the verifier cross-checks for V004 "
-                           "parity (default: seed,indexed,compiled)")
 
     trace = sub.add_parser(
         "trace",
@@ -169,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max streams between a host pair")
     trace.add_argument("--images", type=int, default=12,
                        help="Montage input images (= staging jobs)")
-    trace.add_argument("--engine", choices=["indexed", "seed", "compiled"], default="compiled",
-                       help="rule engine variant (traces are identical; default compiled)")
     trace.add_argument("--seed", type=int, default=0)
 
     explain = sub.add_parser(
@@ -182,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
             "firings (with salience tiers and working-memory operations), "
             "the ledger values that gated the advice, and the group/lease "
             "ids it minted.  The same seed yields the same record — same "
-            "digest — whatever --engine or --shards is chosen."
+            "digest — whatever --shards is chosen."
         ),
     )
     explain.add_argument("tid", type=int, help="transfer id to explain")
@@ -196,10 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max streams between a host pair")
     explain.add_argument("--images", type=int, default=12,
                          help="Montage input images (= staging jobs)")
-    explain.add_argument("--engine", choices=["indexed", "seed", "compiled"],
-                         default="compiled",
-                         help="rule engine variant (records are identical; "
-                              "default compiled)")
     explain.add_argument("--shards", type=int, default=0,
                          help="shard the policy service N ways "
                               "(0 = single service; records are identical)")
@@ -234,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="default parallel streams per transfer")
     ensemble.add_argument("--threshold", type=int, default=50,
                           help="max streams between a host pair")
-    ensemble.add_argument("--engine", choices=["indexed", "seed", "compiled"], default="compiled",
-                          help="rule engine variant (advice is identical; default compiled)")
     ensemble.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -355,17 +340,16 @@ def _cmd_serve(args, out) -> int:
         service = ShardedPolicyService(
             config,
             num_shards=args.shards,
-            engine=args.engine,
             journal_root=args.journal_root,
         )
         flavor = f"{args.shards}-shard router"
     else:
-        service = PolicyService(config, engine=args.engine)
+        service = PolicyService(config)
         flavor = "single service"
     server = PolicyRestServer(service, host=args.host, port=args.port)
     server.start()
     print(
-        f"Policy Service ({args.policy}, {args.engine} engine, {flavor}) "
+        f"Policy Service ({args.policy}, {flavor}) "
         f"listening on {server.url}",
         file=out,
     )
@@ -450,7 +434,6 @@ def _cmd_lint(args, out) -> int:
 
     if args.verify:
         from repro.analysis import VerifyOptions, verify_compositions, verify_pack
-        from repro.analysis.verifier import ENGINES
 
         compositions = verify_compositions()
         if selected and not args.all:
@@ -459,20 +442,7 @@ def _cmd_lint(args, out) -> int:
                 print(f"unknown composition(s): {', '.join(unknown)}", file=out)
                 return 2
             compositions = {n: compositions[n] for n in selected}
-        engines = tuple(ENGINES)
-        if args.engines:
-            engines = tuple(
-                e.strip() for e in args.engines.split(",") if e.strip()
-            )
-            bad = sorted(set(engines) - set(ENGINES))
-            if bad:
-                print(f"unknown engine(s): {', '.join(bad)}", file=out)
-                return 2
-        options = VerifyOptions(
-            seed=args.seed,
-            engines=engines,
-            extra_suppressions=tuple(args.suppress),
-        )
+        options = VerifyOptions(seed=args.seed, extra_suppressions=tuple(args.suppress))
         for name, (_rules, session_globals, builders) in compositions.items():
             reports.append(verify_pack(name, builders, session_globals, options))
 
@@ -577,7 +547,6 @@ def _cmd_ensemble(args, out) -> int:
         policy=None if args.policy == "none" else args.policy,
         threshold=args.threshold,
         n_images=6,
-        engine=args.engine,
         seed=args.seed,
     )
     result = run_tenant_ensemble(
@@ -618,7 +587,6 @@ def _cmd_trace(args, out) -> int:
         policy=policy,
         threshold=args.threshold,
         n_images=args.images,
-        engine=args.engine,
         seed=args.seed,
     )
     if args.scenario == "tenant-ensemble":
@@ -675,7 +643,6 @@ def _cmd_explain(args, out) -> int:
         policy=args.policy,
         threshold=args.threshold,
         n_images=args.images,
-        engine=args.engine,
         shards=args.shards,
         seed=args.seed,
     )

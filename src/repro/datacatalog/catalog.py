@@ -4,8 +4,7 @@ A :class:`DataCatalog` is a thin, deterministic view over the service's
 :class:`~repro.rules.WorkingMemory`: every mutation goes through the
 memory (so the journal observer sees it and it commits with the
 surrounding service transaction), and every read is sorted so the
-census is byte-identical across engines, shard merges, and crash
-replay.
+census is byte-identical across shard merges and crash replay.
 
 The catalog itself holds **no state** beyond its configuration — the
 facts are the state.  That is what makes recovery trivial: replaying

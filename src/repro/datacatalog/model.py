@@ -20,7 +20,7 @@ Facts
     A transient sweep tick, mirroring ``LeaseSweepFact``: inserted when
     a site may be over budget, matched by the eviction pack, retired by
     the lowest-salience eviction rule.  Time enters as a fact, not a
-    global, so the incremental agenda stays sound.
+    global, so the rule session sees it in the change log.
 """
 
 from __future__ import annotations

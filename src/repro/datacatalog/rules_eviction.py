@@ -22,8 +22,8 @@ it, two things change:
   return to the transfer tool, which performs the actual deletion.
 
 Victim order is deterministic (policy key, then lfn/url tie-break), so
-advice — and the catalog census — stays byte-identical across the
-seed, indexed, and compiled engines.
+advice — and the catalog census — does not depend on the order the
+matcher happens to discover candidates in.
 """
 
 from __future__ import annotations

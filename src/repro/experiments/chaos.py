@@ -140,7 +140,7 @@ def run_chaos_montage(
     clock = lambda: bed.env.now  # noqa: E731 - tiny closure over the sim clock
     journal = PolicyJournal(journal_dir) if journal_dir is not None else None
     service = PolicyService(
-        pconfig, clock=clock, engine=cfg.engine, journal=journal,
+        pconfig, clock=clock, journal=journal,
         metrics=metrics, tracer=tracer, profiler=profiler,
     )
     client = InProcessPolicyClient(
@@ -162,7 +162,7 @@ def run_chaos_montage(
     if journal_dir is not None:
         def restart():
             return PolicyService.recover(
-                journal_dir, config=pconfig, clock=clock, engine=cfg.engine,
+                journal_dir, config=pconfig, clock=clock,
                 metrics=metrics, tracer=tracer, profiler=profiler,
             )
     injector.attach_policy(client, restart=restart)
@@ -232,7 +232,6 @@ def run_shard_chaos_montage(
     router = ShardedPolicyService(
         pconfig,
         num_shards=num_shards,
-        engine=cfg.engine,
         clock=clock,
         journal_root=journal_root,
         metrics=metrics,

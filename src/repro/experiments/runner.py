@@ -68,7 +68,6 @@ class ExperimentConfig:
     catalog: Optional[CatalogConfig] = None  # staged-data catalog (None = off)
     retry_backoff: float = 0.0            # base delay between job retries
     n_images: int = 89                    # paper: 89 data staging jobs
-    engine: str = "compiled"              # rule engine: "compiled", "indexed" or "seed"
     shards: int = 0                       # 0 = single service, N >= 1 = sharded router
     journal_root: Optional[str] = None    # per-shard journals under this dir
     seed: int = 0
@@ -112,7 +111,6 @@ def build_policy_client(
         service = ShardedPolicyService(
             policy_config,
             num_shards=cfg.shards,
-            engine=cfg.engine,
             clock=lambda: bed.env.now,
             journal_root=cfg.journal_root,
             metrics=metrics,
@@ -123,7 +121,6 @@ def build_policy_client(
         service = PolicyService(
             policy_config,
             clock=lambda: bed.env.now,
-            engine=cfg.engine,
             metrics=metrics,
             tracer=bed.env.tracer,
             profiler=profiler,

@@ -22,8 +22,7 @@ standard artifact set:
 
 Because trace events carry only simulation-derived data (wall-clock
 timings live in the registry and profiler), ``events.jsonl`` is a
-deterministic function of (workflow, config, seed) — including across
-``engine="seed"``, ``"indexed"`` and ``"compiled"``.
+deterministic function of (workflow, config, seed).
 """
 
 from __future__ import annotations
@@ -234,7 +233,6 @@ def run_traced_ensemble(
             "default_streams": cfg.default_streams,
             "policy": cfg.policy,
             "threshold": cfg.threshold,
-            "engine": cfg.engine,
             "seed": cfg.seed,
         },
         "admission_order": list(result.admission_order),

@@ -33,16 +33,15 @@ def run_provenance(
     With ``tracer`` (a :class:`repro.obs.Tracer` that observed the run),
     the document gains a ``trace`` key summarizing the event stream —
     enough to tell whether/where the full trace artifacts exist without
-    embedding them.  ``engine`` and ``shard_count`` are read off the
-    experiment config; ``frontend`` names how the Policy Service was
-    reached (``"in-process"``, ``"rest"``, ``"rest-async"``) when the
-    caller knows it.
+    embedding them.  ``shard_count`` is read off the experiment config;
+    ``frontend`` names how the Policy Service was reached
+    (``"in-process"``, ``"rest"``, ``"rest-async"``) when the caller
+    knows it.
     """
     doc: dict = {
         "workflow_id": metrics.workflow_id,
         "success": metrics.success,
         "makespan_s": metrics.makespan,
-        "engine": getattr(config, "engine", None),
         "shard_count": getattr(config, "shards", None),
         "frontend": frontend,
         "staging": {

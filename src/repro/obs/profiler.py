@@ -10,7 +10,7 @@ one long-lived profiler to every session it opens) and tallies, per rule:
   executing its RHS,
 
 plus a stream of **agenda-size samples** (total not-yet-fired
-activations at each firing) showing how much work the incremental engine
+activations at each firing) showing how much work the join network
 carries between firings.
 
 Wall-clock tallies live here and in the metrics registry — deliberately
@@ -36,7 +36,7 @@ class RuleStats:
         self.fires = 0
         self.match_s = 0.0
         self.action_s = 0.0
-        #: per-node event counters from the compiled join network
+        #: per-node event counters from the join network
         #: (e.g. ``probe_steps``: beta-memory slots walked by lazy probes)
         self.nodes: dict[str, int] = {}
 
@@ -97,7 +97,7 @@ class RuleProfiler:
         self.total_firings += 1
 
     def record_node(self, rule_name: str, event: str, n: int = 1) -> None:
-        """Count a join-network node event (compiled engine only)."""
+        """Count a join-network node event."""
         nodes = self._row(rule_name).nodes
         nodes[event] = nodes.get(event, 0) + n
 

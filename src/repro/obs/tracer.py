@@ -12,9 +12,7 @@ Determinism
 -----------
 Inside a simulation every field of every event derives from simulated
 time and run state, never from wall clocks or object ids, so two runs
-with the same seed produce **byte-identical** JSONL streams — across the
-``seed`` and ``indexed`` policy engines too (they fire the same rules in
-the same order).  Wall-clock measurements (rule action latency, journal
+with the same seed produce **byte-identical** JSONL streams.  Wall-clock measurements (rule action latency, journal
 commit latency) belong in :class:`~repro.obs.metrics.MetricsRegistry`
 histograms or the :class:`~repro.obs.profiler.RuleProfiler`, never in
 trace events.

@@ -274,7 +274,7 @@ class LeaseSweepFact(Fact):
     rules in :mod:`repro.policy.rules_common`, and retracted by the
     lowest-salience sweep-retirement rule before the session returns.
     Inserting a fact (rather than reading the clock from globals) keeps
-    the incremental agenda sound: time-based expiry becomes a working
+    change-log-driven matching sound: time-based expiry becomes a working
     memory change the change log can see.
     """
 

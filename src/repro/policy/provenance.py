@@ -16,9 +16,10 @@ Determinism
 A record is built entirely from simulation-derived state: fact
 attributes, rule names, salience tiers, and change-log operations.  No
 wall clocks, object ids, or raw fact ids (fids are engine bookkeeping;
-records reference facts by :func:`stable_ref`).  The three rule engines
-fire the same rules in the same order on the same memory, so they
-produce **byte-identical** records — :func:`decision_digest` is the
+records reference facts by :func:`stable_ref`).  The same memory fires
+the same rules in the same order whatever matched them — the join
+network, the reference session, one service or a shard fleet — so the
+records come out **byte-identical**; :func:`decision_digest` is the
 equality witness used by the tests and the acceptance criteria.
 
 Shard invariance
@@ -130,10 +131,10 @@ def canonical_json(doc) -> str:
 def decision_digest(record: dict) -> str:
     """sha256 over the record's canonical content.
 
-    ``meta`` (batch number, engine, shard, span linkage) and any existing
+    ``meta`` (batch number, shard, span linkage) and any existing
     ``digest`` are excluded: they describe *where* the decision was made,
-    not *what* was decided — the digest must match across engines, shard
-    counts, and crash recovery.
+    not *what* was decided — the digest must match across shard counts,
+    crash recovery and the reference session.
     """
     core = {k: v for k, v in record.items() if k not in ("digest", "meta")}
     return hashlib.sha256(canonical_json(core).encode("utf-8")).hexdigest()
@@ -320,7 +321,6 @@ def transfer_record(
     after: dict,
     *,
     batch: int,
-    engine: str,
     shard: Optional[int] = None,
 ) -> dict:
     record = {
@@ -344,7 +344,7 @@ def transfer_record(
         },
         "firings": firings,
         "ledger": _transfer_ledger(fact, before, after),
-        "meta": {"batch": batch, "engine": engine, "shard": shard},
+        "meta": {"batch": batch, "shard": shard},
     }
     record["digest"] = decision_digest(record)
     return record
@@ -358,7 +358,6 @@ def cleanup_record(
     after: dict,
     *,
     batch: int,
-    engine: str,
     shard: Optional[int] = None,
 ) -> dict:
     record = {
@@ -376,7 +375,7 @@ def cleanup_record(
         },
         "firings": firings,
         "ledger": _cleanup_ledger(fact, before, after),
-        "meta": {"batch": batch, "engine": engine, "shard": shard},
+        "meta": {"batch": batch, "shard": shard},
     }
     record["digest"] = decision_digest(record)
     return record
@@ -386,15 +385,14 @@ def eviction_record(
     victim: dict,
     firings: list[dict],
     *,
-    engine: str,
     shard: Optional[int] = None,
 ) -> dict:
     """Provenance for one catalog eviction.
 
     ``victim`` is the document the eviction rule appended to
     ``catalog_evicted`` (lfn, site, url, nbytes, policy, reason, now —
-    all simulation-derived, so the digest matches across engines and
-    crash replay).  The eviction is keyed by (url, sweep time): the
+    all simulation-derived, so the digest survives sharding and crash
+    replay).  The eviction is keyed by (url, sweep time): the
     same URL may be evicted again after a later re-staging.
     """
     record = {
@@ -412,7 +410,7 @@ def eviction_record(
         },
         "firings": firings,
         "ledger": {},
-        "meta": {"batch": None, "engine": engine, "shard": shard},
+        "meta": {"batch": None, "shard": shard},
     }
     record["digest"] = decision_digest(record)
     return record
@@ -442,7 +440,7 @@ def degraded_record(
         "advice": {"action": "transfer", "reason": reason},
         "firings": [],
         "ledger": {},
-        "meta": {"batch": None, "engine": None, "shard": shard},
+        "meta": {"batch": None, "shard": shard},
     }
     record["digest"] = decision_digest(record)
     return record
@@ -473,7 +471,7 @@ def degraded_cleanup_record(
         "advice": {"action": "skip", "reason": reason},
         "firings": [],
         "ledger": {},
-        "meta": {"batch": None, "engine": None, "shard": shard},
+        "meta": {"batch": None, "shard": shard},
     }
     record["digest"] = decision_digest(record)
     return record
@@ -619,10 +617,7 @@ def render_narrative(record: dict) -> str:
             suffix = f" ({', '.join(changed)})" if changed else ""
             lines.append(f"      {verb} {op.get('fact')}{suffix}")
     meta = record.get("meta", {})
-    meta_bits = [
-        f"batch {_fmt(meta.get('batch'))}",
-        f"engine {_fmt(meta.get('engine'))}",
-    ]
+    meta_bits = [f"batch {_fmt(meta.get('batch'))}"]
     if meta.get("shard") is not None:
         meta_bits.append(f"shard {meta['shard']}")
     if meta.get("span_seq") is not None:

@@ -120,7 +120,7 @@ def access_rules() -> list[Rule]:
             when=[
                 # The handful of admin bans drive the join; the hot, keyed
                 # TransferFact pattern sits at the probed last position so
-                # the compiled engine walks one status bucket, not the
+                # the join network walks one status bucket, not the
                 # whole frontier (rulelint R009).
                 Pattern(HostDenialFact, "deny"),
                 Pattern(

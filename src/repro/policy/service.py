@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import as_tracer
-from repro.rules import CompiledSession, Rule, Session, WorkingMemory
+from repro.rules import Rule, Session, WorkingMemory
 
 from repro.datacatalog.catalog import DataCatalog
 from repro.datacatalog.model import EvictionSweepFact
@@ -94,15 +94,6 @@ class PolicyService:
     extra_rules:
         Additional rules appended to the pack (deployment customization —
         the paper stresses rules are separated from application logic).
-    engine:
-        ``"compiled"`` (default) compiles the rule pack once into a
-        Rete/TREAT-style join network with alpha-routed change dispatch
-        and memoized partial matches (see :mod:`repro.rules.compiler`
-        and ``docs/engine.md``); ``"indexed"`` uses the hash-indexed
-        working memory and the incremental per-rule agendas; ``"seed"``
-        keeps the original scan-everything engine, the baseline of
-        ``benchmarks/bench_rules.py`` and the equivalence tests — advice
-        is byte-identical across all three engines.
     journal:
         A :class:`~repro.policy.journal.PolicyJournal` making the policy
         memory durable.  The journal directory must be empty/fresh here;
@@ -122,22 +113,20 @@ class PolicyService:
         :meth:`profile_report`).
     """
 
+    #: the rule session every service is built on; tests set the
+    #: reference matcher here (``tests/reference.py``), nothing else does
+    session_class = Session
+
     def __init__(
         self,
         config: Optional[PolicyConfig] = None,
         extra_rules: Sequence[Rule] = (),
         clock: Optional[Callable[[], float]] = None,
-        engine: str = "compiled",
         journal: Optional[PolicyJournal] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
         profiler=None,
     ):
-        if engine not in ("indexed", "seed", "compiled"):
-            raise ValueError(
-                f"engine must be 'indexed', 'seed' or 'compiled', got {engine!r}"
-            )
-        self.engine = engine
         self.config = config or PolicyConfig()
         #: time source for adaptive epochs — the simulated clock inside a
         #: simulation, wall time behind the REST frontend
@@ -147,7 +136,7 @@ class PolicyService:
             self.adaptive = AdaptiveThresholdController(
                 self.config.max_streams, self.config.adaptive_settings
             )
-        self.memory = WorkingMemory(indexed=self.engine in ("indexed", "compiled"))
+        self.memory = WorkingMemory()
         self.globals: dict = {"config": self.config, "group_counter": 1}
         #: durable staged-data catalog over this memory (None when disabled)
         self.catalog: Optional[DataCatalog] = (
@@ -178,19 +167,12 @@ class PolicyService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = as_tracer(tracer)
         self.profiler = profiler
-        # The one rule session of this service.  Its agendas (or join
-        # network) outlive the call and follow the memory's change log,
-        # so a call pays for the facts it touches, not for re-matching
-        # the resident set; ``_session()`` hands it out reset.
-        self._rule_session: Session = (
-            CompiledSession(
-                rules, memory=self.memory, globals=self.globals, profiler=profiler
-            )
-            if self.engine == "compiled"
-            else Session(
-                rules, memory=self.memory, globals=self.globals,
-                incremental=self.engine == "indexed", profiler=profiler,
-            )
+        # The one rule session of this service.  Its join network
+        # outlives the call and follows the memory's change log, so a
+        # call pays for the facts it touches, not for re-matching the
+        # resident set; ``_session()`` hands it out reset.
+        self._rule_session: Session = self.session_class(
+            rules, memory=self.memory, globals=self.globals, profiler=profiler
         )
         #: decision-provenance log (None when config.decision_log is off)
         self.decisions: Optional[DecisionLog] = (
@@ -454,7 +436,6 @@ class PolicyService:
         config: Optional[PolicyConfig] = None,
         extra_rules: Sequence[Rule] = (),
         clock: Optional[Callable[[], float]] = None,
-        engine: str = "compiled",
         snapshot_interval: int = 1000,
         fsync: bool = False,
         metrics: Optional[MetricsRegistry] = None,
@@ -478,7 +459,7 @@ class PolicyService:
         )
         state = journal.load()
         service = cls(
-            config, extra_rules=extra_rules, clock=clock, engine=engine,
+            config, extra_rules=extra_rules, clock=clock,
             metrics=metrics, tracer=tracer, profiler=profiler,
         )
         fingerprint = service.config_fingerprint()
@@ -748,7 +729,6 @@ class PolicyService:
                     before,
                     after,
                     batch=batch,
-                    engine=self.engine,
                     shard=self.shard_index,
                 )
                 if self.catalog is not None:
@@ -886,7 +866,6 @@ class PolicyService:
                     eviction_record(
                         victim,
                         attribute_firings_by_ref(collector.firings, refs),
-                        engine=self.engine,
                         shard=self.shard_index,
                     )
                 )
@@ -996,7 +975,6 @@ class PolicyService:
                             before,
                             after,
                             batch=batch,
-                            engine=self.engine,
                             shard=self.shard_index,
                         )
                     )

@@ -35,7 +35,6 @@ __all__ = ["ProcessShardBackend"]
 def _shard_worker(
     conn,
     config,
-    engine: str,
     journal_dir,
     snapshot_interval: int,
     fsync: bool,
@@ -51,7 +50,6 @@ def _shard_worker(
         service = PolicyService.recover(
             journal_dir,
             config=config,
-            engine=engine,
             snapshot_interval=snapshot_interval,
             fsync=fsync,
         )
@@ -61,7 +59,7 @@ def _shard_worker(
             journal = PolicyJournal(
                 journal_dir, snapshot_interval=snapshot_interval, fsync=fsync
             )
-        service = PolicyService(config, engine=engine, journal=journal)
+        service = PolicyService(config, journal=journal)
     disable_local_sweep(service)
 
     while True:
@@ -92,14 +90,12 @@ class ProcessShardBackend:
     def __init__(
         self,
         config: Optional[PolicyConfig] = None,
-        engine: str = "compiled",
         journal_dir=None,
         snapshot_interval: int = 1000,
         fsync: bool = False,
         start_method: Optional[str] = None,
     ) -> None:
         self.config = config if config is not None else PolicyConfig()
-        self.engine = engine
         self.journal_dir = journal_dir
         self.snapshot_interval = snapshot_interval
         self.fsync = fsync
@@ -119,7 +115,6 @@ class ProcessShardBackend:
             args=(
                 child,
                 self.config,
-                self.engine,
                 self.journal_dir,
                 self.snapshot_interval,
                 self.fsync,

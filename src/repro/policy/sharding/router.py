@@ -126,8 +126,6 @@ class ShardedPolicyService:
     num_shards:
         Fleet size.  ``1`` is valid and byte-identical to an unsharded
         service (useful as the benchmark baseline).
-    engine:
-        Rule engine for every shard (``indexed`` / ``compiled`` / ``seed``).
     clock:
         Shared clock (the DES passes simulated time); also drives the
         per-shard circuit breakers and lease sweeps.
@@ -152,7 +150,6 @@ class ShardedPolicyService:
         self,
         config: Optional[PolicyConfig] = None,
         num_shards: int = 2,
-        engine: str = "compiled",
         clock: Optional[Callable[[], float]] = None,
         journal_root=None,
         backends: Optional[Sequence] = None,
@@ -169,7 +166,6 @@ class ShardedPolicyService:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.config = config if config is not None else PolicyConfig()
-        self.engine = engine
         self.clock = clock or time.monotonic
         self.tracer = as_tracer(tracer)
         self.num_shards = num_shards
@@ -191,7 +187,6 @@ class ShardedPolicyService:
                 )
                 backend = InProcessShardBackend(
                     self.config,
-                    engine=engine,
                     clock=clock,
                     journal_dir=journal_dir,
                     snapshot_interval=snapshot_interval,

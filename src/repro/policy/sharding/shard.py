@@ -128,7 +128,7 @@ def invoke_on_service(service: PolicyService, name: str, *args, **kwargs):
 class InProcessShardBackend:
     """Hosts one shard's `PolicyService` inside the router's process.
 
-    Owns the construction recipe (config, engine, clock, journal
+    Owns the construction recipe (config, clock, journal
     directory) so it can rebuild the service after a simulated crash:
     with a journal directory, :meth:`recover` replays the WAL/snapshot;
     without one, recovery starts from empty memory (pure equivalence
@@ -138,7 +138,6 @@ class InProcessShardBackend:
     def __init__(
         self,
         config: Optional[PolicyConfig] = None,
-        engine: str = "compiled",
         clock: Optional[Callable[[], float]] = None,
         journal_dir=None,
         snapshot_interval: int = 1000,
@@ -149,7 +148,6 @@ class InProcessShardBackend:
         profiler=None,
     ) -> None:
         self.config = config if config is not None else PolicyConfig()
-        self.engine = engine
         self.clock = clock
         self.journal_dir = journal_dir
         self.snapshot_interval = snapshot_interval
@@ -172,7 +170,6 @@ class InProcessShardBackend:
             self.config,
             extra_rules=self.extra_rules,
             clock=self.clock,
-            engine=self.engine,
             journal=journal,
             metrics=self.metrics,
             tracer=self.tracer,
@@ -204,7 +201,6 @@ class InProcessShardBackend:
                 config=self.config,
                 extra_rules=self.extra_rules,
                 clock=self.clock,
-                engine=self.engine,
                 snapshot_interval=self.snapshot_interval,
                 fsync=self.fsync,
                 metrics=self.metrics,

@@ -22,19 +22,22 @@ Concepts
     A stateful engine session: insert facts, ``fire_all()`` until quiescent.
     Matches Drools' KieSession in spirit (agenda, salience order,
     refraction so an activation fires once per fact-version combination).
+    It matches through a ``JoinNetwork`` compiled from the rule pack.
+
+:mod:`repro.rules.reference` holds the full-rescan session tests and the
+verifier compare it against; it is not imported from here.
 """
 
 from repro.rules.compiler import CompiledRuleset, compile_rules, fast_path_report
 from repro.rules.engine import Rule, RuleEngineError, Session
 from repro.rules.facts import Fact, WorkingMemory
-from repro.rules.network import CompiledSession, JoinNetwork
+from repro.rules.network import JoinNetwork
 from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test
 
 __all__ = [
     "Absent",
     "Collect",
     "CompiledRuleset",
-    "CompiledSession",
     "Exists",
     "Fact",
     "JoinNetwork",

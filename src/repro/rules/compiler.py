@@ -1,9 +1,8 @@
 """Compilation pass: rule packs -> join-network execution plans.
 
-The compiled engine (``engine="compiled"`` on the Policy Service) does
-not interpret a rule's condition elements from scratch on every firing.
-This module analyses each rule **once** and assigns it an execution plan
-that the :class:`~repro.rules.network.JoinNetwork` runs:
+A session does not interpret a rule's condition elements from scratch
+on every firing.  This module analyses each rule **once** and assigns it
+an execution plan that the :class:`~repro.rules.network.JoinNetwork` runs:
 
 ``join``
     Every condition element is a bound :class:`~repro.rules.patterns.Pattern`
@@ -20,9 +19,10 @@ that the :class:`~repro.rules.network.JoinNetwork` runs:
 ``delta``
     Everything else (rules using ``Absent`` / ``Exists`` / ``Collect`` /
     ``Test``, single-Pattern rules, or rules with unbound patterns).
-    These fall back to the dirty-set delta/rebuild strategy of the
-    incremental agenda, feeding the same candidate heap, so mixed rule
-    packs behave identically to the interpreted engines.
+    These use a dirty-set strategy — re-join the changed facts at each
+    Pattern position, re-enumerate the rule when a gate may have opened —
+    feeding the same candidate heap, so mixed rule packs fire in the
+    same order.
 
 The plan assignment (and the reason a rule fell off the fast path) is
 exposed through :func:`fast_path_report` so the rule linter can flag
@@ -106,8 +106,7 @@ class RulePlan:
     def __init__(self, rule: Rule, order: int, kind: str, reason: str,
                  positions: list[PositionPlan]):
         self.rule = rule
-        #: definition index — the salience tie-breaker, identical to the
-        #: interpreted engines.
+        #: definition index — the salience tie-breaker
         self.order = order
         self.kind = kind
         #: why the rule fell off the join fast path ("" when it didn't)

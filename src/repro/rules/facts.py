@@ -11,10 +11,6 @@ every insert / update / retract afterwards.  Rule condition elements use
 ``lookup`` (via their ``keys`` parameter) to fetch only the facts that can
 possibly join instead of scanning the whole type extent, and sessions use
 the memory's **change log** to re-match only what actually changed.
-
-Constructing the memory with ``indexed=False`` degrades ``lookup`` to a
-linear scan with the exact same results — that is the seed engine used as
-the baseline by ``benchmarks/bench_rules.py`` and the equivalence tests.
 """
 
 from __future__ import annotations
@@ -29,8 +25,8 @@ F = TypeVar("F", bound="Fact")
 _MISSING = object()
 _NO_FACTS: dict[int, "Fact"] = {}  # the extent of a type no fact has (read-only)
 
-#: Mutations remembered for :meth:`WorkingMemory.changes_since`.  Sessions
-#: that fall behind further than this simply rebuild their agendas.
+#: Mutations remembered for :meth:`WorkingMemory.changes_since`.  A session
+#: that falls behind further than this rebuilds its join network.
 _CHANGELOG_CAP = 65_536
 
 
@@ -68,32 +64,22 @@ class WorkingMemory:
 
     Lookup by type returns facts of that type *or any subclass* so rules can
     match on base classes (mirrors Drools' class-based patterns).
-
-    Parameters
-    ----------
-    indexed:
-        When True (default), :meth:`lookup` answers from incrementally
-        maintained hash indexes; when False it linearly scans the type
-        extent — same results, seed-engine cost.  Used for benchmarking
-        and equivalence testing.
     """
 
-    def __init__(self, indexed: bool = True) -> None:
+    def __init__(self) -> None:
         self._entries: dict[int, _Entry] = {}   # id(fact) -> entry
         # type -> {id(fact): fact} in insertion order (O(1) retract)
         self._by_type: dict[type, dict[int, Fact]] = {}
         self._by_fid: dict[int, Fact] = {}
         self._next_fid = 0
         self._clock = 0
-        self._type_clock: dict[type, int] = {}
-        self._indexed = bool(indexed)
         #: optional ``observer(fact, fid, op)`` invoked after every mutation
         #: has been applied — the hook the policy journal records through.
         self.observer: Optional[Any] = None
         # (fact type, sorted attr names) -> key tuple -> {id(fact): fact}
         self._indexes: dict[tuple[type, tuple[str, ...]], dict[tuple, dict[int, Fact]]] = {}
         self._indexes_of: dict[type, list] = {}  # see _applicable_indexes
-        # (clock, fid, fact, op) log feeding incremental agendas.  A ring
+        # (clock, fid, fact, op, changed) log sessions catch up from.  A ring
         # buffer: appending beyond the cap drops the oldest entry in O(1)
         # instead of the O(cap) copy-shift a list compaction would cost on
         # the mutation hot path.  Clock ticks once per entry, so the
@@ -101,10 +87,6 @@ class WorkingMemory:
         self._log: deque[tuple[int, int, Fact, str, Optional[frozenset]]] = deque(
             maxlen=_CHANGELOG_CAP
         )
-
-    @property
-    def indexed(self) -> bool:
-        return self._indexed
 
     @property
     def clock(self) -> int:
@@ -115,30 +97,26 @@ class WorkingMemory:
         self, fact: Fact, fid: int, op: str, changed: Optional[frozenset] = None
     ) -> None:
         self._clock += 1
-        for klass in type(fact).__mro__:
-            if klass is object:
-                break
-            self._type_clock[klass] = self._clock
         self._log.append((self._clock, fid, fact, op, changed))
         if self.observer is not None:
             self.observer(fact, fid, op)
 
-    def stamp(self, types: tuple[type, ...]) -> int:
-        """Monotonic change stamp over a set of fact types.
+    def changes_since(
+        self, seq: int
+    ) -> Optional[list[tuple[int, Fact, str, Optional[frozenset]]]]:
+        """``(fid, fact, op, changed)`` mutations after clock ``seq``,
+        oldest first.
 
-        Unchanged stamp guarantees no fact of those types was inserted,
-        updated, or retracted — used by sessions to cache rule matches.
-        """
-        return max((self._type_clock.get(t, 0) for t in types), default=0)
-
-    def changes_since(self, seq: int) -> Optional[list[tuple[int, Fact, str]]]:
-        """``(fid, fact, op)`` mutations after clock ``seq``, oldest first.
-
-        ``op`` is ``"i"`` (insert), ``"u"`` (update) or ``"r"`` (retract).
-        Returns ``None`` when the requested range has been evicted from
-        the bounded change log (caller must fall back to a full rebuild).
-        A fact appears once per mutation; retracted facts are included —
-        check :meth:`contains` for liveness.
+        ``op`` is ``"i"`` (insert), ``"u"`` (update) or ``"r"`` (retract);
+        ``changed`` is the set of attribute names an update actually
+        changed (value really differed), ``None`` when unknown (inserts,
+        retracts, or in-place mutation the memory could not observe) — it
+        lets a session prove an update cannot have flipped a condition
+        that only reads other attributes.  Returns ``None`` when the
+        requested range has been evicted from the bounded change log
+        (caller must fall back to a full rebuild).  A fact appears once
+        per mutation; retracted facts are included — check
+        :meth:`contains` for liveness.
         """
         if seq >= self._clock:
             return []
@@ -148,29 +126,6 @@ class WorkingMemory:
         # Walk back from the newest entry: the tail after ``seq`` is the
         # common case (a session catching up after one firing), so cost is
         # proportional to the answer, not to the window size.
-        out = []
-        for s, fid, fact, op, _changed in reversed(log):
-            if s <= seq:
-                break
-            out.append((fid, fact, op))
-        out.reverse()
-        return out
-
-    def changes_since_verbose(
-        self, seq: int
-    ) -> Optional[list[tuple[int, Fact, str, Optional[frozenset]]]]:
-        """Like :meth:`changes_since` but with a fourth element: the set
-        of attribute names an update actually changed (value really
-        differed), ``None`` when unknown (inserts, retracts, or in-place
-        mutation the memory could not observe).  Lets incremental engines
-        prove an update cannot have flipped a condition that only reads
-        other attributes.
-        """
-        if seq >= self._clock:
-            return []
-        log = self._log
-        if not log or log[0][0] > seq + 1:
-            return None
         out = []
         for s, fid, fact, op, changed in reversed(log):
             if s <= seq:
@@ -325,20 +280,13 @@ class WorkingMemory:
         """Live facts of ``fact_type`` whose attributes equal ``keys``.
 
         Results are in insertion order, identical to filtering
-        :meth:`facts_of` on attribute equality.  With ``indexed=True``
-        this answers from a hash index on the key attributes (built
-        lazily, maintained incrementally); otherwise it scans.
+        :meth:`facts_of` on attribute equality; answered from a hash
+        index on the key attributes (built lazily, maintained
+        incrementally).
         """
         if not keys:
             return self.facts_of(fact_type)
         attrs = tuple(sorted(keys))
-        if not self._indexed:
-            values = tuple(keys[a] for a in attrs)
-            return [
-                f
-                for f in self._by_type.get(fact_type, _NO_FACTS).values()
-                if all(getattr(f, a, _MISSING) == v for a, v in zip(attrs, values))
-            ]
         buckets = self._indexes.get((fact_type, attrs))
         if buckets is None:
             buckets = self._build_index(fact_type, attrs)

@@ -1,6 +1,6 @@
 """TREAT-style join network with memoized partial matches and lazy probes.
 
-This is the runtime of the compiled engine (see
+This is the matcher of every :class:`~repro.rules.engine.Session` (see
 :mod:`repro.rules.compiler` for the static pass).  One
 :class:`JoinNetwork` evaluates one rule pack against one working memory,
 driven by the memory's change log:
@@ -14,15 +14,15 @@ driven by the memory's change log:
   allocation counters updated by every firing) does not join its bucket
   eagerly.  A probe walks the bucket in activation-rank order and only
   materializes the next candidate; each firing therefore costs
-  ``O(log n)`` bookkeeping instead of the ``O(n)`` frontier re-join that
-  made the indexed engine quadratic over a batch.
+  ``O(log n)`` bookkeeping instead of an ``O(n)`` frontier re-join,
+  which would be quadratic over a batch.
 * **Candidate heap** — candidates from all rules land in per-salience
-  rank heaps keyed ``(sorted fact ids, definition order)``, the exact
-  activation order of the interpreted engines.  Entries are validated at
+  rank heaps keyed ``(sorted fact ids, definition order)``, the
+  activation order of the engine's semantics.  Entries are validated at
   pop time (facts live, guards and gates re-evaluated against current
   memory), so the store only ever needs to be a *superset* of the true
-  activations: the first valid pop is provably the same activation the
-  seed and indexed engines would fire.
+  activations: the first valid pop is provably the activation a full
+  rescan (:mod:`repro.rules.reference`) would fire.
 * **Alpha routing, tier-lazy sync** — a scan routes the change-log tail
   to the pending lists of the rules each mutation can concern, judged by
   the rule's position-0 alpha memory (``docs/engine.md``); a rule
@@ -35,29 +35,23 @@ driven by the memory's change log:
   those back, so a network that outlives one evaluation offers the next
   one exactly what a freshly built network would.
 
-:class:`CompiledSession` plugs the network into the ordinary
-:class:`~repro.rules.engine.Session` firing loop, inheriting refraction,
-``no_loop`` suppression, tracing, profiling, and the divergence guard —
-advice is byte-identical across ``seed``, ``indexed``, and ``compiled``.
+The :class:`~repro.rules.engine.Session` firing loop owns refraction,
+``no_loop`` suppression, tracing, profiling and the divergence guard; it
+builds the network on its first evaluation and re-arms it on ``reset()``.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right, insort
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
-from repro.rules.compiler import (
-    PLAN_JOIN,
-    CompiledRuleset,
-    RulePlan,
-    compile_rules,
-)
-from repro.rules.engine import Rule, Session, _activation_key
+from repro.rules.compiler import PLAN_JOIN, CompiledRuleset, RulePlan
+from repro.rules.engine import Session, _activation_key
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.patterns import Absent, _check
 
-__all__ = ["JoinNetwork", "CompiledSession"]
+__all__ = ["JoinNetwork"]
 
 _MISSING = object()
 
@@ -354,7 +348,7 @@ class JoinNetwork:
         self._routes = {}
         self._spent.clear()
         # Build in definition order so candidate discovery order (the
-        # heap tie-breaker) matches the interpreted engines' enumeration.
+        # heap tie-breaker) is the order a full rescan enumerates in.
         self._states = {
             plan.rule.name: _RuleState(plan, tier)
             for tier, plans in enumerate(self.ruleset.tiers) for plan in plans
@@ -514,7 +508,7 @@ class JoinNetwork:
         memory = self.memory
         if self._seq == memory.clock:
             return
-        changes = memory.changes_since_verbose(self._seq)
+        changes = memory.changes_since(self._seq)
         if changes is None:
             # Fell behind the bounded change log: rebuild everything.
             self._build_all()
@@ -630,7 +624,7 @@ class JoinNetwork:
 
     def _delta_patterns(self, state: _RuleState, dirty: list) -> None:
         """Delta plan: drop touched candidates, re-join dirty facts at
-        every Pattern position (the incremental agenda's strategy)."""
+        every Pattern position."""
         live = self._touched(state, dirty)
         if not live:
             return
@@ -735,8 +729,7 @@ class JoinNetwork:
 
     # -------------------------------------------------------------- pop
     def next_activation(self, session: Session):
-        """The next fireable activation, or None — same contract as
-        ``Session._next_activation_incremental``."""
+        """The next fireable ``(rank, rule, bindings, key)``, or None."""
         self._route_changes()
         for dirty, heap in zip(self._dirty, self._heaps):
             if dirty:
@@ -816,51 +809,3 @@ class JoinNetwork:
     # ------------------------------------------------------------ stats
     def candidate_count(self) -> int:
         return sum(len(s.cands) for s in self._states.values())
-
-
-class CompiledSession(Session):
-    """A :class:`~repro.rules.engine.Session` whose agenda is a
-    :class:`JoinNetwork` (the ``engine="compiled"`` runtime).
-
-    Accepts a pre-built :class:`~repro.rules.compiler.CompiledRuleset`
-    so callers running several sessions over one pack compile it once;
-    compiles on the fly otherwise.  The network is built on the first
-    evaluation and kept: ``reset()`` re-arms it instead of discarding it
-    (the Policy Service runs one session for its whole life).
-    Everything else — refraction, ``no_loop``, tracing, profiler hooks,
-    ``max_firings`` — is inherited, and the firing sequence is identical
-    to the interpreted engines.
-    """
-
-    def __init__(
-        self,
-        rules: Sequence[Rule],
-        memory: Optional[WorkingMemory] = None,
-        globals: Optional[dict] = None,
-        max_firings: int = 100_000,
-        profiler: Optional[Any] = None,
-        ruleset: Optional[CompiledRuleset] = None,
-    ):
-        super().__init__(
-            rules, memory=memory, globals=globals, max_firings=max_firings,
-            incremental=False, profiler=profiler,
-        )
-        if ruleset is not None and ruleset.rules != list(rules):
-            raise ValueError("ruleset was compiled from a different rule pack")
-        self.ruleset = ruleset if ruleset is not None else compile_rules(self.rules)
-        self.network: Optional[JoinNetwork] = None
-
-    def reset(self) -> None:
-        super().reset()
-        if self.network is not None:
-            self.network.rearm()
-
-    def _next_activation(self):
-        if self.network is None:
-            self.network = JoinNetwork(
-                self.ruleset, self.memory, self.globals, profiler=self.profiler
-            )
-        return self.network.next_activation(self)
-
-    def _agenda_sample_size(self) -> int:
-        return self.network.candidate_count() if self.network is not None else 0

@@ -101,7 +101,7 @@ class _TypedElement(ConditionElement):
         self.where = where
         self.keys = _validate_keys(name, keys)
         #: optional declaration of the fact attributes the guard (and the
-        #: key equalities) consult.  When set, incremental engines may
+        #: key equalities) consult.  When set, the join network may
         #: skip re-evaluating this element for an update that changed
         #: none of the listed attributes — the element's truth value
         #: provably cannot have flipped.  MUST cover everything the guard

@@ -296,9 +296,9 @@ def stale_reads_rules():
     """V005 (static) and V004 (dynamic): the Absent gate declares
     ``reads=("lfn",)`` although its guard tests ``status``.  When the
     upstream rule moves the blocking probe out of 'submitted', the
-    compiled engine's change-gating sees a mutation disjoint from the
+    join network's change-gating sees a mutation disjoint from the
     declared reads, skips re-checking the gate, and never activates the
-    downstream rule — while the re-enumerating engines fire it."""
+    downstream rule — while the re-enumerating reference fires it."""
 
     def _promote(ctx):
         ctx.update(ctx.t, status="new")

@@ -24,16 +24,14 @@ def catalog_config(**kwargs) -> CatalogConfig:
     return CatalogConfig(**kwargs)
 
 
-def make_service(engine="indexed", journal=None, clock=None, config=None, **kwargs):
+def make_service(journal=None, clock=None, config=None, **kwargs):
     policy_config = PolicyConfig(
         policy="greedy",
         default_streams=4,
         max_streams=50,
         catalog=config if config is not None else catalog_config(**kwargs),
     )
-    return PolicyService(
-        policy_config, clock=clock or Clock(), engine=engine, journal=journal
-    )
+    return PolicyService(policy_config, clock=clock or Clock(), journal=journal)
 
 
 def spec(lfn, src_host="fg-vm", dst_host="obelix", nbytes=1000.0):

@@ -4,9 +4,9 @@ The acceptance scenario from the tenancy work: a 3-tenant ensemble with
 weights 1/2/4 over one testbed and one Policy Service must (a) split the
 *contended* bytes within 10% of the share ratios, (b) never delete a
 staged file another tenant's workflow still needs, and (c) reproduce the
-admission order byte-identically — across rule engines, across process
-restarts, and after a crash when the scheduler is re-seeded with the
-recovered byte ledgers.
+admission order byte-identically — on the reference session, across
+process restarts, and after a crash when the scheduler is re-seeded with
+the recovered byte ledgers.
 """
 
 import pytest
@@ -15,6 +15,9 @@ from repro.experiments import ExperimentConfig, run_tenant_ensemble
 from repro.experiments.tracing import run_traced_ensemble
 from repro.tenancy import AdmissionConfig, TenantSpec
 from repro.workflow.montage import MB, MontageConfig, augmented_montage
+
+from tests.conftest import both_engines
+from tests.reference import reference_engine
 
 
 def cfg(**kw):
@@ -184,11 +187,11 @@ def test_byte_quota_rejects_at_the_door():
 
 
 # -- determinism --------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["seed", "indexed"])
+@both_engines
 def test_admission_and_trace_deterministic_across_engines(engine):
     def traced():
         return run_traced_ensemble(
-            cfg(engine=engine),
+            cfg(),
             THREE_TENANTS,
             submissions(per_tenant=2),
             admission=AdmissionConfig(max_concurrent=2),
@@ -200,16 +203,17 @@ def test_admission_and_trace_deterministic_across_engines(engine):
 
 
 def test_engines_agree_on_admission_order():
-    orders = {}
-    for engine in ("seed", "indexed"):
-        result = run_tenant_ensemble(
-            cfg(engine=engine),
+    def run():
+        return run_tenant_ensemble(
+            cfg(),
             THREE_TENANTS,
             submissions(per_tenant=2),
             admission=AdmissionConfig(max_concurrent=2),
-        )
-        orders[engine] = result.admission_order
-    assert orders["seed"] == orders["indexed"]
+        ).admission_order
+
+    with reference_engine():
+        expected = run()
+    assert run() == expected
 
 
 def test_seeded_charges_reproduce_post_crash_admissions():

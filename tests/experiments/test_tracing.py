@@ -2,7 +2,8 @@
 
 The determinism contract under test is the strong one: trace events
 derive only from simulated time and run state, so two runs with the same
-seed — even on different rule engines — produce byte-identical JSONL.
+seed — even with the reference session matching the rules — produce
+byte-identical JSONL.
 """
 
 import json
@@ -12,6 +13,8 @@ import pytest
 
 from repro.experiments import ExperimentConfig, run_traced_cell
 from repro.experiments.tracing import run_traced_chaos
+
+from tests.reference import reference_engine
 
 SMALL = ExperimentConfig(extra_file_mb=2.0, n_images=4, seed=3)
 
@@ -30,11 +33,11 @@ def test_traced_run_succeeds_and_collects_events(traced_run):
         assert summary["categories"].get(cat, 0) > 0, cat
 
 
-def test_jsonl_identical_across_engines():
-    indexed = run_traced_cell(replace(SMALL, engine="indexed"))
-    seed = run_traced_cell(replace(SMALL, engine="seed"))
-    assert indexed.jsonl() == seed.jsonl()
-    assert len(indexed.jsonl()) > 50
+def test_jsonl_identical_across_engines(traced_run):
+    with reference_engine():
+        reference = run_traced_cell(SMALL)
+    assert traced_run.jsonl() == reference.jsonl()
+    assert len(reference.jsonl()) > 50
 
 
 def test_jsonl_identical_on_same_seed_rerun(traced_run):
@@ -139,7 +142,7 @@ def test_decisions_jsonl_artifact_round_trips(tmp_path, traced_run):
     assert parsed == traced_run.decisions
 
 
-def test_provenance_doc_names_engine_and_frontend(traced_run):
-    assert traced_run.provenance["engine"] == SMALL.engine
+def test_provenance_doc_names_shards_and_frontend(traced_run):
+    assert "engine" not in traced_run.provenance
     assert traced_run.provenance["shard_count"] == SMALL.shards
     assert traced_run.provenance["frontend"] == "in-process"

@@ -29,10 +29,9 @@ def _cfg(**kw):
 _PLAN = FaultPlan.single_shard_crash(at=60.0, shard=0, down_for=45.0)
 
 
-@pytest.mark.parametrize("engine", ["indexed", "compiled"])
-def test_mid_run_shard_crash_stages_identical_set(tmp_path, engine):
+def test_mid_run_shard_crash_stages_identical_set(tmp_path):
     out = compare_sharded_with_single(
-        _cfg(engine=engine), _PLAN, num_shards=2, journal_root=tmp_path,
+        _cfg(), _PLAN, num_shards=2, journal_root=tmp_path,
     )
     chaotic = out["chaotic"]
     assert out["both_succeeded"]

@@ -75,25 +75,19 @@ def _mark_rule():
     )
 
 
-def _run_profiled_session(incremental: bool) -> RuleProfiler:
+def test_session_feeds_profiler():
     profiler = RuleProfiler(time_fn=_Tick())
-    session = Session([_mark_rule()], incremental=incremental, profiler=profiler)
+    session = Session([_mark_rule()], profiler=profiler)
     session.insert(Item(1))
     session.insert(Item(2))
     session.fire_all()
-    return profiler
-
-
-def test_session_feeds_profiler_both_engines():
-    for incremental in (False, True):
-        profiler = _run_profiled_session(incremental)
-        row = profiler.stats["mark items"]
-        assert row.fires == 2, f"incremental={incremental}"
-        assert row.activations >= 2
-        assert row.match_s > 0
-        assert row.action_s > 0
-        assert profiler.sessions == 1
-        assert len(profiler.agenda_samples) == 2
+    row = profiler.stats["mark items"]
+    assert row.fires == 2
+    assert row.activations >= 2
+    assert row.match_s > 0
+    assert row.action_s > 0
+    assert profiler.sessions == 1
+    assert len(profiler.agenda_samples) == 2
 
 
 def test_unprofiled_session_never_touches_clock():

@@ -83,13 +83,13 @@ def multi_site_drive(service):
     return log
 
 
-def make_single(engine="indexed", **kw):
+def make_single(**kw):
     cfg = dict(policy="greedy", default_streams=4, max_streams=12)
     cfg.update(kw)
-    return PolicyService(PolicyConfig(**cfg), engine=engine)
+    return PolicyService(PolicyConfig(**cfg))
 
 
-def make_router(num_shards, engine="indexed", **kw):
+def make_router(num_shards, **kw):
     router_kw = {
         key: kw.pop(key)
         for key in ("journal_root", "backends", "concurrent",
@@ -99,6 +99,5 @@ def make_router(num_shards, engine="indexed", **kw):
     cfg = dict(policy="greedy", default_streams=4, max_streams=12)
     cfg.update(kw)
     return ShardedPolicyService(
-        PolicyConfig(**cfg), num_shards=num_shards, engine=engine,
-        **router_kw,
+        PolicyConfig(**cfg), num_shards=num_shards, **router_kw,
     )

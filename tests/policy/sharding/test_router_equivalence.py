@@ -1,6 +1,6 @@
 """The sharded router must be byte-identical to the single service.
 
-Every (shard count, engine, policy pack) cell drives the multi-site
+Every (shard count, policy pack) cell drives the multi-site
 Montage scenario — submits, wave completions with failures, state
 queries, cleanups, and workflow unregistration — through both a plain
 ``PolicyService`` and a ``ShardedPolicyService`` and compares the full
@@ -29,12 +29,11 @@ _PACKS = [
 ]
 
 
-@pytest.mark.parametrize("engine", ["indexed", "compiled"])
 @pytest.mark.parametrize("num_shards", [1, 2, 4])
 @pytest.mark.parametrize("policy_kw", _PACKS)
-def test_sharded_advice_byte_identical_to_single(engine, num_shards, policy_kw):
-    single_log = multi_site_drive(make_single(engine, **policy_kw))
-    router = make_router(num_shards, engine, **policy_kw)
+def test_sharded_advice_byte_identical_to_single(num_shards, policy_kw):
+    single_log = multi_site_drive(make_single(**policy_kw))
+    router = make_router(num_shards, **policy_kw)
     try:
         sharded_log = multi_site_drive(router)
     finally:

@@ -31,8 +31,8 @@ DST = "gsiftp://obelix/scratch"
 class CountingMemory(WorkingMemory):
     """Counts the facts handed to callers and the scans that list them."""
 
-    def __init__(self, indexed=True):
-        super().__init__(indexed=indexed)
+    def __init__(self):
+        super().__init__()
         self.reset_counts()
 
     def reset_counts(self):
@@ -60,7 +60,7 @@ class CountingMemory(WorkingMemory):
 
 @pytest.fixture
 def guard_checks(monkeypatch):
-    """Number of guard evaluations, whichever engine performs them."""
+    """Number of guard evaluations, whichever module performs them."""
     counts = [0]
     check = patterns_module._check
 
@@ -86,17 +86,17 @@ def cycle(service, tag):
     assert service.complete_cleanups([c.cid for c in cleanups]) == {"acknowledged": 2}
 
 
-def measure(monkeypatch, guard_checks, engine, resident):
+def measure(monkeypatch, guard_checks, resident):
     monkeypatch.setattr(service_module, "WorkingMemory", CountingMemory)
     service = PolicyService(
-        PolicyConfig(policy="greedy", default_streams=4, max_streams=50), engine=engine
+        PolicyConfig(policy="greedy", default_streams=4, max_streams=50)
     )
     memory = service.memory
     assert isinstance(memory, CountingMemory)
     service.reconcile_staged(
         "resident", [(f"res-{i}", f"{DST}/res-{i}") for i in range(resident)]
     )
-    cycle(service, "warm")  # builds the indexes and the agendas / network
+    cycle(service, "warm")  # builds the indexes and the network
     assert len(memory) >= resident
     memory.reset_counts()
     guard_checks[0] = 0
@@ -110,12 +110,9 @@ def measure(monkeypatch, guard_checks, engine, resident):
     }
 
 
-@pytest.mark.parametrize("engine", ("indexed", "compiled"))
-def test_staging_cycle_cost_is_independent_of_resident_files(
-    monkeypatch, guard_checks, engine
-):
-    small = measure(monkeypatch, guard_checks, engine, resident=200)
-    large = measure(monkeypatch, guard_checks, engine, resident=20_000)
+def test_staging_cycle_cost_is_independent_of_resident_files(monkeypatch, guard_checks):
+    small = measure(monkeypatch, guard_checks, resident=200)
+    large = measure(monkeypatch, guard_checks, resident=20_000)
     assert small["guard_checks"] == large["guard_checks"] > 0
     assert small["facts_visited"] == large["facts_visited"] > 0
     assert small["iterations"] == large["iterations"] == 0
@@ -242,8 +239,7 @@ def test_join_network_syncs_a_gated_rule_once_per_tier_not_per_firing(monkeypatc
     """An ``Absent``-gated delta rule that every firing of a higher tier
     dirties is re-enumerated when its tier is reached, not per firing."""
     service = PolicyService(
-        PolicyConfig(policy="greedy", default_streams=4, max_streams=50),
-        engine="compiled",
+        PolicyConfig(policy="greedy", default_streams=4, max_streams=50)
     )
     batch = 300
     advice = service.submit_transfers(

@@ -1,13 +1,11 @@
-"""Cross-engine equivalence and long-lived-service memory tests.
+"""Network-versus-reference equivalence and long-lived-service memory tests.
 
-The ``engine="indexed"`` service (hash-indexed memory + incremental
-agenda) and the ``engine="compiled"`` service (join-network plans with
-memoized partial matches) must give **byte-identical** advice to the
-``engine="seed"`` service (full re-scan engine) for the same request
-stream.  The Montage scenario mirrors the paper's workload: per-job
-stage-in batches with cross-workflow duplicates, completions and
-cleanups interleaved; the access and fairshare variants layer host
-denials and tenant budgets on top.
+A service on the join network must give **byte-identical** advice to a
+service on the full-rescan reference session (``tests/reference.py``)
+for the same request stream.  The Montage scenario mirrors the paper's
+workload: per-job stage-in batches with cross-workflow duplicates,
+completions and cleanups interleaved; the access and fairshare variants
+layer host denials and tenant budgets on top.
 """
 
 import json
@@ -19,6 +17,8 @@ from repro.policy.model import HostPairFact, StagedFileFact, TransferFact
 from repro.workflow.montage import MontageConfig, montage_workflow
 
 from tests.policy.conftest import spec
+from tests.conftest import both_engines
+from tests.reference import reference_engine
 
 
 # ------------------------------------------------------------- workload
@@ -77,10 +77,10 @@ def drive(service, mid_hook=None):
     return log
 
 
-def make_service(engine, policy="greedy", **kw):
+def make_service(policy="greedy", **kw):
     cfg = dict(policy=policy, default_streams=4, max_streams=12)
     cfg.update(kw)
-    return PolicyService(PolicyConfig(**cfg), engine=engine)
+    return PolicyService(PolicyConfig(**cfg))
 
 
 def _fairshare_setup(service):
@@ -108,47 +108,35 @@ _PACKS = [
 ]
 
 
-@pytest.mark.parametrize("engine", ["indexed", "compiled"])
 @pytest.mark.parametrize("policy_kw, setup, mid_hook", _PACKS)
-def test_montage_advice_byte_identical_across_engines(
-    engine, policy_kw, setup, mid_hook
-):
-    logs = {}
-    for name in ("seed", engine):
-        service = make_service(name, **policy_kw)
+def test_montage_advice_byte_identical_across_engines(policy_kw, setup, mid_hook):
+    def run():
+        service = make_service(**policy_kw)
         if setup is not None:
             setup(service)
-        logs[name] = drive(service, mid_hook=mid_hook)
-    assert json.dumps(logs["seed"], sort_keys=True) == json.dumps(
-        logs[engine], sort_keys=True
-    )
+        return json.dumps(drive(service, mid_hook=mid_hook), sort_keys=True)
+
+    with reference_engine():
+        expected = run()
+    assert run() == expected
 
 
-def test_engine_parameter_validated():
-    with pytest.raises(ValueError):
-        PolicyService(engine="warp")
-
-
-@pytest.mark.parametrize("engine", ["seed", "indexed", "compiled"])
+@both_engines
 def test_crash_recovery_replay_byte_identical(tmp_path, engine):
     """A recovered service must replay to the same advice as an uncrashed
-    twin — on every engine, including the compiled join network."""
+    twin — on the join network and on the reference session."""
     cfg = dict(policy="greedy", default_streams=4, max_streams=12)
     batches = montage_batches(max_jobs=12)
 
     def build(path):
-        return PolicyService(
-            PolicyConfig(**cfg), engine=engine, journal=PolicyJournal(path)
-        )
+        return PolicyService(PolicyConfig(**cfg), journal=PolicyJournal(path))
 
     journaled = build(tmp_path / "j")
     for job, items in batches[:6]:
         journaled.submit_transfers("wfA", job, items)
     del journaled  # crash: only the journal directory survives
 
-    recovered = PolicyService.recover(
-        tmp_path / "j", config=PolicyConfig(**cfg), engine=engine
-    )
+    recovered = PolicyService.recover(tmp_path / "j", config=PolicyConfig(**cfg))
     twin = build(tmp_path / "twin")
     for job, items in batches[:6]:
         twin.submit_transfers("wfA", job, items)
@@ -198,7 +186,7 @@ def test_repeated_lifetimes_leave_no_allocation_residue(policy_kw, retain):
     """Regression: idle ``HostPairFact`` / ``ClusterAllocationFact``
     records used to survive ``unregister_workflow`` forever (one per host
     pair), growing working memory in a long-lived service."""
-    service = make_service("indexed", **policy_kw)
+    service = make_service(**policy_kw)
     for life in range(25):
         wf = f"wf{life}"
         lfn = "shared" if retain else wf

@@ -14,6 +14,7 @@ from repro.policy import PolicyConfig, PolicyJournal, PolicyService
 from repro.policy.model import TransferFact
 
 from tests.policy.conftest import spec
+from tests.reference import reference_engine
 
 
 def config(**kw):
@@ -22,8 +23,8 @@ def config(**kw):
     return PolicyConfig(**defaults)
 
 
-def service_with_tenant(max_streams=None, max_bytes=None, engine="indexed"):
-    svc = PolicyService(config(), engine=engine)
+def service_with_tenant(max_streams=None, max_bytes=None):
+    svc = PolicyService(config())
     svc.register_tenant("acme", weight=2, max_streams=max_streams,
                         max_bytes=max_bytes)
     svc.bind_workflow("wf", "acme")
@@ -146,14 +147,15 @@ def test_reregister_preserves_ledgers():
     assert entry["bytes_staged"] == 50.0  # ledger survives the update
 
 
-@pytest.mark.parametrize("engine", ["seed", "indexed", "compiled"])
-def test_engines_agree_on_budgeted_advice(engine):
-    svc_a = service_with_tenant(max_streams=6, engine=engine)
-    svc_b = service_with_tenant(max_streams=6, engine="indexed")
-    batch = [spec(f"f{i}", streams=4) for i in range(3)]
-    advice_a = [a.to_dict() for a in svc_a.submit_transfers("wf", "j", batch)]
-    advice_b = [a.to_dict() for a in svc_b.submit_transfers("wf", "j", batch)]
-    assert advice_a == advice_b
+def test_engines_agree_on_budgeted_advice():
+    def run():
+        svc = service_with_tenant(max_streams=6)
+        batch = [spec(f"f{i}", streams=4) for i in range(3)]
+        return [a.to_dict() for a in svc.submit_transfers("wf", "j", batch)]
+
+    with reference_engine():
+        expected = run()
+    assert run() == expected
 
 
 def test_snapshot_includes_tenants():
@@ -186,9 +188,8 @@ def apply_op(svc, op):
     return svc.complete_transfers(done=op[1])
 
 
-def build_journaled(tmp_path, engine="indexed"):
-    svc = PolicyService(config(), engine=engine,
-                        journal=PolicyJournal(tmp_path / "j"))
+def build_journaled(tmp_path):
+    svc = PolicyService(config(), journal=PolicyJournal(tmp_path / "j"))
     svc.register_tenant("acme", weight=2, max_streams=6)
     svc.register_tenant("beta", weight=1, max_streams=4)
     svc.bind_workflow("wf", "acme")
@@ -218,13 +219,13 @@ def test_recovered_tenant_advice_byte_identical(tmp_path, crash_at):
 
 def test_recovery_across_engines_with_tenants(tmp_path):
     sequence = list(ops())
-    journaled = build_journaled(tmp_path, engine="indexed")
+    journaled = build_journaled(tmp_path)
     for op in sequence[:2]:
         apply_op(journaled, op)
-    recovered = PolicyService.recover(tmp_path / "j", config=config(),
-                                      engine="seed")
-    twin = build_journaled(tmp_path / "twin", engine="seed")
-    for op in sequence[:2]:
-        apply_op(twin, op)
-    assert [apply_op(recovered, op) for op in sequence[2:]] == \
-        [apply_op(twin, op) for op in sequence[2:]]
+    with reference_engine():
+        recovered = PolicyService.recover(tmp_path / "j", config=config())
+        twin = build_journaled(tmp_path / "twin")
+        for op in sequence[:2]:
+            apply_op(twin, op)
+        assert [apply_op(recovered, op) for op in sequence[2:]] == \
+            [apply_op(twin, op) for op in sequence[2:]]

@@ -2,7 +2,8 @@
 
 The central guarantee: a service recovered from its journal gives
 **byte-identical advice** to one that never crashed — across allocation
-policies, across rule engines, and at any crash point in a call trace.
+policies, on the join network and on the reference session, and at any
+crash point in a call trace.
 """
 
 import json
@@ -13,6 +14,8 @@ from repro.policy import PolicyConfig, PolicyJournal, PolicyService
 from repro.policy.journal import JournalError
 
 from tests.policy.conftest import spec
+from tests.conftest import both_engines
+from tests.reference import reference_engine
 
 
 def greedy_config():
@@ -57,41 +60,35 @@ def apply_op(service, op):
 
 
 @pytest.mark.parametrize("config_fn", [greedy_config, balanced_config])
-@pytest.mark.parametrize("engine", ["indexed", "seed"])
+@both_engines
 @pytest.mark.parametrize("crash_at", [1, 3, 5, 8])
 def test_recovered_advice_byte_identical(tmp_path, config_fn, engine, crash_at):
     ops = trace()
-    reference = PolicyService(config_fn(), engine=engine)
+    reference = PolicyService(config_fn())
     expected = [apply_op(reference, op) for op in ops]
 
-    journaled = PolicyService(
-        config_fn(), engine=engine, journal=PolicyJournal(tmp_path / "j")
-    )
+    journaled = PolicyService(config_fn(), journal=PolicyJournal(tmp_path / "j"))
     before = [apply_op(journaled, op) for op in ops[:crash_at]]
     assert before == expected[:crash_at]
 
     del journaled  # crash: only the journal directory survives
-    recovered = PolicyService.recover(
-        tmp_path / "j", config=config_fn(), engine=engine
-    )
+    recovered = PolicyService.recover(tmp_path / "j", config=config_fn())
     after = [apply_op(recovered, op) for op in ops[crash_at:]]
     assert after == expected[crash_at:]
 
 
 def test_recovery_across_engines(tmp_path):
-    """A journal written by the indexed engine restores under the seed
-    engine with identical advice (the fingerprint excludes the engine)."""
+    """A journal written on the join network restores on the reference
+    session with identical advice: nothing of the matcher is journaled."""
     ops = trace()
-    reference = PolicyService(greedy_config(), engine="seed")
-    expected = [apply_op(reference, op) for op in ops]
-
-    journaled = PolicyService(
-        greedy_config(), engine="indexed", journal=PolicyJournal(tmp_path / "j")
-    )
+    journaled = PolicyService(greedy_config(), journal=PolicyJournal(tmp_path / "j"))
     for op in ops[:4]:
         apply_op(journaled, op)
-    recovered = PolicyService.recover(tmp_path / "j", config=greedy_config(), engine="seed")
-    after = [apply_op(recovered, op) for op in ops[4:]]
+    with reference_engine():
+        reference = PolicyService(greedy_config())
+        expected = [apply_op(reference, op) for op in ops]
+        recovered = PolicyService.recover(tmp_path / "j", config=greedy_config())
+        after = [apply_op(recovered, op) for op in ops[4:]]
     assert after == expected[4:]
 
 

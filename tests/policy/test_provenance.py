@@ -1,8 +1,8 @@
 """Decision provenance: per-advice "why" records and the explain API.
 
 The acceptance bar: ``explain`` returns the **same causal record (same
-digest)** for the same seeded request stream across all three rule
-engines and before/after crash recovery.  Shard-count invariance lives
+digest)** for the same seeded request stream on the join network and
+the reference session, and before/after crash recovery.  Shard-count invariance lives
 in ``tests/policy/sharding/``; REST surfacing in ``test_rest.py``.
 """
 
@@ -24,6 +24,8 @@ from repro.policy.provenance import (
 )
 
 from tests.policy.conftest import spec
+from tests.conftest import both_engines
+from tests.reference import reference_engine
 
 
 def drive(service):
@@ -36,10 +38,10 @@ def drive(service):
     )
 
 
-def make_service(engine="indexed", **kw):
+def make_service(**kw):
     cfg = dict(policy="greedy", default_streams=4, max_streams=8)
     cfg.update(kw)
-    return PolicyService(PolicyConfig(**cfg), engine=engine)
+    return PolicyService(PolicyConfig(**cfg))
 
 
 # ------------------------------------------------------------ record shape
@@ -113,36 +115,31 @@ def test_decision_records_oldest_first():
 
 # ------------------------------------------------------- engine equivalence
 def test_records_byte_identical_across_engines():
-    logs = {}
-    for engine in ("seed", "indexed", "compiled"):
-        service = make_service(engine=engine)
+    def run():
+        service = make_service()
         drive(service)
-        records = service.decision_records()
-        # meta names the engine (differs by construction); the digest and
-        # the digest-covered content must not.
-        for record in records:
-            assert record["meta"]["engine"] == engine
-            record.pop("meta")
-        logs[engine] = json.dumps(records, sort_keys=True)
-    assert logs["seed"] == logs["indexed"] == logs["compiled"]
+        return json.dumps(service.decision_records(), sort_keys=True)
+
+    with reference_engine():
+        expected = run()
+    assert run() == expected  # meta included:
+    assert '"engine"' not in expected  # a record does not say what matched
 
 
 # ------------------------------------------------------------ crash recovery
-@pytest.mark.parametrize("engine", ["indexed", "seed"])
+@both_engines
 def test_records_byte_identical_after_recovery(tmp_path, engine):
-    reference = make_service(engine=engine)
+    reference = make_service()
     drive(reference)
 
     journaled = PolicyService(
         PolicyConfig(policy="greedy", default_streams=4, max_streams=8),
-        engine=engine,
         journal=PolicyJournal(tmp_path / "j"),
     )
     drive(journaled)
     recovered = PolicyService.recover(
         tmp_path / "j",
         PolicyConfig(policy="greedy", default_streams=4, max_streams=8),
-        engine=engine,
     )
     assert json.dumps(recovered.decision_records(), sort_keys=True) == json.dumps(
         reference.decision_records(), sort_keys=True
@@ -273,8 +270,7 @@ def per_record_attribution(firings, *, tids=frozenset(), cids=frozenset()):
     return attributed
 
 
-@pytest.mark.parametrize("engine", ["indexed", "compiled"])
-def test_big_batch_records_equal_per_record_attribution(monkeypatch, engine):
+def test_big_batch_records_equal_per_record_attribution(monkeypatch):
     from repro.policy import provenance, service as service_module
 
     collectors = []
@@ -285,7 +281,7 @@ def test_big_batch_records_equal_per_record_attribution(monkeypatch, engine):
             collectors.append(self)
 
     monkeypatch.setattr(service_module, "FiringCollector", KeptCollector)
-    service = make_service(engine, max_streams=400)
+    service = make_service(max_streams=400)
     # 300 requests over 3 source hosts; every 10th repeats an earlier lfn,
     # so one de-duplication firing binds two transfers of the batch.
     batch = [

@@ -419,17 +419,3 @@ def test_error_mid_pipeline_closes_connection_after_reply(server):
         assert "workflow" in doc["error"]
         assert fp.read() == b""  # server closed; second request discarded
     assert server.controller.status()["memory"].get("TransferFact") is None
-
-
-def test_compiled_engine_is_served_over_http():
-    service = PolicyService(
-        PolicyConfig(policy="greedy", default_streams=4, max_streams=50),
-        engine="compiled",
-    )
-    with PolicyRestServer(service) as srv:
-        client = HTTPPolicyClient(srv.url)
-        advice = client.submit_transfers("wf1", "j1", transfers_for("a"))
-        assert advice[0].action == "transfer"
-        assert advice[0].streams == 4
-        client.complete_transfers(done=[advice[0].tid])
-        assert client.staging_state("a", "gsiftp://obelix/scratch/a") == "staged"

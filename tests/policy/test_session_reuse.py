@@ -1,7 +1,7 @@
 """One long-lived rule session per service == a new session per call.
 
-``PolicyService`` keeps a single rule session whose agendas (or join
-network) follow the working memory's change log across calls.  The
+``PolicyService`` keeps a single rule session whose join network
+follows the working memory's change log across calls.  The
 reference here, :class:`PerCallSessionService`, still builds a new
 session for every evaluation, which re-matches every rule against the
 resident memory from scratch.  Seeded random call sequences are driven
@@ -17,11 +17,10 @@ import pytest
 from repro.datacatalog.model import CatalogConfig
 from repro.policy import PolicyConfig, PolicyJournal, PolicyService
 from repro.policy.sharding import ShardedPolicyService
-from repro.rules import CompiledSession, Session
 
+from tests.conftest import both_engines
 from tests.policy.sharding.conftest import multi_site_drive
 
-ENGINES = ("seed", "indexed", "compiled")
 SITES = ("fg-vm", "site-b", "site-c")
 DST = "gsiftp://obelix/scratch"
 
@@ -30,18 +29,11 @@ class PerCallSessionService(PolicyService):
     """The pre-reuse behaviour: every evaluation gets a new session."""
 
     def _session(self):
-        if self.engine == "compiled":
-            session = CompiledSession(
-                self._rules, memory=self.memory, globals=self.globals,
-                profiler=self.profiler,
-            )
-        else:
-            session = Session(
-                self._rules, memory=self.memory, globals=self.globals,
-                incremental=self.engine == "indexed", profiler=self.profiler,
-            )
-        self._rule_session = session
-        return session
+        self._rule_session = self.session_class(
+            self._rules, memory=self.memory, globals=self.globals,
+            profiler=self.profiler,
+        )
+        return self._rule_session
 
 
 def make_config(policy, catalog, leases=True):
@@ -170,7 +162,7 @@ def witness(driver, journal_dir=None):
     return doc
 
 
-def paired(tmp_path, engine, policy, catalog, snapshot_interval=25):
+def paired(tmp_path, policy, catalog, snapshot_interval=25):
     """A reusing service and its per-call reference, each journaled."""
     out = []
     for cls in (PolicyService, PerCallSessionService):
@@ -179,19 +171,19 @@ def paired(tmp_path, engine, policy, catalog, snapshot_interval=25):
         journal = PolicyJournal(path, snapshot_interval=snapshot_interval)
         service = cls(
             make_config(policy, catalog), clock=lambda now=now: now[0],
-            engine=engine, journal=journal,
+            journal=journal,
         )
         out.append((service, now, path))
     return out
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@both_engines
 @pytest.mark.parametrize("catalog", (False, True), ids=("nocatalog", "catalog"))
 @pytest.mark.parametrize("seed", range(4))
 def test_random_call_sequences_match_per_call_sessions(tmp_path, engine, catalog, seed):
     policy = ("greedy", "balanced", "fifo", "greedy")[seed]
     witnesses = []
-    for service, now, path in paired(tmp_path, engine, policy, catalog):
+    for service, now, path in paired(tmp_path, policy, catalog):
         driver = Driver(service, seed, now).run(120)
         service.journal.close()
         witnesses.append(witness(driver, path))
@@ -205,16 +197,15 @@ def test_random_call_sequences_match_per_call_sessions(tmp_path, engine, catalog
     assert len(reused["decisions"]) > 50
 
 
-@pytest.mark.parametrize("engine", ("indexed", "compiled"))
 def test_overrunning_the_change_log_between_calls_forces_a_rebuild(
-    tmp_path, monkeypatch, engine
+    tmp_path, monkeypatch
 ):
     # Every call now mutates more than the log remembers, so the session
     # falls behind between (and inside) calls and must rebuild, not
     # apply a delta with a hole in it.
     monkeypatch.setattr("repro.rules.facts._CHANGELOG_CAP", 6)
     witnesses = []
-    for service, now, path in paired(tmp_path, engine, "greedy", catalog=True):
+    for service, now, path in paired(tmp_path, "greedy", catalog=True):
         assert service.memory._log.maxlen == 6
         driver = Driver(service, 7, now).run(40)
         service.reconcile_staged(
@@ -245,13 +236,13 @@ def test_more_mutations_than_the_real_cap_between_two_calls():
     assert logs[0] == logs[1]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@both_engines
 def test_recovered_service_keeps_matching_under_live_calls(tmp_path, engine):
     config = make_config("greedy", catalog=True)
     now = [0.0]
     origin = tmp_path / "origin"
     crashed = PolicyService(
-        config, clock=lambda: now[0], engine=engine,
+        config, clock=lambda: now[0],
         journal=PolicyJournal(origin, snapshot_interval=30),
     )
     before = Driver(crashed, 11, now).run(80)
@@ -263,7 +254,7 @@ def test_recovered_service_keeps_matching_under_live_calls(tmp_path, engine):
         shutil.copytree(origin, path)
         clock = [now[0]]
         service = cls.recover(
-            path, config=config, clock=lambda clock=clock: clock[0], engine=engine,
+            path, config=config, clock=lambda clock=clock: clock[0],
             snapshot_interval=30,
         )
         # (Not compared with ``crashed.memory``: facts orphaned by its
@@ -278,12 +269,11 @@ def test_recovered_service_keeps_matching_under_live_calls(tmp_path, engine):
     assert witnesses[0] == witnesses[1]
 
 
-@pytest.mark.parametrize("engine", ("indexed", "compiled"))
-def test_two_shard_router_matches_per_call_sessions(monkeypatch, engine):
+def test_two_shard_router_matches_per_call_sessions(monkeypatch):
     def run():
         router = ShardedPolicyService(
             PolicyConfig(policy="greedy", default_streams=4, max_streams=12),
-            num_shards=2, engine=engine,
+            num_shards=2,
         )
         return multi_site_drive(router), router.decision_records()
 
@@ -335,12 +325,6 @@ def session_census(service):
     """Sizes of everything the long-lived session holds on to."""
     session = service._rule_session
     sizes = {"fired": len(session._fired), "facts": len(service.memory)}
-    if service.engine == "indexed":
-        agendas = session._agendas.values()
-        sizes["entries"] = sum(len(a.entries) for a in agendas)
-        sizes["by_fid"] = sum(len(a.by_fid) for a in agendas)
-        sizes["pending"] = sum(len(a.pending or ()) for a in agendas)
-        return sizes
     network = session.network
     states = list(network._states.values())
     stores = [store for state in states for store in state.stores if store is not None]
@@ -360,10 +344,9 @@ def session_census(service):
     return sizes
 
 
-@pytest.mark.parametrize("engine", ("indexed", "compiled"))
-def test_session_state_does_not_grow_with_the_number_of_calls(engine):
+def test_session_state_does_not_grow_with_the_number_of_calls():
     service = PolicyService(
-        PolicyConfig(policy="greedy", default_streams=4, max_streams=50), engine=engine
+        PolicyConfig(policy="greedy", default_streams=4, max_streams=50)
     )
 
     def staging_jobs(tag, count):

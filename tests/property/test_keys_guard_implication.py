@@ -255,7 +255,7 @@ def _walk_rule(rule, memory, seed_bindings):
 def test_every_keys_spec_is_implied_by_its_guard(name, facts):
     build, config = RULE_SETS[name]
     rules = build()
-    memory = WorkingMemory(indexed=True)
+    memory = WorkingMemory()
     for fact in facts:
         memory.insert(fact)
     seed = {"_globals": {"config": config, "group_counter": 1}}

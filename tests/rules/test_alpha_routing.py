@@ -2,9 +2,9 @@
 
 The join network hands a mutation only to the rules it can concern (see
 ``JoinNetwork._route_changes``).  Whatever the fact soup, after every
-batch of mutations a long-lived ``CompiledSession`` must
+batch of mutations a long-lived ``Session`` must
 
-* fire exactly what a freshly built ``seed`` session fires, in order;
+* fire exactly what a freshly built reference session fires, in order;
 * hold, per rule, exactly the fids passing the first pattern's guard in
   its position-0 alpha memory;
 * reference no fid that has left the working memory.
@@ -21,11 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.rules.network as network_module
-from repro.rules import (
-    Absent, Collect, CompiledSession, Fact, Pattern, Rule, Session, Test,
-    WorkingMemory,
-)
+from repro.rules import Absent, Collect, Fact, Pattern, Rule, Session, Test, WorkingMemory
 from repro.rules.patterns import _check
+from repro.rules.reference import ReferenceSession
 
 ITEMS = ("disk", "cpu")
 
@@ -184,12 +182,12 @@ def network_problems(session):
 
 
 def run_soup(ops, routed):
-    """The firing trace of the soup: on one long-lived compiled session
-    (``routed``), or on a seed session built anew for every batch."""
+    """The firing trace of the soup: on one long-lived session
+    (``routed``), or on a reference session built anew for every batch."""
     trace = []
     rules = soup_rules(trace)
-    memory = WorkingMemory(indexed=routed)
-    session = CompiledSession(rules, memory=memory, globals={"audit": True})
+    memory = WorkingMemory()
+    session = Session(rules, memory=memory, globals={"audit": True})
     orders = []
     for op in ops + [("fire",)]:
         if op[0] != "fire":
@@ -199,8 +197,7 @@ def run_soup(ops, routed):
             trace.append(("fired", session.fire_all()))
             assert network_problems(session) == []
         else:
-            fresh = Session(rules, memory=memory, globals={"audit": True},
-                            incremental=False)
+            fresh = ReferenceSession(rules, memory=memory, globals={"audit": True})
             trace.append(("fired", fresh.fire_all()))
     return trace
 

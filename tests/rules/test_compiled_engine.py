@@ -1,32 +1,28 @@
-"""Compiled join-network equivalence vs the interpreted engines.
+"""Join-network equivalence vs the reference session.
 
-``CompiledSession`` (join-network plans, memoized partial matches, lazy
-probes) must produce the exact same firing sequence as the seed engine's
-full re-match and the incremental dirty-set agenda — same rules, same
-binding tuples, same order — across salience tiers, refraction,
-``no_loop``, ``halt``, updates, retracts, negations and keyed patterns.
-Every scenario runs in all three modes and the traces are compared; a
-hypothesis property does the same over randomized fact soups.
+``Session`` (join-network plans, memoized partial matches, lazy probes)
+must produce the exact same firing sequence as the reference session's
+full re-match — same rules, same binding tuples, same order — across
+salience tiers, refraction, ``no_loop``, ``halt``, updates, retracts,
+negations and keyed patterns.  Every scenario runs on both and the
+traces are compared; a hypothesis property does the same over randomized
+fact soups.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rules import (
     Absent,
     Collect,
-    CompiledSession,
     Exists,
     Fact,
     Pattern,
     Rule,
-    Session,
     Test,
-    WorkingMemory,
-    compile_rules,
     fast_path_report,
 )
+from tests.rules.conftest import new_session, run_equivalent
 
 
 class Order(Fact):
@@ -46,26 +42,6 @@ class Stock(Fact):
 class Audit(Fact):
     def __init__(self, note):
         self.note = note
-
-
-def _make_session(mode, rules):
-    if mode == "compiled":
-        return CompiledSession(rules, memory=WorkingMemory(indexed=True))
-    incremental = mode == "incremental"
-    return Session(
-        rules, memory=WorkingMemory(indexed=incremental), incremental=incremental
-    )
-
-
-def run_all(make_rules, scenario):
-    """Run ``scenario(session, trace)`` in all three engines; compare."""
-    traces = {}
-    for mode in ("seed", "incremental", "compiled"):
-        trace = []
-        scenario(_make_session(mode, make_rules(trace)), trace)
-        traces[mode] = trace
-    assert traces["seed"] == traces["incremental"] == traces["compiled"]
-    return traces["seed"]
 
 
 # --------------------------------------------------------------- scenarios
@@ -114,7 +90,7 @@ def test_join_rules_salience_and_fifo_order_match():
         s.insert(Stock("ram", 9))
         trace.append(("fired2", s.fire_all()))
 
-    trace = run_all(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     assert ("fill", 0, "cpu") in trace
 
 
@@ -170,7 +146,7 @@ def test_mixed_join_and_gate_rules_match():
         s.insert(Order(2, "cpu", 1))
         trace.append(("fired2", s.fire_all()))
 
-    run_all(make_rules, scenario)
+    run_equivalent(make_rules, scenario)
 
 
 def test_retract_during_firing_matches():
@@ -196,13 +172,13 @@ def test_retract_during_firing_matches():
             s.insert(Order(i, "disk", 1))
         trace.append(("fired", s.fire_all()))
 
-    trace = run_all(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     assert trace == [("consume", 0), ("consume", 1), ("consume", 2),
                      ("consume", 3), ("fired", 4)]
 
 
 def test_reads_declaration_preserves_equivalence():
-    """A gate with a ``reads`` declaration lets the compiled engine skip
+    """A gate with a ``reads`` declaration lets the join network skip
     rebuilds for unrelated updates — without changing a single firing."""
     def make_rules(trace):
         return [
@@ -241,57 +217,9 @@ def test_reads_declaration_preserves_equivalence():
         s.insert(Order(3, "ram", 1))
         trace.append(("fired2", s.fire_all()))
 
-    trace = run_all(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     assert ("gated", 2) in trace
     assert ("gated", 3) not in trace
-
-
-def test_compiled_session_over_scan_memory_composes():
-    # Like incremental=True over a scan memory, the compiled network only
-    # needs the change log — an unindexed memory is legal, just slower.
-    hits = []
-    rules = [Rule("any", when=[Pattern(Order, "o")],
-                  then=lambda ctx: hits.append(ctx.o.oid))]
-    s = CompiledSession(rules, memory=WorkingMemory(indexed=False))
-    s.insert(Order(1, "disk", 1))
-    assert s.fire_all() == 1
-    assert hits == [1]
-
-
-def test_foreign_ruleset_rejected():
-    rules = [Rule("r", when=[Pattern(Order, "o")], then=lambda ctx: None)]
-    other = compile_rules(
-        [Rule("q", when=[Pattern(Stock, "s")], then=lambda ctx: None)]
-    )
-    with pytest.raises(ValueError):
-        CompiledSession(rules, memory=WorkingMemory(indexed=True), ruleset=other)
-
-
-def test_shared_ruleset_across_sessions():
-    """Many sessions reuse one compiled ruleset (the Policy Service
-    pattern: compile once, evaluate per request)."""
-    fired = []
-    rules = [
-        Rule(
-            "join",
-            when=[
-                Pattern(Order, "o", where=lambda o, b: o.status == "new"),
-                Pattern(Stock, "s", where=lambda s, b: s.item == b["o"].item),
-            ],
-            then=lambda ctx: (
-                fired.append(ctx.o.oid),
-                ctx.update(ctx.o, status="filled"),
-            ),
-        )
-    ]
-    ruleset = compile_rules(rules)
-    memory = WorkingMemory(indexed=True)
-    memory.insert(Stock("disk", 1))
-    for i in range(3):
-        session = CompiledSession(rules, memory=memory, ruleset=ruleset)
-        memory.insert(Order(i, "disk", 1))
-        session.fire_all()
-    assert fired == [0, 1, 2]
 
 
 def test_fast_path_report_classifies_plans():
@@ -374,7 +302,7 @@ def _soup_rules(trace):
 
 def _run_soup(mode, ops):
     trace = []
-    session = _make_session(mode, _soup_rules(trace))
+    session = new_session(mode, _soup_rules(trace))
     oid = 0
     for op in ops:
         if op[0] == "order":
@@ -401,6 +329,6 @@ def _run_soup(mode, ops):
 @given(st.lists(_op, max_size=30))
 def test_compiled_matches_naive_on_random_fact_soups(ops):
     """Property: on any interleaving of inserts / updates / retracts /
-    firings, the compiled join network fires exactly what the naive
-    full-rescan matcher fires, in the same order."""
-    assert _run_soup("compiled", ops) == _run_soup("seed", ops)
+    firings, the join network fires exactly what the naive full-rescan
+    matcher fires, in the same order."""
+    assert _run_soup("network", ops) == _run_soup("reference", ops)

@@ -12,6 +12,7 @@ from repro.rules import (
     Session,
     Test,
 )
+from repro.rules.reference import ReferenceSession
 
 
 class Ticket(Fact):
@@ -453,10 +454,9 @@ def test_exists_validation():
         Exists(int)  # type: ignore[arg-type]
 
 
-@pytest.mark.parametrize("incremental", [False, True])
-def test_tie_break_hook_permutes_equal_salience_order(incremental):
+def test_tie_break_hook_permutes_equal_salience_order():
     """The default within-tier rank is (fact-id tuple, definition order);
-    a tie_break hook can invert the definition-order component, which is
+    the reference session's tie_break hook can invert the definition-order component, which is
     what the confluence verifier uses to probe agenda sensitivity."""
     fired = []
 
@@ -469,16 +469,14 @@ def test_tie_break_hook_permutes_equal_salience_order(incremental):
             Rule("second claimer", when=[Pattern(Ticket, "t")], then=claim("b")),
         ]
 
-    default = Session(rules(), incremental=incremental)
+    default = ReferenceSession(rules())
     default.insert(Ticket("A1", 10))
     default.fire_all()
     assert fired == ["a", "b"]
 
     fired.clear()
-    inverted = Session(
-        rules(),
-        incremental=incremental,
-        tie_break=lambda rule, order, key: (key[1], -order),
+    inverted = ReferenceSession(
+        rules(), tie_break=lambda rule, order, key: (key[1], -order)
     )
     inverted.insert(Ticket("A1", 10))
     inverted.fire_all()

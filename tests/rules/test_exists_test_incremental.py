@@ -1,16 +1,17 @@
-"""Exists/Test under the incremental agenda: trace-equivalence vs full
-re-match.
+"""Exists/Test under change-log-driven matching: trace-equivalence vs
+full re-match.
 
-The engine docstring promises that dirty facts of a type referenced by
-``Exists`` (a hard gate) force a full re-match of the rule, and that
-``Test`` guards re-evaluate over fresh bindings.  These scenarios lock the
-promise in: every one runs under ``incremental=True`` and
-``incremental=False`` and must produce identical firing traces.
+A dirty fact of a type referenced by ``Exists`` can open the gate for
+activations that bind none of the dirty facts, so the rule must be
+re-enumerated; ``Test`` guards must re-evaluate over fresh bindings.
+These scenarios lock that in: every one runs on the join network and on
+the reference session and must produce identical firing traces.
 """
 
 import random
 
-from repro.rules import Absent, Exists, Fact, Pattern, Rule, Session, Test, WorkingMemory
+from repro.rules import Absent, Exists, Fact, Pattern, Rule, Test
+from tests.rules.conftest import run_equivalent
 
 
 class Order(Fact):
@@ -30,18 +31,6 @@ class Stock(Fact):
 class Alarm(Fact):
     def __init__(self, kind):
         self.kind = kind
-
-
-def run_both(make_rules, scenario):
-    traces = []
-    for incremental in (False, True):
-        trace = []
-        memory = WorkingMemory(indexed=incremental)
-        session = Session(make_rules(trace), memory=memory, incremental=incremental)
-        scenario(session, trace)
-        traces.append(trace)
-    assert traces[0] == traces[1]
-    return traces[0]
 
 
 def test_exists_gate_opens_on_insert():
@@ -67,7 +56,7 @@ def test_exists_gate_opens_on_insert():
         s.insert(Alarm("stockout"))
         trace.append(("second", s.fire_all()))  # gate open: all three fire
 
-    trace = run_both(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     assert ("first", 0) in trace
     assert [t for t in trace if t[0] == "alarmed"] == [
         ("alarmed", 0), ("alarmed", 1), ("alarmed", 2)
@@ -97,14 +86,14 @@ def test_exists_gate_closes_on_retract():
         s.insert(Alarm("re-raised"))  # reopens for the unfired order
         trace.append(("third", s.fire_all()))
 
-    trace = run_both(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     assert ("second", 0) in trace
     assert [t for t in trace if t[0] == "fired"] == [("fired", 0), ("fired", 1)]
 
 
 def test_keyed_exists_stays_sound_across_updates():
     """Exists with a keys hint: updating the gating fact's keyed attribute
-    must flip the gate identically in both modes."""
+    must flip the gate identically on both sides."""
 
     def make_rules(trace):
         return [
@@ -129,7 +118,7 @@ def test_keyed_exists_stays_sound_across_updates():
         s.update(stock, level=5)
         trace.append(("second", s.fire_all()))  # gate opens via update
 
-    trace = run_both(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     assert [t for t in trace if t[0] == "stocked"] == [("stocked", 0)]
 
 
@@ -160,7 +149,7 @@ def test_test_predicate_sees_updated_bindings():
         s.update(stock, level=4)
         trace.append(("second", s.fire_all()))  # 4 >= 3: fires
 
-    trace = run_both(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     assert [t for t in trace if t[0] == "fill"] == [("fill", 0, 4)]
 
 
@@ -188,13 +177,13 @@ def test_exists_absent_test_combination():
         s.retract(mute)
         trace.append(("second", s.fire_all()))  # only order 0 passes Test
 
-    trace = run_both(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     assert [t for t in trace if t[0] == "escalate"] == [("escalate", 0)]
 
 
 def test_randomized_op_sequences_stay_trace_equivalent():
     """Fuzz: random insert/update/retract interleavings with Exists and
-    Test rules fire identically in both modes (fixed seed)."""
+    Test rules fire identically on both sides (fixed seed)."""
 
     def make_rules(trace):
         def consume(ctx):
@@ -249,4 +238,4 @@ def test_randomized_op_sequences_stay_trace_equivalent():
                     trace.append(("fired", s.fire_all()))
             trace.append(("final", s.fire_all()))
 
-        run_both(make_rules, scenario)
+        run_equivalent(make_rules, scenario)

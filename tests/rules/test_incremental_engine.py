@@ -1,22 +1,14 @@
-"""Equivalence tests: incremental (dirty-set) agenda vs the full re-match.
+"""Equivalence tests: change-log-driven matching vs the full re-match.
 
-The incremental engine must produce the exact same firing sequence as the
-seed engine — same rules, same binding tuples, same order — across salience
-tiers, refraction, ``no_loop``, updates, retracts, negations and keyed
-patterns.  Every scenario here is executed in both modes and compared.
+The join network must produce the exact same firing sequence as the
+reference session — same rules, same binding tuples, same order — across
+salience tiers, refraction, ``no_loop``, updates, retracts, negations and
+keyed patterns.  Every scenario here runs on both and is compared
+(``run_equivalent`` in ``conftest.py``).
 """
 
-from repro.rules import (
-    Absent,
-    Collect,
-    Exists,
-    Fact,
-    Pattern,
-    Rule,
-    Session,
-    Test,
-    WorkingMemory,
-)
+from repro.rules import Absent, Collect, Exists, Fact, Pattern, Rule, Test
+from tests.rules.conftest import run_equivalent
 
 
 class Order(Fact):
@@ -36,19 +28,6 @@ class Stock(Fact):
 class Audit(Fact):
     def __init__(self, note):
         self.note = note
-
-
-def run_both(make_rules, scenario):
-    """Run ``scenario(session, trace)`` in both engine modes; return traces."""
-    traces = []
-    for incremental in (False, True):
-        trace = []
-        memory = WorkingMemory(indexed=incremental)
-        session = Session(make_rules(trace), memory=memory, incremental=incremental)
-        scenario(session, trace)
-        traces.append(trace)
-    assert traces[0] == traces[1]
-    return traces[0]
 
 
 def test_salience_and_fifo_order_match():
@@ -73,7 +52,7 @@ def test_salience_and_fifo_order_match():
             s.insert(Order(i, "disk", 1))
         trace.append(("fired", s.fire_all()))
 
-    trace = run_both(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     # All high-salience activations drain before any low-salience one.
     assert trace[:4] == [("high", i) for i in range(4)]
     assert trace[4:8] == [("low", i) for i in range(4)]
@@ -126,7 +105,7 @@ def test_mid_firing_inserts_and_updates_match():
         s.insert(Order(10, "disk", 1))
         trace.append(("fired2", s.fire_all()))
 
-    run_both(make_rules, scenario)
+    run_equivalent(make_rules, scenario)
 
 
 def test_retract_and_absent_gate_match():
@@ -164,7 +143,7 @@ def test_retract_and_absent_gate_match():
         s.insert(Order(3, "disk", 1))
         trace.append(("fired2", s.fire_all()))
 
-    run_both(make_rules, scenario)
+    run_equivalent(make_rules, scenario)
 
 
 def test_collect_and_test_elements_match():
@@ -194,7 +173,7 @@ def test_collect_and_test_elements_match():
         s.insert(Order(9, "cpu", 1))
         trace.append(("fired2", s.fire_all()))
 
-    run_both(make_rules, scenario)
+    run_equivalent(make_rules, scenario)
 
 
 def test_no_loop_suppression_matches():
@@ -217,7 +196,7 @@ def test_no_loop_suppression_matches():
         s.insert(Order(2, "disk", 5))
         trace.append(("fired", s.fire_all()))
 
-    run_both(make_rules, scenario)
+    run_equivalent(make_rules, scenario)
 
 
 def test_keyed_pattern_falls_back_on_missing_binding():
@@ -243,22 +222,5 @@ def test_keyed_pattern_falls_back_on_missing_binding():
         s.insert(Order(1, "disk", 1))
         trace.append(("fired", s.fire_all()))
 
-    trace = run_both(make_rules, scenario)
+    trace = run_equivalent(make_rules, scenario)
     assert ("pair", 1, "disk") in trace
-
-
-def test_incremental_engine_requires_indexed_memory_modes_compose():
-    # incremental=True over a scan memory and incremental=False over an
-    # indexed memory are both legal compositions.
-    for indexed, incremental in ((True, False), (False, True)):
-        hits = []
-        rule = Rule(
-            "any",
-            when=[Pattern(Order, "o")],
-            then=lambda ctx: hits.append(ctx.o.oid),
-        )
-        s = Session([rule], memory=WorkingMemory(indexed=indexed),
-                    incremental=incremental)
-        s.insert(Order(1, "disk", 1))
-        assert s.fire_all() == 1
-        assert hits == [1]

@@ -21,9 +21,9 @@ class Bare(Fact):
     pass
 
 
-@pytest.fixture(params=[True, False], ids=["indexed", "scan"])
-def wm(request):
-    return WorkingMemory(indexed=request.param)
+@pytest.fixture
+def wm():
+    return WorkingMemory()
 
 
 # ------------------------------------------------------------------ lookup
@@ -92,35 +92,38 @@ def test_lookup_skips_facts_missing_the_attribute(wm):
     assert wm.lookup(Fact, lfn="a") == [t]
 
 
-def test_lookup_unhashable_value_raises_when_indexed():
-    wm = WorkingMemory(indexed=True)
+def test_lookup_unhashable_value_raises_when_indexed(wm):
     wm.insert(Transfer("a", "u1"))
     with pytest.raises(TypeError):
         wm.lookup(Transfer, lfn=["not", "hashable"])
 
 
-def test_indexed_and_scan_modes_agree():
-    indexed, scan = WorkingMemory(indexed=True), WorkingMemory(indexed=False)
-    for mem in (indexed, scan):
-        for i in range(30):
-            mem.insert(Transfer(f"f{i % 7}", f"u{i % 3}", status="new"))
-        for f in list(mem.facts_of(Transfer))[::4]:
-            mem.update(f, status="done")
-        for f in list(mem.facts_of(Transfer))[::9]:
-            mem.retract(f)
+def test_lookup_equals_filtering_facts_of(wm):
+    """The documented contract, with every index built before, between
+    and after the mutations it has to follow."""
+    queries = (
+        {"status": "new"}, {"status": "done"}, {"lfn": "f1", "dst": "u0"},
+        {"dst": "u2"}, {"lfn": "f3", "status": "done"}, {"lfn": "absent"},
+    )
 
-    def view(mem):
-        return [
-            [(f.lfn, f.dst, f.status) for f in mem.lookup(Transfer, **q)]
-            for q in (
-                {"status": "new"},
-                {"status": "done"},
-                {"lfn": "f1", "dst": "u0"},
-                {"dst": "u2"},
-            )
-        ]
+    def check(upto):
+        for query in queries[:upto]:
+            assert wm.lookup(Transfer, **query) == [
+                f for f in wm.facts_of(Transfer)
+                if all(getattr(f, a) == v for a, v in query.items())
+            ]
 
-    assert view(indexed) == view(scan)
+    check(2)
+    for i in range(30):
+        wm.insert((Priority if i % 5 == 0 else Transfer)(f"f{i % 7}", f"u{i % 3}"))
+    check(4)
+    for f in wm.facts_of(Transfer)[::4]:
+        wm.update(f, status="done")
+    for f in wm.facts_of(Transfer)[::9]:
+        wm.retract(f)
+    for f in wm.facts_of(Transfer)[::6]:
+        wm.update(f, lfn="f3", dst="u2")
+    check(len(queries))
 
 
 # ------------------------------------------------------------------ fid access
@@ -141,7 +144,7 @@ def test_changes_since_records_insert_update_retract(wm):
     wm.retract(a)
     changes = wm.changes_since(start)
     assert changes is not None
-    assert [(c_fid, op) for c_fid, _f, op in changes] == [
+    assert [(c_fid, op) for c_fid, _f, op, _changed in changes] == [
         (fid, "i"), (fid, "u"), (fid, "r")
     ]
 
@@ -178,7 +181,6 @@ def test_changes_since_none_fallback_at_eviction_edge(wm):
     # One tick older has been evicted — the caller cannot trust a partial
     # answer and must rebuild.
     assert wm.changes_since(oldest_retained - 2) is None
-    assert wm.changes_since_verbose(oldest_retained - 2) is None
 
 
 def test_update_records_attributes_that_actually_changed(wm):
@@ -187,12 +189,10 @@ def test_update_records_attributes_that_actually_changed(wm):
     wm.update(a, status="done", dst="u1")     # dst unchanged
     wm.update(a, status="done")               # nothing really changed
     wm.update(a)                              # in-place announce: unknowable
-    changes = wm.changes_since_verbose(start)
+    changes = wm.changes_since(start)
     assert [(op, changed) for _fid, _f, op, changed in changes] == [
         ("i", None),
         ("u", frozenset({"status"})),
         ("u", frozenset()),
         ("u", None),
     ]
-    # The compact view carries the same mutations without the detail.
-    assert [op for _fid, _f, op in wm.changes_since(start)] == ["i", "u", "u", "u"]

@@ -1,11 +1,12 @@
 """``Session.reset()`` == building a new session over the same memory.
 
-A long-lived session keeps its agendas (or join network) and follows the
-memory's change log; ``reset()`` only forgets refraction, ``no_loop``
-history, the halt flag, the listener and the trace.  Whatever happened
-to the memory in between — through the session or behind its back — the
-next ``fire_all`` must fire exactly what a session constructed at that
-moment would fire, in the same order, in all three engines.
+A long-lived session keeps its join network and follows the memory's
+change log; ``reset()`` only forgets refraction, ``no_loop`` history,
+the halt flag, the listener and the trace.  Whatever happened to the
+memory in between — through the session or behind its back — the next
+``fire_all`` must fire exactly what a session constructed at that moment
+would fire, in the same order, on the network and on the reference
+session alike.
 
 The rule pack deliberately contains rules that do **not** modify the
 facts they bind (so their activations survive an evaluation unchanged
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rules import Absent, CompiledSession, Fact, Pattern, Rule, Session, WorkingMemory
+from repro.rules import Absent, Fact, Pattern, Rule, Session, WorkingMemory
+from tests.rules.conftest import new_session
 
-MODES = ("seed", "incremental", "compiled")
+MODES = ("reference", "network")
 ITEMS = ("disk", "cpu", "ram")
 
 
@@ -105,16 +107,10 @@ def soup_rules(trace):
     ]
 
 
-def new_session(mode, rules, memory):
-    if mode == "compiled":
-        return CompiledSession(rules, memory=memory)
-    return Session(rules, memory=memory, incremental=mode == "incremental")
-
-
 def run_soup(mode, ops, reuse):
     trace = []
     rules = soup_rules(trace)
-    memory = WorkingMemory(indexed=mode != "seed")
+    memory = WorkingMemory()
     session = new_session(mode, rules, memory)
     oid = 0
     for op in ops + [("fire",)]:
@@ -181,13 +177,12 @@ def test_unchanged_activations_fire_again_after_reset(mode):
     ]
 
 
-@pytest.mark.parametrize("mode", ("incremental", "compiled"))
-def test_reset_session_survives_a_change_log_overrun(monkeypatch, mode):
+def test_reset_session_survives_a_change_log_overrun(monkeypatch):
     monkeypatch.setattr("repro.rules.facts._CHANGELOG_CAP", 4)
     ops = [("stock", "disk", 9), ("stock", "cpu", 1), ("fire",)]
     ops += [("order", ITEMS[i % 2], 1 + i % 3) for i in range(12)]
     ops += [("fire",), ("restock", "cpu", 0), ("cancel", 3), ("fire",)]
-    assert run_soup(mode, ops, reuse=True) == run_soup(mode, ops, reuse=False)
+    assert run_soup("network", ops, reuse=True) == run_soup("network", ops, reuse=False)
 
 
 def test_reset_clears_only_per_evaluation_state():
@@ -200,13 +195,13 @@ def test_reset_clears_only_per_evaluation_state():
     session.fire_all()
     assert session._halted and session._fired and session.trace
     kept_trace = session.trace
-    agendas = session._agendas
+    network = session.network
     session.reset()
     assert not session._halted and not session._fired
     assert not session._last_fired_versions
     assert session.firing_listener is None
     assert session.trace == [] and kept_trace  # earlier trace not clobbered
-    assert session._agendas is agendas and session.trace_enabled
+    assert session.network is network and session.trace_enabled
 
 
 def test_duplicate_rule_names_are_reported_once_each():

@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.reference import reference_engine
+
 
 def run_cli(*argv):
     out = io.StringIO()
@@ -106,6 +108,26 @@ def test_public_api_exports_resolve():
         assert hasattr(repro, name), name
 
 
+def test_serving_imports_leave_the_oracle_and_analysis_out():
+    """The reference session is for tests and the verifier: importing
+    everything that serves, runs or traces must not load it."""
+    import os
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro, repro.policy, repro.policy.rest, repro.policy.sharding, "
+        "repro.experiments, repro.tenancy, repro.datacatalog, repro.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'repro.rules.reference' "
+        "or m.startswith('repro.analysis')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": "src"},
+        check=True, capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_run_with_storage_budget_and_output_site():
     code, text = run_cli(
         "run", "--extra-mb", "10", "--images", "8",
@@ -170,12 +192,6 @@ def test_lint_verify_single_composition():
     assert code == 0
     assert "verify:greedy" in text
     assert "0 error(s)" in text
-
-
-def test_lint_verify_rejects_unknown_engine():
-    code, text = run_cli("lint", "--verify", "--engines", "indexed,bogus")
-    assert code == 2
-    assert "unknown engine" in text
 
 
 def test_lint_sarif_output():
@@ -280,20 +296,11 @@ def test_serve_subprocess_exits_cleanly_on_sigterm():
         server.wait()
 
 
-def test_trace_command_engines_agree(tmp_path):
-    run_cli("trace", "--out", str(tmp_path / "a"), "--images", "4",
-            "--extra-mb", "2", "--engine", "indexed")
-    run_cli("trace", "--out", str(tmp_path / "b"), "--images", "4",
-            "--extra-mb", "2", "--engine", "seed")
-    assert (tmp_path / "a" / "events.jsonl").read_bytes() == \
-        (tmp_path / "b" / "events.jsonl").read_bytes()
-
-
 def test_trace_deterministic_across_processes(tmp_path):
     """Byte-identical JSONL even across hash-randomized interpreters.
 
-    The in-process engine comparison above cannot catch ordering that
-    leaks from set/dict iteration (PYTHONHASHSEED), so run the CLI in
+    An in-process comparison (``tests/experiments/test_tracing.py``)
+    cannot catch ordering that leaks from set/dict iteration (PYTHONHASHSEED), so run the CLI in
     two subprocesses with different hash seeds and compare bytes.
     """
     import os
@@ -407,15 +414,17 @@ def test_explain_command_text():
 
 
 def test_explain_command_json_digest_invariant_across_engines_and_shards():
-    digests = set()
-    for extra in (["--engine", "seed"], ["--engine", "compiled"],
-                  ["--shards", "2"], []):
+    def digest(*extra):
         code, text = run_cli("explain", "3", "--images", "6",
                              "--format", "json", *extra)
         assert code == 0
         record = json.loads(text)
         assert record["tid"] == 3
-        digests.add(record["digest"])
+        return record["digest"]
+
+    with reference_engine():
+        digests = {digest(), digest("--shards", "2")}
+    digests |= {digest(), digest("--shards", "2")}
     assert len(digests) == 1, "explain digests diverged across engines/shards"
 
 
