@@ -69,7 +69,9 @@ from repro.rules.engine import Rule, RuleEngineError, Session
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test, _TypedElement
 
-__all__ = ["lint_rules", "lint_rule_set", "shipped_rule_sets", "SERVICE_ENTRY_TYPES"]
+__all__ = [
+    "lint_rules", "lint_rule_set", "shipped_configs", "shipped_rule_sets", "SERVICE_ENTRY_TYPES",
+]
 
 
 def _guard_accepts(guard, fact, bindings) -> bool:
@@ -85,7 +87,7 @@ def _guard_accepts(guard, fact, bindings) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Shipped rule sets (mirrors PolicyService composition)
+# Shipped rule sets (PolicyService composition, per shipped configuration)
 # --------------------------------------------------------------------------
 #: fact types the service inserts directly from its entry points
 #: (request_transfers, request_cleanups, reap_expired, reconcile_staged,
@@ -125,53 +127,37 @@ def _service_entry_types() -> tuple[Type[Fact], ...]:
 SERVICE_ENTRY_TYPES: Callable[[], tuple[Type[Fact], ...]] = _service_entry_types
 
 
-def shipped_rule_sets() -> dict[str, tuple[list[Rule], dict]]:
-    """name -> (rules, session globals), matching PolicyService composition."""
+def shipped_configs() -> dict[str, "PolicyConfig"]:
+    """name -> the configuration of each shipped rule set; what a set
+    holds is what :func:`~repro.policy.service.rule_packs` loads for it."""
     from repro.datacatalog.model import CatalogConfig
-    from repro.datacatalog.rules_eviction import eviction_rules
     from repro.policy.model import PolicyConfig
-    from repro.policy.rules_access import access_rules
-    from repro.policy.rules_balanced import balanced_rules
-    from repro.policy.rules_common import common_rules
-    from repro.policy.rules_fairshare import fairshare_rules
-    from repro.policy.rules_greedy import greedy_rules
-    from repro.policy.rules_priority import priority_rules
-
-    def build(config, *packs):
-        # fairshare is always composed by the service (inert without
-        # tenant facts), so every shipped set carries it too.
-        rules = list(common_rules()) + list(priority_rules()) + list(fairshare_rules())
-        for pack in packs:
-            rules += list(pack())
-        return rules, {"config": config, "group_counter": 1}
 
     return {
-        "fifo": build(PolicyConfig(policy="fifo")),
-        "greedy": build(PolicyConfig(policy="greedy"), greedy_rules),
-        "balanced": build(
-            PolicyConfig(policy="balanced", cluster_count=2), balanced_rules
+        "fifo": PolicyConfig(policy="fifo"),
+        "greedy": PolicyConfig(policy="greedy"),
+        "balanced": PolicyConfig(policy="balanced", cluster_count=2),
+        "access": PolicyConfig(policy="greedy", access_control=True),
+        "priority": PolicyConfig(policy="greedy", order_by="priority"),
+        "access_balanced": PolicyConfig(
+            policy="balanced", cluster_count=2, access_control=True
         ),
-        "access": build(
-            PolicyConfig(policy="greedy", access_control=True),
-            access_rules,
-            greedy_rules,
+        "catalog": PolicyConfig(
+            policy="greedy", catalog=CatalogConfig(default_capacity=1e9)
         ),
-        "priority": build(
-            PolicyConfig(policy="greedy", order_by="priority"), greedy_rules
-        ),
-        "access_balanced": build(
-            PolicyConfig(policy="balanced", cluster_count=2, access_control=True),
-            access_rules,
-            balanced_rules,
-        ),
-        "catalog": build(
-            PolicyConfig(
-                policy="greedy",
-                catalog=CatalogConfig(default_capacity=1e9),
-            ),
-            greedy_rules,
-            eviction_rules,
-        ),
+    }
+
+
+def shipped_rule_sets() -> dict[str, tuple[list[Rule], dict]]:
+    """name -> (rules, session globals), as ``PolicyService`` composes them."""
+    from repro.policy.service import rule_packs
+
+    return {
+        name: (
+            [rule for pack in rule_packs(config) for rule in pack()],
+            {"config": config, "group_counter": 1},
+        )
+        for name, config in shipped_configs().items()
     }
 
 

@@ -21,10 +21,10 @@ interaction graph sees in the same rules:
   findings are exact consequences of the scanned bytecode (the witness
   is the read-set itself), not probe heuristics.
 
-Composition enumeration mirrors — and extends — ``shipped_rule_sets()``:
-every pack combination ``PolicyService`` instantiates, plus the
-access×balanced cross and a lease-enabled variant so expiry paths get
-verified too.
+Composition enumeration extends the linter's ``shipped_configs()`` with
+a lease-enabled variant so expiry paths get verified too; the packs of
+each come from ``repro.policy.service.rule_packs``, the service's own
+statement of what it loads.
 """
 
 from __future__ import annotations
@@ -175,54 +175,20 @@ def check_compiler_agreement(
 # Composition enumeration
 # --------------------------------------------------------------------------
 def verify_compositions() -> dict[str, tuple[list, dict, list]]:
-    """name -> (rules, session globals, pack builders): every combination
-    ``PolicyService`` instantiates, plus the access×balanced cross and a
-    lease-enabled greedy variant (so lease grant/expiry paths verify)."""
-    from repro.datacatalog.model import CatalogConfig
-    from repro.datacatalog.rules_eviction import eviction_rules
+    """name -> (rules, session globals, pack builders): every shipped
+    configuration the linter knows, plus a lease-enabled greedy variant
+    (so lease grant/expiry paths verify); what each loads is what
+    :func:`~repro.policy.service.rule_packs` says ``PolicyService`` does."""
+    from repro.analysis.rulelint import shipped_configs
     from repro.policy.model import PolicyConfig
-    from repro.policy.rules_access import access_rules
-    from repro.policy.rules_balanced import balanced_rules
-    from repro.policy.rules_common import common_rules
-    from repro.policy.rules_fairshare import fairshare_rules
-    from repro.policy.rules_greedy import greedy_rules
-    from repro.policy.rules_priority import priority_rules
+    from repro.policy.service import rule_packs
 
-    def build(config, *packs):
-        builders = [common_rules, priority_rules, fairshare_rules, *packs]
-        rules = []
-        for builder in builders:
-            rules.extend(builder())
-        return rules, {"config": config, "group_counter": 1}, builders
-
-    return {
-        "fifo": build(PolicyConfig(policy="fifo")),
-        "greedy": build(PolicyConfig(policy="greedy"), greedy_rules),
-        "balanced": build(
-            PolicyConfig(policy="balanced", cluster_count=2), balanced_rules
-        ),
-        "access": build(
-            PolicyConfig(policy="greedy", access_control=True),
-            access_rules,
-            greedy_rules,
-        ),
-        "priority": build(
-            PolicyConfig(policy="greedy", order_by="priority"), greedy_rules
-        ),
-        "access_balanced": build(
-            PolicyConfig(policy="balanced", cluster_count=2, access_control=True),
-            access_rules,
-            balanced_rules,
-        ),
-        "greedy_leases": build(
-            PolicyConfig(policy="greedy", lease_seconds=60.0), greedy_rules
-        ),
-        "catalog": build(
-            PolicyConfig(
-                policy="greedy",
-                catalog=CatalogConfig(default_capacity=1e9),
-            ),
-            greedy_rules,
-            eviction_rules,
-        ),
-    }
+    configs = shipped_configs()
+    configs["greedy_leases"] = PolicyConfig(policy="greedy", lease_seconds=60.0)
+    configs["catalog"] = configs.pop("catalog")  # stays last, as its reports always were
+    compositions = {}
+    for name, config in configs.items():
+        builders = rule_packs(config)
+        rules = [rule for builder in builders for rule in builder()]
+        compositions[name] = (rules, {"config": config, "group_counter": 1}, builders)
+    return compositions

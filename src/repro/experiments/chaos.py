@@ -28,19 +28,23 @@ from typing import Optional
 
 from repro.des.faults import FaultInjector, FaultPlan
 from repro.experiments.environment import build_testbed
-from repro.experiments.runner import ExperimentConfig, WorkflowExecution
+from repro.experiments.runner import (
+    ExperimentConfig,
+    WorkflowExecution,
+    catalog_census_of,
+    cell_workflow,
+    policy_config_of,
+)
 from repro.metrics.collectors import RunMetrics
 from repro.policy import (
     CircuitBreaker,
     InProcessPolicyClient,
-    PolicyConfig,
     PolicyJournal,
     PolicyService,
     RetryPolicy,
 )
 from repro.policy.model import CleanupFact, TransferFact
 from repro.policy.sharding import ShardedPolicyService
-from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
 __all__ = [
     "ChaosResult",
@@ -83,35 +87,6 @@ class ChaosResult:
     catalog_census: Optional[dict] = None
 
 
-def _policy_config(cfg: ExperimentConfig, bed=None) -> PolicyConfig:
-    if cfg.policy is None:
-        raise ValueError("chaos runs need a policy (cfg.policy is None)")
-    catalog = cfg.catalog
-    if catalog is not None and not catalog.host_site and bed is not None:
-        from dataclasses import replace
-
-        catalog = replace(catalog, host_site=dict(bed.host_site))
-    return PolicyConfig(
-        policy=cfg.policy,
-        default_streams=cfg.default_streams,
-        max_streams=cfg.threshold,
-        cluster_count=cfg.cluster_factor if cfg.policy == "balanced" else None,
-        cluster_threshold=cfg.cluster_threshold,
-        order_by=cfg.order_by,
-        adaptive=cfg.adaptive,
-        lease_seconds=cfg.lease_seconds,
-        catalog=catalog,
-    )
-
-
-def _census_of(service) -> Optional[dict]:
-    """The service's catalog census, or None when the catalog is off."""
-    try:
-        return service.catalog_census()
-    except (RuntimeError, AttributeError):
-        return None
-
-
 def run_chaos_montage(
     cfg: ExperimentConfig,
     plan: Optional[FaultPlan] = None,
@@ -131,12 +106,9 @@ def run_chaos_montage(
     Without it, outages model a hang (same process resumes).  ``tracer``
     observes the run including the injector's ``fault``-track events.
     """
-    workflow = augmented_montage(
-        cfg.extra_file_mb * MB,
-        MontageConfig(n_images=cfg.n_images, name=f"montage-{cfg.n_images}img"),
-    )
+    workflow = cell_workflow(cfg)
     bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=tracer)
-    pconfig = _policy_config(cfg, bed)
+    pconfig = policy_config_of(cfg, bed)
     clock = lambda: bed.env.now  # noqa: E731 - tiny closure over the sim clock
     journal = PolicyJournal(journal_dir) if journal_dir is not None else None
     service = PolicyService(
@@ -198,7 +170,7 @@ def run_chaos_montage(
         leaked_in_progress=leaked,
         journal_commits=journal.commits if journal is not None else 0,
         decisions=live_service.decision_records(),
-        catalog_census=_census_of(live_service),
+        catalog_census=catalog_census_of(live_service),
     )
 
 
@@ -222,12 +194,9 @@ def run_shard_chaos_montage(
     leaked-grant evidence as the single-service runs plus the router's
     degraded-request count and final shard health.
     """
-    workflow = augmented_montage(
-        cfg.extra_file_mb * MB,
-        MontageConfig(n_images=cfg.n_images, name=f"montage-{cfg.n_images}img"),
-    )
+    workflow = cell_workflow(cfg)
     bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=tracer)
-    pconfig = _policy_config(cfg, bed)
+    pconfig = policy_config_of(cfg, bed)
     clock = lambda: bed.env.now  # noqa: E731 - tiny closure over the sim clock
     router = ShardedPolicyService(
         pconfig,
@@ -290,7 +259,7 @@ def run_shard_chaos_montage(
         shard_health=router.shard_health(),
         recovery_errors=list(router.recovery_errors),
         decisions=router.decision_records(),
-        catalog_census=_census_of(router),
+        catalog_census=catalog_census_of(router),
     )
 
 

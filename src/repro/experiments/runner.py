@@ -25,6 +25,7 @@ from repro.planner import JobKind, Planner, PlanOptions
 from repro.policy import (
     InProcessPolicyClient,
     PolicyConfig,
+    PolicyRefusedError,
     PolicyService,
     ShardedPolicyService,
 )
@@ -77,6 +78,42 @@ class ExperimentConfig:
         return replace(self, seed=seed)
 
 
+def policy_config_of(cfg: ExperimentConfig, bed: Testbed) -> PolicyConfig:
+    """The service configuration a cell runs its policy under."""
+    catalog = cfg.catalog
+    if catalog is not None and not catalog.host_site:
+        # Inherit the testbed's host->site map so the catalog places
+        # replica URLs at the same sites the simulator does.
+        catalog = replace(catalog, host_site=dict(bed.host_site))
+    return PolicyConfig(
+        policy=cfg.policy,
+        default_streams=cfg.default_streams,
+        max_streams=cfg.threshold,
+        cluster_count=cfg.cluster_factor if cfg.policy == "balanced" else None,
+        cluster_threshold=cfg.cluster_threshold,
+        order_by=cfg.order_by,
+        adaptive=cfg.adaptive,
+        lease_seconds=cfg.lease_seconds,
+        catalog=catalog,
+    )
+
+
+def catalog_census_of(service) -> Optional[dict]:
+    """The service's catalog census, or None when the catalog is off."""
+    try:
+        return service.catalog_census()
+    except PolicyRefusedError:
+        return None
+
+
+def cell_workflow(cfg: ExperimentConfig) -> Workflow:
+    """The paper's augmented Montage workload at a cell's size."""
+    return augmented_montage(
+        cfg.extra_file_mb * MB,
+        MontageConfig(n_images=cfg.n_images, name=f"montage-{cfg.n_images}img"),
+    )
+
+
 def build_policy_client(
     cfg: ExperimentConfig,
     bed: Testbed,
@@ -91,22 +128,7 @@ def build_policy_client(
     """
     if cfg.policy is None:
         return None
-    catalog = cfg.catalog
-    if catalog is not None and not catalog.host_site:
-        # Inherit the testbed's host->site map so the catalog places
-        # replica URLs at the same sites the simulator does.
-        catalog = replace(catalog, host_site=dict(bed.host_site))
-    policy_config = PolicyConfig(
-        policy=cfg.policy,
-        default_streams=cfg.default_streams,
-        max_streams=cfg.threshold,
-        cluster_count=cfg.cluster_factor if cfg.policy == "balanced" else None,
-        cluster_threshold=cfg.cluster_threshold,
-        order_by=cfg.order_by,
-        adaptive=cfg.adaptive,
-        lease_seconds=cfg.lease_seconds,
-        catalog=catalog,
-    )
+    policy_config = policy_config_of(cfg, bed)
     if cfg.shards >= 1:
         service = ShardedPolicyService(
             policy_config,
@@ -350,11 +372,7 @@ def run_concurrent_workflows(
 
 def run_cell(cfg: ExperimentConfig) -> RunMetrics:
     """Run the paper's augmented Montage workload for one cell."""
-    workflow = augmented_montage(
-        cfg.extra_file_mb * MB,
-        MontageConfig(n_images=cfg.n_images, name=f"montage-{cfg.n_images}img"),
-    )
-    return run_workflow(cfg, workflow)
+    return run_workflow(cfg, cell_workflow(cfg))
 
 
 def run_replicates(cfg: ExperimentConfig, replicates: int = 3) -> list[RunMetrics]:
@@ -493,12 +511,6 @@ def run_tenant_ensemble(
     for sub, m in zip(accepted, run_metrics):
         tenant_bytes[sub.tenant] = tenant_bytes.get(sub.tenant, 0.0) + m.bytes_staged
         tenant_of[sub.name] = sub.tenant
-    catalog_census = None
-    if shared is not None and cfg.catalog is not None:
-        try:
-            catalog_census = shared.service.catalog_census()
-        except (RuntimeError, AttributeError):
-            catalog_census = None
     return EnsembleResult(
         metrics=run_metrics,
         admission_order=list(controller.admission_order),
@@ -510,7 +522,7 @@ def run_tenant_ensemble(
         decisions=(
             shared.service.decision_records() if shared is not None else []
         ),
-        catalog_census=catalog_census,
+        catalog_census=catalog_census_of(shared.service) if shared is not None else None,
     )
 
 

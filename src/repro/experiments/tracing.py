@@ -38,6 +38,8 @@ from repro.experiments.runner import (
     ExperimentConfig,
     WorkflowExecution,
     build_policy_client,
+    catalog_census_of,
+    cell_workflow,
     run_tenant_ensemble,
 )
 from repro.metrics.collectors import RunMetrics
@@ -56,7 +58,6 @@ from repro.obs import (
 from repro.policy.provenance import link_decisions_to_trace
 from repro.planner.planner import fresh_plan_ids
 from repro.workflow.dag import Workflow
-from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
 __all__ = [
     "TracedEnsemble",
@@ -152,12 +153,6 @@ def run_traced_workflow(
     decisions = link_decisions_to_trace(
         policy.service.decision_records(), tracer
     )
-    catalog_census = None
-    if policy is not None:
-        try:
-            catalog_census = policy.service.catalog_census()
-        except (RuntimeError, AttributeError):
-            catalog_census = None
     return TracedRun(
         metrics=metrics,
         tracer=tracer,
@@ -165,7 +160,7 @@ def run_traced_workflow(
         profiler=profiler,
         provenance=provenance,
         decisions=decisions,
-        catalog_census=catalog_census,
+        catalog_census=catalog_census_of(policy.service),
     )
 
 
@@ -256,11 +251,7 @@ def run_traced_ensemble(
 
 def run_traced_cell(cfg: ExperimentConfig) -> TracedRun:
     """Run the augmented-Montage cell for ``cfg`` with tracing on."""
-    workflow = augmented_montage(
-        cfg.extra_file_mb * MB,
-        MontageConfig(n_images=cfg.n_images, name=f"montage-{cfg.n_images}img"),
-    )
-    return run_traced_workflow(cfg, workflow)
+    return run_traced_workflow(cfg, cell_workflow(cfg))
 
 
 def run_traced_chaos(cfg: ExperimentConfig, plan=None, journal_dir=None) -> TracedRun:

@@ -46,7 +46,7 @@ from repro.policy.controller import PolicyController, PolicyRequestError
 from repro.policy.journal import JournalError, PolicyJournal
 from repro.policy.model import PolicyConfig, TransferAdvice
 from repro.policy.rest import PolicyRestServer
-from repro.policy.service import PolicyService
+from repro.policy.service import PolicyRefusedError, PolicyService
 from repro.policy.sharding import (
     HashRing,
     ShardedPolicyService,
@@ -62,6 +62,7 @@ __all__ = [
     "PolicyConfig",
     "PolicyController",
     "PolicyJournal",
+    "PolicyRefusedError",
     "PolicyRequestError",
     "PolicyRestServer",
     "PolicyService",

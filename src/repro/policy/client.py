@@ -27,11 +27,11 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
+from inspect import Parameter, Signature
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.des.core import Environment
-from repro.policy.controller import ROUTES
-from repro.policy.model import CleanupAdvice, TransferAdvice
+from repro.policy.controller import REQUIRED, ROUTES, Route
 from repro.policy.service import PolicyService
 
 __all__ = [
@@ -173,11 +173,13 @@ class CircuitBreaker:
             }
 
 
-_ROUTE_OF = {route.op: route for route in ROUTES}
-
-
 class HTTPPolicyClient:
     """Blocking JSON/HTTP client for :class:`PolicyRestServer`.
+
+    One method per :data:`~repro.policy.controller.ROUTES` operation,
+    generated below the class, each taking the service method's
+    arguments and returning what the service method returns (a record
+    the server answers 404 for is ``None``).
 
     Transport errors and 5xx responses are retried per ``retry`` (4xx
     responses are the caller's bug and surface immediately); exhausted
@@ -203,6 +205,10 @@ class HTTPPolicyClient:
         self._request_seq = 0
         self._request_lock = threading.Lock()
 
+    if TYPE_CHECKING:  # the generated methods, for the type checker only
+
+        def __getattr__(self, op: str) -> Callable[..., Any]: ...
+
     def _next_request_id(self) -> str:
         """Client-generated request id, echoed back by the server (the
         ``X-Repro-Request-Id`` propagation of the REST spans)."""
@@ -210,13 +216,15 @@ class HTTPPolicyClient:
             self._request_seq += 1
             return f"cli-{id(self) & 0xFFFF:04x}-{self._request_seq}"
 
-    def _request(self, op: str, payload: Optional[dict] = None, arg=None, decode=json.loads):
-        """Call operation ``op`` with the verb and path :data:`ROUTES`
-        declares for it (``arg`` fills the path's typed segment), under
-        the retry policy and the breaker."""
-        route = _ROUTE_OF[op]
-        url = self.base_url + route.url(arg)
-        data = None if payload is None else json.dumps(payload).encode()
+    def _request(self, route: Route, values: dict):
+        """One request with the verb and path ``route`` declares, under
+        the retry policy and the breaker.  ``values`` are its fields by
+        wire key: a POST's JSON body, a GET's typed path segment.  Returns
+        the response document: decoded JSON, ``str`` for a text response,
+        ``None`` where the server has no record for the segment."""
+        segment = next(iter(values.values()), None) if route.verb == "GET" else None
+        url = self.base_url + route.url(segment)
+        data = None if route.verb == "GET" else json.dumps(values).encode()
         breaker = self.breaker
         if breaker is not None and not breaker.allow():
             raise CircuitOpenError("policy service circuit is open")
@@ -232,8 +240,11 @@ class HTTPPolicyClient:
             )
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    result = decode(response.read())
+                    as_json = response.headers.get_content_type() == "application/json"
+                    result = json.loads(response.read()) if as_json else response.read().decode()
             except urllib.error.HTTPError as exc:
+                if exc.code == 404 and segment is not None:
+                    return None
                 if exc.code < 500:
                     raise  # client error: retrying cannot help
                 last_error = exc
@@ -251,111 +262,31 @@ class HTTPPolicyClient:
             f"policy service unreachable at {self.base_url}: {last_error}"
         ) from last_error
 
-    # -- API ----------------------------------------------------------------
-    def submit_transfers(self, workflow: str, job: str, transfers: list[dict]) -> list[TransferAdvice]:
-        doc = self._request(
-            "submit_transfers",
-            {"workflow": workflow, "job": job, "transfers": transfers},
-        )
-        return [TransferAdvice.from_dict(a) for a in doc["advice"]]
 
-    def complete_transfers(self, done: Iterable[int] = (), failed: Iterable[int] = ()) -> dict:
-        return self._request(
-            "complete_transfers", {"done": list(done), "failed": list(failed)}
-        )
+def _http(route: Route):
+    signature = Signature([
+        Parameter(field.arg or field.name, Parameter.POSITIONAL_OR_KEYWORD,
+                  default=Parameter.empty if field.default is REQUIRED else field.default)
+        for field in route.fields
+    ])
 
-    def submit_cleanups(self, workflow: str, job: str, files: list[tuple[str, str]]) -> list[CleanupAdvice]:
-        doc = self._request(
-            "submit_cleanups",
-            {
-                "workflow": workflow,
-                "job": job,
-                "files": [{"lfn": lfn, "url": url} for lfn, url in files],
-            },
-        )
-        return [CleanupAdvice.from_dict(a) for a in doc["advice"]]
+    def method(self, *args, **kwargs):
+        # Bound as the service method binds them.  An argument left to
+        # its default stays out of the request: the server applies it.
+        given = signature.bind(*args, **kwargs).arguments
+        doc = self._request(route, {
+            field.name: getattr(field.check, "to_wire", _materialized)(given[keyword])
+            for keyword, field in zip(signature.parameters, route.fields) if keyword in given
+        })
+        if doc is None or (route.echo and not route.result):
+            return None  # no such record; the service returns nothing
+        value = doc[route.result] if route.result else doc
+        return [route.advice.from_dict(item) for item in value] if route.advice else value
 
-    def complete_cleanups(self, ids: Iterable[int]) -> dict:
-        return self._request("complete_cleanups", {"ids": list(ids)})
-
-    def staging_state(self, lfn: str, url: str) -> str:
-        return self._request("staging_state", {"lfn": lfn, "url": url})["state"]
-
-    def transfer_state(self, tid: int) -> str:
-        return self._request("transfer_state", arg=tid)["state"]
-
-    def explain(self, tid: int) -> Optional[dict]:
-        """The decision-provenance record for a transfer (None = unknown)."""
-        try:
-            return self._request("explain", arg=tid)
-        except urllib.error.HTTPError as exc:
-            if exc.code != 404:
-                raise
-            return None
-
-    def register_priorities(self, workflow: str, priorities: dict) -> dict:
-        return self._request(
-            "register_priorities", {"workflow": workflow, "priorities": priorities}
-        )
-
-    def unregister_workflow(self, workflow: str, retain_staged: bool = False) -> dict:
-        return self._request(
-            "unregister_workflow", {"workflow": workflow, "retain_staged": retain_staged}
-        )
-
-    def reconcile_staged(self, workflow: str, files: Iterable[tuple]) -> dict:
-        docs = []
-        for lfn, url, *rest in files:
-            doc = {"lfn": lfn, "url": url}
-            if rest:
-                doc["nbytes"] = rest[0]
-            docs.append(doc)
-        return self._request("reconcile_staged", {"workflow": workflow, "files": docs})
-
-    def deny_host(self, host: str, direction: str = "any", reason: str = "") -> dict:
-        return self._request(
-            "deny_host", {"host": host, "direction": direction, "reason": reason}
-        )
-
-    def allow_host(self, host: str) -> dict:
-        return self._request("allow_host", {"host": host})
-
-    def set_quota(self, workflow: str, max_bytes: float) -> dict:
-        return self._request("set_quota", {"workflow": workflow, "max_bytes": max_bytes})
-
-    def register_tenant(self, tenant: str, **spec) -> dict:
-        """``spec``: weight, priority_class, max_bytes, max_streams,
-        max_concurrent (all optional)."""
-        return self._request("register_tenant", {"tenant": tenant, **spec})
-
-    def unregister_tenant(self, tenant: str) -> dict:
-        return self._request("unregister_tenant", {"tenant": tenant})
-
-    def bind_workflow(self, workflow: str, tenant: str) -> dict:
-        return self._request("bind_workflow", {"workflow": workflow, "tenant": tenant})
-
-    def tenants(self) -> list[dict]:
-        return self._request("tenants")["tenants"]
-
-    def catalog_census(self) -> dict:
-        return self._request("catalog_census")
-
-    def catalog_replicas(self, lfn: str) -> list[dict]:
-        return self._request("catalog_replicas", arg=lfn)["replicas"]
-
-    def set_site_capacity(self, site: str, capacity_bytes) -> dict:
-        return self._request(
-            "set_site_capacity", {"site": site, "capacity_bytes": capacity_bytes}
-        )
-
-    def catalog_pin(self, url: str, pinned: bool = True) -> dict:
-        return self._request("catalog_pin", {"url": url, "pinned": pinned})
-
-    def status(self) -> dict:
-        return self._request("status")
-
-    def metrics_text(self) -> str:
-        return self._request("metrics_text", decode=bytes.decode)
+    method.__name__ = route.op
+    method.__qualname__ = f"HTTPPolicyClient.{route.op}"
+    method.__doc__ = f"``PolicyService.{route.service_op or route.op}`` over HTTP."
+    return method
 
 
 class InProcessPolicyClient:
@@ -475,7 +406,8 @@ def _rpc(op: str, service_op: str):
     return method
 
 
-# One generated method per operation of the wire surface, with the
-# service method's own signature.
+# One generated method per operation of the wire surface and client,
+# with the service method's own signature.
 for _route in ROUTES:
+    setattr(HTTPPolicyClient, _route.op, _http(_route))
     setattr(InProcessPolicyClient, _route.op, _rpc(_route.op, _route.service_op or _route.op))

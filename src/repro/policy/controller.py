@@ -6,22 +6,31 @@ that accepts JSON-able dict payloads (from the REST frontend or any other
 transport), validates them, delegates to :class:`PolicyService`, and
 returns JSON-able dict responses.
 
-:data:`ROUTES` is the one declaration of the wire surface: the frontend
-routes through :meth:`PolicyController.dispatch`, the HTTP client takes
-each operation's verb and path from it, and the in-process client
-generates its methods from it.
+:data:`ROUTES` is the one declaration of the wire surface.  Each
+:class:`Route` names an operation's verb and path, its request fields
+(how each is checked, what it defaults to, which service argument it
+becomes) and the envelope its response travels in; the controller's
+handlers, both clients' methods and the shard router's broadcasts are
+generated from it.  Adding an endpoint is one entry here plus the
+service method (plus a router method when the operation is keyed).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, NamedTuple, Optional
+from functools import partial
+from typing import Any, Callable, NamedTuple, Optional
 from urllib.parse import quote, unquote
 
-from repro.policy.service import PolicyService
+from repro.net.gridftp import parse_url
+from repro.policy.model import CleanupAdvice, TransferAdvice
+from repro.policy.service import PolicyRefusedError, PolicyService
 
-__all__ = ["ROUTES", "PolicyController", "PolicyRequestError", "PolicyRouteError", "Route"]
+__all__ = [
+    "REQUIRED", "ROUTES", "Field", "PolicyController", "PolicyRequestError", "PolicyRouteError",
+    "Route",
+]
 
 
 class PolicyRequestError(ValueError):
@@ -38,21 +47,208 @@ class PolicyRouteError(LookupError):
         self.allow = allow
 
 
+# ---------------------------------------------------------------- checks
+# A check is ``check(value, where) -> value``: it returns the value the
+# service takes, or raises PolicyRequestError naming ``where``.
+def _typed(value: Any, where: str, kind: type) -> Any:
+    if not isinstance(value, kind):
+        raise PolicyRequestError(
+            f"field {where!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _str(value: Any, where: str) -> str:
+    return _typed(value, where, str)
+
+
+def _nonempty(value: Any, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise PolicyRequestError(f"{where} must be a non-empty string")
+    return value
+
+
+def _url(value: Any, where: str) -> str:
+    try:
+        parse_url(_str(value, where))
+    except ValueError as exc:
+        raise PolicyRequestError(f"{where}: {exc}") from exc
+    return value
+
+
+def _int(value: Any, where: str, minimum: Optional[int] = None) -> int:
+    """A JSON integer: ``true``/``false`` decode to ``bool``, an ``int``
+    subclass, and would pass a bare ``isinstance(value, int)``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PolicyRequestError(f"{where} must be an integer")
+    if minimum is not None and value < minimum:
+        raise PolicyRequestError(f"{where} must be an integer >= {minimum}")
+    return value
+
+
+def _number(value: Any, where: str, positive: bool = False) -> float:
+    """Reject NaN/inf: ``json.loads`` happily parses ``NaN`` and
+    ``Infinity``, and ``NaN < 0`` is False — so a plain ``< 0`` guard lets
+    a poisoned quota into policy memory."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        number = float(value) if is_number else math.nan
+    except OverflowError:  # an integer beyond any float
+        number = math.inf
+    if not math.isfinite(number) or number < 0 or (positive and number == 0):
+        raise PolicyRequestError(
+            f"{where} must be a finite number {'> 0' if positive else '>= 0'}"
+        )
+    return number
+
+
+_positive_int = partial(_int, minimum=1)
+_positive_number = partial(_number, positive=True)
+
+
+def _bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise PolicyRequestError(f"{where} must be a boolean")
+    return value
+
+
+def _one_of(*options: str) -> Callable:
+    def check(value: Any, where: str) -> str:
+        if value not in options:
+            raise PolicyRequestError(f"{where} must be {'/'.join(options)}")
+        return value
+
+    return check
+
+
+def _nullable(check: Callable) -> Callable:
+    return lambda value, where: None if value is None else check(value, where)
+
+
+def _object_of(check: Callable) -> Callable:
+    def checked(value: Any, where: str) -> dict:
+        return {
+            key: check(item, f"{where}[{key!r}]")
+            for key, item in _typed(value, where, dict).items()
+        }
+
+    return checked
+
+
+def _list_of(check: Callable) -> Callable:
+    def checked(value: Any, where: str) -> list:
+        return [
+            check(entry, f"{where}[{idx}]")
+            for idx, entry in enumerate(_typed(value, where, list))
+        ]
+
+    return checked
+
+
+#: :attr:`Field.default` of a field the request must carry
+REQUIRED: Any = object()
+#: :attr:`Field.default` of an optional record member that stays absent:
+#: the service has its own fallback (``spec.get("cluster", job)``)
+OMIT: Any = object()
+
+
+class Field(NamedTuple):
+    """One request field: its wire key, its check, what it is when the
+    request omits it, and the service keyword it is passed as where that
+    is not the wire key."""
+
+    name: str
+    check: Callable[[Any, str], Any]
+    default: Any = REQUIRED
+    arg: str = ""
+
+
+def _check_members(fields: tuple, doc: Any, prefix: str = "") -> dict:
+    """Every declared member of the JSON object ``doc``, checked."""
+    if not isinstance(doc, dict):
+        raise PolicyRequestError(
+            f"{prefix or 'payload'} must be an object, got {type(doc).__name__}"
+        )
+    checked = {}
+    for field in fields:
+        where = f"{prefix}.{field.name}" if prefix else field.name
+        if field.name in doc:
+            checked[field.name] = field.check(doc[field.name], where)
+        elif field.default is REQUIRED:
+            raise PolicyRequestError(f"missing required field {where!r}")
+        elif field.default is not OMIT:
+            checked[field.name] = field.default
+    return checked
+
+
+class _Records:
+    """A JSON array of objects with declared members.  The service takes
+    each as a dict, or — ``as_tuple`` — as the tuple of its non-null
+    members (``(lfn, url[, nbytes])``); :meth:`to_wire` is the way back."""
+
+    def __init__(self, *fields: Field, as_tuple: bool = False):
+        self.fields = fields
+        self.as_tuple = as_tuple
+        self._check = _list_of(partial(_check_members, fields))
+
+    def __call__(self, value: Any, where: str) -> list:
+        records = self._check(value, where)
+        if self.as_tuple:
+            return [tuple(v for v in r.values() if v is not None) for r in records]
+        return records
+
+    def to_wire(self, items) -> list:
+        if self.as_tuple:
+            names = [field.name for field in self.fields]
+            return [dict(zip(names, item)) for item in items]
+        return list(items)
+
+
+_TRANSFERS = _Records(
+    Field("lfn", _str),
+    Field("src_url", _url),
+    Field("dst_url", _url),
+    Field("nbytes", _number, OMIT),
+    Field("streams", _nullable(_positive_int), OMIT),
+    Field("priority", _int, OMIT),
+    Field("cluster", _str, OMIT),
+)
+_FILES = _Records(Field("lfn", _str), Field("url", _url), as_tuple=True)
+_SIZED_FILES = _Records(
+    *_FILES.fields, Field("nbytes", _nullable(_number), OMIT), as_tuple=True
+)
+_WORKFLOW = Field("workflow", _str)
+
+
 class Route(NamedTuple):
     """One operation of the wire surface.
 
     ``path`` may end in one typed segment, ``<name:int>`` or
-    ``<name:str>``, whose decoded value is the operation's only
-    argument; otherwise a GET takes none and a POST the JSON body.
-    ``op`` names the method on :class:`PolicyController` and on both
-    clients, ``service_op`` the service method behind it where that is
-    named differently.
+    ``<name:str>``, whose decoded value is the route's single field;
+    otherwise a GET takes none and a POST the JSON body.  ``op`` names
+    the method on :class:`PolicyController` and on both clients,
+    ``service_op`` the service method behind it where that is named
+    differently.  ``fields`` are in the service method's positional
+    order.
+
+    The response repeats the request fields named in ``echo`` and
+    carries the service's value under ``result`` (``advice`` is the
+    class of an advice list's items), or ``true`` under ``ack`` when the
+    service returns nothing; with none of the three the value *is* the
+    response.  ``broadcast`` marks an admin mutation the shard router
+    applies to every shard unchanged.
     """
 
     verb: str
     path: str
     op: str
+    fields: tuple = ()
+    echo: tuple = ()
+    result: str = ""
+    ack: str = ""
+    advice: Optional[type] = None
     service_op: str = ""
+    broadcast: bool = False
 
     def url(self, arg=None) -> str:
         """The request path, ``arg`` quoted into the typed segment."""
@@ -62,28 +258,61 @@ class Route(NamedTuple):
 
 
 ROUTES: tuple[Route, ...] = (
-    Route("POST", "/policy/transfers", "submit_transfers"),
-    Route("POST", "/policy/transfers/complete", "complete_transfers"),
-    Route("GET", "/policy/transfers/<tid:int>", "transfer_state"),
-    Route("GET", "/policy/explain/<tid:int>", "explain"),
-    Route("POST", "/policy/staging", "staging_state"),
-    Route("POST", "/policy/cleanups", "submit_cleanups"),
-    Route("POST", "/policy/cleanups/complete", "complete_cleanups"),
-    Route("POST", "/policy/staged/reconcile", "reconcile_staged"),
-    Route("POST", "/policy/priorities", "register_priorities"),
-    Route("POST", "/policy/workflows/unregister", "unregister_workflow"),
-    Route("POST", "/policy/denials", "deny_host"),
-    Route("POST", "/policy/denials/remove", "allow_host"),
-    Route("POST", "/policy/quotas", "set_quota"),
-    Route("POST", "/policy/tenants", "register_tenant"),
-    Route("POST", "/policy/tenants/remove", "unregister_tenant"),
-    Route("POST", "/policy/tenants/bind", "bind_workflow"),
-    Route("GET", "/policy/tenants", "tenants"),
+    Route("POST", "/policy/transfers", "submit_transfers",
+          (_WORKFLOW, Field("job", _str), Field("transfers", _TRANSFERS)),
+          echo=("workflow", "job"), result="advice", advice=TransferAdvice),
+    Route("POST", "/policy/transfers/complete", "complete_transfers",
+          (Field("done", _list_of(_int), ()), Field("failed", _list_of(_int), ()))),
+    Route("GET", "/policy/transfers/<tid:int>", "transfer_state", (Field("tid", _int),),
+          echo=("tid",), result="state"),
+    Route("GET", "/policy/explain/<tid:int>", "explain", (Field("tid", _int),)),
+    Route("POST", "/policy/staging", "staging_state",
+          (Field("lfn", _str), Field("url", _url, arg="dst_url")),
+          echo=("lfn", "url"), result="state"),
+    Route("POST", "/policy/cleanups", "submit_cleanups",
+          (_WORKFLOW, Field("job", _str), Field("files", _FILES)),
+          echo=("workflow", "job"), result="advice", advice=CleanupAdvice),
+    Route("POST", "/policy/cleanups/complete", "complete_cleanups",
+          (Field("ids", _list_of(_int)),)),
+    Route("POST", "/policy/staged/reconcile", "reconcile_staged",
+          (_WORKFLOW, Field("files", _SIZED_FILES))),
+    Route("POST", "/policy/priorities", "register_priorities",
+          (_WORKFLOW, Field("priorities", _object_of(_int))),
+          echo=("workflow",), result="registered", broadcast=True),
+    Route("POST", "/policy/workflows/unregister", "unregister_workflow",
+          (_WORKFLOW, Field("retain_staged", _bool, False)),
+          echo=("workflow",), ack="unregistered"),
+    Route("POST", "/policy/denials", "deny_host",
+          (Field("host", _str), Field("direction", _one_of("src", "dst", "any"), "any"),
+           Field("reason", _str, "")),
+          echo=("host", "direction"), ack="denied", broadcast=True),
+    Route("POST", "/policy/denials/remove", "allow_host", (Field("host", _str),),
+          echo=("host",), result="removed", broadcast=True),
+    Route("POST", "/policy/quotas", "set_quota",
+          (_WORKFLOW, Field("max_bytes", _number)),
+          echo=("workflow", "max_bytes"), broadcast=True),
+    Route("POST", "/policy/tenants", "register_tenant",
+          (Field("tenant", _nonempty),
+           Field("weight", _positive_number, 1.0),
+           Field("priority_class", _int, 0),
+           Field("max_bytes", _nullable(_number), None),
+           Field("max_streams", _nullable(_positive_int), None),
+           Field("max_concurrent", _nullable(_positive_int), None)),
+          echo=("tenant",), ack="registered", broadcast=True),
+    Route("POST", "/policy/tenants/remove", "unregister_tenant", (Field("tenant", _str),),
+          echo=("tenant",), result="removed", broadcast=True),
+    Route("POST", "/policy/tenants/bind", "bind_workflow", (_WORKFLOW, Field("tenant", _str)),
+          echo=("workflow", "tenant"), ack="bound", broadcast=True),
+    Route("GET", "/policy/tenants", "tenants", result="tenants"),
     Route("GET", "/policy/catalog", "catalog_census"),
-    Route("GET", "/policy/catalog/replicas/<lfn:str>", "catalog_replicas"),
-    Route("POST", "/policy/catalog/sites", "set_site_capacity"),
-    Route("POST", "/policy/catalog/pins", "catalog_pin"),
-    Route("GET", "/policy/status", "status", "snapshot"),
+    Route("GET", "/policy/catalog/replicas/<lfn:str>", "catalog_replicas",
+          (Field("lfn", _nonempty),), echo=("lfn",), result="replicas"),
+    Route("POST", "/policy/catalog/sites", "set_site_capacity",
+          (Field("site", _nonempty),
+           Field("capacity_bytes", _nullable(_number), None))),
+    Route("POST", "/policy/catalog/pins", "catalog_pin",
+          (Field("url", _url), Field("pinned", _bool, True))),
+    Route("GET", "/policy/status", "status", service_op="snapshot"),
     Route("GET", "/policy/metrics", "metrics_text"),
 )
 
@@ -92,26 +321,6 @@ ROUTES: tuple[Route, ...] = (
 _BY_PATH: dict[str, dict[str, Route]] = {}
 for _route in ROUTES:
     _BY_PATH.setdefault(_route.path.partition("<")[0], {})[_route.verb] = _route
-
-
-def _require(payload: dict, key: str, types: tuple = (str,)) -> Any:
-    if not isinstance(payload, dict):
-        raise PolicyRequestError(f"payload must be an object, got {type(payload).__name__}")
-    if key not in payload:
-        raise PolicyRequestError(f"missing required field {key!r}")
-    value = payload[key]
-    if not isinstance(value, types):
-        raise PolicyRequestError(
-            f"field {key!r} must be {'/'.join(t.__name__ for t in types)}, "
-            f"got {type(value).__name__}"
-        )
-    return value
-
-
-def _is_int(value: Any) -> bool:
-    """A JSON integer: ``true``/``false`` decode to ``bool``, an ``int``
-    subclass, and would pass a bare ``isinstance(value, int)``."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _json_object(body: bytes) -> dict:
@@ -124,17 +333,13 @@ def _json_object(body: bytes) -> dict:
     return doc
 
 
-def _finite_nonneg(value: float, name: str) -> float:
-    """Reject NaN/inf byte counts: ``json.loads`` happily parses ``NaN`` and
-    ``Infinity``, and ``NaN < 0`` is False — so a plain ``< 0`` guard lets
-    a poisoned quota into policy memory."""
-    if isinstance(value, bool) or not math.isfinite(value) or value < 0:
-        raise PolicyRequestError(f"{name} must be a finite number >= 0")
-    return float(value)
-
-
 class PolicyController:
-    """Dict-in / dict-out facade over a :class:`PolicyService`."""
+    """Dict-in / dict-out facade over a :class:`PolicyService`.
+
+    One handler per :data:`ROUTES` operation, generated below the class:
+    ``op(payload)`` for a POST, ``op(value)`` for a typed path segment,
+    ``op()`` for a plain GET.
+    """
 
     def __init__(self, service: PolicyService):
         self.service = service
@@ -161,9 +366,8 @@ class PolicyController:
         # controller (tests, operators) is the one that runs.
         handler = getattr(self, route.op)
         if route.path.endswith(":int>"):
-            if not segment.isdigit():
-                raise PolicyRequestError(f"{route.path.rpartition('/')[2]} must be an integer")
-            result = handler(int(segment))
+            # anything but digits is left for the field's check to refuse
+            result = handler(int(segment) if segment.isdigit() else segment)
         elif route.path.endswith(":str>"):
             result = handler(unquote(segment))
         elif verb == "GET":
@@ -174,233 +378,42 @@ class PolicyController:
             raise PolicyRouteError(404, f"no {route.op} record for {segment}")
         return result
 
-    # -- transfers ---------------------------------------------------------
-    def submit_transfers(self, payload: dict) -> dict:
-        workflow = _require(payload, "workflow")
-        job = _require(payload, "job")
-        transfers = _require(payload, "transfers", (list,))
-        specs = []
-        for idx, item in enumerate(transfers):
-            if not isinstance(item, dict):
-                raise PolicyRequestError(f"transfers[{idx}] must be an object")
-            for field in ("lfn", "src_url", "dst_url"):
-                _require(item, field)
-            nbytes = item.get("nbytes", 0)
-            if not isinstance(nbytes, (int, float)):
-                raise PolicyRequestError(f"transfers[{idx}].nbytes must be >= 0")
-            _finite_nonneg(nbytes, f"transfers[{idx}].nbytes")
-            streams = item.get("streams")
-            if streams is not None and (not _is_int(streams) or streams < 1):
-                raise PolicyRequestError(f"transfers[{idx}].streams must be int >= 1")
-            specs.append(item)
-        advice = self.service.submit_transfers(workflow, job, specs)
-        return {"workflow": workflow, "job": job, "advice": [a.to_dict() for a in advice]}
-
-    def complete_transfers(self, payload: dict) -> dict:
-        done = payload.get("done", [])
-        failed = payload.get("failed", [])
-        for name, ids in (("done", done), ("failed", failed)):
-            if not isinstance(ids, list) or not all(_is_int(i) for i in ids):
-                raise PolicyRequestError(f"field {name!r} must be a list of transfer ids")
-        return self.service.complete_transfers(done=done, failed=failed)
-
-    def transfer_state(self, tid: int) -> dict:
-        if not isinstance(tid, int):
-            raise PolicyRequestError("transfer id must be an integer")
-        return {"tid": tid, "state": self.service.transfer_state(tid)}
-
-    def explain(self, tid: int) -> Optional[dict]:
-        """The decision-provenance record for a transfer (None = unknown)."""
-        if not isinstance(tid, int):
-            raise PolicyRequestError("transfer id must be an integer")
-        return self.service.explain(tid)
-
-    def staging_state(self, payload: dict) -> dict:
-        lfn = _require(payload, "lfn")
-        url = _require(payload, "url")
-        return {"lfn": lfn, "url": url, "state": self.service.staging_state(lfn, url)}
-
-    # -- cleanups ------------------------------------------------------------
-    def submit_cleanups(self, payload: dict) -> dict:
-        workflow = _require(payload, "workflow")
-        job = _require(payload, "job")
-        files = _require(payload, "files", (list,))
-        pairs = []
-        for idx, item in enumerate(files):
-            if not isinstance(item, dict):
-                raise PolicyRequestError(f"files[{idx}] must be an object")
-            pairs.append((_require(item, "lfn"), _require(item, "url")))
-        advice = self.service.submit_cleanups(workflow, job, pairs)
-        return {"workflow": workflow, "job": job, "advice": [a.to_dict() for a in advice]}
-
-    def complete_cleanups(self, payload: dict) -> dict:
-        ids = _require(payload, "ids", (list,))
-        if not all(_is_int(i) for i in ids):
-            raise PolicyRequestError("field 'ids' must be a list of cleanup ids")
-        return self.service.complete_cleanups(ids)
-
-    # -- reconciliation -------------------------------------------------------
-    def reconcile_staged(self, payload: dict) -> dict:
-        """Adopt files staged while the service was down (degraded clients)."""
-        workflow = _require(payload, "workflow")
-        files = _require(payload, "files", (list,))
-        entries = []
-        for idx, item in enumerate(files):
-            if not isinstance(item, dict):
-                raise PolicyRequestError(f"files[{idx}] must be an object")
-            entry = [_require(item, "lfn"), _require(item, "url")]
-            nbytes = item.get("nbytes")
-            if nbytes is not None:
-                if not isinstance(nbytes, (int, float)):
-                    raise PolicyRequestError(
-                        f"files[{idx}].nbytes must be a number"
-                    )
-                entry.append(_finite_nonneg(nbytes, f"files[{idx}].nbytes"))
-            entries.append(tuple(entry))
-        return self.service.reconcile_staged(workflow, entries)
-
-    # -- staged-data catalog --------------------------------------------------
-    def catalog_census(self) -> dict:
-        """The staged-data catalog census (replicas + site budgets)."""
+    def _respond(self, route: Route, checked: dict):
+        """Call the service with the checked fields; wrap its value in
+        the route's envelope."""
+        kwargs = {field.arg or field.name: checked[field.name] for field in route.fields}
         try:
-            return self.service.catalog_census()
-        except RuntimeError as exc:
-            raise PolicyRequestError(str(exc)) from exc
+            value = getattr(self.service, route.service_op or route.op)(**kwargs)
+        except PolicyRefusedError as exc:
+            raise PolicyRequestError(str(exc.args[0])) from exc
+        if route.advice is not None:
+            value = [item.to_dict() for item in value]
+        doc = {name: checked[name] for name in route.echo}
+        if route.result:
+            doc[route.result] = value
+        elif route.ack:
+            doc[route.ack] = True
+        return doc or value  # no envelope declared: the value is the response
 
-    def catalog_replicas(self, lfn: str) -> dict:
-        """Known replicas of one dataset, sorted by (site, url)."""
-        if not isinstance(lfn, str) or not lfn:
-            raise PolicyRequestError("lfn must be a non-empty string")
-        try:
-            return {"lfn": lfn, "replicas": self.service.catalog_replicas(lfn)}
-        except RuntimeError as exc:
-            raise PolicyRequestError(str(exc)) from exc
 
-    def set_site_capacity(self, payload: dict) -> dict:
-        """Set (or lift, with null) one site's byte budget at runtime."""
-        site = _require(payload, "site")
-        if not site:
-            raise PolicyRequestError("site must be a non-empty string")
-        capacity = payload.get("capacity_bytes")
-        if capacity is not None:
-            if not isinstance(capacity, (int, float)):
-                raise PolicyRequestError("capacity_bytes must be a number or null")
-            capacity = _finite_nonneg(capacity, "capacity_bytes")
-        try:
-            return self.service.set_site_capacity(site, capacity)
-        except RuntimeError as exc:
-            raise PolicyRequestError(str(exc)) from exc
+def _handler(route: Route):
+    if route.path.endswith(">"):
+        (field,) = route.fields
 
-    def catalog_pin(self, payload: dict) -> dict:
-        """Pin (pinned=true, the default) or unpin a replica by url."""
-        url = _require(payload, "url")
-        pinned = payload.get("pinned", True)
-        if not isinstance(pinned, bool):
-            raise PolicyRequestError("pinned must be a boolean")
-        try:
-            return self.service.catalog_pin(url, pinned)
-        except (RuntimeError, KeyError) as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            raise PolicyRequestError(str(message)) from exc
+        def handler(self, value):
+            return self._respond(route, {field.name: field.check(value, field.name)})
+    elif route.verb == "GET":
+        def handler(self):
+            return self._respond(route, {})
+    else:
+        def handler(self, payload):
+            return self._respond(route, _check_members(route.fields, payload))
 
-    # -- access control -------------------------------------------------------
-    def deny_host(self, payload: dict) -> dict:
-        host = _require(payload, "host")
-        direction = payload.get("direction", "any")
-        if direction not in ("src", "dst", "any"):
-            raise PolicyRequestError("direction must be src/dst/any")
-        try:
-            self.service.deny_host(host, direction, payload.get("reason", ""))
-        except RuntimeError as exc:
-            raise PolicyRequestError(str(exc)) from exc
-        return {"host": host, "direction": direction, "denied": True}
+    handler.__name__ = route.op
+    handler.__qualname__ = f"PolicyController.{route.op}"
+    handler.__doc__ = f"``{route.verb} {route.path}``, checked per :data:`ROUTES`."
+    return handler
 
-    def allow_host(self, payload: dict) -> dict:
-        host = _require(payload, "host")
-        return {"host": host, "removed": self.service.allow_host(host)}
 
-    def set_quota(self, payload: dict) -> dict:
-        workflow = _require(payload, "workflow")
-        max_bytes = _finite_nonneg(
-            _require(payload, "max_bytes", (int, float)), "max_bytes"
-        )
-        try:
-            self.service.set_quota(workflow, max_bytes)
-        except RuntimeError as exc:
-            raise PolicyRequestError(str(exc)) from exc
-        return {"workflow": workflow, "max_bytes": max_bytes}
-
-    # -- tenants -------------------------------------------------------------
-    def register_tenant(self, payload: dict) -> dict:
-        tenant = _require(payload, "tenant")
-        if not tenant:
-            raise PolicyRequestError("tenant must be a non-empty string")
-        weight = payload.get("weight", 1.0)
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool) \
-                or not math.isfinite(weight) or weight <= 0:
-            raise PolicyRequestError("weight must be a finite number > 0")
-        priority_class = payload.get("priority_class", 0)
-        if not _is_int(priority_class):
-            raise PolicyRequestError("priority_class must be an integer")
-        max_bytes: Optional[float] = payload.get("max_bytes")
-        if max_bytes is not None:
-            if not isinstance(max_bytes, (int, float)):
-                raise PolicyRequestError("max_bytes must be a number or null")
-            max_bytes = _finite_nonneg(max_bytes, "max_bytes")
-        caps: dict[str, Optional[int]] = {}
-        for name in ("max_streams", "max_concurrent"):
-            value = payload.get(name)
-            if value is not None and (not _is_int(value) or value < 1):
-                raise PolicyRequestError(f"{name} must be an integer >= 1 or null")
-            caps[name] = value
-        self.service.register_tenant(
-            tenant,
-            weight=float(weight),
-            priority_class=priority_class,
-            max_bytes=max_bytes,
-            max_streams=caps["max_streams"],
-            max_concurrent=caps["max_concurrent"],
-        )
-        return {"tenant": tenant, "registered": True}
-
-    def unregister_tenant(self, payload: dict) -> dict:
-        tenant = _require(payload, "tenant")
-        return {"tenant": tenant, "removed": self.service.unregister_tenant(tenant)}
-
-    def bind_workflow(self, payload: dict) -> dict:
-        workflow = _require(payload, "workflow")
-        tenant = _require(payload, "tenant")
-        try:
-            self.service.bind_workflow(workflow, tenant)
-        except RuntimeError as exc:
-            raise PolicyRequestError(str(exc)) from exc
-        return {"workflow": workflow, "tenant": tenant, "bound": True}
-
-    def tenants(self) -> dict:
-        return {"tenants": self.service.tenants()}
-
-    # -- workflows ----------------------------------------------------------
-    def register_priorities(self, payload: dict) -> dict:
-        workflow = _require(payload, "workflow")
-        priorities = _require(payload, "priorities", (dict,))
-        for job, value in priorities.items():
-            if not isinstance(value, int):
-                raise PolicyRequestError(f"priority for {job!r} must be an integer")
-        count = self.service.register_priorities(workflow, priorities)
-        return {"workflow": workflow, "registered": count}
-
-    def unregister_workflow(self, payload: dict) -> dict:
-        workflow = _require(payload, "workflow")
-        retain = payload.get("retain_staged", False)
-        if not isinstance(retain, bool):
-            raise PolicyRequestError("retain_staged must be a boolean")
-        self.service.unregister_workflow(workflow, retain_staged=retain)
-        return {"workflow": workflow, "unregistered": True}
-
-    # -- status ---------------------------------------------------------------
-    def status(self) -> dict:
-        return self.service.snapshot()
-
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of the service's metrics registry."""
-        return self.service.metrics_text()
+for _route in ROUTES:
+    setattr(PolicyController, _route.op, _handler(_route))

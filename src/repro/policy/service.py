@@ -51,7 +51,53 @@ from repro.policy.rules_fairshare import TenantFact, TenantWorkflowFact, fairsha
 from repro.policy.rules_greedy import greedy_rules
 from repro.policy.rules_priority import JobPriorityFact, priority_rules
 
-__all__ = ["PolicyService"]
+__all__ = [
+    "PolicyRefusedError", "PolicyService", "UnknownReplicaError", "order_advice", "rule_packs",
+]
+
+
+class PolicyRefusedError(RuntimeError):
+    """The service will not do what was asked as it is configured or
+    populated: a pack that is not enabled, a tenant that is not
+    registered.  The caller's fault (HTTP 400), unlike any other
+    ``RuntimeError`` a call may raise."""
+
+
+class UnknownReplicaError(PolicyRefusedError, KeyError):
+    """No catalog replica at the url a caller wants to pin."""
+
+
+def rule_packs(config: PolicyConfig) -> list[Callable[[], Sequence[Rule]]]:
+    """The pack builders a service running ``config`` loads, in rule
+    order — the one statement of it, shared with the linter and the
+    verifier so a pack added here is analysed too."""
+    # fairshare is always composed (inert without tenant facts)
+    packs = [common_rules, priority_rules, fairshare_rules]
+    if config.access_control:
+        packs.append(access_rules)
+    if config.policy == "greedy":
+        packs.append(greedy_rules)
+    elif config.policy == "balanced":
+        packs.append(balanced_rules)
+    if config.catalog is not None:
+        packs.append(eviction_rules)
+    return packs
+
+
+_ADVICE_RANK = {"transfer": 0, "wait": 1, "skip": 2, "deny": 3}
+
+
+def order_advice(advice: list[TransferAdvice], order_by: str) -> list[TransferAdvice]:
+    """Order: executable transfers first ("Sort the list of transfers by
+    the source and destination URLs", optionally by priority), then
+    waits, then skips."""
+
+    def key(a: TransferAdvice):
+        if order_by == "priority":
+            return (_ADVICE_RANK[a.action], -a.priority, a.src_url, a.dst_url, a.tid)
+        return (_ADVICE_RANK[a.action], a.src_url, a.dst_url, a.tid)
+
+    return sorted(advice, key=key)
 
 
 class _BoundedIdSet:
@@ -144,17 +190,8 @@ class PolicyService:
             if self.config.catalog is not None
             else None
         )
-        rules = list(common_rules()) + list(priority_rules()) + list(fairshare_rules())
-        if self.config.access_control:
-            rules += access_rules()
-        if self.config.policy == "greedy":
-            rules += greedy_rules()
-        elif self.config.policy == "balanced":
-            rules += balanced_rules()
-        if self.catalog is not None:
-            rules += eviction_rules()
-        rules += list(extra_rules)
-        self._rules = rules
+        rules = [rule for pack in rule_packs(self.config) for rule in pack()]
+        self._rules = rules + list(extra_rules)
         # Plain integer counters (not itertools.count) so snapshots can
         # read the high-water marks and recovery can restore them.
         self._tid_last = 0
@@ -172,7 +209,7 @@ class PolicyService:
         # call pays for the facts it touches, not for re-matching the
         # resident set; ``_session()`` hands it out reset.
         self._rule_session: Session = self.session_class(
-            rules, memory=self.memory, globals=self.globals, profiler=profiler
+            self._rules, memory=self.memory, globals=self.globals, profiler=profiler
         )
         #: decision-provenance log (None when config.decision_log is off)
         self.decisions: Optional[DecisionLog] = (
@@ -593,6 +630,9 @@ class PolicyService:
                 )
             if tids:
                 self._tid_last = max(self._tid_last, max(tids))
+        # Everything a bad spec can raise on happens before the first
+        # insert, so a failed call strands no fact of the batch in live
+        # memory that the aborted journal transaction never saw.
         facts: list[TransferFact] = []
         selected_sources: dict[int, dict] = {}
         for index, spec in enumerate(specs):
@@ -609,9 +649,12 @@ class PolicyService:
                 )
                 if chosen is not None:
                     src_url = chosen.url
-                    self.catalog.touch(chosen.url, self.clock())
-                    self._m_catalog["selected"].inc()
-            fact = TransferFact(
+                    selected_sources[tid] = {
+                        "requested_src": spec["src_url"],
+                        "selected_src": src_url,
+                        "site": self.catalog.site_of_url(src_url),
+                    }
+            facts.append(TransferFact(
                 tid=tid,
                 workflow=workflow,
                 job=job,
@@ -623,14 +666,11 @@ class PolicyService:
                 priority=int(spec.get("priority", 0)),
                 cluster=spec.get("cluster", job),
                 batch=batch,
-            )
-            facts.append(fact)
-            if src_url != spec["src_url"]:
-                selected_sources[fact.tid] = {
-                    "requested_src": spec["src_url"],
-                    "selected_src": src_url,
-                    "site": self.catalog.site_of_url(src_url),
-                }
+            ))
+        for fact in facts:
+            if fact.tid in selected_sources:
+                self.catalog.touch(fact.src_url, self.clock())
+                self._m_catalog["selected"].inc()
             session.insert(fact)
         self._m_transfers["submitted"].inc(len(facts))
         self._fire(session)
@@ -746,26 +786,13 @@ class PolicyService:
                         record["meta"]["catalog"] = info
                 self._record_decision(record)
         self._commit_journal()
-        return self._order_advice(advice)
+        return order_advice(advice, self.config.order_by)
 
     def _record_decision(self, record: dict) -> None:
         """Retain a decision record and journal it with this transaction."""
         self.decisions.add(record)
         if self.journal is not None:
             self.journal.record_decision(record)
-
-    def _order_advice(self, advice: list[TransferAdvice]) -> list[TransferAdvice]:
-        """Order: executable transfers first ("Sort the list of transfers by
-        the source and destination URLs", optionally by priority), then
-        waits, then skips."""
-        rank = {"transfer": 0, "wait": 1, "skip": 2, "deny": 3}
-
-        def key(a: TransferAdvice):
-            if self.config.order_by == "priority":
-                return (rank[a.action], -a.priority, a.src_url, a.dst_url, a.tid)
-            return (rank[a.action], a.src_url, a.dst_url, a.tid)
-
-        return sorted(advice, key=key)
 
     def complete_transfers(
         self, done: Iterable[int] = (), failed: Iterable[int] = ()
@@ -929,14 +956,16 @@ class PolicyService:
                 if self.config.lease_seconds is None
                 else self.clock() + self.config.lease_seconds
             )
-            facts = []
-            for index, (lfn, url) in enumerate(files):
-                fact = CleanupFact(
+            # Built before the first insert, like the transfer facts.
+            facts = [
+                CleanupFact(
                     cid=self._next_cid() if cids is None else int(cids[index]),
                     workflow=workflow, job=job, lfn=lfn,
                     url=url, batch=batch,
                 )
-                facts.append(fact)
+                for index, (lfn, url) in enumerate(files)
+            ]
+            for fact in facts:
                 session.insert(fact)
             self._m_cleanups["submitted"].inc(len(facts))
             fired = self._fire(session)
@@ -1173,7 +1202,7 @@ class PolicyService:
     # ------------------------------------------------------------------ catalog
     def _require_catalog(self) -> DataCatalog:
         if self.catalog is None:
-            raise RuntimeError(
+            raise PolicyRefusedError(
                 "the staged-data catalog is not enabled on this service"
             )
         return self.catalog
@@ -1182,8 +1211,8 @@ class PolicyService:
         """Canonical staged-data catalog state (replicas + site budgets).
 
         Sorted and JSON-able — the byte-identity witness for crash
-        recovery and engine-equivalence checks.  Raises ``RuntimeError``
-        when the catalog is disabled.
+        recovery and engine-equivalence checks.  Raises
+        :exc:`PolicyRefusedError` when the catalog is disabled.
         """
         return self._require_catalog().census()
 
@@ -1203,7 +1232,7 @@ class PolicyService:
         ]
 
     def set_site_capacity(
-        self, site: str, capacity_bytes: Optional[float]
+        self, site: str, capacity_bytes: Optional[float] = None
     ) -> dict:
         """Set (or lift, with ``None``) a site byte budget at runtime.
 
@@ -1227,14 +1256,15 @@ class PolicyService:
         Pins nest: each pin increments the replica's pin count, each
         unpin decrements it (never below zero), and the eviction pack
         only considers replicas at zero.  Journaled; raises ``KeyError``
-        for an unknown url so a caller cannot silently "protect" a
-        replica the catalog never registered.
+        (one that is also a :exc:`PolicyRefusedError`) for an unknown url
+        so a caller cannot silently "protect" a replica the catalog
+        never registered.
         """
         catalog = self._require_catalog()
         with self._transaction():
             changed = catalog.pin(url) if pinned else catalog.unpin(url)
             if not changed:
-                raise KeyError(f"no catalog replica at {url!r}")
+                raise UnknownReplicaError(f"no catalog replica at {url!r}")
             self._commit_journal()
         replica = catalog.replica_at(url)
         return {"url": url, "pin_count": replica.pin_count}
@@ -1243,7 +1273,7 @@ class PolicyService:
     def deny_host(self, host: str, direction: str = "any", reason: str = "") -> None:
         """Administratively ban transfers involving ``host`` (access pack)."""
         if not self.config.access_control:
-            raise RuntimeError("access control is not enabled on this service")
+            raise PolicyRefusedError("access control is not enabled on this service")
         with self._transaction():
             self.memory.insert(HostDenialFact(host, direction, reason))
             self._commit_journal()
@@ -1262,7 +1292,7 @@ class PolicyService:
     def set_quota(self, workflow: str, max_bytes: float) -> None:
         """Set (or replace) a workflow's staging byte quota (access pack)."""
         if not self.config.access_control:
-            raise RuntimeError("access control is not enabled on this service")
+            raise PolicyRefusedError("access control is not enabled on this service")
         with self._transaction():
             for fact in list(self.memory.facts_of(WorkflowQuotaFact)):
                 if fact.workflow == workflow:
@@ -1319,7 +1349,7 @@ class PolicyService:
     def bind_workflow(self, workflow: str, tenant: str) -> None:
         """Bind a workflow to a registered tenant (replaces any binding)."""
         if not self.memory.lookup(TenantFact, tenant=tenant):
-            raise RuntimeError(f"tenant {tenant!r} is not registered")
+            raise PolicyRefusedError(f"tenant {tenant!r} is not registered")
         with self._transaction():
             for binding in self.memory.lookup(TenantWorkflowFact, workflow=workflow):
                 self.memory.retract(binding)

@@ -44,7 +44,7 @@ def _shard_worker(
 
     # Imports happen here too so a "spawn" start method works.
     from repro.policy.journal import PolicyJournal
-    from repro.policy.service import PolicyService
+    from repro.policy.service import PolicyRefusedError, PolicyService
 
     if recover and journal_dir is not None:
         service = PolicyService.recover(
@@ -73,6 +73,8 @@ def _shard_worker(
         try:
             result = invoke_on_service(service, name, *args, **kwargs)
             reply = (True, result)
+        except PolicyRefusedError as exc:
+            reply = (False, exc)  # picklable: still a refusal at the router
         except Exception as exc:  # noqa: BLE001 - shipped to the router
             reply = (False, f"{type(exc).__name__}: {exc}")
         try:
@@ -141,7 +143,7 @@ class ProcessShardBackend:
                 ) from exc
         if ok:
             return payload
-        raise RuntimeError(payload)
+        raise payload if isinstance(payload, Exception) else RuntimeError(payload)
 
     def metrics_text(self) -> str:
         return self.invoke("metrics_text")

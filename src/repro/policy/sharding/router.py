@@ -37,13 +37,16 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.net.gridftp import parse_url
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import as_tracer
 
 from repro.policy.client import CircuitBreaker
+from repro.policy.controller import ROUTES, Route
 from repro.policy.model import CleanupAdvice, PolicyConfig, TransferAdvice
 from repro.policy.provenance import (
     DecisionLog,
@@ -51,6 +54,7 @@ from repro.policy.provenance import (
     degraded_record,
     rewrite_group_id,
 )
+from repro.policy.service import UnknownReplicaError, order_advice
 from repro.policy.sharding.hashring import HashRing, pair_key, url_key
 from repro.policy.sharding.shard import (
     InProcessShardBackend,
@@ -59,9 +63,6 @@ from repro.policy.sharding.shard import (
 )
 
 __all__ = ["ShardedPolicyService"]
-
-#: same action ordering as PolicyService._order_advice
-_ADVICE_RANK = {"transfer": 0, "wait": 1, "skip": 2, "deny": 3}
 
 
 class _FleetMemoryView:
@@ -76,25 +77,11 @@ class _FleetMemoryView:
         self._router = router
 
     def __len__(self) -> int:
-        total = 0
-        for handle in self._router.shards:
-            if not handle.healthy():
-                continue
-            try:
-                total += handle.call("memory_len")
-            except ShardUnavailableError:
-                pass
-        return total
+        return sum(self._router._gather("memory_len"))
 
     def snapshot(self) -> dict:
         census: dict[str, int] = {}
-        for handle in self._router.shards:
-            if not handle.healthy():
-                continue
-            try:
-                part = handle.call("memory_census")
-            except ShardUnavailableError:
-                continue
+        for part in self._router._gather("memory_census"):
             for kind, count in part.items():
                 census[kind] = census.get(kind, 0) + count
         return dict(sorted(census.items()))
@@ -252,6 +239,10 @@ class ShardedPolicyService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._init_metrics()
 
+    if TYPE_CHECKING:  # the generated broadcasts, for the type checker only
+
+        def __getattr__(self, op: str) -> Callable[..., Any]: ...
+
     # ------------------------------------------------------------------ metrics
     def _init_metrics(self) -> None:
         m = self.metrics
@@ -349,13 +340,7 @@ class ShardedPolicyService:
 
     def _broadcast_reap(self, now: float) -> dict:
         reaped = {"transfers": [], "cleanups": []}
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                part = handle.call("reap_expired", now)
-            except ShardUnavailableError:
-                continue
+        for part in self._gather("reap_expired", now):
             reaped["transfers"].extend(part.get("transfers", ()))
             reaped["cleanups"].extend(part.get("cleanups", ()))
         reaped["transfers"].sort()
@@ -405,6 +390,18 @@ class ShardedPolicyService:
             if exc is not None:
                 raise exc
         return results
+
+    def _gather(self, name: str, *args) -> Iterator:
+        """``name``'s answer from each shard that can give one, in shard
+        order; down, partitioned and failing shards contribute nothing."""
+        for handle in self.shards:
+            if not handle.healthy():
+                continue
+            try:
+                part = handle.call(name, *args)
+            except ShardUnavailableError:
+                continue
+            yield part
 
     def _queue_pending(self, shard: int, name: str, *args, **kwargs) -> None:
         self._pending_ops[shard].append((name, args, kwargs))
@@ -501,7 +498,7 @@ class ShardedPolicyService:
             item.group_id = group
             self._remember(self._tid_group, tid, group)
 
-        advice = self._order_advice(list(merged.values()))
+        advice = order_advice(list(merged.values()), self.config.order_by)
         if span is not None:
             actions: dict[str, int] = {}
             for item in advice:
@@ -538,14 +535,6 @@ class ShardedPolicyService:
             priority=int(spec.get("priority", 0)),
             reason=f"shard {shard_idx} unavailable; policy-free advice",
         )
-
-    def _order_advice(self, advice: list[TransferAdvice]) -> list[TransferAdvice]:
-        def key(a: TransferAdvice):
-            if self.config.order_by == "priority":
-                return (_ADVICE_RANK[a.action], -a.priority, a.src_url, a.dst_url, a.tid)
-            return (_ADVICE_RANK[a.action], a.src_url, a.dst_url, a.tid)
-
-        return sorted(advice, key=key)
 
     def complete_transfers(
         self, done: Iterable[int] = (), failed: Iterable[int] = ()
@@ -760,13 +749,7 @@ class ShardedPolicyService:
             except ShardUnavailableError:
                 self._m_degraded.inc(kind="queries")
                 return "unknown"
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                state = handle.call("staging_state", lfn, dst_url)
-            except ShardUnavailableError:
-                continue
+        for state in self._gather("staging_state", lfn, dst_url):
             if state != "unknown":
                 return state
         return "unknown"
@@ -849,13 +832,7 @@ class ShardedPolicyService:
 
         self._m_requests.inc(call="decision_records")
         records: list[dict] = []
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                part = handle.call("decision_records")
-            except ShardUnavailableError:
-                continue
+        for part in self._gather("decision_records"):
             records.extend(self._canonical_record(r) for r in part)
         if self._decisions is not None:
             records.extend(dict(r) for r in self._decisions.records())
@@ -913,6 +890,8 @@ class ShardedPolicyService:
 
         Returns the first live shard's result.  Domain errors (not
         availability) propagate from the first shard that raises them.
+        The operations :data:`ROUTES` marks ``broadcast`` are nothing
+        but this call; their methods are generated below the class.
         """
 
         self._m_requests.inc(call=name)
@@ -929,38 +908,11 @@ class ShardedPolicyService:
                 got_result = True
         return result
 
-    def deny_host(self, host: str, direction: str = "any", reason: str = "") -> None:
-        self._broadcast("deny_host", host, direction, reason)
-
-    def allow_host(self, host: str) -> int:
-        return self._broadcast("allow_host", host) or 0
-
-    def set_quota(self, workflow: str, max_bytes: float) -> None:
-        self._broadcast("set_quota", workflow, max_bytes)
-
-    def register_tenant(self, tenant: str, **kwargs) -> None:
-        self._broadcast("register_tenant", tenant, **kwargs)
-
-    def unregister_tenant(self, tenant: str) -> int:
-        return self._broadcast("unregister_tenant", tenant) or 0
-
-    def bind_workflow(self, workflow: str, tenant: str) -> None:
-        self._broadcast("bind_workflow", workflow, tenant)
-
-    def register_priorities(self, workflow: str, priorities: dict) -> int:
-        return self._broadcast("register_priorities", workflow, priorities) or 0
-
     def tenants(self) -> list[dict]:
         """Fleet tenant census: registration from any shard, ledgers summed."""
 
         merged: dict[str, dict] = {}
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                census = handle.call("tenants")
-            except ShardUnavailableError:
-                continue
+        for census in self._gather("tenants"):
             for row in census:
                 entry = merged.get(row["tenant"])
                 if entry is None:
@@ -989,13 +941,7 @@ class ShardedPolicyService:
         self._m_requests.inc(call="catalog_census")
         replicas: list[dict] = []
         sites: dict[str, dict] = {}
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                census = handle.call("catalog_census")
-            except ShardUnavailableError:
-                continue
+        for census in self._gather("catalog_census"):
             replicas.extend(census.get("replicas", []))
             for row in census.get("sites", []):
                 entry = sites.get(row["site"])
@@ -1010,18 +956,11 @@ class ShardedPolicyService:
         """Known replicas of ``lfn`` across live shards, by (site, url)."""
 
         self._m_requests.inc(call="catalog_replicas")
-        replicas: list[dict] = []
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                replicas.extend(handle.call("catalog_replicas", lfn))
-            except ShardUnavailableError:
-                continue
+        replicas = [r for part in self._gather("catalog_replicas", lfn) for r in part]
         replicas.sort(key=lambda r: (r["site"], r["url"]))
         return replicas
 
-    def set_site_capacity(self, site: str, capacity_bytes) -> dict:
+    def set_site_capacity(self, site: str, capacity_bytes=None) -> dict:
         """Set one site's byte budget on every shard (buffered for dead
         ones); the returned ``used_bytes`` sums live shards."""
 
@@ -1062,7 +1001,7 @@ class ShardedPolicyService:
                 continue
         if missing is not None:
             raise missing
-        raise KeyError(f"no catalog replica at {url!r}")
+        raise UnknownReplicaError(f"no catalog replica at {url!r}")
 
     def unregister_workflow(self, workflow: str, retain_staged: bool = False) -> None:
         self._broadcast("unregister_workflow", workflow, retain_staged)
@@ -1169,13 +1108,7 @@ class ShardedPolicyService:
         """Summed per-shard stats under the single-service keys."""
 
         totals: dict = {}
-        for handle in self.shards:
-            if not handle.healthy():
-                continue
-            try:
-                part = handle.call("stats")
-            except ShardUnavailableError:
-                continue
+        for part in self._gather("stats"):
             for key, value in part.items():
                 totals[key] = totals.get(key, 0) + value
         return totals
@@ -1290,6 +1223,23 @@ class ShardedPolicyService:
             close = getattr(handle.backend, "close", None)
             if close is not None:
                 close()
+
+
+def _broadcast_method(route: Route):
+    def method(self, *args, **kwargs):
+        value = self._broadcast(route.op, *args, **kwargs)
+        # With every shard down, a counting operation still answers 0.
+        return (value or 0) if route.result else value
+
+    method.__name__ = route.op
+    method.__qualname__ = f"ShardedPolicyService.{route.op}"
+    method.__doc__ = f"``PolicyService.{route.op}`` on every shard (buffered for dead ones)."
+    return method
+
+
+for _route in ROUTES:
+    if _route.broadcast:
+        setattr(ShardedPolicyService, _route.op, _broadcast_method(_route))
 
 
 def _inject_label(sample_line: str, shard: int) -> str:

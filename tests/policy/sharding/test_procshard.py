@@ -5,7 +5,12 @@ import json
 
 import pytest
 
-from repro.policy import PolicyConfig
+from repro.policy import (
+    PolicyConfig,
+    PolicyController,
+    PolicyRefusedError,
+    PolicyRequestError,
+)
 from repro.policy.sharding import (
     ProcessShardBackend,
     ShardedPolicyService,
@@ -39,6 +44,20 @@ def test_worker_errors_propagate_as_domain_errors():
             backend.invoke("definitely_not_a_method")
     finally:
         backend.close()
+
+
+def test_a_refusal_crosses_the_pipe_as_a_refusal():
+    """Anything else a worker raises arrives as ``RuntimeError`` text;
+    a refusal must stay one, or the controller answers it 500."""
+    backends = [ProcessShardBackend(_cfg()) for _ in range(2)]
+    router = ShardedPolicyService(_cfg(), num_shards=2, backends=backends)
+    try:
+        with pytest.raises(PolicyRefusedError, match="^access control is not enabled"):
+            router.deny_host("h")
+        with pytest.raises(PolicyRequestError, match="^tenant 'nobody' is not registered"):
+            PolicyController(router).bind_workflow({"workflow": "wf", "tenant": "nobody"})
+    finally:
+        router.close()
 
 
 def test_crashed_worker_raises_unavailable_and_replays(tmp_path):

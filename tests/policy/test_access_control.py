@@ -131,7 +131,7 @@ def test_access_control_over_http():
               "dst_url": "gsiftp://obelix/s/a", "nbytes": 10}],
         )
         assert advice[0].action == "deny"
-        assert client.allow_host("fg-vm")["removed"] == 1
+        assert client.allow_host("fg-vm") == 1
         client.set_quota("wf", 5.0)
         advice = client.submit_transfers(
             "wf", "j2",

@@ -292,11 +292,12 @@ def test_calls_that_change_nothing_durable_write_nothing(tmp_path):
     assert service.reap_expired() == {"transfers": [], "cleanups": []}
     assert seen == [(LeaseSweepFact, "i"), (LeaseSweepFact, "r")]
 
-    # A failed call aborts what it buffered.
+    # A failed call leaves nothing buffered (and no fact in memory).
+    resident = len(service.memory)
     with pytest.raises(KeyError):
         service.submit_transfers("wf", "bad", [spec("b"), {"lfn": "x"}])
-    assert not journal.has_pending
-    # Its burned tid is not durable yet; the next commit carries it.
+    assert not journal.has_pending and len(service.memory) == resident
+    # Its burned tids are not durable yet; the next commit carries them.
     assert (journal.journal_path.stat().st_size, journal.commits) == (size, commits)
 
 

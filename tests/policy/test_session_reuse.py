@@ -127,8 +127,8 @@ class Driver:
             self.log.append(service.transfer_state(rng.randrange(1, 40)))
             self.log.append(service.staging_state("f1", f"{DST}/f1"))
         elif op == "broken":
-            # The second spec has no src_url: the call raises after the
-            # first fact already entered memory and burned its tid.
+            # The second spec has no src_url: the call raises after both
+            # tids were burned, before any fact entered memory.
             with pytest.raises(KeyError):
                 service.submit_transfers(
                     workflow, "bad", [self._spec(), {"lfn": "x", "dst_url": f"{DST}/x"}]
@@ -257,8 +257,9 @@ def test_recovered_service_keeps_matching_under_live_calls(tmp_path, engine):
             path, config=config, clock=lambda clock=clock: clock[0],
             snapshot_interval=30,
         )
-        # (Not compared with ``crashed.memory``: facts orphaned by its
-        # failed submits were never journaled, so they do not come back.)
+        # A failed submit leaves no fact behind, so what recovery reads
+        # back from the journal is all the crashed service held.
+        assert service.memory.snapshot() == crashed.memory.snapshot()
         driver = Driver(service, 12, clock)
         driver.in_flight = list(before.in_flight)
         driver.staged = list(before.staged)
@@ -296,10 +297,12 @@ def test_failed_submit_leaves_no_listener_and_no_stale_firings():
     assert session.firing_listener is None
 
     # The second spec is malformed: the call raises after its collector
-    # was installed and after the first fact entered memory.
+    # was installed, and leaves neither it nor the first spec's fact.
+    resident = len(service.memory)
     with pytest.raises(KeyError):
         service.submit_transfers("wf", "j2", [dict(good, lfn="b"), {"lfn": "c"}])
     assert session.firing_listener is None
+    assert len(service.memory) == resident
     records = len(service.decision_records())
 
     # complete_transfers fires rules (release, staged-file promotion)
@@ -308,9 +311,7 @@ def test_failed_submit_leaves_no_listener_and_no_stale_firings():
     assert session.firing_listener is None
     assert len(service.decision_records()) == records
 
-    # The orphan fact of the failed call fires again in the next submit;
-    # those firings bind only the orphan's tid and must not leak into the
-    # records of the batch being decided.
+    # The next submit's records mention only the batch being decided.
     later = service.submit_transfers("wf", "j3", [dict(good, lfn="d", dst_url=f"{DST}/d")])
     record = service.explain(later[0].tid)
     mentioned = {
