@@ -121,10 +121,6 @@ class Report:
     def errors(self) -> list[Finding]:
         return self.by_severity(Severity.ERROR)
 
-    def at_or_above(self, severity: str) -> list[Finding]:
-        floor = Severity.rank(severity)
-        return [f for f in self.findings if Severity.rank(f.severity) >= floor]
-
     def counts(self) -> dict[str, int]:
         counts = {Severity.ERROR: 0, Severity.WARNING: 0, Severity.INFO: 0}
         for f in self.findings:

@@ -334,14 +334,33 @@ def _cmd_serve(args, out) -> int:
         cluster_count=args.cluster_count,
         access_control=args.access_control,
     )
+    if args.journal_root is not None and args.shards < 1:
+        print(
+            "repro serve: --journal-root needs --shards N (the single "
+            "service this would start does not journal)",
+            file=sys.stderr,
+        )
+        return 2
     if args.shards >= 1:
+        from repro.policy.journal import JournalError
         from repro.policy.sharding import ShardedPolicyService
 
-        service = ShardedPolicyService(
-            config,
-            num_shards=args.shards,
-            journal_root=args.journal_root,
-        )
+        try:
+            service = ShardedPolicyService(
+                config,
+                num_shards=args.shards,
+                journal_root=args.journal_root,
+            )
+        except JournalError as exc:
+            # The shards could replay their journals, but the router's ids
+            # and ownership directory are not durable, so a resumed fleet
+            # would hand out colliding ids.
+            print(
+                f"repro serve: a journaled fleet cannot be restarted on a "
+                f"used --journal-root yet ({exc})",
+                file=sys.stderr,
+            )
+            return 2
         flavor = f"{args.shards}-shard router"
     else:
         service = PolicyService(config)

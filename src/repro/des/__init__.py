@@ -16,7 +16,7 @@ Public API
     The simulation clock and event loop.
 ``Event``, ``Timeout``, ``Process``, ``AllOf``, ``AnyOf``, ``Interrupt``
     Event primitives usable from process generators.
-``Resource``, ``PriorityResource``, ``Store``, ``Container``
+``Resource``, ``PriorityResource``
     Queued capacity primitives built on events.
 ``RngRegistry``
     Named deterministic random substreams per simulation component.
@@ -32,13 +32,12 @@ from repro.des.core import (
     SimulationError,
     Timeout,
 )
-from repro.des.resources import Container, PriorityResource, Resource, Store
+from repro.des.resources import PriorityResource, Resource
 from repro.des.rng import RngRegistry
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
@@ -47,6 +46,5 @@ __all__ = [
     "Resource",
     "RngRegistry",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -19,6 +19,8 @@ import heapq
 import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from repro.obs.tracer import as_tracer
+
 __all__ = [
     "Environment",
     "Event",
@@ -332,9 +334,10 @@ class Environment:
     tracer:
         Optional :class:`repro.obs.tracer.Tracer`.  The environment binds
         the tracer's clock to the simulation clock so every emitted event
-        is stamped with :attr:`now`; components reach it via
-        ``env.tracer`` and must guard emission with
-        ``if env.tracer is not None and env.tracer.enabled:``.
+        is stamped with :attr:`now`.  Components reach it via
+        ``env.tracer`` — never ``None``: without a tracer it is the shared
+        disabled :class:`~repro.obs.tracer.NullTracer` — and guard
+        emission with ``if env.tracer.enabled:``.
     """
 
     def __init__(self, initial_time: float = 0.0, tracer: Optional[Any] = None):
@@ -342,7 +345,7 @@ class Environment:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self.tracer = tracer
+        self.tracer = as_tracer(tracer)
         if tracer is not None and getattr(tracer, "clock", None) is None:
             tracer.clock = lambda: self._now
 

@@ -197,7 +197,7 @@ class FaultInjector:
     def _trace(self, name: str, **args) -> None:
         """Mark a fault transition on the trace's ``fault`` track."""
         tracer = self.env.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.instant("fault", name, track="fault", **args)
 
     # ------------------------------------------------------------------ wiring

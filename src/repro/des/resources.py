@@ -4,10 +4,6 @@
     A counted semaphore with a FIFO wait queue (cluster slots, job throttles).
 ``PriorityResource``
     Same, but waiters are served in (priority, FIFO) order.
-``Store``
-    A queue of arbitrary items (work queues, mailboxes).
-``Container``
-    A continuous level with put/get amounts (storage pools).
 
 All requests are events: processes ``yield resource.request()`` and later
 call ``resource.release(req)`` (or use the request as a context manager).
@@ -16,11 +12,11 @@ call ``resource.release(req)`` (or use the request as a context manager).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Any
 
 from repro.des.core import Environment, Event, SimulationError
 
-__all__ = ["Resource", "PriorityResource", "Store", "Container"]
+__all__ = ["Resource", "PriorityResource"]
 
 
 class Request(Event):
@@ -130,13 +126,6 @@ class Resource:
             self._users.add(req)
             req.succeed(req)
 
-    def resize(self, capacity: int) -> None:
-        """Change capacity; shrinking never revokes current holders."""
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = int(capacity)
-        self._schedule_grant()
-
 
 class PriorityResource(Resource):
     """A :class:`Resource` whose queue is served by (priority, FIFO).
@@ -148,139 +137,3 @@ class PriorityResource(Resource):
     def _order_key(self, request: Request) -> Any:
         self._seq += 1
         return (request.priority, self._seq)
-
-
-class StoreGet(Event):
-    __slots__ = ("store", "filter")
-
-    def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]] = None):
-        super().__init__(store.env)
-        self.store = store
-        self.filter = filter
-
-
-class StorePut(Event):
-    __slots__ = ("store", "item")
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.store = store
-        self.item = item
-
-
-class Store:
-    """A FIFO queue of items with optional capacity.
-
-    ``put(item)`` fires when the item is accepted; ``get()`` fires with the
-    next item (optionally the first matching a filter predicate).
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: list[Any] = []
-        self._getters: list[StoreGet] = []
-        self._putters: list[StorePut] = []
-
-    def put(self, item: Any) -> StorePut:
-        ev = StorePut(self, item)
-        self._putters.append(ev)
-        self._dispatch()
-        return ev
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        ev = StoreGet(self, filter)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Accept puts while there is room.
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            # Serve getters in FIFO order; a filtered getter may skip ahead
-            # only over items, never over other getters' claims.
-            for getter in list(self._getters):
-                match_idx = None
-                for idx, item in enumerate(self.items):
-                    if getter.filter is None or getter.filter(item):
-                        match_idx = idx
-                        break
-                if match_idx is not None:
-                    item = self.items.pop(match_idx)
-                    self._getters.remove(getter)
-                    getter.succeed(item)
-                    progress = True
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-class ContainerEvent(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous level between 0 and ``capacity``.
-
-    ``put(x)`` blocks until the container has room; ``get(x)`` blocks until
-    the level covers the request.  Used for storage pools and byte budgets.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: list[ContainerEvent] = []
-        self._putters: list[ContainerEvent] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerEvent:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = ContainerEvent(self.env, amount)
-        self._putters.append(ev)
-        self._dispatch()
-        return ev
-
-    def get(self, amount: float) -> ContainerEvent:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = ContainerEvent(self.env, amount)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and self._level + self._putters[0].amount <= self.capacity:
-                put = self._putters.pop(0)
-                self._level += put.amount
-                put.succeed()
-                progress = True
-            if self._getters and self._level >= self._getters[0].amount:
-                get = self._getters.pop(0)
-                self._level -= get.amount
-                get.succeed()
-                progress = True

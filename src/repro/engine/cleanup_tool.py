@@ -65,7 +65,7 @@ class CleanupTool:
         record = CleanupRecord(job_id=job.id)
         tracer = self.env.tracer
         span = None
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             span = tracer.begin(
                 "cleanup", f"cleanup:{job.id}", track="cleanup",
                 files=len(job.cleanup_files),
@@ -86,7 +86,7 @@ class CleanupTool:
                 # them once the service is back.
                 record.deferred += len(job.cleanup_files)
                 self.records.append(record)
-                if tracer is not None:
+                if span is not None:
                     tracer.end(span, deferred=record.deferred)
                 return record
             done_ids = []
@@ -105,7 +105,7 @@ class CleanupTool:
                     # will retire the orphaned cleanup grants.
                     pass
         self.records.append(record)
-        if tracer is not None:
+        if span is not None:
             tracer.end(span, deleted=record.deleted, skipped=record.skipped)
         return record
 

@@ -183,7 +183,7 @@ class DAGMan:
             record.t_start = self.env.now
             record.state = "running"
             span = None
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 if record.t_start > record.t_ready:
                     tracer.instant(
                         "dagman", "dagman.throttled", track=wf_track,
@@ -207,7 +207,7 @@ class DAGMan:
                         if record.attempts > self.retries:
                             record.state = "failed"
                             record.t_end = self.env.now
-                            if tracer is not None:
+                            if span is not None:
                                 tracer.end(
                                     span, state="failed",
                                     attempts=record.attempts,
@@ -226,7 +226,7 @@ class DAGMan:
                     throttle.release(request)
             record.state = "done"
             record.t_end = self.env.now
-            if tracer is not None:
+            if span is not None:
                 tracer.end(span, state="done", attempts=record.attempts)
             for child in graph.successors(jid):
                 remaining_parents[child] -= 1

@@ -149,7 +149,7 @@ class PegasusTransferTool:
         track = f"ptt:{job.id}"
         for spec in job.transfers:
             span = None
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 span = tracer.begin(
                     "ptt", f"xfer:{spec.lfn}", track=track,
                     streams=self.default_streams, nbytes=spec.nbytes,
@@ -157,7 +157,7 @@ class PegasusTransferTool:
             rec = yield from self.gridftp.transfer(
                 spec.src_url, spec.dst_url, spec.nbytes, self.default_streams
             )
-            if tracer is not None:
+            if span is not None:
                 tracer.end(span, outcome="done")
             record.executed += 1
             record.bytes_moved += rec.nbytes
@@ -189,7 +189,7 @@ class PegasusTransferTool:
             yield from self._execute_degraded(workflow_id, pending, record, track)
             return
         while pending:
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 tracer.instant(
                     "ptt", "ptt.submit", track=track, transfers=len(pending)
                 )
@@ -198,14 +198,14 @@ class PegasusTransferTool:
                     workflow_id, job.id, pending
                 )
             except PolicyUnavailableError:
-                if tracer is not None and tracer.enabled:
+                if tracer.enabled:
                     tracer.instant(
                         "ptt", "ptt.degrade", track=track,
                         reason="policy_unavailable", transfers=len(pending),
                     )
                 yield from self._execute_degraded(workflow_id, pending, record, track)
                 return
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 actions: dict[str, int] = {}
                 for a in advice:
                     actions[a.action] = actions.get(a.action, 0) + 1
@@ -241,7 +241,7 @@ class PegasusTransferTool:
                     "cluster": cluster,
                 }
                 wait_span = None
-                if tracer is not None and tracer.enabled:
+                if tracer.enabled:
                     wait_span = tracer.begin(
                         "ptt", f"wait:{item.lfn}", track=track,
                         wait_for=item.wait_for, reason=item.reason,
@@ -251,13 +251,13 @@ class PegasusTransferTool:
                 except PolicyUnavailableError:
                     # The service vanished mid-wait: stage the file
                     # ourselves rather than poll a dead endpoint.
-                    if tracer is not None:
+                    if wait_span is not None:
                         tracer.end(wait_span, outcome="degraded")
                     yield from self._execute_degraded(
                         workflow_id, [item_spec], record, track
                     )
                     continue
-                if tracer is not None:
+                if wait_span is not None:
                     tracer.end(wait_span, outcome=outcome)
                 if outcome == "resubmit":
                     pending.append(item_spec)
@@ -275,7 +275,7 @@ class PegasusTransferTool:
             session_established = item.group_id != 0 and item.group_id == current_group
             current_group = item.group_id
             span = None
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 span = tracer.begin(
                     "ptt", f"xfer:{item.lfn}", track=track, tid=item.tid,
                     streams=item.streams, group=item.group_id,
@@ -292,12 +292,12 @@ class PegasusTransferTool:
             except TransferError:
                 # Tell the service about the failure and the abandoned rest
                 # of the batch, then let the engine retry the whole job.
-                if tracer is not None:
+                if span is not None:
                     tracer.end(span, outcome="failed")
                 abandoned = [other.tid for other in items[idx:]]
                 yield from self._report(failed=abandoned)
                 raise
-            if tracer is not None:
+            if span is not None:
                 tracer.end(span, outcome="done")
             record.executed += 1
             record.bytes_moved += rec.nbytes
@@ -354,7 +354,7 @@ class PegasusTransferTool:
         backlog = self._degraded_staged.setdefault(workflow_id, [])
         for spec in specs:
             span = None
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 span = tracer.begin(
                     "ptt", f"xfer:{spec['lfn']}", track=track, mode="degraded",
                     streams=self.default_streams, nbytes=spec["nbytes"],
@@ -362,7 +362,7 @@ class PegasusTransferTool:
             rec = yield from self.gridftp.transfer(
                 spec["src_url"], spec["dst_url"], spec["nbytes"], self.default_streams
             )
-            if tracer is not None:
+            if span is not None:
                 tracer.end(span, outcome="done")
             record.executed += 1
             record.degraded += 1

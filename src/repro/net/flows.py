@@ -185,7 +185,7 @@ class FlowNetwork:
 
     def _note_peaks(self) -> None:
         tracer = self.env.tracer
-        trace = tracer is not None and tracer.enabled
+        trace = tracer.enabled
         for link in self.network.links.values():
             s = self._streams_on_link(link)
             if s > self.peak_streams.get(link.name, 0):

@@ -19,10 +19,12 @@ trace events.
 
 Overhead
 --------
-Tracing is off unless a tracer is attached *and* enabled.  Hot paths
-guard emission with ``if tracer is not None and tracer.enabled:`` so a
-run without tracing pays one attribute test per potential event
-(``benchmarks/bench_trace_overhead.py`` keeps that honest).
+Tracing is off unless a tracer is attached *and* enabled.  Components
+hold ``as_tracer(tracer)`` (never ``None``), guard emission with
+``if tracer.enabled:`` and close only a span they hold (``if span is
+not None:``), so a run without tracing pays one attribute test per
+potential event and makes no call into this module
+(``tests/obs/test_disabled_instrumentation.py`` counts them: zero).
 """
 
 from __future__ import annotations
@@ -172,23 +174,19 @@ class Tracer:
 class NullTracer(Tracer):
     """A permanently disabled tracer: every emit method is a no-op.
 
-    Instrumented code holds a tracer unconditionally and calls it without
-    ``if tracer is not None and tracer.enabled`` guards — the null object
-    absorbs the calls.  :attr:`enabled` is pinned ``False`` so existing
-    ``tracer.enabled`` checks keep working.
+    Instrumented code holds a tracer unconditionally and never tests it
+    for ``None`` — the null object absorbs the calls.  :attr:`enabled` is
+    a plain ``False`` attribute, so reading it on the default path is not
+    a Python call; it is the *write* that is refused.
     """
 
     def __init__(self) -> None:
         super().__init__(clock=None, enabled=False)
 
-    @property
-    def enabled(self) -> bool:  # type: ignore[override]
-        return False
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        if value:
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "enabled" and value:
             raise ValueError("a NullTracer cannot be enabled; use Tracer()")
+        super().__setattr__(name, value)
 
     def _emit(self, record: dict) -> None:  # pragma: no cover - never reached
         raise AssertionError("NullTracer must not emit events")
@@ -201,8 +199,7 @@ NULL_TRACER = NullTracer()
 def as_tracer(tracer: Optional[Tracer]) -> Tracer:
     """``tracer`` itself, or the shared :class:`NullTracer` for ``None``.
 
-    The uniform-instrumentation helper: call sites keep a tracer from
-    ``as_tracer(tracer)`` and invoke ``begin``/``end``/``instant``
-    unconditionally instead of re-testing ``tracer is not None``.
+    The uniform-instrumentation helper: components keep
+    ``as_tracer(tracer)`` and test ``tracer.enabled``, never ``None``.
     """
     return tracer if tracer is not None else NULL_TRACER

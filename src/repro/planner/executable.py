@@ -114,20 +114,6 @@ class ExecutableWorkflow:
         self._edges.add((parent_id, child_id))
         self._graph_cache = None
 
-    def remove_job(self, job_id: str) -> None:
-        """Remove a job, splicing its parents to its children."""
-        if job_id not in self.jobs:
-            raise PlanningError(f"unknown job {job_id!r}")
-        parents = [p for p, c in self._edges if c == job_id]
-        children = [c for p, c in self._edges if p == job_id]
-        self._edges = {(p, c) for p, c in self._edges if job_id not in (p, c)}
-        for p in parents:
-            for c in children:
-                if p != c:
-                    self._edges.add((p, c))
-        del self.jobs[job_id]
-        self._graph_cache = None
-
     # -- structure ------------------------------------------------------------
     def graph(self) -> nx.DiGraph:
         if self._graph_cache is None:

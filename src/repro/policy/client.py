@@ -341,13 +341,13 @@ class InProcessPolicyClient:
     def _invoke(self, name: str, call: Callable[[], object]):
         tracer = self.env.tracer
         span = None
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             # Client-side view of the rpc: covers the simulated latency
             # charge plus any retry backoff, unlike the service's span.
             span = tracer.begin("rpc", f"rpc:{name}", track="policy-client")
         breaker = self.breaker
         if breaker is not None and not breaker.allow():
-            if tracer is not None:
+            if span is not None:
                 tracer.end(span, outcome="circuit_open")
             raise CircuitOpenError("policy service circuit is open")
         last_error: Optional[Exception] = None
@@ -368,14 +368,14 @@ class InProcessPolicyClient:
             else:
                 if breaker is not None:
                     breaker.record_success()
-                if tracer is not None:
+                if span is not None:
                     tracer.end(span, outcome="ok", attempts=attempt + 1)
                 return result
             if breaker is not None:
                 breaker.record_failure()
                 if not breaker.allow():
                     break  # tripped open mid-retry: stop hammering
-        if tracer is not None:
+        if span is not None:
             tracer.end(span, outcome="unavailable", attempts=attempt + 1)
         raise PolicyUnavailableError(
             f"policy service unreachable ({name}): {last_error}"

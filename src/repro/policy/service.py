@@ -100,6 +100,16 @@ def order_advice(advice: list[TransferAdvice], order_by: str) -> list[TransferAd
     return sorted(advice, key=key)
 
 
+#: A transfer fact's status once the rules have run -> the advice action
+#: and the ``transfers`` counter it feeds; every other status
+#: (``skip_duplicate`` / ``skip_staged``) is a skip.
+_ADVICE_OF_STATUS = {
+    "new": ("transfer", "approved"),
+    "wait": ("wait", "waited"),
+    "denied": ("deny", "denied"),
+}
+
+
 class _BoundedIdSet:
     """Insertion-ordered id set that forgets its oldest members beyond a
     size cap — retention for completed/failed transfer ids."""
@@ -372,11 +382,6 @@ class PolicyService:
             "rule_firings": int(self._m_firings.value),
         }
 
-    def _begin_span(self, name: str, **args):
-        if self.tracer.enabled:
-            return self.tracer.begin("policy", name, track="policy", **args)
-        return None
-
     def profile_report(self) -> Optional[str]:
         """The attached profiler's rule table (None when unprofiled)."""
         return self.profiler.report() if self.profiler is not None else None
@@ -442,6 +447,34 @@ class PolicyService:
             raise
         finally:
             self._rule_session.firing_listener = None
+
+    @contextmanager
+    def _call(self, name: str, **span_args):
+        """The envelope of one traced entry point: count the call, open its
+        ``policy.<name>`` span, time it and scope its journal transaction.
+
+        Yields a dict the body fills with the span's closing arguments
+        (only when ``self.tracer.enabled`` — nobody reads it otherwise).
+        A call that raises is timed like any other, and its span closes
+        with the error's type alone.
+        """
+        self._m_calls[name].inc()
+        tracer = self.tracer
+        span = None
+        if tracer.enabled:
+            span = tracer.begin("policy", f"policy.{name}", track="policy", **span_args)
+        closing: dict = {}
+        t0 = time.perf_counter()
+        try:
+            with self._transaction():
+                yield closing
+        except BaseException as exc:
+            closing = {"error": type(exc).__name__}
+            raise
+        finally:
+            self._m_call_seconds[name].observe(time.perf_counter() - t0)
+            if span is not None:
+                tracer.end(span, **closing)
 
     def _commit_journal(self, done: Iterable[int] = (), failed: Iterable[int] = ()) -> None:
         journal = self.journal
@@ -566,32 +599,21 @@ class PolicyService:
         transfers = list(transfers)
         self._maybe_reap()
         self._m_transfers["requests"].inc()
-        self._m_calls["submit_transfers"].inc()
         self._m_batch["transfers"].observe(len(transfers))
-        span = self._begin_span(
-            "policy.submit_transfers", workflow=workflow, job=job,
-            batch=len(transfers),
-        )
         firings_before = self._m_firings.value
-        t0 = time.perf_counter()
-        try:
-            with self._transaction():
-                advice = self._submit_transfers(workflow, job, transfers, tids=tids)
-        except BaseException as exc:
-            if span is not None:
-                self.tracer.end(span, error=type(exc).__name__)
-            raise
-        self._m_call_seconds["submit_transfers"].observe(time.perf_counter() - t0)
-        if span is not None:
-            actions: dict[str, int] = {}
-            for item in advice:
-                actions[item.action] = actions.get(item.action, 0) + 1
-            self.tracer.end(
-                span,
-                rule_firings=int(self._m_firings.value - firings_before),
-                advice=dict(sorted(actions.items())),
-                batch_id=self._batch_last,
-            )
+        with self._call(
+            "submit_transfers", workflow=workflow, job=job, batch=len(transfers)
+        ) as closing:
+            advice = self._submit_transfers(workflow, job, transfers, tids=tids)
+            if self.tracer.enabled:
+                actions: dict[str, int] = {}
+                for item in advice:
+                    actions[item.action] = actions.get(item.action, 0) + 1
+                closing.update(
+                    rule_firings=int(self._m_firings.value - firings_before),
+                    advice=dict(sorted(actions.items())),
+                    batch_id=self._batch_last,
+                )
         return advice
 
     def _submit_transfers(
@@ -679,80 +701,40 @@ class PolicyService:
         for fact in facts:
             if not self.memory.contains(fact):  # pragma: no cover - defensive
                 continue
-            if fact.status == "new":
-                streams = fact.allocated_streams or fact.requested_streams or 1
-                advice.append(
-                    TransferAdvice(
-                        tid=fact.tid,
-                        lfn=fact.lfn,
-                        src_url=fact.src_url,
-                        dst_url=fact.dst_url,
-                        nbytes=fact.nbytes,
-                        action="transfer",
-                        streams=streams,
-                        group_id=fact.group_id or 0,
-                        priority=fact.priority,
-                        reason=fact.reason,
-                        lease_deadline=lease,
-                    )
-                )
+            action, counter = _ADVICE_OF_STATUS.get(fact.status, ("skip", "skipped"))
+            item = TransferAdvice(
+                tid=fact.tid,
+                lfn=fact.lfn,
+                src_url=fact.src_url,
+                dst_url=fact.dst_url,
+                nbytes=fact.nbytes,
+                action=action,
+                reason=fact.reason,
+            )
+            advice.append(item)
+            self._m_transfers[counter].inc()
+            if action == "transfer":
+                item.streams = fact.allocated_streams or fact.requested_streams or 1
+                item.group_id = fact.group_id or 0
+                item.priority = fact.priority
+                item.lease_deadline = lease
                 self.memory.update(fact, status="in_progress", lease_deadline=lease)
-                self._m_transfers["approved"].inc()
                 if self.adaptive is not None:
                     # Open the pair's measurement epoch at first submission
                     # so the first completion has a meaningful elapsed time.
                     self.adaptive.threshold_for(
                         fact.src_host, fact.dst_host, self.clock()
                     )
-            elif fact.status == "wait":
-                advice.append(
-                    TransferAdvice(
-                        tid=fact.tid,
-                        lfn=fact.lfn,
-                        src_url=fact.src_url,
-                        dst_url=fact.dst_url,
-                        nbytes=fact.nbytes,
-                        action="wait",
-                        wait_for=fact.wait_for,
-                        reason=fact.reason,
-                    )
-                )
-                self.memory.retract(fact)
-                self._m_transfers["waited"].inc()
-            elif fact.status == "denied":
-                advice.append(
-                    TransferAdvice(
-                        tid=fact.tid,
-                        lfn=fact.lfn,
-                        src_url=fact.src_url,
-                        dst_url=fact.dst_url,
-                        nbytes=fact.nbytes,
-                        action="deny",
-                        reason=fact.reason,
-                    )
-                )
-                self.memory.retract(fact)
-                self._m_transfers["denied"].inc()
-            else:  # skip_duplicate / skip_staged
-                advice.append(
-                    TransferAdvice(
-                        tid=fact.tid,
-                        lfn=fact.lfn,
-                        src_url=fact.src_url,
-                        dst_url=fact.dst_url,
-                        nbytes=fact.nbytes,
-                        action="skip",
-                        reason=fact.reason,
-                    )
-                )
-                self.memory.retract(fact)
-                self._m_transfers["skipped"].inc()
-                if self.catalog is not None and fact.status == "skip_staged":
-                    # A catalog hit: the dedup rules skipped a re-stage of a
-                    # file the catalog still advertises — refresh its LRU
-                    # clock so eviction prefers genuinely cold replicas.
-                    if self.catalog.touch(fact.dst_url, self.clock()):
-                        self._m_catalog["hits"].inc()
+                continue
+            if action == "wait":
+                item.wait_for = fact.wait_for
+            self.memory.retract(fact)
+            if self.catalog is not None and fact.status == "skip_staged":
+                # A catalog hit: the dedup rules skipped a re-stage of a
+                # file the catalog still advertises — refresh its LRU
+                # clock so eviction prefers genuinely cold replicas.
+                if self.catalog.touch(fact.dst_url, self.clock()):
+                    self._m_catalog["hits"].inc()
 
         if collector is not None:
             after = ledger_snapshot(self.memory)
@@ -800,12 +782,9 @@ class PolicyService:
         """Report transfer outcomes; frees streams and updates resources."""
         self._maybe_reap()
         done, failed = list(done), list(failed)
-        self._m_calls["complete_transfers"].inc()
-        span = self._begin_span(
-            "policy.complete_transfers", done=len(done), failed=len(failed)
-        )
-        t0 = time.perf_counter()
-        with self._transaction():
+        with self._call(
+            "complete_transfers", done=len(done), failed=len(failed)
+        ) as closing:
             session = self._session()
             matched = 0
             done_matched: list[int] = []
@@ -847,11 +826,8 @@ class PolicyService:
                     self.catalog.register(lfn, dst_url, nbytes, now)
                 evicted = self._run_eviction_sweep(now)
             self._commit_journal(done=done_matched, failed=failed_matched)
-            self._m_call_seconds["complete_transfers"].observe(
-                time.perf_counter() - t0
-            )
-            if span is not None:
-                self.tracer.end(span, acknowledged=matched, rule_firings=fired)
+            if self.tracer.enabled:
+                closing.update(acknowledged=matched, rule_firings=fired)
             result = {"acknowledged": matched}
             if self.catalog is not None:
                 # The caller (transfer tool / shard router) owns the disk:
@@ -936,13 +912,10 @@ class PolicyService:
                 self._cid_last = max(self._cid_last, max(cids))
         self._maybe_reap()
         self._m_cleanups["requests"].inc()
-        self._m_calls["submit_cleanups"].inc()
         self._m_batch["cleanups"].observe(len(files))
-        span = self._begin_span(
-            "policy.submit_cleanups", workflow=workflow, job=job, batch=len(files)
-        )
-        t0 = time.perf_counter()
-        with self._transaction():
+        with self._call(
+            "submit_cleanups", workflow=workflow, job=job, batch=len(files)
+        ) as closing:
             batch = self._next_batch()
             session = self._session()
             collector: Optional[FiringCollector] = None
@@ -1008,10 +981,9 @@ class PolicyService:
                         )
                     )
             self._commit_journal()
-            self._m_call_seconds["submit_cleanups"].observe(time.perf_counter() - t0)
-            if span is not None:
-                self.tracer.end(
-                    span, rule_firings=fired, approved=approved,
+            if self.tracer.enabled:
+                closing.update(
+                    rule_firings=fired, approved=approved,
                     skipped=len(facts) - approved, batch_id=batch,
                 )
             return advice
@@ -1020,10 +992,7 @@ class PolicyService:
         """Report finished deletions; drops resource state for those files."""
         self._maybe_reap()
         ids = set(ids)
-        self._m_calls["complete_cleanups"].inc()
-        span = self._begin_span("policy.complete_cleanups", ids=len(ids))
-        t0 = time.perf_counter()
-        with self._transaction():
+        with self._call("complete_cleanups", ids=len(ids)) as closing:
             matched = 0
             in_progress = [
                 fact
@@ -1044,11 +1013,8 @@ class PolicyService:
                 self.memory.retract(fact)
                 matched += 1
             self._commit_journal()
-            self._m_call_seconds["complete_cleanups"].observe(
-                time.perf_counter() - t0
-            )
-            if span is not None:
-                self.tracer.end(span, acknowledged=matched)
+            if self.tracer.enabled:
+                closing["acknowledged"] = matched
             return {"acknowledged": matched}
 
     # ------------------------------------------------------------------ leases
@@ -1117,10 +1083,7 @@ class PolicyService:
         a replica (size 0 when the caller did not report one, so an
         unsized adoption can never push a site over budget).
         """
-        self._m_calls["reconcile_staged"].inc()
-        span = self._begin_span("policy.reconcile_staged", workflow=workflow)
-        t0 = time.perf_counter()
-        with self._transaction():
+        with self._call("reconcile_staged", workflow=workflow) as closing:
             registered = joined = 0
             for lfn, url, *rest in files:
                 existing = None
@@ -1149,11 +1112,8 @@ class PolicyService:
                     )
             self._m_staged_reconciled.inc(registered + joined)
             self._commit_journal()
-            self._m_call_seconds["reconcile_staged"].observe(
-                time.perf_counter() - t0
-            )
-            if span is not None:
-                self.tracer.end(span, registered=registered, joined=joined)
+            if self.tracer.enabled:
+                closing.update(registered=registered, joined=joined)
             return {"registered": registered, "joined": joined}
 
     # ------------------------------------------------------------------ queries

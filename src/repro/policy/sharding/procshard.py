@@ -6,9 +6,9 @@ each shard's :class:`~repro.policy.service.PolicyService` in its own
 interpreter (stdlib ``multiprocessing``) and speaks a tiny pickle RPC
 over a pipe: ``(method, args, kwargs)`` in, ``(ok, payload)`` out.
 Blocking pipe reads release the GIL, so the router's per-shard dispatch
-threads overlap and batch-advice throughput scales with shard count —
-that is what ``benchmarks/bench_rules.py``'s ``sharded`` scenario
-measures.
+threads overlap and batch-advice throughput scales with shard count.
+The router dispatches from threads whenever it is given its backends,
+as this one always is.
 
 Limitations (by design — the DES and chaos tests use the in-process
 backend): the worker runs on real time (no simulated clock), and the

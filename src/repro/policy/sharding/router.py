@@ -124,11 +124,9 @@ class ShardedPolicyService:
         Optional pre-built backend list (e.g.
         :class:`~repro.policy.sharding.procshard.ProcessShardBackend`
         instances); overrides the default in-process construction.
-    concurrent:
-        Dispatch per-shard sub-batches from worker threads.  Defaults
-        off for in-process backends (determinism costs nothing there)
-        and should be on for process backends (that is where the
-        scaling comes from).
+        Their per-shard sub-batches are dispatched from worker threads
+        (that is where process shards' scaling comes from); in-process
+        shards are called serially, where determinism costs nothing.
     breaker_threshold / breaker_reset:
         Per-shard circuit breaker tuning (PR 2 semantics).
     """
@@ -143,7 +141,6 @@ class ShardedPolicyService:
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
         profiler=None,
-        concurrent: Optional[bool] = None,
         breaker_threshold: int = 3,
         breaker_reset: float = 60.0,
         snapshot_interval: int = 1000,
@@ -188,9 +185,7 @@ class ShardedPolicyService:
                 clock=self.clock,
             )
             self.shards.append(ShardHandle(index, backend, breaker=breaker))
-        if concurrent is None:
-            concurrent = backends is not None
-        self._concurrent = bool(concurrent) and num_shards > 1
+        self._concurrent = backends is not None and num_shards > 1
 
         # ---------------- global allocation + canonical numbering ----------
         self._tid_last = 0
@@ -358,7 +353,7 @@ class ShardedPolicyService:
 
         A :class:`ShardUnavailableError` becomes ``None`` in the result
         slot (the caller degrades that sub-batch); other exceptions
-        propagate.  With ``concurrent`` enabled, calls run from one
+        propagate.  For caller-supplied backends, calls run from one
         thread per shard — results keep submission order either way.
         """
 

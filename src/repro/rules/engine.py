@@ -280,10 +280,6 @@ class Session:
     def retract(self, fact: Fact) -> None:
         self.memory.retract(fact)
 
-    def insert_all(self, facts: Iterable[Fact]) -> None:
-        for fact in facts:
-            self.insert(fact)
-
     # -- firing ----------------------------------------------------------------
     def _suppressed_by_no_loop(self, rule: Rule, key: tuple) -> bool:
         if not rule.no_loop:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.des.core import Environment, Event
+from repro.obs.tracer import as_tracer
 from repro.tenancy.scheduler import EnsembleScheduler, Submission, TenantQuotaError
 
 __all__ = ["AdmissionConfig", "AdmissionController"]
@@ -73,7 +74,7 @@ class AdmissionController:
         self.env = env
         self.scheduler = scheduler
         self.config = config or AdmissionConfig()
-        self.tracer = tracer
+        self.tracer = as_tracer(tracer)
         self.pressure_probe = pressure_probe
         #: submission names in the order they were admitted (determinism witness)
         self.admission_order: list[str] = []
@@ -100,11 +101,11 @@ class AdmissionController:
             sub = self.scheduler.submit(tenant, name, est_bytes, payload=starter)
         except TenantQuotaError as exc:
             self.rejected.append((tenant, name, str(exc)))
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 tracer.instant("tenant", "tenant.reject", tenant=tenant,
                                workflow=name, reason=str(exc))
             return None
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.instant("tenant", "tenant.submit", tenant=tenant,
                            workflow=name, est_bytes=float(est_bytes))
         self._poke()
@@ -146,7 +147,7 @@ class AdmissionController:
         self.admission_order.append(sub.name)
         self.scheduler.charge(sub.tenant, sub.est_bytes)
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.instant("tenant", "tenant.admit", tenant=sub.tenant,
                            workflow=sub.name, running=self._inflight,
                            queued=len(self.scheduler))
@@ -156,7 +157,7 @@ class AdmissionController:
     def _child(self, sub: Submission):
         tracer = self.tracer
         span = None
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             span = tracer.begin("tenant", "tenant.run",
                                 track=f"tenant:{sub.tenant}",
                                 tenant=sub.tenant, workflow=sub.name)
@@ -170,7 +171,7 @@ class AdmissionController:
             self._inflight -= 1
             self._running[sub.tenant] -= 1
             self.completed.append(sub.name)
-            if tracer is not None:
+            if span is not None:
                 tracer.end(span, bytes_staged=actual)
             self._sample_queue()
             self._poke()
@@ -184,12 +185,12 @@ class AdmissionController:
         if self._throttled:
             if value <= self.config.backpressure_low:
                 self._throttled = False
-                if tracer is not None and tracer.enabled:
+                if tracer.enabled:
                     tracer.instant("tenant", "tenant.backpressure",
                                    state="released", pressure=value)
         elif value >= self.config.backpressure_high:
             self._throttled = True
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 tracer.instant("tenant", "tenant.backpressure",
                                state="engaged", pressure=value)
         return self._throttled
@@ -208,6 +209,6 @@ class AdmissionController:
 
     def _sample_queue(self) -> None:
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.counter("tenant", "tenant.queue",
                            queued=len(self.scheduler), running=self._inflight)

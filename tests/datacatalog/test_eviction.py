@@ -54,6 +54,33 @@ def test_size_evicts_largest_first():
     ]
 
 
+@pytest.mark.parametrize("capacity, eviction_policy, victims, used_after", [
+    (2000.0, "lru", ["f0", "f1", "f2", "f3"], 1600.0),
+    (2000.0, "size", ["f2", "f4", "f1"], 1600.0),
+    (3500.0, "lru", ["f0", "f1", "f2"], 2300.0),
+    (3500.0, "size", ["f2", "f4"], 2500.0),
+    (6000.0, "lru", [], 5200.0),
+    (6000.0, "size", [], 5200.0),
+])
+def test_victims_per_capacity_and_policy(capacity, eviction_policy, victims, used_after):
+    """The LRU-vs-size table ``docs/catalog.md`` quotes: five released
+    files (4,700 B, staged 10 s apart) overflowed by a 500 B one."""
+    clock = Clock()
+    service = make_service(
+        clock=clock,
+        config=CatalogConfig(
+            site_capacity={"obelix": capacity}, eviction_policy=eviction_policy
+        ),
+    )
+    for i, nbytes in enumerate([400.0, 900.0, 1600.0, 700.0, 1100.0]):
+        stage(service, "warm", [spec(f"f{i}", nbytes=nbytes)])
+        clock.advance(10.0)
+    service.unregister_workflow("warm")
+    response = stage(service, "hot", [spec("hot", nbytes=500.0)])
+    assert [v["lfn"] for v in response["evicted"]] == victims
+    assert service.catalog_census()["sites"][0]["used_bytes"] == used_after
+
+
 def test_under_budget_completions_evict_nothing(service):
     response = stage(service, "wf1", [spec("a", nbytes=100.0)])
     assert response["evicted"] == []

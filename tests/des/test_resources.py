@@ -1,8 +1,8 @@
-"""Unit tests for DES resources (Resource, PriorityResource, Store, Container)."""
+"""Unit tests for DES resources (Resource, PriorityResource)."""
 
 import pytest
 
-from repro.des import Container, Environment, PriorityResource, Resource, Store
+from repro.des import Environment, PriorityResource, Resource
 
 
 # ---------------------------------------------------------------- Resource
@@ -112,28 +112,6 @@ def test_resource_cancel_waiting_request():
     assert ("served", 50.0) in got
 
 
-def test_resource_resize_grows_grants_waiters():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    started = []
-
-    def user(i):
-        yield res.request()
-        started.append((env.now, i))
-        yield env.timeout(100)
-
-    env.process(user(0))
-    env.process(user(1))
-
-    def grow():
-        yield env.timeout(10)
-        res.resize(2)
-
-    env.process(grow())
-    env.run(until=20)
-    assert started == [(0.0, 0), (10.0, 1)]
-
-
 def test_priority_resource_serves_low_priority_value_first():
     env = Environment()
     res = PriorityResource(env, capacity=1)
@@ -158,160 +136,3 @@ def test_priority_resource_serves_low_priority_value_first():
     env.process(user("mid-urgency", 3))
     env.run(until=100)
     assert order == ["high-urgency", "mid-urgency", "low-urgency"]
-
-
-# ---------------------------------------------------------------- Store
-def test_store_put_get_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer():
-        for i in range(3):
-            yield store.put(i)
-            yield env.timeout(1)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((env.now, item))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert [item for _, item in got] == [0, 1, 2]
-
-
-def test_store_get_blocks_until_item():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def producer():
-        yield env.timeout(7)
-        yield store.put("x")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [(7.0, "x")]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    trace = []
-
-    def producer():
-        yield store.put("a")
-        trace.append(("put-a", env.now))
-        yield store.put("b")
-        trace.append(("put-b", env.now))
-
-    def consumer():
-        yield env.timeout(5)
-        item = yield store.get()
-        trace.append(("got", item, env.now))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert ("put-a", 0.0) in trace
-    assert ("put-b", 5.0) in trace
-
-
-def test_store_filtered_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def run():
-        yield store.put({"kind": "red"})
-        yield store.put({"kind": "blue"})
-        item = yield store.get(filter=lambda it: it["kind"] == "blue")
-        got.append(item["kind"])
-        item = yield store.get()
-        got.append(item["kind"])
-
-    env.process(run())
-    env.run()
-    assert got == ["blue", "red"]
-
-
-def test_store_len():
-    env = Environment()
-    store = Store(env)
-
-    def run():
-        yield store.put(1)
-        yield store.put(2)
-
-    env.process(run())
-    env.run()
-    assert len(store) == 2
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
-# ---------------------------------------------------------------- Container
-def test_container_get_blocks_until_level():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    got = []
-
-    def consumer():
-        yield tank.get(30)
-        got.append(env.now)
-
-    def producer():
-        yield env.timeout(3)
-        yield tank.put(10)
-        yield env.timeout(3)
-        yield tank.put(25)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [6.0]
-    assert tank.level == 5.0
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=8)
-    trace = []
-
-    def producer():
-        yield tank.put(5)
-        trace.append(env.now)
-
-    def consumer():
-        yield env.timeout(4)
-        yield tank.get(6)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert trace == [4.0]
-    assert tank.level == 7.0
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=9)
-    tank = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        tank.put(-1)
-    with pytest.raises(ValueError):
-        tank.get(-1)

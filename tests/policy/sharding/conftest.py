@@ -92,7 +92,7 @@ def make_single(**kw):
 def make_router(num_shards, **kw):
     router_kw = {
         key: kw.pop(key)
-        for key in ("journal_root", "backends", "concurrent",
+        for key in ("journal_root", "backends",
                     "breaker_threshold", "breaker_reset", "clock")
         if key in kw
     }

@@ -322,6 +322,68 @@ def test_failed_submit_leaves_no_listener_and_no_stale_firings():
     assert service._rule_session is session
 
 
+def _disk_full(*_args, **_kwargs):
+    raise OSError("disk full")
+
+
+# op -> (what it raises, the failing call given the ids of an in-progress
+# transfer and cleanup, whether the failure is the journal's commit)
+FAILING_CALLS = {
+    "submit_transfers": (
+        KeyError, lambda s, tid, cid: s.submit_transfers("wf", "j2", [{"lfn": "c"}]), False),
+    "submit_cleanups": (
+        ValueError, lambda s, tid, cid: s.submit_cleanups("wf", "c2", [("a",)]), False),
+    "reconcile_staged": (
+        ValueError, lambda s, tid, cid: s.reconcile_staged("wf", [("a",)]), False),
+    "complete_transfers": (
+        OSError, lambda s, tid, cid: s.complete_transfers(done=[tid]), True),
+    "complete_cleanups": (
+        OSError, lambda s, tid, cid: s.complete_cleanups([cid]), True),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FAILING_CALLS))
+def test_a_failed_call_is_visible_and_leaves_no_residue(op, tmp_path, monkeypatch):
+    """Every traced entry point that raises closes exactly one span with
+    the error's type and is timed like any other call; the session keeps
+    no listener and the journal neither bytes nor an open transaction."""
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    service = PolicyService(
+        PolicyConfig(policy="greedy", max_streams=10),
+        journal=PolicyJournal(tmp_path), tracer=tracer,
+    )
+    first, second = service.submit_transfers("wf", "j1", [
+        {"lfn": n, "src_url": f"gsiftp://fg-vm/data/{n}", "dst_url": f"{DST}/{n}",
+         "nbytes": 1.0}
+        for n in ("a", "b")
+    ])
+    service.complete_transfers(done=[first.tid])
+    (cleanup,) = service.submit_cleanups("wf", "c1", [("a", f"{DST}/a")])
+    assert cleanup.action == "delete"
+
+    error, call, commit_fails = FAILING_CALLS[op]
+    calls = service.metrics.get("repro_policy_calls_total")
+    seconds = service.metrics.get("repro_policy_call_seconds").labels(call=op)
+    counted, timed = calls.value(call=op), seconds.count
+    spans = len(tracer.spans())
+    journal_bytes = service.journal.journal_path.read_bytes()
+    if commit_fails:
+        monkeypatch.setattr(service.journal, "commit", _disk_full)
+    with pytest.raises(error):
+        call(service, second.tid, cleanup.cid)
+
+    (span,) = tracer.spans()[spans:]
+    assert span["name"] == f"policy.{op}"
+    assert span["args"]["error"] == error.__name__
+    assert calls.value(call=op) == counted + 1
+    assert seconds.count == timed + 1
+    assert service._rule_session.firing_listener is None
+    assert not service.journal.has_pending
+    assert service.journal.journal_path.read_bytes() == journal_bytes
+
+
 def session_census(service):
     """Sizes of everything the long-lived session holds on to."""
     session = service._rule_session

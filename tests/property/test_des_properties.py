@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, Resource, Store
+from repro.des import Environment, Resource
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=30))
@@ -55,27 +55,6 @@ def test_resource_never_exceeds_capacity_and_serves_everyone(durations, capacity
     env.run()
     assert max_in_use[0] <= capacity
     assert sorted(served) == list(range(len(durations)))
-
-
-@given(items=st.lists(st.integers(), min_size=1, max_size=30))
-def test_store_preserves_fifo_and_content(items):
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-
-    def consumer():
-        for _ in items:
-            value = yield store.get()
-            got.append(value)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == items
 
 
 @given(

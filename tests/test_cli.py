@@ -223,9 +223,14 @@ def test_trace_command_writes_artifacts(tmp_path):
     assert "rule" in text and "fires" in text  # profile report printed
     doc = json.loads((outdir / "trace.json").read_text())
     assert doc["traceEvents"]
+    for event in doc["traceEvents"]:  # the Chrome trace_event schema
+        assert event["ph"] in {"M", "X", "i", "C"}, event
+        if event["ph"] == "X":
+            assert "ts" in event and event["dur"] >= 0, event
     lines = (outdir / "events.jsonl").read_text().splitlines()
     assert lines and all(json.loads(line) for line in lines)
-    assert "# TYPE" in (outdir / "metrics.prom").read_text()
+    prom = (outdir / "metrics.prom").read_text()
+    assert "# TYPE repro_policy_calls_total counter" in prom
     assert "firings" in (outdir / "rule_profile.txt").read_text()
     assert json.loads((outdir / "provenance.json").read_text())["trace"]["events"] > 0
 
@@ -266,6 +271,36 @@ def test_serve_parser_accepts_shards():
     args = build_parser().parse_args(
         ["serve", "--shards", "4", "--journal-root", "/tmp/j"])
     assert args.shards == 4 and args.journal_root == "/tmp/j"
+
+
+def test_serve_refuses_a_journal_root_without_shards(tmp_path, capsys):
+    """A single service does not journal: the flag is refused, not
+    accepted and ignored, and nothing is created under it."""
+    root = tmp_path / "journals"
+    code, text = run_cli("serve", "--journal-root", str(root))
+    assert code == 2 and text == ""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "--shards" in line
+    assert not root.exists()
+
+
+def test_serve_refuses_to_restart_a_fleet_on_a_used_journal_root(tmp_path, capsys):
+    """The router's ids and ownership directory are not durable, so a
+    second start on the same root is refused in one line — not a
+    ``JournalError`` traceback — and leaves the journals as they were."""
+    from repro.policy import PolicyConfig, ShardedPolicyService
+
+    ShardedPolicyService(
+        PolicyConfig(policy="greedy"), num_shards=2, journal_root=tmp_path
+    ).close()
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    code, text = run_cli(
+        "serve", "--port", "0", "--shards", "2", "--journal-root", str(tmp_path)
+    )
+    assert code == 2 and text == ""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "cannot be restarted" in line and str(tmp_path) in line
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
 
 def test_serve_subprocess_exits_cleanly_on_sigterm():
@@ -380,8 +415,11 @@ def test_trace_tenant_ensemble_artifacts(tmp_path):
     provenance = json.loads((tmp_path / "provenance.json").read_text())
     assert provenance["kind"] == "tenant-ensemble"
     assert provenance["admission_order"][0] == "gold-wf0-extra10MB"
-    lines = (tmp_path / "events.jsonl").read_text().splitlines()
-    assert any('"tenant.admit"' in line for line in lines)
+    names = {
+        json.loads(line)["name"]
+        for line in (tmp_path / "events.jsonl").read_text().splitlines()
+    }
+    assert {"tenant.submit", "tenant.admit", "tenant.run"} <= names
 
 
 def test_ensemble_trace_deterministic_across_processes(tmp_path):
