@@ -12,8 +12,7 @@ Run:  python examples/run_report.py
 import json
 
 from repro.experiments import ExperimentConfig
-from repro.experiments.environment import build_testbed
-from repro.experiments.runner import WorkflowExecution, build_policy_client
+from repro.experiments.runner import execute_workflow
 from repro.metrics import ascii_timeline, run_provenance
 from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
@@ -23,10 +22,8 @@ def main() -> None:
         extra_file_mb=50, default_streams=8, policy="greedy",
         threshold=50, n_images=20, seed=8,
     )
-    bed = build_testbed(cfg.testbed, seed=8)
     workflow = augmented_montage(50 * MB, MontageConfig(n_images=20, name="report-demo"))
-    execution = WorkflowExecution(cfg, workflow, bed, build_policy_client(cfg, bed))
-    bed.env.run(until=execution.start())
+    execution = execute_workflow(cfg, workflow)
 
     metrics = execution.metrics()
     provenance = run_provenance(metrics, execution.result, cfg)

@@ -26,6 +26,46 @@ from typing import Optional, Sequence
 __all__ = ["main", "build_parser"]
 
 
+_POLICIES = ("greedy", "balanced", "fifo", "none")
+
+
+def _add_cell_arguments(parser, extra_mb, images, policies=_POLICIES, sized=True) -> None:
+    """The flags that describe one experiment cell (see :func:`_cell_config`).
+
+    Without ``sized`` the workload size is fixed at ``extra_mb`` / ``images``
+    instead of being a flag.
+    """
+    if sized:
+        parser.add_argument("--extra-mb", type=float, default=extra_mb,
+                            help="extra staged file size per staging job (MB)")
+    parser.add_argument("--streams", type=int, default=4,
+                        help="default parallel streams per transfer")
+    parser.add_argument("--policy", choices=list(policies), default="greedy")
+    parser.add_argument("--threshold", type=int, default=50,
+                        help="max streams between a host pair")
+    if sized:
+        parser.add_argument("--images", type=int, default=images,
+                            help="Montage input images (= staging jobs)")
+    else:
+        parser.set_defaults(extra_mb=extra_mb, images=images)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _cell_config(args, **fields):
+    """The :class:`ExperimentConfig` the cell flags describe, plus ``fields``."""
+    from repro.experiments import ExperimentConfig
+
+    return ExperimentConfig(
+        extra_file_mb=args.extra_mb,
+        default_streams=args.streams,
+        policy=None if args.policy == "none" else args.policy,
+        threshold=args.threshold,
+        n_images=args.images,
+        seed=args.seed,
+        **fields,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -39,23 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table4", help="print Table IV (maximum simultaneous streams)")
 
     run = sub.add_parser("run", help="run one experiment cell")
-    run.add_argument("--extra-mb", type=float, default=100.0,
-                     help="extra staged file size per staging job (MB)")
-    run.add_argument("--streams", type=int, default=4,
-                     help="default parallel streams per transfer")
-    run.add_argument("--policy", choices=["greedy", "balanced", "fifo", "none"],
-                     default="greedy")
-    run.add_argument("--threshold", type=int, default=50,
-                     help="max streams between a host pair")
+    _add_cell_arguments(run, extra_mb=100.0, images=89)
     run.add_argument("--adaptive", action="store_true",
                      help="adapt the threshold from observed throughput")
-    run.add_argument("--images", type=int, default=89,
-                     help="Montage input images (= staging jobs)")
     run.add_argument("--max-staging-gb", type=float, default=None,
                      help="storage-constrained staging budget (GB)")
     run.add_argument("--output-site", default=None,
                      help="stage final outputs to this site (e.g. archive)")
-    run.add_argument("--seed", type=int, default=0)
 
     figure = sub.add_parser("figure", help="regenerate one of Figs. 5-9")
     figure.add_argument("number", type=int, choices=[5, 6, 7, 8, 9])
@@ -152,17 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(tenant.* events on the trace)")
     trace.add_argument("--out", default=None, metavar="DIR",
                        help="artifact directory (default traces/<scenario>)")
-    trace.add_argument("--extra-mb", type=float, default=20.0,
-                       help="extra staged file size per staging job (MB)")
-    trace.add_argument("--streams", type=int, default=4,
-                       help="default parallel streams per transfer")
-    trace.add_argument("--policy", choices=["greedy", "balanced", "fifo", "none"],
-                       default="greedy")
-    trace.add_argument("--threshold", type=int, default=50,
-                       help="max streams between a host pair")
-    trace.add_argument("--images", type=int, default=12,
-                       help="Montage input images (= staging jobs)")
-    trace.add_argument("--seed", type=int, default=0)
+    _add_cell_arguments(trace, extra_mb=20.0, images=12)
 
     explain = sub.add_parser(
         "explain",
@@ -177,21 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     explain.add_argument("tid", type=int, help="transfer id to explain")
-    explain.add_argument("--extra-mb", type=float, default=20.0,
-                         help="extra staged file size per staging job (MB)")
-    explain.add_argument("--streams", type=int, default=4,
-                         help="default parallel streams per transfer")
-    explain.add_argument("--policy", choices=["greedy", "balanced", "fifo"],
-                         default="greedy")
-    explain.add_argument("--threshold", type=int, default=50,
-                         help="max streams between a host pair")
-    explain.add_argument("--images", type=int, default=12,
-                         help="Montage input images (= staging jobs)")
+    # no "none": a cell without policy has no decision to explain
+    _add_cell_arguments(explain, extra_mb=20.0, images=12, policies=_POLICIES[:-1])
     explain.add_argument("--shards", type=int, default=0,
                          help="shard the policy service N ways "
                               "(0 = single service; records are identical)")
     explain.add_argument("--format", choices=["text", "json"], default="text")
-    explain.add_argument("--seed", type=int, default=0)
 
     ensemble = sub.add_parser(
         "ensemble",
@@ -215,13 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None, help="override the queue ordering")
     ensemble.add_argument("--max-concurrent", type=int, default=None,
                           help="override the global workflow slot count")
-    ensemble.add_argument("--policy", choices=["greedy", "balanced", "fifo", "none"],
-                          default="greedy")
-    ensemble.add_argument("--streams", type=int, default=4,
-                          help="default parallel streams per transfer")
-    ensemble.add_argument("--threshold", type=int, default=50,
-                          help="max streams between a host pair")
-    ensemble.add_argument("--seed", type=int, default=0)
+    _add_cell_arguments(ensemble, extra_mb=10.0, images=6, sized=False)
 
     return parser
 
@@ -236,20 +241,14 @@ def _cmd_table4(out) -> int:
 
 
 def _cmd_run(args, out) -> int:
-    from repro.experiments import ExperimentConfig, run_cell
+    from repro.experiments import run_cell
 
-    policy = None if args.policy == "none" else args.policy
-    cfg = ExperimentConfig(
-        extra_file_mb=args.extra_mb,
-        default_streams=args.streams,
-        policy=policy,
-        threshold=args.threshold,
+    cfg = _cell_config(
+        args,
         adaptive=args.adaptive,
-        cluster_factor=2 if policy == "balanced" else None,
-        n_images=args.images,
+        cluster_factor=2 if args.policy == "balanced" else None,
         max_staging_bytes=args.max_staging_gb * 1e9 if args.max_staging_gb else None,
         output_site=args.output_site,
-        seed=args.seed,
     )
     metrics = run_cell(cfg)
     print(f"workflow      : {metrics.workflow_id}", file=out)
@@ -259,7 +258,7 @@ def _cmd_run(args, out) -> int:
     print(f"bytes staged  : {metrics.bytes_staged / 1e9:.2f} GB", file=out)
     print(f"peak WAN load : {metrics.peak_streams.get('wan', 0)} streams", file=out)
     print(f"peak footprint: {metrics.peak_footprint / 1e9:.2f} GB", file=out)
-    if policy:
+    if cfg.policy:
         print(f"policy calls  : {metrics.policy_calls} "
               f"({metrics.policy_overhead:.1f} s total latency)", file=out)
     return 0 if metrics.success else 1
@@ -542,7 +541,6 @@ def _ensemble_inputs(doc: dict):
 def _cmd_ensemble(args, out) -> int:
     import json
 
-    from repro.experiments import ExperimentConfig
     from repro.experiments.runner import run_tenant_ensemble
     from repro.tenancy import AdmissionConfig
 
@@ -560,16 +558,8 @@ def _cmd_ensemble(args, out) -> int:
             backpressure_high=admission.backpressure_high,
             backpressure_low=admission.backpressure_low,
         )
-    cfg = ExperimentConfig(
-        extra_file_mb=10.0,
-        default_streams=args.streams,
-        policy=None if args.policy == "none" else args.policy,
-        threshold=args.threshold,
-        n_images=6,
-        seed=args.seed,
-    )
     result = run_tenant_ensemble(
-        cfg, tenants, submissions, admission=admission, scheduler=scheduler
+        _cell_config(args), tenants, submissions, admission=admission, scheduler=scheduler
     )
     print(f"scheduler      : {scheduler} "
           f"(max {admission.max_concurrent} concurrent)", file=out)
@@ -589,25 +579,16 @@ def _cmd_ensemble(args, out) -> int:
 def _cmd_trace(args, out) -> int:
     from pathlib import Path
 
-    from repro.experiments import ExperimentConfig
     from repro.experiments.tracing import (
         run_traced_cell,
         run_traced_chaos,
         run_traced_ensemble,
     )
 
-    policy = None if args.policy == "none" else args.policy
-    if args.scenario == "chaos-montage" and policy is None:
+    cfg = _cell_config(args)
+    if args.scenario == "chaos-montage" and cfg.policy is None:
         print("chaos-montage needs a policy (got --policy none)", file=out)
         return 2
-    cfg = ExperimentConfig(
-        extra_file_mb=args.extra_mb,
-        default_streams=args.streams,
-        policy=policy,
-        threshold=args.threshold,
-        n_images=args.images,
-        seed=args.seed,
-    )
     if args.scenario == "tenant-ensemble":
         tenants, submissions, admission, scheduler = _ensemble_inputs(DEMO_ENSEMBLE)
         run = run_traced_ensemble(
@@ -640,7 +621,7 @@ def _cmd_trace(args, out) -> int:
     print("artifacts:", file=out)
     for name in sorted(paths):
         print(f"  {name:<16s} {paths[name]}", file=out)
-    if policy is not None:
+    if cfg.policy is not None:
         print(file=out)
         print(run.profiler.report(), file=out)
     return 0 if run.metrics.success else 1
@@ -649,33 +630,14 @@ def _cmd_trace(args, out) -> int:
 def _cmd_explain(args, out) -> int:
     import json as _json
 
-    from repro.experiments import ExperimentConfig
-    from repro.experiments.environment import build_testbed
-    from repro.experiments.runner import WorkflowExecution, build_policy_client
+    from repro.experiments.runner import cell_workflow, execute_workflow
     from repro.planner.planner import fresh_plan_ids
     from repro.policy.provenance import render_narrative
-    from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
-    cfg = ExperimentConfig(
-        extra_file_mb=args.extra_mb,
-        default_streams=args.streams,
-        policy=args.policy,
-        threshold=args.threshold,
-        n_images=args.images,
-        shards=args.shards,
-        seed=args.seed,
-    )
-    workflow = augmented_montage(
-        cfg.extra_file_mb * MB,
-        MontageConfig(n_images=cfg.n_images, name=f"montage-{cfg.n_images}img"),
-    )
-    bed = build_testbed(cfg.testbed, seed=cfg.seed)
-    policy = build_policy_client(cfg, bed)
+    cfg = _cell_config(args, shards=args.shards)
     with fresh_plan_ids():
-        execution = WorkflowExecution(cfg, workflow, bed, policy)
-        process = execution.start()
-        bed.env.run(until=process)
-    record = policy.service.explain(args.tid)
+        execution = execute_workflow(cfg, cell_workflow(cfg))
+    record = execution.policy.service.explain(args.tid)
     if record is None:
         print(f"no decision record for transfer {args.tid} "
               f"(this cell issued transfer ids starting at 1)", file=out)

@@ -7,7 +7,13 @@
   matches the paper's quoted ~28 Mbit/s for a default 4-stream transfer;
 * :mod:`repro.experiments.runner` — runs one experiment cell (one
   combination of policy, threshold, default streams, and extra-file size)
-  and returns :class:`~repro.metrics.collectors.RunMetrics`;
+  and returns :class:`~repro.metrics.collectors.RunMetrics`
+  (``build_policy_service`` turns the cell's config — ``shards``,
+  ``journal_root`` — into its policy service, ``execute_workflow``
+  returns the finished execution);
+* :mod:`repro.experiments.chaos`, :mod:`repro.experiments.tracing` — the
+  same cell under a fault plan (``run_chaos_montage``, any fleet size)
+  and with the observability stack attached (``TracedRun``);
 * :mod:`repro.experiments.figures` — series builders regenerating
   Table IV and Figs. 5-9.
 """
@@ -22,7 +28,6 @@ from repro.experiments.runner import (
     run_tenant_ensemble,
 )
 from repro.experiments.tracing import (
-    TracedEnsemble,
     TracedRun,
     run_traced_cell,
     run_traced_ensemble,
@@ -33,7 +38,6 @@ __all__ = [
     "EnsembleResult",
     "ExperimentConfig",
     "TestbedParams",
-    "TracedEnsemble",
     "TracedRun",
     "build_testbed",
     "run_cell",

@@ -25,6 +25,7 @@ from repro.planner import JobKind, Planner, PlanOptions
 from repro.policy import (
     InProcessPolicyClient,
     PolicyConfig,
+    PolicyJournal,
     PolicyRefusedError,
     PolicyService,
     ShardedPolicyService,
@@ -36,6 +37,8 @@ __all__ = [
     "EnsembleResult",
     "ExperimentConfig",
     "WorkflowExecution",
+    "build_policy_service",
+    "execute_workflow",
     "run_cell",
     "run_replicates",
     "run_workflow",
@@ -70,7 +73,7 @@ class ExperimentConfig:
     retry_backoff: float = 0.0            # base delay between job retries
     n_images: int = 89                    # paper: 89 data staging jobs
     shards: int = 0                       # 0 = single service, N >= 1 = sharded router
-    journal_root: Optional[str] = None    # per-shard journals under this dir
+    journal_root: Optional[str] = None    # journal here (per shard: <root>/shard-i)
     seed: int = 0
     testbed: TestbedParams = field(default_factory=TestbedParams)
 
@@ -114,39 +117,42 @@ def cell_workflow(cfg: ExperimentConfig) -> Workflow:
     )
 
 
+def build_policy_service(
+    cfg: ExperimentConfig, bed: Testbed, metrics=None, profiler=None, **kwargs
+):
+    """The one place an :class:`ExperimentConfig` becomes a policy service.
+
+    ``cfg.shards >= 1`` gives a :class:`ShardedPolicyService` (shard *i*
+    journals under ``<cfg.journal_root>/shard-i``), otherwise one
+    :class:`PolicyService`, journaled under ``cfg.journal_root`` when that
+    is set.  The service runs on the testbed's clock and inherits its
+    tracer (``bed.env.tracer``) plus an optional shared
+    :class:`~repro.obs.MetricsRegistry` and :class:`~repro.obs.RuleProfiler`;
+    ``kwargs`` reach the constructor (the chaos runner's ``breaker_threshold``).
+    """
+    config = policy_config_of(cfg, bed)
+    kwargs.update(
+        clock=lambda: bed.env.now, metrics=metrics, tracer=bed.env.tracer,
+        profiler=profiler,
+    )
+    if cfg.shards >= 1:
+        return ShardedPolicyService(
+            config, num_shards=cfg.shards, journal_root=cfg.journal_root, **kwargs
+        )
+    journal = PolicyJournal(cfg.journal_root) if cfg.journal_root is not None else None
+    return PolicyService(config, journal=journal, **kwargs)
+
+
 def build_policy_client(
     cfg: ExperimentConfig,
     bed: Testbed,
     metrics=None,
     profiler=None,
 ) -> Optional[InProcessPolicyClient]:
-    """The in-simulation policy client for a cell (None when policy off).
-
-    The service inherits the testbed's tracer (``bed.env.tracer``) plus
-    an optional shared :class:`~repro.obs.MetricsRegistry` and
-    :class:`~repro.obs.RuleProfiler`.
-    """
+    """The in-simulation policy client for a cell (None when policy off)."""
     if cfg.policy is None:
         return None
-    policy_config = policy_config_of(cfg, bed)
-    if cfg.shards >= 1:
-        service = ShardedPolicyService(
-            policy_config,
-            num_shards=cfg.shards,
-            clock=lambda: bed.env.now,
-            journal_root=cfg.journal_root,
-            metrics=metrics,
-            tracer=bed.env.tracer,
-            profiler=profiler,
-        )
-    else:
-        service = PolicyService(
-            policy_config,
-            clock=lambda: bed.env.now,
-            metrics=metrics,
-            tracer=bed.env.tracer,
-            profiler=profiler,
-        )
+    service = build_policy_service(cfg, bed, metrics=metrics, profiler=profiler)
     return InProcessPolicyClient(service, bed.env, latency=cfg.testbed.policy_latency)
 
 
@@ -328,6 +334,29 @@ class WorkflowExecution:
         )
 
 
+def execute_workflow(
+    cfg: ExperimentConfig,
+    workflow: Workflow,
+    bed: Optional[Testbed] = None,
+    policy_client: Optional[InProcessPolicyClient] = None,
+    metrics=None,
+    profiler=None,
+) -> WorkflowExecution:
+    """Plan + run one workflow (fresh testbed/policy unless provided).
+
+    Returns the *finished* execution, which keeps what a caller may want
+    to interrogate: the testbed, the policy client (so the service's
+    ``explain`` / ``decision_records``), ``ptt.staged_log``, DAGMan's
+    ``result`` and :meth:`WorkflowExecution.metrics`.
+    """
+    bed = bed or build_testbed(cfg.testbed, seed=cfg.seed)
+    if policy_client is None:
+        policy_client = build_policy_client(cfg, bed, metrics=metrics, profiler=profiler)
+    execution = WorkflowExecution(cfg, workflow, bed, policy_client)
+    bed.env.run(until=execution.start())
+    return execution
+
+
 def run_workflow(
     cfg: ExperimentConfig,
     workflow: Workflow,
@@ -335,12 +364,7 @@ def run_workflow(
     policy_client: Optional[InProcessPolicyClient] = None,
 ) -> RunMetrics:
     """Plan + execute one workflow; fresh testbed/policy unless provided."""
-    bed = bed or build_testbed(cfg.testbed, seed=cfg.seed)
-    policy = policy_client if policy_client is not None else build_policy_client(cfg, bed)
-    execution = WorkflowExecution(cfg, workflow, bed, policy)
-    process = execution.start()
-    bed.env.run(until=process)
-    return execution.metrics()
+    return execute_workflow(cfg, workflow, bed, policy_client).metrics()
 
 
 def run_concurrent_workflows(

@@ -36,10 +36,9 @@ from repro.experiments.environment import build_testbed
 from repro.experiments.runner import (
     EnsembleResult,
     ExperimentConfig,
-    WorkflowExecution,
-    build_policy_client,
     catalog_census_of,
     cell_workflow,
+    execute_workflow,
     run_tenant_ensemble,
 )
 from repro.metrics.collectors import RunMetrics
@@ -60,7 +59,6 @@ from repro.planner.planner import fresh_plan_ids
 from repro.workflow.dag import Workflow
 
 __all__ = [
-    "TracedEnsemble",
     "TracedRun",
     "run_traced_cell",
     "run_traced_chaos",
@@ -69,48 +67,18 @@ __all__ = [
 ]
 
 
-def _write_artifact_set(
-    tracer, registry, profiler, provenance, outdir, decisions=(),
-    catalog_census=None,
-) -> dict[str, str]:
-    """Write the standard artifact set; returns {artifact: path}."""
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "trace.json": out / "trace.json",
-        "events.jsonl": out / "events.jsonl",
-        "metrics.prom": out / "metrics.prom",
-        "rule_profile.txt": out / "rule_profile.txt",
-        "provenance.json": out / "provenance.json",
-        "decisions.jsonl": out / "decisions.jsonl",
-    }
-    write_chrome_trace(tracer, paths["trace.json"])
-    write_jsonl(tracer, paths["events.jsonl"])
-    write_prometheus(registry, paths["metrics.prom"])
-    write_rule_profile(profiler, paths["rule_profile.txt"])
-    paths["provenance.json"].write_text(
-        json.dumps(provenance, indent=2, sort_keys=True, default=repr) + "\n"
-    )
-    write_decisions(list(decisions), paths["decisions.jsonl"])
-    if catalog_census is not None:
-        # Canonical JSON (sorted keys, no indent-dependent whitespace
-        # inside values): equal catalogs produce byte-equal artifacts.
-        paths["catalog_census.json"] = out / "catalog_census.json"
-        paths["catalog_census.json"].write_text(
-            json.dumps(catalog_census, indent=2, sort_keys=True) + "\n"
-        )
-    return {name: str(path) for name, path in paths.items()}
-
-
 @dataclass
 class TracedRun:
-    """A finished run plus the live observability objects."""
+    """A finished run (or tenant ensemble) plus the live observability objects."""
 
-    metrics: RunMetrics
     tracer: Tracer
     registry: MetricsRegistry
     profiler: RuleProfiler
     provenance: dict
+    #: a single run's metrics (None for an ensemble)
+    metrics: Optional[RunMetrics] = None
+    #: a tenant ensemble's result (None for a single run)
+    result: Optional[EnsembleResult] = None
     #: decision-provenance records, span-linked to the trace
     decisions: list = field(default_factory=list)
     #: staged-data catalog census at end of run (None = catalog off)
@@ -122,10 +90,47 @@ class TracedRun:
 
     def write_artifacts(self, outdir) -> dict[str, str]:
         """Write the standard artifact set; returns {artifact: path}."""
-        return _write_artifact_set(
-            self.tracer, self.registry, self.profiler, self.provenance, outdir,
-            decisions=self.decisions, catalog_census=self.catalog_census,
+        out = Path(outdir)
+        out.mkdir(parents=True, exist_ok=True)
+        paths = {
+            "trace.json": out / "trace.json",
+            "events.jsonl": out / "events.jsonl",
+            "metrics.prom": out / "metrics.prom",
+            "rule_profile.txt": out / "rule_profile.txt",
+            "provenance.json": out / "provenance.json",
+            "decisions.jsonl": out / "decisions.jsonl",
+        }
+        write_chrome_trace(self.tracer, paths["trace.json"])
+        write_jsonl(self.tracer, paths["events.jsonl"])
+        write_prometheus(self.registry, paths["metrics.prom"])
+        write_rule_profile(self.profiler, paths["rule_profile.txt"])
+        paths["provenance.json"].write_text(
+            json.dumps(self.provenance, indent=2, sort_keys=True, default=repr) + "\n"
         )
+        write_decisions(list(self.decisions), paths["decisions.jsonl"])
+        if self.catalog_census is not None:
+            # Canonical JSON (sorted keys, no indent-dependent whitespace
+            # inside values): equal catalogs produce byte-equal artifacts.
+            paths["catalog_census.json"] = out / "catalog_census.json"
+            paths["catalog_census.json"].write_text(
+                json.dumps(self.catalog_census, indent=2, sort_keys=True) + "\n"
+            )
+        return {name: str(path) for name, path in paths.items()}
+
+
+def _traced(run, tracer: Optional[Tracer] = None) -> TracedRun:
+    """Call ``run(tracer, registry, profiler)`` with a fresh stack attached.
+
+    ``run`` returns the remaining :class:`TracedRun` fields.  Workflow
+    ids carry a process-global plan sequence; it restarts here so the
+    event stream is identical no matter what was planned before.
+    """
+    tracer = tracer if tracer is not None else Tracer()
+    registry, profiler = MetricsRegistry(), RuleProfiler()
+    with fresh_plan_ids():
+        fields = run(tracer, registry, profiler)
+    fields["decisions"] = link_decisions_to_trace(list(fields["decisions"]), tracer)
+    return TracedRun(tracer=tracer, registry=registry, profiler=profiler, **fields)
 
 
 def run_traced_workflow(
@@ -134,60 +139,24 @@ def run_traced_workflow(
     tracer: Optional[Tracer] = None,
 ) -> TracedRun:
     """Plan + execute one workflow with the observability stack attached."""
-    tracer = tracer if tracer is not None else Tracer()
-    registry = MetricsRegistry()
-    profiler = RuleProfiler()
-    bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=tracer)
-    policy = build_policy_client(cfg, bed, metrics=registry, profiler=profiler)
-    # Workflow ids carry a process-global plan sequence; restart it so the
-    # event stream is identical no matter what was planned before.
-    with fresh_plan_ids():
-        execution = WorkflowExecution(cfg, workflow, bed, policy)
-        process = execution.start()
-        bed.env.run(until=process)
-    metrics = execution.metrics()
-    provenance = run_provenance(
-        metrics, result=execution.result, config=cfg, tracer=tracer,
-        frontend="in-process",
-    )
-    decisions = link_decisions_to_trace(
-        policy.service.decision_records(), tracer
-    )
-    return TracedRun(
-        metrics=metrics,
-        tracer=tracer,
-        registry=registry,
-        profiler=profiler,
-        provenance=provenance,
-        decisions=decisions,
-        catalog_census=catalog_census_of(policy.service),
-    )
-
-
-@dataclass
-class TracedEnsemble:
-    """A finished multi-tenant ensemble plus the observability objects."""
-
-    result: EnsembleResult
-    tracer: Tracer
-    registry: MetricsRegistry
-    profiler: RuleProfiler
-    provenance: dict
-    #: decision-provenance records, span-linked to the trace
-    decisions: list = field(default_factory=list)
-    #: staged-data catalog census at end of run (None = catalog off)
-    catalog_census: Optional[dict] = None
-
-    def jsonl(self) -> list[str]:
-        """The canonical JSONL event lines (deterministic per seed)."""
-        return jsonl_lines(self.tracer)
-
-    def write_artifacts(self, outdir) -> dict[str, str]:
-        """Write the standard artifact set; returns {artifact: path}."""
-        return _write_artifact_set(
-            self.tracer, self.registry, self.profiler, self.provenance, outdir,
-            decisions=self.decisions, catalog_census=self.catalog_census,
+    def run(tracer, registry, profiler):
+        bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=tracer)
+        execution = execute_workflow(
+            cfg, workflow, bed, metrics=registry, profiler=profiler
         )
+        metrics = execution.metrics()
+        service = execution.policy.service if execution.policy is not None else None
+        return dict(
+            metrics=metrics,
+            provenance=run_provenance(
+                metrics, result=execution.result, config=cfg, tracer=tracer,
+                frontend="in-process",
+            ),
+            decisions=service.decision_records() if service is not None else [],
+            catalog_census=catalog_census_of(service) if service is not None else None,
+        )
+
+    return _traced(run, tracer)
 
 
 def run_traced_ensemble(
@@ -197,18 +166,16 @@ def run_traced_ensemble(
     admission=None,
     scheduler: str = "fair",
     initial_charges: Optional[dict] = None,
-) -> TracedEnsemble:
+) -> TracedRun:
     """Run a tenant ensemble with the observability stack attached.
 
     The trace gains the ``tenant`` category (submit/admit/reject
     instants, per-workflow ``tenant.run`` spans, queue counters) next to
     the usual staging and rule spans; ``events.jsonl`` stays a
-    deterministic function of (workflows, config, seed).
+    deterministic function of (workflows, config, seed).  The returned
+    :class:`TracedRun` carries the :class:`EnsembleResult` as ``result``.
     """
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    profiler = RuleProfiler()
-    with fresh_plan_ids():
+    def run(tracer, registry, profiler):
         result = run_tenant_ensemble(
             cfg,
             tenants,
@@ -220,33 +187,32 @@ def run_traced_ensemble(
             metrics=registry,
             profiler=profiler,
         )
-    provenance = {
-        "kind": "tenant-ensemble",
-        "scheduler": scheduler,
-        "config": {
-            "extra_file_mb": cfg.extra_file_mb,
-            "default_streams": cfg.default_streams,
-            "policy": cfg.policy,
-            "threshold": cfg.threshold,
-            "seed": cfg.seed,
-        },
-        "admission_order": list(result.admission_order),
-        "completed_order": list(result.completed_order),
-        "rejected": [list(r) for r in result.rejected],
-        "tenant_bytes": dict(sorted(result.tenant_bytes.items())),
-        "tenant_shares": dict(sorted(result.tenant_shares.items())),
-        "workflows": [m.workflow_id for m in result.metrics],
-        "trace": tracer.summary(),
-    }
-    return TracedEnsemble(
-        result=result,
-        tracer=tracer,
-        registry=registry,
-        profiler=profiler,
-        provenance=provenance,
-        decisions=link_decisions_to_trace(list(result.decisions), tracer),
-        catalog_census=result.catalog_census,
-    )
+        provenance = {
+            "kind": "tenant-ensemble",
+            "scheduler": scheduler,
+            "config": {
+                "extra_file_mb": cfg.extra_file_mb,
+                "default_streams": cfg.default_streams,
+                "policy": cfg.policy,
+                "threshold": cfg.threshold,
+                "seed": cfg.seed,
+            },
+            "admission_order": list(result.admission_order),
+            "completed_order": list(result.completed_order),
+            "rejected": [list(r) for r in result.rejected],
+            "tenant_bytes": dict(sorted(result.tenant_bytes.items())),
+            "tenant_shares": dict(sorted(result.tenant_shares.items())),
+            "workflows": [m.workflow_id for m in result.metrics],
+            "trace": tracer.summary(),
+        }
+        return dict(
+            result=result,
+            provenance=provenance,
+            decisions=result.decisions,
+            catalog_census=result.catalog_census,
+        )
+
+    return _traced(run)
 
 
 def run_traced_cell(cfg: ExperimentConfig) -> TracedRun:
@@ -254,7 +220,7 @@ def run_traced_cell(cfg: ExperimentConfig) -> TracedRun:
     return run_traced_workflow(cfg, cell_workflow(cfg))
 
 
-def run_traced_chaos(cfg: ExperimentConfig, plan=None, journal_dir=None) -> TracedRun:
+def run_traced_chaos(cfg: ExperimentConfig, plan=None) -> TracedRun:
     """Run the chaos-Montage cell (mid-run service outage) with tracing on.
 
     The trace gains a ``fault`` track marking outage/drop/storm windows
@@ -264,25 +230,21 @@ def run_traced_chaos(cfg: ExperimentConfig, plan=None, journal_dir=None) -> Trac
     from repro.des.faults import FaultPlan
     from repro.experiments.chaos import run_chaos_montage
 
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    profiler = RuleProfiler()
     plan = plan if plan is not None else FaultPlan.single_crash(at=60.0, duration=30.0)
-    with fresh_plan_ids():
+
+    def run(tracer, registry, profiler):
         result = run_chaos_montage(
-            cfg, plan=plan, journal_dir=journal_dir,
-            tracer=tracer, metrics=registry, profiler=profiler,
+            cfg, plan=plan, tracer=tracer, metrics=registry, profiler=profiler
         )
-    provenance = run_provenance(
-        result.metrics, config=cfg, tracer=tracer, frontend="in-process"
-    )
-    provenance["fault_log"] = [[t, what] for t, what in result.fault_log]
-    return TracedRun(
-        metrics=result.metrics,
-        tracer=tracer,
-        registry=registry,
-        profiler=profiler,
-        provenance=provenance,
-        decisions=link_decisions_to_trace(list(result.decisions), tracer),
-        catalog_census=result.catalog_census,
-    )
+        provenance = run_provenance(
+            result.metrics, config=cfg, tracer=tracer, frontend="in-process"
+        )
+        provenance["fault_log"] = [[t, what] for t, what in result.fault_log]
+        return dict(
+            metrics=result.metrics,
+            provenance=provenance,
+            decisions=result.decisions,
+            catalog_census=result.catalog_census,
+        )
+
+    return _traced(run)

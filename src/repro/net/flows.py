@@ -34,7 +34,12 @@ _EPS = 1e-7
 #: drain in less than this are completed immediately; completion timers are
 #: never scheduled closer than this.  Guards against float-precision
 #: livelock: at large simulation times a sub-ULP delay would not advance
-#: the clock at all.
+#: the clock at all.  The contract this implies: a finished flow's residue
+#: (at most ``rate x _QUANTUM`` bytes: a microsecond of the link, against
+#: the paper's megabyte files) counts as delivered but is not added to
+#: ``FlowNetwork.bytes_moved``, which is therefore exact only to
+#: ``capacity x _QUANTUM`` bytes per flow
+#: (``tests/property/test_flow_properties.py`` states that tolerance).
 _QUANTUM = 1e-6
 
 

@@ -95,16 +95,13 @@ class ProcessShardBackend:
         journal_dir=None,
         snapshot_interval: int = 1000,
         fsync: bool = False,
-        start_method: Optional[str] = None,
     ) -> None:
         self.config = config if config is not None else PolicyConfig()
         self.journal_dir = journal_dir
         self.snapshot_interval = snapshot_interval
         self.fsync = fsync
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         self._lock = threading.Lock()
         self._proc = None
         self._conn = None

@@ -127,8 +127,9 @@ class ShardedPolicyService:
         Their per-shard sub-batches are dispatched from worker threads
         (that is where process shards' scaling comes from); in-process
         shards are called serially, where determinism costs nothing.
-    breaker_threshold / breaker_reset:
-        Per-shard circuit breaker tuning (PR 2 semantics).
+    breaker_threshold:
+        Consecutive failures that open a shard's circuit breaker (it
+        half-opens 60 s later; PR 2 semantics).
     """
 
     def __init__(
@@ -142,7 +143,6 @@ class ShardedPolicyService:
         tracer=None,
         profiler=None,
         breaker_threshold: int = 3,
-        breaker_reset: float = 60.0,
         snapshot_interval: int = 1000,
         fsync: bool = False,
         extra_rules=(),
@@ -181,7 +181,7 @@ class ShardedPolicyService:
                 )
             breaker = CircuitBreaker(
                 failure_threshold=breaker_threshold,
-                reset_timeout=breaker_reset,
+                reset_timeout=60.0,
                 clock=self.clock,
             )
             self.shards.append(ShardHandle(index, backend, breaker=breaker))

@@ -77,11 +77,10 @@ def test_chaos_crash_replay_keeps_catalog_consistent(tmp_path):
         lease_seconds=600.0,
         retries=5,
         catalog=CatalogConfig(default_capacity=1e12),
+        journal_root=tmp_path / "journal",
     )
     plan = FaultPlan.single_crash(at=60.0, duration=120.0)
-    outcome = compare_with_faultless(
-        cfg, plan, journal_dir=tmp_path / "journal"
-    )
+    outcome = compare_with_faultless(cfg, plan)
     assert outcome["both_succeeded"]
     assert outcome["staged_sets_equal"]
     assert outcome["chaotic"].leaked_in_progress == 0

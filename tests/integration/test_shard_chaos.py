@@ -3,22 +3,20 @@ shard crash + journal replay must stage the byte-identical file set of a
 clean single-service run, leak no in-progress grants, and keep the
 surviving shard serving exact policy advice throughout.
 
-This is the CI shard-chaos smoke suite (see ``shard-chaos-smoke`` in
-``.github/workflows/ci.yml``).
+The fleet-only evidence lives here (shard health, ``router_degraded``,
+router-minted synthetic records); the scenarios shared with one service
+are ``tests/integration/test_chaos.py``'s 2-shard legs.
 """
 
 import pytest
 
 from repro.des.faults import FaultPlan, ShardCrash, ShardSlowdown
-from repro.experiments.chaos import (
-    compare_sharded_with_single,
-    run_shard_chaos_montage,
-)
+from repro.experiments.chaos import compare_with_faultless, run_chaos_montage
 from repro.experiments.runner import ExperimentConfig
 
 
 def _cfg(**kw):
-    base = dict(n_images=12, lease_seconds=600.0, seed=3)
+    base = dict(n_images=12, lease_seconds=600.0, seed=3, shards=2)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -30,9 +28,7 @@ _PLAN = FaultPlan.single_shard_crash(at=60.0, shard=0, down_for=45.0)
 
 
 def test_mid_run_shard_crash_stages_identical_set(tmp_path):
-    out = compare_sharded_with_single(
-        _cfg(), _PLAN, num_shards=2, journal_root=tmp_path,
-    )
+    out = compare_with_faultless(_cfg(journal_root=tmp_path), _PLAN)
     chaotic = out["chaotic"]
     assert out["both_succeeded"]
     assert out["staged_sets_equal"], (
@@ -69,9 +65,8 @@ def test_shard_slowdown_trips_breaker_and_recovers(tmp_path):
         ),
         shard_crashes=(),
     )
-    result = run_shard_chaos_montage(
-        _cfg(), plan=plan, num_shards=2, journal_root=tmp_path,
-        breaker_threshold=2,
+    result = run_chaos_montage(
+        _cfg(journal_root=tmp_path), plan=plan, breaker_threshold=2
     )
     assert result.metrics.success
     assert result.leaked_in_progress == 0
@@ -81,9 +76,7 @@ def test_shard_slowdown_trips_breaker_and_recovers(tmp_path):
 
 
 def test_clean_sharded_run_matches_without_faults(tmp_path):
-    out = compare_sharded_with_single(
-        _cfg(), FaultPlan(), num_shards=2, journal_root=tmp_path,
-    )
+    out = compare_with_faultless(_cfg(journal_root=tmp_path), FaultPlan())
     assert out["staged_sets_equal"] and out["both_succeeded"]
     assert out["chaotic"].router_degraded == 0
 
@@ -100,9 +93,7 @@ def test_shard_crash_validation():
 def test_shard_outage_leaves_synthetic_decision_records(tmp_path):
     """Advice served while a shard was down is witnessed by router-minted
     policy-free records; everything else keeps its causal chain."""
-    result = run_shard_chaos_montage(
-        _cfg(), plan=_PLAN, num_shards=2, journal_root=tmp_path,
-    )
+    result = run_chaos_montage(_cfg(journal_root=tmp_path), plan=_PLAN)
     assert result.metrics.success
     assert result.decisions
     synthetic = [r for r in result.decisions if r.get("policy_free")]

@@ -93,7 +93,7 @@ def make_router(num_shards, **kw):
     router_kw = {
         key: kw.pop(key)
         for key in ("journal_root", "backends",
-                    "breaker_threshold", "breaker_reset", "clock")
+                    "breaker_threshold", "clock")
         if key in kw
     }
     cfg = dict(policy="greedy", default_streams=4, max_streams=12)
