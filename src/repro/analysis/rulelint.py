@@ -616,7 +616,7 @@ def _check_fast_path(rules: Sequence[Rule], report: Report) -> None:
                     Severity.WARNING,
                     rule.name,
                     "join-plan rule whose last pattern declares no `keys`: "
-                    "the compiled engine's lazy probe walks the whole "
+                    "the join network's lazy probe walks the whole "
                     "partial-match frontier instead of one bucket on every "
                     "update of the last position's fact type",
                     location=location_of(rule.then),

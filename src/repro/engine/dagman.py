@@ -7,7 +7,8 @@ the paper's configuration), and records per-job timings.
 
 Runners are pluggable per :class:`~repro.planner.executable.JobKind`;
 each runner is a callable ``runner(workflow_id, job) -> generator`` driven
-as a DES process.
+inside its job's DES process, which exists from the job's release to its
+completion.
 """
 
 from __future__ import annotations
@@ -152,35 +153,51 @@ class DAGMan:
 
         Drive it with ``env.process(dagman.run())`` and ``env.run(until=p)``.
         """
-        t0 = self.env.now
-        graph = self.plan.graph()
-        remaining_parents = {
-            jid: graph.in_degree(jid) for jid in self.plan.jobs
-        }
-        ready_events: dict[str, object] = {
-            jid: self.env.event() for jid in self.plan.jobs
-        }
-        for jid, count in remaining_parents.items():
-            if count == 0:
-                ready_events[jid].succeed()
+        env = self.env
+        t0 = env.now
+        children, parents = self.plan.adjacency()
+        remaining_parents = {jid: len(ps) for jid, ps in parents.items()}
+        abort = env.event()
+        all_done = env.event()
+        unfinished = len(remaining_parents)
 
-        done_events = []
-        abort = self.env.event()
-
-        tracer = self.env.tracer
+        tracer = env.tracer
         wf_track = f"dagman:{self.plan.workflow_id}"
+
+        def job_finished(process) -> None:
+            # What AllOf does per child: count successes, fail fast.
+            nonlocal unfinished
+            if process.ok is False:
+                process.defuse()
+                if not all_done.triggered:
+                    all_done.fail(process.value)
+                return
+            unfinished -= 1
+            if unfinished == 0:
+                all_done.succeed()
+
+        def start(ready) -> None:
+            jid = ready.value
+            env.process(job_process(jid), name=f"job-{jid}").callbacks.append(job_finished)
+
+        def release(jid: str) -> None:
+            # Readiness is a NORMAL event of its own, not a direct start: a
+            # new process begins URGENT, which would put the job ahead of
+            # whatever else is already due at this instant.
+            ready = env.event()
+            ready.callbacks.append(start)
+            ready.succeed(jid)
 
         def job_process(jid: str):
             job = self.plan.jobs[jid]
             record = self.records[jid]
-            yield ready_events[jid]
-            record.t_ready = self.env.now
+            record.t_ready = env.now
             throttle = self._throttles.get(job.kind)
             request = None
             if throttle is not None:
                 request = throttle.request(priority=-job.priority)
                 yield request
-            record.t_start = self.env.now
+            record.t_start = env.now
             record.state = "running"
             span = None
             if tracer.enabled:
@@ -198,59 +215,63 @@ class DAGMan:
                 runner = self.runners[job.kind]
                 while True:
                     record.attempts += 1
+                    error = None
                     try:
-                        yield self.env.process(
-                            runner(self.plan.workflow_id, job), name=f"run-{jid}"
-                        )
-                        break
+                        yield from runner(self.plan.workflow_id, job)
                     except Exception as exc:  # noqa: BLE001 - retry any job error
-                        if record.attempts > self.retries:
-                            record.state = "failed"
-                            record.t_end = self.env.now
-                            if span is not None:
-                                tracer.end(
-                                    span, state="failed",
-                                    attempts=record.attempts,
-                                    error=type(exc).__name__,
-                                )
-                            failure = WorkflowFailed(jid, record.attempts, exc)
-                            self._failure = failure
-                            if not abort.triggered:
-                                abort.succeed(failure)
-                            return
-                        delay = self._retry_delay(record.attempts)
-                        if delay > 0:
-                            yield self.env.timeout(delay)
+                        error = exc
+                    # The runner's end, good or bad, is one NORMAL step too
+                    # (same-instant trace order depends on it).
+                    yield env.event().succeed()
+                    if error is None:
+                        break
+                    if record.attempts > self.retries:
+                        record.state = "failed"
+                        record.t_end = env.now
+                        if span is not None:
+                            tracer.end(
+                                span, state="failed",
+                                attempts=record.attempts,
+                                error=type(error).__name__,
+                            )
+                        failure = WorkflowFailed(jid, record.attempts, error)
+                        self._failure = failure
+                        if not abort.triggered:
+                            abort.succeed(failure)
+                        return
+                    delay = self._retry_delay(record.attempts)
+                    if delay > 0:
+                        yield env.timeout(delay)
             finally:
                 if throttle is not None and request is not None:
                     throttle.release(request)
             record.state = "done"
-            record.t_end = self.env.now
+            record.t_end = env.now
             if span is not None:
                 tracer.end(span, state="done", attempts=record.attempts)
-            for child in graph.successors(jid):
+            for child in children[jid]:
                 remaining_parents[child] -= 1
                 if remaining_parents[child] == 0:
-                    ready_events[child].succeed()
+                    release(child)
 
-        for jid in self.plan.jobs:
-            done_events.append(self.env.process(job_process(jid), name=f"job-{jid}"))
-
-        all_done = self.env.all_of(done_events)
-        outcome = yield self.env.any_of([all_done, abort])
+        for jid, count in remaining_parents.items():
+            if count == 0:
+                release(jid)
+        if not remaining_parents:
+            all_done.succeed()
+        yield env.any_of([all_done, abort])
         if self._failure is not None:
             # Give no further jobs a chance; report failure.
             return DAGManResult(
                 workflow_id=self.plan.workflow_id,
                 success=False,
-                makespan=self.env.now - t0,
+                makespan=env.now - t0,
                 records=self.records,
                 failure=str(self._failure),
             )
-        del outcome
         return DAGManResult(
             workflow_id=self.plan.workflow_id,
             success=True,
-            makespan=self.env.now - t0,
+            makespan=env.now - t0,
             records=self.records,
         )

@@ -96,6 +96,8 @@ class ExecutableWorkflow:
         self.jobs: dict[str, ExecutableJob] = {}
         self._edges: set[tuple[str, str]] = set()
         self._graph_cache: Optional[nx.DiGraph] = None
+        self._adjacency: Optional[tuple[dict[str, list[str]], dict[str, list[str]]]] = None
+        self._acyclic = False  # validate()'s verdict, until the next mutation
         #: clustering factor used during planning (None = no clustering)
         self.cluster_factor: Optional[int] = None
 
@@ -103,7 +105,7 @@ class ExecutableWorkflow:
         if job.id in self.jobs:
             raise PlanningError(f"duplicate executable job {job.id!r}")
         self.jobs[job.id] = job
-        self._graph_cache = None
+        self._mutated()
         return job
 
     def add_edge(self, parent_id: str, child_id: str) -> None:
@@ -112,29 +114,60 @@ class ExecutableWorkflow:
         if parent_id == child_id:
             raise PlanningError("self edge")
         self._edges.add((parent_id, child_id))
-        self._graph_cache = None
+        self._mutated()
+
+    def _mutated(self) -> None:
+        self._graph_cache = self._adjacency = None
+        self._acyclic = False
 
     # -- structure ------------------------------------------------------------
+    def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """``(children, parents)``: per job, the id-sorted neighbour lists.
+
+        Built once per mutation and shared — callers must not modify them.
+        Sorted so successor iteration in DAGMan is independent of
+        set-iteration / hash randomization: a given seed must replay
+        identically across processes.
+        """
+        if self._adjacency is None:
+            children: dict[str, list[str]] = {jid: [] for jid in self.jobs}
+            parents: dict[str, list[str]] = {jid: [] for jid in self.jobs}
+            for parent, child in sorted(self._edges):
+                children[parent].append(child)
+                parents[child].append(parent)
+            self._adjacency = (children, parents)
+        return self._adjacency
+
     def graph(self) -> nx.DiGraph:
+        """A networkx view of the plan (same successor order as ``adjacency``)."""
         if self._graph_cache is None:
             g = nx.DiGraph()
             g.add_nodes_from(self.jobs)
-            # Sorted so adjacency order (and thus successor iteration in
-            # DAGMan) is independent of set-iteration / hash randomization:
-            # a given seed must replay identically across processes.
             g.add_edges_from(sorted(self._edges))
             self._graph_cache = g
         return self._graph_cache
 
     def validate(self) -> None:
-        if not nx.is_directed_acyclic_graph(self.graph()):
+        if self._acyclic:
+            return
+        children, parents = self.adjacency()
+        # Kahn's algorithm: a job left with unreleased parents is on a cycle.
+        waiting = {jid: len(ps) for jid, ps in parents.items()}
+        released = [jid for jid, count in waiting.items() if count == 0]
+        for jid in released:  # grows while iterated
+            for child in children[jid]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    released.append(child)
+        if len(released) != len(self.jobs):
             raise PlanningError("executable workflow has a cycle")
+        self._acyclic = True
 
     def parents(self, job_id: str) -> list[str]:
-        return sorted(self.graph().predecessors(job_id))
+        return list(self.adjacency()[1][job_id])
 
     def children(self, job_id: str) -> list[str]:
-        return sorted(self.graph().successors(job_id))
+        return list(self.adjacency()[0][job_id])
 
     def edges(self) -> set[tuple[str, str]]:
         return set(self._edges)
@@ -154,11 +187,10 @@ class ExecutableWorkflow:
 
     def levels(self) -> dict[str, int]:
         self.validate()
-        g = self.graph()
+        parents = self.adjacency()[1]
         level: dict[str, int] = {}
-        for node in nx.topological_sort(g):
-            preds = list(g.predecessors(node))
-            level[node] = 1 + max((level[p] for p in preds), default=-1)
+        for node in nx.topological_sort(self.graph()):
+            level[node] = 1 + max((level[p] for p in parents[node]), default=-1)
         return level
 
     def __len__(self) -> int:

@@ -75,6 +75,7 @@ class Workflow:
         self._files: dict[str, File] = {}
         self._control_edges: set[tuple[str, str]] = set()
         self._graph_cache: Optional[nx.DiGraph] = None
+        self._acyclic = False  # validate()'s verdict, until the next mutation
 
     # -- construction --------------------------------------------------------
     def add_job(self, job: Job) -> Job:
@@ -99,6 +100,7 @@ class Workflow:
         for f in job.inputs:
             self._consumers.setdefault(f.lfn, []).append(job.id)
         self._graph_cache = None
+        self._acyclic = False
         return job
 
     def add_control_edge(self, parent_id: str, child_id: str) -> None:
@@ -110,6 +112,7 @@ class Workflow:
             raise WorkflowError("self edge")
         self._control_edges.add((parent_id, child_id))
         self._graph_cache = None
+        self._acyclic = False
 
     # -- structure -------------------------------------------------------------
     def graph(self) -> nx.DiGraph:
@@ -127,10 +130,13 @@ class Workflow:
 
     def validate(self) -> None:
         """Raise :class:`WorkflowError` unless the workflow is a DAG."""
+        if self._acyclic:
+            return
         g = self.graph()
         if not nx.is_directed_acyclic_graph(g):
             cycle = nx.find_cycle(g)
             raise WorkflowError(f"workflow has a cycle: {cycle}")
+        self._acyclic = True
 
     def parents(self, job_id: str) -> list[str]:
         return sorted(self.graph().predecessors(self._check(job_id)))
