@@ -16,9 +16,8 @@ def main() -> None:
     service = PolicyService(
         PolicyConfig(policy="greedy", default_streams=8, max_streams=50)
     )
-    with PolicyRestServer(service) as server:
+    with PolicyRestServer(service) as server, HTTPPolicyClient(server.url) as client:
         print(f"Policy Service listening on {server.url}\n")
-        client = HTTPPolicyClient(server.url)
 
         print("== POST /policy/transfers")
         advice = client.submit_transfers(

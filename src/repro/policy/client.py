@@ -20,15 +20,18 @@ to policy-free staging rather than wedging the workflow.
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import random
+import select
 import threading
 import time
 import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from inspect import Parameter, Signature
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from urllib.parse import urlsplit
 
 from repro.des.core import Environment
 from repro.policy.controller import REQUIRED, ROUTES, Route
@@ -185,6 +188,14 @@ class HTTPPolicyClient:
     responses are the caller's bug and surface immediately); exhausted
     retries raise :class:`PolicyUnavailableError`.  An optional shared
     ``breaker`` short-circuits calls while the service is known-dead.
+
+    Each calling thread keeps **one persistent connection**, dialled on
+    its first call and reopened on demand, so a client may be shared
+    between threads.  A connection the server closed while it sat idle
+    is noticed *before* the next request is written — never by sending
+    the request a second time.  :meth:`close` (or leaving a ``with``
+    block) closes the calling thread's connection; another thread's is
+    closed when that thread's local storage is collected.
     """
 
     def __init__(
@@ -197,6 +208,7 @@ class HTTPPolicyClient:
         rng: Optional[random.Random] = None,
     ):
         self.base_url = base_url.rstrip("/")
+        self._address = urlsplit(self.base_url)
         self.timeout = timeout
         self.retry = retry or RetryPolicy(retries=0)
         self.breaker = breaker
@@ -204,10 +216,23 @@ class HTTPPolicyClient:
         self._rng = rng if rng is not None else random.Random()
         self._request_seq = 0
         self._request_lock = threading.Lock()
+        self._local = threading.local()  # .connection: the calling thread's
 
     if TYPE_CHECKING:  # the generated methods, for the type checker only
 
         def __getattr__(self, op: str) -> Callable[..., Any]: ...
+
+    def close(self) -> None:
+        """Close the calling thread's connection; the next call redials."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "HTTPPolicyClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _next_request_id(self) -> str:
         """Client-generated request id, echoed back by the server (the
@@ -216,6 +241,28 @@ class HTTPPolicyClient:
             self._request_seq += 1
             return f"cli-{id(self) & 0xFFFF:04x}-{self._request_seq}"
 
+    def _exchange(self, verb: str, path: str, data: Optional[bytes], headers: dict):
+        """One request and its whole response on the calling thread's
+        connection: ``(response, body)``.  Any failure closes the
+        connection, so the next exchange starts on a new one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = http.client.HTTPConnection(
+                self._address.netloc, timeout=self.timeout
+            )
+        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+            # Readable with no request outstanding: the server closed it
+            # while it sat idle.  Redial *before* writing — a request
+            # resent after a failed write could be applied twice.
+            connection.close()
+        try:
+            connection.request(verb, path, body=data, headers=headers)
+            response = connection.getresponse()
+            return response, response.read()
+        except BaseException:
+            connection.close()
+            raise
+
     def _request(self, route: Route, values: dict):
         """One request with the verb and path ``route`` declares, under
         the retry policy and the breaker.  ``values`` are its fields by
@@ -223,7 +270,7 @@ class HTTPPolicyClient:
         the response document: decoded JSON, ``str`` for a text response,
         ``None`` where the server has no record for the segment."""
         segment = next(iter(values.values()), None) if route.verb == "GET" else None
-        url = self.base_url + route.url(segment)
+        target = route.url(segment)
         data = None if route.verb == "GET" else json.dumps(values).encode()
         breaker = self.breaker
         if breaker is not None and not breaker.allow():
@@ -235,20 +282,24 @@ class HTTPPolicyClient:
             headers = {"X-Repro-Request-Id": self._next_request_id()}
             if data is not None:
                 headers["Content-Type"] = "application/json"
-            request = urllib.request.Request(
-                url, data=data, headers=headers, method=route.verb
-            )
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    as_json = response.headers.get_content_type() == "application/json"
-                    result = json.loads(response.read()) if as_json else response.read().decode()
+                response, body = self._exchange(
+                    route.verb, self._address.path + target, data, headers
+                )
+                if response.status >= 400:
+                    raise urllib.error.HTTPError(
+                        self.base_url + target, response.status, response.reason,
+                        response.headers, io.BytesIO(body),
+                    )
+                as_json = response.headers.get_content_type() == "application/json"
+                result = json.loads(body) if as_json else body.decode()
             except urllib.error.HTTPError as exc:
                 if exc.code == 404 and segment is not None:
                     return None
                 if exc.code < 500:
                     raise  # client error: retrying cannot help
                 last_error = exc
-            except (urllib.error.URLError, OSError) as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
             else:
                 if breaker is not None:

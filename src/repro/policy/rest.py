@@ -3,9 +3,9 @@
 The paper deploys the service in an Apache Tomcat container behind a
 RESTful interface exchanging XML/JSON.  We serve JSON over HTTP/1.1 on
 localhost with the Python standard library (no network access needed):
-one ``asyncio.start_server`` loop, run in a background thread so
-``start()`` / ``stop()`` are ordinary blocking calls, plus one worker
-thread that evaluates policy.
+one ``asyncio`` loop, run in a background thread so ``start()`` /
+``stop()`` are ordinary blocking calls, plus one worker thread that
+evaluates policy.
 
 Endpoints
 ---------
@@ -51,13 +51,21 @@ response, so a slow-loris client cannot pin the server.
 Connections are **keep-alive and pipelined**: a client may write many
 requests back-to-back without waiting; they are parsed sequentially and
 answered in order, so a burst of advice batches pays one round trip.
-The loop thread does the HTTP work only; every request's blocking
-service call is queued to **one** policy worker thread, which serializes
-requests into the single-threaded rule engine (no lock, no thread per
-connection).  A long evaluation therefore never stalls timeouts, 503s
-or accepts, and throughput does not depend on whether the kernel puts
-client and server on one CPU or two (inline evaluation measured 600 or
-750 op/s on ``rest_loopback`` depending on that placement alone).
+Each connection is one ``asyncio.Protocol`` object driven by
+``data_received`` callbacks — no task, stream or future per request —
+so a request costs the loop two turns: the one that reads it and the
+one the worker's result wakes.  The loop thread does the HTTP work
+only; every request's blocking service call is queued to **one** policy
+worker thread, which serializes requests into the single-threaded rule
+engine (no lock, no thread per connection), and a connection has at
+most one request there at a time.  A long evaluation therefore never
+stalls timeouts, 503s or accepts.  Two flow-control rules bound what a
+connection may hold: while the client is not reading its responses
+(``pause_writing``) no further pipelined request is consumed, and once
+unparsed input exceeds ``max_request_bytes`` + 64 KiB the socket is not
+read until some is consumed, so TCP stops a sender that outruns policy.
+Measured per request on ``rest_loopback``: loop thread ~0.26 ms of CPU,
+policy worker ~0.75 ms (``docs/engine.md``, "REST frontend").
 
 Observability
 -------------
@@ -96,6 +104,11 @@ DEFAULT_MAX_REQUEST_BYTES = 1024 * 1024
 #: request line + headers must fit in this many bytes
 _MAX_HEAD_BYTES = 16 * 1024
 
+#: input a connection buffers beyond what one request may need: no head
+#: end within it closes the connection; past it (on top of
+#: ``max_request_bytes``) the socket is not read until some is consumed
+_READ_AHEAD = 64 * 1024
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -106,19 +119,6 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-
-class _BodyRefused(Exception):
-    """The declared body was not (all) read — bad framing 400, stalled
-    408, over the cap 413: answer, then close the connection."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-
-
-class _BadRequestFraming(Exception):
-    """Unparseable request head — the connection cannot continue."""
 
 
 class _Head(NamedTuple):
@@ -198,7 +198,8 @@ class PolicyRestServer:
     closed connection (either timeout may be ``None`` to disable it).
     :meth:`stop` first refuses new requests with 503, waits up to
     ``drain_timeout`` seconds for in-flight ones, then closes the
-    listening socket and the loop; returns whether the drain completed.
+    listening socket, aborts the open connections and closes the loop;
+    returns whether the drain completed.
     """
 
     def __init__(
@@ -240,6 +241,7 @@ class PolicyRestServer:
         self._server = None
         self._thread: Optional[threading.Thread] = None
         self._address: Optional[tuple] = None
+        self._connections: set[_Connection] = set()  # loop thread only
         #: the one thread policy is evaluated on, made by ``start()``
         self._worker: ThreadPoolExecutor
 
@@ -269,7 +271,7 @@ class PolicyRestServer:
             self._loop = loop
             try:
                 self._server = loop.run_until_complete(
-                    asyncio.start_server(self._serve_connection, self._host, self._port)
+                    loop.create_server(lambda: _Connection(self), self._host, self._port)
                 )
                 self._address = self._server.sockets[0].getsockname()
             except BaseException as exc:  # surface bind errors to start()
@@ -280,13 +282,6 @@ class PolicyRestServer:
             try:
                 loop.run_forever()
             finally:
-                # Cancellation of the connection tasks completes here.
-                pending = asyncio.all_tasks(loop)
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                loop.run_until_complete(loop.shutdown_asyncgens())
                 loop.close()
 
         self._worker = ThreadPoolExecutor(1, thread_name_prefix="policy")
@@ -309,8 +304,8 @@ class PolicyRestServer:
         def shutdown() -> None:
             if self._server is not None:
                 self._server.close()
-            for task in asyncio.all_tasks(loop):
-                task.cancel()
+            for connection in list(self._connections):
+                connection.abort()
             loop.call_soon(loop.stop)
 
         loop.call_soon_threadsafe(shutdown)
@@ -329,195 +324,266 @@ class PolicyRestServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # ------------------------------------------------------------ connection
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername") or ("?",)
-        host = peer[0]
-        try:
-            while True:
-                try:
-                    # One budget covers waiting for a request *and* the
-                    # trickle-fed head itself: a slow-loris client that
-                    # drips header bytes never escapes the clock.
-                    head = await asyncio.wait_for(
-                        self._read_head(reader), self.idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    break  # idle or stalled-in-head connection: just close
-                if head is None:
-                    break  # clean EOF between requests
-                keep_alive = await self._handle_request(head, reader, host, writer)
-                await writer.drain()
-                if not keep_alive:
+
+def _parse_head(raw: bytearray) -> Optional[_Head]:
+    """Request line + headers up to the blank line; ``None`` when the
+    framing is unparseable and the connection cannot continue."""
+    if len(raw) > _MAX_HEAD_BYTES:
+        return None
+    lines = raw.decode("latin-1").split("\r\n")
+    parts = lines[0].split()
+    if len(parts) != 3:
+        return None
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep:
+            return None
+        headers[name.strip().lower()] = value.strip()
+    return _Head(parts[0], parts[1], headers)
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, driven by ``data_received`` callbacks.
+
+    Input accumulates in ``buffer``; :meth:`_advance` consumes it one
+    request at a time — head, body, worker, response — and stops where
+    the connection must wait: for more bytes (under the idle clock for a
+    head, the read clock for a body), for the policy worker
+    (:meth:`_evaluated` goes on from there) or for the client to read
+    its responses (``resume_writing`` does).
+    """
+
+    def __init__(self, server: PolicyRestServer):
+        self.server = server
+        self.loop = server._loop
+        self.state = server._state
+        self.buffer = bytearray()
+        self.timer: Optional[asyncio.TimerHandle] = None
+        #: the open request, from its parsed head (``_open`` sets what
+        #: else it carries) until ``_finish`` closes its books
+        self.head: Optional[_Head] = None
+        self.length = 0  # body bytes it declared
+        self.entered = False  # counted in flight (a 503 never is)
+        self.at_worker = False
+        self.write_paused = self.read_paused = self.eof = False
+
+    # ---------------------------------------------------------- transport
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.host = (transport.get_extra_info("peername") or ("?",))[0]
+        self.server._connections.add(self)
+        self._advance()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._advance()
+
+    def eof_received(self) -> bool:
+        # A half-closed client is still owed an answer to every request
+        # it sent whole; _advance closes once the buffer holds no more.
+        self.eof = True
+        self._advance()
+        return True
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._advance()
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+        self._set_timer()
+        if not self.at_worker:  # else the result to come closes the books
+            self._drop()
+
+    def abort(self) -> None:
+        """``stop()`` is done waiting: close the books on a request still
+        open (a late result from the worker is dropped) and cut the
+        connection."""
+        self._drop()
+        self.transport.abort()
+
+    def _drop(self) -> None:
+        if self.head is not None:
+            self._finish(0)
+            self._leave()
+
+    # ------------------------------------------------------ state machine
+    def _set_timer(self, delay: Optional[float] = None, callback=None) -> None:
+        """Replace the connection's one clock (no ``delay``: just stop it)."""
+        if self.timer is not None:
+            self.timer.cancel()
+        self.timer = None if delay is None else self.loop.call_later(delay, callback)
+
+    def _advance(self) -> None:
+        """Consume buffered input until it runs dry or the connection
+        must wait for the worker or for the client to read."""
+        transport, buffer, server = self.transport, self.buffer, self.server
+        while not (self.at_worker or self.write_paused or transport.is_closing()):
+            if self.head is None:
+                end = buffer.find(b"\r\n\r\n") + 4
+                if end < 4:
+                    if self.eof or len(buffer) > _READ_AHEAD:
+                        transport.close()
+                    elif self.timer is None:
+                        # One budget covers waiting for a request *and*
+                        # the trickle-fed head itself: a slow-loris
+                        # client that drips header bytes never escapes it.
+                        self._set_timer(server.idle_timeout, transport.close)
                     break
-        except (
-            _BadRequestFraming,
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    @staticmethod
-    async def _read_head(reader: asyncio.StreamReader) -> Optional[_Head]:
-        """Parse one request line + headers; leaves the body unread."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean close between pipelined requests
-            raise _BadRequestFraming() from exc
-        except asyncio.LimitOverrunError as exc:
-            raise _BadRequestFraming() from exc
-        if len(head) > _MAX_HEAD_BYTES:
-            raise _BadRequestFraming()
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split()
-        if len(parts) != 3:
-            raise _BadRequestFraming()
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
+                self._set_timer()
+                head = _parse_head(buffer[:end])
+                del buffer[:end]
+                if head is None:
+                    transport.close()
+                    break
+                self._open(head)
                 continue
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise _BadRequestFraming()
-            headers[name.strip().lower()] = value.strip()
-        return _Head(parts[0], parts[1], headers)
+            if len(buffer) < self.length:
+                if self.eof:
+                    transport.close()  # died mid-body; nothing to answer
+                elif self.timer is None:
+                    self._set_timer(server.read_timeout, self._body_timed_out)
+                break
+            self._set_timer()
+            body = bytes(buffer[: self.length])
+            del buffer[: self.length]
+            self.at_worker = True
+            server._worker.submit(self._evaluate, self.head.method, self.head.path, body)
+        # A client that pipelines faster than policy evaluates is stopped
+        # by TCP, not buffered without end.
+        over = len(buffer) > self.state.max_request_bytes + _READ_AHEAD
+        if over != self.read_paused:
+            self.read_paused = over
+            (transport.pause_reading if over else transport.resume_reading)()
 
-    # -------------------------------------------------------------- handling
-    async def _handle_request(
-        self,
-        head: _Head,
-        reader: asyncio.StreamReader,
-        host: str,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Handle one request; returns whether to keep the connection."""
-        state = self._state
-        rid = head.headers.get("x-repro-request-id") or state.next_request_id()
-        t0 = time.perf_counter()
-        tracer = state.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.begin(
+    def _open(self, head: _Head) -> None:
+        """Open the books on a request and size up its body, refusing an
+        oversized one *before* the read: the declared size alone
+        disqualifies it, so the body bytes never enter memory."""
+        state = self.state
+        self.head, self.length, self.keep_alive = head, 0, True
+        self.rid = head.headers.get("x-repro-request-id") or state.next_request_id()
+        self.t0 = time.perf_counter()
+        self.span = None
+        if state.tracer.enabled:
+            self.span = state.tracer.begin(
                 "rest", f"{head.method} {head.path}", track="rest",
-                request_id=rid, host=host,
+                request_id=self.rid, host=self.host,
             )
-        status = 0
-        keep_alive = True
-        finished = False
-
-        def finish(code: int) -> None:
-            nonlocal finished
-            if finished:
-                return
-            finished = True
-            state.log_request({
-                "request_id": rid,
-                "host": host,
-                "method": head.method,
-                "path": head.path,
-                "status": code,
-                "latency_s": time.perf_counter() - t0,
-            })
-            tracer.end(span, status=code)
-
-        def send(code: int, body: bytes, content_type: str, extra: str = "") -> None:
-            nonlocal status
-            status = code
-            # Finalize the access-log entry and span before any response
-            # byte goes out: a client that has observed the response must
-            # find its entry in the log (error clients unblock on the
-            # status line alone, not the body).
-            finish(code)
-            resp = (
-                f"HTTP/1.1 {code} {_REASONS.get(code, 'OK')}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"X-Repro-Request-Id: {rid}\r\n"
-                f"{extra}"
-                f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-                "\r\n"
-            )
-            writer.write(resp.encode("latin-1") + body)
-
-        def reply(code: int, doc: dict, extra: str = "") -> None:
-            send(code, json.dumps(doc).encode(), "application/json", extra)
-
-        def refuse(code: int, message: str) -> None:
-            """Answer an error after which the stream position cannot be
-            trusted (or the server is going away): close the connection."""
-            nonlocal keep_alive
-            keep_alive = False
-            reply(code, {"error": message, "request_id": rid})
-
-        if not state.enter():
-            refuse(503, "server is shutting down")
-            return keep_alive
+        self.entered = state.enter()
+        if not self.entered:
+            return self._refuse(503, "server is shutting down")
         try:
-            try:
-                body = await self._read_body(head, reader)
-            except _BodyRefused:
-                # GET ignores its body, but a well-framed one must be
-                # drained to keep the connection reusable; when the
-                # framing cannot be trusted, answer and then close.
-                if head.method != "GET":
-                    raise
-                keep_alive, body = False, b""
-            result = await asyncio.get_running_loop().run_in_executor(
-                self._worker, self.controller.dispatch, head.method, head.path, body
+            length = int(head.headers.get("content-length", "0"))
+        except ValueError:
+            return self._unreadable(400, "Content-Length header must be an integer")
+        if length < 0:
+            return self._unreadable(400, "Content-Length header must be >= 0")
+        if length > state.max_request_bytes:
+            return self._unreadable(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{state.max_request_bytes}-byte limit",
             )
+        self.length = length
+
+    def _body_timed_out(self) -> None:
+        self.timer = None
+        self._unreadable(408, "timed out reading request body")
+        self._advance()
+
+    def _unreadable(self, status: int, message: str) -> None:
+        """The declared body was not (all) read.  GET ignores its body,
+        so it is evaluated with none; either way the stream position
+        cannot be trusted any more: answer, then close."""
+        if self.head.method == "GET":
+            self.keep_alive, self.length = False, 0
+        else:
+            self._refuse(status, message)
+
+    def _evaluate(self, method: str, path: str, body: bytes) -> None:
+        """On the policy worker thread: the one call into the service."""
+        result = error = None
+        try:
+            result = self.server.controller.dispatch(method, path, body)
+        except Exception as exc:  # mapped to a response by _evaluated
+            error = exc
+        try:
+            self.loop.call_soon_threadsafe(self._evaluated, result, error)
+        except RuntimeError:
+            pass  # loop closed under a hung evaluation: stop() closed the books
+
+    def _evaluated(self, result, error: Optional[Exception]) -> None:
+        self.at_worker = False
+        if self.head is None:
+            return  # aborted by stop() meanwhile
+        try:
+            if error is not None:
+                raise error
             if isinstance(result, str):
-                send(200, result.encode(), "text/plain; version=0.0.4; charset=utf-8")
+                self._send(200, result.encode(), "text/plain; version=0.0.4; charset=utf-8")
             else:
-                reply(200, result)
+                self._reply(200, result)
         except PolicyRouteError as exc:
             # The request was read whole: the connection stays usable.
             allow = f"Allow: {', '.join(exc.allow)}\r\n" if exc.allow else ""
-            reply(exc.status, {"error": str(exc), "request_id": rid}, allow)
-        except _BodyRefused as exc:
-            refuse(exc.status, str(exc))
+            self._reply(exc.status, {"error": str(exc), "request_id": self.rid}, allow)
         except PolicyRequestError as exc:
-            refuse(400, str(exc))
-        except asyncio.IncompleteReadError:
-            raise  # connection died mid-body; nothing to answer
+            self._refuse(400, str(exc))
         except Exception as exc:  # don't drop the connection on a bug
-            refuse(500, f"internal error: {exc}")
-        finally:
-            state.leave()
-            finish(status)  # backstop if no reply was sent
-        return keep_alive
+            self._refuse(500, f"internal error: {exc}")
+        self._advance()
 
-    async def _read_body(self, head: _Head, reader: asyncio.StreamReader) -> bytes:
-        """Read the request body, refusing oversized ones *before* the
-        read: the declared size alone disqualifies the request, so the
-        body bytes never enter memory."""
-        try:
-            length = int(head.headers.get("content-length", "0"))
-        except ValueError as exc:
-            raise _BodyRefused(400, "Content-Length header must be an integer") from exc
-        if length < 0:
-            raise _BodyRefused(400, "Content-Length header must be >= 0")
-        if length > self._state.max_request_bytes:
-            raise _BodyRefused(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{self._state.max_request_bytes}-byte limit",
-            )
-        if not length:
-            return b""
-        try:
-            return await asyncio.wait_for(
-                reader.readexactly(length), self.read_timeout
-            )
-        except asyncio.TimeoutError as exc:
-            raise _BodyRefused(408, "timed out reading request body") from exc
+    # ---------------------------------------------------------- responses
+    def _finish(self, code: int) -> None:
+        head, self.head = self.head, None
+        self.state.log_request({
+            "request_id": self.rid,
+            "host": self.host,
+            "method": head.method,
+            "path": head.path,
+            "status": code,
+            "latency_s": time.perf_counter() - self.t0,
+        })
+        self.state.tracer.end(self.span, status=code)
+
+    def _leave(self) -> None:
+        if self.entered:
+            self.entered = False
+            self.state.leave()
+
+    def _send(self, code: int, body: bytes, content_type: str, extra: str = "") -> None:
+        # Finalize the access-log entry and span before any response
+        # byte goes out: a client that has observed the response must
+        # find its entry in the log (error clients unblock on the
+        # status line alone, not the body).
+        self._finish(code)
+        resp = (
+            f"HTTP/1.1 {code} {_REASONS.get(code, 'OK')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"X-Repro-Request-Id: {self.rid}\r\n"
+            f"{extra}"
+            f"Connection: {'keep-alive' if self.keep_alive else 'close'}\r\n"
+            "\r\n"
+        )
+        if not self.transport.is_closing():  # else the client is gone
+            self.transport.write(resp.encode("latin-1") + body)
+        self._leave()
+        if not self.keep_alive:
+            self.transport.close()
+
+    def _reply(self, code: int, doc: dict, extra: str = "") -> None:
+        self._send(code, json.dumps(doc).encode(), "application/json", extra)
+
+    def _refuse(self, code: int, message: str) -> None:
+        """Answer an error after which the stream position cannot be
+        trusted (or the server is going away): close the connection."""
+        self.keep_alive = False
+        self._reply(code, {"error": message, "request_id": self.rid})

@@ -1,5 +1,8 @@
 """Unit tests for policy configuration and DTOs."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.policy import PolicyConfig, TransferAdvice
@@ -56,3 +59,20 @@ def test_advice_roundtrip():
     assert TransferAdvice.from_dict(a.to_dict()) == a
     c = CleanupAdvice(cid=1, lfn="f", url="gsiftp://b/f", action="delete")
     assert CleanupAdvice.from_dict(c.to_dict()) == c
+
+
+@pytest.mark.parametrize("advice", [
+    TransferAdvice(tid=3, lfn="f", src_url="gsiftp://a/f", dst_url="gsiftp://b/f",
+                   nbytes=10.0, action="transfer", streams=4, group_id=1, priority=7),
+    TransferAdvice(tid=4, lfn="g", src_url="gsiftp://a/g", dst_url="gsiftp://b/g",
+                   nbytes=2.5, action="wait", reason="in progress", wait_for=3,
+                   lease_deadline=120.5),
+    CleanupAdvice(cid=1, lfn="f", url="gsiftp://b/f", action="delete"),
+    CleanupAdvice(cid=2, lfn="g", url="gsiftp://b/g", action="skip",
+                  reason="still in use", lease_deadline=60.0),
+], ids=lambda a: f"{type(a).__name__}-{a.action}")
+def test_advice_to_dict_is_asdict_byte_for_byte(advice):
+    """``to_dict`` spells the fields out; the wire bytes (values and key
+    order) must stay those of ``dataclasses.asdict``."""
+    assert json.dumps(advice.to_dict()) == json.dumps(dataclasses.asdict(advice))
+    assert type(advice).from_dict(json.loads(json.dumps(advice.to_dict()))) == advice
