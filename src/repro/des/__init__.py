@@ -14,7 +14,7 @@ Public API
 ----------
 ``Environment``
     The simulation clock and event loop.
-``Event``, ``Timeout``, ``Process``, ``AllOf``, ``AnyOf``, ``Interrupt``
+``Event``, ``Timeout``, ``Process``, ``AllOf``, ``AnyOf``
     Event primitives usable from process generators.
 ``Resource``, ``PriorityResource``
     Queued capacity primitives built on events.
@@ -27,7 +27,6 @@ from repro.des.core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -40,7 +39,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "PriorityResource",
     "Process",
     "Resource",

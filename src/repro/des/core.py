@@ -28,7 +28,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
@@ -40,18 +39,6 @@ URGENT = 0
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (running a dead environment, bad yields...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`.
-
-    The interrupted process may catch it and continue; ``cause`` carries the
-    interrupter's reason object.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -118,14 +105,6 @@ class Event:
         self.env._schedule(self, priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome onto this one (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self._defused = True
-            self.fail(event._value)
-
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
@@ -173,14 +152,13 @@ class Process(Event):
     :meth:`Environment.run` if nobody waits).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"process() requires a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
@@ -189,40 +167,11 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event first.
-        """
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        if self._target is self:
-            raise SimulationError("a process cannot interrupt itself")
-
-        env = self.env
-        interrupt_event = Event(env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        interrupt_event._triggered = True
-        env._schedule(interrupt_event, URGENT)
-
     # -- engine -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._triggered:
-            return  # already finished (e.g. interrupt raced completion)
+        # Only the one event the process waits on (or its Initialize)
+        # calls back here, so a finished process is never resumed.
         env = self.env
-        # Detach from a previously awaited event when resumed by interrupt.
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self._target = None
-        env._active_process = self
         try:
             if event._ok:
                 result = self._generator.send(event._value)
@@ -230,20 +179,17 @@ class Process(Event):
                 event._defused = True
                 result = self._generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self._triggered = True
             self._ok = True
             self._value = stop.value
             env._schedule(self, NORMAL)
             return
         except BaseException as exc:
-            env._active_process = None
             self._triggered = True
             self._ok = False
             self._value = exc
             env._schedule(self, NORMAL)
             return
-        env._active_process = None
 
         if not isinstance(result, Event):
             raise SimulationError(
@@ -259,10 +205,8 @@ class Process(Event):
             follow.callbacks.append(self._resume)
             follow._triggered = True
             env._schedule(follow, URGENT)
-            self._target = follow
         else:
             result.callbacks.append(self._resume)
-            self._target = result
 
 
 class Condition(Event):
@@ -344,7 +288,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self.tracer = as_tracer(tracer)
         if tracer is not None and getattr(tracer, "clock", None) is None:
             tracer.clock = lambda: self._now
@@ -353,11 +296,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between events)."""
-        return self._active_process
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:

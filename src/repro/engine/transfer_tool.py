@@ -145,24 +145,37 @@ class PegasusTransferTool:
     # ----------------------------------------------------------------- default
     def _execute_default(self, job: ExecutableJob, record: StagingRecord):
         """Default Pegasus: serial transfers, list order, default streams."""
-        tracer = self.env.tracer
         track = f"ptt:{job.id}"
+        streams = self.default_streams
         for spec in job.transfers:
-            span = None
-            if tracer.enabled:
-                span = tracer.begin(
-                    "ptt", f"xfer:{spec.lfn}", track=track,
-                    streams=self.default_streams, nbytes=spec.nbytes,
-                )
-            rec = yield from self.gridftp.transfer(
-                spec.src_url, spec.dst_url, spec.nbytes, self.default_streams
+            yield from self._transfer(
+                spec.lfn, spec.src_url, spec.dst_url, spec.nbytes, streams, False, record,
+                track=track, streams=streams, nbytes=spec.nbytes,
             )
+
+    def _transfer(self, lfn, src_url, dst_url, nbytes, streams, session, record, /, **span_args):
+        """Process generator: one transfer, traced as an ``xfer:<lfn>`` span.
+
+        The span closes ``done`` or ``failed`` (the :exc:`TransferError`
+        propagates); a finished transfer is counted in ``record`` and its
+        file registered.  ``span_args`` open the span, in their order.
+        """
+        tracer = self.env.tracer
+        span = tracer.begin("ptt", f"xfer:{lfn}", **span_args) if tracer.enabled else None
+        try:
+            rec = yield from self.gridftp.transfer(
+                src_url, dst_url, nbytes, streams, session_established=session
+            )
+        except TransferError:
             if span is not None:
-                tracer.end(span, outcome="done")
-            record.executed += 1
-            record.bytes_moved += rec.nbytes
-            record.streams_used.append(self.default_streams)
-            self._register(spec.lfn, spec.dst_url, spec.nbytes)
+                tracer.end(span, outcome="failed")
+            raise
+        if span is not None:
+            tracer.end(span, outcome="done")
+        record.executed += 1
+        record.bytes_moved += rec.nbytes
+        record.streams_used.append(streams)
+        self._register(lfn, dst_url, nbytes)
 
     # ------------------------------------------------------------- with policy
     def _execute_with_policy(self, workflow_id: str, job: ExecutableJob, record: StagingRecord):
@@ -231,15 +244,6 @@ class PegasusTransferTool:
             pending = []
             for item in waits:
                 record.waited += 1
-                item_spec = {
-                    "lfn": item.lfn,
-                    "src_url": item.src_url,
-                    "dst_url": item.dst_url,
-                    "nbytes": item.nbytes,
-                    "streams": self.default_streams,
-                    "priority": job.priority,
-                    "cluster": cluster,
-                }
                 wait_span = None
                 if tracer.enabled:
                     wait_span = tracer.begin(
@@ -253,14 +257,16 @@ class PegasusTransferTool:
                     # ourselves rather than poll a dead endpoint.
                     if wait_span is not None:
                         tracer.end(wait_span, outcome="degraded")
-                    yield from self._execute_degraded(
-                        workflow_id, [item_spec], record, track
-                    )
+                    yield from self._execute_degraded(workflow_id, [spec_of(item)], record, track)
                     continue
+                except TransferError:
+                    if wait_span is not None:
+                        tracer.end(wait_span, outcome="timeout")
+                    raise
                 if wait_span is not None:
                     tracer.end(wait_span, outcome=outcome)
                 if outcome == "resubmit":
-                    pending.append(item_spec)
+                    pending.append(spec_of(item))
 
     def _run_approved(
         self, items: list[TransferAdvice], record: StagingRecord, track: str = "ptt"
@@ -269,40 +275,23 @@ class PegasusTransferTool:
         # Preserve the service's ordering; group boundaries reset sessions.
         # Group id 0 means "ungrouped" (the service assigned no host-pair
         # group), so consecutive 0s never share a session.
-        tracer = self.env.tracer
         current_group: Optional[int] = None
         for idx, item in enumerate(items):
             session_established = item.group_id != 0 and item.group_id == current_group
             current_group = item.group_id
-            span = None
-            if tracer.enabled:
-                span = tracer.begin(
-                    "ptt", f"xfer:{item.lfn}", track=track, tid=item.tid,
-                    streams=item.streams, group=item.group_id,
-                    nbytes=item.nbytes,
-                )
             try:
-                rec = yield from self.gridftp.transfer(
-                    item.src_url,
-                    item.dst_url,
-                    item.nbytes,
-                    item.streams,
-                    session_established=session_established,
+                yield from self._transfer(
+                    item.lfn, item.src_url, item.dst_url, item.nbytes, item.streams,
+                    session_established, record,
+                    track=track, tid=item.tid, streams=item.streams,
+                    group=item.group_id, nbytes=item.nbytes,
                 )
             except TransferError:
                 # Tell the service about the failure and the abandoned rest
                 # of the batch, then let the engine retry the whole job.
-                if span is not None:
-                    tracer.end(span, outcome="failed")
                 abandoned = [other.tid for other in items[idx:]]
                 yield from self._report(failed=abandoned)
                 raise
-            if span is not None:
-                tracer.end(span, outcome="done")
-            record.executed += 1
-            record.bytes_moved += rec.nbytes
-            record.streams_used.append(item.streams)
-            self._register(item.lfn, item.dst_url, item.nbytes)
             yield from self._report(done=[item.tid])
 
     def _await_staged(self, item: TransferAdvice, deadline: float):
@@ -350,25 +339,15 @@ class PegasusTransferTool:
         Staged files enter the per-workflow backlog so the policy memory
         learns about them once the service is reachable again.
         """
-        tracer = self.env.tracer
         backlog = self._degraded_staged.setdefault(workflow_id, [])
+        streams = self.default_streams
         for spec in specs:
-            span = None
-            if tracer.enabled:
-                span = tracer.begin(
-                    "ptt", f"xfer:{spec['lfn']}", track=track, mode="degraded",
-                    streams=self.default_streams, nbytes=spec["nbytes"],
-                )
-            rec = yield from self.gridftp.transfer(
-                spec["src_url"], spec["dst_url"], spec["nbytes"], self.default_streams
+            yield from self._transfer(
+                spec["lfn"], spec["src_url"], spec["dst_url"], spec["nbytes"], streams,
+                False, record,
+                track=track, mode="degraded", streams=streams, nbytes=spec["nbytes"],
             )
-            if span is not None:
-                tracer.end(span, outcome="done")
-            record.executed += 1
             record.degraded += 1
-            record.bytes_moved += rec.nbytes
-            record.streams_used.append(self.default_streams)
-            self._register(spec["lfn"], spec["dst_url"], spec["nbytes"])
             # Byte counts ride along so the service's staged-data catalog
             # can size the adopted replica at reconciliation.
             backlog.append((spec["lfn"], spec["dst_url"], spec["nbytes"]))
@@ -379,18 +358,8 @@ class PegasusTransferTool:
         Returns True when the service acknowledged everything (or there
         was nothing to flush); False when it is still unreachable.
         """
-        done, failed = self._unreported_done, self._unreported_failed
-        if done or failed:
-            self._unreported_done, self._unreported_failed = [], []
-            try:
-                result = yield from self.policy.complete_transfers(done=done, failed=failed)
-                self._apply_evictions(result)
-            except PolicyUnavailableError:
-                # Extend, don't assign: a concurrent job may have queued
-                # its own ids while this call was in flight.
-                self._unreported_done.extend(done)
-                self._unreported_failed.extend(failed)
-                return False
+        if (yield from self._report()):
+            return False
         backlog = self._degraded_staged.get(workflow_id)
         if backlog:
             try:
@@ -403,15 +372,17 @@ class PegasusTransferTool:
     def _report(self, done=(), failed=()):
         """Report completions, queueing them if the service is unreachable.
 
-        A lost completion report must not fail the job — the transfer
-        itself succeeded; the service learns about it at the next
-        reconciliation (and its lease reaper bounds the damage meanwhile).
+        Earlier queued reports ride along.  Returns True when reports are
+        still queued afterwards.  A lost completion report must not fail
+        the job — the transfer itself succeeded; the service learns about
+        it at the next reconciliation (and its lease reaper bounds the
+        damage meanwhile).
         """
         done = self._unreported_done + list(done)
         failed = self._unreported_failed + list(failed)
         self._unreported_done, self._unreported_failed = [], []
         if not done and not failed:
-            return
+            return False
         try:
             result = yield from self.policy.complete_transfers(done=done, failed=failed)
         except PolicyUnavailableError:
@@ -419,8 +390,9 @@ class PegasusTransferTool:
             # own ids while this call was in flight.
             self._unreported_done.extend(done)
             self._unreported_failed.extend(failed)
-            return
+            return True
         self._apply_evictions(result)
+        return False
 
     def _apply_evictions(self, result) -> None:
         """Delete replicas the service's catalog evicted over a completion.

@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.catalogs import ReplicaCatalog, SiteCatalog, SiteEntry, TransformationCatalog
 from repro.des import Environment, RngRegistry
-from repro.net import FlowNetwork, GridFTPClient, GridFTPServer, Link, Network, StreamModel
+from repro.net import FlowNetwork, GridFTPClient, Link, Network, StreamModel
 from repro.net.topology import MB, mbit
 from repro.workflow.dag import Workflow
 from repro.workflow.montage import EXTRA_FILE_PREFIX, montage_transformations
@@ -158,9 +158,6 @@ def build_testbed(
         ramp_ref=p.ramp_ref,
     )
     fabric = FlowNetwork(env, network, model)
-    GridFTPServer(fabric, fg_vm, version="6.5")
-    GridFTPServer(fabric, web)
-    GridFTPServer(fabric, obelix)
     gridftp = GridFTPClient(
         fabric,
         rng=rng.stream("gridftp"),

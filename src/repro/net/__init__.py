@@ -9,7 +9,7 @@ the ISI Obelix cluster) is replaced by a fluid-flow network simulation:
 * :mod:`repro.net.flows` — a max–min fair fluid-flow engine over the DES
   kernel: active transfers share link capacity in proportion to their
   parallel-stream counts;
-* :mod:`repro.net.gridftp` — a GridFTP-like client/server pair with
+* :mod:`repro.net.gridftp` — a GridFTP-like transfer client with
   session/stream setup costs and failure injection.
 
 The model is calibrated so the qualitative findings of the paper hold: more
@@ -19,7 +19,7 @@ the bandwidth floor regardless of allocation (see DESIGN.md §5).
 """
 
 from repro.net.flows import Flow, FlowNetwork
-from repro.net.gridftp import GridFTPClient, GridFTPServer, TransferError, parse_url
+from repro.net.gridftp import GridFTPClient, TransferError, parse_url
 from repro.net.tcp import StreamModel
 from repro.net.topology import Host, Link, Network, Route, Site
 
@@ -27,7 +27,6 @@ __all__ = [
     "Flow",
     "FlowNetwork",
     "GridFTPClient",
-    "GridFTPServer",
     "Host",
     "Link",
     "Network",

@@ -1,8 +1,8 @@
-"""GridFTP-like transfer client/server over the fluid-flow fabric.
+"""GridFTP-like transfer client over the fluid-flow fabric.
 
 The paper stages data with GridFTP 6.5 (parallel TCP streams per transfer).
-Here a :class:`GridFTPServer` registers a host as a data source and a
-:class:`GridFTPClient` executes transfers as DES processes with:
+Here a :class:`GridFTPClient` executes transfers between any two routed
+hosts of the fabric as DES processes with:
 
 * per-transfer protocol overhead jitter (lognormal-ish, a few percent),
 * optional failure injection (the workflow engine retries, as Pegasus does
@@ -20,9 +20,8 @@ from typing import Optional
 import numpy as np
 
 from repro.net.flows import FlowNetwork
-from repro.net.topology import Host
 
-__all__ = ["GridFTPServer", "GridFTPClient", "TransferError", "TransferRecord", "parse_url"]
+__all__ = ["GridFTPClient", "TransferError", "TransferRecord", "parse_url"]
 
 
 class TransferError(RuntimeError):
@@ -73,22 +72,6 @@ class TransferRecord:
         return self.nbytes / self.duration if self.duration > 0 else 0.0
 
 
-class GridFTPServer:
-    """Registers a host as a transfer endpoint on the fabric."""
-
-    def __init__(self, fabric: FlowNetwork, host: Host, version: str = "6.5"):
-        self.fabric = fabric
-        self.host = host
-        self.version = version
-        registry = getattr(fabric, "_gridftp_servers", None)
-        if registry is None:
-            registry = {}
-            fabric._gridftp_servers = registry  # type: ignore[attr-defined]
-        if host.name in registry:
-            raise ValueError(f"GridFTP server already running on {host.name!r}")
-        registry[host.name] = self
-
-
 class GridFTPClient:
     """Executes transfers on the fabric as DES processes.
 
@@ -103,9 +86,6 @@ class GridFTPClient:
         the byte count (0 disables).
     failure_rate:
         Probability that a transfer fails partway (the caller retries).
-    require_server:
-        When True, transfers from hosts with no registered
-        :class:`GridFTPServer` raise immediately.
     """
 
     def __init__(
@@ -114,7 +94,6 @@ class GridFTPClient:
         rng: Optional[np.random.Generator] = None,
         overhead_jitter: float = 0.0,
         failure_rate: float = 0.0,
-        require_server: bool = False,
     ):
         if overhead_jitter < 0:
             raise ValueError("overhead_jitter must be >= 0")
@@ -125,7 +104,6 @@ class GridFTPClient:
         self.rng = rng or np.random.default_rng(0)
         self.overhead_jitter = overhead_jitter
         self.failure_rate = failure_rate
-        self.require_server = require_server
         self.records: list[TransferRecord] = []
 
     def transfer(
@@ -145,12 +123,6 @@ class GridFTPClient:
         """
         src_host, _ = parse_url(src_url)
         dst_host, _ = parse_url(dst_url)
-        if self.require_server:
-            servers = getattr(self.fabric, "_gridftp_servers", {})
-            if src_host not in servers:
-                raise TransferError(
-                    f"no GridFTP server on source host {src_host!r}", src_url, dst_url
-                )
         t_submit = self.env.now
 
         effective = float(nbytes)

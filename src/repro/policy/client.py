@@ -416,6 +416,12 @@ class InProcessPolicyClient:
             except PolicyUnavailableError as exc:
                 self.failed_calls += 1
                 last_error = exc
+            except Exception as exc:
+                # A domain error (a refusal, a bad argument) is the
+                # service's answer, not an outage: no retry, breaker untouched.
+                if span is not None:
+                    tracer.end(span, outcome="error", error=type(exc).__name__)
+                raise
             else:
                 if breaker is not None:
                     breaker.record_success()

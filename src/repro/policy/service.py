@@ -147,9 +147,6 @@ class PolicyService:
     config:
         Policy settings; selects the allocation rule pack
         (``greedy`` / ``balanced`` / ``fifo``).
-    extra_rules:
-        Additional rules appended to the pack (deployment customization —
-        the paper stresses rules are separated from application logic).
     journal:
         A :class:`~repro.policy.journal.PolicyJournal` making the policy
         memory durable.  The journal directory must be empty/fresh here;
@@ -176,7 +173,6 @@ class PolicyService:
     def __init__(
         self,
         config: Optional[PolicyConfig] = None,
-        extra_rules: Sequence[Rule] = (),
         clock: Optional[Callable[[], float]] = None,
         journal: Optional[PolicyJournal] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -200,8 +196,7 @@ class PolicyService:
             if self.config.catalog is not None
             else None
         )
-        rules = [rule for pack in rule_packs(self.config) for rule in pack()]
-        self._rules = rules + list(extra_rules)
+        self._rules = [rule for pack in rule_packs(self.config) for rule in pack()]
         # Plain integer counters (not itertools.count) so snapshots can
         # read the high-water marks and recovery can restore them.
         self._tid_last = 0
@@ -504,7 +499,6 @@ class PolicyService:
         cls,
         path,
         config: Optional[PolicyConfig] = None,
-        extra_rules: Sequence[Rule] = (),
         clock: Optional[Callable[[], float]] = None,
         snapshot_interval: int = 1000,
         fsync: bool = False,
@@ -529,7 +523,7 @@ class PolicyService:
         )
         state = journal.load()
         service = cls(
-            config, extra_rules=extra_rules, clock=clock,
+            config, clock=clock,
             metrics=metrics, tracer=tracer, profiler=profiler,
         )
         fingerprint = service.config_fingerprint()

@@ -145,7 +145,6 @@ class ShardedPolicyService:
         breaker_threshold: int = 3,
         snapshot_interval: int = 1000,
         fsync: bool = False,
-        extra_rules=(),
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
@@ -175,7 +174,6 @@ class ShardedPolicyService:
                     journal_dir=journal_dir,
                     snapshot_interval=snapshot_interval,
                     fsync=fsync,
-                    extra_rules=extra_rules,
                     tracer=tracer,
                     profiler=profiler,
                 )

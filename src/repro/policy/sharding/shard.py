@@ -142,7 +142,6 @@ class InProcessShardBackend:
         journal_dir=None,
         snapshot_interval: int = 1000,
         fsync: bool = False,
-        extra_rules=(),
         metrics=None,
         tracer=None,
         profiler=None,
@@ -152,7 +151,6 @@ class InProcessShardBackend:
         self.journal_dir = journal_dir
         self.snapshot_interval = snapshot_interval
         self.fsync = fsync
-        self.extra_rules = tuple(extra_rules)
         self.metrics = metrics
         self.tracer = tracer
         self.profiler = profiler
@@ -168,7 +166,6 @@ class InProcessShardBackend:
             )
         service = PolicyService(
             self.config,
-            extra_rules=self.extra_rules,
             clock=self.clock,
             journal=journal,
             metrics=self.metrics,
@@ -199,7 +196,6 @@ class InProcessShardBackend:
             service = PolicyService.recover(
                 self.journal_dir,
                 config=self.config,
-                extra_rules=self.extra_rules,
                 clock=self.clock,
                 snapshot_interval=self.snapshot_interval,
                 fsync=self.fsync,

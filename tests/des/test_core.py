@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Interrupt, SimulationError
+from repro.des import AllOf, AnyOf, Environment, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -245,58 +245,20 @@ def test_process_requires_generator():
         env.process(lambda: None)  # type: ignore[arg-type]
 
 
-def test_interrupt_is_catchable_and_carries_cause():
-    env = Environment()
-    trace = []
-
-    def victim():
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            trace.append((env.now, intr.cause))
-
-    def attacker(target):
-        yield env.timeout(3)
-        target.interrupt(cause="preempted")
-
-    v = env.process(victim())
-    env.process(attacker(v))
-    env.run()
-    assert trace == [(3.0, "preempted")]
-
-
-def test_interrupt_finished_process_raises():
+def test_removed_kernel_names_are_gone():
+    with pytest.raises(ImportError):
+        from repro.des import Interrupt  # noqa: F401
     env = Environment()
 
-    def quick():
+    def proc():
         yield env.timeout(1)
 
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    trace = []
-
-    def victim():
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            pass
-        yield env.timeout(5)
-        trace.append(env.now)
-
-    def attacker(target):
-        yield env.timeout(10)
-        target.interrupt()
-
-    v = env.process(victim())
-    env.process(attacker(v))
-    env.run()
-    assert trace == [15.0]
+    with pytest.raises(AttributeError):
+        env.process(proc()).interrupt()
+    with pytest.raises(AttributeError):
+        env.active_process
+    with pytest.raises(AttributeError):
+        env.event().trigger(env.event())
 
 
 def test_all_of_waits_for_every_event():
@@ -363,20 +325,6 @@ def test_condition_rejects_cross_environment_events():
     env1, env2 = Environment(), Environment()
     with pytest.raises(SimulationError):
         AllOf(env1, [env2.timeout(1)])
-
-
-def test_active_process_visible_during_resume():
-    env = Environment()
-    seen = []
-
-    def proc():
-        yield env.timeout(1)
-        seen.append(env.active_process)
-
-    p = env.process(proc())
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None
 
 
 def test_deterministic_replay():

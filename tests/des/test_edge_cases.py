@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Interrupt, SimulationError
+from repro.des import AllOf, AnyOf, Environment, SimulationError
 
 
 def test_any_of_failure_propagates():
@@ -22,30 +22,6 @@ def test_any_of_failure_propagates():
     env.process(waiter())
     env.run(until=50)
     assert caught == ["first to finish fails"]
-
-
-def test_interrupting_process_waiting_on_process():
-    env = Environment()
-    trace = []
-
-    def child():
-        yield env.timeout(100)
-        return "never"
-
-    def parent():
-        try:
-            yield env.process(child())
-        except Interrupt as intr:
-            trace.append(("interrupted", env.now, intr.cause))
-
-    def attacker(target):
-        yield env.timeout(5)
-        target.interrupt(cause="stop")
-
-    p = env.process(parent())
-    env.process(attacker(p))
-    env.run(until=10)
-    assert trace == [("interrupted", 5.0, "stop")]
 
 
 def test_run_until_event_already_processed():

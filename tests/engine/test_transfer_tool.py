@@ -6,6 +6,7 @@ import pytest
 from repro.catalogs import ReplicaCatalog
 from repro.engine import PegasusTransferTool
 from repro.net import GridFTPClient, TransferError
+from repro.obs.tracer import Tracer
 from repro.planner.executable import ExecutableJob, JobKind, TransferSpec
 from repro.policy import InProcessPolicyClient, PolicyConfig, PolicyService
 
@@ -117,6 +118,30 @@ def test_concurrent_duplicate_waits_for_inflight(fabric_env):
     # The waiter finished no earlier than the original transfer.
     assert records["b"].t_end >= records["a"].t_end
     assert fabric.bytes_moved == pytest.approx(1000.0)  # staged only once
+
+
+def test_wait_past_max_wait_closes_its_span_as_timeout(fabric_env):
+    """The max-wait TransferError used to leave the ``wait:`` span open."""
+    env, fabric, client = fabric_env
+    env.tracer = tracer = Tracer(clock=lambda: env.now)
+    policy = make_policy(env)
+    ptt = PegasusTransferTool(
+        client, policy=policy, default_streams=4, poll_interval=0.5, max_wait=2.0
+    )
+
+    def first():
+        yield from ptt.execute("wf1", staging_job("j1", lfns=("big",), nbytes=1000.0))
+
+    def second():
+        yield env.timeout(1.5)  # first transfer in flight for another ~10 s
+        with pytest.raises(TransferError, match="timed out"):
+            yield from ptt.execute("wf2", staging_job("j2", lfns=("big",), nbytes=1000.0))
+
+    env.process(first())
+    env.process(second())
+    env.run()
+    waits = [s for s in tracer.spans() if s["name"] == "wait:big"]
+    assert [(s["ts"], s["dur"], s["args"]["outcome"]) for s in waits] == [(1.5, 2.0, "timeout")]
 
 
 def test_failure_reports_and_raises(fabric_env):

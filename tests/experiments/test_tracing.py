@@ -11,8 +11,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.des.faults import FaultPlan, GridFTPStorm, ServiceOutage
 from repro.experiments import ExperimentConfig, run_traced_cell
+from repro.experiments.environment import TestbedParams
 from repro.experiments.tracing import run_traced_chaos
+from repro.net import GridFTPClient, TransferError
 
 from tests.reference import reference_engine
 
@@ -146,3 +149,58 @@ def test_provenance_doc_names_shards_and_frontend(traced_run):
     assert "engine" not in traced_run.provenance
     assert traced_run.provenance["shard_count"] == SMALL.shards
     assert traced_run.provenance["frontend"] == "in-process"
+
+
+# ------------------------------------------------------- failed transfers
+def count_failed_transfers(monkeypatch) -> list[str]:
+    """Patch the GridFTP client to log the LFN of every failed transfer."""
+    failed: list[str] = []
+    transfer = GridFTPClient.transfer
+
+    def counted(self, src_url, dst_url, *args, **kwargs):
+        try:
+            return (yield from transfer(self, src_url, dst_url, *args, **kwargs))
+        except TransferError:
+            failed.append(dst_url.rsplit("/", 1)[1])
+            raise
+
+    monkeypatch.setattr(GridFTPClient, "transfer", counted)
+    return failed
+
+
+def failed_xfer_spans(run) -> list[str]:
+    return [
+        s["name"].removeprefix("xfer:") for s in run.tracer.spans()
+        if s["name"].startswith("xfer:") and s["args"]["outcome"] == "failed"
+    ]
+
+
+def test_every_failed_policy_free_transfer_closes_its_span(monkeypatch):
+    """Default Pegasus used to leave a failed transfer's span open, so it
+    never reached the trace."""
+    failed = count_failed_transfers(monkeypatch)
+    cfg = ExperimentConfig(
+        policy=None, extra_file_mb=10.0, n_images=8, seed=4,
+        testbed=TestbedParams(failure_rate=0.3),
+    )
+    run = run_traced_cell(cfg)
+    assert run.metrics.success
+    assert len(failed) == 7
+    assert sorted(failed_xfer_spans(run)) == sorted(failed)
+
+
+def test_every_failed_degraded_transfer_closes_its_span(monkeypatch):
+    """Same for transfers run policy-free while the service is down."""
+    failed = count_failed_transfers(monkeypatch)
+    plan = FaultPlan(
+        outages=(ServiceOutage(at=2.0, duration=20.0),),
+        storms=(GridFTPStorm(0.0, 200.0, 0.3),),
+    )
+    run = run_traced_chaos(ExperimentConfig(extra_file_mb=20.0, n_images=12, seed=3), plan)
+    assert run.metrics.success
+    degraded = [
+        s for s in run.tracer.spans()
+        if s["name"].startswith("xfer:") and s["args"].get("mode") == "degraded"
+    ]
+    assert [s["args"]["outcome"] for s in degraded].count("failed") == 2
+    assert sorted(failed_xfer_spans(run)) == sorted(failed)

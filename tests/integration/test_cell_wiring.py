@@ -23,6 +23,7 @@ from repro.experiments.tracing import run_traced_cell, run_traced_chaos
 from repro.policy import PolicyService, ShardedPolicyService
 from repro.policy.model import CleanupFact, HostPairFact, TransferFact
 from repro.policy.sharding.procshard import ProcessShardBackend
+from repro.policy.sharding.shard import InProcessShardBackend
 
 SMALL = ExperimentConfig(extra_file_mb=5.0, n_images=6, seed=2)
 
@@ -91,8 +92,13 @@ def test_traced_cell_without_policy_writes_empty_decisions(tmp_path):
     assert (tmp_path / "decisions.jsonl").read_text() == ""
 
 
-def test_removed_service_knobs_are_type_errors():
+def test_removed_service_knobs_are_type_errors(tmp_path):
     with pytest.raises(TypeError):
         ShardedPolicyService(num_shards=2, breaker_reset=60.0)
     with pytest.raises(TypeError):
         ProcessShardBackend(start_method="spawn")
+    # ``extra_rules`` had no caller: rule packs come from the config alone.
+    for build in (PolicyService, ShardedPolicyService, InProcessShardBackend,
+                  lambda **kw: PolicyService.recover(tmp_path, **kw)):
+        with pytest.raises(TypeError):
+            build(extra_rules=())

@@ -1,4 +1,4 @@
-"""Unit tests for the GridFTP-like client/server."""
+"""Unit tests for the GridFTP-like transfer client."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.des import Environment
 from repro.net import (
     FlowNetwork,
     GridFTPClient,
-    GridFTPServer,
     Link,
     Network,
     StreamModel,
@@ -61,34 +60,12 @@ def test_basic_transfer_returns_record():
     assert client.records == [rec]
 
 
-def test_require_server_enforced():
+def test_server_registry_is_gone():
+    with pytest.raises(ImportError):
+        from repro.net import GridFTPServer  # noqa: F401
     env, fabric = make_fabric()
-    client = GridFTPClient(fabric, require_server=True)
-
-    def run():
-        yield from client.transfer("gsiftp://srv/a", "gsiftp://cli/a", 10.0, 1)
-
-    p = env.process(run())
-    with pytest.raises(TransferError, match="no GridFTP server"):
-        env.run(until=p)
-
-    GridFTPServer(fabric, fabric.network.host("srv"))
-    done = {}
-
-    def run2():
-        yield from client.transfer("gsiftp://srv/a", "gsiftp://cli/a", 10.0, 1)
-        done["ok"] = True
-
-    env.process(run2())
-    env.run()
-    assert done.get("ok")
-
-
-def test_duplicate_server_rejected():
-    env, fabric = make_fabric()
-    GridFTPServer(fabric, fabric.network.host("srv"))
-    with pytest.raises(ValueError):
-        GridFTPServer(fabric, fabric.network.host("srv"))
+    with pytest.raises(TypeError):
+        GridFTPClient(fabric, require_server=True)
 
 
 def test_failure_injection_raises_transfer_error():

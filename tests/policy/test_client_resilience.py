@@ -5,11 +5,13 @@ import random
 import pytest
 
 from repro.des.core import Environment
+from repro.obs.tracer import Tracer
 from repro.policy import (
     CircuitBreaker,
     CircuitOpenError,
     InProcessPolicyClient,
     PolicyConfig,
+    PolicyRefusedError,
     PolicyService,
     PolicyUnavailableError,
     RetryPolicy,
@@ -222,6 +224,28 @@ def test_breaker_recovers_when_service_returns():
     env.run()
     assert proc.value == "unknown"
     assert breaker.state == "closed"
+
+
+def test_domain_error_closes_its_rpc_span_and_spares_the_breaker():
+    """A refusal used to leave its ``rpc:`` span open: only the next
+    call's span reached the trace."""
+    tracer = Tracer()
+    env = Environment(tracer=tracer)
+    breaker = CircuitBreaker(failure_threshold=1, reset_timeout=30.0, clock=lambda: env.now)
+    client = make_client(env, breaker=breaker)
+
+    def scenario():
+        with pytest.raises(PolicyRefusedError):
+            yield from client.bind_workflow("wf", "nobody")
+        yield from client.transfer_state(1)
+
+    run_process(env, scenario())
+    assert [(s["name"], s["args"]) for s in tracer.spans() if s["cat"] == "rpc"] == [
+        ("rpc:bind_workflow", {"outcome": "error", "error": "PolicyRefusedError"}),
+        ("rpc:transfer_state", {"outcome": "ok", "attempts": 1}),
+    ]
+    assert breaker.state == "closed" and breaker.failures == 0
+    assert client.failed_calls == 0
 
 
 # -- HTTPPolicyClient against a dead endpoint --------------------------------
