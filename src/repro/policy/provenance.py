@@ -641,10 +641,7 @@ def link_decisions_to_trace(records: list[dict], tracer) -> list[dict]:
     for event in getattr(tracer, "events", []):
         if event.get("ph") != "X":
             continue
-        args = event.get("args", {})
-        batch = args.get("batch_id")
-        if batch is None and isinstance(args.get("args"), dict):
-            batch = args["args"].get("batch_id")
+        batch = event.get("args", {}).get("batch_id")
         if batch is not None:
             by_batch.setdefault(batch, []).append(event["seq"])
     for record in records:

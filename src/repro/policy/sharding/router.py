@@ -36,6 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -198,18 +199,14 @@ class ShardedPolicyService:
         #: dst_url -> home shard index (cleanup routing; first writer wins)
         self._url_owner: dict[str, int] = {}
 
-        # ---------------- id -> shard maps (bounded) ------------------------
-        retention = max(int(self.config.completed_tid_retention), 1000)
-        self._tid_shard: OrderedDict[int, int] = OrderedDict()
-        self._cid_shard: OrderedDict[int, int] = OrderedDict()
-        self._cid_key: dict[int, Tuple[str, str]] = {}
-        self._id_retention = retention * 2
-        #: tid -> canonical group id stamped on the merged advice, so
-        #: ``explain`` can rewrite shard-local group ids (bounded)
-        self._tid_group: OrderedDict[int, int] = OrderedDict()
-        #: cid -> home shard for *every* routed cleanup (``_cid_shard``
-        #: only tracks deletes, which is all completion routing needs)
-        self._cid_home: OrderedDict[int, int] = OrderedDict()
+        # ---------------- id maps (bounded, oldest id evicted first) --------
+        self._id_retention = max(int(self.config.completed_tid_retention), 1000) * 2
+        #: tid -> (home shard, canonical group id stamped on the merged
+        #: advice, or None) for every shard-evaluated transfer
+        self._tids: OrderedDict[int, Tuple[int, Optional[int]]] = OrderedDict()
+        #: cid -> (home shard, url of an outstanding delete, or None once
+        #: it completed, was reaped, or was never a delete)
+        self._cids: OrderedDict[int, Tuple[int, Optional[str]]] = OrderedDict()
 
         # ---------------- degraded mode ------------------------------------
         #: tid -> (workflow, lfn, dst_url, home shard) for policy-free grants
@@ -228,7 +225,6 @@ class ShardedPolicyService:
         # ---------------- router-mirrored lease sweep -----------------------
         self._next_sweep = float("-inf")
 
-        self._lock = threading.Lock()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._init_metrics()
 
@@ -319,6 +315,33 @@ class ShardedPolicyService:
             "group": self._group_counter,
         }
 
+    # ------------------------------------------------------------------ envelope
+    @contextmanager
+    def _call(self, name: str, **span_args):
+        """The envelope of one counted router call, shaped like
+        ``PolicyService._call``: count it and, only while tracing, open a
+        ``router.<name>`` span on the ``policy-router`` track.
+
+        Yields a dict the body fills with the span's closing arguments.
+        A call that raises closes its span with the error's type alone.
+        """
+        self._m_requests.inc(call=name)
+        tracer = self.tracer
+        span = None
+        if tracer.enabled:
+            span = tracer.begin(
+                "policy", f"router.{name}", track="policy-router", **span_args
+            )
+        closing: dict = {}
+        try:
+            yield closing
+        except BaseException as exc:
+            closing = {"error": type(exc).__name__}
+            raise
+        finally:
+            if span is not None:
+                tracer.end(span, **closing)
+
     # ------------------------------------------------------------------ sweep
     def _maybe_reap(self) -> None:
         """Router-level mirror of the single service's throttled sweep."""
@@ -332,10 +355,16 @@ class ShardedPolicyService:
         self._broadcast_reap(now)
 
     def _broadcast_reap(self, now: float) -> dict:
-        reaped = {"transfers": [], "cleanups": []}
+        reaped: dict[str, list] = {"transfers": [], "cleanups": []}
         for part in self._gather("reap_expired", now):
             reaped["transfers"].extend(part.get("transfers", ()))
             reaped["cleanups"].extend(part.get("cleanups", ()))
+        for cid in reaped["cleanups"]:
+            # A reaped delete is no longer outstanding: a late completion
+            # acknowledges nothing, so it must not clear the url's owner.
+            entry = self._cids.get(cid)
+            if entry is not None:
+                self._cids[cid] = (entry[0], None)
         reaped["transfers"].sort()
         reaped["cleanups"].sort()
         return reaped
@@ -346,43 +375,45 @@ class ShardedPolicyService:
         return self._broadcast_reap(float(now))
 
     # ------------------------------------------------------------------ dispatch
-    def _dispatch(self, calls: list) -> list:
-        """Run ``[(handle, name, args, kwargs), ...]``; return results.
+    def _dispatch(self, name: str, calls: dict) -> list:
+        """Run ``name`` with ``{shard: (args, kwargs)}``; return
+        ``[(shard, result), ...]`` in shard order.
 
-        A :class:`ShardUnavailableError` becomes ``None`` in the result
-        slot (the caller degrades that sub-batch); other exceptions
-        propagate.  For caller-supplied backends, calls run from one
-        thread per shard — results keep submission order either way.
+        A :class:`ShardUnavailableError` becomes a ``None`` result (the
+        caller degrades that sub-batch); other exceptions propagate.  For
+        caller-supplied backends, calls run from one thread per shard.
         """
 
-        results: list = [None] * len(calls)
-        errors: list = [None] * len(calls)
+        order = sorted(calls)
+        results: list = [None] * len(order)
+        errors: list = [None] * len(order)
 
         def run(slot: int) -> None:
-            handle, name, args, kwargs = calls[slot]
+            shard = order[slot]
+            args, kwargs = calls[shard]
             try:
-                results[slot] = handle.call(name, *args, **kwargs)
+                results[slot] = self.shards[shard].call(name, *args, **kwargs)
             except ShardUnavailableError:
                 results[slot] = None
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 errors[slot] = exc
 
-        if self._concurrent and len(calls) > 1:
+        if self._concurrent and len(order) > 1:
             threads = [
                 threading.Thread(target=run, args=(slot,), daemon=True)
-                for slot in range(len(calls))
+                for slot in range(len(order))
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
         else:
-            for slot in range(len(calls)):
+            for slot in range(len(order)):
                 run(slot)
         for exc in errors:
             if exc is not None:
                 raise exc
-        return results
+        return list(zip(order, results))
 
     def _gather(self, name: str, *args) -> Iterator:
         """``name``'s answer from each shard that can give one, in shard
@@ -396,8 +427,17 @@ class ShardedPolicyService:
                 continue
             yield part
 
-    def _queue_pending(self, shard: int, name: str, *args, **kwargs) -> None:
-        self._pending_ops[shard].append((name, args, kwargs))
+    def _url_home(self, lfn: str, url: str, batch_local: dict) -> int:
+        """A cleanup's or reconcile's shard: the file's owner, else the
+        url's, else the batch's earlier pick, else the url ring."""
+        shard = self._owner.get((lfn, url))
+        if shard is None:
+            shard = self._url_owner.get(url)
+        if shard is None:
+            shard = batch_local.get(url)
+        if shard is None:
+            shard = self.ring.node_for(url_key(url))
+        return shard
 
     # ------------------------------------------------------------------ transfers
     def submit_transfers(
@@ -407,99 +447,85 @@ class ShardedPolicyService:
 
         specs = list(transfers)
         self._maybe_reap()
-        self._m_requests.inc(call="submit_transfers")
-        span = self._begin_span(
-            "router.submit_transfers", workflow=workflow, job=job,
-            batch=len(specs),
-        )
-        if self.config.order_by == "priority":
-            # The single service pre-sorts the batch before assigning
-            # tids; the router owns that sort now (shards are told to
-            # keep external order).
-            specs.sort(key=lambda s: -int(s.get("priority", 0)))
+        with self._call(
+            "submit_transfers", workflow=workflow, job=job, batch=len(specs)
+        ) as closing:
+            if self.config.order_by == "priority":
+                # The single service pre-sorts the batch before assigning
+                # tids; the router owns that sort now (shards are told to
+                # keep external order).
+                specs.sort(key=lambda s: -int(s.get("priority", 0)))
 
-        # Route each spec: ownership directory first, else the pair ring.
-        # ``batch_local`` pins every later occurrence of a file in this
-        # batch to the first occurrence's shard so in-batch dedup fires
-        # exactly like the single service.
-        assigned = []  # (tid, spec, shard_idx, key)
-        batch_local: dict[Tuple[str, str], int] = {}
-        for spec in specs:
-            tid = self._next_tid()
-            key = (spec["lfn"], spec["dst_url"])
-            shard_idx = self._owner.get(key)
-            if shard_idx is None:
-                shard_idx = batch_local.get(key)
-            if shard_idx is None:
-                src_host, _ = parse_url(spec["src_url"])
-                dst_host, _ = parse_url(spec["dst_url"])
-                shard_idx = self.ring.node_for(pair_key(src_host, dst_host))
-            batch_local[key] = shard_idx
-            assigned.append((tid, spec, shard_idx, key))
+            # Route each spec: ownership directory first, else the pair
+            # ring.  ``batch_local`` pins every later occurrence of a file
+            # in this batch to the first occurrence's shard so in-batch
+            # dedup fires exactly like the single service.
+            per_shard: dict[int, list] = {}
+            batch_local: dict[Tuple[str, str], int] = {}
+            for spec in specs:
+                key = (spec["lfn"], spec["dst_url"])
+                shard = self._owner.get(key)
+                if shard is None:
+                    shard = batch_local.get(key)
+                if shard is None:
+                    src_host, _ = parse_url(spec["src_url"])
+                    dst_host, _ = parse_url(spec["dst_url"])
+                    shard = self.ring.node_for(pair_key(src_host, dst_host))
+                batch_local[key] = shard
+                per_shard.setdefault(shard, []).append((self._next_tid(), spec))
 
-        per_shard: dict[int, list] = {}
-        for tid, spec, shard_idx, key in assigned:
-            per_shard.setdefault(shard_idx, []).append((tid, spec, key))
+            calls = {
+                shard: ((workflow, job, [spec for _, spec in entries]),
+                        {"tids": [tid for tid, _ in entries]})
+                for shard, entries in per_shard.items()
+            }
+            for shard in calls:
+                self._m_dispatch.inc(shard=str(shard))
+            merged: dict[int, TransferAdvice] = {}
+            evaluated: dict[int, int] = {}  # tid -> shard that evaluated it
+            for shard, result in self._dispatch("submit_transfers", calls):
+                entries = per_shard[shard]
+                if result is None:
+                    # Shard unavailable: policy-free advice for just this
+                    # sub-batch, mirroring the transfer tool's degraded mode.
+                    self._m_degraded.inc(len(entries), kind="transfers")
+                    for tid, spec in entries:
+                        merged[tid] = self._degraded_advice(workflow, tid, spec, shard)
+                    continue
+                for item in result:
+                    merged[item.tid] = item
+                    evaluated[item.tid] = shard
+                for _, spec in entries:
+                    self._owner[(spec["lfn"], spec["dst_url"])] = shard
+                    self._url_owner.setdefault(spec["dst_url"], shard)
 
-        order = sorted(per_shard)
-        calls = []
-        for shard_idx in order:
-            entries = per_shard[shard_idx]
-            calls.append((
-                self.shards[shard_idx],
-                "submit_transfers",
-                (workflow, job, [spec for _, spec, _ in entries]),
-                {"tids": [tid for tid, _, _ in entries]},
-            ))
-            self._m_dispatch.inc(shard=str(shard_idx))
-        results = self._dispatch(calls)
+            # Canonical group numbering: walk in tid (= submission) order
+            # and mint/reuse pair group ids exactly where the single
+            # service's GROUP_CREATE rule would (first executable transfer
+            # of a pair).
+            for tid in sorted(evaluated):
+                item = merged[tid]
+                group = None
+                if item.action == "transfer":
+                    src_host, _ = parse_url(item.src_url)
+                    dst_host, _ = parse_url(item.dst_url)
+                    pair = (src_host, dst_host)
+                    group = self._pair_groups.get(pair)
+                    if group is None:
+                        self._group_counter += 1
+                        group = self._pair_groups[pair] = self._group_counter
+                    item.group_id = group
+                self._remember(self._tids, tid, (evaluated[tid], group))
 
-        merged: dict[int, TransferAdvice] = {}
-        degraded: set[int] = set()
-        for shard_idx, result in zip(order, results):
-            entries = per_shard[shard_idx]
-            if result is None:
-                # Shard unavailable: policy-free advice for just this
-                # sub-batch, mirroring the transfer tool's degraded mode.
-                self._m_degraded.inc(len(entries), kind="transfers")
-                for tid, spec, key in entries:
-                    merged[tid] = self._degraded_advice(workflow, tid, spec, shard_idx)
-                    degraded.add(tid)
-                continue
-            for item in result:
-                merged[item.tid] = item
-            for tid, spec, key in entries:
-                self._remember(self._tid_shard, tid, shard_idx)
-                self._owner[key] = shard_idx
-                self._url_owner.setdefault(spec["dst_url"], shard_idx)
-
-        # Canonical group numbering: walk in tid (= submission) order and
-        # mint/reuse pair group ids exactly where the single service's
-        # GROUP_CREATE rule would (first executable transfer of a pair).
-        for tid, spec, shard_idx, key in assigned:
-            item = merged.get(tid)
-            if item is None or item.action != "transfer" or tid in degraded:
-                continue
-            src_host, _ = parse_url(item.src_url)
-            dst_host, _ = parse_url(item.dst_url)
-            pair = (src_host, dst_host)
-            group = self._pair_groups.get(pair)
-            if group is None:
-                self._group_counter += 1
-                group = self._group_counter
-                self._pair_groups[pair] = group
-            item.group_id = group
-            self._remember(self._tid_group, tid, group)
-
-        advice = order_advice(list(merged.values()), self.config.order_by)
-        if span is not None:
-            actions: dict[str, int] = {}
-            for item in advice:
-                actions[item.action] = actions.get(item.action, 0) + 1
-            self.tracer.end(
-                span, shards=len(order), degraded=len(degraded),
-                advice=dict(sorted(actions.items())),
-            )
+            advice = order_advice(list(merged.values()), self.config.order_by)
+            if self.tracer.enabled:
+                actions: dict[str, int] = {}
+                for item in advice:
+                    actions[item.action] = actions.get(item.action, 0) + 1
+                closing.update(
+                    shards=len(calls), degraded=len(merged) - len(evaluated),
+                    advice=dict(sorted(actions.items())),
+                )
         return advice
 
     def _degraded_advice(
@@ -533,73 +559,55 @@ class ShardedPolicyService:
         self, done: Iterable[int] = (), failed: Iterable[int] = ()
     ) -> dict:
         self._maybe_reap()
-        self._m_requests.inc(call="complete_transfers")
         done, failed = list(done), list(failed)
-        per_shard: dict[int, Tuple[list, list]] = {}
-        acknowledged = 0
-        for tid in done:
-            entry = self._degraded_tids.pop(tid, None)
-            if entry is not None:
-                # The home shard never saw this grant; once it is back,
-                # reconcile the staged file so dedup/refcounts catch up.
-                wf, lfn, dst_url, shard_idx = entry
-                self._queue_pending(
-                    shard_idx, "reconcile_staged", wf, [(lfn, dst_url)]
-                )
-                acknowledged += 1
-                continue
-            shard_idx = self._tid_shard.get(tid)
-            if shard_idx is None:
-                continue
-            per_shard.setdefault(shard_idx, ([], []))[0].append(tid)
-        for tid in failed:
-            if self._degraded_tids.pop(tid, None) is not None:
-                acknowledged += 1
-                continue
-            shard_idx = self._tid_shard.get(tid)
-            if shard_idx is None:
-                continue
-            per_shard.setdefault(shard_idx, ([], []))[1].append(tid)
+        with self._call("complete_transfers", done=len(done), failed=len(failed)):
+            per_shard: dict[int, Tuple[list, list]] = {}
+            acknowledged = 0
+            for slot, tids in enumerate((done, failed)):
+                for tid in tids:
+                    entry = self._degraded_tids.pop(tid, None)
+                    if entry is not None:
+                        if slot == 0:
+                            # The home shard never saw this grant; once it
+                            # is back, reconcile the staged file so
+                            # dedup/refcounts catch up.
+                            wf, lfn, dst_url, shard = entry
+                            self._pending_ops[shard].append(
+                                ("reconcile_staged", (wf, [(lfn, dst_url)]), {})
+                            )
+                        acknowledged += 1
+                        continue
+                    home = self._tids.get(tid)
+                    if home is not None:
+                        per_shard.setdefault(home[0], ([], []))[slot].append(tid)
 
-        order = sorted(per_shard)
-        calls = [
-            (
-                self.shards[shard_idx],
-                "complete_transfers",
-                (),
-                {"done": per_shard[shard_idx][0], "failed": per_shard[shard_idx][1]},
-            )
-            for shard_idx in order
-        ]
-        results = self._dispatch(calls)
-        evicted: list[dict] = []
-        # With no shard to ask (empty or unknown ids) a catalog-enabled
-        # fleet still answers like the single service: no victims.
-        catalog_answered = not calls and self.config.catalog is not None
-        for shard_idx, result in zip(order, results):
-            if result is None:
-                # Buffer the report; redelivered after journal replay so
-                # the recovered shard frees the same streams/resources.
-                self._queue_pending(
-                    shard_idx,
-                    "complete_transfers",
-                    done=per_shard[shard_idx][0],
-                    failed=per_shard[shard_idx][1],
-                )
-                self._m_degraded.inc(kind="completions")
-                continue
-            acknowledged += result.get("acknowledged", 0)
-            if "evicted" in result:
-                catalog_answered = True
-                evicted.extend(result["evicted"])
-        response = {"acknowledged": acknowledged}
-        if catalog_answered:
-            # Merge per-shard eviction victims in a shard-count-independent
-            # order (per-shard interleavings are not comparable across
-            # fleet sizes, same as decision_records).
-            evicted.sort(key=lambda v: (v["site"], v["lfn"], v["url"]))
-            response["evicted"] = evicted
-        return response
+            calls = {
+                shard: ((), {"done": ids[0], "failed": ids[1]})
+                for shard, ids in per_shard.items()
+            }
+            evicted: list[dict] = []
+            # With no shard to ask (empty or unknown ids) a catalog-enabled
+            # fleet still answers like the single service: no victims.
+            catalog_answered = not calls and self.config.catalog is not None
+            for shard, result in self._dispatch("complete_transfers", calls):
+                if result is None:
+                    # Buffer the report; redelivered after journal replay so
+                    # the recovered shard frees the same streams/resources.
+                    self._pending_ops[shard].append(("complete_transfers", *calls[shard]))
+                    self._m_degraded.inc(kind="completions")
+                    continue
+                acknowledged += result.get("acknowledged", 0)
+                if "evicted" in result:
+                    catalog_answered = True
+                    evicted.extend(result["evicted"])
+            response: dict = {"acknowledged": acknowledged}
+            if catalog_answered:
+                # Merge per-shard eviction victims in a shard-count-independent
+                # order (per-shard interleavings are not comparable across
+                # fleet sizes, same as decision_records).
+                evicted.sort(key=lambda v: (v["site"], v["lfn"], v["url"]))
+                response["evicted"] = evicted
+            return response
 
     # ------------------------------------------------------------------ cleanups
     def submit_cleanups(
@@ -607,159 +615,134 @@ class ShardedPolicyService:
     ) -> list[CleanupAdvice]:
         files = [(lfn, url) for lfn, url in files]
         self._maybe_reap()
-        self._m_requests.inc(call="submit_cleanups")
-        # URLs being written by an in-flight degraded transfer: no shard
-        # holds a fact proving deletion unsafe, so protect them here.
-        degraded_urls = {
-            dst_url for (_wf, _lfn, dst_url, _home)
-            in self._degraded_tids.values()
-        }
-        protected: dict[int, CleanupAdvice] = {}
-        assigned = []  # (cid, lfn, url, shard_idx)
-        batch_local: dict[str, int] = {}
-        for lfn, url in files:
-            cid = self._next_cid()
-            if url in degraded_urls:
-                self._m_degraded.inc(kind="cleanups")
-                reason = (
-                    "degraded transfer in flight to this url; "
-                    "cleanup deferred"
-                )
-                protected[cid] = CleanupAdvice(
-                    cid=cid, lfn=lfn, url=url, action="skip", reason=reason,
-                )
-                if self._decisions is not None:
-                    self._decisions.add(degraded_cleanup_record(
-                        cid, workflow, lfn, url, reason=reason,
-                    ))
-                assigned.append((cid, lfn, url, None))
-                continue
-            shard_idx = self._owner.get((lfn, url))
-            if shard_idx is None:
-                shard_idx = self._url_owner.get(url)
-            if shard_idx is None:
-                shard_idx = batch_local.get(url)
-            if shard_idx is None:
-                shard_idx = self.ring.node_for(url_key(url))
-            batch_local[url] = shard_idx
-            assigned.append((cid, lfn, url, shard_idx))
-
-        per_shard: dict[int, list] = {}
-        for entry in assigned:
-            if entry[3] is not None:
-                per_shard.setdefault(entry[3], []).append(entry)
-        order = sorted(per_shard)
-        calls = []
-        for shard_idx in order:
-            entries = per_shard[shard_idx]
-            calls.append((
-                self.shards[shard_idx],
-                "submit_cleanups",
-                (workflow, job, [(lfn, url) for _, lfn, url, _ in entries]),
-                {"cids": [cid for cid, _, _, _ in entries]},
-            ))
-            self._m_dispatch.inc(shard=str(shard_idx))
-        results = self._dispatch(calls)
-
-        merged: dict[int, CleanupAdvice] = dict(protected)
-        for shard_idx, result in zip(order, results):
-            entries = per_shard[shard_idx]
-            if result is None:
-                # A dead shard holds the refcounts that prove deletion is
-                # safe — the only safe degraded answer is "keep the file".
-                self._m_degraded.inc(len(entries), kind="cleanups")
-                for cid, lfn, url, _ in entries:
-                    reason = f"shard {shard_idx} unavailable; cleanup deferred"
-                    merged[cid] = CleanupAdvice(
-                        cid=cid, lfn=lfn, url=url, action="skip", reason=reason,
+        with self._call(
+            "submit_cleanups", workflow=workflow, job=job, batch=len(files)
+        ):
+            # URLs being written by an in-flight degraded transfer: no shard
+            # holds a fact proving deletion unsafe, so protect them here.
+            degraded_urls = {
+                dst_url for (_wf, _lfn, dst_url, _home)
+                in self._degraded_tids.values()
+            }
+            merged: dict[int, CleanupAdvice] = {}
+            cids = []
+            per_shard: dict[int, list] = {}
+            batch_local: dict[str, int] = {}
+            for lfn, url in files:
+                cid = self._next_cid()
+                cids.append(cid)
+                if url in degraded_urls:
+                    merged[cid] = self._deferred_cleanup(
+                        workflow, cid, lfn, url,
+                        "degraded transfer in flight to this url; cleanup deferred",
                     )
-                    if self._decisions is not None:
-                        self._decisions.add(degraded_cleanup_record(
-                            cid, workflow, lfn, url, shard=shard_idx,
-                            reason=reason,
-                        ))
-                continue
-            for item in result:
-                merged[item.cid] = item
-                self._remember(self._cid_home, item.cid, shard_idx)
-                if item.action == "delete":
-                    self._remember(self._cid_shard, item.cid, shard_idx)
-                    self._cid_key[item.cid] = (item.lfn, item.url)
+                    continue
+                shard = batch_local[url] = self._url_home(lfn, url, batch_local)
+                per_shard.setdefault(shard, []).append((cid, lfn, url))
 
-        # The single service answers in request order; cids are assigned
-        # in request order, so sorting by cid restores it.
-        return [merged[cid] for cid, _, _, _ in assigned]
+            calls = {
+                shard: ((workflow, job, [(lfn, url) for _, lfn, url in entries]),
+                        {"cids": [cid for cid, _, _ in entries]})
+                for shard, entries in per_shard.items()
+            }
+            for shard in calls:
+                self._m_dispatch.inc(shard=str(shard))
+            for shard, result in self._dispatch("submit_cleanups", calls):
+                if result is None:
+                    # A dead shard holds the refcounts that prove deletion
+                    # is safe — the only safe degraded answer is "keep it".
+                    for cid, lfn, url in per_shard[shard]:
+                        merged[cid] = self._deferred_cleanup(
+                            workflow, cid, lfn, url,
+                            f"shard {shard} unavailable; cleanup deferred", shard,
+                        )
+                    continue
+                for item in result:
+                    merged[item.cid] = item
+                    outstanding = item.url if item.action == "delete" else None
+                    self._remember(self._cids, item.cid, (shard, outstanding))
+
+            # The single service answers in request order.
+            return [merged[cid] for cid in cids]
+
+    def _deferred_cleanup(
+        self, workflow: str, cid: int, lfn: str, url: str, reason: str,
+        shard: Optional[int] = None,
+    ) -> CleanupAdvice:
+        """A conservative ``skip`` and its policy-free record: no shard
+        could prove that deleting ``url`` is safe."""
+        self._m_degraded.inc(kind="cleanups")
+        if self._decisions is not None:
+            self._decisions.add(degraded_cleanup_record(
+                cid, workflow, lfn, url, shard=shard, reason=reason,
+            ))
+        return CleanupAdvice(cid=cid, lfn=lfn, url=url, action="skip", reason=reason)
 
     def complete_cleanups(self, ids: Iterable[int]) -> dict:
         self._maybe_reap()
-        self._m_requests.inc(call="complete_cleanups")
-        per_shard: dict[int, list] = {}
-        for cid in set(ids):
-            shard_idx = self._cid_shard.get(cid)
-            if shard_idx is None:
-                continue
-            per_shard.setdefault(shard_idx, []).append(cid)
-        order = sorted(per_shard)
-        calls = [
-            (self.shards[shard_idx], "complete_cleanups", (sorted(per_shard[shard_idx]),), {})
-            for shard_idx in order
-        ]
-        results = self._dispatch(calls)
-        acknowledged = 0
-        cleaned_urls: set[str] = set()
-        for shard_idx, result in zip(order, results):
-            if result is None:
-                self._queue_pending(
-                    shard_idx, "complete_cleanups", sorted(per_shard[shard_idx])
-                )
-                self._m_degraded.inc(kind="completions")
-                continue
-            acknowledged += result.get("acknowledged", 0)
-            for cid in per_shard[shard_idx]:
-                key = self._cid_key.pop(cid, None)
-                if key is not None:
-                    cleaned_urls.add(key[1])
-        if cleaned_urls:
-            # complete_cleanups retracts every staged fact at the URL, so
-            # the directory forgets the whole URL too.
-            self._owner = {
-                key: value
-                for key, value in self._owner.items()
-                if key[1] not in cleaned_urls
+        ids = set(ids)
+        with self._call("complete_cleanups", ids=len(ids)):
+            # Only outstanding deletes are routed: a completed, reaped or
+            # skipped cid has nothing left to acknowledge on its shard.
+            per_shard: dict[int, list] = {}
+            for cid in sorted(ids):
+                home = self._cids.get(cid)
+                if home is not None and home[1] is not None:
+                    per_shard.setdefault(home[0], []).append((cid, home[1]))
+            calls = {
+                shard: (([cid for cid, _ in entries],), {})
+                for shard, entries in per_shard.items()
             }
-            for url in cleaned_urls:
-                self._url_owner.pop(url, None)
-        return {"acknowledged": acknowledged}
+            acknowledged = 0
+            cleaned_urls: set[str] = set()
+            for shard, result in self._dispatch("complete_cleanups", calls):
+                if result is None:
+                    self._pending_ops[shard].append(("complete_cleanups", *calls[shard]))
+                    self._m_degraded.inc(kind="completions")
+                    continue
+                acknowledged += result.get("acknowledged", 0)
+                for cid, url in per_shard[shard]:
+                    cleaned_urls.add(url)
+                    self._cids[cid] = (shard, None)
+            if cleaned_urls:
+                # complete_cleanups retracts every staged fact at the URL,
+                # so the directory forgets the whole URL too.
+                self._owner = {
+                    key: value
+                    for key, value in self._owner.items()
+                    if key[1] not in cleaned_urls
+                }
+                for url in cleaned_urls:
+                    self._url_owner.pop(url, None)
+            return {"acknowledged": acknowledged}
 
     # ------------------------------------------------------------------ queries
     def staging_state(self, lfn: str, dst_url: str) -> str:
         self._maybe_reap()
-        self._m_requests.inc(call="staging_state")
-        shard_idx = self._owner.get((lfn, dst_url))
-        if shard_idx is not None:
-            try:
-                return self.shards[shard_idx].call("staging_state", lfn, dst_url)
-            except ShardUnavailableError:
-                self._m_degraded.inc(kind="queries")
-                return "unknown"
-        for state in self._gather("staging_state", lfn, dst_url):
-            if state != "unknown":
-                return state
-        return "unknown"
+        with self._call("staging_state"):
+            shard_idx = self._owner.get((lfn, dst_url))
+            if shard_idx is not None:
+                try:
+                    return self.shards[shard_idx].call("staging_state", lfn, dst_url)
+                except ShardUnavailableError:
+                    self._m_degraded.inc(kind="queries")
+                    return "unknown"
+            for state in self._gather("staging_state", lfn, dst_url):
+                if state != "unknown":
+                    return state
+            return "unknown"
 
     def transfer_state(self, tid: int) -> str:
         self._maybe_reap()
-        self._m_requests.inc(call="transfer_state")
-        shard_idx = self._tid_shard.get(tid)
-        if shard_idx is None:
-            if tid in self._degraded_tids:
-                return "in_progress"
-            return "unknown"
-        try:
-            return self.shards[shard_idx].call("transfer_state", tid)
-        except ShardUnavailableError:
-            self._m_degraded.inc(kind="queries")
-            return "unknown"
+        with self._call("transfer_state"):
+            home = self._tids.get(tid)
+            if home is None:
+                return "in_progress" if tid in self._degraded_tids else "unknown"
+            try:
+                return self.shards[home[0]].call("transfer_state", tid)
+            except ShardUnavailableError:
+                self._m_degraded.inc(kind="queries")
+                return "unknown"
 
     def explain(self, tid: int) -> Optional[dict]:
         """The decision record for transfer ``tid``, shard-independent.
@@ -774,45 +757,30 @@ class ShardedPolicyService:
         """
 
         self._maybe_reap()
-        self._m_requests.inc(call="explain")
-        tid = int(tid)
-        if self._decisions is not None:
-            synthetic = self._decisions.transfer(tid)
-            if synthetic is not None:
-                return dict(synthetic)
-        shard_idx = self._tid_shard.get(tid)
-        if shard_idx is None:
-            return None
-        try:
-            record = self.shards[shard_idx].call("explain", tid)
-        except ShardUnavailableError:
-            self._m_degraded.inc(kind="queries")
-            return None
-        if record is None:
-            return None
-        return self._canonical_record(record)
+        with self._call("explain"):
+            return self._explain("explain", "transfer", int(tid), self._tids)
 
     def explain_cleanup(self, cid: int) -> Optional[dict]:
         """The decision record for cleanup ``cid`` (see :meth:`explain`)."""
 
         self._maybe_reap()
-        self._m_requests.inc(call="explain_cleanup")
-        cid = int(cid)
+        with self._call("explain_cleanup"):
+            return self._explain("explain_cleanup", "cleanup", int(cid), self._cids)
+
+    def _explain(self, op: str, kind: str, ident: int, homes: OrderedDict) -> Optional[dict]:
         if self._decisions is not None:
-            synthetic = self._decisions.cleanup(cid)
+            synthetic = getattr(self._decisions, kind)(ident)
             if synthetic is not None:
                 return dict(synthetic)
-        shard_idx = self._cid_home.get(cid)
-        if shard_idx is None:
+        home = homes.get(ident)
+        if home is None:
             return None
         try:
-            record = self.shards[shard_idx].call("explain_cleanup", cid)
+            record = self.shards[home[0]].call(op, ident)
         except ShardUnavailableError:
             self._m_degraded.inc(kind="queries")
             return None
-        if record is None:
-            return None
-        return self._canonical_record(record)
+        return None if record is None else self._canonical_record(record)
 
     def decision_records(self) -> list[dict]:
         """Fleet decision log: every live shard's records plus synthetics.
@@ -823,83 +791,74 @@ class ShardedPolicyService:
         nothing until they recover and replay their journals.
         """
 
-        self._m_requests.inc(call="decision_records")
-        records: list[dict] = []
-        for part in self._gather("decision_records"):
-            records.extend(self._canonical_record(r) for r in part)
-        if self._decisions is not None:
-            records.extend(dict(r) for r in self._decisions.records())
-        transfers = [r for r in records if r.get("kind") == "transfer"]
-        cleanups = [r for r in records if r.get("kind") != "transfer"]
-        transfers.sort(key=lambda r: r["tid"])
-        cleanups.sort(key=lambda r: r["cid"])
-        return transfers + cleanups
+        with self._call("decision_records"):
+            records: list[dict] = []
+            for part in self._gather("decision_records"):
+                records.extend(self._canonical_record(r) for r in part)
+            if self._decisions is not None:
+                records.extend(dict(r) for r in self._decisions.records())
+            transfers = [r for r in records if r.get("kind") == "transfer"]
+            cleanups = [r for r in records if r.get("kind") != "transfer"]
+            transfers.sort(key=lambda r: r["tid"])
+            cleanups.sort(key=lambda r: r["cid"])
+            return transfers + cleanups
 
     def _canonical_record(self, record: dict) -> dict:
         """Rewrite a shard record's group id to the canonical numbering."""
 
         record = dict(record)
         if record.get("kind") == "transfer":
-            group = self._tid_group.get(record.get("tid"))
-            if group is not None:
-                return rewrite_group_id(record, group)
+            home = self._tids.get(record.get("tid"))
+            if home is not None and home[1] is not None:
+                return rewrite_group_id(record, home[1])
         return record
 
     def reconcile_staged(
         self, workflow: str, files: Iterable[tuple]
     ) -> dict:
-        self._m_requests.inc(call="reconcile_staged")
-        per_shard: dict[int, list] = {}
-        for lfn, url, *rest in files:
-            # (lfn, url) or (lfn, url, nbytes): byte counts ride along to
-            # the owning shard so its staged-data catalog can size the
-            # adopted replica.  Ownership is keyed on (lfn, url) only.
-            entry = (lfn, url, *rest)
-            shard_idx = self._owner.get((lfn, url))
-            if shard_idx is None:
-                src = self._url_owner.get(url)
-                shard_idx = src if src is not None else self.ring.node_for(url_key(url))
-            per_shard.setdefault(shard_idx, []).append(entry)
-        registered = joined = 0
-        for shard_idx, entries in sorted(per_shard.items()):
-            try:
-                result = self.shards[shard_idx].call(
-                    "reconcile_staged", workflow, entries
-                )
-            except ShardUnavailableError:
-                self._queue_pending(shard_idx, "reconcile_staged", workflow, entries)
-                self._m_degraded.inc(kind="reconciles")
-                continue
-            registered += result.get("registered", 0)
-            joined += result.get("joined", 0)
-            for entry in entries:
-                self._owner[(entry[0], entry[1])] = shard_idx
-                self._url_owner.setdefault(entry[1], shard_idx)
-        return {"registered": registered, "joined": joined}
+        with self._call("reconcile_staged", workflow=workflow):
+            per_shard: dict[int, list] = {}
+            for lfn, url, *rest in files:
+                # (lfn, url) or (lfn, url, nbytes): byte counts ride along
+                # to the owning shard so its staged-data catalog can size
+                # the adopted replica.  Ownership is keyed on (lfn, url).
+                shard = self._url_home(lfn, url, {})
+                per_shard.setdefault(shard, []).append((lfn, url, *rest))
+            calls = {
+                shard: ((workflow, entries), {}) for shard, entries in per_shard.items()
+            }
+            registered = joined = 0
+            for shard, result in self._dispatch("reconcile_staged", calls):
+                if result is None:
+                    self._pending_ops[shard].append(("reconcile_staged", *calls[shard]))
+                    self._m_degraded.inc(kind="reconciles")
+                    continue
+                registered += result.get("registered", 0)
+                joined += result.get("joined", 0)
+                for lfn, url, *_ in per_shard[shard]:
+                    self._owner[(lfn, url)] = shard
+                    self._url_owner.setdefault(url, shard)
+            return {"registered": registered, "joined": joined}
 
     # ------------------------------------------------------------------ admin
-    def _broadcast(self, name: str, *args, **kwargs):
+    def _broadcast(self, name: str, *args, **kwargs) -> list:
         """Apply an admin mutation on every shard; buffer for dead ones.
 
-        Returns the first live shard's result.  Domain errors (not
-        availability) propagate from the first shard that raises them.
-        The operations :data:`ROUTES` marks ``broadcast`` are nothing
-        but this call; their methods are generated below the class.
+        Returns the live shards' results in shard order.  Domain errors
+        (not availability) propagate from the first shard that raises
+        them.  The operations :data:`ROUTES` marks ``broadcast`` are
+        nothing but this call; their methods are generated below the
+        class.
         """
 
-        self._m_requests.inc(call=name)
-        result = None
-        got_result = False
-        for handle in self.shards:
-            try:
-                value = handle.call(name, *args, **kwargs)
-            except ShardUnavailableError:
-                self._queue_pending(handle.index, name, *args, **kwargs)
-                continue
-            if not got_result:
-                result = value
-                got_result = True
-        return result
+        with self._call(name):
+            results = []
+            for handle in self.shards:
+                try:
+                    results.append(handle.call(name, *args, **kwargs))
+                except ShardUnavailableError:
+                    self._pending_ops[handle.index].append((name, args, kwargs))
+            return results
 
     def tenants(self) -> list[dict]:
         """Fleet tenant census: registration from any shard, ledgers summed."""
@@ -931,43 +890,34 @@ class ShardedPolicyService:
         Down shards contribute nothing until they replay their journals.
         """
 
-        self._m_requests.inc(call="catalog_census")
-        replicas: list[dict] = []
-        sites: dict[str, dict] = {}
-        for census in self._gather("catalog_census"):
-            replicas.extend(census.get("replicas", []))
-            for row in census.get("sites", []):
-                entry = sites.get(row["site"])
-                if entry is None:
-                    sites[row["site"]] = dict(row)
-                else:
-                    entry["used_bytes"] += row["used_bytes"]
-        replicas.sort(key=lambda r: (r["lfn"], r["site"], r["url"]))
-        return {"replicas": replicas, "sites": [sites[s] for s in sorted(sites)]}
+        with self._call("catalog_census"):
+            replicas: list[dict] = []
+            sites: dict[str, dict] = {}
+            for census in self._gather("catalog_census"):
+                replicas.extend(census.get("replicas", []))
+                for row in census.get("sites", []):
+                    entry = sites.get(row["site"])
+                    if entry is None:
+                        sites[row["site"]] = dict(row)
+                    else:
+                        entry["used_bytes"] += row["used_bytes"]
+            replicas.sort(key=lambda r: (r["lfn"], r["site"], r["url"]))
+            return {"replicas": replicas, "sites": [sites[s] for s in sorted(sites)]}
 
     def catalog_replicas(self, lfn: str) -> list[dict]:
         """Known replicas of ``lfn`` across live shards, by (site, url)."""
 
-        self._m_requests.inc(call="catalog_replicas")
-        replicas = [r for part in self._gather("catalog_replicas", lfn) for r in part]
-        replicas.sort(key=lambda r: (r["site"], r["url"]))
-        return replicas
+        with self._call("catalog_replicas"):
+            replicas = [r for part in self._gather("catalog_replicas", lfn) for r in part]
+            replicas.sort(key=lambda r: (r["site"], r["url"]))
+            return replicas
 
     def set_site_capacity(self, site: str, capacity_bytes=None) -> dict:
         """Set one site's byte budget on every shard (buffered for dead
         ones); the returned ``used_bytes`` sums live shards."""
 
-        self._m_requests.inc(call="set_site_capacity")
-        used = 0.0
-        for handle in self.shards:
-            try:
-                result = handle.call("set_site_capacity", site, capacity_bytes)
-            except ShardUnavailableError:
-                self._queue_pending(
-                    handle.index, "set_site_capacity", site, capacity_bytes
-                )
-                continue
-            used += result.get("used_bytes", 0.0)
+        results = self._broadcast("set_site_capacity", site, capacity_bytes)
+        used = sum(result.get("used_bytes", 0.0) for result in results)
         return {"site": site, "capacity_bytes": capacity_bytes, "used_bytes": used}
 
     def catalog_pin(self, url: str, pinned: bool = True) -> dict:
@@ -978,23 +928,23 @@ class ShardedPolicyService:
         the replica — registration follows transfer ownership).
         """
 
-        self._m_requests.inc(call="catalog_pin")
-        preferred = self._url_owner.get(url)
-        order = [] if preferred is None else [preferred]
-        order += [h.index for h in self.shards if h.index != preferred]
-        missing: Optional[KeyError] = None
-        for shard_idx in order:
-            try:
-                return self.shards[shard_idx].call("catalog_pin", url, pinned)
-            except ShardUnavailableError:
-                self._m_degraded.inc(kind="queries")
-                continue
-            except KeyError as exc:
-                missing = exc
-                continue
-        if missing is not None:
-            raise missing
-        raise UnknownReplicaError(f"no catalog replica at {url!r}")
+        with self._call("catalog_pin"):
+            preferred = self._url_owner.get(url)
+            order = [] if preferred is None else [preferred]
+            order += [h.index for h in self.shards if h.index != preferred]
+            missing: Optional[KeyError] = None
+            for shard_idx in order:
+                try:
+                    return self.shards[shard_idx].call("catalog_pin", url, pinned)
+                except ShardUnavailableError:
+                    self._m_degraded.inc(kind="queries")
+                    continue
+                except KeyError as exc:
+                    missing = exc
+                    continue
+            if missing is not None:
+                raise missing
+            raise UnknownReplicaError(f"no catalog replica at {url!r}")
 
     def unregister_workflow(self, workflow: str, retain_staged: bool = False) -> None:
         self._broadcast("unregister_workflow", workflow, retain_staged)
@@ -1205,12 +1155,6 @@ class ShardedPolicyService:
                     return report
         return None
 
-    def _begin_span(self, name: str, **args):
-        tracer = self.tracer
-        if not tracer.enabled:
-            return None
-        return tracer.begin("policy", name, track="policy-router", args=args)
-
     def close(self) -> None:
         for handle in self.shards:
             close = getattr(handle.backend, "close", None)
@@ -1220,7 +1164,8 @@ class ShardedPolicyService:
 
 def _broadcast_method(route: Route):
     def method(self, *args, **kwargs):
-        value = self._broadcast(route.op, *args, **kwargs)
+        results = self._broadcast(route.op, *args, **kwargs)
+        value = results[0] if results else None
         # With every shard down, a counting operation still answers 0.
         return (value or 0) if route.result else value
 

@@ -26,7 +26,7 @@ from repro.obs import Tracer
 from repro.obs import profiler as profiler_module
 from repro.obs import tracer as tracer_module
 from repro.obs.tracer import as_tracer
-from repro.policy import PolicyConfig, PolicyService
+from repro.policy import PolicyConfig, PolicyService, ShardedPolicyService
 
 WATCHED = {tracer_module.__file__, profiler_module.__file__}
 
@@ -74,31 +74,43 @@ def test_the_hook_sees_an_enabled_tracer():
     assert counts["tracer.py:begin"] == counts["tracer.py:end"] == 1
 
 
+POLICY = PolicyConfig(policy="greedy", default_streams=4, max_streams=50)
+
+
+def policy_workload(service) -> None:
+    for job in range(4):
+        advice = service.submit_transfers("wf", f"stage-{job}", specs(job))
+        # A second workflow asks for the same files: skip / wait advice.
+        service.submit_transfers("wf2", f"stage-{job}", specs(job))
+        service.complete_transfers(
+            done=[a.tid for a in advice[1:]], failed=[advice[0].tid]
+        )
+        cleanups = service.submit_cleanups(
+            "wf", f"clean-{job}", [(a.lfn, a.dst_url) for a in advice]
+        )
+        service.complete_cleanups(
+            [c.cid for c in cleanups if c.action == "delete"]
+        )
+    service.reconcile_staged("wf", [("late", "gsiftp://obelix/scratch/late")])
+
+
 @tracers
 def test_policy_calls_make_no_call_into_obs(make_tracer):
     tracer = make_tracer()
-    service = PolicyService(
-        PolicyConfig(policy="greedy", default_streams=4, max_streams=50),
-        tracer=tracer,
-    )
+    service = PolicyService(POLICY, tracer=tracer)
 
-    def workload():
-        for job in range(4):
-            advice = service.submit_transfers("wf", f"stage-{job}", specs(job))
-            # A second workflow asks for the same files: skip / wait advice.
-            service.submit_transfers("wf2", f"stage-{job}", specs(job))
-            service.complete_transfers(
-                done=[a.tid for a in advice[1:]], failed=[advice[0].tid]
-            )
-            cleanups = service.submit_cleanups(
-                "wf", f"clean-{job}", [(a.lfn, a.dst_url) for a in advice]
-            )
-            service.complete_cleanups(
-                [c.cid for c in cleanups if c.action == "delete"]
-            )
-        service.reconcile_staged("wf", [("late", "gsiftp://obelix/scratch/late")])
+    assert calls_into_obs(lambda: policy_workload(service)) == {}
+    assert as_tracer(tracer).events == []
 
-    assert calls_into_obs(workload) == {}
+
+@tracers
+def test_fleet_calls_make_no_call_into_obs(make_tracer):
+    """The same workload through a 2-shard router: its envelope, scatter
+    and merge are as silent as the service's."""
+    tracer = make_tracer()
+    router = ShardedPolicyService(POLICY, num_shards=2, tracer=tracer)
+
+    assert calls_into_obs(lambda: policy_workload(router)) == {}
     assert as_tracer(tracer).events == []
 
 
