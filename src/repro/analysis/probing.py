@@ -1,6 +1,4 @@
-"""Probing substrate shared by the rule-set linter's dynamic checks.
-
-Two capabilities live here:
+"""Substrate shared by the rule-set linter and the verifier.
 
 * **Randomized fact synthesis** — :class:`FactFactory` builds instances of
   arbitrary :class:`~repro.rules.facts.Fact` subclasses from their
@@ -8,14 +6,23 @@ Two capabilities live here:
   pools are seeded from the string/number constants harvested out of the
   rule set's own guard bytecode (so ``status`` really does take values
   like ``"new"`` and ``"in_progress"`` that the guards compare against),
-  plus name-based heuristics for urls/hosts/ids.
+  plus name-based heuristics for urls/hosts/ids.  :func:`random_memory`
+  fills a probe working memory from them.
 
-* **Bytecode attribute scanning** — :func:`guard_attribute_refs` walks a
-  guard's compiled code with a tiny symbolic stack and reports which
-  attributes it reads off which bound fact (the guard parameter itself,
-  ``b["name"]`` subscripts of the bindings dict, and locals assigned from
-  either).  The scanner is deliberately conservative: anything it cannot
-  follow is dropped, so it under-reports rather than inventing references.
+* **One bytecode reader** — :func:`_symbolic_events` walks a function's
+  compiled code with a symbolic stack and reports the calls,
+  comparisons, containment tests and attribute accesses it sees.
+  :func:`guard_attribute_refs`, :func:`action_effects` and
+  :func:`guard_constraint_domains` are filters over those events, and
+  :func:`helper_codes` is the one walk over the module-level helpers a
+  function calls.  The reader is deliberately conservative: anything it
+  cannot follow becomes an unknown token, so it under-reports rather
+  than inventing references.
+
+* **One per-rule summary** — :func:`rule_io` reads a rule once into a
+  :class:`RuleIO` (condition types, bindings, attribute reads, action
+  effects, over-approximate writes) that the linter's static checks and
+  the verifier's interaction graph both consume.
 """
 
 from __future__ import annotations
@@ -23,38 +30,49 @@ from __future__ import annotations
 import dis
 import inspect
 import random
-from typing import Any, Callable, Iterable, Optional, Type
+import sys
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Optional, Sequence, Type
 
-from repro.rules.facts import Fact
+from repro.rules.engine import Rule
+from repro.rules.facts import Fact, WorkingMemory
+from repro.rules.patterns import Collect, Exists, Pattern, Test, _TypedElement
 
 __all__ = [
     "harvest_constants",
     "fact_schema",
     "signature_of",
     "FactFactory",
-    "guard_attribute_refs",
-    "callable_names",
-    "referenced_fact_types",
     "entry_defaults",
     "snapshot_fact",
     "clone_fact",
     "snapshot_memory",
     "clone_memory",
+    "rule_set_functions",
+    "probe_universe",
+    "random_memory",
+    "helper_codes",
+    "callable_names",
+    "referenced_fact_types",
+    "guard_attribute_refs",
     "ActionEffects",
     "action_effects",
     "guard_constraint_domains",
+    "ElementIO",
+    "RuleIO",
+    "rule_io",
 ]
 
 
 # --------------------------------------------------------------------------
 # Constant harvesting
 # --------------------------------------------------------------------------
-def _walk_code(code) -> Iterable[Any]:
+def _code_objects(code) -> Iterable:
+    """``code`` and every code object nested in it (lambdas, comprehensions)."""
+    yield code
     for const in code.co_consts:
         if inspect.iscode(const):
-            yield from _walk_code(const)
-        else:
-            yield const
+            yield from _code_objects(const)
 
 
 def harvest_constants(functions: Iterable[Callable]) -> dict[str, list]:
@@ -70,17 +88,18 @@ def harvest_constants(functions: Iterable[Callable]) -> dict[str, list]:
         code = getattr(func, "__code__", None)
         if code is None:
             continue
-        for const in _walk_code(code):
-            if isinstance(const, str):
-                if const and len(const) <= 32 and "\n" not in const:
-                    strings.add(const)
-            elif isinstance(const, bool):
-                continue
-            elif isinstance(const, int):
-                if -1000 <= const <= 1000:
-                    ints.add(const)
-            elif isinstance(const, float):
-                floats.add(const)
+        for nested in _code_objects(code):
+            for const in nested.co_consts:
+                if isinstance(const, str):
+                    if const and len(const) <= 32 and "\n" not in const:
+                        strings.add(const)
+                elif isinstance(const, bool):
+                    continue
+                elif isinstance(const, int):
+                    if -1000 <= const <= 1000:
+                        ints.add(const)
+                elif isinstance(const, float):
+                    floats.add(const)
     return {
         "str": sorted(strings),
         "int": sorted(ints),
@@ -176,18 +195,23 @@ class FactFactory:
         # Fallback ladder: plain values most constructors tolerate.
         return [0, "x", 1.0, None][attempt % 4]
 
-    def make(self, fact_type: Type[Fact], attempts: int = 8) -> Optional[Fact]:
-        """Build one instance, or None if no argument synthesis succeeds."""
+    def make(self, fact_type: Type[Fact], entry: bool = False) -> Optional[Fact]:
+        """Build one instance, or None if no argument synthesis succeeds.
+
+        An ``entry`` instance is built the way a service entry point
+        builds one: only the required constructor parameters are
+        synthesized and every defaulted one keeps its default, so all
+        internal bookkeeping attributes start pristine."""
         signature = signature_of(fact_type)
         if signature is None:
             return None
-        for attempt in range(attempts):
+        for attempt in range(8):
             kwargs = {}
             for name, param in signature.parameters.items():
                 if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
                     continue
-                if param.default is not param.empty and self.rng.random() < 0.4:
-                    continue  # sometimes rely on the default
+                if param.default is not param.empty and (entry or self.rng.random() < 0.4):
+                    continue  # rely on the default (an entry always does)
                 kwargs[name] = self._value_for(name, attempt)
             try:
                 return fact_type(**kwargs)
@@ -227,29 +251,6 @@ class FactFactory:
             return None
         return self.perturb(fact)
 
-    # -- entry-shaped construction ------------------------------------------
-    def make_entry(self, fact_type: Type[Fact], attempts: int = 8) -> Optional[Fact]:
-        """Build an instance the way a service entry point would: only the
-        required constructor parameters are synthesized, every defaulted
-        parameter keeps its default, and nothing is perturbed afterwards —
-        so all internal bookkeeping attributes start pristine."""
-        signature = signature_of(fact_type)
-        if signature is None:
-            return None
-        for attempt in range(attempts):
-            kwargs = {}
-            for name, param in signature.parameters.items():
-                if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
-                    continue
-                if param.default is not param.empty:
-                    continue
-                kwargs[name] = self._value_for(name, attempt)
-            try:
-                return fact_type(**kwargs)
-            except Exception:
-                continue
-        return None
-
 
 # --------------------------------------------------------------------------
 # Entry defaults: the pristine value of each bookkeeping attribute
@@ -260,10 +261,10 @@ def entry_defaults(fact_type: Type[Fact], factory: "FactFactory") -> dict[str, A
     Covers defaulted constructor parameters and attributes ``__init__``
     sets unconditionally (ledger counters, status machines).  Attributes
     derived from required parameters (hosts parsed out of urls, etc.) are
-    excluded by building two samples with different random inputs and
+    excluded by building three samples with different random inputs and
     keeping only the attributes whose values agree.
     """
-    samples = [factory.make_entry(fact_type) for _ in range(3)]
+    samples = [factory.make(fact_type, entry=True) for _ in range(3)]
     if any(sample is None for sample in samples):
         return {}
     first, *rest = samples
@@ -337,8 +338,6 @@ def snapshot_memory(memory) -> list[tuple[Type[Fact], dict]]:
 def clone_memory(soup: Iterable[tuple[Type[Fact], dict]]):
     """A fresh WorkingMemory holding clones of the snapshotted facts,
     inserted in snapshot order (fact ids restart from 1)."""
-    from repro.rules.facts import WorkingMemory
-
     memory = WorkingMemory()
     for spec in soup:
         memory.insert(clone_fact(spec))
@@ -346,81 +345,52 @@ def clone_memory(soup: Iterable[tuple[Type[Fact], dict]]):
 
 
 # --------------------------------------------------------------------------
-# Bytecode attribute scanning
+# Probe soups
 # --------------------------------------------------------------------------
-_ATTR_OPS = {"LOAD_ATTR", "LOAD_METHOD", "STORE_ATTR"}
+def rule_set_functions(rules: Sequence[Rule]) -> list[Callable]:
+    """Every action, guard, key function and Test predicate of ``rules``
+    — where :func:`harvest_constants` finds the value pools."""
+    funcs: list[Callable] = []
+    for rule in rules:
+        funcs.append(rule.then)
+        for element in rule.when:
+            if isinstance(element, Test):
+                funcs.append(element.predicate)
+            elif isinstance(element, _TypedElement):
+                if element.where is not None:
+                    funcs.append(element.where)
+                if element.keys:
+                    funcs.extend(element.keys.values())
+    return funcs
 
 
-def guard_attribute_refs(
-    func: Callable, fact_param_tag: Optional[str], bindings_param: Optional[str]
-) -> set[tuple[str, str]]:
-    """``(binding_tag, attribute)`` pairs a guard reads.
-
-    ``fact_param_tag`` names the tag to report for attribute reads on the
-    guard's first parameter (the candidate fact); ``bindings_param`` is
-    the name of the bindings-dict parameter whose string subscripts yield
-    previously bound facts.  Locals assigned from either are followed one
-    step (``t = b["t"]; t.lfn``).
-    """
-    code = getattr(func, "__code__", None)
-    if code is None:
-        return set()
-    varnames = code.co_varnames
-    param_names = varnames[: code.co_argcount]
-    tags: dict[str, Optional[str]] = {}
-    if fact_param_tag is not None and param_names:
-        tags[param_names[0]] = fact_param_tag
-    bindings_name = None
-    if bindings_param is not None and bindings_param in param_names:
-        bindings_name = bindings_param
-
-    refs: set[tuple[str, str]] = set()
-    cur: Optional[str] = None          # tag of the symbolic top of stack
-    cur_is_bindings = False
-    pending_const: Optional[str] = None
-
-    for instr in dis.get_instructions(code):
-        op = instr.opname
-        if op in ("LOAD_FAST", "LOAD_FAST_CHECK", "LOAD_FAST_AND_CLEAR"):
-            cur = tags.get(instr.argval)
-            cur_is_bindings = instr.argval == bindings_name
-            pending_const = None
-        elif op == "LOAD_CONST":
-            pending_const = instr.argval if isinstance(instr.argval, str) else None
-            # the const is pushed above the current value; keep cur for
-            # the BINARY_SUBSCR case
-        elif op == "BINARY_SUBSCR":
-            if cur_is_bindings and pending_const is not None:
-                cur = f"binding:{pending_const}"
-            else:
-                cur = None
-            cur_is_bindings = False
-            pending_const = None
-        elif op in _ATTR_OPS:
-            if cur is not None:
-                refs.add((cur, instr.argval))
-            cur = None
-            cur_is_bindings = False
-            pending_const = None
-        elif op == "STORE_FAST":
-            tags[instr.argval] = cur
-            cur = None
-            cur_is_bindings = False
-            pending_const = None
-        elif op in ("COPY", "NOP", "RESUME", "CACHE", "PRECALL"):
-            continue
-        else:
-            cur = None
-            cur_is_bindings = False
-            if op not in ("COMPARE_OP",):
-                pending_const = None
-    return refs
+def probe_universe(rules: Sequence[Rule]) -> list[Type[Fact]]:
+    """The fact types ``rules`` match on, sorted by name."""
+    types = {e.fact_type for rule in rules for e in rule.when if isinstance(e, _TypedElement)}
+    return sorted(types, key=lambda t: t.__name__)
 
 
-def callable_names(func: Callable, depth: int = 2) -> set[str]:
-    """All names referenced by ``func``'s code, nested code objects, and
-    module-level functions it calls (followed ``depth`` levels)."""
-    names: set[str] = set()
+def random_memory(
+    universe: Sequence[Type[Fact]], factory: FactFactory, per_type: int = 4
+) -> WorkingMemory:
+    """A probe memory: one to ``per_type`` perturbed facts of each type."""
+    memory = WorkingMemory()
+    for fact_type in universe:
+        for _ in range(factory.rng.randint(1, per_type)):
+            fact = factory.make_random(fact_type)
+            if fact is not None:
+                memory.insert(fact)
+    return memory
+
+
+# --------------------------------------------------------------------------
+# Module-level helpers a function calls
+# --------------------------------------------------------------------------
+def helper_codes(func: Callable, depth: int = 2) -> list:
+    """Code objects of ``func`` and of the module-level functions it
+    calls, followed ``depth`` levels, nested code (lambdas,
+    comprehensions) included; each function is visited once."""
+    codes: list = []
     seen: set[int] = set()
 
     def visit(f: Callable, level: int) -> None:
@@ -428,24 +398,23 @@ def callable_names(func: Callable, depth: int = 2) -> set[str]:
         if code is None or id(code) in seen:
             return
         seen.add(id(code))
-
-        def collect(c) -> None:
-            names.update(c.co_names)
-            for const in c.co_consts:
-                if inspect.iscode(const):
-                    collect(const)
-
-        collect(code)
+        codes.extend(_code_objects(code))
         if level <= 0:
             return
         module_globals = getattr(f, "__globals__", {})
-        for name in list(code.co_names):
+        for name in code.co_names:
             target = module_globals.get(name)
             if callable(target) and getattr(target, "__code__", None) is not None:
                 visit(target, level - 1)
 
     visit(func, depth)
-    return names
+    return codes
+
+
+def callable_names(func: Callable, depth: int = 2) -> set[str]:
+    """All names referenced by ``func``'s code, nested code objects, and
+    module-level functions it calls (followed ``depth`` levels)."""
+    return {name for code in helper_codes(func, depth) for name in code.co_names}
 
 
 def referenced_fact_types(func: Callable, depth: int = 2) -> set[Type[Fact]]:
@@ -459,34 +428,66 @@ def referenced_fact_types(func: Callable, depth: int = 2) -> set[Type[Fact]]:
     return types
 
 
+def _scan_exact(func: Optional[Callable]) -> bool:
+    """True when the reader sees *every* attribute ``func`` reads.
+
+    A function that calls a module-level helper hands its facts to code
+    :func:`guard_attribute_refs` does not follow, so its read set must be
+    treated as "anything".  (Builtins and methods are fine — they cannot
+    reach back into working-memory facts we track.)
+    """
+    if func is None:
+        return True
+    if getattr(func, "__code__", None) is None:
+        return False
+    module_globals = getattr(func, "__globals__", {})
+    for name in callable_names(func):
+        target = module_globals.get(name)
+        if (
+            callable(target)
+            and not isinstance(target, type)
+            and getattr(target, "__code__", None) is not None
+        ):
+            return False
+    return True
+
+
 # --------------------------------------------------------------------------
-# Symbolic action/guard evaluation (the verifier's interaction substrate)
+# The bytecode reader
 # --------------------------------------------------------------------------
 # Tokens are tagged tuples describing the best-effort provenance of a
-# stack slot:  ("ctx",) the action context parameter, ("const", v),
-# ("param", name), ("attr", base, name), ("global", name), ("inst", cls),
-# ("elem", iterable) an item drawn from iterating a token, ("null",),
-# ("unknown",).  The evaluator walks bytecode linearly; branches can
-# misalign the model stack, but statement boundaries (POP_TOP / empty
-# stack) resynchronize it, and every consumer treats an unresolved token
-# as "could be anything" — degradation is conservative, never inventive.
+# stack slot:  ("ctx",) the action context parameter, ("cand",) a guard's
+# candidate fact, ("bindings",) a guard's bindings dict, ("const", v),
+# ("param", name), ("attr", base, name), ("item", base, key) a constant
+# subscript, ("global", name), ("inst", cls), ("elem", iterable) an item
+# drawn from iterating a token, ("null",), ("unknown",).  The evaluator
+# walks bytecode linearly; branches can misalign the model stack, but
+# statement boundaries (POP_TOP / empty stack) resynchronize it, and every
+# consumer treats an unresolved token as "could be anything" — degradation
+# is conservative, never inventive.
 _UNKNOWN = ("unknown",)
 _NULL = ("null",)
+_CAND = ("cand",)
+_BINDINGS = ("bindings",)
 
 _LOAD_FAST_OPS = {"LOAD_FAST", "LOAD_FAST_CHECK", "LOAD_FAST_AND_CLEAR"}
+_ATTR_OPS = {"LOAD_ATTR", "LOAD_METHOD", "STORE_ATTR"}
+#: 3.12 folds LOAD_METHOD into LOAD_ATTR, flagged by the low bit of its arg
+_METHOD_FLAG = sys.version_info >= (3, 12)
 
 
 class _Event:
-    """One observed operation: a call, a comparison, or a containment."""
+    """One observed operation: a call, a comparison, a containment test,
+    or an attribute access."""
 
     __slots__ = ("kind", "target", "args", "kwargs", "op")
 
     def __init__(self, kind, target=None, args=(), kwargs=None, op=None):
-        self.kind = kind          # "call" | "cmp" | "contains"
-        self.target = target      # callable token / left operand
+        self.kind = kind          # "call" | "cmp" | "contains" | "attr"
+        self.target = target      # callable token / left operand / owner
         self.args = list(args)    # arg tokens / (right operand,)
         self.kwargs = kwargs or {}
-        self.op = op              # comparison operator for "cmp"
+        self.op = op              # comparison operator / attribute name
 
 
 def _symbolic_events(
@@ -495,10 +496,11 @@ def _symbolic_events(
     depth: int = 3,
     _seen: Optional[set] = None,
 ) -> tuple[list[_Event], bool]:
-    """(events, or_logic): calls/comparisons observed in ``func``'s code,
-    with parameters substituted from ``env`` and module-level helper calls
-    inlined ``depth`` levels.  ``or_logic`` reports whether the code uses
-    OR-shaped control flow (so conjunctive constraint readers must bail).
+    """(events, or_logic): calls/comparisons/attribute accesses observed in
+    ``func``'s code, with parameters substituted from ``env`` and
+    module-level helper calls inlined ``depth`` levels.  ``or_logic``
+    reports whether the code uses OR-shaped control flow (so conjunctive
+    constraint readers must bail).
     """
     code = getattr(func, "__code__", None)
     if code is None:
@@ -523,6 +525,9 @@ def _symbolic_events(
 
     for instr in dis.get_instructions(code):
         op = instr.opname
+        if op in _ATTR_OPS:
+            # the owner is on top for a load and for a store alike
+            events.append(_Event("attr", stack[-1] if stack else _UNKNOWN, op=instr.argval))
         if op in _LOAD_FAST_OPS:
             push(env.get(instr.argval, ("param", instr.argval)))
         elif op == "LOAD_CONST":
@@ -534,14 +539,11 @@ def _symbolic_events(
         elif op in ("LOAD_DEREF", "LOAD_CLASSDEREF"):
             push(("param", instr.argval))
         elif op in ("LOAD_ATTR", "LOAD_METHOD"):
-            base = pop()
-            if op == "LOAD_METHOD":
+            push(("attr", pop(), instr.argval))
+            if op == "LOAD_METHOD" or (_METHOD_FLAG and instr.arg & 1):
                 # layout: callable, then self (the receiver is implicit
                 # in the attr token, so a placeholder keeps CALL aligned)
-                push(("attr", base, instr.argval))
                 push(_NULL)
-            else:
-                push(("attr", base, instr.argval))
         elif op == "KW_NAMES":
             # dis leaves KW_NAMES' argval unresolved on 3.11: read co_consts.
             names = instr.argval
@@ -622,7 +624,8 @@ def _symbolic_events(
             or_logic = True  # negation flips constraint polarity: bail
             pop()
             push(_UNKNOWN)
-        elif "JUMP_IF_TRUE" in op or op == "JUMP_IF_TRUE_OR_POP":
+        elif "IF_TRUE" in op:
+            # 3.11 spells the statement form POP_JUMP_FORWARD_IF_TRUE
             or_logic = True
         else:
             # Generic opcode: keep the stack depth roughly aligned, and
@@ -643,13 +646,45 @@ def _symbolic_events(
     return events, or_logic
 
 
+def guard_attribute_refs(func: Callable, candidate: bool) -> set[tuple[Optional[str], str]]:
+    """``(binding, attribute)`` pairs ``func``'s own code reads (module-level
+    helpers it calls are not followed; see :func:`_scan_exact`).
+
+    With ``candidate``, ``func`` is a guard: its first parameter is the
+    candidate fact (reported as binding ``None``) and its second the
+    bindings dict.  Otherwise (key functions, Test predicates) the first
+    parameter is the bindings dict.  A read off ``bindings["name"]`` is
+    reported as binding ``name``; locals assigned from either are followed.
+    """
+    code = getattr(func, "__code__", None)
+    if code is None:
+        return set()
+    params = code.co_varnames[: code.co_argcount]
+    env: dict[str, tuple] = {}
+    if candidate and params:
+        env[params[0]] = _CAND
+    for name in params[1:2] if candidate else params[:1]:
+        env[name] = _BINDINGS
+    events, _ = _symbolic_events(func, env, depth=0)
+    refs: set[tuple[Optional[str], str]] = set()
+    for event in events:
+        if event.kind != "attr":
+            continue
+        owner = event.target
+        if owner == _CAND:
+            refs.add((None, event.op))
+        elif owner[0] == "item" and owner[1] == _BINDINGS:
+            refs.add((owner[2], event.op))
+    return refs
+
+
 class ActionEffects:
     """What a rule action does to working memory, by fact type/attribute.
 
     ``updates`` maps fact type -> {attr: set of known written constants,
     or None when some written value is opaque}.  ``opaque`` is True when
     a working-memory operation's target could not be resolved — consumers
-    must then over-approximate (as :func:`rulelint._action_writes` does).
+    must then over-approximate (with :attr:`RuleIO.approx_written_types`).
     """
 
     __slots__ = ("inserts", "updates", "retracts", "opaque")
@@ -764,13 +799,12 @@ def guard_constraint_domains(
     params = code.co_varnames[: code.co_argcount]
     if not params:
         return {}
-    env: dict[str, tuple] = {params[0]: ("cand",)}
-    events, or_logic = _symbolic_events(func, env, depth)
+    events, or_logic = _symbolic_events(func, {params[0]: _CAND}, depth)
     if or_logic:
         return None
 
     def candidate_attr(token: tuple) -> Optional[str]:
-        if token[0] == "attr" and token[1] == ("cand",):
+        if token[0] == "attr" and token[1] == _CAND:
             return token[2]
         return None
 
@@ -808,3 +842,154 @@ def guard_constraint_domains(
                 except TypeError:
                     pass
     return domains
+
+
+# --------------------------------------------------------------------------
+# The per-rule summary
+# --------------------------------------------------------------------------
+@dataclass
+class ElementIO:
+    """One typed condition element of a rule, with its guard summary."""
+
+    index: int
+    kind: str                       #: "pattern" | "absent" | "exists" | "collect"
+    fact_type: Type[Fact]
+    positive: bool                  #: needs a live fact to let the rule through
+    binding: Optional[str]
+    #: necessary equality constraints the guard imposes on the candidate
+    #: (None = guard has no conjunctive reading; {} = no constraints known)
+    domains: Optional[dict[str, frozenset]]
+    #: candidate attributes the guard/keys read (None = unknown / inexact)
+    reads: Optional[frozenset]
+
+
+@dataclass
+class RuleIO:
+    """Static read/write summary of one rule."""
+
+    rule: Rule
+    order: int
+    elements: list[ElementIO]
+    #: Pattern binding -> fact type (a Collect binds a list, not a fact)
+    bindings: dict[str, Type[Fact]]
+    effects: ActionEffects
+    #: fact type -> attrs the rule reads anywhere (guards, keys fns, Tests);
+    #: None value = "may read any attribute of this type"
+    reads: dict[Type[Fact], Optional[set]]
+    #: types the action may insert or mutate: Fact classes it names, plus
+    #: every condition type when it calls insert/update/retract (an
+    #: over-approximation, consulted where ``effects`` is opaque)
+    approx_written_types: set
+
+    @property
+    def name(self) -> str:
+        return self.rule.name
+
+    @property
+    def salience(self) -> int:
+        return self.rule.salience
+
+    @property
+    def condition_types(self) -> set:
+        return {e.fact_type for e in self.elements}
+
+    @property
+    def positive_types(self) -> set:
+        """Types the rule needs at least one live fact of to ever activate."""
+        return {e.fact_type for e in self.elements if e.positive}
+
+    def elements_of(self, fact_type: Type[Fact]) -> list[ElementIO]:
+        """Elements whose declared type is related to ``fact_type``."""
+        return [
+            e
+            for e in self.elements
+            if issubclass(fact_type, e.fact_type)
+            or issubclass(e.fact_type, fact_type)
+        ]
+
+    def updated_types(self) -> set:
+        out = set(self.effects.updates)
+        if self.effects.opaque:
+            out |= self.approx_written_types
+        return out
+
+    def updated_attrs(self, fact_type: Type[Fact]) -> Optional[set]:
+        """Attrs the action may write on ``fact_type``; None = unknown/all."""
+        if self.effects.opaque and fact_type in self.approx_written_types:
+            return None
+        return self.effects.updated_attrs(fact_type)
+
+
+def rule_io(rule: Rule, order: int) -> RuleIO:
+    """Build the static read/write summary for one rule."""
+    bindings = {
+        e.binding: e.fact_type for e in rule.when if isinstance(e, Pattern) and e.binding
+    }
+    bound_types = {
+        e.binding: e.fact_type
+        for e in rule.when
+        if isinstance(e, (Pattern, Collect)) and e.binding
+    }
+    elements: list[ElementIO] = []
+    reads: dict[Type[Fact], Optional[set]] = {}
+
+    def note_reads(fact_type: Type[Fact], attrs: Optional[Iterable]) -> None:
+        if attrs is None:
+            reads[fact_type] = None
+            return
+        known = reads.get(fact_type, set())
+        if known is None:
+            return
+        known.update(attrs)
+        reads[fact_type] = known
+
+    def scan(func: Callable, candidate: bool) -> Optional[set]:
+        """Note what ``func`` reads off bound facts; return what it reads
+        off the candidate (None = anything)."""
+        own: set = set()
+        for binding, attr in guard_attribute_refs(func, candidate):
+            if binding is None:
+                own.add(attr)
+            elif binding in bindings:
+                note_reads(bindings[binding], (attr,))
+        if _scan_exact(func):
+            return own
+        # a helper handed the bindings dict may read any bound fact
+        for fact_type in bound_types.values():
+            note_reads(fact_type, None)
+        return None
+
+    for index, element in enumerate(rule.when):
+        if isinstance(element, Test):
+            scan(element.predicate, False)
+            continue
+        if not isinstance(element, _TypedElement):
+            continue
+        cand_reads = scan(element.where, True) if element.where is not None else set()
+        if element.keys:
+            # keyed lookup reads the key attrs on the candidate and runs
+            # arbitrary fns over the bindings for the probe values.
+            if cand_reads is not None:
+                cand_reads.update(element.keys)
+            for fn in element.keys.values():
+                scan(fn, False)
+        note_reads(element.fact_type, cand_reads)
+        elements.append(
+            ElementIO(
+                index=index,
+                kind=type(element).__name__.lower(),
+                fact_type=element.fact_type,
+                positive=isinstance(element, (Pattern, Exists))
+                or (isinstance(element, Collect) and element.min_count > 0),
+                binding=getattr(element, "binding", None),
+                domains=guard_constraint_domains(element.where),
+                reads=frozenset(cand_reads) if cand_reads is not None else None,
+            )
+        )
+
+    approx = set(referenced_fact_types(rule.then))
+    if {"update", "retract", "insert"} & callable_names(rule.then):
+        approx |= {e.fact_type for e in elements}
+    return RuleIO(
+        rule, order, elements, bindings, action_effects(rule.then, bound_types), reads, approx
+    )

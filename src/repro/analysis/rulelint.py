@@ -57,14 +57,21 @@ import networkx as nx
 from repro.analysis.findings import Report, Severity, location_of
 from repro.analysis.probing import (
     FactFactory,
+    RuleIO,
+    callable_names,
     clone_memory,
     fact_schema,
     guard_attribute_refs,
     harvest_constants,
-    referenced_fact_types,
+    helper_codes,
+    probe_universe,
+    random_memory,
+    rule_io,
+    rule_set_functions,
     snapshot_memory,
 )
 from repro.policy import salience
+from repro.rules.compiler import PLAN_JOIN, compile_rules
 from repro.rules.engine import Rule, RuleEngineError, Session
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test, _TypedElement
@@ -90,8 +97,9 @@ def _guard_accepts(guard, fact, bindings) -> bool:
 # Shipped rule sets (PolicyService composition, per shipped configuration)
 # --------------------------------------------------------------------------
 #: fact types the service inserts directly from its entry points
-#: (request_transfers, request_cleanups, reap_expired, reconcile_staged,
-#: deny_host, set_quota, register_priorities)
+#: (submit_transfers, submit_cleanups, reap_expired, reconcile_staged,
+#: deny_host, set_quota, register_tenant, register_priorities, and the
+#: data catalog's replica and site-capacity registrations)
 def _service_entry_types() -> tuple[Type[Fact], ...]:
     from repro.datacatalog.model import (
         EvictionSweepFact,
@@ -164,46 +172,6 @@ def shipped_rule_sets() -> dict[str, tuple[list[Rule], dict]]:
 # --------------------------------------------------------------------------
 # Static structure helpers
 # --------------------------------------------------------------------------
-def _condition_types(rule: Rule) -> set[Type[Fact]]:
-    return {e.fact_type for e in rule.when if isinstance(e, _TypedElement)}
-
-
-def _positive_types(rule: Rule) -> set[Type[Fact]]:
-    """Types a rule needs at least one live fact of to ever activate."""
-    return {
-        e.fact_type
-        for e in rule.when
-        if isinstance(e, (Pattern, Exists))
-        or (isinstance(e, Collect) and e.min_count > 0)
-    }
-
-
-def _bound_types(rule: Rule) -> dict[str, Type[Fact]]:
-    """binding name -> fact type for Pattern bindings (Collect binds lists)."""
-    bound: dict[str, Type[Fact]] = {}
-    for element in rule.when:
-        if isinstance(element, Pattern) and element.binding:
-            bound[element.binding] = element.fact_type
-    return bound
-
-
-def _action_writes(rule: Rule) -> set[Type[Fact]]:
-    """Over-approximate fact types a rule's action may insert or mutate:
-    Fact classes its action references, plus — when the action calls
-    ``update``/``retract`` — every type the rule binds."""
-    from repro.analysis.probing import callable_names
-
-    writes = set(referenced_fact_types(rule.then))
-    names = callable_names(rule.then)
-    if {"update", "retract", "insert"} & names:
-        writes |= _condition_types(rule)
-    return writes
-
-
-def _rule_signature(rule: Rule) -> tuple[str, ...]:
-    return tuple(sorted(t.__name__ for t in _condition_types(rule)))
-
-
 def _activation_fids(memory: WorkingMemory, bindings: dict) -> tuple[int, ...]:
     fids = []
     for value in bindings.values():
@@ -230,19 +198,14 @@ def _known_attrs(fact_type: Type[Fact], factory: FactFactory, cache: dict) -> se
     return attrs
 
 
-def _check_attribute_refs(rule: Rule, factory: FactFactory, report: Report) -> None:
+def _check_attribute_refs(io: RuleIO, factory: FactFactory, report: Report) -> None:
     cache: dict = {}
-    bound = _bound_types(rule)
+    rule = io.rule
 
-    def verify(func, fact_type: Optional[Type[Fact]], bindings_param, where: str):
-        tag = "self" if fact_type is not None else None
-        for owner, attr in guard_attribute_refs(func, tag, bindings_param):
-            if owner == "self":
-                target = fact_type
-            elif owner.startswith("binding:"):
-                target = bound.get(owner.split(":", 1)[1])
-            else:
-                target = None
+    def verify(func, fact_type: Optional[Type[Fact]], where: str):
+        refs = guard_attribute_refs(func, candidate=fact_type is not None)
+        for binding, attr in sorted(refs, key=str):
+            target = fact_type if binding is None else io.bindings.get(binding)
             if target is None:
                 continue
             if attr not in _known_attrs(target, factory, cache):
@@ -259,14 +222,12 @@ def _check_attribute_refs(rule: Rule, factory: FactFactory, report: Report) -> N
 
     for position, element in enumerate(rule.when):
         if isinstance(element, Test):
-            verify(element.predicate, None, _first_param(element.predicate),
-                   f"Test predicate (condition {position})")
+            verify(element.predicate, None, f"Test predicate (condition {position})")
             continue
         if not isinstance(element, _TypedElement):
             continue
         if element.where is not None:
-            verify(element.where, element.fact_type, _second_param(element.where),
-                   f"guard (condition {position})")
+            verify(element.where, element.fact_type, f"guard (condition {position})")
         if element.keys:
             known = _known_attrs(element.fact_type, factory, cache)
             for attr, fn in element.keys.items():
@@ -281,59 +242,7 @@ def _check_attribute_refs(rule: Rule, factory: FactFactory, report: Report) -> N
                         attribute=attr,
                         fact_type=element.fact_type.__name__,
                     )
-                verify(fn, None, _first_param(fn),
-                       f"keys[{attr!r}] (condition {position})")
-
-
-def _first_param(func) -> Optional[str]:
-    code = getattr(func, "__code__", None)
-    if code is None or code.co_argcount < 1:
-        return None
-    return code.co_varnames[0]
-
-
-def _second_param(func) -> Optional[str]:
-    code = getattr(func, "__code__", None)
-    if code is None or code.co_argcount < 2:
-        return None
-    return code.co_varnames[1]
-
-
-# --------------------------------------------------------------------------
-# Randomized memory construction
-# --------------------------------------------------------------------------
-def _rule_set_functions(rules: Sequence[Rule]) -> list[Callable]:
-    funcs: list[Callable] = []
-    for rule in rules:
-        funcs.append(rule.then)
-        for element in rule.when:
-            if isinstance(element, Test):
-                funcs.append(element.predicate)
-            elif isinstance(element, _TypedElement):
-                if element.where is not None:
-                    funcs.append(element.where)
-                if element.keys:
-                    funcs.extend(element.keys.values())
-    return funcs
-
-
-def _universe(rules: Sequence[Rule]) -> list[Type[Fact]]:
-    types: set[Type[Fact]] = set()
-    for rule in rules:
-        types |= _condition_types(rule)
-    return sorted(types, key=lambda t: t.__name__)
-
-
-def _random_memory(
-    universe: Sequence[Type[Fact]], factory: FactFactory, per_type: int = 4
-) -> WorkingMemory:
-    memory = WorkingMemory()
-    for fact_type in universe:
-        for _ in range(factory.rng.randint(1, per_type)):
-            fact = factory.make_random(fact_type)
-            if fact is not None:
-                memory.insert(fact)
-    return memory
+                verify(fn, None, f"keys[{attr!r}] (condition {position})")
 
 
 # --------------------------------------------------------------------------
@@ -483,38 +392,38 @@ def _probe_divergence(
 # R006 / R007: reachability and dependency cycles
 # --------------------------------------------------------------------------
 def _check_reachability(
-    rules: Sequence[Rule], entry_types: Iterable[Type[Fact]], report: Report
+    summaries: Sequence[RuleIO], entry_types: Iterable[Type[Fact]], report: Report
 ) -> None:
     insertable: set[Type[Fact]] = set(entry_types)
-    for rule in rules:
-        insertable |= _action_writes(rule)
-    for rule in rules:
+    for io in summaries:
+        insertable |= io.approx_written_types
+    for io in summaries:
         missing = [
-            t.__name__ for t in sorted(_positive_types(rule), key=lambda t: t.__name__)
+            t.__name__ for t in sorted(io.positive_types, key=lambda t: t.__name__)
             if not any(issubclass(i, t) for i in insertable)
         ]
         if missing:
             report.add(
                 "R006",
                 Severity.WARNING,
-                rule.name,
+                io.name,
                 f"unreachable: no rule action or service entry point ever "
                 f"inserts {', '.join(missing)}, so this rule can never "
                 f"activate",
-                location=location_of(rule.then),
+                location=location_of(io.rule.then),
                 missing_types=missing,
             )
 
 
-def _check_dependency_cycles(rules: Sequence[Rule], report: Report) -> None:
+def _check_dependency_cycles(summaries: Sequence[RuleIO], report: Report) -> None:
     graph = nx.DiGraph()
     writes: dict[str, set[Type[Fact]]] = {}
     reads: dict[str, set[Type[Fact]]] = {}
-    for rule in rules:
-        graph.add_node(rule.name)
-        reads[rule.name] = _condition_types(rule)
-        writes[rule.name] = _action_writes(rule)
-    for a, b in itertools.permutations(rules, 2):
+    for io in summaries:
+        graph.add_node(io.name)
+        reads[io.name] = io.condition_types
+        writes[io.name] = io.approx_written_types
+    for a, b in itertools.permutations(summaries, 2):
         if writes[a.name] & reads[b.name]:
             graph.add_edge(a.name, b.name)
     for component in nx.strongly_connected_components(graph):
@@ -569,25 +478,16 @@ def _check_salience_names(rules: Sequence[Rule], report: Report) -> None:
 # --------------------------------------------------------------------------
 # R009: compiled-engine fast path
 # --------------------------------------------------------------------------
-def _mentions_globals(func, depth: int = 2) -> bool:
+def _mentions_globals(func) -> bool:
     """Does ``func``, or a module-level helper it calls, name the
     ``"_globals"`` binding?"""
-    code = getattr(func, "__code__", None)
-    if code is None:
-        return False
-    if "_globals" in harvest_constants([func])["str"]:
-        return True
-    helpers = (getattr(func, "__globals__", {}).get(name) for name in code.co_names)
-    return depth > 0 and any(_mentions_globals(h, depth - 1) for h in helpers)
+    return any("_globals" in code.co_consts for code in helper_codes(func))
 
 
 def _check_fast_path(rules: Sequence[Rule], report: Report) -> None:
-    from repro.rules.compiler import PLAN_JOIN, fast_path_report
-
-    patterns_of = {rule.name: rule for rule in rules}
-    for row in fast_path_report(rules):
-        rule = patterns_of[row["rule"]]
-        if not row["alpha_routed"]:
+    for plan in compile_rules(rules).plans:
+        rule = plan.rule
+        if plan.alpha is None:
             report.add(
                 "R009",
                 Severity.INFO,
@@ -596,7 +496,7 @@ def _check_fast_path(rules: Sequence[Rule], report: Report) -> None:
                 f"Pattern: the rule has no position-0 alpha memory and is "
                 f"visited on every mutation of its fact types",
                 location=location_of(rule.then),
-                plan=row["plan"],
+                plan=plan.kind,
             )
         elif _mentions_globals(rule.when[0].where):
             report.add(
@@ -607,10 +507,10 @@ def _check_fast_path(rules: Sequence[Rule], report: Report) -> None:
                 "memory (and the agendas' activations) can go stale when a "
                 "global changes without any fact changing",
                 location=location_of(rule.then),
-                plan=row["plan"],
+                plan=plan.kind,
             )
-        if row["plan"] == PLAN_JOIN:
-            if row["last_position_keyed"] is False:
+        if plan.kind == PLAN_JOIN:
+            if plan.positions[-1].key_attrs is None:
                 report.add(
                     "R009",
                     Severity.WARNING,
@@ -620,18 +520,18 @@ def _check_fast_path(rules: Sequence[Rule], report: Report) -> None:
                     "partial-match frontier instead of one bucket on every "
                     "update of the last position's fact type",
                     location=location_of(rule.then),
-                    plan=row["plan"],
+                    plan=plan.kind,
                 )
-        elif len([el for el in rule.when if isinstance(el, Pattern)]) >= 2:
+        elif len(plan.positions) >= 2:
             report.add(
                 "R009",
                 Severity.INFO,
                 rule.name,
                 f"multi-pattern rule runs on the delta plan, not the join "
-                f"network: {row['reason']}",
+                f"network: {plan.reason}",
                 location=location_of(rule.then),
-                plan=row["plan"],
-                reason=row["reason"],
+                plan=plan.kind,
+                reason=plan.reason,
             )
 
 
@@ -685,12 +585,12 @@ class _ActivationLog:
 
 
 def _check_ties_and_shadowing(
-    rules: Sequence[Rule], log: _ActivationLog, report: Report
+    summaries: Sequence[RuleIO], log: _ActivationLog, report: Report
 ) -> None:
     by_signature: dict[tuple, list[Rule]] = {}
-    for rule in rules:
-        by_signature.setdefault(_rule_signature(rule), []).append(rule)
-    from repro.analysis.probing import callable_names
+    for io in summaries:
+        signature = tuple(sorted(t.__name__ for t in io.condition_types))
+        by_signature.setdefault(signature, []).append(io.rule)
 
     for group in by_signature.values():
         for a, b in itertools.combinations(group, 2):
@@ -746,17 +646,18 @@ def lint_rules(
         entry_types = _service_entry_types()
 
     rng = random.Random(seed)
-    pools = harvest_constants(_rule_set_functions(rules))
+    pools = harvest_constants(rule_set_functions(rules))
     factory = FactFactory(rng, pools)
-    universe = _universe(rules)
+    universe = probe_universe(rules)
+    summaries = [rule_io(rule, order) for order, rule in enumerate(rules)]
     seed_bindings = {"_globals": session_globals}
 
     # Static checks first (no probing required).
     _check_duplicate_names(rules, report)
-    for rule in rules:
-        _check_attribute_refs(rule, factory, report)
-    _check_reachability(rules, entry_types, report)
-    _check_dependency_cycles(rules, report)
+    for io in summaries:
+        _check_attribute_refs(io, factory, report)
+    _check_reachability(summaries, entry_types, report)
+    _check_dependency_cycles(summaries, report)
     _check_salience_names(rules, report)
     _check_fast_path(rules, report)
 
@@ -767,16 +668,16 @@ def lint_rules(
     log = _ActivationLog(rules)
     probe_soups: list[list] = []
     for _trial in range(trials):
-        memory = _random_memory(universe, factory)
+        memory = random_memory(universe, factory)
         probe_soups.append(snapshot_memory(memory))
         for rule in rules:
             _probe_rule(rule, memory, seed_bindings, report, keys_reported)
         log.record(_trial, rules, memory, seed_bindings)
-    _check_ties_and_shadowing(rules, log, report)
+    _check_ties_and_shadowing(summaries, log, report)
 
     # Divergence: each rule alone against clones of the cached soups.
     if not probe_soups:
-        probe_soups.append(snapshot_memory(_random_memory(universe, factory)))
+        probe_soups.append(snapshot_memory(random_memory(universe, factory)))
     for index, rule in enumerate(rules):
         _probe_divergence(
             rule, probe_soups[index % len(probe_soups)], session_globals, report

@@ -34,12 +34,15 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 #: check id -> one-line description surfaced as the SARIF rule metadata
 CHECK_DESCRIPTIONS = {
-    "R001": "keys hint does not match the attributes the guard reads",
-    "R002": "guard or action references an attribute no probed fact has",
+    "R001": "keys hint is not implied by the guard: keyed lookups lose "
+            "guard-accepted facts",
+    "R002": "guard, keys function or Test predicate reads an attribute "
+            "the fact class does not have",
     "R003": "equal-salience rules interfere without a deterministic order",
     "R004": "higher-salience rule shadows a lower one on the same facts",
     "R005": "rule keeps firing on its own output (divergence risk)",
-    "R006": "rule can never fire on any probed working memory",
+    "R006": "no rule action or service entry point inserts a positive "
+            "condition type, so the rule can never activate",
     "R007": "rules form a read/write dependency cycle",
     "R008": "salience is not a named policy tier",
     "R009": "multi-pattern rule misses the join plan or its keys hints",

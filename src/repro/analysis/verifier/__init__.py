@@ -40,8 +40,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.findings import Report
-from repro.analysis.probing import FactFactory, harvest_constants, snapshot_memory
-from repro.analysis.rulelint import _random_memory, _rule_set_functions, _universe
+from repro.analysis.probing import (
+    FactFactory,
+    harvest_constants,
+    probe_universe,
+    random_memory,
+    rule_set_functions,
+    snapshot_memory,
+)
 from repro.analysis.verifier.composition import (
     check_compiler_agreement,
     check_engine_parity,
@@ -115,12 +121,12 @@ def verify_pack(
     session_globals = dict(session_globals)
 
     rng = random.Random(options.seed)
-    factory = FactFactory(rng, harvest_constants(_rule_set_functions(rules)))
-    universe = _universe(rules)
+    factory = FactFactory(rng, harvest_constants(rule_set_functions(rules)))
+    universe = probe_universe(rules)
     graph = build_graph(rules, factory)
 
     soups = [
-        snapshot_memory(_random_memory(universe, factory, options.per_type))
+        snapshot_memory(random_memory(universe, factory, options.per_type))
         for _ in range(options.universes)
     ]
 

@@ -1,7 +1,8 @@
 """Rule-interaction graph: who produces, consumes, updates and retracts what.
 
 The verifier's static substrate.  Every rule is summarized into a
-:class:`RuleIO` — fact types and attributes its conditions read (with the
+:class:`~repro.analysis.probing.RuleIO` (the summary the linter reads
+too) — fact types and attributes its conditions read (with the
 *necessary equality domains* its guards impose on each candidate) and the
 working-memory effects of its action (from bytecode scanning, see
 :func:`repro.analysis.probing.action_effects`).  :class:`InteractionGraph`
@@ -29,239 +30,25 @@ only enters through the *domains*, which are themselves conservative
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence, Type
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Type
 
 from repro.analysis.probing import (
-    ActionEffects,
+    ElementIO,
     FactFactory,
-    action_effects,
-    callable_names,
+    RuleIO,
     entry_defaults,
-    guard_attribute_refs,
-    guard_constraint_domains,
-    referenced_fact_types,
+    rule_io,
     signature_of,
 )
 from repro.rules.engine import Rule
 from repro.rules.facts import Fact
-from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test, _TypedElement
 
 __all__ = [
-    "ElementIO",
-    "RuleIO",
     "Edge",
     "InteractionGraph",
-    "rule_io",
     "build_graph",
 ]
-
-
-def _first_param(func) -> Optional[str]:
-    code = getattr(func, "__code__", None)
-    if code is None or code.co_argcount < 1:
-        return None
-    return code.co_varnames[0]
-
-
-def _second_param(func) -> Optional[str]:
-    code = getattr(func, "__code__", None)
-    if code is None or code.co_argcount < 2:
-        return None
-    return code.co_varnames[1]
-
-
-def _guard_scan_exact(func) -> bool:
-    """True when bytecode scanning sees *every* attribute the guard reads.
-
-    A guard that calls a module-level helper function hands its candidate
-    to code the flat attribute scanner does not follow, so its read set
-    must be treated as "anything".  (Builtins and methods are fine — they
-    cannot reach back into working-memory facts we track.)
-    """
-    if func is None:
-        return True
-    code = getattr(func, "__code__", None)
-    if code is None:
-        return False
-    module_globals = getattr(func, "__globals__", {})
-    for name in callable_names(func):
-        target = module_globals.get(name)
-        if (
-            callable(target)
-            and not isinstance(target, type)
-            and getattr(target, "__code__", None) is not None
-        ):
-            return False
-    return True
-
-
-@dataclass
-class ElementIO:
-    """One typed condition element of a rule, with its guard summary."""
-
-    index: int
-    kind: str                       #: "pattern" | "absent" | "exists" | "collect"
-    fact_type: Type[Fact]
-    positive: bool                  #: needs a live fact to let the rule through
-    binding: Optional[str]
-    #: necessary equality constraints the guard imposes on the candidate
-    #: (None = guard has no conjunctive reading; {} = no constraints known)
-    domains: Optional[dict[str, frozenset]]
-    #: candidate attributes the guard/keys read (None = unknown / inexact)
-    reads: Optional[frozenset]
-
-
-@dataclass
-class RuleIO:
-    """Static read/write summary of one rule."""
-
-    rule: Rule
-    order: int
-    elements: list[ElementIO]
-    bound_types: dict[str, Type[Fact]]
-    effects: ActionEffects
-    #: fact type -> attrs the rule reads anywhere (guards, keys fns, Tests);
-    #: None value = "may read any attribute of this type"
-    reads: dict[Type[Fact], Optional[set]]
-    #: types an opaque action may write (over-approximation); empty if exact
-    approx_written_types: set = field(default_factory=set)
-
-    @property
-    def name(self) -> str:
-        return self.rule.name
-
-    @property
-    def salience(self) -> int:
-        return self.rule.salience
-
-    def elements_of(self, fact_type: Type[Fact]) -> list[ElementIO]:
-        """Elements whose declared type is related to ``fact_type``."""
-        return [
-            e
-            for e in self.elements
-            if issubclass(fact_type, e.fact_type)
-            or issubclass(e.fact_type, fact_type)
-        ]
-
-    def updated_types(self) -> set:
-        out = set(self.effects.updates)
-        if self.effects.opaque:
-            out |= self.approx_written_types
-        return out
-
-    def updated_attrs(self, fact_type: Type[Fact]) -> Optional[set]:
-        """Attrs the action may write on ``fact_type``; None = unknown/all."""
-        exact = self.effects.updated_attrs(fact_type)
-        if self.effects.opaque and fact_type in self.approx_written_types:
-            return None
-        return exact if exact else (set() if fact_type in self.effects.updates else set())
-
-
-def _element_kind(element: _TypedElement) -> str:
-    if isinstance(element, Pattern):
-        return "pattern"
-    if isinstance(element, Absent):
-        return "absent"
-    if isinstance(element, Exists):
-        return "exists"
-    if isinstance(element, Collect):
-        return "collect"
-    return "element"
-
-
-def rule_io(rule: Rule, order: int) -> RuleIO:
-    """Build the static read/write summary for one rule."""
-    bound_types: dict[str, Type[Fact]] = {}
-    for element in rule.when:
-        if isinstance(element, (Pattern, Collect)) and element.binding:
-            bound_types[element.binding] = element.fact_type
-
-    elements: list[ElementIO] = []
-    reads: dict[Type[Fact], Optional[set]] = {}
-
-    def note_reads(fact_type: Type[Fact], attrs: Optional[Iterable]) -> None:
-        if attrs is None:
-            reads[fact_type] = None
-            return
-        known = reads.get(fact_type, set())
-        if known is None:
-            return
-        known.update(attrs)
-        reads[fact_type] = known
-
-    for index, element in enumerate(rule.when):
-        if isinstance(element, Test):
-            # Test predicates read bound facts through the bindings dict.
-            refs = guard_attribute_refs(
-                element.predicate, None, _first_param(element.predicate)
-            )
-            exact = _guard_scan_exact(element.predicate)
-            for tag, attr in refs:
-                if tag in bound_types:
-                    note_reads(bound_types[tag], (attr,))
-            if not exact:
-                for fact_type in bound_types.values():
-                    note_reads(fact_type, None)
-            continue
-        if not isinstance(element, _TypedElement):
-            continue
-
-        cand_reads: Optional[set] = set()
-        exact = _guard_scan_exact(element.where)
-        if element.where is not None:
-            refs = guard_attribute_refs(
-                element.where, "cand", _second_param(element.where)
-            )
-            for tag, attr in refs:
-                if tag == "cand":
-                    cand_reads.add(attr)
-                elif tag in bound_types:
-                    note_reads(bound_types[tag], (attr,))
-            if not exact:
-                cand_reads = None
-        if element.keys:
-            # keyed lookup reads the key attrs on the candidate and runs
-            # arbitrary fns over the bindings for the probe values.
-            if cand_reads is not None:
-                cand_reads.update(element.keys)
-            for fn in element.keys.values():
-                for tag, attr in guard_attribute_refs(fn, None, _first_param(fn)):
-                    if tag in bound_types:
-                        note_reads(bound_types[tag], (attr,))
-                if not _guard_scan_exact(fn):
-                    for fact_type in bound_types.values():
-                        note_reads(fact_type, None)
-
-        note_reads(element.fact_type, cand_reads)
-        elements.append(
-            ElementIO(
-                index=index,
-                kind=_element_kind(element),
-                fact_type=element.fact_type,
-                positive=isinstance(element, (Pattern, Exists))
-                or (isinstance(element, Collect) and element.min_count > 0),
-                binding=getattr(element, "binding", None),
-                domains=guard_constraint_domains(element.where),
-                reads=frozenset(cand_reads) if cand_reads is not None else None,
-            )
-        )
-
-    effects = action_effects(rule.then, bound_types)
-    io = RuleIO(
-        rule=rule,
-        order=order,
-        elements=elements,
-        bound_types=bound_types,
-        effects=effects,
-        reads=reads,
-    )
-    if effects.opaque:
-        approx = set(referenced_fact_types(rule.then))
-        if {"update", "retract", "insert"} & callable_names(rule.then):
-            approx |= {e.fact_type for e in elements}
-        io.approx_written_types = approx
-    return io
 
 
 # --------------------------------------------------------------------------

@@ -80,12 +80,12 @@ def _entry_soup(
         if fact_type in subjects:
             continue
         for _ in range(rng.randint(0, 2)):
-            fact = factory.make_entry(fact_type)
+            fact = factory.make(fact_type, entry=True)
             if fact is not None:
                 soup.append(snapshot_fact(fact))
     for fact_type in subjects:
         for _ in range(rng.randint(1, 3)):
-            fact = factory.make_entry(fact_type)
+            fact = factory.make(fact_type, entry=True)
             if fact is not None:
                 subject_indices.append(len(soup))
                 soup.append(snapshot_fact(fact))

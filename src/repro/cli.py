@@ -137,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="lint every shipped rule set and a Montage plan")
     lint.add_argument("--rules", default=None, metavar="SET[,SET...]",
                       help="comma-separated rule sets to lint "
-                           "(fifo, greedy, balanced, access, priority, ...)")
+                           "(fifo, greedy, balanced, access, priority, ...); "
+                           "with --verify also compositions such as "
+                           "greedy_leases")
     lint.add_argument("--plan", choices=["montage"], default=None,
                       help="also lint a freshly planned workflow")
     lint.add_argument("--images", type=int, default=20,
@@ -418,25 +420,32 @@ def _cmd_lint(args, out) -> int:
     import json
 
     from repro.analysis import (
+        VerifyOptions,
         flag_dead_suppressions,
         lint_plan,
         lint_rule_set,
         shipped_rule_sets,
+        verify_compositions,
+        verify_pack,
     )
 
     selected: list[str] = []
     if args.rules:
         selected = [name.strip() for name in args.rules.split(",") if name.strip()]
-    rule_sets = list(selected)
-    if rule_sets:
-        unknown = sorted(set(rule_sets) - set(shipped_rule_sets()))
-        if unknown:
-            print(f"unknown rule set(s): {', '.join(unknown)}", file=out)
-            return 2
+    shipped = shipped_rule_sets()
+    # --verify also knows the compositions only the verifier runs
+    compositions = verify_compositions() if args.verify else {}
+    unknown = sorted(set(selected) - set(shipped) - set(compositions))
+    if unknown:
+        print(f"unknown rule set(s): {', '.join(unknown)}", file=out)
+        return 2
+    rule_sets = [name for name in selected if name in shipped]
     plan_targets = [args.plan] if args.plan else []
     if args.all:
-        rule_sets = sorted(shipped_rule_sets())
+        rule_sets = sorted(shipped)
         plan_targets = ["montage"]
+    elif selected:
+        compositions = {n: compositions[n] for n in selected if n in compositions}
     if not rule_sets and not plan_targets and not args.verify:
         print("nothing to lint: pass --all, --rules, --plan, or --verify",
               file=out)
@@ -450,19 +459,9 @@ def _cmd_lint(args, out) -> int:
     for report in reports:
         report.suppress(args.suppress)
 
-    if args.verify:
-        from repro.analysis import VerifyOptions, verify_compositions, verify_pack
-
-        compositions = verify_compositions()
-        if selected and not args.all:
-            unknown = sorted(set(selected) - set(compositions))
-            if unknown:
-                print(f"unknown composition(s): {', '.join(unknown)}", file=out)
-                return 2
-            compositions = {n: compositions[n] for n in selected}
-        options = VerifyOptions(seed=args.seed, extra_suppressions=tuple(args.suppress))
-        for name, (_rules, session_globals, builders) in compositions.items():
-            reports.append(verify_pack(name, builders, session_globals, options))
+    options = VerifyOptions(seed=args.seed, extra_suppressions=tuple(args.suppress))
+    for name, (_rules, session_globals, builders) in compositions.items():
+        reports.append(verify_pack(name, builders, session_globals, options))
 
     dead = flag_dead_suppressions(reports)
     if dead.findings:

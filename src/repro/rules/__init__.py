@@ -28,7 +28,7 @@ Concepts
 verifier compare it against; it is not imported from here.
 """
 
-from repro.rules.compiler import CompiledRuleset, compile_rules, fast_path_report
+from repro.rules.compiler import CompiledRuleset, compile_rules
 from repro.rules.engine import Rule, RuleEngineError, Session
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.network import JoinNetwork
@@ -48,5 +48,4 @@ __all__ = [
     "Test",
     "WorkingMemory",
     "compile_rules",
-    "fast_path_report",
 ]

@@ -24,9 +24,9 @@ an execution plan that the :class:`~repro.rules.network.JoinNetwork` runs:
     feeding the same candidate heap, so mixed rule packs fire in the
     same order.
 
-The plan assignment (and the reason a rule fell off the fast path) is
-exposed through :func:`fast_path_report` so the rule linter can flag
-packs that will not compile to the join network.
+Each :class:`RulePlan` records its assignment and the reason a rule fell
+off the fast path; the rule linter reads ``compile_rules(rules).plans``
+to flag packs that will not compile to the join network.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "RulePlan",
     "CompiledRuleset",
     "compile_rules",
-    "fast_path_report",
 ]
 
 PLAN_JOIN = "join"
@@ -224,29 +223,3 @@ def compile_rules(rules: Sequence[Rule]) -> CompiledRuleset:
     """Compile a rule pack into join-network execution plans."""
     return CompiledRuleset(rules)
 
-
-def fast_path_report(rules: Sequence[Rule]) -> list[dict]:
-    """Per-rule plan assignment for static analysis / the rule linter.
-
-    Each row carries the rule name, the assigned plan kind, the reason a
-    rule fell back to the ``delta`` plan, whether the rule's *last*
-    pattern declares join keys (an unkeyed last position makes the lazy
-    probe walk the whole prefix frontier instead of one bucket), and
-    whether changes are routed through a position-0 alpha memory (the
-    first condition element is a Pattern).
-    """
-    report = []
-    for order, rule in enumerate(rules):
-        plan = _classify(rule, order)
-        last_keyed = None
-        if plan.kind == PLAN_JOIN:
-            last_keyed = plan.positions[-1].key_attrs is not None
-        report.append({
-            "rule": rule.name,
-            "salience": rule.salience,
-            "plan": plan.kind,
-            "reason": plan.reason,
-            "last_position_keyed": last_keyed,
-            "alpha_routed": plan.alpha is not None,
-        })
-    return report

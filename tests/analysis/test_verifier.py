@@ -12,7 +12,9 @@ from repro.analysis import (
     replay_counterexample,
     verify_pack,
 )
-from repro.analysis.verifier import VERIFY_SUPPRESSIONS, verify_compositions
+from repro.analysis.probing import guard_constraint_domains
+from repro.analysis.verifier import VERIFY_SUPPRESSIONS, build_graph, verify_compositions
+from repro.rules import Fact, Pattern, Rule
 
 from tests.analysis import defect_fixtures as defects
 
@@ -92,6 +94,57 @@ def test_counterexample_written_with_an_engines_list_still_replays():
     assert "engines" not in doc
     old = dict(doc, engines=["seed", "indexed", "compiled"])  # three selectable engines
     assert replay_counterexample(old)["reproduced"]
+
+
+class Item(Fact):
+    def __init__(self, label: str):
+        self.label = label
+
+
+class Box(Fact):
+    def __init__(self, name: str, count: int = 0):
+        self.name = name
+        self.count = count
+
+
+def test_guard_reads_through_the_bindings_dict_reach_the_graph():
+    # A's Box guard reads bs["i"].label, so B's relabel changes what A
+    # matches: the pair interferes and must not be proven commuting.
+    fill = Rule(
+        "Fill the box named by an item",
+        when=[
+            Pattern(Item, "i"),
+            Pattern(Box, "b", where=lambda b, bs: b.name == bs["i"].label and b.count == 0),
+        ],
+        then=lambda ctx: ctx.update(ctx.b, count=ctx.b.count + 1),
+        salience=10,
+    )
+    relabel = Rule(
+        "Relabel x items",
+        when=[Pattern(Item, "i", where=lambda i, bs: i.label == "x")],
+        then=lambda ctx: ctx.update(ctx.i, label="y"),
+        salience=10,
+    )
+    graph = build_graph([fill, relabel])
+    assert graph.nodes[fill.name].reads[Item] == {"label"}
+    assert graph.nodes[relabel.name].effects.updates == {Item: {"label": {"y"}}}
+    edges = graph.feasible_edges(relabel.name, fill.name)
+    assert [(e.kind, e.fact_type, e.attrs) for e in edges] == [("update", Item, ("label",))]
+    assert graph.interference(fill.name, relabel.name) == [
+        f"{relabel.name} --update Item via label--> {fill.name}"
+    ]
+
+
+def _either_label(item):
+    if item.label == "x" or item.label == "y":
+        return True
+    return False
+
+
+def test_or_shaped_helper_has_no_conjunctive_reading():
+    # the statement form of `or` must read as OR on every Python, not as
+    # the (empty) intersection of both equalities
+    assert guard_constraint_domains(lambda i, bs: _either_label(i)) is None
 
 
 # -- live compositions ------------------------------------------------------

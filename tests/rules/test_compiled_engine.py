@@ -20,7 +20,7 @@ from repro.rules import (
     Pattern,
     Rule,
     Test,
-    fast_path_report,
+    compile_rules,
 )
 from tests.rules.conftest import new_session, run_equivalent
 
@@ -222,7 +222,7 @@ def test_reads_declaration_preserves_equivalence():
     assert ("gated", 3) not in trace
 
 
-def test_fast_path_report_classifies_plans():
+def test_compiled_plans_classify_rules():
     rules = [
         Rule("join", when=[
             Pattern(Order, "o"),
@@ -238,18 +238,18 @@ def test_fast_path_report_classifies_plans():
             Pattern(Stock),
         ], then=lambda ctx: None),
     ]
-    rows = {r["rule"]: r for r in fast_path_report(rules)}
-    assert rows["join"]["plan"] == "join"
-    assert rows["join"]["last_position_keyed"] is True
-    assert rows["gated"]["plan"] == "delta"
-    assert "Absent" in rows["gated"]["reason"]
-    assert rows["single"]["plan"] == "delta"
-    assert rows["unbound"]["plan"] == "delta"
-    assert "unbound" in rows["unbound"]["reason"]
-    assert all(row["alpha_routed"] for row in rows.values())
+    plans = {p.rule.name: p for p in compile_rules(rules).plans}
+    assert plans["join"].kind == "join"
+    assert plans["join"].positions[-1].key_attrs == ("item",)
+    assert plans["gated"].kind == "delta"
+    assert "Absent" in plans["gated"].reason
+    assert plans["single"].kind == "delta"
+    assert plans["unbound"].kind == "delta"
+    assert "unbound" in plans["unbound"].reason
+    assert all(plan.alpha is not None for plan in plans.values())
     gate_first = Rule("gate first", when=[Absent(Audit), Pattern(Order, "o")],
                       then=lambda ctx: None)
-    assert [r["alpha_routed"] for r in fast_path_report([gate_first])] == [False]
+    assert [p.alpha for p in compile_rules([gate_first]).plans] == [None]
 
 
 # ------------------------------------------------- randomized fact soups

@@ -194,6 +194,19 @@ def test_lint_verify_single_composition():
     assert "0 error(s)" in text
 
 
+def test_lint_verify_selects_a_verifier_only_composition():
+    code, text = run_cli("lint", "--verify", "--rules", "greedy_leases")
+    assert code == 0
+    assert "verify:greedy_leases" in text
+    assert "rules:greedy_leases" not in text
+    code, text = run_cli("lint", "--rules", "greedy_leases")
+    assert code == 2
+    assert "unknown rule set(s): greedy_leases" in text
+    code, text = run_cli("lint", "--verify", "--rules", "bogus")
+    assert code == 2
+    assert "unknown rule set(s): bogus" in text
+
+
 def test_lint_sarif_output():
     code, text = run_cli("lint", "--rules", "fifo", "--trials", "3",
                          "--format", "sarif")
