@@ -140,7 +140,7 @@ def run_chaos_montage(
         for f in live.memory.facts_of(fact_type)
         if f.status == "in_progress"
     )
-    services = [handle.backend.service for handle in service.shards] if fleet else [service]
+    services = [handle.service for handle in service.shards] if fleet else [service]
     return ChaosResult(
         metrics=execution.metrics(),
         staged_files=sorted(set(execution.ptt.staged_log)),

@@ -6,39 +6,28 @@ partitions policy memory across N independent :class:`PolicyService`
 shards behind a consistent-hash router:
 
 * :mod:`repro.policy.sharding.hashring` — the deterministic ring mapping
-  (source, destination) host pairs and dataset namespaces to shards;
-* :mod:`repro.policy.sharding.shard` — one shard: a `PolicyService`
-  behind a backend (in-process or worker process) with its own journal,
-  circuit breaker, and health state;
+  (source, destination) host pairs and destination URLs to shards;
+* :mod:`repro.policy.sharding.shard` — one shard: an in-process
+  `PolicyService` with its own journal, circuit breaker, and health
+  state;
 * :mod:`repro.policy.sharding.router` — :class:`ShardedPolicyService`,
   the drop-in façade implementing the full single-service surface:
   global id allocation, canonical group-id numbering, the staged-file
   ownership directory, degraded policy-free advice for a dead shard's
-  keyspace, and per-shard journal replay;
-* :mod:`repro.policy.sharding.procshard` — the multiprocessing backend
-  used for real parallel speedup (each shard evaluates rules in its own
-  interpreter, so batch advice scales with shard count).
+  keyspace, and per-shard journal replay.
 
 See ``docs/sharding.md`` for the architecture, the ownership protocol,
 and the failure matrix.
 """
 
-from repro.policy.sharding.hashring import HashRing, namespace_key, pair_key
-from repro.policy.sharding.procshard import ProcessShardBackend
+from repro.policy.sharding.hashring import HashRing, pair_key
 from repro.policy.sharding.router import ShardedPolicyService
-from repro.policy.sharding.shard import (
-    InProcessShardBackend,
-    ShardHandle,
-    ShardUnavailableError,
-)
+from repro.policy.sharding.shard import ShardHandle, ShardUnavailableError
 
 __all__ = [
     "HashRing",
-    "InProcessShardBackend",
-    "ProcessShardBackend",
     "ShardHandle",
     "ShardUnavailableError",
     "ShardedPolicyService",
-    "namespace_key",
     "pair_key",
 ]

@@ -11,9 +11,8 @@ Two key families matter to the router:
 * ``pair_key(src_host, dst_host)`` — transfers partition by their
   (source, destination) host pair, which is also the grain of the
   paper's pair-wise stream threshold and grouping state;
-* ``namespace_key(lfn)`` — cleanups and other per-file lookups that
-  have no pair fall back to the dataset namespace (the directory part
-  of the logical file name).
+* ``url_key(url)`` — cleanups and reconciles of a file the router has
+  no owner for fall back to its destination URL.
 """
 
 from __future__ import annotations
@@ -22,24 +21,16 @@ import bisect
 import hashlib
 from typing import List, Tuple
 
-__all__ = ["HashRing", "pair_key", "namespace_key", "url_key"]
+__all__ = ["HashRing", "pair_key", "url_key"]
+
+#: virtual nodes per shard
+_REPLICAS = 64
 
 
 def pair_key(src_host: str, dst_host: str) -> str:
     """Routing key for a (source, destination) host pair."""
 
     return f"pair:{src_host}|{dst_host}"
-
-
-def namespace_key(lfn: str) -> str:
-    """Routing key for a logical file's dataset namespace.
-
-    The namespace is the directory prefix of the LFN; flat names form
-    their own singleton namespace.
-    """
-
-    namespace = lfn.rsplit("/", 1)[0] if "/" in lfn else lfn
-    return f"ns:{namespace}"
 
 
 def url_key(url: str) -> str:
@@ -55,16 +46,13 @@ def _digest(value: str) -> int:
 class HashRing:
     """A consistent-hash ring mapping string keys to shard indices."""
 
-    def __init__(self, num_shards: int, replicas: int = 64) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.num_shards = num_shards
-        self.replicas = replicas
         points: List[Tuple[int, int]] = []
         for shard in range(num_shards):
-            for replica in range(replicas):
+            for replica in range(_REPLICAS):
                 points.append((_digest(f"shard-{shard}#{replica}"), shard))
         points.sort()
         self._points = [point for point, _ in points]
@@ -79,11 +67,3 @@ class HashRing:
         if where == len(self._points):
             where = 0
         return self._owners[where]
-
-    def spread(self, keys) -> List[int]:
-        """Histogram of how ``keys`` land on shards (diagnostics)."""
-
-        counts = [0] * self.num_shards
-        for key in keys:
-            counts[self.node_for(key)] += 1
-        return counts

@@ -3,11 +3,14 @@
 :class:`ShardedPolicyService` implements the whole controller-visible
 surface of :class:`~repro.policy.service.PolicyService` — the transfer
 tool, cleanup tool, REST controllers, DES experiments, and the
-in-process client all work against it unchanged.  Internally it:
+in-process client all work against it unchanged.  Every shard is an
+in-process service behind a :class:`~repro.policy.sharding.shard.ShardHandle`.
+Internally the router:
 
 * partitions transfer batches across shards by (source, destination)
-  host pair, and cleanups by destination URL / dataset namespace
-  (:mod:`~repro.policy.sharding.hashring`);
+  host pair, and cleanups by destination URL
+  (:mod:`~repro.policy.sharding.hashring`), and calls the shards'
+  sub-batches serially, in shard order;
 * keeps an **ownership directory**: once a file (lfn, dst_url) has been
   evaluated on a shard, every later request for that file — whatever
   its source pair — forwards to that home shard, so refcounts and
@@ -33,13 +36,12 @@ tenant aggregate caps).
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional, Tuple,
 )
 
 from repro.net.gridftp import parse_url
@@ -57,11 +59,7 @@ from repro.policy.provenance import (
 )
 from repro.policy.service import UnknownReplicaError, order_advice
 from repro.policy.sharding.hashring import HashRing, pair_key, url_key
-from repro.policy.sharding.shard import (
-    InProcessShardBackend,
-    ShardHandle,
-    ShardUnavailableError,
-)
+from repro.policy.sharding.shard import ShardHandle, ShardUnavailableError
 
 __all__ = ["ShardedPolicyService"]
 
@@ -88,20 +86,16 @@ class _FleetMemoryView:
         return dict(sorted(census.items()))
 
     def facts_of(self, fact_type):
-        """In-process backends only (DES/chaos introspection)."""
-
         facts = []
         for handle in self._router.shards:
-            service = getattr(handle.backend, "service", None)
-            if service is not None and handle.up:
-                facts.extend(service.memory.facts_of(fact_type))
+            if handle.service is not None:
+                facts.extend(handle.service.memory.facts_of(fact_type))
         return facts
 
     def __iter__(self):
         for handle in self._router.shards:
-            service = getattr(handle.backend, "service", None)
-            if service is not None and handle.up:
-                yield from iter(service.memory)
+            if handle.service is not None:
+                yield from iter(handle.service.memory)
 
 
 class ShardedPolicyService:
@@ -121,13 +115,6 @@ class ShardedPolicyService:
         When set, shard *i* journals under ``<journal_root>/shard-i`` and
         :meth:`recover_shard` replays it after a crash.  Without it,
         recovery restarts the shard empty (equivalence tests).
-    backends:
-        Optional pre-built backend list (e.g.
-        :class:`~repro.policy.sharding.procshard.ProcessShardBackend`
-        instances); overrides the default in-process construction.
-        Their per-shard sub-batches are dispatched from worker threads
-        (that is where process shards' scaling comes from); in-process
-        shards are called serially, where determinism costs nothing.
     breaker_threshold:
         Consecutive failures that open a shard's circuit breaker (it
         half-opens 60 s later; PR 2 semantics).
@@ -139,7 +126,6 @@ class ShardedPolicyService:
         num_shards: int = 2,
         clock: Optional[Callable[[], float]] = None,
         journal_root=None,
-        backends: Optional[Sequence] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
         profiler=None,
@@ -155,36 +141,25 @@ class ShardedPolicyService:
         self.num_shards = num_shards
         self.ring = HashRing(num_shards)
 
-        self.shards: List[ShardHandle] = []
-        if backends is not None:
-            backends = list(backends)
-            if len(backends) != num_shards:
-                raise ValueError("backends length must equal num_shards")
-        for index in range(num_shards):
-            if backends is not None:
-                backend = backends[index]
-            else:
-                journal_dir = (
-                    Path(journal_root) / f"shard-{index}"
-                    if journal_root is not None
-                    else None
-                )
-                backend = InProcessShardBackend(
-                    self.config,
-                    clock=clock,
-                    journal_dir=journal_dir,
-                    snapshot_interval=snapshot_interval,
-                    fsync=fsync,
-                    tracer=tracer,
-                    profiler=profiler,
-                )
-            breaker = CircuitBreaker(
-                failure_threshold=breaker_threshold,
-                reset_timeout=60.0,
-                clock=self.clock,
+        self.shards: List[ShardHandle] = [
+            ShardHandle(
+                index, self.config, self.clock,
+                CircuitBreaker(
+                    failure_threshold=breaker_threshold,
+                    reset_timeout=60.0,
+                    clock=self.clock,
+                ),
+                journal_dir=(
+                    None if journal_root is None
+                    else Path(journal_root) / f"shard-{index}"
+                ),
+                snapshot_interval=snapshot_interval,
+                fsync=fsync,
+                tracer=tracer,
+                profiler=profiler,
             )
-            self.shards.append(ShardHandle(index, backend, breaker=breaker))
-        self._concurrent = backends is not None and num_shards > 1
+            for index in range(num_shards)
+        ]
 
         # ---------------- global allocation + canonical numbering ----------
         self._tid_last = 0
@@ -376,44 +351,31 @@ class ShardedPolicyService:
 
     # ------------------------------------------------------------------ dispatch
     def _dispatch(self, name: str, calls: dict) -> list:
-        """Run ``name`` with ``{shard: (args, kwargs)}``; return
-        ``[(shard, result), ...]`` in shard order.
+        """Run ``name`` with ``{shard: (args, kwargs)}``, serially in shard
+        order; return ``[(shard, result), ...]``.
 
         A :class:`ShardUnavailableError` becomes a ``None`` result (the
-        caller degrades that sub-batch); other exceptions propagate.  For
-        caller-supplied backends, calls run from one thread per shard.
+        caller degrades that sub-batch).  Any other exception is raised
+        once every shard in ``calls`` has been called (the first one, in
+        shard order).
         """
 
-        order = sorted(calls)
-        results: list = [None] * len(order)
-        errors: list = [None] * len(order)
-
-        def run(slot: int) -> None:
-            shard = order[slot]
+        results: list = []
+        error: Optional[Exception] = None
+        for shard in sorted(calls):
             args, kwargs = calls[shard]
+            result = None
             try:
-                results[slot] = self.shards[shard].call(name, *args, **kwargs)
+                result = self.shards[shard].call(name, *args, **kwargs)
             except ShardUnavailableError:
-                results[slot] = None
+                pass
             except Exception as exc:  # noqa: BLE001 - re-raised below
-                errors[slot] = exc
-
-        if self._concurrent and len(order) > 1:
-            threads = [
-                threading.Thread(target=run, args=(slot,), daemon=True)
-                for slot in range(len(order))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        else:
-            for slot in range(len(order)):
-                run(slot)
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return list(zip(order, results))
+                if error is None:
+                    error = exc
+            results.append((shard, result))
+        if error is not None:
+            raise error
+        return results
 
     def _gather(self, name: str, *args) -> Iterator:
         """``name``'s answer from each shard that can give one, in shard
@@ -1018,7 +980,8 @@ class ShardedPolicyService:
         The buffered operations (admin mutations, completion reports,
         degraded-grant reconciles) are replayed in their original
         arrival order, so the recovered shard converges to the state it
-        would have reached without the outage.
+        would have reached without the outage.  A shard a partition or
+        slowdown still cuts off keeps the rest of its backlog, in order.
         """
 
         handle = self.shards[index]
@@ -1027,10 +990,13 @@ class ShardedPolicyService:
         backlog = self._pending_ops[index]
         self._pending_ops[index] = []
         replayed = 0
-        for name, args, kwargs in backlog:
+        for position, (name, args, kwargs) in enumerate(backlog):
             try:
                 handle.call(name, *args, **kwargs)
                 replayed += 1
+            except ShardUnavailableError:
+                self._pending_ops[index] = backlog[position:]
+                break
             except Exception as exc:  # noqa: BLE001 - chaos bookkeeping
                 self.recovery_errors.append(f"shard {index} {name}: {exc!r}")
         self._refresh_health_metrics()
@@ -1039,7 +1005,10 @@ class ShardedPolicyService:
                 "policy", "router.shard_recovered", track="policy-router",
                 shard=index, replayed=replayed,
             )
-        return {"shard": index, "replayed": replayed, "pending": 0}
+        return {
+            "shard": index, "replayed": replayed,
+            "pending": len(self._pending_ops[index]),
+        }
 
     # ------------------------------------------------------------------ status
     @property
@@ -1129,13 +1098,8 @@ class ShardedPolicyService:
 
         absorb(self.metrics.render(), None)
         for handle in self.shards:
-            if not handle.up:
-                continue
-            try:
-                text = handle.backend.metrics_text()
-            except Exception:  # noqa: BLE001 - scraping must not fail
-                continue
-            absorb(text, handle.index)
+            if handle.service is not None:
+                absorb(handle.service.metrics_text(), handle.index)
 
         lines: list[str] = []
         for family in families.values():
@@ -1148,18 +1112,15 @@ class ShardedPolicyService:
 
     def profile_report(self) -> Optional[str]:
         for handle in self.shards:
-            service = getattr(handle.backend, "service", None)
-            if service is not None:
-                report = service.profile_report()
+            if handle.service is not None:
+                report = handle.service.profile_report()
                 if report:
                     return report
         return None
 
     def close(self) -> None:
         for handle in self.shards:
-            close = getattr(handle.backend, "close", None)
-            if close is not None:
-                close()
+            handle.close()
 
 
 def _broadcast_method(route: Route):

@@ -5,7 +5,10 @@
 setting and ignores it, and that a finished run keeps its service.
 """
 
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +25,6 @@ from repro.experiments.runner import (
 from repro.experiments.tracing import run_traced_cell, run_traced_chaos
 from repro.policy import PolicyService, ShardedPolicyService
 from repro.policy.model import CleanupFact, HostPairFact, TransferFact
-from repro.policy.sharding.procshard import ProcessShardBackend
-from repro.policy.sharding.shard import InProcessShardBackend
 
 SMALL = ExperimentConfig(extra_file_mb=5.0, n_images=6, seed=2)
 
@@ -93,12 +94,28 @@ def test_traced_cell_without_policy_writes_empty_decisions(tmp_path):
 
 
 def test_removed_service_knobs_are_type_errors(tmp_path):
-    with pytest.raises(TypeError):
-        ShardedPolicyService(num_shards=2, breaker_reset=60.0)
-    with pytest.raises(TypeError):
-        ProcessShardBackend(start_method="spawn")
+    # Shards are in-process services: there is no backend list to pass.
+    for knob in ({"breaker_reset": 60.0}, {"backends": []}):
+        with pytest.raises(TypeError):
+            ShardedPolicyService(num_shards=2, **knob)
     # ``extra_rules`` had no caller: rule packs come from the config alone.
-    for build in (PolicyService, ShardedPolicyService, InProcessShardBackend,
+    for build in (PolicyService, ShardedPolicyService,
                   lambda **kw: PolicyService.recover(tmp_path, **kw)):
         with pytest.raises(TypeError):
             build(extra_rules=())
+
+
+def test_there_is_one_shard_backend():
+    # Neither backend class of the old two-backend layer is importable.
+    for kind in ("Process", "InProcess"):
+        with pytest.raises(ImportError):
+            exec(f"from repro.policy.sharding import {kind}ShardBackend", {})
+    src = Path(__file__).resolve().parents[2] / "src"
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import repro; "
+        "assert 'multiprocessing' not in sys.modules"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -92,8 +92,7 @@ def make_single(**kw):
 def make_router(num_shards, **kw):
     router_kw = {
         key: kw.pop(key)
-        for key in ("journal_root", "backends",
-                    "breaker_threshold", "clock")
+        for key in ("journal_root", "breaker_threshold", "clock")
         if key in kw
     }
     cfg = dict(policy="greedy", default_streams=4, max_streams=12)

@@ -1,4 +1,4 @@
-"""How the router dispatches sub-batches is derived from its backends."""
+"""The router calls its in-process shards serially; dispatch has no knobs."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.policy import PolicyConfig, ShardedPolicyService
 
 
 def test_concurrent_is_not_an_option():
-    """Threaded dispatch follows from caller-supplied (process) backends;
-    the old ``concurrent=`` override is refused, not accepted and ignored."""
+    """There is no threaded dispatch to ask for: the old ``concurrent=``
+    override is refused, not accepted and ignored."""
     with pytest.raises(TypeError):
         ShardedPolicyService(PolicyConfig(), num_shards=2, concurrent=True)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.des import Environment
+from repro.des.faults import FaultInjector, FaultPlan, RouterPartition, ShardCrash
 from repro.policy import PolicyConfig, PolicyRestServer, ShardedPolicyService
 from repro.policy.sharding import ShardUnavailableError
 
@@ -147,6 +149,63 @@ def test_partition_heals_without_replay():
         advice = router.submit_transfers(
             "wf", "j2", [_spec("p2", site=site_dead)])
         assert advice[0].group_id >= 1
+    finally:
+        router.close()
+
+
+def test_recovery_leaves_an_open_partition_or_slowdown_open():
+    """Recovery ends the crash only: each fault window ends its own switch."""
+    router = make_router(2)
+    try:
+        router.partition_shard(0, True)
+        router.slow_shard(1, 1.0)
+        for index in (0, 1):
+            router.crash_shard(index)
+            router.recover_shard(index)
+        assert [(h.partitioned, h.timeout_rate, h.healthy()) for h in router.shards] == [
+            (True, 0.0, False), (False, 1.0, True),
+        ]
+    finally:
+        router.close()
+
+
+def test_a_shard_crash_inside_a_partition_window(tmp_path):
+    """The crash replays at t=80; the partition still ends at t=140."""
+    env = Environment()
+    router = make_router(2, journal_root=tmp_path, clock=lambda: env.now)
+    injector = FaultInjector(env, FaultPlan(
+        partitions=(RouterPartition(at=40, duration=100, shard=0),),
+        shard_crashes=(ShardCrash(at=60, shard=0, down_for=20),),
+    ))
+    injector.attach_router(router)
+    injector.start()
+    handle = router.shards[0]
+    try:
+        env.run(until=100)
+        assert handle.up and handle.recoveries == 1 and not handle.healthy()
+        with pytest.raises(ShardUnavailableError, match="partitioned"):
+            handle.call("memory_len")
+        env.run(until=141)
+        assert handle.healthy() and handle.call("memory_len") == 0
+    finally:
+        router.close()
+
+
+def test_a_recovery_the_partition_still_cuts_off_keeps_its_backlog():
+    router = make_router(2)
+    try:
+        site, _ = _two_sites_on_distinct_shards(router)
+        victim = _shard_of(router, site)
+        granted = router.submit_transfers("wf", "j", [_spec("p1", site=site)])
+        router.partition_shard(victim)
+        router.complete_transfers(done=[granted[0].tid])
+        router.crash_shard(victim)
+        assert router.recover_shard(victim) == {"shard": victim, "replayed": 0, "pending": 1}
+        assert router.recovery_errors == []
+        router.partition_shard(victim, False)
+        router.crash_shard(victim)
+        assert router.recover_shard(victim) == {"shard": victim, "replayed": 1, "pending": 0}
+        assert router.recovery_errors == []
     finally:
         router.close()
 

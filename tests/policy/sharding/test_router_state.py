@@ -1,10 +1,17 @@
 """The router's per-id state: what a lease reap does to a cleanup id, how
-far the cid map grows, and the spans and request counts each call leaves."""
+far the cid map grows, the spans and request counts each call leaves, and
+how a shard's refusal reaches the caller."""
 
 import pytest
 
 from repro.obs import Tracer
-from repro.policy import PolicyConfig, PolicyRefusedError, PolicyService
+from repro.policy import (
+    PolicyConfig,
+    PolicyController,
+    PolicyRefusedError,
+    PolicyRequestError,
+    PolicyService,
+)
 from repro.policy.sharding import ShardedPolicyService, pair_key
 
 URL = "gsiftp://obelix/scratch/a"
@@ -144,3 +151,16 @@ def test_every_counted_call_leaves_one_flat_router_span():
 
     calls = {labels: value for (_n, labels, value) in router._m_requests.samples()}
     assert calls == {f'{{call="{name[len("router."):]}"}}': 1 for name in names}
+
+
+def test_a_shard_refusal_reaches_the_caller_as_a_refusal():
+    """A refusal is a domain error, not an unavailable shard: the router
+    passes it through, and the controller answers it as a bad request."""
+    router = ShardedPolicyService(PolicyConfig(policy="greedy"), num_shards=2)
+    try:
+        with pytest.raises(PolicyRefusedError, match="^access control is not enabled"):
+            router.deny_host("h")
+        with pytest.raises(PolicyRequestError, match="^tenant 'nobody' is not registered"):
+            PolicyController(router).bind_workflow({"workflow": "wf", "tenant": "nobody"})
+    finally:
+        router.close()
