@@ -60,8 +60,10 @@ class ChaosResult:
     router_degraded: int = 0
     #: per-shard health descriptors at end of run (sharded runs only)
     shard_health: list = field(default_factory=list)
-    #: backlog replay failures during shard recovery (sharded runs only)
+    #: owed operations a shard refused on delivery (sharded runs only)
     recovery_errors: list = field(default_factory=list)
+    #: operations still owed to a shard at end of run (sharded runs only)
+    owed: int = 0
     #: decision-provenance records the service(s) held at end of run —
     #: degraded grants appear as synthetic policy-free records
     decisions: list = field(default_factory=list)
@@ -158,6 +160,7 @@ def run_chaos_montage(
         ),
         shard_health=service.shard_health() if fleet else [],
         recovery_errors=list(service.recovery_errors) if fleet else [],
+        owed=sum(len(handle.owed) for handle in service.shards) if fleet else 0,
         decisions=live.decision_records(),
         catalog_census=catalog_census_of(live),
     )

@@ -268,17 +268,29 @@ class MetricsRegistry:
         return self._families.get(name)
 
     # ------------------------------------------------------------------ export
-    def render(self) -> str:
-        """Prometheus text exposition format (families in name order)."""
-        lines: list[str] = []
-        for name in sorted(self._families):
-            family = self._families[name]
-            if family.help:
-                lines.append(f"# HELP {name} {family.help}")
-            lines.append(f"# TYPE {name} {family.kind}")
-            for sample_name, suffix, value in family.samples():
-                lines.append(f"{sample_name}{suffix} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
+    def render(self, labelled: Sequence[tuple[str, "MetricsRegistry"]] = ()) -> str:
+        """Prometheus text exposition format (families in name order).
+
+        Each ``(label, registry)`` of ``labelled`` (``'shard="0"'``) adds
+        that registry's families after this one's, every sample led by
+        ``label``; a family several registries hold renders once, its
+        samples in registry order.
+        """
+        blocks: dict[str, list[str]] = {}
+        for label, registry in (("", self), *labelled):
+            for name in sorted(registry._families):
+                family = registry._families[name]
+                block = blocks.get(name)
+                if block is None:
+                    block = blocks[name] = (
+                        [f"# HELP {name} {family.help}"] if family.help else []
+                    )
+                    block.append(f"# TYPE {name} {family.kind}")
+                for sample_name, suffix, value in family.samples():
+                    if label:
+                        suffix = "{" + label + ("," + suffix[1:] if suffix else "}")
+                    block.append(f"{sample_name}{suffix} {_format_value(value)}")
+        return "\n".join(line for block in blocks.values() for line in block) + "\n"
 
     def to_dict(self) -> dict:
         """JSON-able census: {family: {label-suffix or "": value}}."""

@@ -355,9 +355,6 @@ class PolicyJournal:
             "done": service._done_tids.ids(),
             "failed": service._failed_tids.ids(),
         })
-        # Optional key (read back via .get): snapshots from services
-        # without a decision log stay loadable and vice versa.
-        decisions = getattr(service, "decision_records", None)
         tmp = self.snapshot_path.with_suffix(".json.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
@@ -367,9 +364,8 @@ class PolicyJournal:
                     handle,
                     ({"fid": fid, **fact_to_doc(fact)} for fid, fact in facts),
                 )
-                if decisions is not None:
-                    handle.write(', "decisions": ')
-                    _write_array(handle, decisions())
+                handle.write(', "decisions": ')
+                _write_array(handle, service.decision_records())
                 handle.write("}")
                 handle.flush()
                 if self.fsync:

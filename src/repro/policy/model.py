@@ -66,11 +66,10 @@ class PolicyConfig:
         fact whose lease expires is reaped — marked failed, its stream
         allocations released on both the host-pair and cluster ledgers —
         so a crashed transfer tool can never wedge other workflows.
-        ``None`` (default) disables leasing.
-    lease_sweep_interval:
-        Minimum seconds between automatic lease sweeps piggy-backed on
-        service calls (defaults to ``lease_seconds / 4``).  Explicit
-        :meth:`PolicyService.reap_expired` calls ignore the throttle.
+        ``None`` (default) disables leasing.  Automatic sweeps
+        piggy-back on service calls at most every ``lease_seconds / 4``;
+        explicit :meth:`PolicyService.reap_expired` calls ignore that
+        throttle.
     adaptive / adaptive_settings:
         Enable runtime threshold adaptation from recent transfer
         performance (:mod:`repro.policy.adaptive`); greedy policy only.
@@ -81,14 +80,12 @@ class PolicyConfig:
         eviction rule pack loads, and cleanup advice becomes
         capacity-aware (see ``docs/catalog.md``).  ``None`` (default)
         keeps the paper's original unconditional-cleanup behaviour.
-    decision_log / decision_log_cap:
-        Decision provenance: with ``decision_log`` on (the default) the
-        service records a causal "why" record for every advice it emits
-        (:mod:`repro.policy.provenance`), bounded to the most recent
-        ``decision_log_cap`` decisions, queryable via
-        :meth:`PolicyService.explain`.  Turn it off for benchmark runs
-        that must pay zero provenance overhead.  Neither knob is part of
-        the config fingerprint — provenance observes decisions, it never
+    decision_log_cap:
+        Decision provenance: the service records a causal "why" record
+        for every advice it emits (:mod:`repro.policy.provenance`),
+        bounded to the most recent ``decision_log_cap`` decisions,
+        queryable via :meth:`PolicyService.explain`.  Not part of the
+        config fingerprint — provenance observes decisions, it never
         changes them.
     """
 
@@ -104,8 +101,6 @@ class PolicyConfig:
     access_control: bool = False
     completed_tid_retention: int = 10_000
     lease_seconds: Optional[float] = None
-    lease_sweep_interval: Optional[float] = None
-    decision_log: bool = True
     decision_log_cap: int = 4096
     catalog: Optional[CatalogConfig] = None
 
@@ -129,23 +124,24 @@ class PolicyConfig:
             raise ValueError("completed_tid_retention must be >= 0")
         if self.lease_seconds is not None and self.lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive (or None)")
-        if self.lease_sweep_interval is not None:
-            if self.lease_seconds is None:
-                raise ValueError("lease_sweep_interval requires lease_seconds")
-            if self.lease_sweep_interval < 0:
-                raise ValueError("lease_sweep_interval must be >= 0")
         if self.decision_log_cap < 1:
             raise ValueError("decision_log_cap must be >= 1")
         if self.catalog is not None and not isinstance(self.catalog, CatalogConfig):
             raise ValueError("catalog must be a CatalogConfig (or None)")
 
-    def sweep_interval(self) -> float:
-        """Throttle between automatic lease sweeps (0 when leasing is off)."""
-        if self.lease_seconds is None:
-            return 0.0
-        if self.lease_sweep_interval is not None:
-            return self.lease_sweep_interval
-        return self.lease_seconds / 4.0
+    def fingerprint(self) -> dict:
+        """The advice-relevant settings (what a journal snapshot pins)."""
+        return {
+            "policy": self.policy,
+            "default_streams": self.default_streams,
+            "max_streams": self.max_streams,
+            "order_by": self.order_by,
+            "access_control": self.access_control,
+            "cluster_count": self.cluster_count,
+            "cluster_threshold": self.cluster_threshold,
+            "lease_seconds": self.lease_seconds,
+            "catalog": None if self.catalog is None else self.catalog.fingerprint(),
+        }
 
     def threshold_for(self, src_host: str, dst_host: str) -> int:
         """Stream threshold between a host pair (with per-pair override)."""

@@ -162,8 +162,8 @@ class PolicyService:
         advice census in the args) on the ``policy`` track.
     profiler:
         Optional :class:`~repro.obs.profiler.RuleProfiler` attached to
-        the service's rule session (see
-        :meth:`profile_report`).
+        the service's rule session; its per-rule tallies are exported
+        as ``repro_policy_rule_profile_*`` gauges.
     """
 
     #: the rule session every service is built on; tests set the
@@ -216,12 +216,8 @@ class PolicyService:
         self._rule_session: Session = self.session_class(
             self._rules, memory=self.memory, globals=self.globals, profiler=profiler
         )
-        #: decision-provenance log (None when config.decision_log is off)
-        self.decisions: Optional[DecisionLog] = (
-            DecisionLog(self.config.decision_log_cap)
-            if self.config.decision_log
-            else None
-        )
+        #: decision-provenance log, bounded to ``config.decision_log_cap``
+        self.decisions = DecisionLog(self.config.decision_log_cap)
         #: shard index stamped into decision records (set by the sharding
         #: backend; None on a standalone service)
         self.shard_index: Optional[int] = None
@@ -377,10 +373,6 @@ class PolicyService:
             "rule_firings": int(self._m_firings.value),
         }
 
-    def profile_report(self) -> Optional[str]:
-        """The attached profiler's rule table (None when unprofiled)."""
-        return self.profiler.report() if self.profiler is not None else None
-
     # ------------------------------------------------------------------ counters
     def _next_tid(self) -> int:
         self._tid_last += 1
@@ -406,18 +398,7 @@ class PolicyService:
     def config_fingerprint(self) -> dict:
         """Advice-relevant configuration, stored in snapshots so recovery
         with a different policy is rejected instead of silently diverging."""
-        c = self.config
-        return {
-            "policy": c.policy,
-            "default_streams": c.default_streams,
-            "max_streams": c.max_streams,
-            "order_by": c.order_by,
-            "access_control": c.access_control,
-            "cluster_count": c.cluster_count,
-            "cluster_threshold": c.cluster_threshold,
-            "lease_seconds": c.lease_seconds,
-            "catalog": None if c.catalog is None else c.catalog.fingerprint(),
-        }
+        return self.config.fingerprint()
 
     # ------------------------------------------------------------------ journal
     def attach_journal(self, journal: PolicyJournal) -> None:
@@ -548,13 +529,12 @@ class PolicyService:
             service._done_tids.add(tid)
         for tid in state.failed_tids:
             service._failed_tids.add(tid)
-        if service.decisions is not None:
-            # Replay in original order: the bounded log evicts exactly as
-            # the live one did, so the recovered log is byte-identical.
-            # Must run before attach_journal — the fresh compaction
-            # snapshot it writes includes these records.
-            for record in state.decisions:
-                service.decisions.add(record)
+        # Replay in original order: the bounded log evicts exactly as the
+        # live one did, so the recovered log is byte-identical.  Must run
+        # before attach_journal — the fresh compaction snapshot it writes
+        # includes these records.
+        for record in state.decisions:
+            service.decisions.add(record)
         service.attach_journal(journal)
         return service
 
@@ -619,12 +599,8 @@ class PolicyService:
     ) -> list[TransferAdvice]:
         batch = self._next_batch()
         session = self._session()
-        collector: Optional[FiringCollector] = None
-        before: Optional[dict] = None
-        if self.decisions is not None:
-            collector = FiringCollector()
-            session.firing_listener = collector
-            before = ledger_snapshot(self.memory)
+        collector = session.firing_listener = FiringCollector()
+        before = ledger_snapshot(self.memory)
         lease = (
             None
             if self.config.lease_seconds is None
@@ -730,37 +706,36 @@ class PolicyService:
                 if self.catalog.touch(fact.dst_url, self.clock()):
                     self._m_catalog["hits"].inc()
 
-        if collector is not None:
-            after = ledger_snapshot(self.memory)
-            by_tid = {item.tid: item for item in advice}
-            firings_of, _ = index_firings(collector.firings)
-            for fact in facts:
-                item = by_tid.get(fact.tid)
-                if item is None:  # pragma: no cover - defensive
-                    continue
-                record = transfer_record(
-                    fact,
-                    item,
-                    firings_of.get(fact.tid, []),
-                    before,
-                    after,
-                    batch=batch,
-                    shard=self.shard_index,
-                )
-                if self.catalog is not None:
-                    # Cite catalog hits and replica selection in meta:
-                    # meta is excluded from the digest, so records stay
-                    # digest-comparable whether or not it is enabled.
-                    info: dict = {}
-                    if fact.status == "skip_staged":
-                        hit = self.catalog.replica_at(fact.dst_url)
-                        info["hit"] = hit is not None
-                        info["site"] = None if hit is None else hit.site
-                    if fact.tid in selected_sources:
-                        info["selected"] = selected_sources[fact.tid]
-                    if info:
-                        record["meta"]["catalog"] = info
-                self._record_decision(record)
+        after = ledger_snapshot(self.memory)
+        by_tid = {item.tid: item for item in advice}
+        firings_of, _ = index_firings(collector.firings)
+        for fact in facts:
+            item = by_tid.get(fact.tid)
+            if item is None:  # pragma: no cover - defensive
+                continue
+            record = transfer_record(
+                fact,
+                item,
+                firings_of.get(fact.tid, []),
+                before,
+                after,
+                batch=batch,
+                shard=self.shard_index,
+            )
+            if self.catalog is not None:
+                # Cite catalog hits and replica selection in meta: meta is
+                # excluded from the digest, so records stay
+                # digest-comparable whether or not it is enabled.
+                info: dict = {}
+                if fact.status == "skip_staged":
+                    hit = self.catalog.replica_at(fact.dst_url)
+                    info["hit"] = hit is not None
+                    info["site"] = None if hit is None else hit.site
+                if fact.tid in selected_sources:
+                    info["selected"] = selected_sources[fact.tid]
+                if info:
+                    record["meta"]["catalog"] = info
+            self._record_decision(record)
         self._commit_journal()
         return order_advice(advice, self.config.order_by)
 
@@ -844,28 +819,24 @@ class PolicyService:
         if not self.catalog.over_budget_sites():
             return []
         session = self._session()
-        collector: Optional[FiringCollector] = None
-        if self.decisions is not None:
-            collector = FiringCollector()
-            session.firing_listener = collector
+        collector = session.firing_listener = FiringCollector()
         session.insert(EvictionSweepFact(now))
         self._fire(session)
         evicted = [dict(v) for v in self.globals.pop(EVICTED_GLOBAL, [])]
         if evicted:
             self._m_catalog["evictions"].inc(len(evicted))
-        if collector is not None:
-            for victim in evicted:
-                refs = frozenset((
-                    f"replica:{victim['lfn']}@{victim['url']}",
-                    f"staged:{victim['lfn']}@{victim['url']}",
-                ))
-                self._record_decision(
-                    eviction_record(
-                        victim,
-                        attribute_firings_by_ref(collector.firings, refs),
-                        shard=self.shard_index,
-                    )
+        for victim in evicted:
+            refs = frozenset((
+                f"replica:{victim['lfn']}@{victim['url']}",
+                f"staged:{victim['lfn']}@{victim['url']}",
+            ))
+            self._record_decision(
+                eviction_record(
+                    victim,
+                    attribute_firings_by_ref(collector.firings, refs),
+                    shard=self.shard_index,
                 )
+            )
         return evicted
 
     def _adapt_thresholds(self, completed: list[tuple[str, str, float]]) -> None:
@@ -912,12 +883,8 @@ class PolicyService:
         ) as closing:
             batch = self._next_batch()
             session = self._session()
-            collector: Optional[FiringCollector] = None
-            before: Optional[dict] = None
-            if self.decisions is not None:
-                collector = FiringCollector()
-                session.firing_listener = collector
-                before = ledger_snapshot(self.memory, files)
+            collector = session.firing_listener = FiringCollector()
+            before = ledger_snapshot(self.memory, files)
             lease = (
                 None
                 if self.config.lease_seconds is None
@@ -958,22 +925,21 @@ class PolicyService:
                     )
                     self.memory.retract(fact)
                     self._m_cleanups["skipped"].inc()
-            if collector is not None:
-                after = ledger_snapshot(self.memory, files)
-                by_cid = {item.cid: item for item in advice}
-                _, firings_of = index_firings(collector.firings)
-                for fact in facts:
-                    self._record_decision(
-                        cleanup_record(
-                            fact,
-                            by_cid[fact.cid],
-                            firings_of.get(fact.cid, []),
-                            before,
-                            after,
-                            batch=batch,
-                            shard=self.shard_index,
-                        )
+            after = ledger_snapshot(self.memory, files)
+            by_cid = {item.cid: item for item in advice}
+            _, firings_of = index_firings(collector.firings)
+            for fact in facts:
+                self._record_decision(
+                    cleanup_record(
+                        fact,
+                        by_cid[fact.cid],
+                        firings_of.get(fact.cid, []),
+                        before,
+                        after,
+                        batch=batch,
+                        shard=self.shard_index,
                     )
+                )
             self._commit_journal()
             if self.tracer.enabled:
                 closing.update(
@@ -1019,7 +985,7 @@ class PolicyService:
         now = self.clock()
         if now < self._next_sweep:
             return
-        self._next_sweep = now + self.config.sweep_interval()
+        self._next_sweep = now + self.config.lease_seconds / 4.0
         self._reap(now)
 
     def reap_expired(self, now: Optional[float] = None) -> dict:
@@ -1132,25 +1098,19 @@ class PolicyService:
     def explain(self, tid: int) -> Optional[dict]:
         """The decision-provenance record for a transfer id.
 
-        None when the decision log is disabled, the id was never decided
-        here, or the record aged out of the bounded log.
+        None when the id was never decided here, or the record aged out
+        of the bounded log.
         """
-        if self.decisions is None:
-            return None
         record = self.decisions.transfer(int(tid))
         return dict(record) if record is not None else None
 
     def explain_cleanup(self, cid: int) -> Optional[dict]:
         """The decision-provenance record for a cleanup id (or None)."""
-        if self.decisions is None:
-            return None
         record = self.decisions.cleanup(int(cid))
         return dict(record) if record is not None else None
 
     def decision_records(self) -> list[dict]:
-        """All retained decision records, oldest first (empty when off)."""
-        if self.decisions is None:
-            return []
+        """All retained decision records, oldest first."""
         return [dict(record) for record in self.decisions.records()]
 
     # ------------------------------------------------------------------ catalog
@@ -1433,10 +1393,15 @@ class PolicyService:
             "metrics": self.metrics.to_dict(),
         }
 
-    def metrics_text(self) -> str:
-        """The registry rendered in Prometheus text exposition format."""
+    def refresh_metrics(self) -> None:
+        """Bring the scrape-time gauges up to date: id high-water marks,
+        tenant ledgers and the attached profiler's per-rule tallies."""
         for kind, value in self.counters().items():
             self._m_ids.set(value, kind=kind)
         self._refresh_tenant_metrics()
         self._refresh_profiler_metrics()
+
+    def metrics_text(self) -> str:
+        """The registry rendered in Prometheus text exposition format."""
+        self.refresh_metrics()
         return self.metrics.render()

@@ -26,8 +26,11 @@ Internally the router:
   transfers get policy-free "transfer" advice (mirroring the transfer
   tool's own degraded mode), cleanups get conservative "skip" advice,
   queries answer ``"unknown"``, and admin traffic plus completion
-  reports for that shard are buffered and redelivered — in order —
-  after :meth:`ShardedPolicyService.recover_shard` replays its journal.
+  reports for that shard are queued on its
+  :class:`~repro.policy.sharding.shard.ShardHandle`, which delivers them
+  — in order — before the next call the shard serves, whether a
+  partition healed, a slowdown ended, or
+  :meth:`ShardedPolicyService.recover_shard` replayed its journal.
 
 See ``docs/sharding.md`` for the ownership protocol and the failure
 matrix (including the per-shard budget caveats for workflow quotas and
@@ -186,16 +189,9 @@ class ShardedPolicyService:
         # ---------------- degraded mode ------------------------------------
         #: tid -> (workflow, lfn, dst_url, home shard) for policy-free grants
         self._degraded_tids: OrderedDict[int, Tuple[str, str, str, int]] = OrderedDict()
-        #: per-shard FIFO of (method, args, kwargs) to replay at recovery
-        self._pending_ops: dict[int, list] = {i: [] for i in range(num_shards)}
-        self.recovery_errors: list[str] = []
         #: router-minted synthetic records for degraded advice — the home
         #: shard never saw those ids, so the router is their only witness
-        self._decisions: Optional[DecisionLog] = (
-            DecisionLog(self.config.decision_log_cap)
-            if self.config.decision_log
-            else None
-        )
+        self._decisions = DecisionLog(self.config.decision_log_cap)
 
         # ---------------- router-mirrored lease sweep -----------------------
         self._next_sweep = float("-inf")
@@ -240,7 +236,7 @@ class ShardedPolicyService:
             "1 when the shard is serving, 0 when down/partitioned/open",
             labelnames=("shard",),
         )
-        self._m_pending_ops = m.gauge(
+        self._m_owed = m.gauge(
             "repro_policy_router_pending_ops",
             "Operations buffered for a shard awaiting recovery",
             labelnames=("shard",),
@@ -257,9 +253,7 @@ class ShardedPolicyService:
             shard = str(handle.index)
             self._m_breaker_state.set(handle.breaker.state_code(), shard=shard)
             self._m_shard_up.set(1.0 if handle.healthy() else 0.0, shard=shard)
-            self._m_pending_ops.set(
-                float(len(self._pending_ops[handle.index])), shard=shard
-            )
+            self._m_owed.set(float(len(handle.owed)), shard=shard)
             for edge, count in handle.breaker.snapshot()["transitions"].items():
                 key = (shard, edge)
                 seen = self._breaker_exported.get(key, 0)
@@ -326,7 +320,7 @@ class ShardedPolicyService:
         now = self.clock()
         if now < self._next_sweep:
             return
-        self._next_sweep = now + self.config.sweep_interval()
+        self._next_sweep = now + self.config.lease_seconds / 4.0
         self._broadcast_reap(now)
 
     def _broadcast_reap(self, now: float) -> dict:
@@ -350,14 +344,16 @@ class ShardedPolicyService:
         return self._broadcast_reap(float(now))
 
     # ------------------------------------------------------------------ dispatch
-    def _dispatch(self, name: str, calls: dict) -> list:
+    def _dispatch(self, name: str, calls: dict, owed: Optional[str] = None) -> list:
         """Run ``name`` with ``{shard: (args, kwargs)}``, serially in shard
         order; return ``[(shard, result), ...]``.
 
         A :class:`ShardUnavailableError` becomes a ``None`` result (the
-        caller degrades that sub-batch).  Any other exception is raised
-        once every shard in ``calls`` has been called (the first one, in
-        shard order).
+        caller degrades that sub-batch) — unless the call is a report the
+        shard is owed: then ``owed`` names its degraded kind, the call is
+        queued on the shard's handle and the shard is left out of the
+        results.  Any other exception is raised once every shard in
+        ``calls`` has been called (the first one, in shard order).
         """
 
         results: list = []
@@ -368,7 +364,10 @@ class ShardedPolicyService:
             try:
                 result = self.shards[shard].call(name, *args, **kwargs)
             except ShardUnavailableError:
-                pass
+                if owed is not None:
+                    self.shards[shard].owe(name, *args, **kwargs)
+                    self._m_degraded.inc(kind=owed)
+                    continue
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 if error is None:
                     error = exc
@@ -400,6 +399,11 @@ class ShardedPolicyService:
         if shard is None:
             shard = self.ring.node_for(url_key(url))
         return shard
+
+    def _own(self, lfn: str, url: str, shard: int) -> None:
+        """Record ``shard`` as the home of file ``(lfn, url)``."""
+        self._owner[(lfn, url)] = shard
+        self._url_owner.setdefault(url, shard)
 
     # ------------------------------------------------------------------ transfers
     def submit_transfers(
@@ -458,8 +462,7 @@ class ShardedPolicyService:
                     merged[item.tid] = item
                     evaluated[item.tid] = shard
                 for _, spec in entries:
-                    self._owner[(spec["lfn"], spec["dst_url"])] = shard
-                    self._url_owner.setdefault(spec["dst_url"], shard)
+                    self._own(spec["lfn"], spec["dst_url"], shard)
 
             # Canonical group numbering: walk in tid (= submission) order
             # and mint/reuse pair group ids exactly where the single
@@ -499,11 +502,10 @@ class ShardedPolicyService:
             tid,
             (workflow, spec["lfn"], spec["dst_url"], shard_idx),
         )
-        if self._decisions is not None:
-            self._decisions.add(degraded_record(
-                tid, workflow, spec["lfn"], spec["dst_url"], shard=shard_idx,
-                reason=f"shard {shard_idx} unavailable; policy-free advice",
-            ))
+        self._decisions.add(degraded_record(
+            tid, workflow, spec["lfn"], spec["dst_url"], shard=shard_idx,
+            reason=f"shard {shard_idx} unavailable; policy-free advice",
+        ))
         return TransferAdvice(
             tid=tid,
             lfn=spec["lfn"],
@@ -530,12 +532,15 @@ class ShardedPolicyService:
                     entry = self._degraded_tids.pop(tid, None)
                     if entry is not None:
                         if slot == 0:
-                            # The home shard never saw this grant; once it
-                            # is back, reconcile the staged file so
-                            # dedup/refcounts catch up.
+                            # The home shard never saw this grant: reconcile
+                            # the staged file there (now, or once the shard
+                            # can serve) so dedup/refcounts catch up.
                             wf, lfn, dst_url, shard = entry
-                            self._pending_ops[shard].append(
-                                ("reconcile_staged", (wf, [(lfn, dst_url)]), {})
+                            self._own(lfn, dst_url, shard)
+                            self._dispatch(
+                                "reconcile_staged",
+                                {shard: ((wf, [(lfn, dst_url)]), {})},
+                                owed="reconciles",
                             )
                         acknowledged += 1
                         continue
@@ -551,13 +556,9 @@ class ShardedPolicyService:
             # With no shard to ask (empty or unknown ids) a catalog-enabled
             # fleet still answers like the single service: no victims.
             catalog_answered = not calls and self.config.catalog is not None
-            for shard, result in self._dispatch("complete_transfers", calls):
-                if result is None:
-                    # Buffer the report; redelivered after journal replay so
-                    # the recovered shard frees the same streams/resources.
-                    self._pending_ops[shard].append(("complete_transfers", *calls[shard]))
-                    self._m_degraded.inc(kind="completions")
-                    continue
+            # A report the shard cannot take now is owed to it: it frees the
+            # same streams/resources once the shard serves again.
+            for _, result in self._dispatch("complete_transfers", calls, owed="completions"):
                 acknowledged += result.get("acknowledged", 0)
                 if "evicted" in result:
                     catalog_answered = True
@@ -634,10 +635,9 @@ class ShardedPolicyService:
         """A conservative ``skip`` and its policy-free record: no shard
         could prove that deleting ``url`` is safe."""
         self._m_degraded.inc(kind="cleanups")
-        if self._decisions is not None:
-            self._decisions.add(degraded_cleanup_record(
-                cid, workflow, lfn, url, shard=shard, reason=reason,
-            ))
+        self._decisions.add(degraded_cleanup_record(
+            cid, workflow, lfn, url, shard=shard, reason=reason,
+        ))
         return CleanupAdvice(cid=cid, lfn=lfn, url=url, action="skip", reason=reason)
 
     def complete_cleanups(self, ids: Iterable[int]) -> dict:
@@ -657,11 +657,7 @@ class ShardedPolicyService:
             }
             acknowledged = 0
             cleaned_urls: set[str] = set()
-            for shard, result in self._dispatch("complete_cleanups", calls):
-                if result is None:
-                    self._pending_ops[shard].append(("complete_cleanups", *calls[shard]))
-                    self._m_degraded.inc(kind="completions")
-                    continue
+            for shard, result in self._dispatch("complete_cleanups", calls, owed="completions"):
                 acknowledged += result.get("acknowledged", 0)
                 for cid, url in per_shard[shard]:
                     cleaned_urls.add(url)
@@ -714,8 +710,7 @@ class ShardedPolicyService:
         numbering (and the digest recomputed), so the answer is
         byte-identical to an unsharded service's.  Degraded grants answer
         with the router's synthetic policy-free record.  ``None`` when
-        the tid is unknown, the shard is unavailable, or the decision
-        log is disabled.
+        the tid is unknown or aged out, or the shard is unavailable.
         """
 
         self._maybe_reap()
@@ -730,10 +725,9 @@ class ShardedPolicyService:
             return self._explain("explain_cleanup", "cleanup", int(cid), self._cids)
 
     def _explain(self, op: str, kind: str, ident: int, homes: OrderedDict) -> Optional[dict]:
-        if self._decisions is not None:
-            synthetic = getattr(self._decisions, kind)(ident)
-            if synthetic is not None:
-                return dict(synthetic)
+        synthetic = getattr(self._decisions, kind)(ident)
+        if synthetic is not None:
+            return dict(synthetic)
         home = homes.get(ident)
         if home is None:
             return None
@@ -757,8 +751,7 @@ class ShardedPolicyService:
             records: list[dict] = []
             for part in self._gather("decision_records"):
                 records.extend(self._canonical_record(r) for r in part)
-            if self._decisions is not None:
-                records.extend(dict(r) for r in self._decisions.records())
+            records.extend(dict(r) for r in self._decisions.records())
             transfers = [r for r in records if r.get("kind") == "transfer"]
             cleanups = [r for r in records if r.get("kind") != "transfer"]
             transfers.sort(key=lambda r: r["tid"])
@@ -784,27 +777,23 @@ class ShardedPolicyService:
                 # (lfn, url) or (lfn, url, nbytes): byte counts ride along
                 # to the owning shard so its staged-data catalog can size
                 # the adopted replica.  Ownership is keyed on (lfn, url).
+                # The file's home is where its reconcile goes, delivered
+                # now or owed.
                 shard = self._url_home(lfn, url, {})
+                self._own(lfn, url, shard)
                 per_shard.setdefault(shard, []).append((lfn, url, *rest))
             calls = {
                 shard: ((workflow, entries), {}) for shard, entries in per_shard.items()
             }
             registered = joined = 0
-            for shard, result in self._dispatch("reconcile_staged", calls):
-                if result is None:
-                    self._pending_ops[shard].append(("reconcile_staged", *calls[shard]))
-                    self._m_degraded.inc(kind="reconciles")
-                    continue
+            for _, result in self._dispatch("reconcile_staged", calls, owed="reconciles"):
                 registered += result.get("registered", 0)
                 joined += result.get("joined", 0)
-                for lfn, url, *_ in per_shard[shard]:
-                    self._owner[(lfn, url)] = shard
-                    self._url_owner.setdefault(url, shard)
             return {"registered": registered, "joined": joined}
 
     # ------------------------------------------------------------------ admin
     def _broadcast(self, name: str, *args, **kwargs) -> list:
-        """Apply an admin mutation on every shard; buffer for dead ones.
+        """Apply an admin mutation on every shard; owe it to unavailable ones.
 
         Returns the live shards' results in shard order.  Domain errors
         (not availability) propagate from the first shard that raises
@@ -819,7 +808,7 @@ class ShardedPolicyService:
                 try:
                     results.append(handle.call(name, *args, **kwargs))
                 except ShardUnavailableError:
-                    self._pending_ops[handle.index].append((name, args, kwargs))
+                    handle.owe(name, *args, **kwargs)
             return results
 
     def tenants(self) -> list[dict]:
@@ -875,7 +864,7 @@ class ShardedPolicyService:
             return replicas
 
     def set_site_capacity(self, site: str, capacity_bytes=None) -> dict:
-        """Set one site's byte budget on every shard (buffered for dead
+        """Set one site's byte budget on every shard (owed to unavailable
         ones); the returned ``used_bytes`` sums live shards."""
 
         results = self._broadcast("set_site_capacity", site, capacity_bytes)
@@ -975,40 +964,30 @@ class ShardedPolicyService:
         self._refresh_health_metrics()
 
     def recover_shard(self, index: int) -> dict:
-        """Replay shard ``index`` from its journal and redeliver backlog.
+        """Replay shard ``index`` from its journal and deliver what it is owed.
 
-        The buffered operations (admin mutations, completion reports,
-        degraded-grant reconciles) are replayed in their original
-        arrival order, so the recovered shard converges to the state it
-        would have reached without the outage.  A shard a partition or
-        slowdown still cuts off keeps the rest of its backlog, in order.
+        The owed operations (admin mutations, completion reports,
+        degraded-grant reconciles) are applied in their original arrival
+        order, so the recovered shard converges to the state it would
+        have reached without the outage.  A shard a partition still cuts
+        off keeps them until the next call it serves.
         """
 
         handle = self.shards[index]
-        handle.recover()
+        replayed = handle.recover()
         self._m_recoveries.inc(shard=str(index))
-        backlog = self._pending_ops[index]
-        self._pending_ops[index] = []
-        replayed = 0
-        for position, (name, args, kwargs) in enumerate(backlog):
-            try:
-                handle.call(name, *args, **kwargs)
-                replayed += 1
-            except ShardUnavailableError:
-                self._pending_ops[index] = backlog[position:]
-                break
-            except Exception as exc:  # noqa: BLE001 - chaos bookkeeping
-                self.recovery_errors.append(f"shard {index} {name}: {exc!r}")
         self._refresh_health_metrics()
         if self.tracer.enabled:
             self.tracer.instant(
                 "policy", "router.shard_recovered", track="policy-router",
                 shard=index, replayed=replayed,
             )
-        return {
-            "shard": index, "replayed": replayed,
-            "pending": len(self._pending_ops[index]),
-        }
+        return {"shard": index, "replayed": replayed, "pending": len(handle.owed)}
+
+    @property
+    def recovery_errors(self) -> list[str]:
+        """Owed operations a shard refused when they were delivered."""
+        return [error for handle in self.shards for error in handle.errors]
 
     # ------------------------------------------------------------------ status
     @property
@@ -1026,12 +1005,7 @@ class ShardedPolicyService:
         return totals
 
     def config_fingerprint(self) -> dict:
-        for handle in self.shards:
-            try:
-                return handle.call("config_fingerprint")
-            except ShardUnavailableError:
-                continue
-        raise ShardUnavailableError("no shard available for config_fingerprint")
+        return self.config.fingerprint()
 
     def shard_health(self) -> list[dict]:
         return [handle.describe() for handle in self.shards]
@@ -1055,68 +1029,25 @@ class ShardedPolicyService:
             "stats": dict(self.stats),
             "counters": self.counters(),
             "pending_ops": {
-                str(index): len(ops)
-                for index, ops in self._pending_ops.items()
-                if ops
+                str(handle.index): len(handle.owed)
+                for handle in self.shards
+                if handle.owed
             },
             "metrics": self.metrics.to_dict(),
         }
 
     # ------------------------------------------------------------------ metrics text
     def metrics_text(self) -> str:
-        """Router registry + every shard's registry with a shard label.
-
-        Per-shard families are merged so each family renders once with
-        samples from all shards, each sample tagged ``shard="i"``.
-        """
+        """Router registry + every live shard's registry, each shard's
+        samples led by a ``shard="i"`` label (a family renders once)."""
 
         self._refresh_health_metrics()
-        families: "OrderedDict[str, dict]" = OrderedDict()
-
-        def absorb(text: str, shard: Optional[int]) -> None:
-            current = None
-            for line in text.splitlines():
-                if line.startswith("# HELP "):
-                    name = line.split(" ", 3)[2]
-                    current = families.setdefault(
-                        name, {"help": line, "type": None, "samples": []}
-                    )
-                    current["help"] = current["help"] or line
-                elif line.startswith("# TYPE "):
-                    name = line.split(" ", 3)[2]
-                    current = families.setdefault(
-                        name, {"help": None, "type": line, "samples": []}
-                    )
-                    if current["type"] is None:
-                        current["type"] = line
-                elif line.strip():
-                    if current is None:
-                        continue
-                    current["samples"].append(
-                        line if shard is None else _inject_label(line, shard)
-                    )
-
-        absorb(self.metrics.render(), None)
-        for handle in self.shards:
-            if handle.service is not None:
-                absorb(handle.service.metrics_text(), handle.index)
-
-        lines: list[str] = []
-        for family in families.values():
-            if family["help"]:
-                lines.append(family["help"])
-            if family["type"]:
-                lines.append(family["type"])
-            lines.extend(family["samples"])
-        return "\n".join(lines) + "\n"
-
-    def profile_report(self) -> Optional[str]:
-        for handle in self.shards:
-            if handle.service is not None:
-                report = handle.service.profile_report()
-                if report:
-                    return report
-        return None
+        live = [(h.index, h.service) for h in self.shards if h.service is not None]
+        for _, service in live:
+            service.refresh_metrics()
+        return self.metrics.render(
+            [(f'shard="{index}"', service.metrics) for index, service in live]
+        )
 
     def close(self) -> None:
         for handle in self.shards:
@@ -1132,21 +1063,10 @@ def _broadcast_method(route: Route):
 
     method.__name__ = route.op
     method.__qualname__ = f"ShardedPolicyService.{route.op}"
-    method.__doc__ = f"``PolicyService.{route.op}`` on every shard (buffered for dead ones)."
+    method.__doc__ = f"``PolicyService.{route.op}`` on every shard (owed to unavailable ones)."
     return method
 
 
 for _route in ROUTES:
     if _route.broadcast:
         setattr(ShardedPolicyService, _route.op, _broadcast_method(_route))
-
-
-def _inject_label(sample_line: str, shard: int) -> str:
-    """Tag a rendered Prometheus sample line with ``shard="i"``."""
-
-    label = f'shard="{shard}"'
-    if "{" in sample_line:
-        name, rest = sample_line.split("{", 1)
-        return f"{name}{{{label},{rest}"
-    name, _, value = sample_line.partition(" ")
-    return f"{name}{{{label}}} {value}"

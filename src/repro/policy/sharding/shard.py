@@ -3,10 +3,16 @@
 A shard is a full :class:`~repro.policy.service.PolicyService` owning a
 slice of the keyspace.  :class:`ShardHandle` is the router's view of it:
 it keeps the recipe that builds the service, and it folds liveness
-(``up``), reachability (``partitioned``), fault-injected timeouts
-(``timeout_rate``), and a per-shard
+(``service is not None``), reachability (``partitioned``),
+fault-injected timeouts (``timeout_rate``), and a per-shard
 :class:`~repro.policy.client.CircuitBreaker` into every call, raising
 :class:`ShardUnavailableError` when the shard cannot serve.
+
+A handle also owns what its shard is owed: every completion, reconcile
+or admin operation the shard could not serve waits in ``owed``, in
+arrival order, and is delivered before the next call the shard serves
+(under that call's admission) or by :meth:`ShardHandle.recover` — so a
+healed partition or slowdown delivers it exactly like a replayed crash.
 
 Each shard keeps its own journal directory, so one shard can crash,
 lose its working memory, and be replayed from its WAL/snapshot without
@@ -61,7 +67,8 @@ _VIEWS: dict[str, Callable[..., Any]] = {
 
 
 class ShardHandle:
-    """One shard: its service, the recipe that rebuilds it, its health.
+    """One shard: its service, the recipe that rebuilds it, its health,
+    and the operations it is owed.
 
     ``service`` is None while the shard is crashed.  With a journal
     directory, :meth:`recover` replays the WAL/snapshot; without one,
@@ -90,13 +97,16 @@ class ShardHandle:
             snapshot_interval=snapshot_interval, fsync=fsync
         )
         self.breaker = breaker
-        self.up = True
         #: router partition: shard is unreachable but its memory is intact
         self.partitioned = False
         #: ShardSlowdown: fraction of calls that time out (0.0 = healthy)
         self.timeout_rate = 0.0
         self.crashes = 0
         self.recoveries = 0
+        #: (name, args, kwargs) the shard could not serve, in arrival order
+        self.owed: list[tuple[str, tuple, dict]] = []
+        #: owed operations the shard refused when they were delivered
+        self.errors: list[str] = []
         self._rng = random.Random(0xC0FFEE + index)
         self.service: Optional[PolicyService] = None
         journal = None
@@ -118,13 +128,14 @@ class ShardHandle:
         Raises :class:`ShardUnavailableError` when the shard cannot
         serve; domain errors (e.g. ``RuntimeError`` from binding an
         unknown tenant) propagate unchanged and do not trip the breaker.
+        An admitted call first delivers what the shard is owed.
         """
 
         if not self.breaker.allow():
             raise ShardUnavailableError(
                 f"shard {self.index} circuit breaker is open"
             )
-        if not self.up:
+        if self.service is None:
             self.breaker.record_failure()
             raise ShardUnavailableError(f"shard {self.index} is down")
         if self.partitioned:
@@ -133,21 +144,43 @@ class ShardHandle:
         if self.timeout_rate > 0.0 and self._rng.random() < self.timeout_rate:
             self.breaker.record_failure()
             raise ShardUnavailableError(f"shard {self.index} timed out")
-        view = _VIEWS.get(name)
-        if view is not None:
-            result = view(self.service, *args, **kwargs)
-        else:
-            result = getattr(self.service, name)
-            if callable(result):
-                result = result(*args, **kwargs)
+        if self.owed:
+            self._deliver()
+        result = self._invoke(name, args, kwargs)
         self.breaker.record_success()
         return result
+
+    def _invoke(self, name: str, args: tuple, kwargs: dict):
+        view = _VIEWS.get(name)
+        if view is not None:
+            return view(self.service, *args, **kwargs)
+        result = getattr(self.service, name)
+        return result(*args, **kwargs) if callable(result) else result
+
+    def owe(self, name: str, *args, **kwargs) -> None:
+        """Queue an operation the shard could not serve for delivery."""
+
+        self.owed.append((name, args, kwargs))
+
+    def _deliver(self) -> int:
+        """Apply every owed operation in arrival order; return how many
+        the shard accepted (a refusal is kept in ``errors``)."""
+
+        owed, self.owed = self.owed, []
+        accepted = 0
+        for name, args, kwargs in owed:
+            try:
+                self._invoke(name, args, kwargs)
+                accepted += 1
+            except Exception as exc:  # noqa: BLE001 - chaos bookkeeping
+                self.errors.append(f"shard {self.index} {name}: {exc!r}")
+        return accepted
 
     def healthy(self) -> bool:
         """True when a call would not fail for availability reasons."""
 
         return (
-            self.up
+            self.service is not None
             and not self.partitioned
             and self.breaker.state != "open"
         )
@@ -156,16 +189,17 @@ class ShardHandle:
     def crash(self) -> None:
         """Kill the shard: memory lost, journal intact, calls fail."""
 
-        self.up = False
         self.crashes += 1
         self.close()
         self.service = None
 
-    def recover(self) -> None:
-        """Rebuild the service and mark it serving again.
+    def recover(self) -> int:
+        """Rebuild the service, mark it serving again and deliver what it
+        is owed unless a partition still cuts it off; return how many owed
+        operations it accepted.
 
         Recovery replays the journal when the shard has one, else starts
-        empty.  It owns ``up``, the service and the breaker only: an open
+        empty.  It owns the service and the breaker only: an open
         partition or slowdown stays open until its own window ends.
         """
 
@@ -176,9 +210,9 @@ class ShardHandle:
         else:
             service = PolicyService(**self._service_kwargs)
         self._serve(service)
-        self.up = True
         self.recoveries += 1
         self.breaker.record_success()
+        return 0 if self.partitioned else self._deliver()
 
     def close(self) -> None:
         if self.service is not None and self.service.journal is not None:
@@ -188,7 +222,7 @@ class ShardHandle:
     def describe(self) -> dict:
         return {
             "shard": self.index,
-            "up": self.up,
+            "up": self.service is not None,
             "partitioned": self.partitioned,
             "timeout_rate": self.timeout_rate,
             "healthy": self.healthy(),

@@ -23,7 +23,7 @@ from repro.experiments.runner import (
     run_workflow,
 )
 from repro.experiments.tracing import run_traced_cell, run_traced_chaos
-from repro.policy import PolicyService, ShardedPolicyService
+from repro.policy import PolicyConfig, PolicyService, ShardedPolicyService
 from repro.policy.model import CleanupFact, HostPairFact, TransferFact
 
 SMALL = ExperimentConfig(extra_file_mb=5.0, n_images=6, seed=2)
@@ -103,6 +103,11 @@ def test_removed_service_knobs_are_type_errors(tmp_path):
                   lambda **kw: PolicyService.recover(tmp_path, **kw)):
         with pytest.raises(TypeError):
             build(extra_rules=())
+    # Provenance is always on, and the lease sweep throttle is always
+    # ``lease_seconds / 4``: neither is a config switch any more.
+    for knob in ({"decision_log": False}, {"lease_sweep_interval": 1.0}):
+        with pytest.raises(TypeError):
+            PolicyConfig(lease_seconds=60.0, **knob)
 
 
 def test_there_is_one_shard_backend():

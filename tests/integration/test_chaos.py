@@ -14,7 +14,9 @@ only difference).
 
 import pytest
 
-from repro.des.faults import FaultPlan, GridFTPStorm, RpcDropWindow, ShardCrash
+from repro.des.faults import (
+    FaultPlan, GridFTPStorm, RouterPartition, RpcDropWindow, ShardCrash, ShardSlowdown,
+)
 from repro.experiments.chaos import compare_with_faultless, run_chaos_montage
 from repro.experiments.runner import ExperimentConfig
 
@@ -153,6 +155,30 @@ def test_service_outage_composes_with_shard_crash(tmp_path):
     assert any("shard 0 crashed" in e for e in events), events
     assert any("replayed from journal" in e for e in events), events
     assert len(chaotic.shard_health) == 2
+
+
+#: shard faults that end on their own, with no crash and no journal replay
+HEALS = {
+    "partition": FaultPlan(partitions=(RouterPartition(at=10.0, duration=30.0, shard=0),)),
+    "slowdown": FaultPlan(shard_slowdowns=(
+        ShardSlowdown(at=40.0, duration=30.0, shard=0, timeout_rate=0.5),
+    )),
+}
+
+
+@pytest.mark.parametrize("heal", sorted(HEALS))
+def test_a_healed_shard_fault_reaps_no_finished_transfer(heal, tmp_path):
+    """What shard 0 was owed while cut off lands when the fault heals, so
+    the final lease sweep reaps nothing: no finished transfer is failed."""
+    outcome = compare_with_faultless(
+        chaos_config(shards=2, journal_root=tmp_path / "journal"), HEALS[heal]
+    )
+    chaotic = outcome["chaotic"]
+    assert outcome["both_succeeded"] and outcome["staged_sets_equal"]
+    assert chaotic.leaked_in_progress == 0
+    assert chaotic.reaped == {"transfers": [], "cleanups": []}
+    assert chaotic.owed == 0 and chaotic.recovery_errors == []
+    assert len(chaotic.fault_log) == 2
 
 
 def test_faultless_side_runs_unsharded_and_unjournaled(tmp_path):

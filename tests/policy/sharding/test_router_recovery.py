@@ -94,14 +94,14 @@ def test_buffered_completions_replay_at_recovery(tmp_path):
         tid = granted[0].tid
         router.crash_shard(victim)
 
-        # Completion while the shard is down is buffered, not lost.
+        # Completion while the shard is down is owed to it, not lost.
         ack = router.complete_transfers(done=[tid])
         assert ack["acknowledged"] >= 1 or ack  # ack shape is service's own
-        assert router._pending_ops[victim]
+        assert router.shards[victim].owed
 
         result = router.recover_shard(victim)
         assert result["replayed"] >= 1
-        assert not router._pending_ops[victim]
+        assert not router.shards[victim].owed
         assert not router.recovery_errors
         assert router.staging_state(
             "f1", _spec("f1", site=site_dead)["dst_url"]) == "staged"
@@ -182,7 +182,8 @@ def test_a_shard_crash_inside_a_partition_window(tmp_path):
     handle = router.shards[0]
     try:
         env.run(until=100)
-        assert handle.up and handle.recoveries == 1 and not handle.healthy()
+        assert handle.service is not None and handle.recoveries == 1
+        assert not handle.healthy()
         with pytest.raises(ShardUnavailableError, match="partitioned"):
             handle.call("memory_len")
         env.run(until=141)
@@ -206,6 +207,96 @@ def test_a_recovery_the_partition_still_cuts_off_keeps_its_backlog():
         router.crash_shard(victim)
         assert router.recover_shard(victim) == {"shard": victim, "replayed": 1, "pending": 0}
         assert router.recovery_errors == []
+    finally:
+        router.close()
+
+
+def _one_file(service, site, cut_off=lambda: None, heal=lambda: None):
+    """wf1 stages one file; its completion and unregister arrive between
+    ``cut_off`` and ``heal``.  Returns what the service then answers: the
+    transfer's state, the file's state and a second workflow's advice."""
+    spec = _spec("f", site=site)
+    tid = service.submit_transfers("wf1", "j1", [spec])[0].tid
+    cut_off()
+    service.complete_transfers(done=[tid])
+    service.unregister_workflow("wf1", retain_staged=True)
+    heal()
+    return (
+        service.transfer_state(tid),
+        service.staging_state("f", spec["dst_url"]),
+        service.submit_transfers("wf2", "j2", [spec])[0].action,
+    )
+
+
+def test_reports_owed_during_a_partition_land_when_it_heals():
+    """No crash, no replay: the heal alone delivers what the shard missed."""
+    assert _one_file(make_single(), "site0") == ("done", "staged", "skip")
+    router = make_router(2)
+    try:
+        site, _ = _two_sites_on_distinct_shards(router)
+        victim = _shard_of(router, site)
+        assert _one_file(
+            router, site,
+            cut_off=lambda: router.partition_shard(victim),
+            heal=lambda: router.partition_shard(victim, False),
+        ) == ("done", "staged", "skip")
+        assert not router.shards[victim].owed and router.recovery_errors == []
+    finally:
+        router.close()
+
+
+def test_reports_owed_during_a_slowdown_land_when_it_ends():
+    """The slowdown opens the breaker; its probe delivers the owed reports."""
+    now = [0.0]
+    router = make_router(2, clock=lambda: now[0])
+    try:
+        site, _ = _two_sites_on_distinct_shards(router)
+        victim = _shard_of(router, site)
+
+        def heal():
+            router.slow_shard(victim, 0.0)
+            now[0] = 60.0  # the breaker's reset timeout
+
+        assert _one_file(
+            router, site, cut_off=lambda: router.slow_shard(victim, 1.0), heal=heal,
+        ) == ("done", "staged", "skip")
+        assert not router.shards[victim].owed and router.recovery_errors == []
+    finally:
+        router.close()
+
+
+def test_a_degraded_grant_completed_after_recovery_is_reconciled():
+    router = make_router(2)
+    try:
+        site, _ = _two_sites_on_distinct_shards(router)
+        victim = _shard_of(router, site)
+        spec = _spec("f", site=site)
+        router.crash_shard(victim)
+        granted = router.submit_transfers("wf1", "j1", [spec])[0]
+        assert granted.group_id == 0
+        router.recover_shard(victim)
+        router.complete_transfers(done=[granted.tid])
+        assert router.staging_state("f", spec["dst_url"]) == "staged"
+        assert router.submit_transfers("wf2", "j2", [spec])[0].action == "skip"
+    finally:
+        router.close()
+
+
+def test_a_degraded_grants_file_joins_the_ownership_directory():
+    """Once its reconcile is owed, the file is homed on the grant's shard:
+    the same file from a second source pair is forwarded there, not
+    re-staged on the pair's own shard."""
+    router = make_router(2)
+    try:
+        site_dead, site_live = _two_sites_on_distinct_shards(router)
+        victim = _shard_of(router, site_dead)
+        router.crash_shard(victim)
+        granted = router.submit_transfers("wf1", "j1", [_spec("f", site=site_dead)])[0]
+        router.complete_transfers(done=[granted.tid])
+        assert router._owner[("f", _spec("f")["dst_url"])] == victim
+        router.recover_shard(victim)
+        again = router.submit_transfers("wf2", "j2", [_spec("f", site=site_live)])
+        assert again[0].action == "skip"
     finally:
         router.close()
 

@@ -23,14 +23,13 @@ class FakeClock:
         return self.now
 
 
-def leased_service(policy="greedy", lease=60.0, sweep=None, **kw):
+def leased_service(policy="greedy", lease=60.0, **kw):
     clock = FakeClock()
     config = PolicyConfig(
         policy=policy,
         default_streams=4,
         max_streams=8,
         lease_seconds=lease,
-        lease_sweep_interval=sweep,
         **kw,
     )
     return PolicyService(config, clock=clock), clock
@@ -138,7 +137,7 @@ def test_unexpired_leases_survive_a_sweep():
 
 
 def test_sweep_piggybacks_on_service_calls():
-    service, clock = leased_service(sweep=0.0)  # sweep on every call
+    service, clock = leased_service()  # sweeps at most every 60 / 4 = 15 s
     advice = service.submit_transfers("wf1", "j1", [spec("a")])
     clock.now = 61.0
     # An ordinary query triggers the reap — no explicit reap_expired call.
@@ -147,12 +146,14 @@ def test_sweep_piggybacks_on_service_calls():
 
 
 def test_sweep_throttle_limits_reap_frequency():
-    service, clock = leased_service(sweep=100.0)
+    service, clock = leased_service()  # lease 60 s: deadline t=60, throttle 15 s
     service.submit_transfers("wf1", "j1", [spec("a")])
-    clock.now = 61.0  # lease expired, but the throttle window is 100s
-    service.staging_state("zzz", "gsiftp://nowhere/zzz")  # sweep at t=0 armed throttle
+    clock.now = 50.0
+    service.staging_state("zzz", "gsiftp://nowhere/zzz")  # sweeps, arms t=65
+    clock.now = 61.0  # lease expired, but inside the throttle window
+    service.staging_state("zzz", "gsiftp://nowhere/zzz")
     assert service.stats["transfers_reaped"] == 0
-    clock.now = 161.0
+    clock.now = 65.0
     service.staging_state("zzz", "gsiftp://nowhere/zzz")
     assert service.stats["transfers_reaped"] == 1
 

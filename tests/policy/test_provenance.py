@@ -96,14 +96,6 @@ def test_unknown_ids_return_none():
     assert service.explain_cleanup(999) is None
 
 
-def test_decision_log_off_disables_explain():
-    service = make_service(decision_log=False)
-    drive(service)
-    assert service.explain(1) is None
-    assert service.explain_cleanup(1) is None
-    assert service.decision_records() == []
-
-
 def test_decision_records_oldest_first():
     service = make_service()
     drive(service)
