@@ -23,10 +23,9 @@ Consumers come from :attr:`~repro.planner.executable.ExecutableJob.input_files`
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.analysis.findings import Report, Severity
 from repro.planner.executable import ExecutableWorkflow, JobKind
+from repro.workflow.graph import reachable
 
 __all__ = ["lint_plan"]
 
@@ -57,21 +56,14 @@ def _file_flows(plan: ExecutableWorkflow):
 def lint_plan(plan: ExecutableWorkflow) -> Report:
     """Run every plan check over an executable workflow."""
     report = Report(f"plan:{plan.name}")
-    graph = plan.graph()
-
-    if not nx.is_directed_acyclic_graph(graph):
-        cycle = nx.find_cycle(graph)
-        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
-        report.add(
-            "P001",
-            Severity.ERROR,
-            cycle[0][0],
-            f"plan dependency cycle: {path}",
-            cycle=[edge[0] for edge in cycle],
-        )
+    cycle = plan.find_cycle()
+    if cycle:
+        path = " -> ".join([*cycle, cycle[0]])
+        report.add("P001", Severity.ERROR, cycle[0], f"plan dependency cycle: {path}", cycle=cycle)
         return report  # ancestor-based checks are meaningless on a cycle
 
     producers, consumers, cleanups = _file_flows(plan)
+    parents = plan.adjacency()[1]
 
     # P002: stage-ins whose files feed no compute job.
     for job in plan.by_kind(JobKind.STAGE_IN):
@@ -97,7 +89,7 @@ def lint_plan(plan: ExecutableWorkflow) -> Report:
     for lfn, cleanup_ids in sorted(cleanups.items()):
         users = consumers.get(lfn, set())
         for cleanup_id in sorted(cleanup_ids):
-            ancestors = nx.ancestors(graph, cleanup_id)
+            ancestors = reachable(parents, cleanup_id)
             early = sorted(u for u in users if u not in ancestors)
             if early:
                 report.add(

@@ -52,8 +52,6 @@ import itertools
 import random
 from typing import Callable, Iterable, Optional, Sequence, Type
 
-import networkx as nx
-
 from repro.analysis.findings import Report, Severity, location_of
 from repro.analysis.probing import (
     FactFactory,
@@ -75,6 +73,7 @@ from repro.rules.compiler import PLAN_JOIN, compile_rules
 from repro.rules.engine import Rule, RuleEngineError, Session
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test, _TypedElement
+from repro.workflow.graph import reachable
 
 __all__ = [
     "lint_rules", "lint_rule_set", "shipped_configs", "shipped_rule_sets", "SERVICE_ENTRY_TYPES",
@@ -416,20 +415,16 @@ def _check_reachability(
 
 
 def _check_dependency_cycles(summaries: Sequence[RuleIO], report: Report) -> None:
-    graph = nx.DiGraph()
-    writes: dict[str, set[Type[Fact]]] = {}
-    reads: dict[str, set[Type[Fact]]] = {}
-    for io in summaries:
-        graph.add_node(io.name)
-        reads[io.name] = io.condition_types
-        writes[io.name] = io.approx_written_types
+    reads = {io.name: io.condition_types for io in summaries}
+    writes = {io.name: io.approx_written_types for io in summaries}
+    graph: dict[str, list[str]] = {name: [] for name in reads}
     for a, b in itertools.permutations(summaries, 2):
         if writes[a.name] & reads[b.name]:
-            graph.add_edge(a.name, b.name)
-    for component in nx.strongly_connected_components(graph):
-        if len(component) < 2:
-            continue
-        members = sorted(component)
+            graph[a.name].append(b.name)
+    # Strongly connected components: each rule and those mutually reachable with it.
+    reach = {name: reachable(graph, name) for name in graph}
+    components = {frozenset([n, *(m for m in reach[n] if n in reach[m])]) for n in graph}
+    for members in sorted(sorted(c) for c in components if len(c) > 1):
         shared = set()
         for name in members:
             shared |= writes[name] & set().union(*(reads[m] for m in members))

@@ -32,8 +32,7 @@ def cluster_staging_jobs(plan: ExecutableWorkflow, factor: int) -> ExecutableWor
     """
     if factor < 1:
         raise PlanningError("clustering factor must be >= 1")
-    plan.validate()
-    levels = plan.levels()
+    levels = plan.levels()  # raises on a cycle
 
     # Group stage-in jobs by level.
     by_level: dict[int, list[str]] = {}

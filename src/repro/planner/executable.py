@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import networkx as nx
+from repro.workflow.graph import Dag
 
 __all__ = [
     "JobKind",
@@ -85,8 +85,10 @@ class ExecutableJob:
         return sum(t.nbytes for t in self.transfers)
 
 
-class ExecutableWorkflow:
+class ExecutableWorkflow(Dag):
     """A DAG of :class:`ExecutableJob` with explicit edges."""
+
+    error = PlanningError
 
     def __init__(self, name: str, workflow_id: str):
         if not name or not workflow_id:
@@ -95,9 +97,6 @@ class ExecutableWorkflow:
         self.workflow_id = workflow_id
         self.jobs: dict[str, ExecutableJob] = {}
         self._edges: set[tuple[str, str]] = set()
-        self._graph_cache: Optional[nx.DiGraph] = None
-        self._adjacency: Optional[tuple[dict[str, list[str]], dict[str, list[str]]]] = None
-        self._acyclic = False  # validate()'s verdict, until the next mutation
         #: clustering factor used during planning (None = no clustering)
         self.cluster_factor: Optional[int] = None
 
@@ -109,72 +108,12 @@ class ExecutableWorkflow:
         return job
 
     def add_edge(self, parent_id: str, child_id: str) -> None:
-        if parent_id not in self.jobs or child_id not in self.jobs:
-            raise PlanningError(f"edge references unknown job: {parent_id} -> {child_id}")
-        if parent_id == child_id:
-            raise PlanningError("self edge")
+        self._check_edge(parent_id, child_id)
         self._edges.add((parent_id, child_id))
         self._mutated()
 
-    def _mutated(self) -> None:
-        self._graph_cache = self._adjacency = None
-        self._acyclic = False
-
-    # -- structure ------------------------------------------------------------
-    def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """``(children, parents)``: per job, the id-sorted neighbour lists.
-
-        Built once per mutation and shared — callers must not modify them.
-        Sorted so successor iteration in DAGMan is independent of
-        set-iteration / hash randomization: a given seed must replay
-        identically across processes.
-        """
-        if self._adjacency is None:
-            children: dict[str, list[str]] = {jid: [] for jid in self.jobs}
-            parents: dict[str, list[str]] = {jid: [] for jid in self.jobs}
-            for parent, child in sorted(self._edges):
-                children[parent].append(child)
-                parents[child].append(parent)
-            self._adjacency = (children, parents)
-        return self._adjacency
-
-    def graph(self) -> nx.DiGraph:
-        """A networkx view of the plan (same successor order as ``adjacency``)."""
-        if self._graph_cache is None:
-            g = nx.DiGraph()
-            g.add_nodes_from(self.jobs)
-            g.add_edges_from(sorted(self._edges))
-            self._graph_cache = g
-        return self._graph_cache
-
-    def validate(self) -> None:
-        if self._acyclic:
-            return
-        children, parents = self.adjacency()
-        # Kahn's algorithm: a job left with unreleased parents is on a cycle.
-        waiting = {jid: len(ps) for jid, ps in parents.items()}
-        released = [jid for jid, count in waiting.items() if count == 0]
-        for jid in released:  # grows while iterated
-            for child in children[jid]:
-                waiting[child] -= 1
-                if waiting[child] == 0:
-                    released.append(child)
-        if len(released) != len(self.jobs):
-            raise PlanningError("executable workflow has a cycle")
-        self._acyclic = True
-
-    def parents(self, job_id: str) -> list[str]:
-        return list(self.adjacency()[1][job_id])
-
-    def children(self, job_id: str) -> list[str]:
-        return list(self.adjacency()[0][job_id])
-
     def edges(self) -> set[tuple[str, str]]:
         return set(self._edges)
-
-    def topological_order(self) -> list[str]:
-        self.validate()
-        return list(nx.lexicographical_topological_sort(self.graph()))
 
     def by_kind(self, kind: JobKind) -> list[ExecutableJob]:
         return [j for jid, j in sorted(self.jobs.items()) if j.kind == kind]
@@ -184,17 +123,3 @@ class ExecutableWorkflow:
         for job in self.jobs.values():
             counts[job.kind.value] = counts.get(job.kind.value, 0) + 1
         return counts
-
-    def levels(self) -> dict[str, int]:
-        self.validate()
-        parents = self.adjacency()[1]
-        level: dict[str, int] = {}
-        for node in nx.topological_sort(self.graph()):
-            level[node] = 1 + max((level[p] for p in parents[node]), default=-1)
-        return level
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ExecutableWorkflow({self.name!r}, {self.kind_counts()})"

@@ -62,13 +62,9 @@ def constrain_staging_footprint(
 
     # Classify staged files: shared (multiple consumer compute jobs) files
     # are long-lived residents; exclusive files die with their unit's batch.
+    # Consumers are the cleanup job's parents (the planner gates each
+    # file's cleanup on every consumer).
     consumer_count: dict[str, int] = {}
-    for si in stage_ins:
-        for child in plan.children(si.id):
-            for t in si.transfers:
-                consumer_count[t.lfn] = consumer_count.get(t.lfn, 0)
-    # Count actual consumers from the cleanup job's parents (the planner
-    # gates each file's cleanup on every consumer).
     for si in stage_ins:
         for t in si.transfers:
             cleanup_id = cleanup_by_lfn.get(t.lfn)

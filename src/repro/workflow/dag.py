@@ -8,10 +8,11 @@ producers per file, and consistent file sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
+from repro.workflow.graph import Dag
 
 __all__ = ["File", "Job", "Workflow", "WorkflowError"]
 
@@ -30,8 +31,12 @@ class File:
     def __post_init__(self) -> None:
         if not self.lfn:
             raise WorkflowError("file requires a logical file name")
-        if self.size < 0:
-            raise WorkflowError(f"file {self.lfn!r}: negative size")
+        try:
+            valid = 0 <= self.size < math.inf  # False for NaN
+        except TypeError:
+            valid = False
+        if not valid:
+            raise WorkflowError(f"file {self.lfn!r}: size {self.size!r} is not a finite size >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,10 @@ class Job:
             raise WorkflowError(f"job {self.id!r}: file both input and output")
 
 
-class Workflow:
+class Workflow(Dag):
     """A named DAG of jobs with data-flow dependencies."""
+
+    error = WorkflowError
 
     def __init__(self, name: str):
         if not name:
@@ -74,8 +81,6 @@ class Workflow:
         self._consumers: dict[str, list[str]] = {}  # lfn -> job ids
         self._files: dict[str, File] = {}
         self._control_edges: set[tuple[str, str]] = set()
-        self._graph_cache: Optional[nx.DiGraph] = None
-        self._acyclic = False  # validate()'s verdict, until the next mutation
 
     # -- construction --------------------------------------------------------
     def add_job(self, job: Job) -> Job:
@@ -99,78 +104,19 @@ class Workflow:
             self._producer[f.lfn] = job.id
         for f in job.inputs:
             self._consumers.setdefault(f.lfn, []).append(job.id)
-        self._graph_cache = None
-        self._acyclic = False
+        self._mutated()
         return job
 
     def add_control_edge(self, parent_id: str, child_id: str) -> None:
         """Add an explicit (non-data) ordering constraint."""
-        for jid in (parent_id, child_id):
-            if jid not in self.jobs:
-                raise WorkflowError(f"unknown job {jid!r}")
-        if parent_id == child_id:
-            raise WorkflowError("self edge")
+        self._check_edge(parent_id, child_id)
         self._control_edges.add((parent_id, child_id))
-        self._graph_cache = None
-        self._acyclic = False
+        self._mutated()
 
-    # -- structure -------------------------------------------------------------
-    def graph(self) -> nx.DiGraph:
-        """The dependency DAG (cached until the workflow changes)."""
-        if self._graph_cache is None:
-            g = nx.DiGraph()
-            g.add_nodes_from(self.jobs)
-            for lfn, producer in self._producer.items():
-                for consumer in self._consumers.get(lfn, ()):
-                    g.add_edge(producer, consumer)
-            # Sorted for hash-randomization-independent adjacency order.
-            g.add_edges_from(sorted(self._control_edges))
-            self._graph_cache = g
-        return self._graph_cache
-
-    def validate(self) -> None:
-        """Raise :class:`WorkflowError` unless the workflow is a DAG."""
-        if self._acyclic:
-            return
-        g = self.graph()
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise WorkflowError(f"workflow has a cycle: {cycle}")
-        self._acyclic = True
-
-    def parents(self, job_id: str) -> list[str]:
-        return sorted(self.graph().predecessors(self._check(job_id)))
-
-    def children(self, job_id: str) -> list[str]:
-        return sorted(self.graph().successors(self._check(job_id)))
-
-    def descendants(self, job_id: str) -> set[str]:
-        return nx.descendants(self.graph(), self._check(job_id))
-
-    def roots(self) -> list[str]:
-        g = self.graph()
-        return sorted(n for n in g if g.in_degree(n) == 0)
-
-    def leaves(self) -> list[str]:
-        g = self.graph()
-        return sorted(n for n in g if g.out_degree(n) == 0)
-
-    def topological_order(self) -> list[str]:
-        self.validate()
-        return list(nx.lexicographical_topological_sort(self.graph()))
-
-    def levels(self) -> dict[str, int]:
-        """Longest-path depth of each job (roots are level 0).
-
-        Pegasus' horizontal clustering groups jobs of the same level.
-        """
-        self.validate()
-        g = self.graph()
-        level: dict[str, int] = {}
-        for node in nx.topological_sort(g):
-            preds = list(g.predecessors(node))
-            level[node] = 1 + max((level[p] for p in preds), default=-1)
-        return level
+    def edges(self) -> set[tuple[str, str]]:
+        """Data-flow edges (producer -> consumer) and control edges."""
+        flow = {(p, c) for lfn, p in self._producer.items() for c in self._consumers.get(lfn, ())}
+        return flow | self._control_edges
 
     # -- files ----------------------------------------------------------------
     def file(self, lfn: str) -> File:
@@ -208,15 +154,3 @@ class Workflow:
         for job in self.jobs.values():
             counts[job.transform] = counts.get(job.transform, 0) + 1
         return counts
-
-    # -- misc --------------------------------------------------------------------
-    def _check(self, job_id: str) -> str:
-        if job_id not in self.jobs:
-            raise WorkflowError(f"unknown job {job_id!r}")
-        return job_id
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Workflow({self.name!r}, jobs={len(self.jobs)})"

@@ -50,20 +50,26 @@ def workflow_from_json(text: str) -> Workflow:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkflowError(f"invalid workflow JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise WorkflowError(f"unrecognized workflow document format: {doc.get('format')!r}")
-    wf = Workflow(doc["name"])
-    for job_doc in doc.get("jobs", []):
-        wf.add_job(
-            Job(
-                id=job_doc["id"],
-                transform=job_doc["transform"],
-                inputs=tuple(File(f["lfn"], f["size"]) for f in job_doc.get("inputs", [])),
-                outputs=tuple(File(f["lfn"], f["size"]) for f in job_doc.get("outputs", [])),
+    fmt = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+    if fmt != _FORMAT:
+        raise WorkflowError(f"unrecognized workflow document format: {fmt!r}")
+    try:
+        wf = Workflow(doc["name"])
+        for job_doc in doc.get("jobs", []):
+            wf.add_job(
+                Job(
+                    id=job_doc["id"],
+                    transform=job_doc["transform"],
+                    inputs=tuple(File(f["lfn"], f["size"]) for f in job_doc.get("inputs", [])),
+                    outputs=tuple(File(f["lfn"], f["size"]) for f in job_doc.get("outputs", [])),
+                )
             )
-        )
-    for parent, child in doc.get("control_edges", []):
-        wf.add_control_edge(parent, child)
+        for parent, child in doc.get("control_edges", []):
+            wf.add_control_edge(parent, child)
+    except KeyError as exc:
+        raise WorkflowError(f"workflow document is missing {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise WorkflowError(f"malformed workflow document: {exc}") from None
     wf.validate()
     return wf
 
@@ -117,7 +123,11 @@ def workflow_from_dax_xml(text: str) -> Workflow:
             raise WorkflowError("DAX job element requires id and name")
         inputs, outputs = [], []
         for uses in job_el.findall("uses"):
-            f = File(uses.get("file", ""), float(uses.get("size", "0")))
+            try:
+                size = float(uses.get("size", "0"))
+            except ValueError:
+                raise WorkflowError(f"uses element with bad size {uses.get('size')!r}") from None
+            f = File(uses.get("file", ""), size)
             link = uses.get("link")
             if link == "input":
                 inputs.append(f)

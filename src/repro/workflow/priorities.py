@@ -35,7 +35,7 @@ def _order_to_priority(order: list[str], total: int) -> dict[str, int]:
 def bfs_priorities(workflow: Workflow) -> dict[str, int]:
     """Priorities by breadth-first traversal order from the roots."""
     workflow.validate()
-    g = workflow.graph()
+    children = workflow.adjacency()[0]
     visited: list[str] = []
     seen: set[str] = set()
     frontier = workflow.roots()
@@ -46,7 +46,7 @@ def bfs_priorities(workflow: Workflow) -> dict[str, int]:
                 continue
             seen.add(node)
             visited.append(node)
-            next_frontier.extend(sorted(g.successors(node)))
+            next_frontier.extend(children[node])
         frontier = next_frontier
     return _order_to_priority(visited, len(workflow))
 
@@ -54,7 +54,7 @@ def bfs_priorities(workflow: Workflow) -> dict[str, int]:
 def dfs_priorities(workflow: Workflow) -> dict[str, int]:
     """Priorities by depth-first traversal order from the roots."""
     workflow.validate()
-    g = workflow.graph()
+    children = workflow.adjacency()[0]
     visited: list[str] = []
     seen: set[str] = set()
 
@@ -63,7 +63,7 @@ def dfs_priorities(workflow: Workflow) -> dict[str, int]:
             return
         seen.add(node)
         visited.append(node)
-        for child in sorted(g.successors(node)):
+        for child in children[node]:
             visit(child)
 
     for root in workflow.roots():
@@ -74,8 +74,7 @@ def dfs_priorities(workflow: Workflow) -> dict[str, int]:
 def direct_dependent_priorities(workflow: Workflow) -> dict[str, int]:
     """Priority = number of direct children (fan-out)."""
     workflow.validate()
-    g = workflow.graph()
-    return {node: g.out_degree(node) for node in g}
+    return {node: len(children) for node, children in workflow.adjacency()[0].items()}
 
 
 def dependent_priorities(workflow: Workflow) -> dict[str, int]:

@@ -1,5 +1,7 @@
 """Unit tests for synthetic generators and DAX JSON round-tripping."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.workflow import (
     workflow_from_json,
     workflow_to_json,
 )
-from repro.workflow.dag import WorkflowError
+from repro.workflow.dag import File, WorkflowError
 from repro.workflow.montage import MontageConfig
 
 
@@ -125,3 +127,61 @@ def test_dax_xml_rejects_garbage():
             '<adag name="w"><job id="j" name="t">'
             '<uses file="f" link="sideways" size="1"/></job></adag>'
         )
+
+
+# ------------------------------------------- documents from outside the program
+def _json_doc(job=None, name="w"):
+    doc = {"format": "repro-dax-1", "jobs": [job or {
+        "id": "j", "transform": "t",
+        "inputs": [{"lfn": "in", "size": 1.0}], "outputs": [{"lfn": "out", "size": 2.0}],
+    }]}
+    if name is not None:
+        doc["name"] = name
+    return doc
+
+
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), -float("inf")])
+def test_file_rejects_a_non_finite_size(size):
+    with pytest.raises(WorkflowError, match="not a finite size"):
+        File("f", size)
+
+
+def test_json_loader_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(WorkflowError, match="unrecognized workflow document format: 'list'"):
+        workflow_from_json("[1]")
+
+
+@pytest.mark.parametrize("field", ["name", "id", "transform", "lfn"])
+def test_json_loader_names_a_missing_field(field):
+    doc = _json_doc()
+    if field == "name":
+        del doc["name"]
+    elif field == "lfn":
+        del doc["jobs"][0]["inputs"][0]["lfn"]
+    else:
+        del doc["jobs"][0][field]
+    with pytest.raises(WorkflowError, match=f"missing '{field}'"):
+        workflow_from_json(json.dumps(doc))
+
+
+def test_json_loader_rejects_a_string_size():
+    doc = _json_doc()
+    doc["jobs"][0]["outputs"][0]["size"] = "2"
+    with pytest.raises(WorkflowError, match="size '2'"):
+        workflow_from_json(json.dumps(doc))
+
+
+def test_json_loader_rejects_a_nan_size():
+    text = json.dumps(_json_doc()).replace('"size": 2.0', '"size": NaN')
+    assert "NaN" in text
+    with pytest.raises(WorkflowError, match="size nan"):
+        workflow_from_json(text)
+
+
+@pytest.mark.parametrize("size", ["abc", "nan", "inf"])
+def test_dax_xml_loader_rejects_a_bad_size(size):
+    from repro.workflow.dax import workflow_from_dax_xml
+
+    text = f'<adag name="w"><job id="j" name="t"><uses file="f" link="input" size="{size}"/></job></adag>'
+    with pytest.raises(WorkflowError, match="size"):
+        workflow_from_dax_xml(text)
