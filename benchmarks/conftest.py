@@ -2,7 +2,8 @@
 
 Every benchmark regenerates one of the paper's evaluation artifacts
 (Table IV, Figs 5-9) or an ablation, prints the series the paper reports,
-and archives them under ``benchmarks/results/``.
+and archives them under ``benchmarks/results/`` (in quick mode, under a
+temporary directory instead: the committed results are full-mode ones).
 
 Environment knobs:
 
@@ -37,14 +38,20 @@ def stream_sweep(quick):
     return (4, 8, 12) if quick else (4, 6, 8, 10, 12)
 
 
+@pytest.fixture(scope="session")
+def results_dir(quick, tmp_path_factory) -> pathlib.Path:
+    """Where :func:`archive` writes: results/ in full mode only."""
+    return tmp_path_factory.mktemp("results") if quick else RESULTS_DIR
+
+
 @pytest.fixture
-def archive():
-    """Persist a benchmark's series + report text under results/."""
+def archive(results_dir):
+    """Persist a benchmark's series + report text under ``results_dir``."""
 
     def _archive(name: str, payload: dict, report: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=2))
-        (RESULTS_DIR / f"{name}.txt").write_text(report + "\n")
+        results_dir.mkdir(exist_ok=True)
+        (results_dir / f"{name}.json").write_text(json.dumps(payload, indent=2))
+        (results_dir / f"{name}.txt").write_text(report + "\n")
         print()
         print(report)
 

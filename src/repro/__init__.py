@@ -46,7 +46,6 @@ from repro.experiments.campaign import CampaignConfig, run_staging_campaign
 from repro.experiments.runner import (
     WorkflowExecution,
     run_concurrent_workflows,
-    run_ensemble,
     run_replicates,
     run_workflow,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "montage_workflow",
     "run_cell",
     "run_concurrent_workflows",
-    "run_ensemble",
     "run_provenance",
     "run_replicates",
     "run_staging_campaign",

@@ -33,7 +33,6 @@ from repro.analysis.verifier import (
     VERIFY_SUPPRESSIONS,
     VerifyOptions,
     replay_counterexample,
-    verify_all,
     verify_compositions,
     verify_pack,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "VERIFY_SUPPRESSIONS",
     "VerifyOptions",
     "replay_counterexample",
-    "verify_all",
     "verify_compositions",
     "verify_pack",
 ]

@@ -22,7 +22,6 @@ of silently masking future findings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -108,12 +107,6 @@ class Report:
         self.findings.append(finding)
         return finding
 
-    def extend(self, other: "Report") -> "Report":
-        self.findings.extend(other.findings)
-        for spec, count in other.suppressed.items():
-            self.suppressed[spec] = self.suppressed.get(spec, 0) + count
-        return self
-
     # -- severity accounting ------------------------------------------------
     def by_severity(self, severity: str) -> list[Finding]:
         return [f for f in self.findings if f.severity == severity]
@@ -173,9 +166,6 @@ class Report:
             "findings": [f.to_dict() for f in self.sorted_findings()],
             "suppressed": dict(self.suppressed),
         }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def flag_dead_suppressions(reports: Iterable["Report"]) -> Report:

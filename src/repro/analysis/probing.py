@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Type
 
 from repro.rules.engine import Rule
 from repro.rules.facts import Fact, WorkingMemory
-from repro.rules.patterns import Collect, Exists, Pattern, Test, _TypedElement
+from repro.rules.patterns import Collect, Pattern
 
 __all__ = [
     "harvest_constants",
@@ -348,25 +348,22 @@ def clone_memory(soup: Iterable[tuple[Type[Fact], dict]]):
 # Probe soups
 # --------------------------------------------------------------------------
 def rule_set_functions(rules: Sequence[Rule]) -> list[Callable]:
-    """Every action, guard, key function and Test predicate of ``rules``
+    """Every action, guard and key function of ``rules``
     — where :func:`harvest_constants` finds the value pools."""
     funcs: list[Callable] = []
     for rule in rules:
         funcs.append(rule.then)
         for element in rule.when:
-            if isinstance(element, Test):
-                funcs.append(element.predicate)
-            elif isinstance(element, _TypedElement):
-                if element.where is not None:
-                    funcs.append(element.where)
-                if element.keys:
-                    funcs.extend(element.keys.values())
+            if element.where is not None:
+                funcs.append(element.where)
+            if element.keys:
+                funcs.extend(element.keys.values())
     return funcs
 
 
 def probe_universe(rules: Sequence[Rule]) -> list[Type[Fact]]:
     """The fact types ``rules`` match on, sorted by name."""
-    types = {e.fact_type for rule in rules for e in rule.when if isinstance(e, _TypedElement)}
+    types = {e.fact_type for rule in rules for e in rule.when}
     return sorted(types, key=lambda t: t.__name__)
 
 
@@ -652,7 +649,7 @@ def guard_attribute_refs(func: Callable, candidate: bool) -> set[tuple[Optional[
 
     With ``candidate``, ``func`` is a guard: its first parameter is the
     candidate fact (reported as binding ``None``) and its second the
-    bindings dict.  Otherwise (key functions, Test predicates) the first
+    bindings dict.  Otherwise (key functions) the first
     parameter is the bindings dict.  A read off ``bindings["name"]`` is
     reported as binding ``name``; locals assigned from either are followed.
     """
@@ -960,11 +957,6 @@ def rule_io(rule: Rule, order: int) -> RuleIO:
         return None
 
     for index, element in enumerate(rule.when):
-        if isinstance(element, Test):
-            scan(element.predicate, False)
-            continue
-        if not isinstance(element, _TypedElement):
-            continue
         cand_reads = scan(element.where, True) if element.where is not None else set()
         if element.keys:
             # keyed lookup reads the key attrs on the candidate and runs
@@ -979,7 +971,7 @@ def rule_io(rule: Rule, order: int) -> RuleIO:
                 index=index,
                 kind=type(element).__name__.lower(),
                 fact_type=element.fact_type,
-                positive=isinstance(element, (Pattern, Exists))
+                positive=isinstance(element, Pattern)
                 or (isinstance(element, Collect) and element.min_count > 0),
                 binding=getattr(element, "binding", None),
                 domains=guard_constraint_domains(element.where),

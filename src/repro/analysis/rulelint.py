@@ -6,7 +6,7 @@ Checks (stable ids; see ``docs/analysis.md``):
 R001      error     ``keys`` hint not implied by the guard — a keyed
                     :meth:`~repro.rules.facts.WorkingMemory.lookup` missed a
                     fact the guard accepts, so matches are silently lost.
-R002      error     guard/key/Test references an attribute that does not
+R002      error     guard or key references an attribute that does not
                     exist on the bound ``Fact`` class.
 R003      warning   ambiguous salience tie — two equal-salience rules
                     activated on the same fact tuple; only definition order
@@ -72,7 +72,7 @@ from repro.policy import salience
 from repro.rules.compiler import PLAN_JOIN, compile_rules
 from repro.rules.engine import Rule, RuleEngineError, Session
 from repro.rules.facts import Fact, WorkingMemory
-from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test, _TypedElement
+from repro.rules.patterns import Absent, Collect, ConditionElement, Pattern
 from repro.workflow.graph import reachable
 
 __all__ = [
@@ -220,11 +220,6 @@ def _check_attribute_refs(io: RuleIO, factory: FactFactory, report: Report) -> N
                 )
 
     for position, element in enumerate(rule.when):
-        if isinstance(element, Test):
-            verify(element.predicate, None, f"Test predicate (condition {position})")
-            continue
-        if not isinstance(element, _TypedElement):
-            continue
         if element.where is not None:
             verify(element.where, element.fact_type, f"guard (condition {position})")
         if element.keys:
@@ -250,7 +245,7 @@ def _check_attribute_refs(io: RuleIO, factory: FactFactory, report: Report) -> N
 def _check_keys_soundness(
     rule: Rule,
     position: int,
-    element: _TypedElement,
+    element: ConditionElement,
     memory: WorkingMemory,
     bindings: dict,
     report: Report,
@@ -308,18 +303,6 @@ def _probe_rule(
     against every reachable binding environment."""
     frontier: list[dict] = [dict(seed_bindings)]
     for position, element in enumerate(rule.when):
-        if isinstance(element, Test):
-            kept = []
-            for bindings in frontier:
-                try:
-                    if element.predicate(bindings):
-                        kept.append(bindings)
-                except Exception:
-                    pass
-            frontier = kept
-            continue
-        if not isinstance(element, _TypedElement):
-            continue
         if element.keys:
             for bindings in frontier:
                 _check_keys_soundness(
@@ -340,9 +323,6 @@ def _probe_rule(
                     next_frontier.append(new)
             elif isinstance(element, Absent):
                 if not accepted:
-                    next_frontier.append(dict(bindings))
-            elif isinstance(element, Exists):
-                if accepted:
                     next_frontier.append(dict(bindings))
             elif isinstance(element, Collect):
                 if len(accepted) >= element.min_count:

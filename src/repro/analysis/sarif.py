@@ -36,7 +36,7 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 CHECK_DESCRIPTIONS = {
     "R001": "keys hint is not implied by the guard: keyed lookups lose "
             "guard-accepted facts",
-    "R002": "guard, keys function or Test predicate reads an attribute "
+    "R002": "guard or keys function reads an attribute "
             "the fact class does not have",
     "R003": "equal-salience rules interfere without a deterministic order",
     "R004": "higher-salience rule shadows a lower one on the same facts",

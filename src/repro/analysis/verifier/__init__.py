@@ -62,7 +62,6 @@ __all__ = [
     "VerifyOptions",
     "VERIFY_SUPPRESSIONS",
     "verify_pack",
-    "verify_all",
     "verify_compositions",
     "build_graph",
     "InteractionGraph",
@@ -145,11 +144,3 @@ def verify_pack(
         report.suppress([*VERIFY_SUPPRESSIONS, *options.extra_suppressions])
     return report
 
-
-def verify_all(options: Optional[VerifyOptions] = None) -> list[Report]:
-    """Verify every composition ``PolicyService`` instantiates."""
-    options = options or VerifyOptions()
-    reports = []
-    for name, (_rules, session_globals, builders) in verify_compositions().items():
-        reports.append(verify_pack(name, builders, session_globals, options))
-    return reports

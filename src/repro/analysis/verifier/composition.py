@@ -40,7 +40,7 @@ from repro.analysis.verifier.replay import (
     run_engine_scenario,
 )
 from repro.rules.engine import Rule
-from repro.rules.patterns import Pattern, _TypedElement
+from repro.rules.patterns import Pattern
 
 __all__ = ["check_engine_parity", "check_compiler_agreement", "verify_compositions"]
 
@@ -98,11 +98,9 @@ def check_compiler_agreement(
     ruleset = compile_rules(rules)
     for plan in ruleset.plans:
         rule = plan.rule
-        typed = [e for e in rule.when if isinstance(e, _TypedElement)]
         joinable = (
             len(rule.when) >= 2
-            and len(typed) == len(rule.when)
-            and all(isinstance(e, Pattern) and e.binding for e in typed)
+            and all(isinstance(e, Pattern) and e.binding for e in rule.when)
         )
         is_join = plan.kind == PLAN_JOIN
         if joinable != is_join:
@@ -141,19 +139,17 @@ def check_compiler_agreement(
                 )
 
     # reads-declaration soundness: the join network only re-checks a
-    # gate (Absent/Exists/Collect) whose declared reads intersect an
+    # gate (Absent/Collect) whose declared reads intersect an
     # update's changed attrs, so the declaration must cover every
     # attribute the gate's guard/keys actually read.
     for rule in rules:
         io = graph.nodes[rule.name]
-        for element_io, element in zip(
-            io.elements, (e for e in rule.when if isinstance(e, _TypedElement))
-        ):
+        for element_io, element in zip(io.elements, rule.when):
             declared = getattr(element, "reads", None)
             if declared is None or element_io.reads is None:
                 continue  # undeclared = no gating; inexact scan = unprovable
             if element_io.kind == "pattern":
-                continue  # reads only gates Absent/Exists/Collect re-checks
+                continue  # reads only gates Absent/Collect re-checks
             missing = sorted(set(element_io.reads) - set(declared))
             if missing:
                 report.add(

@@ -130,7 +130,7 @@ class InteractionGraph:
             )
 
         # inserts: fresh facts can (dis)enable any element of the type —
-        # Pattern/Exists/Collect gain candidates, Absent loses its blank.
+        # Pattern/Collect gain candidates, Absent loses its blank.
         for fact_type in a.effects.inserts:
             for element in b.elements_of(fact_type):
                 feasible, reason = True, "fresh fact may match"

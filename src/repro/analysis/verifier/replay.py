@@ -17,7 +17,6 @@ when a test (or a human) wants the violation demonstrated.
 from __future__ import annotations
 
 import copy
-import hashlib
 import importlib
 import json
 from typing import Any, Callable, Iterable, Optional, Sequence, Type
@@ -29,7 +28,6 @@ from repro.rules.reference import ReferenceSession
 
 __all__ = [
     "canonical_state",
-    "state_digest",
     "encode_soup",
     "decode_soup",
     "encode_globals",
@@ -92,14 +90,6 @@ def canonical_state(memory: WorkingMemory) -> list[str]:
             base = base[:-1] + ("," if base[-2] != "(" else "") + suffix + ")"
         out.append(base)
     return out
-
-
-def state_digest(memory: WorkingMemory) -> str:
-    digest = hashlib.sha256()
-    for row in canonical_state(memory):
-        digest.update(row.encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = ["Replica", "ReplicaCatalog"]
 
@@ -70,8 +70,3 @@ class ReplicaCatalog:
     def has(self, lfn: str, site: Optional[str] = None) -> bool:
         return bool(self.lookup(lfn, site))
 
-    def lfns(self) -> Iterable[str]:
-        return self._by_lfn.keys()
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._by_lfn.values())

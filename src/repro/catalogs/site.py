@@ -63,12 +63,3 @@ class SiteCatalog:
             return self._sites[name]
         except KeyError:
             raise KeyError(f"unknown site {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._sites
-
-    def __iter__(self):
-        return iter(self._sites.values())
-
-    def __len__(self) -> int:
-        return len(self._sites)

@@ -58,6 +58,3 @@ class TransformationCatalog:
 
     def __contains__(self, name: str) -> bool:
         return name in self._transforms
-
-    def __len__(self) -> int:
-        return len(self._transforms)

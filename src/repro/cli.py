@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partition policy memory across N shards behind "
                             "a consistent-hash router (0 = single service)")
     serve.add_argument("--journal-root", default=None,
-                       help="per-shard journal directories under this path "
-                            "(shards only; enables crash replay)")
+                       help="journal directory (per shard under it with "
+                            "--shards); a single service resumes from it")
 
     lint = sub.add_parser(
         "lint",
@@ -326,7 +326,9 @@ def _cmd_campaign(args, out) -> int:
 
 def _cmd_serve(args, out) -> int:
     from repro.policy import PolicyConfig, PolicyService
+    from repro.policy.journal import JournalError, PolicyJournal
     from repro.policy.rest import PolicyRestServer
+    from repro.policy.sharding import ShardedPolicyService
 
     config = PolicyConfig(
         policy=args.policy,
@@ -335,17 +337,8 @@ def _cmd_serve(args, out) -> int:
         cluster_count=args.cluster_count,
         access_control=args.access_control,
     )
-    if args.journal_root is not None and args.shards < 1:
-        print(
-            "repro serve: --journal-root needs --shards N (the single "
-            "service this would start does not journal)",
-            file=sys.stderr,
-        )
-        return 2
+    service: PolicyService | ShardedPolicyService
     if args.shards >= 1:
-        from repro.policy.journal import JournalError
-        from repro.policy.sharding import ShardedPolicyService
-
         try:
             service = ShardedPolicyService(
                 config,
@@ -363,9 +356,22 @@ def _cmd_serve(args, out) -> int:
             )
             return 2
         flavor = f"{args.shards}-shard router"
-    else:
+    elif args.journal_root is None:
         service = PolicyService(config)
         flavor = "single service"
+    else:
+        journal = PolicyJournal(args.journal_root)
+        try:
+            if journal.has_state():
+                service = PolicyService.recover(journal, config=config)
+                flavor = "single service, resumed from its journal"
+            else:
+                service = PolicyService(config, journal=journal)
+                flavor = "single service, journaled"
+        except JournalError as exc:
+            print(f"repro serve: cannot resume from --journal-root ({exc})",
+                  file=sys.stderr)
+            return 2
     server = PolicyRestServer(service, host=args.host, port=args.port)
     server.start()
     print(
@@ -384,8 +390,7 @@ def _cmd_serve(args, out) -> int:
         pass
     finally:
         server.stop()
-        if args.shards >= 1:
-            service.close()
+        service.close()
     return 0
 
 

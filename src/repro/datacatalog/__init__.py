@@ -4,9 +4,10 @@ See ``docs/catalog.md``.  The catalog's facts live inside policy
 memory, so durability, crash recovery, and transactional commits come
 from :mod:`repro.policy.journal` unchanged.
 
-``eviction_rules`` is exposed lazily: the rule pack matches policy fact
-types (:class:`~repro.policy.model.CleanupFact`), and importing it
-eagerly here would cycle with :mod:`repro.policy.model`'s import of
+The eviction rule pack lives in :mod:`repro.datacatalog.rules_eviction`
+and is not imported here: it matches policy fact types
+(:class:`~repro.policy.model.CleanupFact`), and importing it eagerly
+would cycle with :mod:`repro.policy.model`'s import of
 :class:`CatalogConfig`.
 """
 
@@ -29,13 +30,5 @@ __all__ = [
     "ReplicaRecordFact",
     "SiteCapacityFact",
     "derive_checksum",
-    "eviction_rules",
 ]
 
-
-def __getattr__(name):
-    if name == "eviction_rules":
-        from repro.datacatalog.rules_eviction import eviction_rules
-
-        return eviction_rules
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

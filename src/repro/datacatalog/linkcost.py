@@ -75,13 +75,3 @@ class LinkCostModel:
                 best, best_key = replica, key
         return best
 
-    def to_dict(self) -> dict:
-        """JSON-able form (documentation artifacts, trace census)."""
-        return {
-            "default_cost": self.default_cost,
-            "same_site_cost": self.same_site_cost,
-            "costs": {
-                f"{src}->{dst}": value
-                for (src, dst), value in sorted(self.costs.items())
-            },
-        }

@@ -16,7 +16,6 @@ simulation is a pure function of its inputs and seeds.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs.tracer import as_tracer
@@ -66,11 +65,6 @@ class Event:
     def triggered(self) -> bool:
         """True once the event has been scheduled to fire."""
         return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self._processed
 
     @property
     def ok(self) -> Optional[bool]:
@@ -162,11 +156,6 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
     # -- engine -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         # Only the one event the process waits on (or its Initialize)
@@ -210,9 +199,11 @@ class Process(Event):
 
 
 class Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+    """Base for AllOf / AnyOf composite events; each implements
+    ``_satisfied()``, whether the children fired so far complete it."""
 
     __slots__ = ("events", "_count")
+    _satisfied: Callable[[], bool]
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -233,9 +224,6 @@ class Condition(Event):
 
     def _collect(self) -> dict:
         return {ev: ev._value for ev in self.events if ev._processed and ev._ok}
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -322,10 +310,6 @@ class Environment:
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        return self._queue[0][0] if self._queue else math.inf
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""

@@ -1,12 +1,12 @@
 """Queued capacity primitives for the DES kernel.
 
-``Resource``
-    A counted semaphore with a FIFO wait queue (cluster slots, job throttles).
-``PriorityResource``
-    Same, but waiters are served in (priority, FIFO) order.
+``Resource`` (also named ``PriorityResource``)
+    A counted semaphore whose waiters are served in (priority, FIFO)
+    order (cluster slots, job throttles); with the default priority it
+    is plain FIFO.
 
 All requests are events: processes ``yield resource.request()`` and later
-call ``resource.release(req)`` (or use the request as a context manager).
+call ``resource.release(req)``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from typing import Any
 
-from repro.des.core import Environment, Event, SimulationError
+from repro.des.core import Environment, Event
 
 __all__ = ["Resource", "PriorityResource"]
 
@@ -30,19 +30,11 @@ class Request(Event):
         self.priority = priority
         self.key: Any = None
 
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw an ungranted request from the wait queue."""
-        self.resource._cancel(self)
-
 
 class Resource:
-    """Counted capacity with FIFO granting.
+    """Counted capacity granted in (priority, FIFO) order; lower
+    ``priority`` values are served first, matching the convention of batch
+    schedulers.
 
     Parameters
     ----------
@@ -64,10 +56,6 @@ class Resource:
 
     # -- introspection ------------------------------------------------------
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
     def count(self) -> int:
         """Number of currently granted requests."""
         return len(self._users)
@@ -78,38 +66,29 @@ class Resource:
         return len(self._queue)
 
     # -- operations -----------------------------------------------------------
-    def _order_key(self, request: Request) -> Any:
-        self._seq += 1
-        return (self._seq,)
-
     def request(self, priority: int = 0) -> Request:
         """Claim one slot; the returned event fires when granted.
 
         Granting is deferred to the end of the current event cascade so
         that all requests made at the same instant enter the queue before
-        any is granted — this is what lets a :class:`PriorityResource`
-        serve the highest-priority of simultaneously-arriving requests
-        first.
+        any is granted — this is what serves the highest-priority of
+        simultaneously-arriving requests first.
         """
         req = Request(self, priority)
-        req.key = self._order_key(req)
+        self._seq += 1
+        req.key = (priority, self._seq)
         heapq.heappush(self._queue, (req.key, id(req), req))
         self._schedule_grant()
         return req
 
     def release(self, request: Request) -> None:
-        """Return a granted slot (no-op for cancelled requests)."""
+        """Return a granted slot, or withdraw a request still waiting."""
         if request in self._users:
             self._users.remove(request)
             self._schedule_grant()
         elif not request.triggered:
-            self._cancel(request)
-
-    def _cancel(self, request: Request) -> None:
-        if request.triggered:
-            raise SimulationError("cannot cancel a granted request")
-        self._queue = [entry for entry in self._queue if entry[2] is not request]
-        heapq.heapify(self._queue)
+            self._queue = [entry for entry in self._queue if entry[2] is not request]
+            heapq.heapify(self._queue)
 
     def _schedule_grant(self) -> None:
         if getattr(self, "_grant_pending", False):
@@ -127,13 +106,5 @@ class Resource:
             req.succeed(req)
 
 
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is served by (priority, FIFO).
-
-    Lower ``priority`` values are served first, matching the convention of
-    batch schedulers.
-    """
-
-    def _order_key(self, request: Request) -> Any:
-        self._seq += 1
-        return (request.priority, self._seq)
+#: the engine's name for a :class:`Resource` it queues by job priority
+PriorityResource = Resource

@@ -40,13 +40,3 @@ class RngRegistry:
             sub_seed = int.from_bytes(digest, "little")
             self._streams[name] = np.random.default_rng(sub_seed)
         return self._streams[name]
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per replicate run)."""
-        digest = hashlib.blake2b(
-            f"{self.seed}/spawn:{name}".encode(), digest_size=8
-        ).digest()
-        return RngRegistry(int.from_bytes(digest, "little"))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RngRegistry(seed={self.seed}, streams={sorted(self._streams)})"

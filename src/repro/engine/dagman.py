@@ -50,10 +50,6 @@ class JobRecord:
     def duration(self) -> float:
         return self.t_end - self.t_start
 
-    @property
-    def queue_delay(self) -> float:
-        return self.t_start - self.t_ready
-
 
 @dataclass
 class DAGManResult:

@@ -54,11 +54,3 @@ class ClusterScheduler:
             self.jobs_run += 1
         finally:
             self._pool.release(request)
-
-    @property
-    def in_use(self) -> int:
-        return self._pool.count
-
-    @property
-    def queued(self) -> int:
-        return self._pool.queued

@@ -59,9 +59,6 @@ class StorageTracker:
             self._set(self.used - nbytes)
         return nbytes
 
-    def holds(self, lfn: str) -> bool:
-        return lfn in self._files
-
     # -- internals ------------------------------------------------------------
     def _set(self, used: float) -> None:
         now = self.env.now
@@ -81,7 +78,3 @@ class StorageTracker:
         if self._over_since is not None:
             self.over_capacity_time += self.env.now - self._over_since
             self._over_since = None
-
-    @property
-    def file_count(self) -> int:
-        return len(self._files)

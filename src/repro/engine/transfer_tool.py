@@ -59,10 +59,6 @@ class StagingRecord:
     bytes_moved: float = 0.0
     streams_used: list[int] = field(default_factory=list)
 
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
 
 class PegasusTransferTool:
     """Executes staging jobs' transfers, optionally under policy advice.

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     EnsembleResult,
     ExperimentConfig,
     run_cell,
-    run_ensemble,
     run_replicates,
     run_tenant_ensemble,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "TracedRun",
     "build_testbed",
     "run_cell",
-    "run_ensemble",
     "run_replicates",
     "run_tenant_ensemble",
     "run_traced_cell",

@@ -24,7 +24,7 @@ Paper testbed -> simulation mapping
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -215,8 +215,3 @@ def build_testbed(
         replicas=ReplicaCatalog(),
         host_site=host_site,
     )
-
-
-def scaled_params(base: Optional[TestbedParams] = None, **overrides) -> TestbedParams:
-    """Convenience: derive a variant of the testbed parameters."""
-    return replace(base or TestbedParams(), **overrides)

@@ -37,7 +37,6 @@ __all__ = [
     "fig5_series",
     "fig_threshold_series",
     "no_policy_point",
-    "observed_wan_peaks",
 ]
 
 #: Default-streams-per-transfer sweep used by every figure (paper x-axis).
@@ -121,39 +120,3 @@ def no_policy_point(
     metrics = run_replicates(cfg, replicates)
     series.add(4, [m.makespan for m in metrics])
     return series
-
-
-def observed_wan_peaks(
-    size_mb: float = 100,
-    base: Optional[ExperimentConfig] = None,
-    thresholds: Sequence[int] = THRESHOLD_SWEEP,
-    defaults: Sequence[int] = DEFAULT_STREAM_SWEEP,
-) -> dict:
-    """Measured peak WAN streams per (threshold, default) — Table IV check.
-
-    The observed peak can sit slightly below the analytic maximum (jobs
-    complete and release streams between arrivals) but must never exceed
-    it.
-    """
-    base = base or ExperimentConfig()
-    peaks: dict = {"greedy": {}, "no_policy": None}
-    for threshold in thresholds:
-        row = {}
-        for streams in defaults:
-            cfg = replace(
-                base,
-                extra_file_mb=size_mb,
-                default_streams=streams,
-                policy="greedy",
-                threshold=threshold,
-                seed=0,
-            )
-            from repro.experiments.runner import run_cell
-
-            row[streams] = run_cell(cfg).peak_streams.get("wan", 0)
-        peaks["greedy"][threshold] = row
-    from repro.experiments.runner import run_cell
-
-    cfg = replace(base, extra_file_mb=size_mb, default_streams=4, policy=None, seed=0)
-    peaks["no_policy"] = run_cell(cfg).peak_streams.get("wan", 0)
-    return peaks

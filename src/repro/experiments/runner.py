@@ -43,7 +43,6 @@ __all__ = [
     "run_replicates",
     "run_workflow",
     "run_concurrent_workflows",
-    "run_ensemble",
     "run_tenant_ensemble",
 ]
 
@@ -162,10 +161,6 @@ class WorkflowExecution:
     Several executions may share a testbed (same fabric/clock) and a
     policy client (same policy memory) — the multi-workflow setting of
     the paper.
-
-    ``policy`` may also be a zero-argument *factory*: the client is then
-    built when the execution starts, so a queued ensemble member holds
-    no policy client (or its journal state) while it waits for a slot.
     """
 
     def __init__(
@@ -173,14 +168,11 @@ class WorkflowExecution:
         cfg: ExperimentConfig,
         workflow: Workflow,
         bed: Testbed,
-        policy=None,
+        policy: Optional[InProcessPolicyClient] = None,
     ):
         self.cfg = cfg
         self.bed = bed
-        self._policy_factory = policy if callable(policy) else None
-        self.policy: Optional[InProcessPolicyClient] = (
-            None if self._policy_factory is not None else policy
-        )
+        self.policy = policy
         bed.register_workflow_inputs(workflow, remote_all=cfg.remote_inputs)
 
         planner = Planner(bed.sites, bed.transformations, bed.replicas)
@@ -260,21 +252,11 @@ class WorkflowExecution:
         }
         self.policy.service.register_priorities(self.plan.workflow_id, priorities)
 
-    def attach_policy(self, client: Optional[InProcessPolicyClient]) -> None:
-        """Wire a (lazily built) policy client into the staging tools."""
-        self.policy = client
-        self.ptt.policy = client
-        self.cleaner.policy = client
-        if client is not None:
-            self._register_priorities()
-
     def start(self, delay: float = 0.0):
         """Launch the run as a DES process; returns the process event."""
         def driver():
             if delay > 0:
                 yield self.bed.env.timeout(delay)
-            if self._policy_factory is not None and self.policy is None:
-                self.attach_policy(self._policy_factory())
             self.result = yield self.bed.env.process(
                 self.dagman.run(), name=f"dagman-{self.plan.workflow_id}"
             )
@@ -424,10 +406,10 @@ class EnsembleResult:
     tenant_bytes: dict[str, float]
     tenant_shares: dict[str, float]
     #: decision-provenance records from the shared policy service
-    #: (empty without ``share_policy``)
+    #: (empty when policy is off)
     decisions: list = field(default_factory=list)
     #: staged-data catalog census of the shared policy service at end of
-    #: run (None when the catalog — or ``share_policy`` — is off)
+    #: run (None when policy or the catalog is off)
     catalog_census: Optional[dict] = None
 
 
@@ -437,7 +419,6 @@ def run_tenant_ensemble(
     submissions: Sequence[tuple[str, Workflow]],
     admission: Optional["AdmissionConfig"] = None,
     scheduler: str = "fair",
-    share_policy: bool = True,
     initial_charges: Optional[dict[str, float]] = None,
     tracer=None,
     metrics=None,
@@ -448,10 +429,9 @@ def run_tenant_ensemble(
     ``tenants`` is a sequence of :class:`~repro.tenancy.TenantSpec` (or
     keyword dicts); ``submissions`` pairs each workflow with its owning
     tenant.  All workflows are planned up front (so plan ids and replica
-    decisions depend only on submission order), but each policy client is
-    built lazily when the admission controller grants a slot, and with
-    ``share_policy`` every workflow is bound to its tenant on the shared
-    service so the fair-share rules can meter aggregate stream budgets.
+    decisions depend only on submission order), and every workflow is
+    bound to its tenant on the one shared service so the fair-share rules
+    can meter aggregate stream budgets.
 
     ``initial_charges`` seeds the scheduler's per-tenant byte ledgers —
     pass a recovered service's ``bytes_staged`` census to reproduce the
@@ -471,11 +451,7 @@ def run_tenant_ensemble(
         registry.register(spec if isinstance(spec, TenantSpec) else TenantSpec(**spec))
 
     bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=tracer)
-    shared = (
-        build_policy_client(cfg, bed, metrics=metrics, profiler=profiler)
-        if share_policy
-        else None
-    )
+    shared = build_policy_client(cfg, bed, metrics=metrics, profiler=profiler)
     if shared is not None:
         for spec in registry:
             shared.service.register_tenant(
@@ -508,15 +484,7 @@ def run_tenant_ensemble(
         return starter
 
     for tenant, workflow in submissions:
-        if share_policy:
-            policy = shared
-        else:
-            # Satellite of the tenancy work: per-workflow clients (and any
-            # journal state) are built at admission, not while queued.
-            policy = lambda: build_policy_client(
-                cfg, bed, metrics=metrics, profiler=profiler
-            )
-        execution = WorkflowExecution(cfg, workflow, bed, policy)
+        execution = WorkflowExecution(cfg, workflow, bed, shared)
         if shared is not None:
             shared.service.bind_workflow(execution.plan.workflow_id, tenant)
         est = float(sum(f.size for f in workflow.input_files()))
@@ -548,33 +516,3 @@ def run_tenant_ensemble(
         ),
         catalog_census=catalog_census_of(shared.service) if shared is not None else None,
     )
-
-
-def run_ensemble(
-    cfg: ExperimentConfig,
-    workflows: Sequence[Workflow],
-    max_concurrent: int = 2,
-    share_policy: bool = True,
-) -> list[RunMetrics]:
-    """Run a queue of workflows with bounded concurrency on one testbed.
-
-    The ensemble manager admits the next queued workflow as soon as a
-    running one finishes (FIFO), all against one fabric and — with
-    ``share_policy`` — one Policy Service, the multi-workflow deployment
-    the paper's future work targets.  This is the single-tenant face of
-    :func:`run_tenant_ensemble`: one implicit tenant, FIFO order, no
-    budgets.
-    """
-    from repro.tenancy import AdmissionConfig, TenantSpec
-
-    if max_concurrent < 1:
-        raise ValueError("max_concurrent must be >= 1")
-    result = run_tenant_ensemble(
-        cfg,
-        tenants=[TenantSpec("default")],
-        submissions=[("default", workflow) for workflow in workflows],
-        admission=AdmissionConfig(max_concurrent=max_concurrent),
-        scheduler="fifo",
-        share_policy=share_policy,
-    )
-    return result.metrics

@@ -1,6 +1,6 @@
 """Run metrics: aggregation and reporting helpers."""
 
-from repro.metrics.collectors import RunMetrics, Series, mean_std, summarize_records
+from repro.metrics.collectors import RunMetrics, Series, summarize_records
 from repro.metrics.provenance import ascii_timeline, run_provenance
 from repro.metrics.report import ascii_series_plot, format_series_table
 
@@ -11,6 +11,5 @@ __all__ = [
     "ascii_timeline",
     "run_provenance",
     "format_series_table",
-    "mean_std",
     "summarize_records",
 ]

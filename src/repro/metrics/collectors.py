@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["RunMetrics", "Series", "mean_std", "summarize_records"]
+__all__ = ["RunMetrics", "Series", "summarize_records"]
 
 
 @dataclass
@@ -55,9 +55,6 @@ class Series:
     def means(self) -> list[float]:
         return [float(np.mean(v)) for v in self.ys]
 
-    def stds(self) -> list[float]:
-        return [float(np.std(v)) for v in self.ys]
-
     def at(self, x) -> tuple[float, float]:
         """(mean, std) at a given x."""
         idx = self.xs.index(x)
@@ -65,13 +62,6 @@ class Series:
 
     def to_dict(self) -> dict:
         return {"label": self.label, "xs": list(self.xs), "ys": [list(v) for v in self.ys]}
-
-
-def mean_std(values: Iterable[float]) -> tuple[float, float]:
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("mean_std of empty sequence")
-    return float(arr.mean()), float(arr.std())
 
 
 def summarize_records(durations: Iterable[float]) -> dict:

@@ -52,7 +52,7 @@ class Flow:
         Event fired with the flow when the last byte arrives (or failed
         via :meth:`FlowNetwork.abort`).
     state:
-        ``"setup"`` -> ``"active"`` -> ``"done"`` (or ``"aborted"``).
+        ``"setup"`` -> ``"active"`` -> ``"done"``.
     """
 
     __slots__ = (
@@ -92,12 +92,6 @@ class Flow:
         if self.t_done is None:
             return None
         return self.t_done - self.t_submit
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<Flow {self.fid} {self.src.name}->{self.dst.name} "
-            f"{self.streams}s {self.state} {self.remaining:.0f}/{self.nbytes:.0f}B>"
-        )
 
 
 class FlowNetwork:
@@ -156,31 +150,6 @@ class FlowNetwork:
         self.env.process(self._enter_after_setup(flow, delay), name=f"flow-{flow.fid}-setup")
         return flow
 
-    def abort(self, flow: Flow, reason: Exception) -> None:
-        """Fail a flow in flight (failure injection / cancels)."""
-        if flow.state in ("done", "aborted"):
-            raise ValueError(f"flow {flow.fid} already finished")
-        flow.state = "aborted"
-        flow.t_done = self.env.now
-        self._flows.pop(flow.fid, None)
-        self._active.pop(flow.fid, None)
-        flow.done.fail(reason)
-        self._reschedule()
-
-    def streams_between(self, src: Host | str, dst: Host | str) -> int:
-        """Streams currently announced on the (src, dst) route's first link
-        shared path — i.e. total concurrent streams for this host pair."""
-        route = self.network.route(src, dst)
-        return self._streams_on_route(route)
-
-    @property
-    def active_flow_count(self) -> int:
-        return len(self._active)
-
-    @property
-    def announced_flow_count(self) -> int:
-        return len(self._flows)
-
     # ------------------------------------------------------------ internals
     def _streams_on_link(self, link: Link) -> int:
         return sum(f.streams for f in self._flows.values() if link in f.route.links)
@@ -211,8 +180,6 @@ class FlowNetwork:
 
     def _enter_after_setup(self, flow: Flow, delay: float):
         yield self.env.timeout(delay)
-        if flow.state != "setup":  # aborted during setup
-            return
         flow.state = "active"
         flow.t_data_start = self.env.now
         self._active[flow.fid] = flow

@@ -62,15 +62,6 @@ class TransferRecord:
     t_done: float
     attempts: int = 1
 
-    @property
-    def duration(self) -> float:
-        return self.t_done - self.t_submit
-
-    @property
-    def throughput(self) -> float:
-        """Bytes/second over the whole transfer (0 for zero-duration)."""
-        return self.nbytes / self.duration if self.duration > 0 else 0.0
-
 
 class GridFTPClient:
     """Executes transfers on the fabric as DES processes.

@@ -49,10 +49,6 @@ class Host:
         if not self.name:
             raise ValueError("host name must be non-empty")
 
-    @property
-    def url_prefix(self) -> str:
-        return f"gsiftp://{self.name}"
-
 
 @dataclass(eq=False)
 class Link:
@@ -162,13 +158,3 @@ class Network:
         except KeyError:
             raise KeyError(f"no route {src_name} -> {dst_name}") from None
 
-    def has_route(self, src: Host | str, dst: Host | str) -> bool:
-        src_name = src if isinstance(src, str) else src.name
-        dst_name = dst if isinstance(dst, str) else dst.name
-        return (src_name, dst_name) in self._routes
-
-    def host(self, name: str) -> Host:
-        try:
-            return self.hosts[name]
-        except KeyError:
-            raise KeyError(f"unknown host {name!r}") from None

@@ -14,7 +14,7 @@ dicts this replaces.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = ["MetricsRegistry", "Counter", "Gauge", "Histogram"]
 
@@ -60,9 +60,11 @@ def _label_suffix(labelnames: Sequence[str], labelvalues: tuple) -> str:
 
 
 class _Family:
-    """Common machinery: a named metric with labelled children."""
+    """Common machinery: a named metric with labelled children, which each
+    family makes with ``_new_child()``."""
 
     kind = "untyped"
+    _new_child: Callable[[], Any]
 
     def __init__(self, name: str, help: str, labelnames: Sequence[str]):
         self.name = _check_name(name)
@@ -89,9 +91,6 @@ class _Family:
         if self.labelnames:
             raise ValueError(f"metric {self.name!r} is labelled; use .labels(...)")
         return self._child_for(())
-
-    def _new_child(self):  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def samples(self) -> Iterable[tuple[str, str, float]]:
         """(name, label-suffix, value) triples, labels sorted for stable text."""
@@ -145,16 +144,6 @@ class _GaugeChild:
     def set(self, value: float) -> None:
         self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
     def _samples(self, name, labelnames, labelvalues, suffix):
         yield (name, suffix, self._value)
 
@@ -169,16 +158,6 @@ class Gauge(_Family):
 
     def set(self, value: float, **labels: object) -> None:
         (self.labels(**labels) if labels else self._only_child()).set(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        (self.labels(**labels) if labels else self._only_child()).inc(amount)
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        (self.labels(**labels) if labels else self._only_child()).dec(amount)
-
-    def value(self, **labels: object) -> float:
-        child = self.labels(**labels) if labels else self._children.get(())
-        return child.value if child is not None else 0.0
 
 
 class _HistogramChild:
@@ -225,9 +204,6 @@ class Histogram(_Family):
 
     def _new_child(self):
         return _HistogramChild(self.buckets)
-
-    def observe(self, value: float, **labels: object) -> None:
-        (self.labels(**labels) if labels else self._only_child()).observe(value)
 
 
 class MetricsRegistry:

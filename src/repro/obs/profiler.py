@@ -44,17 +44,6 @@ class RuleStats:
     def total_s(self) -> float:
         return self.match_s + self.action_s
 
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.name,
-            "activations": self.activations,
-            "fires": self.fires,
-            "match_s": self.match_s,
-            "action_s": self.action_s,
-            "total_s": self.total_s,
-            "nodes": dict(self.nodes),
-        }
-
 
 class RuleProfiler:
     """Accumulates rule-engine cost across many sessions.
@@ -110,19 +99,6 @@ class RuleProfiler:
         return sorted(
             self.stats.values(), key=lambda r: (-r.total_s, -r.fires, r.name)
         )
-
-    def to_dict(self) -> dict:
-        samples = self.agenda_samples
-        return {
-            "sessions": self.sessions,
-            "total_firings": self.total_firings,
-            "agenda": {
-                "samples": len(samples),
-                "max": max(samples) if samples else 0,
-                "mean": sum(samples) / len(samples) if samples else 0.0,
-            },
-            "rules": [row.to_dict() for row in self.rows()],
-        }
 
     def report(self) -> str:
         """Human-readable profile table, hottest rules first."""

@@ -29,8 +29,7 @@ potential event and makes no call into this module
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 __all__ = ["Tracer", "SpanHandle", "NullTracer", "as_tracer"]
 
@@ -129,22 +128,6 @@ class Tracer:
             "args": merged,
         })
 
-    @contextmanager
-    def span(self, cat: str, name: str, track: str = "main", **args: Any) -> Iterator[Optional[SpanHandle]]:
-        """``with tracer.span(...)``: span over the block, closed on exit.
-
-        The span is emitted even when the block raises (the exception type
-        is recorded in the span's args) — error paths stay visible.
-        """
-        handle = self.begin(cat, name, track, **args)
-        try:
-            yield handle
-        except BaseException as exc:
-            self.end(handle, error=type(exc).__name__)
-            raise
-        else:
-            self.end(handle)
-
     # ------------------------------------------------------------------ views
     def __len__(self) -> int:
         return len(self.events)
@@ -187,9 +170,6 @@ class NullTracer(Tracer):
         if name == "enabled" and value:
             raise ValueError("a NullTracer cannot be enabled; use Tracer()")
         super().__setattr__(name, value)
-
-    def _emit(self, record: dict) -> None:  # pragma: no cover - never reached
-        raise AssertionError("NullTracer must not emit events")
 
 
 #: shared instance — NullTracer keeps no state, so one is enough

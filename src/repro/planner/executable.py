@@ -80,10 +80,6 @@ class ExecutableJob:
         if self.kind == JobKind.COMPUTE and not self.transform:
             raise PlanningError(f"compute job {self.id!r} requires a transform")
 
-    @property
-    def total_bytes(self) -> float:
-        return sum(t.nbytes for t in self.transfers)
-
 
 class ExecutableWorkflow(Dag):
     """A DAG of :class:`ExecutableJob` with explicit edges."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 __all__ = [
     "greedy_allocate",
-    "balanced_allocate",
     "greedy_allocation_trace",
     "max_streams_table",
     "TABLE4_DEFAULTS",
@@ -44,11 +43,6 @@ def greedy_allocate(requested: int, allocated: int, threshold: int) -> int:
     if allocated + requested > threshold:
         return threshold - allocated
     return requested
-
-
-def balanced_allocate(requested: int, cluster_allocated: int, cluster_threshold: int) -> int:
-    """Streams the balanced policy grants a transfer on one cluster."""
-    return greedy_allocate(requested, cluster_allocated, cluster_threshold)
 
 
 def greedy_allocation_trace(

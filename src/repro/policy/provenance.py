@@ -509,9 +509,6 @@ class DecisionLog:
         self.cap = int(cap)
         self._records: OrderedDict[tuple, dict] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     @staticmethod
     def key_of(record: dict) -> tuple:
         if record.get("kind") == "cleanup":
@@ -530,9 +527,6 @@ class DecisionLog:
 
     def transfer(self, tid: int) -> Optional[dict]:
         return self._records.get(("t", tid))
-
-    def cleanup(self, cid: int) -> Optional[dict]:
-        return self._records.get(("c", cid))
 
     def records(self) -> list[dict]:
         """All records, oldest first."""

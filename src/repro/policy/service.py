@@ -408,6 +408,11 @@ class PolicyService:
         self._last_committed_counters = self.counters()
         self.memory.observer = journal.record_mutation
 
+    def close(self) -> None:
+        """Close the journal file (a no-op without one)."""
+        if self.journal is not None:
+            self.journal.close()
+
     @contextmanager
     def _transaction(self):
         """Scope one service call's journal records; abort them on error.
@@ -1102,11 +1107,6 @@ class PolicyService:
         of the bounded log.
         """
         record = self.decisions.transfer(int(tid))
-        return dict(record) if record is not None else None
-
-    def explain_cleanup(self, cid: int) -> Optional[dict]:
-        """The decision-provenance record for a cleanup id (or None)."""
-        record = self.decisions.cleanup(int(cid))
         return dict(record) if record is not None else None
 
     def decision_records(self) -> list[dict]:

@@ -95,11 +95,6 @@ class _FleetMemoryView:
                 facts.extend(handle.service.memory.facts_of(fact_type))
         return facts
 
-    def __iter__(self):
-        for handle in self._router.shards:
-            if handle.service is not None:
-                yield from iter(handle.service.memory)
-
 
 class ShardedPolicyService:
     """N independent `PolicyService` shards behind one routing facade.
@@ -715,28 +710,19 @@ class ShardedPolicyService:
 
         self._maybe_reap()
         with self._call("explain"):
-            return self._explain("explain", "transfer", int(tid), self._tids)
-
-    def explain_cleanup(self, cid: int) -> Optional[dict]:
-        """The decision record for cleanup ``cid`` (see :meth:`explain`)."""
-
-        self._maybe_reap()
-        with self._call("explain_cleanup"):
-            return self._explain("explain_cleanup", "cleanup", int(cid), self._cids)
-
-    def _explain(self, op: str, kind: str, ident: int, homes: OrderedDict) -> Optional[dict]:
-        synthetic = getattr(self._decisions, kind)(ident)
-        if synthetic is not None:
-            return dict(synthetic)
-        home = homes.get(ident)
-        if home is None:
-            return None
-        try:
-            record = self.shards[home[0]].call(op, ident)
-        except ShardUnavailableError:
-            self._m_degraded.inc(kind="queries")
-            return None
-        return None if record is None else self._canonical_record(record)
+            tid = int(tid)
+            synthetic = self._decisions.transfer(tid)
+            if synthetic is not None:
+                return dict(synthetic)
+            home = self._tids.get(tid)
+            if home is None:
+                return None
+            try:
+                record = self.shards[home[0]].call("explain", tid)
+            except ShardUnavailableError:
+                self._m_degraded.inc(kind="queries")
+                return None
+            return None if record is None else self._canonical_record(record)
 
     def decision_records(self) -> list[dict]:
         """Fleet decision log: every live shard's records plus synthetics.
@@ -1003,9 +989,6 @@ class ShardedPolicyService:
             for key, value in part.items():
                 totals[key] = totals.get(key, 0) + value
         return totals
-
-    def config_fingerprint(self) -> dict:
-        return self.config.fingerprint()
 
     def shard_health(self) -> list[dict]:
         return [handle.describe() for handle in self.shards]

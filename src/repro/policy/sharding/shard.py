@@ -215,8 +215,8 @@ class ShardHandle:
         return 0 if self.partitioned else self._deliver()
 
     def close(self) -> None:
-        if self.service is not None and self.service.journal is not None:
-            self.service.journal.close()
+        if self.service is not None:
+            self.service.close()
 
     # ------------------------------------------------------------------ status
     def describe(self) -> dict:

@@ -12,9 +12,9 @@ Concepts
     every update bumps a version counter used for refraction.
 ``WorkingMemory``
     The fact store with per-type indexes and insert/update/retract.
-``Pattern`` / ``Absent`` / ``Collect`` / ``Test``
-    Rule condition elements: positive match, negation-as-absence,
-    collect-all (Drools ``collect``), and pure guard over bindings.
+``Pattern`` / ``Absent`` / ``Collect``
+    Rule condition elements: positive match, negation-as-absence, and
+    collect-all (Drools ``collect``).
 ``Rule``
     Named conditions + action with a salience (priority) and optional
     ``no_loop`` protection.
@@ -32,20 +32,18 @@ from repro.rules.compiler import CompiledRuleset, compile_rules
 from repro.rules.engine import Rule, RuleEngineError, Session
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.network import JoinNetwork
-from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test
+from repro.rules.patterns import Absent, Collect, Pattern
 
 __all__ = [
     "Absent",
     "Collect",
     "CompiledRuleset",
-    "Exists",
     "Fact",
     "JoinNetwork",
     "Pattern",
     "Rule",
     "RuleEngineError",
     "Session",
-    "Test",
     "WorkingMemory",
     "compile_rules",
 ]

@@ -17,8 +17,8 @@ an execution plan that the :class:`~repro.rules.network.JoinNetwork` runs:
     single next candidate (see :class:`~repro.rules.network.JoinNetwork`).
 
 ``delta``
-    Everything else (rules using ``Absent`` / ``Exists`` / ``Collect`` /
-    ``Test``, single-Pattern rules, or rules with unbound patterns).
+    Everything else (rules using ``Absent`` / ``Collect``, single-Pattern
+    rules, or rules with unbound patterns).
     These use a dirty-set strategy — re-join the changed facts at each
     Pattern position, re-enumerate the rule when a gate may have opened —
     feeding the same candidate heap, so mixed rule packs fire in the
@@ -36,7 +36,7 @@ import functools
 from typing import Any, Optional, Sequence
 
 from repro.rules.engine import Rule
-from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test
+from repro.rules.patterns import Pattern
 
 __all__ = [
     "PLAN_JOIN",
@@ -112,12 +112,9 @@ class RulePlan:
         self.reason = reason
         #: Pattern positions in condition order (join plans: all of them)
         self.positions = positions
-        #: typed non-Pattern elements (Absent / Exists / Collect) — the
-        #: gates whose truth a mutation of their fact type may flip.
-        self.gates: tuple = tuple(
-            el for el in rule.when
-            if isinstance(el, (Absent, Exists, Collect))
-        )
+        #: the non-Pattern elements (Absent / Collect) — the gates whose
+        #: truth a mutation of their fact type may flip.
+        self.gates: tuple = tuple(el for el in rule.when if not isinstance(el, Pattern))
         #: the position whose alpha memory routes changes to this rule:
         #: the first condition element when it is a Pattern, else None
         #: (such a rule is visited on every mutation of its types).
@@ -143,16 +140,10 @@ def _classify(rule: Rule, order: int) -> RulePlan:
         if isinstance(el, Pattern)
     ]
     for el in rule.when:
-        if isinstance(el, (Absent, Exists, Collect, Test)):
-            return RulePlan(
-                rule, order, PLAN_DELTA,
-                f"condition {type(el).__name__} is not a join-network element",
-                positions,
-            )
         if not isinstance(el, Pattern):
             return RulePlan(
                 rule, order, PLAN_DELTA,
-                f"unknown condition element {type(el).__name__}",
+                f"condition {type(el).__name__} is not a join-network element",
                 positions,
             )
     if len(rule.when) < 2:

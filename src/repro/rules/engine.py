@@ -82,9 +82,7 @@ class Rule:
         self.salience = int(salience)
         self.no_loop = bool(no_loop)
         #: fact types this rule's conditions reference
-        self.types: tuple[type, ...] = tuple(
-            {element.fact_type for element in when if hasattr(element, "fact_type")}
-        )
+        self.types: tuple[type, ...] = tuple({element.fact_type for element in when})
 
     def matches(
         self,
@@ -134,9 +132,6 @@ class Rule:
                 return []
             frontier = next_frontier
         return frontier
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Rule({self.name!r}, salience={self.salience})"
 
 
 class ActivationContext:

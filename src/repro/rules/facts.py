@@ -295,13 +295,6 @@ class WorkingMemory:
             return []
         return list(bucket.values())  # buckets are kept in fid order
 
-    def single(self, fact_type: Type[F]) -> Optional[F]:
-        """The unique fact of a type, or None (error if several)."""
-        found = self._by_type.get(fact_type, _NO_FACTS)
-        if len(found) > 1:
-            raise ValueError(f"multiple {fact_type.__name__} facts in memory")
-        return next(iter(found.values()), None)
-
     def version_of(self, fact: Fact) -> int:
         return self._entries[id(fact)].version
 

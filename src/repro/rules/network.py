@@ -584,7 +584,7 @@ class JoinNetwork:
 
     @staticmethod
     def _gates_dirty(plan: RulePlan, dirty: list) -> bool:
-        """Could any of these mutations flip an Absent/Exists/Collect gate?
+        """Could any of these mutations flip an Absent/Collect gate?
 
         Only a flip *towards* matching forces a rebuild — gates flipping
         away are caught by pop-time validation.  An ``Absent`` insert can
@@ -790,7 +790,7 @@ class JoinNetwork:
         for element, slot in zip(rule.when, state.plan.slots):
             fact = facts[slot] if slot >= 0 else None
             if fact is None:
-                # A gate, a Test, or an unbound pattern (delta plan):
+                # A gate or an unbound pattern (delta plan):
                 # re-check against memory.
                 expanded = element.expand(memory, bindings)
                 if not expanded:

@@ -13,14 +13,9 @@ candidate sets):
 ``Collect(T, binding="xs", where=guard, min_count=0, keys=...)``
     Binds the list of all matching facts (Drools ``collect`` /
     ``accumulate``); fails when fewer than ``min_count`` match.
-``Exists(T, where=guard, keys=...)``
-    Succeeds once (no binding) when at least one fact matches (Drools
-    ``exists``).
-``Test(predicate)``
-    A pure guard over the bindings gathered so far (Drools ``eval``).
 
 Guards take ``(fact, bindings)`` — bindings is a dict of previously bound
-names.  ``Test`` predicates take ``(bindings,)``.
+names.
 
 Indexed candidate selection
 ---------------------------
@@ -42,20 +37,10 @@ from typing import Any, Callable, Iterable, Optional, Type
 
 from repro.rules.facts import Fact
 
-__all__ = ["Pattern", "Absent", "Collect", "Exists", "Test"]
+__all__ = ["Pattern", "Absent", "Collect"]
 
 Guard = Callable[[Fact, dict], bool]
 KeySpec = Optional[dict[str, Callable[[dict], Any]]]
-
-
-class ConditionElement:
-    """Base class; subclasses implement ``expand(memory, bindings)``."""
-
-    __slots__ = ()
-
-    def expand(self, memory, bindings: dict) -> list[dict]:  # pragma: no cover
-        """Yield extended binding dicts for each way this element matches."""
-        raise NotImplementedError
 
 
 def _check(guard: Optional[Guard], fact: Fact, bindings: dict) -> bool:
@@ -82,10 +67,14 @@ def _validate_keys(name: str, keys: KeySpec) -> KeySpec:
     return dict(keys)
 
 
-class _TypedElement(ConditionElement):
-    """Shared candidate selection for the typed condition elements."""
+class ConditionElement:
+    """What ``Pattern``, ``Absent`` and ``Collect`` share: a fact type, its
+    guard and key index, and candidate selection.  Each implements
+    ``expand(memory, bindings)``, the extended binding dicts for each way
+    it matches."""
 
     __slots__ = ("fact_type", "where", "keys", "reads")
+    expand: Callable[[Any, dict], list[dict]]
 
     def __init__(
         self,
@@ -129,7 +118,7 @@ class _TypedElement(ConditionElement):
         return memory.facts_of(self.fact_type)
 
 
-class Pattern(_TypedElement):
+class Pattern(ConditionElement):
     """Positive match on one fact of a type."""
 
     __slots__ = ("binding",)
@@ -161,11 +150,8 @@ class Pattern(_TypedElement):
                     out.append(dict(bindings))
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Pattern({self.fact_type.__name__}, binding={self.binding!r})"
 
-
-class Absent(_TypedElement):
+class Absent(ConditionElement):
     """Negation: succeeds when no fact of the type passes the guard."""
 
     __slots__ = ()
@@ -185,41 +171,8 @@ class Absent(_TypedElement):
                 return []
         return [dict(bindings)]
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Absent({self.fact_type.__name__})"
 
-
-class Exists(_TypedElement):
-    """Existential quantifier: succeeds (once, without binding) when at
-    least one fact of the type passes the guard (Drools ``exists``).
-
-    Unlike a :class:`Pattern`, the rule fires a single activation no
-    matter how many facts match — use it for "is there any X?" guards
-    that should not multiply firings.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        fact_type: Type[Fact],
-        where: Optional[Guard] = None,
-        keys: KeySpec = None,
-        reads: Optional[Iterable[str]] = None,
-    ):
-        super().__init__(fact_type, where, keys, reads)
-
-    def expand(self, memory, bindings: dict) -> list[dict]:
-        for fact in self.candidates(memory, bindings):
-            if _check(self.where, fact, bindings):
-                return [dict(bindings)]
-        return []
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Exists({self.fact_type.__name__})"
-
-
-class Collect(_TypedElement):
+class Collect(ConditionElement):
     """Bind the list of all matching facts."""
 
     __slots__ = ("binding", "min_count")
@@ -250,24 +203,3 @@ class Collect(_TypedElement):
         new = dict(bindings)
         new[self.binding] = matches
         return [new]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Collect({self.fact_type.__name__} as {self.binding!r})"
-
-
-class Test(ConditionElement):
-    """Pure guard over bindings (no new facts matched)."""
-
-    __test__ = False  # not a pytest test class despite the name
-    __slots__ = ("predicate",)
-
-    def __init__(self, predicate: Callable[[dict], Any]):
-        if not callable(predicate):
-            raise TypeError("Test requires a callable")
-        self.predicate = predicate
-
-    def expand(self, memory, bindings: dict) -> list[dict]:
-        return [dict(bindings)] if self.predicate(bindings) else []
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Test(...)"

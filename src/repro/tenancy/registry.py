@@ -69,16 +69,6 @@ class TenantSpec:
         _check_optional_count(self.max_streams, "max_streams")
         _check_optional_count(self.max_concurrent, "max_concurrent")
 
-    def to_dict(self) -> dict:
-        return {
-            "tenant": self.tenant,
-            "weight": self.weight,
-            "priority_class": self.priority_class,
-            "max_bytes": self.max_bytes,
-            "max_streams": self.max_streams,
-            "max_concurrent": self.max_concurrent,
-        }
-
 
 @dataclass
 class TenantRegistry:
@@ -101,12 +91,6 @@ class TenantRegistry:
         except KeyError:
             raise KeyError(f"unknown tenant {tenant!r}") from None
 
-    def remove(self, tenant: str) -> bool:
-        return self._specs.pop(tenant, None) is not None
-
-    def names(self) -> list[str]:
-        return sorted(self._specs)
-
     def total_weight(self) -> float:
         return sum(spec.weight for spec in self._specs.values())
 
@@ -115,11 +99,6 @@ class TenantRegistry:
         total = self.total_weight()
         return self.get(tenant).weight / total if total else 0.0
 
-    def __contains__(self, tenant: str) -> bool:
-        return tenant in self._specs
-
     def __iter__(self) -> Iterator[TenantSpec]:
         return iter(sorted(self._specs.values(), key=lambda s: s.tenant))
 
-    def __len__(self) -> int:
-        return len(self._specs)

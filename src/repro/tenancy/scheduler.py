@@ -62,7 +62,10 @@ class Submission:
 
 
 class EnsembleScheduler:
-    """Base queue: submit / select / charge.  Subclasses define the order."""
+    """Base queue: submit / select / charge.  Subclasses define the order
+    with ``_key(submission)``, smallest first."""
+
+    _key: Callable[[Submission], Any]
 
     def __init__(self, registry: TenantRegistry):
         self.registry = registry
@@ -111,9 +114,6 @@ class EnsembleScheduler:
         self._queue.remove(chosen)
         return chosen
 
-    def peek_queue(self) -> list[Submission]:
-        return sorted(self._queue, key=self._key)
-
     def __len__(self) -> int:
         return len(self._queue)
 
@@ -129,9 +129,6 @@ class EnsembleScheduler:
         for tenant, nbytes in charges.items():
             self.charged[tenant] = max(0.0, float(nbytes))
 
-    # -- ordering -------------------------------------------------------------
-    def _key(self, sub: Submission):
-        raise NotImplementedError
 
 
 class FifoScheduler(EnsembleScheduler):

@@ -4,15 +4,15 @@
   derived dependencies, validation and traversals;
 * :mod:`repro.workflow.montage` — the Montage mosaicking workflow generator
   used in the paper's evaluation (plus the big-data staging augmentation);
-* :mod:`repro.workflow.synthetic` — diamond / chain / fork-join / layered
-  random generators for tests and ablations;
+* :mod:`repro.workflow.synthetic` — the Epigenomics- and CyberShake-like
+  generators of the non-Montage ablations and benchmarks;
 * :mod:`repro.workflow.priorities` — the paper's structure-based priority
-  algorithms (BFS, DFS, direct-dependent-based, dependent-based);
-* :mod:`repro.workflow.dax` — JSON (de)serialization of abstract workflows.
+  algorithms (BFS, DFS, direct-dependent-based, dependent-based).
+
+Workflows are built in code; no workflow file format is read or written.
 """
 
 from repro.workflow.dag import File, Job, Workflow, WorkflowError
-from repro.workflow.dax import workflow_from_json, workflow_to_json
 from repro.workflow.montage import MontageConfig, augmented_montage, montage_workflow
 from repro.workflow.priorities import (
     bfs_priorities,
@@ -20,14 +20,7 @@ from repro.workflow.priorities import (
     dfs_priorities,
     direct_dependent_priorities,
 )
-from repro.workflow.synthetic import (
-    chain_workflow,
-    cybershake_workflow,
-    diamond_workflow,
-    epigenomics_workflow,
-    fork_join_workflow,
-    random_layered_workflow,
-)
+from repro.workflow.synthetic import cybershake_workflow, epigenomics_workflow
 
 __all__ = [
     "File",
@@ -37,16 +30,10 @@ __all__ = [
     "WorkflowError",
     "augmented_montage",
     "bfs_priorities",
-    "chain_workflow",
     "cybershake_workflow",
     "dependent_priorities",
     "dfs_priorities",
-    "diamond_workflow",
     "direct_dependent_priorities",
     "epigenomics_workflow",
-    "fork_join_workflow",
     "montage_workflow",
-    "random_layered_workflow",
-    "workflow_from_json",
-    "workflow_to_json",
 ]

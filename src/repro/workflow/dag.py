@@ -80,7 +80,6 @@ class Workflow(Dag):
         self._producer: dict[str, str] = {}      # lfn -> job id
         self._consumers: dict[str, list[str]] = {}  # lfn -> job ids
         self._files: dict[str, File] = {}
-        self._control_edges: set[tuple[str, str]] = set()
 
     # -- construction --------------------------------------------------------
     def add_job(self, job: Job) -> Job:
@@ -107,24 +106,11 @@ class Workflow(Dag):
         self._mutated()
         return job
 
-    def add_control_edge(self, parent_id: str, child_id: str) -> None:
-        """Add an explicit (non-data) ordering constraint."""
-        self._check_edge(parent_id, child_id)
-        self._control_edges.add((parent_id, child_id))
-        self._mutated()
-
     def edges(self) -> set[tuple[str, str]]:
-        """Data-flow edges (producer -> consumer) and control edges."""
-        flow = {(p, c) for lfn, p in self._producer.items() for c in self._consumers.get(lfn, ())}
-        return flow | self._control_edges
+        """Data-flow edges (producer -> consumer)."""
+        return {(p, c) for lfn, p in self._producer.items() for c in self._consumers.get(lfn, ())}
 
     # -- files ----------------------------------------------------------------
-    def file(self, lfn: str) -> File:
-        try:
-            return self._files[lfn]
-        except KeyError:
-            raise WorkflowError(f"unknown file {lfn!r}") from None
-
     def producer_of(self, lfn: str) -> Optional[str]:
         return self._producer.get(lfn)
 

@@ -6,7 +6,7 @@ what its edges are (:meth:`Dag.edges`) and which error it raises."""
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 __all__ = ["Dag", "reachable"]
 
@@ -36,10 +36,8 @@ class Dag:
     jobs: dict[str, Any]
     _adjacency: Optional[Adjacency] = None
     _order: Optional[list[str]] = None  # validate()'s verdict, until the next mutation
-
-    def edges(self) -> set[tuple[str, str]]:
-        """Every ``(parent, child)`` edge, as a new set."""
-        raise NotImplementedError
+    #: every ``(parent, child)`` edge, as a new set (each subclass's own)
+    edges: Callable[[], set[tuple[str, str]]]
 
     def _mutated(self) -> None:
         self._adjacency = self._order = None
@@ -132,9 +130,6 @@ class Dag:
 
     def __len__(self) -> int:
         return len(self.jobs)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}({self.name!r}, jobs={len(self.jobs)})"
 
     def _check(self, job_id: str) -> str:
         if job_id not in self.jobs:

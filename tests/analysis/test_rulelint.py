@@ -167,12 +167,12 @@ def _threshold(bindings):
 
 
 def test_alpha_routing_findings_are_r009():
-    from repro.rules import Pattern, Rule, Test
+    from repro.rules import Collect, Pattern, Rule
 
     noop = lambda ctx: None  # noqa: E731
     rules = [
-        Rule("Opens with a test", then=noop,
-             when=[Test(lambda b: True), Pattern(defects.ProbeFact, "t")]),
+        Rule("Opens with a gate", then=noop,
+             when=[Collect(defects.CounterFact, "cs"), Pattern(defects.ProbeFact, "t")]),
         Rule("Guard reads a global", then=noop,
              when=[Pattern(defects.ProbeFact, "t",
                            where=lambda t, b: t.tid > b["_globals"]["threshold"])]),
@@ -189,8 +189,8 @@ def test_alpha_routing_findings_are_r009():
         if f.check == "R009" and "alpha memory" in f.message
     }
     assert sorted(hits) == sorted(rule.name for rule in rules[:3])
-    assert hits["Opens with a test"].severity == Severity.INFO
-    assert "visited on every mutation" in hits["Opens with a test"].message
+    assert hits["Opens with a gate"].severity == Severity.INFO
+    assert "visited on every mutation" in hits["Opens with a gate"].message
     for name in ("Guard reads a global", "Guard reads a global through a helper"):
         assert hits[name].severity == Severity.WARNING
         assert "_globals" in hits[name].message
@@ -236,7 +236,7 @@ def test_report_render_and_json_round_trip():
     report.add("R001", Severity.ERROR, "r", "broken", location="f.py:3")
     text = report.render_text()
     assert "1 error(s)" in text and "f.py:3" in text
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_dict()))
     assert doc["findings"][0]["check"] == "R001"
     assert doc["counts"]["error"] == 1
 

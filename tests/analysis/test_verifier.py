@@ -199,3 +199,11 @@ def test_spec_alive_in_any_report_is_not_flagged():
     first.suppress(["V003"])
     second.suppress(["V003"])  # consumes nothing here
     assert not flag_dead_suppressions([first, second]).findings
+
+
+def test_counterexample_globals_round_trip_non_string_keys():
+    """A counterexample's globals survive JSON with tuple and set keys."""
+    from repro.analysis.verifier.replay import decode_globals, encode_globals
+
+    doc = {"ledger": {("a", "b"): 3, frozenset({"x"}): 1}}
+    assert decode_globals(json.loads(json.dumps(encode_globals(doc)))) == doc

@@ -107,12 +107,6 @@ def test_step_on_empty_schedule_raises():
         env.step()
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7)
-    assert env.peek() == 7
-
-
 def test_event_succeed_wakes_waiter():
     env = Environment()
     gate = env.event()

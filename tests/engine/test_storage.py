@@ -14,11 +14,9 @@ def test_add_remove_and_peak():
     tracker.add("b", 50)
     assert tracker.used == 150
     assert tracker.peak == 150
-    assert tracker.holds("a")
     assert tracker.remove("a") == 100
     assert tracker.used == 50
     assert tracker.peak == 150  # peak sticks
-    assert tracker.file_count == 1
 
 
 def test_duplicate_add_is_idempotent():

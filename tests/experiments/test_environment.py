@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.environment import TestbedParams, build_testbed, scaled_params
+from repro.experiments.environment import TestbedParams, build_testbed
 from repro.net.topology import MB, mbit
 from repro.workflow import augmented_montage
 from repro.workflow.montage import MontageConfig
@@ -17,9 +17,9 @@ def test_default_params_match_paper_narrative():
 
 def test_testbed_topology_complete():
     bed = build_testbed(seed=1)
-    assert bed.network.has_route("fg-vm", "obelix")
-    assert bed.network.has_route("web-isi", "obelix")
-    assert bed.network.has_route("obelix", "archive-host")
+    assert bed.network.route("fg-vm", "obelix").links
+    assert bed.network.route("web-isi", "obelix").links
+    assert bed.network.route("obelix", "archive-host").links
     # WAN and LAN routes share the NFS server link.
     wan_route = bed.network.route("fg-vm", "obelix")
     lan_route = bed.network.route("web-isi", "obelix")
@@ -40,7 +40,7 @@ def test_register_workflow_inputs_places_replicas():
     count = bed.register_workflow_inputs(wf)
     assert count == 4 + 1 + 4  # raw images + header + extras
     assert bed.replicas.has("raw_0.fits", site="isi-web")
-    extras = [lfn for lfn in bed.replicas.lfns() if "montage_extra" in lfn]
+    extras = [f.lfn for f in wf.input_files() if "montage_extra" in f.lfn]
     assert len(extras) == 4
     assert bed.replicas.lookup(extras[0])[0].site == "futuregrid"
 
@@ -49,10 +49,3 @@ def test_same_seed_same_gridftp_draws():
     a = build_testbed(seed=9).gridftp.rng.random(3)
     b = build_testbed(seed=9).gridftp.rng.random(3)
     assert (a == b).all()
-
-
-def test_scaled_params_override():
-    p = scaled_params(wan_knee=120, policy_latency=0.5)
-    assert p.wan_knee == 120
-    assert p.policy_latency == 0.5
-    assert p.nodes == 9  # untouched defaults preserved

@@ -153,26 +153,6 @@ def test_no_cross_tenant_deletion_of_shared_staged_files():
     assert follower.transfers_skipped + follower.transfers_waited > 0
 
 
-def test_isolated_policies_stage_independently():
-    """share_policy=False: no shared memory, both tenants stage everything
-    (and the lazily built per-workflow clients still work end to end)."""
-    tenants = [TenantSpec("acme"), TenantSpec("beta")]
-    subs = [("acme", instance("m0", shared=True)),
-            ("beta", instance("m1", shared=True))]
-    result = run_tenant_ensemble(
-        cfg(),
-        tenants,
-        subs,
-        admission=AdmissionConfig(max_concurrent=2),
-        scheduler="fair",
-        share_policy=False,
-    )
-    assert all(m.success for m in result.metrics)
-    assert all(m.transfers_executed > 0 for m in result.metrics)
-    assert all(m.transfers_skipped == 0 and m.transfers_waited == 0
-               for m in result.metrics)
-
-
 # -- quotas -------------------------------------------------------------------
 def test_byte_quota_rejects_at_the_door():
     tenants = [TenantSpec("capped", max_bytes=1.0), TenantSpec("free")]

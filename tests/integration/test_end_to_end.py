@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig, run_cell
 from repro.experiments.runner import run_workflow
-from repro.workflow import diamond_workflow, fork_join_workflow
+from tests.workflow.generators import diamond_workflow, fork_join_workflow
 
 
 def small(**overrides):

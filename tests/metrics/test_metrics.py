@@ -6,7 +6,6 @@ from repro.metrics import (
     Series,
     ascii_series_plot,
     format_series_table,
-    mean_std,
     summarize_records,
 )
 
@@ -18,7 +17,7 @@ def test_series_add_and_stats():
     s.add(8, [200.0])
     assert s.xs == [4, 8]
     assert s.means() == [100.0, 200.0]
-    assert s.stds()[0] == pytest.approx(8.1649, rel=1e-3)
+    assert s.at(4)[1] == pytest.approx(8.1649, rel=1e-3)
     mean, std = s.at(8)
     assert (mean, std) == (200.0, 0.0)
 
@@ -44,14 +43,6 @@ def test_series_roundtrip_dict():
 
 
 # ---------------------------------------------------------------- helpers
-def test_mean_std():
-    mean, std = mean_std([2.0, 4.0])
-    assert mean == 3.0
-    assert std == 1.0
-    with pytest.raises(ValueError):
-        mean_std([])
-
-
 def test_summarize_records():
     stats = summarize_records([1.0, 2.0, 3.0, 4.0])
     assert stats["count"] == 4

@@ -131,40 +131,6 @@ def test_zero_byte_transfer_completes_after_setup():
     assert flow.state == "done"
 
 
-def test_abort_fails_waiter_and_frees_capacity():
-    env, fabric = make_fabric(capacity=100.0)
-    doomed = fabric.start_transfer("src", "dst", 1e6, streams=1)
-    survivor = fabric.start_transfer("src", "dst", 300.0, streams=1)
-    caught = []
-
-    def killer():
-        yield env.timeout(1.0)
-        fabric.abort(doomed, RuntimeError("injected"))
-
-    def waiter():
-        try:
-            yield doomed.done
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    env.process(killer())
-    env.process(waiter())
-    env.run()
-    assert caught == ["injected"]
-    # Survivor: 50B in first second, then 250B at full 100 B/s.
-    assert survivor.t_done == pytest.approx(3.5)
-
-
-def test_abort_twice_rejected():
-    env, fabric = make_fabric()
-    flow = fabric.start_transfer("src", "dst", 1e6, streams=1)
-    flow.done.defuse()
-    fabric.abort(flow, RuntimeError("x"))
-    with pytest.raises(ValueError):
-        fabric.abort(flow, RuntimeError("y"))
-    env.run()
-
-
 def test_validation():
     env, fabric = make_fabric()
     with pytest.raises(ValueError):
@@ -181,14 +147,6 @@ def test_peak_streams_tracked():
     fabric.start_transfer("src", "dst", 100.0, streams=6)
     env.run()
     assert fabric.peak_streams["wan"] == 10
-
-
-def test_streams_between_counts_announced():
-    model = StreamModel(session_setup=100.0, stream_setup=0, ramp_time=0)
-    env, fabric = make_fabric(model=model)
-    fabric.start_transfer("src", "dst", 100.0, streams=7)
-    # Still in setup, but its streams are announced on the route.
-    assert fabric.streams_between("src", "dst") == 7
 
 
 def test_bytes_moved_accounting():

@@ -8,33 +8,6 @@ from repro.net import FlowNetwork, Link, Network, StreamModel
 from tests.net.test_flows import make_fabric
 
 
-def test_abort_during_setup_phase():
-    model = StreamModel(session_setup=10.0, stream_setup=0, ramp_time=0)
-    env, fabric = make_fabric(model=model)
-    flow = fabric.start_transfer("src", "dst", 1000.0, streams=2)
-    flow.done.defuse()
-
-    def killer():
-        yield env.timeout(2.0)  # still in setup
-        fabric.abort(flow, RuntimeError("cancelled"))
-
-    env.process(killer())
-    env.run()
-    assert flow.state == "aborted"
-    assert fabric.bytes_moved == 0.0
-    assert fabric.announced_flow_count == 0
-
-
-def test_announced_vs_active_counts():
-    model = StreamModel(session_setup=5.0, stream_setup=0, ramp_time=0)
-    env, fabric = make_fabric(model=model)
-    fabric.start_transfer("src", "dst", 1000.0, streams=2)
-    assert fabric.announced_flow_count == 1
-    assert fabric.active_flow_count == 0  # still in setup
-    env.run(until=6.0)
-    assert fabric.active_flow_count == 1
-
-
 def test_flow_duration_property():
     env, fabric = make_fabric(capacity=100.0)
     flow = fabric.start_transfer("src", "dst", 100.0, streams=1)

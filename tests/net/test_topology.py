@@ -18,8 +18,7 @@ def test_site_host_validation():
     site = Site("isi")
     with pytest.raises(ValueError):
         Host("", site)
-    host = Host("obelix", site)
-    assert host.url_prefix == "gsiftp://obelix"
+    Host("obelix", site)
 
 
 def test_link_validation():
@@ -52,8 +51,8 @@ def test_route_lookup_by_object_and_name():
     route = net.route(vm, obelix)
     assert route.links == (wan, lan)
     assert net.route("futuregrid-vm", "obelix") is route
-    assert net.has_route(vm, obelix)
-    assert not net.has_route(obelix, vm)
+    with pytest.raises(KeyError):
+        net.route(obelix, vm)
 
 
 def test_missing_route_raises():
@@ -85,10 +84,3 @@ def test_empty_route_rejected():
     net, vm, obelix, *_ = build_net()
     with pytest.raises(ValueError):
         net.add_route(obelix, vm, [])
-
-
-def test_unknown_host_lookup():
-    net, *_ = build_net()
-    with pytest.raises(KeyError):
-        net.host("nope")
-    assert net.host("obelix").name == "obelix"

@@ -38,14 +38,6 @@ def test_wrong_label_set_raises():
         c.inc()  # unlabelled use of a labelled family
 
 
-def test_gauge_set_inc_dec():
-    g = MetricsRegistry().gauge("repro_depth")
-    g.set(5)
-    g.inc(2)
-    g.dec()
-    assert g.value() == 6
-
-
 def test_registration_is_idempotent_but_kind_mismatch_raises():
     reg = MetricsRegistry()
     a = reg.counter("repro_n_total", "N.", labelnames=("k",))
@@ -67,7 +59,7 @@ def test_invalid_metric_name_rejected():
 
 def test_histogram_buckets_are_cumulative():
     reg = MetricsRegistry()
-    h = reg.histogram("repro_latency_seconds", buckets=(0.1, 1.0, 10.0))
+    h = reg.histogram("repro_latency_seconds", buckets=(0.1, 1.0, 10.0))._only_child()
     for v in (0.05, 0.5, 0.5, 5.0, 50.0):
         h.observe(v)
     text = reg.render()

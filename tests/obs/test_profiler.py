@@ -27,9 +27,8 @@ def test_record_match_fire_and_agenda():
     assert row.action_s == 1.0
     assert row.total_s == 1.25
     assert profiler.total_firings == 2
-    doc = profiler.to_dict()
-    assert doc["agenda"] == {"samples": 2, "max": 4, "mean": 3.0}
-    assert doc["rules"][0]["rule"] == "r"
+    assert profiler.agenda_samples == [4, 2]
+    assert [row.name for row in profiler.rows()] == ["r"]
 
 
 def test_rows_sorted_hottest_first():

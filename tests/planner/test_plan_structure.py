@@ -153,14 +153,6 @@ def test_plan_mutation_after_validate_is_validated_again():
 
 def test_workflow_mutation_after_validate_is_validated_again():
     wf = Workflow("w")
-    wf.add_job(Job("a", "t", outputs=(File("f", 1.0),)))
-    wf.add_job(Job("b", "t", inputs=(File("f", 1.0),), outputs=(File("g", 1.0),)))
-    wf.validate()
-    wf.add_control_edge("b", "a")
-    with pytest.raises(WorkflowError, match="cycle"):
-        wf.validate()
-
-    wf = Workflow("w")
     wf.add_job(Job("a", "t", inputs=(File("g", 1.0),), outputs=(File("f", 1.0),)))
     wf.validate()
     wf.add_job(Job("b", "t", inputs=(File("f", 1.0),), outputs=(File("g", 1.0),)))

@@ -31,3 +31,10 @@ def greedy_service():
 @pytest.fixture
 def fifo_service():
     return PolicyService(PolicyConfig(policy="fifo", default_streams=4))
+
+
+def cleanup_record(service, cid: int) -> dict:
+    """The decision record of cleanup ``cid`` in the service's log."""
+    return next(
+        r for r in service.decision_records() if r["kind"] != "transfer" and r["cid"] == cid
+    )

@@ -14,6 +14,7 @@ import pytest
 from repro.policy import PolicyService, ShardedPolicyService
 from repro.policy.model import PolicyConfig
 
+from tests.policy.conftest import cleanup_record
 from tests.policy.sharding.conftest import (
     make_router,
     make_single,
@@ -110,12 +111,19 @@ def test_num_shards_validated():
         ShardedPolicyService(PolicyConfig(), num_shards=0)
 
 
-def test_config_fingerprint_matches_single_service():
+def test_fleet_memory_counts_every_shards_facts():
+    """``len(router.memory)`` (the ensemble's backpressure probe) sums the
+    shards' resident facts."""
     cfg = PolicyConfig(policy="greedy", default_streams=4, max_streams=12)
-    single = PolicyService(cfg)
     router = ShardedPolicyService(cfg, num_shards=2)
     try:
-        assert router.config_fingerprint() == single.config_fingerprint()
+        router.submit_transfers("wf", "j", [
+            {"lfn": f"f{i}", "src_url": f"gsiftp://src{i}/f{i}",
+             "dst_url": f"gsiftp://dst/f{i}", "nbytes": 1.0}
+            for i in range(6)
+        ])
+        counts = [len(handle.service.memory) for handle in router.shards]
+        assert all(counts) and len(router.memory) == sum(counts)
     finally:
         router.close()
 
@@ -151,7 +159,7 @@ def test_explain_digests_invariant_across_shard_counts(num_shards):
         assert router.explain(some_tid)["digest"] == expected[
             ("transfer", some_tid)]["digest"]
         some_cid = next(i for (kind, i) in got if kind == "cleanup")
-        assert router.explain_cleanup(some_cid)["digest"] == expected[
+        assert cleanup_record(router, some_cid)["digest"] == expected[
             ("cleanup", some_cid)]["digest"]
     finally:
         router.close()

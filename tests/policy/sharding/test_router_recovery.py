@@ -7,6 +7,7 @@ from repro.des.faults import FaultInjector, FaultPlan, RouterPartition, ShardCra
 from repro.policy import PolicyConfig, PolicyRestServer, ShardedPolicyService
 from repro.policy.sharding import ShardUnavailableError
 
+from tests.policy.conftest import cleanup_record
 from tests.policy.sharding.conftest import make_router, make_single
 
 
@@ -412,7 +413,7 @@ def test_degraded_advice_gets_synthetic_explain_record():
         # Cleanups the router answered conservatively are witnessed too.
         cleanup = router.submit_cleanups(
             "wf", "clean", [("a", _spec("a", site=site_dead)["dst_url"])])
-        record = router.explain_cleanup(cleanup[0].cid)
+        record = cleanup_record(router, cleanup[0].cid)
         assert record["policy_free"] is True
         assert record["advice"]["action"] == "skip"
 

@@ -124,7 +124,6 @@ def test_every_counted_call_leaves_one_flat_router_span():
         router.staging_state("b", spec["dst_url"])
         router.explain(granted[0].tid)
         cleanup = router.submit_cleanups("wf", "clean", [("b", spec["dst_url"])])
-        router.explain_cleanup(cleanup[0].cid)
         router.complete_cleanups([cleanup[0].cid])
         router.reconcile_staged("wf", [("c", "gsiftp://obelix/scratch/c")])
         router.unregister_workflow("wf")
@@ -138,7 +137,7 @@ def test_every_counted_call_leaves_one_flat_router_span():
     assert names == [
         "router.submit_transfers", "router.complete_transfers",
         "router.transfer_state", "router.staging_state", "router.explain",
-        "router.submit_cleanups", "router.explain_cleanup",
+        "router.submit_cleanups",
         "router.complete_cleanups", "router.reconcile_staged",
         "router.unregister_workflow",
         "router.bind_workflow",

@@ -171,7 +171,7 @@ def test_ptt_fails_staging_job_on_denial():
     net.add_host("fg-vm", s)
     net.add_host("obelix", s)
     net.add_link(Link("wan", capacity=100.0))
-    net.add_route(net.host("fg-vm"), net.host("obelix"), [net.links["wan"]])
+    net.add_route(net.hosts["fg-vm"], net.hosts["obelix"], [net.links["wan"]])
     fabric = FlowNetwork(env, net, StreamModel(0, 0, 0))
     gridftp = GridFTPClient(fabric, rng=np.random.default_rng(0))
     service = make_service()

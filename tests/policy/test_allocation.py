@@ -4,7 +4,6 @@ import pytest
 
 from repro.policy import PolicyConfig, PolicyService
 from repro.policy.allocation import (
-    balanced_allocate,
     format_table4,
     greedy_allocate,
     greedy_allocation_trace,
@@ -35,11 +34,6 @@ def test_greedy_allocate_validation():
         greedy_allocate(4, -1, 50)
     with pytest.raises(ValueError):
         greedy_allocate(4, 0, 0)
-
-
-def test_balanced_allocate_mirrors_greedy_per_cluster():
-    assert balanced_allocate(8, 4, 10) == 6
-    assert balanced_allocate(8, 10, 10) == 1
 
 
 def test_trace_paper_example():

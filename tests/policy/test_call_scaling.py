@@ -23,7 +23,7 @@ from repro.policy.model import (
 from repro.policy.provenance import ledger_snapshot
 from repro.rules import WorkingMemory
 
-from tests.policy.conftest import spec
+from tests.policy.conftest import cleanup_record, spec
 
 DST = "gsiftp://obelix/scratch"
 
@@ -191,7 +191,7 @@ def test_ledger_probe_equals_the_full_scan_on_the_cited_keys(policy):
     cleanups = service.submit_cleanups("wf", "clean", files)
     for item in cleanups:
         key = f"{item.lfn}@{item.url}"
-        ledger = service.explain_cleanup(item.cid)["ledger"]
+        ledger = cleanup_record(service, item.cid)["ledger"]
         if key in oracle["staged"]:
             assert ledger["staged"]["key"] == key
             assert ledger["staged"]["before"] == oracle["staged"][key]

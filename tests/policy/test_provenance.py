@@ -23,7 +23,7 @@ from repro.policy.provenance import (
     tier_name,
 )
 
-from tests.policy.conftest import spec
+from tests.policy.conftest import cleanup_record, spec
 from tests.conftest import both_engines
 from tests.reference import reference_engine
 
@@ -82,7 +82,7 @@ def test_duplicate_and_skip_records_tell_why():
 def test_explain_cleanup_records_staged_ledger():
     service = make_service()
     drive(service)
-    record = service.explain_cleanup(1)
+    record = cleanup_record(service, 1)
     assert record["kind"] == "cleanup"
     assert record["cid"] == 1
     assert record["advice"]["action"] in ("delete", "skip", "defer")
@@ -93,7 +93,6 @@ def test_unknown_ids_return_none():
     service = make_service()
     drive(service)
     assert service.explain(999) is None
-    assert service.explain_cleanup(999) is None
 
 
 def test_decision_records_oldest_first():
@@ -164,8 +163,7 @@ def test_decision_log_is_bounded_and_moves_readds_to_end():
     log.add({"kind": "cleanup", "cid": 1, "digest": "x"})   # evicts tid 2
     assert log.transfer(2) is None
     assert log.transfer(1)["digest"] == "y"
-    assert log.cleanup(1) is not None
-    assert len(log) == 2
+    assert [r.get("tid", r.get("cid")) for r in log.records()] == [1, 1]
     with pytest.raises(ValueError):
         DecisionLog(cap=0)
 
@@ -302,7 +300,7 @@ def test_big_batch_records_equal_per_record_attribution(monkeypatch):
     assert len(collectors) == 2 and len(cleanups) == len(files) + 20
     firings = collectors[1].firings
     for item in cleanups:
-        record = service.explain_cleanup(item.cid)
+        record = cleanup_record(service, item.cid)
         oracle = per_record_attribution(firings, cids=frozenset((item.cid,)))
         assert record["firings"] == oracle and oracle
         assert record["digest"] == decision_digest(record)

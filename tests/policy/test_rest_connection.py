@@ -8,6 +8,7 @@ import re
 import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -240,6 +241,38 @@ def test_sender_that_never_reads_is_stopped_by_tcp_while_the_worker_is_held():
             pass  # the server stopped reading and the socket buffers filled
         assert pushed < 16 * 1024 * 1024
         held.release.set()
+
+
+def test_a_client_that_stops_reading_pauses_the_writes_until_it_reads(monkeypatch):
+    """Pipelined responses that outgrow the transport's write buffer pause
+    the connection (``pause_writing``) instead of piling up in memory;
+    once the client reads, ``resume_writing`` answers the rest in order."""
+    from repro.policy.rest import _Connection
+
+    pauses = []
+    pause = _Connection.pause_writing
+    monkeypatch.setattr(_Connection, "pause_writing",
+                        lambda self: (pauses.append(True), pause(self)))
+    n = 400
+    with _server() as server, socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(10)
+        url = urlsplit(server.url)
+        sock.connect((url.hostname, url.port))
+        sock.sendall(b"".join(_get("/policy/metrics", f"slow-{i}") for i in range(n)))
+        deadline = time.monotonic() + 5
+        while not pauses and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pauses
+        fp = sock.makefile("rb")
+        for i in range(n):
+            assert fp.readline().split()[1] == b"200"
+            headers = dict(
+                line.decode().lower().split(": ", 1)
+                for line in iter(lambda: fp.readline().rstrip(b"\r\n"), b"")
+            )
+            assert headers["x-repro-request-id"] == f"slow-{i}"
+            fp.read(int(headers["content-length"]))
 
 
 # -- (e) stop() with a request hung at the worker -----------------------------

@@ -33,7 +33,7 @@ def build(weight_list):
 def drain(sched, registry, rounds):
     """Admit ``rounds`` items, refilling each tenant's backlog so nobody
     ever runs dry (the convergence property only holds under backlog)."""
-    for name in registry.names():
+    for name in [spec.tenant for spec in registry]:
         sched.submit(name, f"{name}-seed", est_bytes=ITEM_BYTES)
     order = []
     for _ in range(rounds):
@@ -70,13 +70,13 @@ def test_virtual_passes_stay_within_one_stride(weight_list):
     drift apart by more than the largest single stride."""
     registry, sched = build(weight_list)
     max_stride = ITEM_BYTES / min(weight_list)
-    for name in registry.names():
+    for name in [spec.tenant for spec in registry]:
         sched.submit(name, f"{name}-seed", est_bytes=ITEM_BYTES)
     for _ in range(100 * len(weight_list)):
         sub = sched.select()
         sched.charge(sub.tenant, ITEM_BYTES)
         sched.submit(sub.tenant, f"{sub.tenant}-refill", est_bytes=ITEM_BYTES)
-        passes = [sched.virtual_pass(n) for n in registry.names()]
+        passes = [sched.virtual_pass(n) for n in [spec.tenant for spec in registry]]
         assert max(passes) - min(passes) <= max_stride + 1e-9
 
 

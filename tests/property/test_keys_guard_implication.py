@@ -30,7 +30,7 @@ from repro.policy.rules_common import common_rules
 from repro.policy.rules_greedy import greedy_rules
 from repro.policy.rules_priority import JobPriorityFact, priority_rules
 from repro.rules import WorkingMemory
-from repro.rules.patterns import Absent, Collect, Exists, Pattern, Test
+from repro.rules.patterns import Absent, Collect, Pattern
 
 HOSTS = ["h1", "h2"]
 LFNS = ["f1.dat", "f2.dat"]
@@ -214,9 +214,6 @@ def _walk_rule(rule, memory, seed_bindings):
     """Guard-only LHS walk, checking every keyed element along the way."""
     frontier = [dict(seed_bindings)]
     for element in rule.when:
-        if isinstance(element, Test):
-            frontier = [b for b in frontier if element.predicate(b)]
-            continue
         if element.keys:
             for bindings in frontier:
                 _assert_keys_implied(element, memory, bindings)
@@ -235,9 +232,6 @@ def _walk_rule(rule, memory, seed_bindings):
                     next_frontier.append(new)
             elif isinstance(element, Absent):
                 if not accepted:
-                    next_frontier.append(dict(bindings))
-            elif isinstance(element, Exists):
-                if accepted:
                     next_frontier.append(dict(bindings))
             elif isinstance(element, Collect):
                 if len(accepted) >= element.min_count:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.catalogs import ReplicaCatalog, SiteCatalog, SiteEntry, TransformationCatalog
 from repro.planner import JobKind, Planner, PlanOptions
-from repro.workflow.synthetic import random_layered_workflow
+from tests.workflow.generators import random_layered_workflow
 
 
 def make_planner(workflow):

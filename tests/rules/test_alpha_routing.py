@@ -12,8 +12,8 @@ batch of mutations a long-lived ``Session`` must
 The pack covers position-0 guards that flip under updates, a later
 position with constant keys, the batch-duplicate shape (position 0 and a
 later position of one type), a three-position join, ``Absent`` and
-``Collect`` gates, a lone pattern, and a rule that opens with a ``Test``
-(not alpha-routed).  Three routing mutants must each break a property.
+``Collect`` gates, a lone pattern, and a rule that opens with a
+``Collect`` gate (not alpha-routed).  Three routing mutants must each break a property.
 """
 
 import pytest
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.rules.network as network_module
-from repro.rules import Absent, Collect, Fact, Pattern, Rule, Session, Test, WorkingMemory
+from repro.rules import Absent, Collect, Fact, Pattern, Rule, Session, WorkingMemory
 from repro.rules.patterns import _check
 from repro.rules.reference import ReferenceSession
 
@@ -120,8 +120,9 @@ def soup_rules(trace):
         Rule(
             "empty", salience=3,
             when=[
-                Test(lambda b: b["_globals"]["audit"]),
-                Pattern(Stock, "s", where=lambda s, b: s.level == 0),
+                Collect(Order, "orders"),
+                Pattern(Stock, "s",
+                        where=lambda s, b: b["_globals"]["audit"] and s.level == 0),
             ],
             then=lambda ctx: trace.append(("empty", ctx.s.item)),
         ),

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from repro.rules import (
     Absent,
     Collect,
-    Exists,
     Fact,
     Pattern,
     Rule,
-    Test,
     compile_rules,
 )
 from tests.rules.conftest import new_session, run_equivalent
@@ -125,11 +123,7 @@ def test_mixed_join_and_gate_rules_match():
             Rule(
                 "census",
                 salience=0,
-                when=[
-                    Exists(Audit),
-                    Collect(Audit, "all", min_count=1),
-                    Test(lambda b: len(b["all"]) >= 1),
-                ],
+                when=[Collect(Audit, "all", min_count=1)],
                 then=lambda ctx: (
                     trace.append(("census", len(ctx.all))),
                     ctx.halt(),

@@ -10,7 +10,6 @@ from repro.rules import (
     Rule,
     RuleEngineError,
     Session,
-    Test,
 )
 from repro.rules.reference import ReferenceSession
 
@@ -217,25 +216,6 @@ def test_collect_min_count_blocks():
     assert hits == [3]
 
 
-def test_test_element_guards_bindings():
-    hits = []
-    rule = Rule(
-        "pair-total-over-200",
-        when=[
-            Pattern(Ticket, binding="a"),
-            Pattern(Ticket, binding="b", where=lambda b, ctx: b.seat > ctx["a"].seat),
-            Test(lambda b: b["a"].price + b["b"].price > 200),
-        ],
-        then=lambda ctx: hits.append((ctx.a.seat, ctx.b.seat)),
-    )
-    s = Session([rule])
-    s.insert(Ticket("A1", 150))
-    s.insert(Ticket("A2", 100))
-    s.insert(Ticket("A3", 10))
-    s.fire_all()
-    assert hits == [("A1", "A2")]
-
-
 def test_no_loop_prevents_self_retrigger():
     def bump(ctx):
         ctx.update(ctx.a, level=ctx.a.level + 1)
@@ -337,8 +317,6 @@ def test_pattern_validation():
         Absent(str)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         Collect(Ticket, binding="")
-    with pytest.raises(TypeError):
-        Test("nope")  # type: ignore[arg-type]
 
 
 def test_missing_binding_attribute_error():
@@ -411,47 +389,6 @@ def test_shared_memory_across_sessions():
     s2.insert(Ticket("A2", 1))
     s2.fire_all()
     assert counted == [1, 2]
-
-
-def test_exists_fires_once_regardless_of_count():
-    from repro.rules import Exists
-
-    hits = []
-    rule = Rule(
-        "any-expensive",
-        when=[Exists(Ticket, where=lambda t, b: t.price > 100)],
-        then=lambda ctx: hits.append("fired"),
-    )
-    s = Session([rule])
-    s.insert(Ticket("A1", 200))
-    s.insert(Ticket("A2", 300))
-    s.insert(Ticket("A3", 400))
-    assert s.fire_all() == 1  # one activation despite three matches
-    assert hits == ["fired"]
-
-
-def test_exists_blocks_until_match():
-    from repro.rules import Exists
-
-    hits = []
-    rule = Rule(
-        "alarm-present",
-        when=[Pattern(Ticket, "t"), Exists(Alarm)],
-        then=lambda ctx: hits.append(ctx.t.seat),
-    )
-    s = Session([rule])
-    s.insert(Ticket("A1", 10))
-    assert s.fire_all() == 0
-    s.insert(Alarm())
-    assert s.fire_all() == 1
-    assert hits == ["A1"]
-
-
-def test_exists_validation():
-    from repro.rules import Exists
-
-    with pytest.raises(TypeError):
-        Exists(int)  # type: ignore[arg-type]
 
 
 def test_tie_break_hook_permutes_equal_salience_order():

@@ -70,16 +70,6 @@ def test_retract_removes_from_all_indexes():
         wm.retract(rex)
 
 
-def test_single():
-    wm = WorkingMemory()
-    assert wm.single(Animal) is None
-    a = wm.insert(Animal("one"))
-    assert wm.single(Animal) is a
-    wm.insert(Animal("two"))
-    with pytest.raises(ValueError):
-        wm.single(Animal)
-
-
 def test_fids_monotonic_in_insertion_order():
     wm = WorkingMemory()
     a, b = wm.insert(Animal("a")), wm.insert(Animal("b"))

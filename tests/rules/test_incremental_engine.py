@@ -7,7 +7,7 @@ keyed patterns.  Every scenario here runs on both and is compared
 (``run_equivalent`` in ``conftest.py``).
 """
 
-from repro.rules import Absent, Collect, Exists, Fact, Pattern, Rule, Test
+from repro.rules import Absent, Collect, Fact, Pattern, Rule
 from tests.rules.conftest import run_equivalent
 
 
@@ -127,7 +127,7 @@ def test_retract_and_absent_gate_match():
                 "note-existing",
                 salience=-1,
                 when=[
-                    Exists(Order),
+                    Collect(Order, "orders", min_count=1),
                     Pattern(Stock, "s"),
                 ],
                 then=lambda ctx: trace.append(("note", ctx.s.item)),
@@ -146,7 +146,7 @@ def test_retract_and_absent_gate_match():
     run_equivalent(make_rules, scenario)
 
 
-def test_collect_and_test_elements_match():
+def test_collect_min_count_gate_matches():
     def make_rules(trace):
         return [
             Rule(
@@ -154,9 +154,8 @@ def test_collect_and_test_elements_match():
                 no_loop=True,
                 when=[
                     Pattern(Stock, "s"),
-                    Collect(Order, "orders",
+                    Collect(Order, "orders", min_count=2,
                             where=lambda o, b: o.item == b["s"].item),
-                    Test(lambda b: len(b["orders"]) >= 2),
                 ],
                 then=lambda ctx: trace.append(
                     ("report", ctx.s.item, [o.oid for o in ctx.orders])

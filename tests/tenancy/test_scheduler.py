@@ -100,7 +100,7 @@ def test_seed_charges_reproduces_decisions():
         prefix.append(sub.name)
         full.charge(sub.tenant, sub.est_bytes)
     snapshot = dict(full.charged)
-    remaining = sorted(full.peek_queue(), key=lambda s: s.seq)
+    remaining = sorted(full._queue, key=lambda s: s.seq)
 
     resumed = FairShareScheduler(registry())
     resumed.seed_charges(snapshot)

@@ -286,15 +286,98 @@ def test_serve_parser_accepts_shards():
     assert args.shards == 4 and args.journal_root == "/tmp/j"
 
 
-def test_serve_refuses_a_journal_root_without_shards(tmp_path, capsys):
-    """A single service does not journal: the flag is refused, not
-    accepted and ignored, and nothing is created under it."""
-    root = tmp_path / "journals"
-    code, text = run_cli("serve", "--journal-root", str(root))
+def _serve(*argv: str):
+    """A ``repro serve`` subprocess and the URL it listens on."""
+    import os
+    import subprocess
+    import sys
+
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *argv],
+        env={**os.environ, "PYTHONPATH": "src", "PYTHONUNBUFFERED": "1"},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    return server, "http://" + server.stdout.readline().rsplit("http://", 1)[1].strip()
+
+
+def _seeded_calls(seed: int = 7, n: int = 12) -> list:
+    """Submits over a small file pool (so dedup and waits happen), each
+    followed by a report on some of the grants the calls so far got."""
+    import random
+
+    rng = random.Random(seed)
+    calls = []
+    for i in range(n):
+        lfns = rng.sample(range(6), 2)
+        transfers = [
+            {"lfn": f"f{k}", "src_url": f"gsiftp://src{k % 2}/f{k}",
+             "dst_url": f"gsiftp://dst/f{k}", "nbytes": 1e6 * (k + 1)}
+            for k in lfns
+        ]
+        calls.append(("submit", f"wf{i % 3}", f"job{i}", transfers, rng.random()))
+    return calls
+
+
+def _drive(client, calls, granted: list) -> list:
+    """Advice dicts of ``calls``; ``granted`` carries the open grants."""
+    out = []
+    for _, workflow, job, transfers, report in calls:
+        advice = client.submit_transfers(workflow, job, transfers)
+        out.append([a.to_dict() for a in advice])
+        granted.extend(a.tid for a in advice if a.action == "transfer")
+        if report < 0.6 and granted:
+            done = granted[: 1 + int(report * 3)]
+            del granted[: len(done)]
+            client.complete_transfers(done=done)
+    return out
+
+
+def _digests(client, advice) -> list:
+    tids = sorted({a["tid"] for batch in advice for a in batch})
+    records = [client.explain(tid) for tid in tids]
+    return [r["digest"] for r in records if r is not None and not r.get("policy_free")]
+
+
+def test_serve_resumes_a_single_service_from_its_journal_after_sigkill(tmp_path):
+    """``repro serve --journal-root D`` journals the single service; a
+    SIGKILLed server restarted on ``D`` answers the rest of a seeded call
+    sequence with the advice and decision digests of an uninterrupted one."""
+    from repro.policy.client import HTTPPolicyClient
+
+    calls = _seeded_calls()
+    runs = {}
+    for name, kill_at in (("uninterrupted", None), ("killed", len(calls) // 2)):
+        root = tmp_path / name
+        granted: list = []
+        server, url = _serve("--journal-root", str(root))
+        try:
+            with HTTPPolicyClient(url) as client:
+                advice = _drive(client, calls[:kill_at], granted)
+            if kill_at is not None:
+                server.kill()
+                server.wait()
+                server, url = _serve("--journal-root", str(root))
+                with HTTPPolicyClient(url) as client:
+                    advice += _drive(client, calls[kill_at:], granted)
+            with HTTPPolicyClient(url) as client:
+                runs[name] = advice, _digests(client, advice)
+        finally:
+            server.kill()
+            server.wait()
+    assert runs["killed"][0] == runs["uninterrupted"][0]
+    assert runs["killed"][1] == runs["uninterrupted"][1]
+    assert len(runs["uninterrupted"][1]) > len(calls)
+
+
+def test_serve_refuses_a_journal_written_under_another_policy(tmp_path, capsys):
+    """A configuration-fingerprint mismatch is one line and exit 2."""
+    from repro.policy import PolicyConfig, PolicyJournal, PolicyService
+
+    PolicyService(PolicyConfig(policy="fifo"), journal=PolicyJournal(tmp_path)).close()
+    code, text = run_cli("serve", "--port", "0", "--journal-root", str(tmp_path))
     assert code == 2 and text == ""
     (line,) = capsys.readouterr().err.splitlines()
-    assert "--shards" in line
-    assert not root.exists()
+    assert "cannot resume" in line and "different configuration" in line
 
 
 def test_serve_refuses_to_restart_a_fleet_on_a_used_journal_root(tmp_path, capsys):

@@ -77,16 +77,6 @@ def test_cycle_detection():
         wf.validate()
 
 
-def test_control_edges():
-    wf = simple_wf()
-    wf.add_control_edge("a", "c")
-    assert "a" in wf.parents("c")
-    with pytest.raises(WorkflowError):
-        wf.add_control_edge("a", "a")
-    with pytest.raises(WorkflowError):
-        wf.add_control_edge("a", "ghost")
-
-
 def test_roots_leaves_topo():
     wf = simple_wf()
     assert wf.roots() == ["a"]
@@ -126,11 +116,8 @@ def test_producer_consumers_lookup():
     assert wf.consumers_of("nope") == []
 
 
-def test_file_lookup_and_unknown_job():
+def test_unknown_job_raises():
     wf = simple_wf()
-    assert wf.file("a.out").size == 10
-    with pytest.raises(WorkflowError):
-        wf.file("ghost")
     with pytest.raises(WorkflowError):
         wf.parents("ghost")
 

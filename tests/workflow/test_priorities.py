@@ -7,11 +7,11 @@ from repro.workflow import (
     bfs_priorities,
     dependent_priorities,
     dfs_priorities,
-    diamond_workflow,
     direct_dependent_priorities,
-    fork_join_workflow,
 )
 from repro.workflow.priorities import PRIORITY_ALGORITHMS
+
+from tests.workflow.generators import diamond_workflow, fork_join_workflow
 
 
 def tree_wf():
