@@ -2,7 +2,7 @@
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.figures import fig_threshold_series, no_policy_point
-from repro.metrics import ascii_series_plot, format_series_table
+from repro.experiments import ascii_series_plot, format_series_table
 
 THRESHOLDS = (50, 100, 200)
 

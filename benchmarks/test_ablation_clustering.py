@@ -9,7 +9,7 @@ config, factor 1 = fully serialized staging).
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_replicates
-from repro.metrics import Series, format_series_table
+from repro.experiments import Series, format_series_table
 
 
 def test_clustering_factor_sweep(benchmark, archive, replicates):

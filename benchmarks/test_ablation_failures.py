@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.experiments import ExperimentConfig, TestbedParams
 from repro.experiments.runner import run_replicates
-from repro.metrics import Series, format_series_table
+from repro.experiments import Series, format_series_table
 
 FAILURE_RATES = (0.0, 0.05, 0.1)
 # Total useful bytes: 30 staging jobs x (2 MB image + 100 MB extra) + header.

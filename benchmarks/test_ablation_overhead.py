@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from repro.experiments import ExperimentConfig, TestbedParams
 from repro.experiments.runner import run_replicates
-from repro.metrics import Series, format_series_table
+from repro.experiments import Series, format_series_table
 
 LATENCIES = (0.0, 0.15, 1.0, 5.0)
 

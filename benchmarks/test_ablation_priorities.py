@@ -7,7 +7,7 @@ workload with a tight staging throttle, where release order matters.
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_replicates
-from repro.metrics import Series, format_series_table
+from repro.experiments import Series, format_series_table
 
 ALGORITHMS = [None, "bfs", "dfs", "direct-dependent", "dependent"]
 

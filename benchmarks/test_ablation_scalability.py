@@ -11,12 +11,13 @@ import numpy as np
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_concurrent_workflows
+from repro.obs import MetricsRegistry
 from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
 FLEETS = (1, 2, 4, 8)
 
 
-def run_fleet(n_workflows: int, seed: int):
+def run_fleet(n_workflows: int, seed: int, metrics=None):
     cfg = ExperimentConfig(
         extra_file_mb=50,
         default_streams=4,
@@ -32,23 +33,25 @@ def run_fleet(n_workflows: int, seed: int):
         )
         for i in range(n_workflows)
     ]
-    return run_concurrent_workflows(cfg, workflows, stagger=10.0)
+    return run_concurrent_workflows(cfg, workflows, stagger=10.0, metrics=metrics)
 
 
 def test_service_scales_with_concurrent_workflows(benchmark, archive):
     def sweep():
         rows = {}
         for n in FLEETS:
-            results = run_fleet(n, seed=41)
-            stats = results[0].policy_stats  # shared service: same dict
+            registry = MetricsRegistry()  # the shared service counts here
+            results = run_fleet(n, seed=41, metrics=registry)
+            transfers = registry.get("repro_policy_transfers_total")
+            firings = registry.get("repro_policy_rule_firings_total")
             rows[n] = {
                 "mean_makespan": float(np.mean([m.makespan for m in results])),
                 "max_makespan": float(max(m.makespan for m in results)),
                 # policy_calls is the *shared* client's counter; every
                 # workflow reports the same total, so take it once.
                 "policy_calls": int(results[0].policy_calls),
-                "rule_firings": int(stats["rule_firings"]),
-                "transfers_approved": int(stats["transfers_approved"]),
+                "rule_firings": int(firings.value()),
+                "transfers_approved": int(transfers.value(event="approved")),
             }
         return rows
 

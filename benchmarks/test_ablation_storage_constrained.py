@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_replicates
-from repro.metrics import Series, format_series_table
+from repro.experiments import Series, format_series_table
 
 GB = 1e9
 BUDGETS_GB = (None, 6.0, 3.0, 1.5)  # None = unconstrained

@@ -9,7 +9,7 @@ relatively little impact.
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.figures import fig5_series
-from repro.metrics import ascii_series_plot, format_series_table
+from repro.experiments import ascii_series_plot, format_series_table
 
 
 def test_fig5(benchmark, archive, replicates, stream_sweep, quick):

@@ -65,9 +65,11 @@ def main() -> None:
     print("\n== 5. Service status")
     status = service.snapshot()
     print(f"   policy={status['policy']} memory={status['memory']}")
-    print(f"   stats: approved={status['stats']['transfers_approved']} "
-          f"skipped={status['stats']['transfers_skipped']} "
-          f"rule firings={status['stats']['rule_firings']}")
+    transfers = service.metrics.get("repro_policy_transfers_total")
+    firings = service.metrics.get("repro_policy_rule_firings_total")
+    print(f"   stats: approved={transfers.value(event='approved'):.0f} "
+          f"skipped={transfers.value(event='skipped'):.0f} "
+          f"rule firings={firings.value():.0f}")
 
 
 if __name__ == "__main__":

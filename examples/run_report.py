@@ -13,7 +13,7 @@ import json
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import execute_workflow
-from repro.metrics import ascii_timeline, run_provenance
+from repro.experiments import ascii_timeline, run_provenance
 from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
 

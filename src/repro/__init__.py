@@ -41,7 +41,15 @@ from repro.engine import (
     PegasusTransferTool,
     StorageTracker,
 )
-from repro.experiments import ExperimentConfig, TestbedParams, build_testbed, run_cell
+from repro.experiments import (
+    ExperimentConfig,
+    RunMetrics,
+    TestbedParams,
+    ascii_timeline,
+    build_testbed,
+    run_cell,
+    run_provenance,
+)
 from repro.experiments.campaign import CampaignConfig, run_staging_campaign
 from repro.experiments.runner import (
     WorkflowExecution,
@@ -49,7 +57,6 @@ from repro.experiments.runner import (
     run_replicates,
     run_workflow,
 )
-from repro.metrics import RunMetrics, ascii_timeline, run_provenance
 from repro.planner import JobKind, Planner, PlanOptions, constrain_staging_footprint
 from repro.policy import (
     InProcessPolicyClient,

@@ -275,7 +275,7 @@ def _cmd_figure(args, out) -> int:
         fig_threshold_series,
         no_policy_point,
     )
-    from repro.metrics import format_series_table
+    from repro.experiments.figures import format_series_table
 
     defaults = (4, 8, 12) if args.quick else DEFAULT_STREAM_SWEEP
     if args.number == 5:

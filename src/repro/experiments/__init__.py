@@ -7,27 +7,32 @@
   matches the paper's quoted ~28 Mbit/s for a default 4-stream transfer;
 * :mod:`repro.experiments.runner` — runs one experiment cell (one
   combination of policy, threshold, default streams, and extra-file size)
-  and returns :class:`~repro.metrics.collectors.RunMetrics`
+  and returns :class:`~repro.experiments.runner.RunMetrics`
   (``build_policy_service`` turns the cell's config — ``shards``,
   ``journal_root`` — into its policy service, ``execute_workflow``
   returns the finished execution);
 * :mod:`repro.experiments.chaos`, :mod:`repro.experiments.tracing` — the
   same cell under a fault plan (``run_chaos_montage``, any fleet size)
-  and with the observability stack attached (``TracedRun``);
+  and with the observability stack attached (``TracedRun``), plus a run's
+  provenance document (``run_provenance``, ``ascii_timeline``);
 * :mod:`repro.experiments.figures` — series builders regenerating
-  Table IV and Figs. 5-9.
+  Table IV and Figs. 5-9, and their terminal tables and plots.
 """
 
 from repro.experiments.environment import TestbedParams, build_testbed
+from repro.experiments.figures import Series, ascii_series_plot, format_series_table
 from repro.experiments.runner import (
     EnsembleResult,
     ExperimentConfig,
+    RunMetrics,
     run_cell,
     run_replicates,
     run_tenant_ensemble,
 )
 from repro.experiments.tracing import (
     TracedRun,
+    ascii_timeline,
+    run_provenance,
     run_traced_cell,
     run_traced_ensemble,
     run_traced_workflow,
@@ -36,10 +41,16 @@ from repro.experiments.tracing import (
 __all__ = [
     "EnsembleResult",
     "ExperimentConfig",
+    "RunMetrics",
+    "Series",
     "TestbedParams",
     "TracedRun",
+    "ascii_series_plot",
+    "ascii_timeline",
     "build_testbed",
+    "format_series_table",
     "run_cell",
+    "run_provenance",
     "run_replicates",
     "run_tenant_ensemble",
     "run_traced_cell",

@@ -26,12 +26,12 @@ from repro.des.faults import FaultInjector, FaultPlan
 from repro.experiments.environment import build_testbed
 from repro.experiments.runner import (
     ExperimentConfig,
+    RunMetrics,
     WorkflowExecution,
     build_policy_service,
     catalog_census_of,
     cell_workflow,
 )
-from repro.metrics.collectors import RunMetrics
 from repro.policy import CircuitBreaker, InProcessPolicyClient, PolicyService, RetryPolicy
 from repro.policy.model import CleanupFact, TransferFact
 

@@ -12,18 +12,21 @@ against the *default number of parallel streams per transfer*:
   (:func:`repro.policy.allocation.max_streams_table`), which we also
   cross-check against the streams observed on the simulated WAN.
 
-Each builder returns :class:`~repro.metrics.collectors.Series` objects
-with per-replicate samples, matching the paper's mean ± std-dev plots.
+Each builder returns :class:`Series` objects with per-replicate samples,
+matching the paper's mean ± std-dev plots; :func:`format_series_table`
+and :func:`ascii_series_plot` render them in a terminal (no plotting
+dependencies are available offline).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.experiments.runner import ExperimentConfig, run_replicates
-from repro.metrics.collectors import Series
 
 
 def _seed(*parts) -> int:
@@ -34,8 +37,11 @@ __all__ = [
     "DEFAULT_STREAM_SWEEP",
     "FIG5_SIZES_MB",
     "THRESHOLD_SWEEP",
+    "Series",
+    "ascii_series_plot",
     "fig5_series",
     "fig_threshold_series",
+    "format_series_table",
     "no_policy_point",
 ]
 
@@ -47,6 +53,36 @@ FIG5_SIZES_MB = (0, 10, 100, 500, 1000)
 THRESHOLD_SWEEP = (50, 100, 200)
 #: Figs. 6-9 fix these sizes respectively.
 FIG_SIZE_MB = {6: 10, 7: 100, 8: 500, 9: 1000}
+
+
+@dataclass
+class Series:
+    """One experiment series: y(x) with replicate statistics.
+
+    ``ys[i]`` holds the replicate measurements at ``xs[i]``.
+    """
+
+    label: str
+    xs: list = field(default_factory=list)
+    ys: list = field(default_factory=list)
+
+    def add(self, x, replicate_values: Sequence[float]) -> None:
+        values = [float(v) for v in replicate_values]
+        if not values:
+            raise ValueError(f"series {self.label!r}: empty replicate set at x={x}")
+        self.xs.append(x)
+        self.ys.append(values)
+
+    def means(self) -> list[float]:
+        return [float(np.mean(v)) for v in self.ys]
+
+    def at(self, x) -> tuple[float, float]:
+        """(mean, std) at a given x."""
+        idx = self.xs.index(x)
+        return float(np.mean(self.ys[idx])), float(np.std(self.ys[idx]))
+
+    def to_dict(self) -> dict:
+        return {"label": self.label, "xs": list(self.xs), "ys": [list(v) for v in self.ys]}
 
 
 def fig5_series(
@@ -120,3 +156,55 @@ def no_policy_point(
     metrics = run_replicates(cfg, replicates)
     series.add(4, [m.makespan for m in metrics])
     return series
+
+
+def format_series_table(title: str, x_label: str, series_list: Sequence[Series]) -> str:
+    """A table with one row per x and mean±std columns per series."""
+    if not series_list:
+        raise ValueError("need at least one series")
+    xs = series_list[0].xs
+    for s in series_list:
+        if s.xs != xs:
+            raise ValueError(f"series {s.label!r} has mismatched x values")
+    header = [x_label] + [s.label for s in series_list]
+    widths = [max(len(h), 12) for h in header]
+    lines = [title, ""]
+    lines.append(" | ".join(h.ljust(w) for h, w in zip(header, widths)))
+    lines.append("-+-".join("-" * w for w in widths))
+    for i, x in enumerate(xs):
+        cells = [str(x).ljust(widths[0])]
+        for s, w in zip(series_list, widths[1:]):
+            mean, std = s.at(x)
+            cells.append(f"{mean:10.1f} ±{std:6.1f}".ljust(w))
+        lines.append(" | ".join(cells))
+    return "\n".join(lines)
+
+
+def ascii_series_plot(
+    title: str, series_list: Sequence[Series], width: int = 60, height: int = 16
+) -> str:
+    """Rough terminal scatter/line plot of series means vs x index."""
+    if not series_list:
+        raise ValueError("need at least one series")
+    marks = "ox+*#@%&"
+    all_means = [m for s in series_list for m in s.means()]
+    lo, hi = min(all_means), max(all_means)
+    if hi == lo:
+        hi = lo + 1.0
+    grid = [[" "] * width for _ in range(height)]
+    n = max(len(s.xs) for s in series_list)
+    for si, s in enumerate(series_list):
+        for xi, mean in enumerate(s.means()):
+            col = int(xi / max(n - 1, 1) * (width - 1))
+            row = height - 1 - int((mean - lo) / (hi - lo) * (height - 1))
+            grid[row][col] = marks[si % len(marks)]
+    lines = [title]
+    lines.append(f"{hi:10.1f} +" + "".join(grid[0]))
+    for row in grid[1:-1]:
+        lines.append(" " * 10 + " |" + "".join(row))
+    lines.append(f"{lo:10.1f} +" + "".join(grid[-1]))
+    legend = "   ".join(
+        f"{marks[i % len(marks)]} = {s.label}" for i, s in enumerate(series_list)
+    )
+    lines.append(" " * 12 + legend)
+    return "\n".join(lines)

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from repro.datacatalog.model import CatalogConfig
 from repro.engine import CleanupTool, ClusterScheduler, DAGMan, PegasusTransferTool, StorageTracker
 from repro.experiments.environment import Testbed, TestbedParams, build_testbed
-from repro.metrics.collectors import RunMetrics
 from repro.planner import JobKind, Planner, PlanOptions
 from repro.policy import (
     InProcessPolicyClient,
@@ -36,6 +35,7 @@ from repro.workflow.montage import MB, MontageConfig, augmented_montage
 __all__ = [
     "EnsembleResult",
     "ExperimentConfig",
+    "RunMetrics",
     "WorkflowExecution",
     "build_policy_service",
     "execute_workflow",
@@ -153,6 +153,29 @@ def build_policy_client(
         return None
     service = build_policy_service(cfg, bed, metrics=metrics, profiler=profiler)
     return InProcessPolicyClient(service, bed.env, latency=cfg.testbed.policy_latency)
+
+
+@dataclass
+class RunMetrics:
+    """Everything measured about one workflow run."""
+
+    workflow_id: str
+    success: bool
+    makespan: float
+    staging_time: float = 0.0
+    compute_time: float = 0.0
+    bytes_staged: float = 0.0
+    transfers_executed: int = 0
+    transfers_skipped: int = 0
+    transfers_waited: int = 0
+    peak_streams: dict = field(default_factory=dict)
+    stream_grants: list = field(default_factory=list)  # per-transfer, start order
+    policy_calls: int = 0
+    policy_overhead: float = 0.0
+    job_durations: dict = field(default_factory=dict)
+    peak_footprint: float = 0.0
+    final_footprint: float = 0.0
+    over_capacity_time: float = 0.0
 
 
 class WorkflowExecution:
@@ -305,7 +328,6 @@ class WorkflowExecution:
             ],
             policy_calls=policy.calls if policy else 0,
             policy_overhead=policy.time_in_calls if policy else 0.0,
-            policy_stats=dict(policy.service.stats) if policy else {},
             job_durations={
                 kind.value: [r.duration for r in result.by_kind(kind)]
                 for kind in JobKind
@@ -354,20 +376,22 @@ def run_concurrent_workflows(
     workflows: Sequence[Workflow],
     stagger: float = 0.0,
     share_policy: bool = True,
+    metrics=None,
 ) -> list[RunMetrics]:
     """Run several workflows concurrently on one testbed.
 
     With ``share_policy`` they all consult one Policy Service instance —
     the setting in which cross-workflow de-duplication and cleanup
     protection matter.  ``stagger`` delays each workflow's start by its
-    index times that many seconds.
+    index times that many seconds.  Every policy service counts into
+    ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) when one is given.
     """
     bed = build_testbed(cfg.testbed, seed=cfg.seed)
-    shared = build_policy_client(cfg, bed) if share_policy else None
+    shared = build_policy_client(cfg, bed, metrics=metrics) if share_policy else None
     executions = []
     processes = []
     for idx, workflow in enumerate(workflows):
-        policy = shared if share_policy else build_policy_client(cfg, bed)
+        policy = shared if share_policy else build_policy_client(cfg, bed, metrics=metrics)
         execution = WorkflowExecution(cfg, workflow, bed, policy)
         executions.append(execution)
         processes.append(execution.start(delay=idx * stagger))

@@ -23,6 +23,10 @@ standard artifact set:
 Because trace events carry only simulation-derived data (wall-clock
 timings live in the registry and profiler), ``events.jsonl`` is a
 deterministic function of (workflow, config, seed).
+
+:func:`run_provenance` builds the provenance document of any finished
+run (config, per-job timings, staging and storage figures) and
+:func:`ascii_timeline` a terminal Gantt view of it.
 """
 
 from __future__ import annotations
@@ -30,19 +34,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Iterable, Optional
+
+import numpy as np
+
+from repro.engine.dagman import DAGManResult
 
 from repro.experiments.environment import build_testbed
 from repro.experiments.runner import (
     EnsembleResult,
     ExperimentConfig,
+    RunMetrics,
     catalog_census_of,
     cell_workflow,
     execute_workflow,
     run_tenant_ensemble,
 )
-from repro.metrics.collectors import RunMetrics
-from repro.metrics.provenance import run_provenance
 from repro.obs import (
     MetricsRegistry,
     RuleProfiler,
@@ -55,15 +62,19 @@ from repro.obs import (
     write_rule_profile,
 )
 from repro.policy.provenance import link_decisions_to_trace
+from repro.planner.executable import JobKind
 from repro.planner.planner import fresh_plan_ids
 from repro.workflow.dag import Workflow
 
 __all__ = [
     "TracedRun",
+    "ascii_timeline",
+    "run_provenance",
     "run_traced_cell",
     "run_traced_chaos",
     "run_traced_ensemble",
     "run_traced_workflow",
+    "summarize_records",
 ]
 
 
@@ -248,3 +259,123 @@ def run_traced_chaos(cfg: ExperimentConfig, plan=None) -> TracedRun:
         )
 
     return _traced(run)
+
+
+def summarize_records(durations: Iterable[float]) -> dict:
+    """Summary statistics of a duration population."""
+    arr = np.asarray(list(durations), dtype=float)
+    if arr.size == 0:
+        return {"count": 0}
+    return {
+        "count": int(arr.size),
+        "mean": float(arr.mean()),
+        "std": float(arr.std()),
+        "min": float(arr.min()),
+        "max": float(arr.max()),
+        "p50": float(np.percentile(arr, 50)),
+        "p95": float(np.percentile(arr, 95)),
+    }
+
+
+def run_provenance(
+    metrics: RunMetrics,
+    result: Optional[DAGManResult] = None,
+    config: Any = None,
+    tracer: Any = None,
+    frontend: Optional[str] = None,
+) -> dict:
+    """Build a JSON-able provenance record of one run.
+
+    With ``tracer`` (a :class:`repro.obs.Tracer` that observed the run),
+    the document gains a ``trace`` key summarizing the event stream —
+    enough to tell whether/where the full trace artifacts exist without
+    embedding them.  ``shard_count`` is read off the experiment config;
+    ``frontend`` names how the Policy Service was reached
+    (``"in-process"``, ``"rest"``, ``"rest-async"``) when the caller
+    knows it.
+    """
+    doc: dict = {
+        "workflow_id": metrics.workflow_id,
+        "success": metrics.success,
+        "makespan_s": metrics.makespan,
+        "shard_count": getattr(config, "shards", None),
+        "frontend": frontend,
+        "staging": {
+            "time_s": metrics.staging_time,
+            "bytes": metrics.bytes_staged,
+            "transfers_executed": metrics.transfers_executed,
+            "transfers_skipped": metrics.transfers_skipped,
+            "transfers_waited": metrics.transfers_waited,
+            "stream_grants": list(metrics.stream_grants),
+            "peak_streams": dict(metrics.peak_streams),
+        },
+        "storage": {
+            "peak_footprint_bytes": metrics.peak_footprint,
+            "final_footprint_bytes": metrics.final_footprint,
+            "over_capacity_s": metrics.over_capacity_time,
+        },
+        "policy": {
+            "calls": metrics.policy_calls,
+            "overhead_s": metrics.policy_overhead,
+        },
+        "job_durations": {
+            kind: summarize_records(durations)
+            for kind, durations in metrics.job_durations.items()
+        },
+    }
+    if config is not None:
+        fields = getattr(config, "__dataclass_fields__", {})
+        doc["config"] = {
+            name: repr(getattr(config, name))
+            for name in fields
+            if name != "testbed"
+        }
+    if result is not None:
+        doc["jobs"] = [
+            {
+                "id": record.job_id,
+                "kind": record.kind,
+                "t_ready": record.t_ready,
+                "t_start": record.t_start,
+                "t_end": record.t_end,
+                "attempts": record.attempts,
+                "state": record.state,
+            }
+            for record in sorted(result.records.values(), key=lambda r: r.t_start)
+        ]
+    if tracer is not None:
+        doc["trace"] = tracer.summary()
+    return doc
+
+
+def ascii_timeline(result: DAGManResult, width: int = 72) -> str:
+    """Gantt-style view: one bar per job kind, plus a few sample jobs.
+
+    Each kind's bar shows when *any* job of that kind was running.
+    """
+    records = [r for r in result.records.values() if r.state == "done"]
+    if not records:
+        return "(no completed jobs)"
+    t_end = max(r.t_end for r in records)
+    if t_end <= 0:
+        return "(zero-length run)"
+    scale = (width - 1) / t_end
+
+    def bar_for(intervals: list[tuple[float, float]]) -> str:
+        cells = [" "] * width
+        for start, end in intervals:
+            lo = int(start * scale)
+            hi = max(lo, int(end * scale))
+            for i in range(lo, min(hi + 1, width)):
+                cells[i] = "#"
+        return "".join(cells)
+
+    lines = [f"timeline of {result.workflow_id} (0 .. {t_end:.0f} s)"]
+    for kind in JobKind:
+        intervals = [
+            (r.t_start, r.t_end) for r in records if r.kind == kind.value
+        ]
+        if not intervals:
+            continue
+        lines.append(f"{kind.value:>10s} |{bar_for(intervals)}|")
+    return "\n".join(lines)

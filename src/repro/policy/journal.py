@@ -211,8 +211,10 @@ class PolicyJournal:
     snapshot_interval:
         Commits between automatic snapshots (journal truncation).
     fsync:
-        Force an ``os.fsync`` after every commit — real crash-durability
-        at real disk cost; off by default for simulations and tests.
+        Force an ``os.fsync`` after every commit, and make each snapshot
+        durable before the journal is truncated (temp file, rename, then
+        the directory) — real crash-durability at real disk cost; off by
+        default for simulations and tests.
     """
 
     def __init__(self, path, snapshot_interval: int = 1000, fsync: bool = False):
@@ -371,6 +373,12 @@ class PolicyJournal:
                 if self.fsync:
                     os.fsync(handle.fileno())
             os.replace(tmp, self.snapshot_path)
+            if self.fsync:  # the rename must be durable before the truncation
+                directory = os.open(self.dir, os.O_RDONLY)
+                try:
+                    os.fsync(directory)
+                finally:
+                    os.close(directory)
         except OSError:
             with contextlib.suppress(OSError):
                 tmp.unlink()

@@ -154,8 +154,7 @@ class PolicyService:
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` to account into (a
         private one is created otherwise).  All service counters live
-        here under the ``repro_policy_*`` namespace; the legacy
-        ``stats`` dict is now a read-only alias view over it.
+        here under the ``repro_policy_*`` namespace.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`; when enabled the
         service emits one span per call (batch size, rule-fire count,
@@ -351,27 +350,6 @@ class PolicyService:
             self._m_tenant_inflight.set(fact.inflight_streams, tenant=fact.tenant)
             self._m_tenant_bytes.set(fact.bytes_staged, tenant=fact.tenant)
             self._m_tenant_workflows.set(bound.get(fact.tenant, 0), tenant=fact.tenant)
-
-    @property
-    def stats(self) -> dict:
-        """Legacy counter dict, now an alias view over the registry."""
-        t, c = self._m_transfers, self._m_cleanups
-        return {
-            "transfer_requests": int(t["requests"].value),
-            "transfers_submitted": int(t["submitted"].value),
-            "transfers_approved": int(t["approved"].value),
-            "transfers_skipped": int(t["skipped"].value),
-            "transfers_waited": int(t["waited"].value),
-            "transfers_denied": int(t["denied"].value),
-            "transfers_reaped": int(t["reaped"].value),
-            "cleanup_requests": int(c["requests"].value),
-            "cleanups_submitted": int(c["submitted"].value),
-            "cleanups_approved": int(c["approved"].value),
-            "cleanups_skipped": int(c["skipped"].value),
-            "cleanups_reaped": int(c["reaped"].value),
-            "staged_reconciled": int(self._m_staged_reconciled.value),
-            "rule_firings": int(self._m_firings.value),
-        }
 
     # ------------------------------------------------------------------ counters
     def _next_tid(self) -> int:
@@ -1049,8 +1027,10 @@ class PolicyService:
         unsized adoption can never push a site over budget).
         """
         with self._call("reconcile_staged", workflow=workflow) as closing:
+            # A malformed entry raises here, before the first file changes.
+            files = [(lfn, url, rest) for lfn, url, *rest in files]
             registered = joined = 0
-            for lfn, url, *rest in files:
+            for lfn, url, rest in files:
                 existing = None
                 for r in self.memory.lookup(StagedFileFact, lfn=lfn, dst_url=url):
                     existing = r
@@ -1366,9 +1346,8 @@ class PolicyService:
     def snapshot(self) -> dict:
         """Service status: config, memory census, counters, allocations.
 
-        ``metrics`` is the authoritative counter namespace
-        (``repro_policy_*``, rendered from the registry); ``stats`` keeps
-        the legacy flat keys as aliases for one release.
+        ``metrics`` is the counter census (``repro_policy_*``, rendered
+        from the registry).
         """
         pairs = {
             f"{p.src_host}->{p.dst_host}": {
@@ -1389,7 +1368,6 @@ class PolicyService:
             "host_pairs": pairs,
             "tenants": self.tenants(),
             "catalog": None if self.catalog is None else self.catalog.census(),
-            "stats": dict(self.stats),
             "metrics": self.metrics.to_dict(),
         }
 

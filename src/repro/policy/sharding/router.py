@@ -425,12 +425,14 @@ class ShardedPolicyService:
             batch_local: dict[Tuple[str, str], int] = {}
             for spec in specs:
                 key = (spec["lfn"], spec["dst_url"])
+                # Every spec is parsed, routed by owner or not: a malformed
+                # one raises before any shard grants streams to the batch.
+                src_host, _ = parse_url(spec["src_url"])
+                dst_host, _ = parse_url(spec["dst_url"])
                 shard = self._owner.get(key)
                 if shard is None:
                     shard = batch_local.get(key)
                 if shard is None:
-                    src_host, _ = parse_url(spec["src_url"])
-                    dst_host, _ = parse_url(spec["dst_url"])
                     shard = self.ring.node_for(pair_key(src_host, dst_host))
                 batch_local[key] = shard
                 per_shard.setdefault(shard, []).append((self._next_tid(), spec))
@@ -759,6 +761,8 @@ class ShardedPolicyService:
     ) -> dict:
         with self._call("reconcile_staged", workflow=workflow):
             per_shard: dict[int, list] = {}
+            # A malformed entry raises here, before any file is owned.
+            files = [(lfn, url, *rest) for lfn, url, *rest in files]
             for lfn, url, *rest in files:
                 # (lfn, url) or (lfn, url, nbytes): byte counts ride along
                 # to the owning shard so its staged-data catalog can size
@@ -913,6 +917,9 @@ class ShardedPolicyService:
             if key in survivors or shard_idx in unknown_shards
         }
         live_urls = {key[1] for key in self._owner}
+        # A url keeps its home while a delete of it is outstanding there:
+        # the next cleanup of the url must reach the shard that dedups it.
+        live_urls.update(url for _shard, url in self._cids.values() if url is not None)
         self._url_owner = {
             url: shard_idx
             for url, shard_idx in self._url_owner.items()
@@ -980,16 +987,6 @@ class ShardedPolicyService:
     def memory(self) -> _FleetMemoryView:
         return _FleetMemoryView(self)
 
-    @property
-    def stats(self) -> dict:
-        """Summed per-shard stats under the single-service keys."""
-
-        totals: dict = {}
-        for part in self._gather("stats"):
-            for key, value in part.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
     def shard_health(self) -> list[dict]:
         return [handle.describe() for handle in self.shards]
 
@@ -1009,7 +1006,6 @@ class ShardedPolicyService:
             "memory": census,
             "host_pairs": pairs,
             "tenants": self.tenants(),
-            "stats": dict(self.stats),
             "counters": self.counters(),
             "pending_ops": {
                 str(handle.index): len(handle.owed)

@@ -154,8 +154,7 @@ class ShardHandle:
         view = _VIEWS.get(name)
         if view is not None:
             return view(self.service, *args, **kwargs)
-        result = getattr(self.service, name)
-        return result(*args, **kwargs) if callable(result) else result
+        return getattr(self.service, name)(*args, **kwargs)
 
     def owe(self, name: str, *args, **kwargs) -> None:
         """Queue an operation the shard could not serve for delivery."""

@@ -7,7 +7,9 @@ each test runs in well under a second of wall time.
 import pytest
 
 from repro.experiments import ExperimentConfig, run_cell
-from repro.experiments.runner import run_workflow
+from repro.experiments.runner import cell_workflow, execute_workflow, run_workflow
+from repro.obs import MetricsRegistry
+from tests.conftest import counter
 from tests.workflow.generators import diamond_workflow, fork_join_workflow
 
 
@@ -30,10 +32,12 @@ def test_greedy_run_completes_and_moves_all_bytes():
 
 
 def test_no_policy_run_completes():
-    metrics = run_cell(small(policy=None))
+    cfg = small(policy=None)
+    registry = MetricsRegistry()
+    metrics = execute_workflow(cfg, cell_workflow(cfg), metrics=registry).metrics()
     assert metrics.success
     assert metrics.policy_calls == 0
-    assert metrics.policy_stats == {}
+    assert registry.to_dict() == {}  # no policy service ever counted
 
 
 def test_policy_enforces_wan_stream_threshold():
@@ -139,7 +143,9 @@ def test_stage_out_to_archive_site():
 
 
 def test_fifo_policy_runs_end_to_end():
-    metrics = run_cell(small(policy="fifo"))
-    assert metrics.success
+    cfg = small(policy="fifo")
+    execution = execute_workflow(cfg, cell_workflow(cfg))
+    assert execution.metrics().success
     # fifo applies Table I (dedup/groups) but never caps streams.
-    assert metrics.policy_stats["transfers_approved"] > 0
+    service = execution.policy.service
+    assert counter(service, "repro_policy_transfers_total", event="approved") > 0

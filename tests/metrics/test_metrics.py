@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.metrics import (
-    Series,
-    ascii_series_plot,
-    format_series_table,
-    summarize_records,
-)
+from repro.experiments import Series, ascii_series_plot, format_series_table
+from repro.experiments.tracing import summarize_records
 
 
 # ---------------------------------------------------------------- Series

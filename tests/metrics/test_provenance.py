@@ -2,10 +2,9 @@
 
 import json
 
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, ascii_timeline, run_provenance
 from repro.experiments.environment import build_testbed
 from repro.experiments.runner import WorkflowExecution, build_policy_client
-from repro.metrics import ascii_timeline, run_provenance
 from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
 

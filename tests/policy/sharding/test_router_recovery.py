@@ -318,7 +318,7 @@ def test_timeout_storm_trips_the_breaker():
         # Breaker-open means unavailable even after the slowdown clears.
         router.slow_shard(victim, 0.0)
         with pytest.raises(ShardUnavailableError):
-            handle.call("stats")
+            handle.call("decision_records")
 
         # Recovery closes the breaker and restores exact advice.
         router.recover_shard(victim)

@@ -5,6 +5,7 @@ import pytest
 from repro.policy import PolicyConfig, PolicyService
 from repro.policy.rules_access import HostDenialFact, WorkflowQuotaFact
 
+from tests.conftest import counter
 from tests.policy.conftest import spec
 
 
@@ -22,7 +23,7 @@ def test_denied_source_host_blocks_transfer():
     advice = service.submit_transfers("wf", "j", [spec("a")])
     assert advice[0].action == "deny"
     assert "maintenance window" in advice[0].reason
-    assert service.snapshot()["stats"]["transfers_denied"] == 1
+    assert counter(service, "repro_policy_transfers_total", event="denied") == 1
 
 
 def test_denial_direction_respected():

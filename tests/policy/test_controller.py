@@ -107,4 +107,5 @@ def test_priorities_endpoints(controller):
 def test_status(controller):
     status = controller.status()
     assert status["policy"] == "greedy"
-    assert "stats" in status
+    assert "stats" not in status
+    assert "repro_policy_transfers_total" in status["metrics"]

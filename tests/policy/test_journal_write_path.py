@@ -451,3 +451,65 @@ def test_a_failed_snapshot_does_not_fail_the_committed_call(tmp_path, monkeypatc
     assert recovered.transfer_state(advice[0].tid) == "in_progress"
     assert recovered.transfer_state(more[0].tid) == "in_progress"
     recovered.journal.close()
+
+
+# ------------------------------------------------------------------ fsync order
+def durability_calls(tmp_path, monkeypatch, fsync):
+    """Drive a seeded journaled service; return its ``os.fsync`` (by
+    target), ``os.replace`` and journal-truncation calls in order."""
+    path = tmp_path / f"fsync-{fsync}"
+    journal = PolicyJournal(path, snapshot_interval=7, fsync=fsync)
+    targets = {
+        "directory": path,
+        "journal": journal.journal_path,
+        "temp file": journal.snapshot_path.with_suffix(".json.tmp"),
+    }
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync_(fd):
+        stat = os.fstat(fd)
+        calls.append(next(
+            name for name, target in targets.items()
+            if target.exists() and os.path.samestat(stat, os.stat(target))
+        ))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    def open_(file, mode="r", *args, **kwargs):
+        if Path(file) == journal.journal_path and mode == "w":
+            calls.append("truncate")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(journal_module.os, "fsync", fsync_)
+    monkeypatch.setattr(journal_module.os, "replace", replace)
+    monkeypatch.setattr(journal_module, "open", open_, raising=False)
+    now = [0.0]
+    service = PolicyService(
+        make_config("greedy", catalog=False), clock=lambda: now[0], journal=journal
+    )
+    Driver(service, 3, now).run(60)
+    journal.close()
+    monkeypatch.undo()
+    return journal, calls
+
+
+def test_fsync_mode_makes_the_snapshot_durable_before_truncating(tmp_path, monkeypatch):
+    journal, calls = durability_calls(tmp_path, monkeypatch, fsync=False)
+    assert "directory" not in calls and "journal" not in calls
+    assert "temp file" not in calls and journal.snapshots > 2
+
+    journal, calls = durability_calls(tmp_path, monkeypatch, fsync=True)
+    # One fsync of the journal file per commit ...
+    assert calls.count("journal") == journal.commits > 0
+    # ... and per snapshot: temp file -> rename -> directory -> truncate.
+    # Without the directory fsync a power loss can keep the truncation
+    # (made durable by the next commit's fsync) and lose the rename.
+    snapshot_calls = [call for call in calls if call != "journal"]
+    assert journal.snapshots > 2
+    assert snapshot_calls == [
+        "temp file", "replace", "directory", "truncate"
+    ] * journal.snapshots

@@ -12,6 +12,7 @@ import pytest
 from repro.policy import PolicyConfig, PolicyService
 from repro.policy.model import ClusterAllocationFact, HostPairFact
 
+from tests.conftest import counter
 from tests.policy.conftest import spec
 
 
@@ -66,7 +67,7 @@ def test_reap_marks_failed_and_releases_host_pair_streams():
     # Freed streams are immediately grantable at full width again.
     retry = service.submit_transfers("wf1", "j2", [spec("d"), spec("e")])
     assert [a.streams for a in retry] == [4, 4]
-    assert service.stats["transfers_reaped"] == 3
+    assert counter(service, "repro_policy_transfers_total", event="reaped") == 3
 
 
 def test_reap_releases_cluster_ledger_under_balanced():
@@ -119,7 +120,7 @@ def test_expired_cleanup_grant_is_dropped():
     clock.now = 61.0
     reaped = service.reap_expired()
     assert reaped["cleanups"] == [cleanups[0].cid]
-    assert service.stats["cleanups_reaped"] == 1
+    assert counter(service, "repro_policy_cleanups_total", event="reaped") == 1
     # The file is deletable again by a fresh cleanup request.
     again = service.submit_cleanups(
         "wf1", "clean2", [("a", "gsiftp://obelix/scratch/a")]
@@ -142,7 +143,7 @@ def test_sweep_piggybacks_on_service_calls():
     clock.now = 61.0
     # An ordinary query triggers the reap — no explicit reap_expired call.
     assert service.transfer_state(advice[0].tid) == "failed"
-    assert service.stats["transfers_reaped"] == 1
+    assert counter(service, "repro_policy_transfers_total", event="reaped") == 1
 
 
 def test_sweep_throttle_limits_reap_frequency():
@@ -152,10 +153,10 @@ def test_sweep_throttle_limits_reap_frequency():
     service.staging_state("zzz", "gsiftp://nowhere/zzz")  # sweeps, arms t=65
     clock.now = 61.0  # lease expired, but inside the throttle window
     service.staging_state("zzz", "gsiftp://nowhere/zzz")
-    assert service.stats["transfers_reaped"] == 0
+    assert counter(service, "repro_policy_transfers_total", event="reaped") == 0
     clock.now = 65.0
     service.staging_state("zzz", "gsiftp://nowhere/zzz")
-    assert service.stats["transfers_reaped"] == 1
+    assert counter(service, "repro_policy_transfers_total", event="reaped") == 1
 
 
 def test_lease_reaping_with_journal_recovery(tmp_path):

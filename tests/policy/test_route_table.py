@@ -227,7 +227,7 @@ WIRE = {
     "catalog_pin": {"url": STAGED_URL, "pin_count": 1},
     "status": [
         "catalog", "default_streams", "host_pairs", "max_streams", "memory", "metrics",
-        "policy", "stats", "tenants",
+        "policy", "tenants",
     ],
     "metrics_text": str,
 }

@@ -2,6 +2,7 @@
 
 from repro.policy.model import StagedFileFact
 
+from tests.conftest import counter
 from tests.policy.conftest import spec
 
 
@@ -76,6 +77,5 @@ def test_cleanup_stats(greedy_service):
     url = stage(greedy_service, "wf1", "f")
     greedy_service.submit_transfers("wf2", "j", [spec("f")])
     greedy_service.submit_cleanups("wf1", "c", [("f", url)])
-    snap = greedy_service.snapshot()
-    assert snap["stats"]["cleanups_submitted"] == 1
-    assert snap["stats"]["cleanups_skipped"] == 1
+    assert counter(greedy_service, "repro_policy_cleanups_total", event="submitted") == 1
+    assert counter(greedy_service, "repro_policy_cleanups_total", event="skipped") == 1

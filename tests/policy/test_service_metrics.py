@@ -1,17 +1,24 @@
-"""The service's metrics registry and the legacy ``stats`` alias view."""
+"""The service's metrics registry: the one home of its counters."""
 
 import pytest
 
 from repro.obs import MetricsRegistry
 from repro.policy import PolicyConfig, PolicyService
 
-LEGACY_KEYS = {
-    "transfer_requests", "transfers_submitted", "transfers_approved",
-    "transfers_skipped", "transfers_waited", "transfers_denied",
-    "transfers_reaped", "cleanup_requests", "cleanups_submitted",
-    "cleanups_approved", "cleanups_skipped", "cleanups_reaped",
-    "staged_reconciled", "rule_firings",
-}
+from tests.conftest import counter
+
+#: every counter the service keeps, by family and label
+COUNTERS = [
+    ("repro_policy_transfers_total", {"event": event})
+    for event in ("requests", "submitted", "approved", "skipped", "waited",
+                  "denied", "reaped")
+] + [
+    ("repro_policy_cleanups_total", {"event": event})
+    for event in ("requests", "submitted", "approved", "skipped", "reaped")
+] + [
+    ("repro_policy_staged_reconciled_total", {}),
+    ("repro_policy_rule_firings_total", {}),
+]
 
 
 def specs(*lfns):
@@ -31,23 +38,24 @@ def service():
     return PolicyService(PolicyConfig(policy="greedy", max_streams=50))
 
 
-def test_stats_alias_exposes_all_legacy_keys(service):
-    assert set(service.stats) == LEGACY_KEYS
-    assert all(isinstance(v, int) for v in service.stats.values())
+def test_registry_holds_every_counter_from_the_start(service):
+    census = service.snapshot()["metrics"]
+    for family, labels in COUNTERS:
+        assert counter(service, family, **labels) == 0
+        suffix = "".join(f'{{{k}="{v}"}}' for k, v in labels.items())
+        assert census[family][family + suffix] == 0.0
 
 
-def test_stats_alias_tracks_the_registry(service):
+def test_registry_counts_requests_outcomes_and_firings(service):
     advice = service.submit_transfers("wf", "j", specs("a", "b"))
-    assert service.stats["transfer_requests"] == 1  # batches, as always
-    assert service.stats["transfers_approved"] == 2
-    assert service.stats["rule_firings"] > 0
-    counter = service.metrics.get("repro_policy_transfers_total")
-    assert counter.value(event="approved") == 2
+    transfers = "repro_policy_transfers_total"
+    assert counter(service, transfers, event="requests") == 1  # batches, as always
+    assert counter(service, transfers, event="approved") == 2
+    assert counter(service, "repro_policy_rule_firings_total") > 0
     service.complete_transfers(done=[a.tid for a in advice])
-    # A duplicate submission is skipped in both namespaces.
+    # A duplicate submission is skipped.
     service.submit_transfers("wf2", "j2", specs("a"))
-    assert service.stats["transfers_skipped"] == 1
-    assert counter.value(event="skipped") == 1
+    assert counter(service, transfers, event="skipped") == 1
 
 
 def test_calls_and_batch_metrics(service):
@@ -59,10 +67,10 @@ def test_calls_and_batch_metrics(service):
     assert 'repro_policy_call_seconds_count{call="submit_transfers"} 1' in text
 
 
-def test_snapshot_has_metrics_namespace_and_legacy_stats(service):
+def test_snapshot_has_metrics_namespace(service):
     service.submit_transfers("wf", "j", specs("x"))
     snap = service.snapshot()
-    assert snap["stats"]["transfers_approved"] == 1
+    assert "stats" not in snap
     metrics = snap["metrics"]
     assert metrics["repro_policy_transfers_total"][
         'repro_policy_transfers_total{event="approved"}'

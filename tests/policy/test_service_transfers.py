@@ -3,6 +3,7 @@
 from repro.policy import PolicyConfig, PolicyService
 from repro.policy.model import HostPairFact, StagedFileFact, TransferFact
 
+from tests.conftest import counter
 from tests.policy.conftest import spec
 
 
@@ -199,9 +200,9 @@ def test_memory_persists_across_batches(greedy_service):
 def test_stats_counters(greedy_service):
     greedy_service.submit_transfers("wf", "j", [spec("a"), spec("a")])
     snap = greedy_service.snapshot()
-    assert snap["stats"]["transfers_submitted"] == 2
-    assert snap["stats"]["transfers_approved"] == 1
-    assert snap["stats"]["transfers_skipped"] == 1
+    assert counter(greedy_service, "repro_policy_transfers_total", event="submitted") == 2
+    assert counter(greedy_service, "repro_policy_transfers_total", event="approved") == 1
+    assert counter(greedy_service, "repro_policy_transfers_total", event="skipped") == 1
     assert snap["policy"] == "greedy"
     assert snap["memory"]["TransferFact"] == 1
 
