@@ -163,7 +163,7 @@ def access_rules() -> list[Rule]:
                     TransferFact,
                     "t",
                     where=lambda t, b: t.status == "new"
-                    and not getattr(t, "quota_charged", False),
+                    and not t.quota_charged,
                     keys={"status": lambda b: "new"},
                 ),
                 Pattern(

@@ -27,13 +27,23 @@ an execution plan that the :class:`~repro.rules.network.JoinNetwork` runs:
 Each :class:`RulePlan` records its assignment and the reason a rule fell
 off the fast path; the rule linter reads ``compile_rules(rules).plans``
 to flag packs that will not compile to the join network.
+
+Each plan also carries ``reads``: every attribute name the rule's guards
+and key functions may read, derived from their bytecode (``None`` when
+the scan cannot bound it).  An update that changes none of them leaves
+every condition of the rule as it was, so the network re-offers what the
+rule already stores instead of re-deriving it (``docs/engine.md``,
+"Read-gated updates").
 """
 
 from __future__ import annotations
 
+import builtins
 import dis
 import functools
-from typing import Any, Optional, Sequence
+import sys
+import types
+from typing import Any, Callable, Optional, Sequence
 
 from repro.rules.engine import Rule
 from repro.rules.patterns import Pattern
@@ -74,6 +84,144 @@ def _constant_keys(element: Pattern) -> tuple[tuple[str, Any], ...]:
     )
 
 
+# ------------------------------------------------------------ read sets
+#: opcodes that reach state a name scan cannot bound: an import, a
+#: method call, and a callee that is neither a global nor a nested
+#: function (``PUSH_NULL`` precedes it)
+_UNBOUNDED_OPS = frozenset({"IMPORT_NAME", "PUSH_NULL", "LOAD_METHOD"})
+#: 3.12 folds LOAD_METHOD into LOAD_ATTR, flagged by the low bit of its arg
+_METHOD_FLAG = sys.version_info >= (3, 12)
+#: before 3.11 a call's callee carries no marker (no PUSH_NULL, no
+#: LOAD_GLOBAL low bit): every scan gives up there
+_CALLEES_MARKED = sys.version_info >= (3, 11)
+#: builtins a guard may name or call: none reads an attribute by name or
+#: calls back into code the scan has not seen
+_PURE_BUILTINS = frozenset({
+    "abs", "all", "any", "bool", "dict", "divmod",
+    "enumerate", "float", "frozenset", "int", "isinstance", "issubclass",
+    "len", "list", "range", "reversed", "round", "set", "str", "sum",
+    "tuple", "zip",
+})
+#: the dunders a fact class may define that no guard expression runs;
+#: any other (comparison, hashing, arithmetic, formatting, attribute
+#: fallback, ...) runs code on a guard's behalf that no name reveals
+_INERT_DUNDERS = frozenset({
+    "__init__", "__new__", "__post_init__", "__init_subclass__",
+    "__class_getitem__", "__dict__", "__weakref__",
+})
+_MISSING = object()
+#: (code, id(module globals)) -> (module globals, read set); the globals
+#: are held so their id cannot be reused while the entry lives
+_SCANS: dict[tuple, tuple] = {}
+
+
+def _function_reads(fn: Callable) -> Optional[frozenset]:
+    """Names ``fn`` may read: the ``co_names`` of its code, of the code
+    nested in it and of the module-level helpers it reaches.  None when
+    it reaches state the scan cannot bound (see :data:`_UNBOUNDED_OPS`;
+    a helper that reaches itself counts too).  Scanned once per code
+    object and module."""
+    code = getattr(fn, "__code__", None)
+    scope = getattr(fn, "__globals__", None)
+    if (
+        not _CALLEES_MARKED
+        or not isinstance(code, types.CodeType)
+        or not isinstance(scope, dict)
+    ):
+        return None
+    key = (code, id(scope))
+    hit = _SCANS.get(key)
+    if hit is None:
+        _SCANS[key] = (scope, None)
+        _SCANS[key] = hit = (scope, _code_reads(code, scope))
+    return hit[1]
+
+
+def _code_reads(code: types.CodeType, scope: dict) -> Optional[frozenset]:
+    names = set(code.co_names)
+    for ins in dis.get_instructions(code):
+        op, flag = ins.opname, bool((ins.arg or 0) & 1)
+        if op in _UNBOUNDED_OPS or (op == "LOAD_ATTR" and _METHOD_FLAG and flag):
+            return None
+        if op == "LOAD_GLOBAL":
+            # LOAD_GLOBAL's flag: the global is a callee
+            found = _global_reads(ins.argval, scope, flag)
+            if found is None:
+                return None
+            names |= found
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            found = _code_reads(const, scope)
+            if found is None:
+                return None
+            names |= found
+    return frozenset(names)
+
+
+def _global_reads(name: str, scope: dict, callee: bool) -> Optional[frozenset]:
+    """What a global ``name`` adds to a read set: a module-level helper's
+    own reads; nothing for a pure builtin, a constant, or a class named
+    but not called; None for anything else (a module, another callable,
+    a class called, a name that does not resolve)."""
+    target = scope.get(name, _MISSING)
+    if target is _MISSING:
+        return frozenset() if name in _PURE_BUILTINS and hasattr(builtins, name) else None
+    if isinstance(target, types.FunctionType):
+        return _function_reads(target)
+    if isinstance(target, type):
+        return None if callee else frozenset()
+    if callable(target) or isinstance(target, types.ModuleType):
+        return None
+    return frozenset()
+
+
+def _fact_classes(fact_types) -> set:
+    """The classes a fact matched by these types may be an instance of,
+    with their bases: every subclass, and every class in their MRO."""
+    found: set = set()
+    todo = list(fact_types)
+    while todo:
+        cls = todo.pop()
+        if cls in found:
+            continue
+        found.add(cls)
+        todo.extend(cls.__subclasses__())
+    return {base for cls in found for base in cls.__mro__ if base is not object}
+
+
+def _computed(value) -> bool:
+    """Is this class attribute computed on access (a method, property or
+    other descriptor) rather than a stored value?"""
+    return hasattr(type(value), "__get__") and not isinstance(
+        value, types.MemberDescriptorType
+    )
+
+
+def _rule_reads(rule: Rule) -> Optional[frozenset]:
+    """Every attribute name ``rule``'s guards and key functions may read,
+    plus its key attributes; None when a guard or key function reaches
+    state the scan cannot bound, or a fact class the rule matches defines
+    one of the names as a method or property, or defines a dunder a guard
+    expression may run."""
+    names: set = set()
+    for element in rule.when:
+        keys = element.keys or {}
+        for fn in (element.where, *keys.values()):
+            if fn is None:
+                continue
+            found = _function_reads(fn)
+            if found is None:
+                return None
+            names |= found
+        names.update(keys)
+    for cls in _fact_classes(rule.types):
+        for name, value in vars(cls).items():
+            dunder = name[:2] == name[-2:] == "__" and name not in _INERT_DUNDERS
+            if (dunder or name in names) and _computed(value):
+                return None
+    return frozenset(names)
+
+
 class PositionPlan:
     """Static join information for one Pattern position of a rule."""
 
@@ -100,7 +248,7 @@ class RulePlan:
     """One rule's compiled execution plan."""
 
     __slots__ = ("rule", "order", "kind", "reason", "positions",
-                 "gates", "alpha", "lone", "slots")
+                 "gates", "alpha", "lone", "slots", "reads")
 
     def __init__(self, rule: Rule, order: int, kind: str, reason: str,
                  positions: list[PositionPlan]):
@@ -131,6 +279,10 @@ class RulePlan:
         self.slots: tuple[int, ...] = tuple(
             by_index.get(i, -1) for i in range(len(rule.when))
         )
+        #: every attribute name the rule's guards and key functions may
+        #: read (None: unbounded) — an update changing none of them
+        #: cannot change what the rule matches
+        self.reads: Optional[frozenset] = _rule_reads(rule)
 
 
 def _classify(rule: Rule, order: int) -> RulePlan:

@@ -29,6 +29,11 @@ driven by the memory's change log:
   applies them only when its salience tier is about to be popped, so
   rules below a busy tier sync once per quiescence of the tiers above,
   not once per firing.
+* **Read-gated updates** — an update whose changed attributes the rule
+  reads none of (``RulePlan.reads``) cannot change what the rule
+  matches, only the versions refraction keys on: routing re-offers the
+  rule's spent candidates binding the fact instead of queuing the
+  change, so they fire again exactly as re-derived ones would.
 * **Spent candidates** — a candidate that was popped and is still a
   match (it fired, or refraction / ``no_loop`` held it back) stays in
   the store but not in the heap.  :meth:`JoinNetwork.rearm` pushes
@@ -49,7 +54,7 @@ from typing import Any, Optional
 from repro.rules.compiler import PLAN_JOIN, CompiledRuleset, RulePlan
 from repro.rules.engine import Session, _activation_key
 from repro.rules.facts import Fact, WorkingMemory
-from repro.rules.patterns import Absent, _check
+from repro.rules.patterns import Absent, Collect, _check
 
 __all__ = ["JoinNetwork"]
 
@@ -337,8 +342,9 @@ class JoinNetwork:
         self._heaps: list[list] = []
         # concrete fact type -> [(state, route)], see ``_route_changes``
         self._routes: dict[type, list] = {}
-        # popped candidates that are still matches, awaiting rearm()
-        self._spent: list[tuple[_RuleState, _Cand]] = []
+        # popped candidates that are still matches, awaiting rearm() or a
+        # re-offer: exactly the live candidates in no heap
+        self._spent: dict[_Cand, _RuleState] = {}
         self._build_all()
 
     # ------------------------------------------------------------- build
@@ -451,10 +457,23 @@ class JoinNetwork:
         Costs one push per candidate still alive, i.e. per activation
         the coming evaluation will consider anyway.
         """
-        spent, self._spent = self._spent, []
-        for state, cand in spent:
-            if cand.alive:
-                self._push(state, cand.key_fids, ("c", state, cand))
+        spent, self._spent = self._spent, {}
+        for cand, state in spent.items():
+            self._push(state, cand.key_fids, ("c", state, cand))
+
+    def _reoffer(self, state: _RuleState, keys: set) -> None:
+        """Push back the spent candidates among ``keys`` (one of
+        ``state.by_fid``'s sets): a fact they bind was updated in nothing
+        the rule reads, so they still match, under a new version."""
+        profiler = self.profiler
+        t0 = profiler.clock() if profiler is not None else 0.0
+        spent, cands = self._spent, state.cands
+        for key_fids in keys:
+            cand = cands.get(key_fids)
+            if cand is not None and spent.pop(cand, None) is not None:
+                self._push(state, key_fids, ("c", state, cand))
+        if profiler is not None:
+            profiler.record_match(state.plan.rule.name, 0, profiler.clock() - t0)
 
     def _push(self, state: _RuleState, rank: tuple, payload: tuple) -> None:
         self._serial += 1
@@ -465,12 +484,14 @@ class JoinNetwork:
 
     def _drop_fid(self, state: _RuleState, fid: int) -> None:
         """Tombstone every candidate, prefix and probe that binds ``fid``."""
+        spent = self._spent
         for key_fids in state.by_fid.pop(fid, ()):
             cand = state.cands.get(key_fids)
             if cand is None or not cand.alive:
                 continue
             cand.alive = False
             del state.cands[key_fids]
+            spent.pop(cand, None)
             for other in key_fids:
                 if other != fid:
                     refs = state.by_fid.get(other)
@@ -486,8 +507,10 @@ class JoinNetwork:
                 probe.alive = False
 
     def _drop_all(self, state: _RuleState) -> None:
+        spent = self._spent
         for cand in state.cands.values():
             cand.alive = False
+            spent.pop(cand, None)
         state.cands.clear()
         state.by_fid.clear()
 
@@ -504,6 +527,10 @@ class JoinNetwork:
         routing", has the conditions and why skipping the rest is
         sound).  Any other rule sees every mutation of its types.  A
         routed rule syncs when its salience tier is reached.
+
+        An update that changes no attribute the rule reads is never
+        queued: the rule's stored candidates binding the fact are
+        re-offered instead ("Read-gated updates").
         """
         memory = self.memory
         if self._seq == memory.clock:
@@ -516,13 +543,26 @@ class JoinNetwork:
         self._seq = memory.clock
         seed, routes, dirty = self.seed, self._routes, self._dirty
         for change in changes:
-            fid, fact, op = change[0], change[1], change[2]
+            fid, fact, op, changed = change
+            if op != "u":
+                changed = None
             groups = routes.get(type(fact))
             if groups is None:
                 groups = routes[type(fact)] = self._route_groups(type(fact))
             for heads, members in groups:
                 fits = heads is not None and op != "r" and _feeds(heads, fact)
-                for state, where, wide, later in members:
+                for state, where, wide, later, reads in members:
+                    if (
+                        changed is not None
+                        and reads is not None
+                        and changed.isdisjoint(reads)
+                    ):
+                        # nothing the rule matches on moved: alpha
+                        # membership and what is stored stand
+                        keys = state.by_fid.get(fid)
+                        if keys:
+                            self._reoffer(state, keys)
+                        continue
                     alpha = state.alpha
                     if alpha is None:
                         pass
@@ -547,13 +587,16 @@ class JoinNetwork:
     def _route_groups(self, fact_type: type) -> list:
         """The rules a mutation of ``fact_type`` may concern, grouped by
         the constant keys of the position 0 it feeds (None: it feeds
-        none) so one comparison refuses a whole group's guards."""
+        none) so one comparison refuses a whole group's guards.  Each
+        member carries the rule's read set, None where updates must be
+        queued whatever they change (unbounded reads, a Collect gate)."""
         groups: dict = {}
         for plan, route in self.ruleset.dispatch(fact_type):
             head, wide, later = route or (None, True, ())
             heads, where = ((head.const_keys,), head.element.where) if head else (None, None)
+            reads = None if any(isinstance(g, Collect) for g in plan.gates) else plan.reads
             groups.setdefault(heads, []).append(
-                (self._states[plan.rule.name], where, wide, later)
+                (self._states[plan.rule.name], where, wide, later, reads)
             )
         return list(groups.items())
 
@@ -750,7 +793,7 @@ class JoinNetwork:
                             if refs is not None:
                                 refs.discard(cand.key_fids)
                         continue
-                    self._spent.append((state, cand))
+                    self._spent[cand] = state
                     if result == "skip":
                         continue
                     return result
@@ -769,7 +812,7 @@ class JoinNetwork:
                 if result == "dead":
                     continue
                 # A match: from here on it is an ordinary (spent) candidate.
-                self._spent.append((state, self._store_cand(state, rank, facts)))
+                self._spent[self._store_cand(state, rank, facts)] = state
                 if result == "skip":
                     continue
                 return result

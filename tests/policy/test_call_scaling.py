@@ -261,6 +261,28 @@ def test_join_network_syncs_a_gated_rule_once_per_tier_not_per_firing(monkeypatc
     assert rebuilds[0] <= 5
 
 
+def test_updates_of_unread_attributes_sync_no_rule(monkeypatch):
+    """A 300-transfer ``submit_transfers``: an update that changes no
+    attribute a rule reads re-offers the rule's stored candidates instead
+    of syncing it (9,017 rule syncs when every update was re-derived)."""
+    service = PolicyService(
+        PolicyConfig(policy="greedy", default_streams=4, max_streams=50)
+    )
+    syncs = [0]
+    sync_rule = network_module.JoinNetwork._sync_rule
+
+    def counting_sync(self, state, dirty):
+        syncs[0] += 1
+        return sync_rule(self, state, dirty)
+
+    monkeypatch.setattr(network_module.JoinNetwork, "_sync_rule", counting_sync)
+    advice = service.submit_transfers(
+        "wf", "stage", [spec(f"f-{i}") for i in range(300)]
+    )
+    assert [a.action for a in advice] == ["transfer"] * 300
+    assert syncs[0] <= 2_716
+
+
 # ------------------------------------------------------------------ routing
 def _resident_service(resident):
     """A default-engine service, warmed, holding ``resident`` staged files."""

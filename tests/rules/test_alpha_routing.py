@@ -13,13 +13,16 @@ The pack covers position-0 guards that flip under updates, a later
 position with constant keys, the batch-duplicate shape (position 0 and a
 later position of one type), a three-position join, ``Absent`` and
 ``Collect`` gates, a lone pattern, and a rule that opens with a
-``Collect`` gate (not alpha-routed).  Three routing mutants must each break a property.
+``Collect`` gate (not alpha-routed).  Three routing mutants must each
+break a property, and so must a rule read set missing an attribute its
+guard reads (updates of unread attributes are re-offered, not re-derived).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.rules.compiler as compiler_module
 import repro.rules.network as network_module
 from repro.rules import Absent, Collect, Fact, Pattern, Rule, Session, WorkingMemory
 from repro.rules.patterns import _check
@@ -41,6 +44,7 @@ class Stock(Fact):
         self.item = item
         self.level = level
         self.state = "open"
+        self.note = 0  # read by no rule
 
 
 def soup_rules(trace):
@@ -139,12 +143,14 @@ def mutate(memory, op, orders):
         orders.append(memory.insert(Order(len(orders), op[1], op[2])))
     elif kind == "stock":
         memory.insert(Stock(op[1], op[2]))
-    elif kind in ("restock", "flip"):
+    elif kind in ("restock", "flip", "note"):
         for stock in stocks:
             if stock.item != op[1]:
                 continue
             if kind == "restock":
                 memory.update(stock, level=op[2])
+            elif kind == "note":  # re-offered, never re-derived
+                memory.update(stock, note=stock.note + 1)
             else:  # in and out of a later position's constant key
                 memory.update(stock, state="closed" if stock.state == "open" else "open")
             break
@@ -161,7 +167,8 @@ def mutate(memory, op, orders):
 
 
 def network_problems(session):
-    """Violations of "alpha memories exact, no dead fid referenced"."""
+    """Violations of "alpha memories exact, no dead fid referenced, only
+    stored candidates spent"."""
     network, memory = session.network, session.memory
     problems = []
     for name, state in network._states.items():
@@ -179,6 +186,10 @@ def network_problems(session):
         dead = sorted(fid for fid in held if memory.fact_with_fid(fid) is None)
         if dead:
             problems.append(f"{name}: references retracted fids {dead}")
+    stale = [cand.key_fids for cand, state in network._spent.items()
+             if state.cands.get(cand.key_fids) is not cand]
+    if stale:
+        problems.append(f"spent candidates no rule stores: {stale}")
     return problems
 
 
@@ -212,6 +223,7 @@ _op = st.one_of(
     st.tuples(st.just("stock"), st.sampled_from(ITEMS), st.integers(0, 5)),
     st.tuples(st.just("restock"), st.sampled_from(ITEMS), st.integers(0, 5)),
     st.tuples(st.just("flip"), st.sampled_from(ITEMS)),
+    st.tuples(st.just("note"), st.sampled_from(ITEMS)),
     st.tuples(st.just("unstock"), st.integers(0, 3)),
     st.tuples(st.just("cancel"), st.integers(0, 9)),
     st.tuples(st.just("bounce"), st.integers(0, 9)),
@@ -220,6 +232,15 @@ _op = st.one_of(
 )
 
 
+# A restock after an evaluation that left an order waiting: "fill" reads
+# the stock's ``level``, so the update must re-derive it.
+READ_GATED_WITNESS = [
+    ("stock", "disk", 0), ("order", "disk", 2), ("note", "disk"), ("fire",),
+    ("note", "disk"), ("restock", "disk", 5), ("fire",),
+]
+
+
+@example(ops=READ_GATED_WITNESS)
 @settings(max_examples=250, deadline=None)
 @given(ops=st.lists(_op, max_size=40))
 def test_routed_network_fires_what_seed_fires_and_stays_exact(ops):
@@ -285,3 +306,18 @@ def test_each_routing_mutant_is_caught(monkeypatch, mutation):
     monkeypatch.setattr(network_module.JoinNetwork, "_build_rule", mutant_build)
     with pytest.raises(AssertionError):
         check_soup(WITNESS)
+
+
+def test_a_read_set_missing_a_read_attribute_is_caught(monkeypatch):
+    """``fill`` reads the stock ``level``; with it dropped from the plan's
+    read set a restock is re-offered instead of re-derived, and the
+    parity with the reference breaks."""
+    rule_reads = compiler_module._rule_reads
+
+    def short_reads(rule):
+        reads = rule_reads(rule)
+        return reads - {"level"} if rule.name == "fill" else reads
+
+    monkeypatch.setattr(compiler_module, "_rule_reads", short_reads)
+    with pytest.raises(AssertionError):
+        test_routed_network_fires_what_seed_fires_and_stays_exact()
