@@ -64,8 +64,11 @@ connection may hold: while the client is not reading its responses
 (``pause_writing``) no further pipelined request is consumed, and once
 unparsed input exceeds ``max_request_bytes`` + 64 KiB the socket is not
 read until some is consumed, so TCP stops a sender that outruns policy.
-Measured per request on ``rest_loopback``: loop thread ~0.26 ms of CPU,
-policy worker ~0.75 ms (``docs/engine.md``, "REST frontend").
+Measured per request on ``rest_loopback``-shaped traffic (two client
+threads, 5,688 requests; per-thread CPU from ``/proc/self/task`` of the
+serving process on a shared 2-vCPU VM): loop thread 0.26-0.40 ms of
+CPU, policy worker 0.68-0.97 ms, of whose time ~91% is spent inside
+service calls (``docs/engine.md``, "REST frontend").
 
 Observability
 -------------

@@ -236,9 +236,7 @@ class PositionPlan:
         #: sorted attribute names of the position's join key (the bucket
         #: key of the beta memory feeding this position), None when the
         #: pattern declares no access-path keys.
-        self.key_attrs: Optional[tuple[str, ...]] = (
-            tuple(sorted(element.keys)) if element.keys is not None else None
-        )
+        self.key_attrs: Optional[tuple[str, ...]] = element.key_attrs
         #: key equalities that hold whatever the bindings: a fact whose
         #: attributes differ cannot pass the guard (keys are implied by it)
         self.const_keys = _constant_keys(element)

@@ -27,7 +27,7 @@ compare it against, which re-enumerates every match on every scan, is
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.patterns import ConditionElement
@@ -154,7 +154,7 @@ class ActivationContext:
         return self._session.insert(fact, _modifier=self.rule.name)
 
     def update(self, fact: Fact, **changes: Any) -> Fact:
-        return self._session.update(fact, _modifier=self.rule.name, **changes)
+        return self._session.memory.update(fact, self.rule.name, **changes)
 
     def retract(self, fact: Fact) -> None:
         self._session.retract(fact)
@@ -165,27 +165,24 @@ class ActivationContext:
 
 
 def _activation_key(memory: WorkingMemory, rule: Rule, bindings: dict):
-    """Stable identity of an activation: rule + sorted matched fact ids."""
-    fids = []
-    versions = []
+    """Stable identity of an activation: rule + sorted matched fact ids,
+    and their versions in the same order."""
+    entry_of = memory.entry_of
+    pairs = []
     for value in bindings.values():
-        facts: Iterable[Fact]
         if isinstance(value, Fact):
-            facts = (value,)
+            entry = entry_of(value)
+            if entry is not None:
+                pairs.append((entry.fid, entry.version))
         elif isinstance(value, list):  # Collect binding
-            facts = tuple(f for f in value if isinstance(f, Fact))
-        else:
-            continue
-        for fact in facts:
-            if memory.contains(fact):
-                fids.append(memory.fid_of(fact))
-                versions.append(memory.version_of(fact))
-    order = sorted(range(len(fids)), key=lambda i: fids[i])
-    return (
-        rule.name,
-        tuple(fids[i] for i in order),
-        tuple(versions[i] for i in order),
-    )
+            for fact in value:
+                if isinstance(fact, Fact) and (entry := entry_of(fact)) is not None:
+                    pairs.append((entry.fid, entry.version))
+    if not pairs:
+        return (rule.name, (), ())
+    pairs.sort()
+    fids, versions = zip(*pairs)
+    return (rule.name, fids, versions)
 
 
 class Session:

@@ -222,21 +222,24 @@ class WorkingMemory:
         entry = self._entries.get(id(fact))
         if entry is None:
             raise KeyError(f"fact not in working memory: {fact.describe()}")
-        changed = set()
+        differ = []
         for key, value in changes.items():
-            if not hasattr(fact, key):
+            old = getattr(fact, key, _MISSING)
+            if old is _MISSING:
                 raise AttributeError(f"{type(fact).__name__} has no attribute {key!r}")
             try:
-                if getattr(fact, key) != value:
-                    changed.add(key)
+                if old != value:
+                    differ.append(key)
             except Exception:
-                changed.add(key)  # incomparable value: assume it changed
-        # Re-slot the fact in any index whose key attributes are changing;
-        # the old key must be read before the attributes are assigned.
+                differ.append(key)  # incomparable value: assume it changed
+        changed = frozenset(differ)
+        # Re-slot the fact in any index whose key values are changing (an
+        # equal value keeps its bucket); the old key must be read before
+        # the attributes are assigned.
         touched_indexes = []
-        if self._indexes:
+        if changed and self._indexes:
             for attrs, buckets in self._applicable_indexes(fact):
-                if any(a in changes for a in attrs):
+                if not changed.isdisjoint(attrs):
                     self._index_discard(fact, entry.fid, attrs, buckets)
                     touched_indexes.append((attrs, buckets))
         for key, value in changes.items():
@@ -247,7 +250,7 @@ class WorkingMemory:
         entry.last_modifier = modifier
         # No kwargs means the caller mutated the fact in place before
         # announcing the update — the changed set is unknowable, not empty.
-        self._touch(fact, entry.fid, "u", frozenset(changed) if changes else None)
+        self._touch(fact, entry.fid, "u", changed if changes else None)
         return fact
 
     def retract(self, fact: Fact) -> None:
@@ -287,16 +290,24 @@ class WorkingMemory:
         if not keys:
             return self.facts_of(fact_type)
         attrs = tuple(sorted(keys))
+        return self.lookup_keyed(fact_type, attrs, tuple([keys[a] for a in attrs]))
+
+    def lookup_keyed(
+        self, fact_type: Type[F], attrs: tuple[str, ...], values: tuple
+    ) -> list[F]:
+        """:meth:`lookup` with the key already split: ``attrs`` sorted and
+        non-empty, ``values`` the values they must equal, in that order."""
         buckets = self._indexes.get((fact_type, attrs))
         if buckets is None:
             buckets = self._build_index(fact_type, attrs)
-        bucket = buckets.get(tuple(keys[a] for a in attrs))
+        bucket = buckets.get(values)
         if not bucket:
             return []
         return list(bucket.values())  # buckets are kept in fid order
 
-    def version_of(self, fact: Fact) -> int:
-        return self._entries[id(fact)].version
+    def entry_of(self, fact: Fact) -> Optional[_Entry]:
+        """The live fact's handle and version record, or None."""
+        return self._entries.get(id(fact))
 
     def fid_of(self, fact: Fact) -> int:
         return self._entries[id(fact)].fid

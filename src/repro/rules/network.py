@@ -130,12 +130,8 @@ class _PrefixStore:
     __slots__ = ("key_attrs", "key_fns", "entries", "by_fid", "buckets", "wildcard")
 
     def __init__(self, position) -> None:
-        element = position.element
         self.key_attrs = position.key_attrs
-        self.key_fns = (
-            [element.keys[a] for a in position.key_attrs]
-            if position.key_attrs is not None else None
-        )
+        self.key_fns = position.element.key_fns
         self.entries: dict[tuple, _PrefixEntry] = {}
         self.by_fid: dict[int, set] = {}
         self.buckets: dict[tuple, _Bucket] = {}
@@ -158,8 +154,13 @@ class _PrefixStore:
                 if bucket is None:
                     bucket = self.buckets[key] = _Bucket()
         entry = self.entries[fids] = _PrefixEntry(fids, bindings, facts, key)
+        by_fid = self.by_fid
         for fid in fids:
-            self.by_fid.setdefault(fid, set()).add(fids)
+            refs = by_fid.get(fid)
+            if refs is None:
+                by_fid[fid] = {fids}
+            else:
+                refs.add(fids)
         bucket.add(entry)
         return entry
 
@@ -340,8 +341,8 @@ class JoinNetwork:
         # pending mutations, and the rank heap
         self._dirty: list[list[_RuleState]] = []
         self._heaps: list[list] = []
-        # concrete fact type -> [(state, route)], see ``_route_changes``
-        self._routes: dict[type, list] = {}
+        # (concrete fact type, changed attributes) -> ``_route``'s answer
+        self._routes: dict[tuple, tuple] = {}
         # popped candidates that are still matches, awaiting rearm() or a
         # re-offer: exactly the live candidates in no heap
         self._spent: dict[_Cand, _RuleState] = {}
@@ -442,10 +443,14 @@ class JoinNetwork:
 
     @staticmethod
     def _store_cand(state: _RuleState, key_fids: tuple, facts: tuple) -> _Cand:
-        cand = _Cand(key_fids, facts)
-        state.cands[key_fids] = cand
+        cand = state.cands[key_fids] = _Cand(key_fids, facts)
+        by_fid = state.by_fid
         for fid in key_fids:
-            state.by_fid.setdefault(fid, set()).add(key_fids)
+            refs = by_fid.get(fid)
+            if refs is None:
+                by_fid[fid] = {key_fids}
+            else:
+                refs.add(key_fids)
         return cand
 
     def rearm(self) -> None:
@@ -475,6 +480,16 @@ class JoinNetwork:
         if profiler is not None:
             profiler.record_match(state.plan.rule.name, 0, profiler.clock() - t0)
 
+    def _drop_routed(self, state: _RuleState, fid: int) -> None:
+        """:meth:`_drop_fid`, made while routing instead of by a sync."""
+        profiler = self.profiler
+        if profiler is None:
+            self._drop_fid(state, fid)
+            return
+        t0 = profiler.clock()
+        self._drop_fid(state, fid)
+        profiler.record_match(state.plan.rule.name, 0, profiler.clock() - t0)
+
     def _push(self, state: _RuleState, rank: tuple, payload: tuple) -> None:
         self._serial += 1
         heapq.heappush(
@@ -501,7 +516,8 @@ class JoinNetwork:
                             del state.by_fid[other]
         if state.stores:
             for store in state.stores[1:]:
-                store.discard_fid(fid)
+                if fid in store.by_fid:
+                    store.discard_fid(fid)
             probe = state.probes.pop(fid, None)
             if probe is not None:
                 probe.alive = False
@@ -525,8 +541,11 @@ class JoinNetwork:
         stores, or, while the memory is non-empty, when the fact can
         feed a gate or a later position (``docs/engine.md``, "Alpha
         routing", has the conditions and why skipping the rest is
-        sound).  Any other rule sees every mutation of its types.  A
-        routed rule syncs when its salience tier is reached.
+        sound).  A fact leaving the alpha memory of a rule in which its
+        type fills position 0 only is dropped from the rule at once: the
+        sync could do nothing else.  Any other rule sees every mutation
+        of its types.  A routed rule syncs when its salience tier is
+        reached.
 
         An update that changes no attribute the rule reads is never
         queued: the rule's stored candidates binding the fact are
@@ -544,25 +563,20 @@ class JoinNetwork:
         seed, routes, dirty = self.seed, self._routes, self._dirty
         for change in changes:
             fid, fact, op, changed = change
-            if op != "u":
-                changed = None
-            groups = routes.get(type(fact))
-            if groups is None:
-                groups = routes[type(fact)] = self._route_groups(type(fact))
+            key = (type(fact), changed)
+            route = routes.get(key)
+            if route is None:
+                route = routes[key] = self._route(*key)
+            unread, groups = route
+            for state in unread:
+                # nothing the rule matches on moved: alpha membership
+                # and what is stored stand
+                keys = state.by_fid.get(fid)
+                if keys:
+                    self._reoffer(state, keys)
             for heads, members in groups:
                 fits = heads is not None and op != "r" and _feeds(heads, fact)
-                for state, where, wide, later, reads in members:
-                    if (
-                        changed is not None
-                        and reads is not None
-                        and changed.isdisjoint(reads)
-                    ):
-                        # nothing the rule matches on moved: alpha
-                        # membership and what is stored stand
-                        keys = state.by_fid.get(fid)
-                        if keys:
-                            self._reoffer(state, keys)
-                        continue
+                for state, where, wide, later in members:
                     alpha = state.alpha
                     if alpha is None:
                         pass
@@ -570,6 +584,11 @@ class JoinNetwork:
                         alpha.add(fid)
                     elif fid in alpha:
                         alpha.discard(fid)
+                        if later is None:
+                            # the type fills position 0 only: a sync
+                            # could only drop what binds the fact
+                            self._drop_routed(state, fid)
+                            continue
                     elif later is None:
                         # the type reaches position 0 only, and what is
                         # stored for that position is in the alpha memory
@@ -584,21 +603,28 @@ class JoinNetwork:
                         dirty[state.tier].append(state)
                     state.pending.append(change)
 
-    def _route_groups(self, fact_type: type) -> list:
-        """The rules a mutation of ``fact_type`` may concern, grouped by
-        the constant keys of the position 0 it feeds (None: it feeds
-        none) so one comparison refuses a whole group's guards.  Each
-        member carries the rule's read set, None where updates must be
-        queued whatever they change (unbounded reads, a Collect gate)."""
-        groups: dict = {}
+    def _route(self, fact_type: type, changed: Optional[frozenset]) -> tuple:
+        """How a mutation of ``fact_type`` that changed the attributes
+        ``changed`` is routed (None: an insert, a retract or an update
+        of unknown attributes), decided once per pair.
+
+        Returns the rules that read none of ``changed``, whose stored
+        candidates binding the fact are re-offered; and the other rules
+        the mutation may concern, grouped by the constant keys of the
+        position 0 it feeds (None: it feeds none) so one comparison
+        refuses a whole group's guards.  A rule with unbounded reads or a
+        Collect gate is never in the first part."""
+        unread, groups = [], {}
         for plan, route in self.ruleset.dispatch(fact_type):
+            state = self._states[plan.rule.name]
+            reads = None if any(isinstance(g, Collect) for g in plan.gates) else plan.reads
+            if changed is not None and reads is not None and changed.isdisjoint(reads):
+                unread.append(state)
+                continue
             head, wide, later = route or (None, True, ())
             heads, where = ((head.const_keys,), head.element.where) if head else (None, None)
-            reads = None if any(isinstance(g, Collect) for g in plan.gates) else plan.reads
-            groups.setdefault(heads, []).append(
-                (self._states[plan.rule.name], where, wide, later, reads)
-            )
-        return list(groups.items())
+            groups.setdefault(heads, []).append((state, where, wide, later))
+        return tuple(unread), list(groups.items())
 
     def _sync_tier(self, dirty: list[_RuleState]) -> None:
         """Apply the pending mutations of one tier's dirty rules."""

@@ -73,7 +73,7 @@ class ConditionElement:
     ``expand(memory, bindings)``, the extended binding dicts for each way
     it matches."""
 
-    __slots__ = ("fact_type", "where", "keys", "reads")
+    __slots__ = ("fact_type", "where", "keys", "key_attrs", "key_fns", "reads")
     expand: Callable[[Any, dict], list[dict]]
 
     def __init__(
@@ -89,6 +89,13 @@ class ConditionElement:
         self.fact_type = fact_type
         self.where = where
         self.keys = _validate_keys(name, keys)
+        #: the key attributes sorted (the index they probe) and their key
+        #: functions in that order; None without ``keys``
+        self.key_attrs: Optional[tuple[str, ...]] = None
+        self.key_fns: Optional[tuple[Callable[[dict], Any], ...]] = None
+        if self.keys is not None:
+            self.key_attrs = tuple(sorted(self.keys))
+            self.key_fns = tuple([self.keys[a] for a in self.key_attrs])
         #: optional declaration of the fact attributes the guard (and the
         #: key equalities) consult.  When set, the join network may
         #: skip re-evaluating this element for an update that changed
@@ -108,13 +115,13 @@ class ConditionElement:
 
     def candidates(self, memory, bindings: dict) -> list[Fact]:
         """Facts this element may match, narrowed via the key index."""
-        if self.keys is not None:
+        if self.key_fns is not None:
             try:
-                values = {attr: fn(bindings) for attr, fn in self.keys.items()}
+                values = tuple([fn(bindings) for fn in self.key_fns])
             except AttributeError:
-                values = None
-            if values is not None:
-                return memory.lookup(self.fact_type, **values)
+                pass
+            else:
+                return memory.lookup_keyed(self.fact_type, self.key_attrs, values)
         return memory.facts_of(self.fact_type)
 
 

@@ -94,3 +94,31 @@ def test_unprofiled_session_never_touches_clock():
     assert session.profiler is None
     session.insert(Item(1))
     assert session.fire_all() == 1  # no profiler calls anywhere
+
+
+def test_a_drop_made_while_routing_is_booked_as_match_time(monkeypatch):
+    """Marking an item takes it out of the lone rule's alpha memory, which
+    no later position reads: routing drops it without a sync, and the
+    profiler books the drop as the rule's match time."""
+    import repro.rules.network as network_module
+
+    syncs = []
+    sync_rule = network_module.JoinNetwork._sync_rule
+    monkeypatch.setattr(
+        network_module.JoinNetwork, "_sync_rule",
+        lambda self, state, dirty: syncs.append(state) or sync_rule(self, state, dirty),
+    )
+    profiler = RuleProfiler(time_fn=_Tick())
+    matches = []
+    record_match = profiler.record_match
+    monkeypatch.setattr(
+        profiler, "record_match",
+        lambda name, n, s: matches.append((name, n)) or record_match(name, n, s),
+    )
+    session = Session([_mark_rule()], profiler=profiler)
+    session.insert(Item(1))
+    assert session.fire_all() == 1
+    assert syncs == []
+    # the build found one activation; the drop after the firing adds none
+    assert matches == [("mark items", 1), ("mark items", 0)]
+    assert profiler.stats["mark items"].match_s > 0.0015

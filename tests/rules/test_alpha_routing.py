@@ -15,8 +15,14 @@ later position of one type), a three-position join, ``Absent`` and
 ``Collect`` gates, a lone pattern, and a rule that opens with a
 ``Collect`` gate (not alpha-routed).  Three routing mutants must each
 break a property, and so must a rule read set missing an attribute its
-guard reads (updates of unread attributes are re-offered, not re-derived).
+guard reads (updates of unread attributes are re-offered, not re-derived),
+a drop made while routing for a type that also fills a later position or
+a gate, and a route table that decides read-gates by fact type alone.
 """
+
+import ast
+import inspect
+import textwrap
 
 import pytest
 from hypothesis import example, given, settings
@@ -239,8 +245,17 @@ READ_GATED_WITNESS = [
     ("note", "disk"), ("restock", "disk", 5), ("fire",),
 ]
 
+# Two orders filled, then one requeued out of ``backlog``'s position-0
+# alpha memory while the stock is too low to fill it again: ``backlog``
+# must join it at position 2.
+REQUEUE_WITNESS = [
+    ("stock", "disk", 4), ("order", "disk", 2), ("order", "disk", 1), ("fire",),
+    ("requeue", 0), ("fire",),
+]
+
 
 @example(ops=READ_GATED_WITNESS)
+@example(ops=REQUEUE_WITNESS)
 @settings(max_examples=250, deadline=None)
 @given(ops=st.lists(_op, max_size=40))
 def test_routed_network_fires_what_seed_fires_and_stays_exact(ops):
@@ -321,3 +336,65 @@ def test_a_read_set_missing_a_read_attribute_is_caught(monkeypatch):
     monkeypatch.setattr(compiler_module, "_rule_reads", short_reads)
     with pytest.raises(AssertionError):
         test_routed_network_fires_what_seed_fires_and_stays_exact()
+
+
+def _drop_whenever_alpha_is_left():
+    """``_route_changes`` with the test guarding the drop made while
+    routing replaced by True: a fact leaving a rule's alpha memory is
+    dropped and never synced, even where its type fills a later position
+    or a gate."""
+    method = network_module.JoinNetwork._route_changes
+    tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+    guards = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and ast.unparse(node.test) == "later is None"
+        and any(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "attr", None) == "_drop_routed"
+            for stmt in node.body for call in ast.walk(stmt)
+        )
+    ]
+    assert len(guards) == 1, "the drop-while-routing guard moved"
+    guards[0].test = ast.Constant(True)
+    namespace: dict = {}
+    code = compile(ast.fix_missing_locations(tree), network_module.__file__, "exec")
+    exec(code, vars(network_module), namespace)
+    return namespace[method.__name__]
+
+
+def test_a_drop_while_routing_for_a_type_fed_later_is_caught(monkeypatch):
+    """``backlog`` binds a new Order at position 2: an Order requeued out
+    of its position-0 alpha memory must still be joined there."""
+    check_soup(REQUEUE_WITNESS)
+    monkeypatch.setattr(
+        network_module.JoinNetwork, "_route_changes", _drop_whenever_alpha_is_left()
+    )
+    with pytest.raises(AssertionError):
+        check_soup(REQUEUE_WITNESS)
+
+
+class _TypeKeyed(dict):
+    """A route table that ignores the changed-attribute half of its keys."""
+
+    def get(self, key, default=None):
+        return super().get(key[0], default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key[0], value)
+
+
+def test_read_gates_decided_per_fact_type_alone_are_caught(monkeypatch):
+    """The first routed Stock change of the read-gated witness is a
+    ``note`` update; a table keyed by type then re-offers the restock that
+    ``fill`` must re-derive."""
+    build_all = network_module.JoinNetwork._build_all
+
+    def mutant_build_all(self):
+        build_all(self)
+        self._routes = _TypeKeyed()
+
+    check_soup(READ_GATED_WITNESS)
+    monkeypatch.setattr(network_module.JoinNetwork, "_build_all", mutant_build_all)
+    with pytest.raises(AssertionError):
+        check_soup(READ_GATED_WITNESS)

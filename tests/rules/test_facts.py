@@ -40,10 +40,10 @@ def test_double_insert_rejected():
 def test_update_bumps_version_and_applies_changes():
     wm = WorkingMemory()
     a = wm.insert(Animal("cat"))
-    assert wm.version_of(a) == 0
+    assert wm.entry_of(a).version == 0
     wm.update(a, legs=3)
     assert a.legs == 3
-    assert wm.version_of(a) == 1
+    assert wm.entry_of(a).version == 1
 
 
 def test_update_unknown_attribute_rejected():
