@@ -58,8 +58,7 @@ CHECK_DESCRIPTIONS = {
     "V004": "join network and reference session reach different final "
             "states on the same fact soup "
             "(counterexample attached)",
-    "V005": "compiler plan or reads declaration disagrees with the "
-            "interaction graph",
+    "V005": "compiler plan or dispatch disagrees with the interaction graph",
     "S001": "suppression spec matched no finding (dead suppression)",
 }
 

@@ -16,15 +16,15 @@ V003    warning    higher tier retracts facts a lower tier still matches
 V004    error      the join network and the reference session reach
                    different final states on the same soup
                    (counterexample replays both)
-V005    error      compiler join/delta plan or ``reads`` change-gating
-                   disagrees with the interaction graph (static-exact)
+V005    error      compiler join/delta plan or dispatch disagrees with
+                   the interaction graph (static-exact)
 ======  =========  =====================================================
 
 Every V-series **error** from the dynamic checks (V001/V002/V004)
 carries ``detail["counterexample"]`` — a JSON document that
 :func:`replay_counterexample` re-runs from scratch in real sessions.
 V005 errors are exact consequences of scanned bytecode and carry their
-witness (the offending read/plan sets) instead.
+witness (the offending plan or fact type) instead.
 
 Suppression policy: a suppression lives in :data:`VERIFY_SUPPRESSIONS`
 **with an inline justification comment**, or it does not live at all.

@@ -3,23 +3,19 @@
 V004 (dynamic): the same fact soup fired through the join network and
 through the full-rescan :class:`~repro.rules.reference.ReferenceSession`
 must land in the same canonical final state.  Any split is an **error**
-carrying a minimized counterexample that replays both runs — typically a
-pack whose ``reads=`` declaration lies, so the network skips a
-re-evaluation the rescan performs.
+carrying a minimized counterexample that replays both runs — typically
+a guard that reads state no fact mutation reveals (a session global
+another rule's action sets), so the network skips a re-evaluation the
+rescan performs.
 
-V005 (static-exact): the compiler's join/delta classification and the
-``reads=(...)`` change-gating declarations must agree with what the
+V005 (static-exact): the compiler's plans must agree with what the
 interaction graph sees in the same rules:
 
 * a rule whose condition shape (all bound Patterns, two or more) earns a
   join plan but was classified delta — or vice versa — is an **error**
   (the classifier and the engine disagree about the rule's semantics);
-* a gate's ``reads`` declaration that omits an attribute its guard or
-  keys provably read is an **error**: the join network skips
-  re-checking a gate when an update's changed attributes are disjoint
-  from its declared reads, so the gate's truth goes stale.  These
-  findings are exact consequences of the scanned bytecode (the witness
-  is the read-set itself), not probe heuristics.
+* a condition fact type whose mutations do not dispatch back to the
+  rule's plan is an **error**: the network would never re-evaluate it.
 
 Composition enumeration extends the linter's ``shipped_configs()`` with
 a lease-enabled variant so expiry paths get verified too; the packs of
@@ -81,7 +77,8 @@ def check_engine_parity(
             f"the join network and the reference session reach different "
             f"final working-memory states for a {len(minimal)}-fact soup — "
             f"the network skips a re-evaluation the full rescan performs "
-            f"(a reads= declaration or key that omits what a guard reads?)",
+            f"(a guard reading state no fact carries, such as a session "
+            f"global an action sets?)",
             counterexample=doc,
         )
         return  # one replayed split per composition is enough
@@ -110,8 +107,8 @@ def check_compiler_agreement(
                 rule.name,
                 f"compiler classified this rule as {plan.kind!r} "
                 f"(reason: {plan.reason or 'n/a'}) but its condition shape "
-                f"({len(typed)} typed elements, "
-                f"{sum(1 for e in typed if isinstance(e, Pattern) and e.binding)}"
+                f"({len(rule.when)} condition elements, "
+                f"{sum(1 for e in rule.when if isinstance(e, Pattern) and e.binding)}"
                 f" bound patterns) says it "
                 f"{'is' if joinable else 'is not'} join-eligible — the "
                 f"classifier and the interaction graph disagree",
@@ -136,34 +133,6 @@ def check_compiler_agreement(
                     f"the join network would never re-evaluate it",
                     location=location_of(rule.then),
                     fact_type=element.fact_type.__name__,
-                )
-
-    # reads-declaration soundness: the join network only re-checks a
-    # gate (Absent/Collect) whose declared reads intersect an
-    # update's changed attrs, so the declaration must cover every
-    # attribute the gate's guard/keys actually read.
-    for rule in rules:
-        io = graph.nodes[rule.name]
-        for element_io, element in zip(io.elements, rule.when):
-            declared = getattr(element, "reads", None)
-            if declared is None or element_io.reads is None:
-                continue  # undeclared = no gating; inexact scan = unprovable
-            if element_io.kind == "pattern":
-                continue  # reads only gates Absent/Collect re-checks
-            missing = sorted(set(element_io.reads) - set(declared))
-            if missing:
-                report.add(
-                    "V005",
-                    Severity.ERROR,
-                    rule.name,
-                    f"reads declaration on condition {element_io.index} "
-                    f"({element_io.fact_type.__name__}) omits "
-                    f"{', '.join(missing)} — the guard/keys read these, so "
-                    f"change-gating skips re-evaluation "
-                    f"when they change and matches go stale",
-                    location=location_of(element.where or rule.then),
-                    missing=missing,
-                    declared=sorted(declared),
                 )
 
 

@@ -168,7 +168,6 @@ def eviction_rules() -> list[Rule]:
                     and r.pin_count == 0,
                     min_count=1,
                     keys={"site": lambda b: b["cap"].site},
-                    reads=("site", "pin_count"),
                 ),
             ],
             then=_select_victims,

@@ -96,9 +96,6 @@ def balanced_rules() -> list[Rule]:
                     ClusterAllocationFact,
                     where=_cluster_of,
                     keys=_cluster_keys(),
-                    # The per-cluster counter churns on every firing; only
-                    # the (immutable) pair + cluster identity decide this.
-                    reads=("src_host", "dst_host", "cluster"),
                 ),
             ],
             then=_create_cluster_allocation,

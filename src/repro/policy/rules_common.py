@@ -354,7 +354,6 @@ def common_rules() -> list[Rule]:
                     where=lambda r, b: r.lfn == b["t"].lfn
                     and r.dst_url == b["t"].dst_url,
                     keys=_t_file_keys(),
-                    reads=("lfn", "dst_url"),
                 ),
             ],
             then=_create_resource,
@@ -397,9 +396,6 @@ def common_rules() -> list[Rule]:
                     where=lambda p, b: p.src_host == b["t"].src_host
                     and p.dst_host == b["t"].dst_host,
                     keys=_t_pair_keys(),
-                    # The allocation counter churns on every firing; only
-                    # the (immutable) host endpoints decide this gate.
-                    reads=("src_host", "dst_host"),
                 ),
             ],
             then=_create_host_pair,
@@ -544,7 +540,6 @@ def common_rules() -> list[Rule]:
                     StagedFileFact,
                     where=lambda r, b: r.dst_url == b["c"].url and len(r.users) > 0,
                     keys=_c_url_keys(),
-                    reads=("dst_url", "users"),
                 ),
             ],
             then=_approve_cleanup,

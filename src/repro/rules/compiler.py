@@ -33,7 +33,8 @@ and key functions may read, derived from their bytecode (``None`` when
 the scan cannot bound it).  An update that changes none of them leaves
 every condition of the rule as it was, so the network re-offers what the
 rule already stores instead of re-deriving it (``docs/engine.md``,
-"Read-gated updates").
+"Read-gated updates").  ``gate_reads`` holds the same scan per gate, so
+a delta rule skips re-enumerating for an update no gate reads.
 """
 
 from __future__ import annotations
@@ -197,29 +198,39 @@ def _computed(value) -> bool:
     )
 
 
-def _rule_reads(rule: Rule) -> Optional[frozenset]:
-    """Every attribute name ``rule``'s guards and key functions may read,
-    plus its key attributes; None when a guard or key function reaches
-    state the scan cannot bound, or a fact class the rule matches defines
-    one of the names as a method or property, or defines a dunder a guard
-    expression may run."""
-    names: set = set()
-    for element in rule.when:
-        keys = element.keys or {}
-        for fn in (element.where, *keys.values()):
-            if fn is None:
-                continue
-            found = _function_reads(fn)
-            if found is None:
-                return None
-            names |= found
-        names.update(keys)
+def _scan(element) -> Optional[frozenset]:
+    """Every name ``element``'s guard and key functions may read, plus
+    its key attributes; None when one reaches state the scan cannot
+    bound."""
+    keys = element.keys or {}
+    names = set(keys)
+    for fn in (element.where, *keys.values()):
+        if fn is None:
+            continue
+        found = _function_reads(fn)
+        if found is None:
+            return None
+        names |= found
+    return frozenset(names)
+
+
+def _element_reads(rule: Rule) -> tuple[Optional[frozenset], ...]:
+    """Per condition element of ``rule``, its :func:`_scan`; None where a
+    fact class the rule matches defines one of the names as a method or
+    property (the classes of every position count: a guard also reads
+    the facts bound before it), and everywhere when one defines a dunder
+    a guard expression may run."""
+    scans = [_scan(element) for element in rule.when]
+    read = set().union(*(names for names in scans if names is not None))
     for cls in _fact_classes(rule.types):
         for name, value in vars(cls).items():
             dunder = name[:2] == name[-2:] == "__" and name not in _INERT_DUNDERS
-            if (dunder or name in names) and _computed(value):
-                return None
-    return frozenset(names)
+            if (dunder or name in read) and _computed(value):
+                if dunder:
+                    return (None,) * len(scans)
+                scans = [None if names is None or name in names else names
+                         for names in scans]
+    return tuple(scans)
 
 
 class PositionPlan:
@@ -246,7 +257,7 @@ class RulePlan:
     """One rule's compiled execution plan."""
 
     __slots__ = ("rule", "order", "kind", "reason", "positions",
-                 "gates", "alpha", "lone", "slots", "reads")
+                 "gates", "alpha", "lone", "slots", "reads", "gate_reads")
 
     def __init__(self, rule: Rule, order: int, kind: str, reason: str,
                  positions: list[PositionPlan]):
@@ -277,10 +288,20 @@ class RulePlan:
         self.slots: tuple[int, ...] = tuple(
             by_index.get(i, -1) for i in range(len(rule.when))
         )
+        reads = _element_reads(rule)
+        bounded = [r for r in reads if r is not None]
         #: every attribute name the rule's guards and key functions may
         #: read (None: unbounded) — an update changing none of them
         #: cannot change what the rule matches
-        self.reads: Optional[frozenset] = _rule_reads(rule)
+        self.reads: Optional[frozenset] = (
+            frozenset().union(*bounded) if len(bounded) == len(reads) else None
+        )
+        #: per gate, what its guard and key functions may read (None:
+        #: unbounded) — an update changing none of it leaves the gate's
+        #: truth, and a Collect's membership, as it was
+        self.gate_reads: tuple[Optional[frozenset], ...] = tuple(
+            r for el, r in zip(rule.when, reads) if not isinstance(el, Pattern)
+        )
 
 
 def _classify(rule: Rule, order: int) -> RulePlan:

@@ -646,23 +646,27 @@ class JoinNetwork:
         plan = state.plan
         if plan.kind == PLAN_JOIN:
             self._sync_join(state, dirty)
-        elif plan.gates and self._gates_dirty(plan, dirty):
+        elif plan.gates and self._gates_dirty(state, dirty):
             self._rebuild_delta(state)
         else:
             self._delta_patterns(state, dirty)
 
     @staticmethod
-    def _gates_dirty(plan: RulePlan, dirty: list) -> bool:
+    def _gates_dirty(state: _RuleState, dirty: list) -> bool:
         """Could any of these mutations flip an Absent/Collect gate?
 
         Only a flip *towards* matching forces a rebuild — gates flipping
         away are caught by pop-time validation.  An ``Absent`` insert can
         only invalidate, and an update whose changed attributes are
-        disjoint from the gate's declared ``reads`` provably leaves the
-        gate's truth (and a Collect's membership) untouched.
+        disjoint from what the gate reads (``RulePlan.gate_reads``)
+        provably leaves the gate's truth (and a Collect's membership)
+        untouched.  A fact a stored candidate collects is the exception:
+        its version is part of the activation's identity, and the
+        delta path cannot re-derive a match from a collected fact.
         """
-        for _fid, fact, op, changed in dirty:
-            for gate in plan.gates:
+        plan, by_fid = state.plan, state.by_fid
+        for fid, fact, op, changed in dirty:
+            for gate, reads in zip(plan.gates, plan.gate_reads):
                 if not isinstance(fact, gate.fact_type):
                     continue
                 if op == "i" and isinstance(gate, Absent):
@@ -670,8 +674,9 @@ class JoinNetwork:
                 if (
                     op == "u"
                     and changed is not None
-                    and gate.reads is not None
-                    and changed.isdisjoint(gate.reads)
+                    and reads is not None
+                    and changed.isdisjoint(reads)
+                    and not (fid in by_fid and isinstance(gate, Collect))
                 ):
                     continue
                 return True

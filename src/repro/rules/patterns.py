@@ -33,7 +33,7 @@ guard semantics below.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Type
+from typing import Any, Callable, Optional, Type
 
 from repro.rules.facts import Fact
 
@@ -73,15 +73,11 @@ class ConditionElement:
     ``expand(memory, bindings)``, the extended binding dicts for each way
     it matches."""
 
-    __slots__ = ("fact_type", "where", "keys", "key_attrs", "key_fns", "reads")
+    __slots__ = ("fact_type", "where", "keys", "key_attrs", "key_fns")
     expand: Callable[[Any, dict], list[dict]]
 
     def __init__(
-        self,
-        fact_type: Type[Fact],
-        where: Optional[Guard],
-        keys: KeySpec,
-        reads: Optional[Iterable[str]] = None,
+        self, fact_type: Type[Fact], where: Optional[Guard] = None, keys: KeySpec = None,
     ):
         name = type(self).__name__
         if not (isinstance(fact_type, type) and issubclass(fact_type, Fact)):
@@ -96,22 +92,6 @@ class ConditionElement:
         if self.keys is not None:
             self.key_attrs = tuple(sorted(self.keys))
             self.key_fns = tuple([self.keys[a] for a in self.key_attrs])
-        #: optional declaration of the fact attributes the guard (and the
-        #: key equalities) consult.  When set, the join network may
-        #: skip re-evaluating this element for an update that changed
-        #: none of the listed attributes — the element's truth value
-        #: provably cannot have flipped.  MUST cover everything the guard
-        #: reads from the candidate fact, else matches are silently
-        #: stale.  ``None`` (default) means unknown: always re-evaluate.
-        if reads is not None:
-            reads = frozenset(reads)
-            if not reads or not all(
-                isinstance(a, str) and a for a in reads
-            ):
-                raise TypeError(
-                    f"{name} reads must be a non-empty iterable of attribute names"
-                )
-        self.reads: Optional[frozenset] = reads
 
     def candidates(self, memory, bindings: dict) -> list[Fact]:
         """Facts this element may match, narrowed via the key index."""
@@ -136,9 +116,8 @@ class Pattern(ConditionElement):
         binding: Optional[str] = None,
         where: Optional[Guard] = None,
         keys: KeySpec = None,
-        reads: Optional[Iterable[str]] = None,
     ):
-        super().__init__(fact_type, where, keys, reads)
+        super().__init__(fact_type, where, keys)
         self.binding = binding
 
     def expand(self, memory, bindings: dict) -> list[dict]:
@@ -163,15 +142,6 @@ class Absent(ConditionElement):
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        fact_type: Type[Fact],
-        where: Optional[Guard] = None,
-        keys: KeySpec = None,
-        reads: Optional[Iterable[str]] = None,
-    ):
-        super().__init__(fact_type, where, keys, reads)
-
     def expand(self, memory, bindings: dict) -> list[dict]:
         for fact in self.candidates(memory, bindings):
             if _check(self.where, fact, bindings):
@@ -191,9 +161,8 @@ class Collect(ConditionElement):
         where: Optional[Guard] = None,
         min_count: int = 0,
         keys: KeySpec = None,
-        reads: Optional[Iterable[str]] = None,
     ):
-        super().__init__(fact_type, where, keys, reads)
+        super().__init__(fact_type, where, keys)
         if not binding:
             raise ValueError("Collect requires a binding name")
         self.binding = binding

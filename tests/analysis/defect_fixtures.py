@@ -11,7 +11,7 @@ from repro.planner.executable import (
     JobKind,
     TransferSpec,
 )
-from repro.rules import Absent, Fact, Pattern, Rule
+from repro.rules import Fact, Pattern, Rule
 
 
 class ProbeFact(Fact):
@@ -180,7 +180,7 @@ def unkeyed_join_rules():
     ]
 
 
-# -- verifier defects (V001/V002/V004/V005) ---------------------------------
+# -- verifier defects (V001/V002/V004) -------------------------------------
 class GrantFact(Fact):
     """Lifecycle subject: enters 'submitted', is driven to done/failed."""
 
@@ -292,15 +292,14 @@ def denying_pack():
     ]
 
 
-def stale_reads_rules():
-    """V005 (static) and V004 (dynamic): the Absent gate declares
-    ``reads=("lfn",)`` although its guard tests ``status``.  When the
-    upstream rule moves the blocking probe out of 'submitted', the
-    join network's change-gating sees a mutation disjoint from the
-    declared reads, skips re-checking the gate, and never activates the
-    downstream rule — while the re-enumerating reference fires it."""
+def stale_globals_rules():
+    """V004 (dynamic): the counter rule's guard reads a session global
+    that the promoting rule sets.  A global is no fact, so setting it
+    routes nothing: the join network never re-checks the counter rule,
+    while the re-enumerating reference fires it."""
 
     def _promote(ctx):
+        ctx.globals["opened"] = True
         ctx.update(ctx.t, status="new")
 
     def _mark(ctx):
@@ -309,20 +308,16 @@ def stale_reads_rules():
 
     return [
         Rule(
-            "Promote submitted probes",
+            "Promote submitted probes and open the counter",
             when=[Pattern(ProbeFact, "t", where=lambda t, b: t.status == "submitted")],
             then=_promote,
             salience=20,
         ),
         Rule(
-            "Mark the counter once no probe is still submitted",
+            "Mark the counter once a probe opened it",
             when=[
-                Pattern(CounterFact, "c"),
-                Absent(
-                    ProbeFact,
-                    where=lambda p, b: p.status == "submitted",
-                    reads=("lfn",),
-                ),
+                Pattern(CounterFact, "c",
+                        where=lambda c, b: b["_globals"].get("opened")),
             ],
             then=_mark,
             salience=10,

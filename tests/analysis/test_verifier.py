@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro.rules.compiler as compiler_module
 from repro.analysis import (
     Severity,
     VerifyOptions,
@@ -69,17 +70,33 @@ def test_cross_pack_conflict_appears_only_when_composed():
     assert replay_counterexample(hits[0].detail["counterexample"])["reproduced"]
 
 
-def test_stale_reads_triggers_static_v005_and_dynamic_v004():
-    report = _verify([defects.stale_reads_rules])
-    v005 = _errors(report, "V005")
-    assert v005, "the Absent gate's reads declaration omits 'status'"
-    assert "status" in v005[0].detail["missing"]
+def test_stale_globals_triggers_dynamic_v004():
+    report = _verify([defects.stale_globals_rules])
+    assert not _errors(report, "V005")
     v004 = _errors(report, "V004")
-    assert v004, "the network's change-gating must diverge from re-enumeration"
-    result = replay_counterexample(v004[0].detail["counterexample"])
+    assert v004, "a guard over a global an action sets must diverge from re-enumeration"
+    doc = v004[0].detail["counterexample"]
+    assert len(doc["facts"]) == 2  # the counter and one submitted probe
+    result = replay_counterexample(doc)
     assert result["reproduced"]
     assert set(result["states"]) == {"network", "reference"}
     assert result["states"]["network"] != result["states"]["reference"]
+
+
+def test_v005_reports_a_plan_whose_kind_disagrees_with_the_rule_shape(monkeypatch):
+    classify = compiler_module._classify
+
+    def flipped(rule, order):
+        plan = classify(rule, order)
+        if rule.name == "Release the pool slot of a completed grant":
+            plan.kind = "delta" if plan.kind == "join" else "join"
+        return plan
+
+    monkeypatch.setattr(compiler_module, "_classify", flipped)
+    hits = _errors(_verify([defects.unbalanced_reserve_rules]), "V005")
+    assert [f.subject for f in hits] == ["Release the pool slot of a completed grant"]
+    assert "2 condition elements, 2 bound patterns" in hits[0].message
+    assert hits[0].detail["plan"] == "delta"
 
 
 def test_counterexample_documents_are_plain_json():
@@ -90,7 +107,7 @@ def test_counterexample_documents_are_plain_json():
 
 
 def test_counterexample_written_with_an_engines_list_still_replays():
-    doc = _errors(_verify([defects.stale_reads_rules]), "V004")[0].detail["counterexample"]
+    doc = _errors(_verify([defects.stale_globals_rules]), "V004")[0].detail["counterexample"]
     assert "engines" not in doc
     old = dict(doc, engines=["seed", "indexed", "compiled"])  # three selectable engines
     assert replay_counterexample(old)["reproduced"]

@@ -16,8 +16,9 @@ later position of one type), a three-position join, ``Absent`` and
 ``Collect`` gate (not alpha-routed).  Three routing mutants must each
 break a property, and so must a rule read set missing an attribute its
 guard reads (updates of unread attributes are re-offered, not re-derived),
-a drop made while routing for a type that also fills a later position or
-a gate, and a route table that decides read-gates by fact type alone.
+a gate read set missing an attribute its guard reads, a drop made while
+routing for a type that also fills a later position or a gate, and a
+route table that decides read-gates by fact type alone.
 """
 
 import ast
@@ -106,8 +107,7 @@ def soup_rules(trace):
             when=[
                 Pattern(Order, "o", where=lambda o, b: o.status == "new"),
                 Absent(Stock,
-                       where=lambda s, b: s.item == b["o"].item and s.level >= b["o"].qty,
-                       reads=("item", "level")),
+                       where=lambda s, b: s.item == b["o"].item and s.level >= b["o"].qty),
             ],
             then=lambda ctx: trace.append(("starved", ctx.o.oid)),
         ),
@@ -245,6 +245,13 @@ READ_GATED_WITNESS = [
     ("note", "disk"), ("restock", "disk", 5), ("fire",),
 ]
 
+# An order the closed stock cannot fill but still covers, then a restock
+# to 0: ``starved``'s Absent gate reads ``level``, so it opens.
+GATE_WITNESS = [
+    ("stock", "disk", 5), ("flip", "disk"), ("order", "disk", 3), ("fire",),
+    ("restock", "disk", 0), ("fire",),
+]
+
 # Two orders filled, then one requeued out of ``backlog``'s position-0
 # alpha memory while the stock is too low to fill it again: ``backlog``
 # must join it at position 2.
@@ -255,6 +262,7 @@ REQUEUE_WITNESS = [
 
 
 @example(ops=READ_GATED_WITNESS)
+@example(ops=GATE_WITNESS)
 @example(ops=REQUEUE_WITNESS)
 @settings(max_examples=250, deadline=None)
 @given(ops=st.lists(_op, max_size=40))
@@ -327,13 +335,30 @@ def test_a_read_set_missing_a_read_attribute_is_caught(monkeypatch):
     """``fill`` reads the stock ``level``; with it dropped from the plan's
     read set a restock is re-offered instead of re-derived, and the
     parity with the reference breaks."""
-    rule_reads = compiler_module._rule_reads
+    element_reads = compiler_module._element_reads
 
     def short_reads(rule):
-        reads = rule_reads(rule)
-        return reads - {"level"} if rule.name == "fill" else reads
+        reads = element_reads(rule)
+        return tuple(r - {"level"} for r in reads) if rule.name == "fill" else reads
 
-    monkeypatch.setattr(compiler_module, "_rule_reads", short_reads)
+    monkeypatch.setattr(compiler_module, "_element_reads", short_reads)
+    with pytest.raises(AssertionError):
+        test_routed_network_fires_what_seed_fires_and_stays_exact()
+
+
+def test_a_gate_read_set_missing_a_read_attribute_is_caught(monkeypatch):
+    """``starved``'s Absent gate reads the stock ``level``; with it dropped
+    from the gate's read set (the rule's own set keeps it, so the restock
+    is still synced) the gate is not re-checked and the starved order
+    never fires."""
+    init = compiler_module.RulePlan.__init__
+
+    def short_gate_reads(self, rule, *args):
+        init(self, rule, *args)
+        if rule.name == "starved":
+            self.gate_reads = tuple(r - {"level"} for r in self.gate_reads)
+
+    monkeypatch.setattr(compiler_module.RulePlan, "__init__", short_gate_reads)
     with pytest.raises(AssertionError):
         test_routed_network_fires_what_seed_fires_and_stays_exact()
 

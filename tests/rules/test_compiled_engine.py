@@ -12,6 +12,7 @@ fact soups.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.rules.network as network_module
 from repro.rules import (
     Absent,
     Collect,
@@ -171,49 +172,104 @@ def test_retract_during_firing_matches():
                      ("consume", 3), ("fired", 4)]
 
 
-def test_reads_declaration_preserves_equivalence():
-    """A gate with a ``reads`` declaration lets the join network skip
-    rebuilds for unrelated updates — without changing a single firing."""
-    def make_rules(trace):
-        return [
-            Rule(
-                "churn",
-                salience=5,
-                when=[Pattern(Stock, "s", where=lambda s, b: s.level > 0)],
-                no_loop=True,
-                then=lambda ctx: (
-                    trace.append(("churn", ctx.s.item)),
-                    ctx.update(ctx.s, level=ctx.s.level),  # no-op update
-                ),
+def _gated_rules(trace):
+    """``churn`` updates ``level``, which neither gate reads."""
+    return [
+        Rule(
+            "churn",
+            salience=5,
+            when=[Pattern(Stock, "s", where=lambda s, b: s.level > 0)],
+            no_loop=True,
+            then=lambda ctx: (
+                trace.append(("churn", ctx.s.item)),
+                ctx.update(ctx.s, level=ctx.s.level + 1),
             ),
-            Rule(
-                "gated",
-                salience=1,
-                when=[
-                    Pattern(Order, "o", where=lambda o, b: o.status == "new"),
-                    Absent(Stock,
-                           where=lambda s, b: s.item == b["o"].item,
-                           reads=("item",)),
-                ],
-                then=lambda ctx: (
-                    trace.append(("gated", ctx.o.oid)),
-                    ctx.update(ctx.o, status="handled"),
-                ),
+        ),
+        Rule(
+            "stocked",
+            salience=2,
+            when=[
+                Pattern(Order, "o", where=lambda o, b: o.status == "new"),
+                Collect(Stock, "stocks", min_count=1,
+                        where=lambda s, b: s.item == b["o"].item),
+            ],
+            then=lambda ctx: (
+                trace.append(("stocked", ctx.o.oid)),
+                ctx.update(ctx.o, status="shipped"),
             ),
-        ]
+        ),
+        Rule(
+            "gated",
+            salience=1,
+            when=[
+                Pattern(Order, "o", where=lambda o, b: o.status == "new"),
+                Absent(Stock, where=lambda s, b: s.item == b["o"].item),
+            ],
+            then=lambda ctx: (
+                trace.append(("gated", ctx.o.oid)),
+                ctx.update(ctx.o, status="handled"),
+            ),
+        ),
+    ]
+
+
+def _counting_rebuilds(monkeypatch):
+    rebuilt = []
+    rebuild = network_module.JoinNetwork._rebuild_delta
+
+    def counting_rebuild(self, state):
+        rebuilt.append(state.plan.rule.name)
+        return rebuild(self, state)
+
+    monkeypatch.setattr(network_module.JoinNetwork, "_rebuild_delta", counting_rebuild)
+    return rebuilt
+
+
+def test_derived_gate_reads_skip_rebuilds_and_preserve_equivalence(monkeypatch):
+    """The compiler derives what a gate reads: the join network does not
+    re-enumerate a rule for updates of attributes its gates never read —
+    without changing a single firing.  Routing re-offers "gated" (no
+    condition of it reads ``level``); "stocked" has a Collect gate, so
+    it is always synced, and ``gate_reads`` is what spares it."""
+    rebuilt = _counting_rebuilds(monkeypatch)
+
+    def scenario(s, trace):
+        s.insert(Stock("disk", 3))
+        s.insert(Stock("cpu", 2))
+        s.insert(Order(1, "ram", 1))
+        trace.append(("fired", s.fire_all()))
+        s.insert(Stock("ram", 1))  # now blocks future "ram" orders
+        s.insert(Order(2, "ram", 1))
+        trace.append(("fired2", s.fire_all()))
+
+    plans = compile_rules(_gated_rules([])).plans
+    assert [plan.gate_reads for plan in plans] == [(), ({"item"},), ({"item"},)]
+    trace = run_equivalent(_gated_rules, scenario)
+    assert trace == [
+        ("churn", "disk"), ("churn", "cpu"), ("gated", 1), ("fired", 3),
+        ("churn", "ram"), ("stocked", 2), ("fired2", 2),
+    ]
+    # each built once and never re-enumerated: the ram stock arrived
+    # while no order was new, and no ``level`` update opened a gate
+    assert rebuilt.count("stocked") == rebuilt.count("gated") == 1
+
+
+def test_an_unread_update_of_a_collected_fact_re_derives_the_match(monkeypatch):
+    """A stored candidate collects the disk stock when ``churn`` updates
+    its ``level``: the Collect's membership stands, but the activation
+    is a new one and the delta path cannot re-derive it, so the rule is
+    re-enumerated."""
+    rebuilt = _counting_rebuilds(monkeypatch)
 
     def scenario(s, trace):
         s.insert(Stock("disk", 3))
         s.insert(Order(1, "disk", 1))
         s.insert(Order(2, "ram", 1))
         trace.append(("fired", s.fire_all()))
-        s.insert(Stock("ram", 1))  # now blocks future "ram" orders
-        s.insert(Order(3, "ram", 1))
-        trace.append(("fired2", s.fire_all()))
 
-    trace = run_equivalent(make_rules, scenario)
-    assert ("gated", 2) in trace
-    assert ("gated", 3) not in trace
+    trace = run_equivalent(_gated_rules, scenario)
+    assert trace == [("churn", "disk"), ("stocked", 1), ("gated", 2), ("fired", 3)]
+    assert rebuilt.count("stocked") == 2
 
 
 def test_compiled_plans_classify_rules():
@@ -286,8 +342,7 @@ def _soup_rules(trace):
                 Pattern(Order, "o", where=lambda o, b: o.status == "new"),
                 Absent(Stock,
                        where=lambda s, b: s.item == b["o"].item
-                       and s.level >= b["o"].qty,
-                       reads=("item", "level")),
+                       and s.level >= b["o"].qty),
             ],
             then=lambda ctx: trace.append(("starved", ctx.o.oid)),
         ),

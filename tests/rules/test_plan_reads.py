@@ -1,13 +1,17 @@
-"""``RulePlan.reads`` covers every attribute a rule's conditions read.
+"""``RulePlan.reads`` covers every attribute a rule's conditions read,
+and ``RulePlan.gate_reads`` every attribute each gate reads.
 
 The join network re-offers a rule's stored candidates, instead of
 re-deriving them, for an update that changes no attribute in the rule's
-read set (``docs/engine.md``, "Read-gated updates").  A name missing from
-the set silently leaves matches stale, so the set is checked three ways:
+read set (``docs/engine.md``, "Read-gated updates"), and does not
+re-enumerate a gated rule for an update no gate reads.  A name missing
+from a set silently leaves matches stale, so the sets are checked three
+ways:
 
 * an oracle: every shipped composition's guards and key functions run
   over randomized fact soups while fact instances record each attribute
-  read; the reads must fall inside the set wherever it is not None;
+  read; the reads must fall inside the rule's set and each gate's,
+  wherever it is not None, and the shipped gate sets are pinned;
 * scanner mutants: guards that reach state a name scan cannot bound
   (``getattr``, ``operator.attrgetter``, a fact property or method, a
   ``_globals`` object's method, a function fetched from the bindings, an
@@ -29,6 +33,7 @@ import pytest
 import repro.rules.network as network_module
 from repro.analysis.probing import (
     FactFactory,
+    fact_schema,
     harvest_constants,
     probe_universe,
     random_memory,
@@ -79,10 +84,12 @@ def _bindings_for(rule, index, memory, session_globals, rng):
 
 
 def _recorded_reads(rule, memory, session_globals, rng, recorder):
-    """Evaluate every guard and key function of ``rule`` over ``memory``
-    and return the attribute names they read off facts."""
-    recorder.names = set()
+    """Evaluate every guard and key function of ``rule`` over ``memory``;
+    per condition element, the attribute names they read off facts."""
+    out = []
     for index, element in enumerate(rule.when):
+        recorder.names = set()
+        out.append(recorder.names)
         for bindings in _bindings_for(rule, index, memory, session_globals, rng):
             for fn in (element.keys or {}).values():
                 try:
@@ -96,7 +103,7 @@ def _recorded_reads(rule, memory, session_globals, rng, recorder):
                     _recording(recorder, element.where)(fact, bindings)
                 except Exception:
                     pass
-    return recorder.names
+    return out
 
 
 def test_recorded_guard_reads_stay_inside_the_plan_read_set(monkeypatch):
@@ -114,7 +121,7 @@ def test_recorded_guard_reads_stay_inside_the_plan_read_set(monkeypatch):
         return getattribute(self, name)
 
     monkeypatch.setattr(Fact, "__getattribute__", recording_getattribute)
-    checked = set()
+    checked, gates_checked = set(), set()
     for name, (rules, session_globals, _builders) in compositions.items():
         universe = probe_universe(rules)
         pools = harvest_constants(rule_set_functions(rules))
@@ -122,17 +129,67 @@ def test_recorded_guard_reads_stay_inside_the_plan_read_set(monkeypatch):
             rng = random.Random(seed)
             memory = random_memory(universe, FactFactory(rng, pools))
             for plan in plans[name]:
-                if plan.reads is None:
-                    continue
-                read = _recorded_reads(plan.rule, memory, session_globals, rng, recorder)
-                assert read <= plan.reads, (
-                    f"{name}: {plan.rule.name!r} read {sorted(read - plan.reads)} "
-                    f"outside its read set"
-                )
-                if read:
-                    checked.add(plan.rule.name)
-    # The oracle saw reads of most shipped rules, not a vacuous pass.
+                rule = plan.rule
+                per_element = _recorded_reads(rule, memory, session_globals, rng, recorder)
+                if plan.reads is not None:
+                    read = set().union(*per_element)
+                    assert read <= plan.reads, (
+                        f"{name}: {rule.name!r} read {sorted(read - plan.reads)} "
+                        f"outside its read set"
+                    )
+                    if read:
+                        checked.add(rule.name)
+                gate_read = [
+                    read for element, read in zip(rule.when, per_element)
+                    if not isinstance(element, Pattern)
+                ]
+                for gate, (reads, read) in enumerate(zip(plan.gate_reads, gate_read)):
+                    if reads is None:
+                        continue
+                    assert read <= reads, (
+                        f"{name}: gate {gate} of {rule.name!r} read "
+                        f"{sorted(read - reads)} outside its read set"
+                    )
+                    if read:
+                        gates_checked.add((rule.name, gate))
+    # The oracle saw reads of most shipped rules and of every shipped
+    # gate, not a vacuous pass.
     assert len(checked) >= 30
+    assert len(gates_checked) == len(SHIPPED_GATE_READS)
+
+
+#: per shipped gate, the attributes of its fact type that its guard and
+#: key functions consult
+SHIPPED_GATE_READS = {
+    "Create a resource for a new transfer to track the resulting staged file":
+        {"lfn", "dst_url"},
+    "Generate a unique group ID for a source and destination host pair":
+        {"src_host", "dst_host"},
+    "Insert new cleanups into policy memory for resources that no longer "
+    "have transfers using their staged files":
+        {"dst_url", "users"},
+    "Retrieve the parallel streams threshold defined for a single cluster "
+    "between a source and destination host":
+        {"src_host", "dst_host", "cluster"},
+    "Select eviction victims on a site over its byte budget":
+        {"site", "pin_count"},
+}
+
+
+def test_shipped_gate_read_sets_hold_what_each_gate_consults():
+    """A derived gate set may hold names that are no attribute of the
+    gate's fact type (the cleanup gate reads ``len`` and the cleanup's
+    ``url``); no update changes those, so the type's attributes in the
+    set are what gates the rebuilds."""
+    factory = FactFactory(random.Random(0))
+    found = {}
+    for rules, _globals, _builders in verify_compositions().values():
+        for plan in compile_rules(rules).plans:
+            gates = [el for el in plan.rule.when if not isinstance(el, Pattern)]
+            for gate, reads in zip(gates, plan.gate_reads):
+                assert reads is not None, plan.rule.name
+                found[plan.rule.name] = reads & fact_schema(gate.fact_type, factory)
+    assert found == SHIPPED_GATE_READS
 
 
 def test_the_rule_engine_does_not_load_the_analyzers():

@@ -94,8 +94,7 @@ def soup_rules(trace):
             when=[
                 Pattern(Order, "o", where=lambda o, b: o.status == "new"),
                 Absent(Stock,
-                       where=lambda s, b: s.item == b["o"].item and s.level >= b["o"].qty,
-                       reads=("item", "level")),
+                       where=lambda s, b: s.item == b["o"].item and s.level >= b["o"].qty),
             ],
             then=lambda ctx: trace.append(("starved", ctx.o.oid)),
         ),
