@@ -62,7 +62,8 @@ class DAGManResult:
     failure: Optional[str] = None
 
     def by_kind(self, kind: JobKind) -> list[JobRecord]:
-        return [r for r in self.records.values() if r.kind == kind.value]
+        value = kind.value
+        return [r for r in self.records.values() if r.kind == value]
 
 
 class DAGMan:

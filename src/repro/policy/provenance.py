@@ -525,6 +525,9 @@ class DecisionLog:
         while len(self._records) > self.cap:
             self._records.popitem(last=False)
 
+    def __len__(self) -> int:
+        return len(self._records)
+
     def transfer(self, tid: int) -> Optional[dict]:
         return self._records.get(("t", tid))
 

@@ -300,6 +300,11 @@ class PolicyService:
         self._m_ids = m.gauge(
             "repro_policy_id_highwater", "Id counter high-water marks", ("kind",)
         )
+        self._m_retained = m.gauge(
+            "repro_policy_retained",
+            "Live facts, change-log entries and decision records held",
+            ("kind",),
+        )
         self._m_tenant_inflight = m.gauge(
             "repro_policy_tenant_inflight_streams",
             "Streams currently reserved against a tenant's aggregate budget",
@@ -341,6 +346,13 @@ class PolicyService:
             self._m_rule_fires.set(row.fires, rule=row.name)
             self._m_rule_match_seconds.set(row.match_s, rule=row.name)
             self._m_rule_action_seconds.set(row.action_s, rule=row.name)
+
+    def _refresh_census_metrics(self) -> None:
+        for kind, value in self.counters().items():
+            self._m_ids.set(value, kind=kind)
+        self._m_retained.set(len(self.memory), kind="facts")
+        self._m_retained.set(self.memory.retained_changes, kind="changes")
+        self._m_retained.set(len(self.decisions), kind="decisions")
 
     def _refresh_tenant_metrics(self) -> None:
         bound: dict[str, int] = {}
@@ -1357,8 +1369,7 @@ class PolicyService:
             }
             for p in self.memory.facts_of(HostPairFact)
         }
-        for kind, value in self.counters().items():
-            self._m_ids.set(value, kind=kind)
+        self._refresh_census_metrics()
         self._refresh_tenant_metrics()
         return {
             "policy": self.config.policy,
@@ -1373,9 +1384,9 @@ class PolicyService:
 
     def refresh_metrics(self) -> None:
         """Bring the scrape-time gauges up to date: id high-water marks,
-        tenant ledgers and the attached profiler's per-rule tallies."""
-        for kind, value in self.counters().items():
-            self._m_ids.set(value, kind=kind)
+        what the service holds, tenant ledgers and the attached profiler's
+        per-rule tallies."""
+        self._refresh_census_metrics()
         self._refresh_tenant_metrics()
         self._refresh_profiler_metrics()
 

@@ -15,6 +15,7 @@ the memory's **change log** to re-match only what actually changed.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Any, Iterator, Optional, Type, TypeVar
 
@@ -25,9 +26,15 @@ F = TypeVar("F", bound="Fact")
 _MISSING = object()
 _NO_FACTS: dict[int, "Fact"] = {}  # the extent of a type no fact has (read-only)
 
-#: Mutations remembered for :meth:`WorkingMemory.changes_since`.  A session
-#: that falls behind further than this rebuilds its join network.
+#: Most mutations :meth:`WorkingMemory.changes_since` can serve: the whole
+#: log of a memory without readers, and the bound on a stalled reader's
+#: range (one that falls further behind rebuilds its join network).
+#: Readers' catch-ups trim what all of them have routed (``_TRIM_EVERY``).
 _CHANGELOG_CAP = 65_536
+
+#: Clock ticks between two trims of the log prefix every live reader has
+#: consumed; one trim costs a pass over the readers, so none runs per route.
+_TRIM_EVERY = 1_024
 
 
 class Fact:
@@ -83,10 +90,14 @@ class WorkingMemory:
         # buffer: appending beyond the cap drops the oldest entry in O(1)
         # instead of the O(cap) copy-shift a list compaction would cost on
         # the mutation hot path.  Clock ticks once per entry, so the
-        # retained window is always the last ``_CHANGELOG_CAP`` sequences.
+        # retained window is always a suffix of the last ``_CHANGELOG_CAP``
+        # sequences; :meth:`trim` shortens it to what readers still need.
         self._log: deque[tuple[int, int, Fact, str, Optional[frozenset]]] = deque(
             maxlen=_CHANGELOG_CAP
         )
+        self._readers: weakref.WeakSet = weakref.WeakSet()
+        #: the clock at which a reader's catch-up next calls :meth:`trim`
+        self.trim_at = _TRIM_EVERY
 
     @property
     def clock(self) -> int:
@@ -100,6 +111,38 @@ class WorkingMemory:
         self._log.append((self._clock, fid, fact, op, changed))
         if self.observer is not None:
             self.observer(fact, fid, op)
+
+    @property
+    def retained_changes(self) -> int:
+        """Change-log entries currently held (a diagnostic)."""
+        return len(self._log)
+
+    def add_reader(self, reader: Any) -> None:
+        """Keep the change log after ``reader.seq`` for ``reader``.
+
+        ``reader.seq`` is the clock up to which the reader has consumed
+        :meth:`changes_since`, and may only grow.  The memory holds the
+        reader weakly: once it is garbage-collected it pins nothing.
+        """
+        self._readers.add(reader)
+
+    def trim(self) -> None:
+        """Drop the change-log entries every live reader has consumed.
+
+        A reader calls this when its position reaches :attr:`trim_at`,
+        which then moves ``_TRIM_EVERY`` ticks on, so the pass over the
+        readers is paid once per that many mutations.  The entries of a
+        firing in flight are never dropped: a reader's position does not
+        pass a mutation it has not routed.
+        """
+        self.trim_at = self._clock + _TRIM_EVERY
+        floor = min(reader.seq for reader in self._readers)
+        log = self._log
+        if floor >= self._clock:  # the usual case: one reader, caught up
+            log.clear()
+            return
+        while log[0][0] <= floor:
+            log.popleft()
 
     def changes_since(
         self, seq: int

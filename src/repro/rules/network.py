@@ -335,7 +335,8 @@ class JoinNetwork:
         self.seed = {"_globals": globals_dict}
         self.profiler = profiler
         self._serial = 0
-        self._seq = -1
+        #: the memory clock up to which the change log has been routed
+        self.seq = -1
         self._states: dict[str, _RuleState] = {}
         # per salience tier (as ``ruleset.tiers``): the rules with
         # pending mutations, and the rank heap
@@ -347,6 +348,7 @@ class JoinNetwork:
         # re-offer: exactly the live candidates in no heap
         self._spent: dict[_Cand, _RuleState] = {}
         self._build_all()
+        memory.add_reader(self)
 
     # ------------------------------------------------------------- build
     def _build_all(self) -> None:
@@ -362,7 +364,7 @@ class JoinNetwork:
         }
         for plan in self.ruleset.plans:
             self._build_rule(self._states[plan.rule.name])
-        self._seq = self.memory.clock
+        self.seq = self.memory.clock
 
     def _build_rule(self, state: _RuleState) -> None:
         plan = state.plan
@@ -552,14 +554,16 @@ class JoinNetwork:
         re-offered instead ("Read-gated updates").
         """
         memory = self.memory
-        if self._seq == memory.clock:
+        if self.seq == memory.clock:
             return
-        changes = memory.changes_since(self._seq)
+        changes = memory.changes_since(self.seq)
         if changes is None:
             # Fell behind the bounded change log: rebuild everything.
             self._build_all()
             return
-        self._seq = memory.clock
+        self.seq = seq = memory.clock
+        if seq >= memory.trim_at:
+            memory.trim()
         seed, routes, dirty = self.seed, self._routes, self._dirty
         for change in changes:
             fid, fact, op, changed = change

@@ -80,6 +80,22 @@ def test_snapshot_has_metrics_namespace(service):
     ] == 1.0
 
 
+def test_retained_gauge_counts_what_the_service_holds(service):
+    advice = service.submit_transfers("wf", "j", specs("a", "b"))
+    service.complete_transfers(done=[a.tid for a in advice])
+    text = service.metrics_text()
+    held = {
+        "facts": len(service.memory),
+        "changes": service.memory.retained_changes,
+        "decisions": len(service.decisions),
+    }
+    assert held["facts"] and held["changes"] and held["decisions"] == 2
+    for kind, value in held.items():
+        assert f'repro_policy_retained{{kind="{kind}"}} {value}' in text
+    gauge = service.snapshot()["metrics"]["repro_policy_retained"]
+    assert gauge['repro_policy_retained{kind="decisions"}'] == 2.0
+
+
 def test_shared_registry_is_used_not_copied():
     registry = MetricsRegistry()
     service = PolicyService(PolicyConfig(policy="greedy"), metrics=registry)
