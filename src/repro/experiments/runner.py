@@ -29,6 +29,7 @@ from repro.policy import (
     PolicyService,
     ShardedPolicyService,
 )
+from repro.policy.provenance import FrozenDecisions
 from repro.workflow.dag import Workflow
 from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
@@ -429,12 +430,23 @@ class EnsembleResult:
     tenant_of: dict[str, str]
     tenant_bytes: dict[str, float]
     tenant_shares: dict[str, float]
-    #: decision-provenance records from the shared policy service
-    #: (empty when policy is off)
-    decisions: list = field(default_factory=list)
+    #: decision-provenance records from the shared policy service, held
+    #: encoded and decoded when iterated (empty when policy is off)
+    decisions: FrozenDecisions = field(default_factory=FrozenDecisions)
     #: staged-data catalog census of the shared policy service at end of
     #: run (None when policy or the catalog is off)
     catalog_census: Optional[dict] = None
+
+
+def _frozen_decisions(service) -> FrozenDecisions:
+    """A service's or fleet's decision records, frozen and held encoded.
+
+    A single service shares its log's bytes; a fleet encodes its merged,
+    canonical records (the order ``decision_records`` gives).
+    """
+    if isinstance(service, PolicyService):
+        return service.decisions.frozen()
+    return FrozenDecisions.of(service.decision_records())
 
 
 def run_tenant_ensemble(
@@ -536,7 +548,7 @@ def run_tenant_ensemble(
         tenant_bytes=tenant_bytes,
         tenant_shares={spec.tenant: registry.share(spec.tenant) for spec in registry},
         decisions=(
-            shared.service.decision_records() if shared is not None else []
+            _frozen_decisions(shared.service) if shared is not None else FrozenDecisions()
         ),
         catalog_census=catalog_census_of(shared.service) if shared is not None else None,
     )

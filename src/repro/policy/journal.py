@@ -346,7 +346,8 @@ class PolicyJournal:
         left as it was, and the error propagates.  The document is
         streamed — head, then one ``json.dumps`` per fact and per decision
         record — so every element goes through the C encoder and no
-        whole-memory document is ever built.
+        whole-memory document is ever built.  Decision records are decoded
+        from the service's log one at a time, each dropped once written.
         """
         memory = service.memory
         facts = sorted((memory.fid_of(fact), fact) for fact in memory)
@@ -367,7 +368,7 @@ class PolicyJournal:
                     ({"fid": fid, **fact_to_doc(fact)} for fid, fact in facts),
                 )
                 handle.write(', "decisions": ')
-                _write_array(handle, service.decision_records())
+                _write_array(handle, service.decisions)
                 handle.write("}")
                 handle.flush()
                 if self.fsync:

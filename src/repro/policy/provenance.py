@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 from collections import OrderedDict
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.datacatalog.model import (
     EvictionSweepFact,
@@ -60,6 +61,7 @@ from repro.rules import Fact
 __all__ = [
     "DecisionLog",
     "FiringCollector",
+    "FrozenDecisions",
     "stable_ref",
     "tier_name",
     "canonical_json",
@@ -501,13 +503,20 @@ class DecisionLog:
     evicted first.  Eviction order is part of the replay contract: the
     journal replays records in their original order, so a recovered log
     holds exactly the records an uninterrupted run would hold.
+
+    Each record is held pickled (~1.35 kB, against ~4.8 kB as live
+    dicts) and decoded afresh on every read, so no caller can reach into
+    a retained record.  Pickle round-trips a record type for type and in
+    key order; the bytes never leave the process.
     """
 
     def __init__(self, cap: int = 4096):
         if cap < 1:
             raise ValueError("decision log cap must be >= 1")
         self.cap = int(cap)
-        self._records: OrderedDict[tuple, dict] = OrderedDict()
+        self._records: OrderedDict[tuple, bytes] = OrderedDict()
+        #: encoded bytes held (``repro_policy_retained_bytes``)
+        self.nbytes = 0
 
     @staticmethod
     def key_of(record: dict) -> tuple:
@@ -519,21 +528,61 @@ class DecisionLog:
 
     def add(self, record: dict) -> None:
         key = self.key_of(record)
+        blob = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
         if key in self._records:
-            self._records.pop(key)
-        self._records[key] = record
+            self.nbytes -= len(self._records.pop(key))
+        self._records[key] = blob
+        self.nbytes += len(blob)
         while len(self._records) > self.cap:
-            self._records.popitem(last=False)
+            self.nbytes -= len(self._records.popitem(last=False)[1])
 
     def __len__(self) -> int:
         return len(self._records)
 
+    def __iter__(self) -> Iterator[dict]:
+        """All records, oldest first, each decoded when reached."""
+        return map(pickle.loads, self._records.values())
+
     def transfer(self, tid: int) -> Optional[dict]:
-        return self._records.get(("t", tid))
+        blob = self._records.get(("t", tid))
+        return None if blob is None else pickle.loads(blob)
 
     def records(self) -> list[dict]:
         """All records, oldest first."""
-        return list(self._records.values())
+        return list(self)
+
+    def frozen(self) -> FrozenDecisions:
+        """The records as they stand now, decoded only when read."""
+        return FrozenDecisions(self._records.values())
+
+
+class FrozenDecisions:
+    """A read-only, lazily decoded copy of a decision log.
+
+    Holds its own tuple of the log's encoded records (the bytes are
+    shared, never copied) and decodes each record when iterated.
+    Compares equal to a list of the same records in the same order.
+    """
+
+    __slots__ = ("_blobs",)
+
+    def __init__(self, blobs: Iterable[bytes] = ()):
+        self._blobs = tuple(blobs)
+
+    @classmethod
+    def of(cls, records: Iterable[dict]) -> FrozenDecisions:
+        return cls(pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in records)
+
+    def __len__(self) -> int:
+        return len(self._blobs)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(pickle.loads, self._blobs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (FrozenDecisions, list)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 # --------------------------------------------------------------------------

@@ -305,6 +305,11 @@ class PolicyService:
             "Live facts, change-log entries and decision records held",
             ("kind",),
         )
+        self._m_retained_bytes = m.gauge(
+            "repro_policy_retained_bytes",
+            "Encoded bytes of the decision records held",
+            ("kind",),
+        )
         self._m_tenant_inflight = m.gauge(
             "repro_policy_tenant_inflight_streams",
             "Streams currently reserved against a tenant's aggregate budget",
@@ -353,6 +358,7 @@ class PolicyService:
         self._m_retained.set(len(self.memory), kind="facts")
         self._m_retained.set(self.memory.retained_changes, kind="changes")
         self._m_retained.set(len(self.decisions), kind="decisions")
+        self._m_retained_bytes.set(self.decisions.nbytes, kind="decisions")
 
     def _refresh_tenant_metrics(self) -> None:
         bound: dict[str, int] = {}
@@ -1098,12 +1104,11 @@ class PolicyService:
         None when the id was never decided here, or the record aged out
         of the bounded log.
         """
-        record = self.decisions.transfer(int(tid))
-        return dict(record) if record is not None else None
+        return self.decisions.transfer(int(tid))
 
     def decision_records(self) -> list[dict]:
         """All retained decision records, oldest first."""
-        return [dict(record) for record in self.decisions.records()]
+        return self.decisions.records()
 
     # ------------------------------------------------------------------ catalog
     def _require_catalog(self) -> DataCatalog:

@@ -715,7 +715,7 @@ class ShardedPolicyService:
             tid = int(tid)
             synthetic = self._decisions.transfer(tid)
             if synthetic is not None:
-                return dict(synthetic)
+                return synthetic
             home = self._tids.get(tid)
             if home is None:
                 return None
@@ -739,7 +739,7 @@ class ShardedPolicyService:
             records: list[dict] = []
             for part in self._gather("decision_records"):
                 records.extend(self._canonical_record(r) for r in part)
-            records.extend(dict(r) for r in self._decisions.records())
+            records.extend(self._decisions)
             transfers = [r for r in records if r.get("kind") == "transfer"]
             cleanups = [r for r in records if r.get("kind") != "transfer"]
             transfers.sort(key=lambda r: r["tid"])
@@ -749,7 +749,6 @@ class ShardedPolicyService:
     def _canonical_record(self, record: dict) -> dict:
         """Rewrite a shard record's group id to the canonical numbering."""
 
-        record = dict(record)
         if record.get("kind") == "transfer":
             home = self._tids.get(record.get("tid"))
             if home is not None and home[1] is not None:

@@ -92,6 +92,9 @@ def test_retained_gauge_counts_what_the_service_holds(service):
     assert held["facts"] and held["changes"] and held["decisions"] == 2
     for kind, value in held.items():
         assert f'repro_policy_retained{{kind="{kind}"}} {value}' in text
+    held_bytes = service.decisions.nbytes
+    assert held_bytes > 0
+    assert f'repro_policy_retained_bytes{{kind="decisions"}} {held_bytes}' in text
     gauge = service.snapshot()["metrics"]["repro_policy_retained"]
     assert gauge['repro_policy_retained{kind="decisions"}'] == 2.0
 
