@@ -11,18 +11,20 @@
 
 * **One bytecode reader** — :func:`_symbolic_events` walks a function's
   compiled code with a symbolic stack and reports the calls,
-  comparisons, containment tests and attribute accesses it sees.
-  :func:`guard_attribute_refs`, :func:`action_effects` and
-  :func:`guard_constraint_domains` are filters over those events, and
-  :func:`helper_codes` is the one walk over the module-level helpers a
-  function calls.  The reader is deliberately conservative: anything it
-  cannot follow becomes an unknown token, so it under-reports rather
-  than inventing references.
+  comparisons and containment tests it sees.  :func:`action_effects`
+  and :func:`guard_constraint_domains` are filters over those events,
+  and :func:`helper_functions` is the one walk over the module-level
+  helpers a function calls.  The reader is deliberately conservative:
+  anything it cannot follow becomes an unknown token, so it
+  under-reports rather than inventing references.  Which names a guard
+  reads is not its business: that is the rule compiler's scan
+  (``RulePlan.reads``, ``docs/engine.md``, "Read-gated updates"), which
+  the engine gates updates on.
 
-* **One per-rule summary** — :func:`rule_io` reads a rule once into a
-  :class:`RuleIO` (condition types, bindings, attribute reads, action
-  effects, over-approximate writes) that the linter's static checks and
-  the verifier's interaction graph both consume.
+* **One per-rule summary** — :func:`rule_io` reads a compiled rule once
+  into a :class:`RuleIO` (condition types, guard domains, the plan's
+  reads, action effects, over-approximate writes) that the linter's
+  static checks and the verifier's interaction graph both consume.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Type
 
+from repro.rules.compiler import RulePlan
 from repro.rules.engine import Rule
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.patterns import Collect, Pattern
@@ -51,10 +54,10 @@ __all__ = [
     "rule_set_functions",
     "probe_universe",
     "random_memory",
+    "helper_functions",
     "helper_codes",
     "callable_names",
     "referenced_fact_types",
-    "guard_attribute_refs",
     "ActionEffects",
     "action_effects",
     "guard_constraint_domains",
@@ -383,29 +386,31 @@ def random_memory(
 # --------------------------------------------------------------------------
 # Module-level helpers a function calls
 # --------------------------------------------------------------------------
+def helper_functions(func: Callable, depth: Optional[int] = 2) -> list[Callable]:
+    """``func`` and the module-level functions its code (nested code
+    included) calls, followed ``depth`` levels (None: every level); each
+    function is listed once."""
+    found: dict[int, Callable] = {}
+    level = [func]
+    while level and (depth is None or depth >= 0):
+        callees: list[Callable] = []
+        for f in level:
+            code = getattr(f, "__code__", None)
+            if code is not None and id(code) not in found:
+                found[id(code)] = f
+                scope = getattr(f, "__globals__", {})
+                callees += [scope[name] for nested in _code_objects(code)
+                            for name in nested.co_names
+                            if hasattr(scope.get(name), "__code__")]
+        level = callees
+        depth = None if depth is None else depth - 1
+    return list(found.values())
+
+
 def helper_codes(func: Callable, depth: int = 2) -> list:
-    """Code objects of ``func`` and of the module-level functions it
-    calls, followed ``depth`` levels, nested code (lambdas,
-    comprehensions) included; each function is visited once."""
-    codes: list = []
-    seen: set[int] = set()
-
-    def visit(f: Callable, level: int) -> None:
-        code = getattr(f, "__code__", None)
-        if code is None or id(code) in seen:
-            return
-        seen.add(id(code))
-        codes.extend(_code_objects(code))
-        if level <= 0:
-            return
-        module_globals = getattr(f, "__globals__", {})
-        for name in code.co_names:
-            target = module_globals.get(name)
-            if callable(target) and getattr(target, "__code__", None) is not None:
-                visit(target, level - 1)
-
-    visit(func, depth)
-    return codes
+    """Code objects of :func:`helper_functions`, nested code (lambdas,
+    comprehensions) included."""
+    return [code for f in helper_functions(func, depth) for code in _code_objects(f.__code__)]
 
 
 def callable_names(func: Callable, depth: int = 2) -> set[str]:
@@ -425,39 +430,15 @@ def referenced_fact_types(func: Callable, depth: int = 2) -> set[Type[Fact]]:
     return types
 
 
-def _scan_exact(func: Optional[Callable]) -> bool:
-    """True when the reader sees *every* attribute ``func`` reads.
-
-    A function that calls a module-level helper hands its facts to code
-    :func:`guard_attribute_refs` does not follow, so its read set must be
-    treated as "anything".  (Builtins and methods are fine — they cannot
-    reach back into working-memory facts we track.)
-    """
-    if func is None:
-        return True
-    if getattr(func, "__code__", None) is None:
-        return False
-    module_globals = getattr(func, "__globals__", {})
-    for name in callable_names(func):
-        target = module_globals.get(name)
-        if (
-            callable(target)
-            and not isinstance(target, type)
-            and getattr(target, "__code__", None) is not None
-        ):
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # The bytecode reader
 # --------------------------------------------------------------------------
 # Tokens are tagged tuples describing the best-effort provenance of a
 # stack slot:  ("ctx",) the action context parameter, ("cand",) a guard's
-# candidate fact, ("bindings",) a guard's bindings dict, ("const", v),
-# ("param", name), ("attr", base, name), ("item", base, key) a constant
-# subscript, ("global", name), ("inst", cls), ("elem", iterable) an item
-# drawn from iterating a token, ("null",), ("unknown",).  The evaluator
+# candidate fact, ("const", v), ("param", name), ("attr", base, name),
+# ("item", base, key) a constant subscript, ("global", name), ("inst",
+# cls), ("elem", iterable) an item drawn from iterating a token,
+# ("null",), ("unknown",).  The evaluator
 # walks bytecode linearly; branches can misalign the model stack, but
 # statement boundaries (POP_TOP / empty stack) resynchronize it, and every
 # consumer treats an unresolved token as "could be anything" — degradation
@@ -465,26 +446,51 @@ def _scan_exact(func: Optional[Callable]) -> bool:
 _UNKNOWN = ("unknown",)
 _NULL = ("null",)
 _CAND = ("cand",)
-_BINDINGS = ("bindings",)
 
 _LOAD_FAST_OPS = {"LOAD_FAST", "LOAD_FAST_CHECK", "LOAD_FAST_AND_CLEAR"}
-_ATTR_OPS = {"LOAD_ATTR", "LOAD_METHOD", "STORE_ATTR"}
 #: 3.12 folds LOAD_METHOD into LOAD_ATTR, flagged by the low bit of its arg
 _METHOD_FLAG = sys.version_info >= (3, 12)
+_JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
+
+
+def _falsy_exit(instrs: list, at: int) -> bool:
+    """Does ``instrs[at]`` return at once a falsy constant, or the falsy
+    operand a short-circuit ``and`` leaves?"""
+    instr = instrs[at]
+    if instr.opname == "LOAD_CONST" and instrs[at + 1].opname == "RETURN_VALUE":
+        return not instr.argval
+    if instr.opname == "RETURN_CONST":
+        return not instr.argval
+    return instr.opname == "RETURN_VALUE"
+
+
+def _conjunctive_jump(instrs: list, at: int, at_offset: dict) -> bool:
+    """Does the jump ``instrs[at]`` keep the code a conjunction, every
+    way to accept running through every test?  A jump on a false test
+    must land on a falsy return (``a and b``, ``if a: ... return
+    False``); a ``None`` test must have a falsy return on one side.  A
+    jump on a true test (``or``, ``not``) and a forward jump that merges
+    two branches (``x if c else y``) never do."""
+    op = instrs[at].opname
+    target = at_offset.get(instrs[at].argval, at)  # unknown: no exit
+    if "IF_FALSE" in op:
+        return _falsy_exit(instrs, target)
+    if "IF_NONE" in op or "IF_NOT_NONE" in op:
+        return _falsy_exit(instrs, target) or _falsy_exit(instrs, at + 1)
+    return "IF_TRUE" not in op and op != "JUMP_FORWARD"
 
 
 class _Event:
-    """One observed operation: a call, a comparison, a containment test,
-    or an attribute access."""
+    """One observed operation: a call, a comparison or a containment test."""
 
     __slots__ = ("kind", "target", "args", "kwargs", "op")
 
     def __init__(self, kind, target=None, args=(), kwargs=None, op=None):
-        self.kind = kind          # "call" | "cmp" | "contains" | "attr"
-        self.target = target      # callable token / left operand / owner
+        self.kind = kind          # "call" | "cmp" | "contains"
+        self.target = target      # callable token / left operand
         self.args = list(args)    # arg tokens / (right operand,)
         self.kwargs = kwargs or {}
-        self.op = op              # comparison operator / attribute name
+        self.op = op              # comparison operator
 
 
 def _symbolic_events(
@@ -493,7 +499,7 @@ def _symbolic_events(
     depth: int = 3,
     _seen: Optional[set] = None,
 ) -> tuple[list[_Event], bool]:
-    """(events, or_logic): calls/comparisons/attribute accesses observed in
+    """(events, or_logic): calls, comparisons and containment tests seen in
     ``func``'s code, with parameters substituted from ``env`` and
     module-level helper calls inlined ``depth`` levels.  ``or_logic``
     reports whether the code uses OR-shaped control flow (so conjunctive
@@ -520,11 +526,12 @@ def _symbolic_events(
     def pop():
         return stack.pop() if stack else _UNKNOWN
 
-    for instr in dis.get_instructions(code):
+    instrs = list(dis.get_instructions(code))
+    at_offset = {instr.offset: at for at, instr in enumerate(instrs)}
+    for at, instr in enumerate(instrs):
         op = instr.opname
-        if op in _ATTR_OPS:
-            # the owner is on top for a load and for a store alike
-            events.append(_Event("attr", stack[-1] if stack else _UNKNOWN, op=instr.argval))
+        if instr.opcode in _JUMPS and not _conjunctive_jump(instrs, at, at_offset):
+            or_logic = True
         if op in _LOAD_FAST_OPS:
             push(env.get(instr.argval, ("param", instr.argval)))
         elif op == "LOAD_CONST":
@@ -621,9 +628,6 @@ def _symbolic_events(
             or_logic = True  # negation flips constraint polarity: bail
             pop()
             push(_UNKNOWN)
-        elif "IF_TRUE" in op:
-            # 3.11 spells the statement form POP_JUMP_FORWARD_IF_TRUE
-            or_logic = True
         else:
             # Generic opcode: keep the stack depth roughly aligned, and
             # clobber the top token — a mis-tracked token would be worse
@@ -641,38 +645,6 @@ def _symbolic_events(
             if stack:
                 stack[-1] = _UNKNOWN
     return events, or_logic
-
-
-def guard_attribute_refs(func: Callable, candidate: bool) -> set[tuple[Optional[str], str]]:
-    """``(binding, attribute)`` pairs ``func``'s own code reads (module-level
-    helpers it calls are not followed; see :func:`_scan_exact`).
-
-    With ``candidate``, ``func`` is a guard: its first parameter is the
-    candidate fact (reported as binding ``None``) and its second the
-    bindings dict.  Otherwise (key functions) the first
-    parameter is the bindings dict.  A read off ``bindings["name"]`` is
-    reported as binding ``name``; locals assigned from either are followed.
-    """
-    code = getattr(func, "__code__", None)
-    if code is None:
-        return set()
-    params = code.co_varnames[: code.co_argcount]
-    env: dict[str, tuple] = {}
-    if candidate and params:
-        env[params[0]] = _CAND
-    for name in params[1:2] if candidate else params[:1]:
-        env[name] = _BINDINGS
-    events, _ = _symbolic_events(func, env, depth=0)
-    refs: set[tuple[Optional[str], str]] = set()
-    for event in events:
-        if event.kind != "attr":
-            continue
-        owner = event.target
-        if owner == _CAND:
-            refs.add((None, event.op))
-        elif owner[0] == "item" and owner[1] == _BINDINGS:
-            refs.add((owner[2], event.op))
-    return refs
 
 
 class ActionEffects:
@@ -783,8 +755,10 @@ def guard_constraint_domains(
     whose ``attr`` is in the set — derived from ``==`` comparisons and
     ``in (const, ...)`` tests against the guard's first parameter, with
     module-level helper calls inlined.  Returns ``None`` when the guard
-    uses OR-shaped control flow or negation (no conjunctive reading) and
-    ``{}`` when no constraints are derivable.  Used by the verifier to
+    has no conjunctive reading — OR-shaped control flow, negation, two
+    branches that each return a test, an early accept (see
+    :func:`_conjunctive_jump`) — and ``{}`` when no constraints are
+    derivable.  Used by the verifier to
     prune infeasible rule-interaction edges; an empty result just means
     "no pruning", so under-reporting is safe.
     """
@@ -849,15 +823,11 @@ class ElementIO:
     """One typed condition element of a rule, with its guard summary."""
 
     index: int
-    kind: str                       #: "pattern" | "absent" | "exists" | "collect"
     fact_type: Type[Fact]
     positive: bool                  #: needs a live fact to let the rule through
-    binding: Optional[str]
     #: necessary equality constraints the guard imposes on the candidate
     #: (None = guard has no conjunctive reading; {} = no constraints known)
     domains: Optional[dict[str, frozenset]]
-    #: candidate attributes the guard/keys read (None = unknown / inexact)
-    reads: Optional[frozenset]
 
 
 @dataclass
@@ -865,14 +835,12 @@ class RuleIO:
     """Static read/write summary of one rule."""
 
     rule: Rule
-    order: int
     elements: list[ElementIO]
-    #: Pattern binding -> fact type (a Collect binds a list, not a fact)
-    bindings: dict[str, Type[Fact]]
     effects: ActionEffects
-    #: fact type -> attrs the rule reads anywhere (guards, keys fns, Tests);
-    #: None value = "may read any attribute of this type"
-    reads: dict[Type[Fact], Optional[set]]
+    #: every name the rule's guards and key functions may read — the
+    #: compiler's :attr:`~repro.rules.compiler.RulePlan.reads` (None:
+    #: unbounded, "may read any attribute")
+    reads: Optional[frozenset]
     #: types the action may insert or mutate: Fact classes it names, plus
     #: every condition type when it calls insert/update/retract (an
     #: over-approximation, consulted where ``effects`` is opaque)
@@ -917,71 +885,27 @@ class RuleIO:
         return self.effects.updated_attrs(fact_type)
 
 
-def rule_io(rule: Rule, order: int) -> RuleIO:
-    """Build the static read/write summary for one rule."""
-    bindings = {
-        e.binding: e.fact_type for e in rule.when if isinstance(e, Pattern) and e.binding
-    }
+def rule_io(plan: RulePlan) -> RuleIO:
+    """Build the static read/write summary of a compiled rule."""
+    rule = plan.rule
+    elements = [
+        ElementIO(
+            index=index,
+            fact_type=element.fact_type,
+            positive=isinstance(element, Pattern)
+            or (isinstance(element, Collect) and element.min_count > 0),
+            domains=guard_constraint_domains(element.where),
+        )
+        for index, element in enumerate(rule.when)
+    ]
     bound_types = {
         e.binding: e.fact_type
         for e in rule.when
         if isinstance(e, (Pattern, Collect)) and e.binding
     }
-    elements: list[ElementIO] = []
-    reads: dict[Type[Fact], Optional[set]] = {}
-
-    def note_reads(fact_type: Type[Fact], attrs: Optional[Iterable]) -> None:
-        if attrs is None:
-            reads[fact_type] = None
-            return
-        known = reads.get(fact_type, set())
-        if known is None:
-            return
-        known.update(attrs)
-        reads[fact_type] = known
-
-    def scan(func: Callable, candidate: bool) -> Optional[set]:
-        """Note what ``func`` reads off bound facts; return what it reads
-        off the candidate (None = anything)."""
-        own: set = set()
-        for binding, attr in guard_attribute_refs(func, candidate):
-            if binding is None:
-                own.add(attr)
-            elif binding in bindings:
-                note_reads(bindings[binding], (attr,))
-        if _scan_exact(func):
-            return own
-        # a helper handed the bindings dict may read any bound fact
-        for fact_type in bound_types.values():
-            note_reads(fact_type, None)
-        return None
-
-    for index, element in enumerate(rule.when):
-        cand_reads = scan(element.where, True) if element.where is not None else set()
-        if element.keys:
-            # keyed lookup reads the key attrs on the candidate and runs
-            # arbitrary fns over the bindings for the probe values.
-            if cand_reads is not None:
-                cand_reads.update(element.keys)
-            for fn in element.keys.values():
-                scan(fn, False)
-        note_reads(element.fact_type, cand_reads)
-        elements.append(
-            ElementIO(
-                index=index,
-                kind=type(element).__name__.lower(),
-                fact_type=element.fact_type,
-                positive=isinstance(element, Pattern)
-                or (isinstance(element, Collect) and element.min_count > 0),
-                binding=getattr(element, "binding", None),
-                domains=guard_constraint_domains(element.where),
-                reads=frozenset(cand_reads) if cand_reads is not None else None,
-            )
-        )
-
     approx = set(referenced_fact_types(rule.then))
     if {"update", "retract", "insert"} & callable_names(rule.then):
         approx |= {e.fact_type for e in elements}
     return RuleIO(
-        rule, order, elements, bindings, action_effects(rule.then, bound_types), reads, approx
+        rule, elements, action_effects(rule.then, bound_types), plan.reads, approx
     )

@@ -48,6 +48,7 @@ reproducible.
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import random
 from typing import Callable, Iterable, Optional, Sequence, Type
@@ -59,9 +60,9 @@ from repro.analysis.probing import (
     callable_names,
     clone_memory,
     fact_schema,
-    guard_attribute_refs,
     harvest_constants,
     helper_codes,
+    helper_functions,
     probe_universe,
     random_memory,
     rule_io,
@@ -69,7 +70,7 @@ from repro.analysis.probing import (
     snapshot_memory,
 )
 from repro.policy import salience
-from repro.rules.compiler import PLAN_JOIN, compile_rules
+from repro.rules.compiler import PLAN_JOIN, RulePlan, _element_reads, compile_rules
 from repro.rules.engine import Rule, RuleEngineError, Session
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.patterns import Absent, Collect, ConditionElement, Pattern
@@ -197,46 +198,49 @@ def _known_attrs(fact_type: Type[Fact], factory: FactFactory, cache: dict) -> se
     return attrs
 
 
+def _scope_names(funcs: Iterable[Callable]) -> set[str]:
+    """Every builtin, and every module global of ``funcs`` and of the
+    module-level functions they reach."""
+    reached = [f for func in funcs for f in helper_functions(func, depth=None)]
+    return set(dir(builtins)).union(*(getattr(f, "__globals__", ()) for f in reached))
+
+
 def _check_attribute_refs(io: RuleIO, factory: FactFactory, report: Report) -> None:
+    """R002 over the compiler's per-element read scan: a name the guard
+    or key functions read that is no attribute of a fact class the rule
+    matches and does not resolve in :func:`_scope_names`.  An element
+    whose reads the scan cannot bound goes unchecked."""
     cache: dict = {}
     rule = io.rule
-
-    def verify(func, fact_type: Optional[Type[Fact]], where: str):
-        refs = guard_attribute_refs(func, candidate=fact_type is not None)
-        for binding, attr in sorted(refs, key=str):
-            target = fact_type if binding is None else io.bindings.get(binding)
-            if target is None:
-                continue
-            if attr not in _known_attrs(target, factory, cache):
+    known = set().union(*(_known_attrs(t, factory, cache) for t in io.condition_types))
+    for position, (element, names) in enumerate(zip(rule.when, _element_reads(rule))):
+        keys = element.keys or {}
+        funcs = [fn for fn in (element.where, *keys.values()) if fn is not None]
+        # key attributes are in the scan too: the hint check covers them
+        for attr in sorted((names or set()) - known - keys.keys() - _scope_names(funcs)):
+            report.add(
+                "R002",
+                Severity.ERROR,
+                rule.name,
+                f"guard (condition {position}) references "
+                f"{element.fact_type.__name__}.{attr}, which does not exist "
+                f"on the fact class",
+                location=location_of(funcs[0]),
+                attribute=attr,
+                fact_type=element.fact_type.__name__,
+            )
+        for attr, fn in keys.items():
+            if attr not in _known_attrs(element.fact_type, factory, cache):
                 report.add(
                     "R002",
                     Severity.ERROR,
                     rule.name,
-                    f"{where} references {target.__name__}.{attr}, "
+                    f"keys hint names {element.fact_type.__name__}.{attr}, "
                     f"which does not exist on the fact class",
-                    location=location_of(func),
+                    location=location_of(fn),
                     attribute=attr,
-                    fact_type=target.__name__,
+                    fact_type=element.fact_type.__name__,
                 )
-
-    for position, element in enumerate(rule.when):
-        if element.where is not None:
-            verify(element.where, element.fact_type, f"guard (condition {position})")
-        if element.keys:
-            known = _known_attrs(element.fact_type, factory, cache)
-            for attr, fn in element.keys.items():
-                if attr not in known:
-                    report.add(
-                        "R002",
-                        Severity.ERROR,
-                        rule.name,
-                        f"keys hint names {element.fact_type.__name__}.{attr}, "
-                        f"which does not exist on the fact class",
-                        location=location_of(fn),
-                        attribute=attr,
-                        fact_type=element.fact_type.__name__,
-                    )
-                verify(fn, None, f"keys[{attr!r}] (condition {position})")
 
 
 # --------------------------------------------------------------------------
@@ -459,8 +463,8 @@ def _mentions_globals(func) -> bool:
     return any("_globals" in code.co_consts for code in helper_codes(func))
 
 
-def _check_fast_path(rules: Sequence[Rule], report: Report) -> None:
-    for plan in compile_rules(rules).plans:
+def _check_fast_path(plans: Sequence[RulePlan], report: Report) -> None:
+    for plan in plans:
         rule = plan.rule
         if plan.alpha is None:
             report.add(
@@ -624,7 +628,8 @@ def lint_rules(
     pools = harvest_constants(rule_set_functions(rules))
     factory = FactFactory(rng, pools)
     universe = probe_universe(rules)
-    summaries = [rule_io(rule, order) for order, rule in enumerate(rules)]
+    plans = compile_rules(rules).plans
+    summaries = [rule_io(plan) for plan in plans]
     seed_bindings = {"_globals": session_globals}
 
     # Static checks first (no probing required).
@@ -634,7 +639,7 @@ def lint_rules(
     _check_reachability(summaries, entry_types, report)
     _check_dependency_cycles(summaries, report)
     _check_salience_names(rules, report)
-    _check_fast_path(rules, report)
+    _check_fast_path(plans, report)
 
     # Probing: keys soundness + activation log for ties/shadowing.  The
     # randomized probe memories are snapshotted once and reused (cloned)

@@ -22,10 +22,10 @@ graph consumers look only at feasible ones.
 
 Everything here over-approximates on uncertainty: opaque actions (targets
 resolved through memory scans) interfere with every referenced type, and
-guards that delegate to module-level helpers drop attribute-level read
-precision (``reads=None`` = "may read anything").  Under-approximation
-only enters through the *domains*, which are themselves conservative
-(``None`` whenever a guard has OR-shaped control flow).
+a rule reads what its compiled plan reads (``RulePlan.reads``; None =
+"may read anything").  Under-approximation only enters through the
+*domains*, which are themselves conservative (``None`` whenever a guard
+has no conjunctive reading).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.analysis.probing import (
     rule_io,
     signature_of,
 )
+from repro.rules.compiler import compile_rules
 from repro.rules.engine import Rule
 from repro.rules.facts import Fact
 
@@ -90,8 +91,8 @@ class InteractionGraph:
     def __init__(self, rules: Sequence[Rule], factory: Optional[FactFactory] = None):
         self.rules = list(rules)
         self.nodes: dict[str, RuleIO] = {}
-        for order, rule in enumerate(self.rules):
-            self.nodes[rule.name] = rule_io(rule, order)
+        for plan in compile_rules(self.rules).plans:
+            self.nodes[plan.rule.name] = rule_io(plan)
         self._factory = factory
         self._init_defaults: dict[Type[Fact], dict] = {}
         self.edges: list[Edge] = []
@@ -157,16 +158,10 @@ class InteractionGraph:
             reader_elements = b.elements_of(fact_type)
             if not reader_elements:
                 continue
-            read = b.reads.get(fact_type, set())
-            for elem in reader_elements:
-                if elem.reads is None:
-                    read = None
-                elif read is not None:
-                    read = set(read) | set(elem.reads)
-            if written is None or read is None:
+            if written is None or b.reads is None:
                 overlap = None
             else:
-                overlap = written & read
+                overlap = written & b.reads
                 if not overlap:
                     add("update", fact_type, written, False,
                         "written attrs never read by target")

@@ -6,6 +6,7 @@ from repro.analysis import Severity, lint_rule_set, lint_rules, shipped_rule_set
 from repro.analysis.findings import Finding, Report
 
 from tests.analysis import defect_fixtures as defects
+from tests.analysis.guard_helpers import is_open
 
 
 def _checks(report):
@@ -59,6 +60,23 @@ def test_unknown_key_attribute_triggers_r002():
     assert any(
         f.check == "R002" and "nonexistent" in f.message for f in report.findings
     )
+
+
+def test_helper_module_constant_is_not_an_unknown_attribute():
+    # The guard's read set holds OPEN_STATES, which resolves only in the
+    # helper's own module: no fact attribute, and no R002.
+    from repro.rules import Pattern, Rule, compile_rules
+
+    rules = [
+        Rule(
+            "Probe open transfers through a helper",
+            when=[Pattern(defects.ProbeFact, "t", where=lambda t, b: is_open(t))],
+            then=lambda ctx: None,
+        )
+    ]
+    assert "OPEN_STATES" in compile_rules(rules).plans[0].reads
+    report = _lint_defect(rules)
+    assert not [f for f in report.findings if f.check == "R002"]
 
 
 def test_salience_tie_triggers_r003():

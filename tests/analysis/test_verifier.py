@@ -2,6 +2,7 @@
 are caught, and every dynamic error replays in a real session."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -124,15 +125,10 @@ class Box(Fact):
         self.count = count
 
 
-def test_guard_reads_through_the_bindings_dict_reach_the_graph():
-    # A's Box guard reads bs["i"].label, so B's relabel changes what A
-    # matches: the pair interferes and must not be proven commuting.
+def _relabel_interferes_with_fill(where):
     fill = Rule(
         "Fill the box named by an item",
-        when=[
-            Pattern(Item, "i"),
-            Pattern(Box, "b", where=lambda b, bs: b.name == bs["i"].label and b.count == 0),
-        ],
+        when=[Pattern(Item, "i"), Pattern(Box, "b", where=where)],
         then=lambda ctx: ctx.update(ctx.b, count=ctx.b.count + 1),
         salience=10,
     )
@@ -143,13 +139,25 @@ def test_guard_reads_through_the_bindings_dict_reach_the_graph():
         salience=10,
     )
     graph = build_graph([fill, relabel])
-    assert graph.nodes[fill.name].reads[Item] == {"label"}
+    assert "label" in graph.nodes[fill.name].reads
     assert graph.nodes[relabel.name].effects.updates == {Item: {"label": {"y"}}}
     edges = graph.feasible_edges(relabel.name, fill.name)
     assert [(e.kind, e.fact_type, e.attrs) for e in edges] == [("update", Item, ("label",))]
     assert graph.interference(fill.name, relabel.name) == [
         f"{relabel.name} --update Item via label--> {fill.name}"
     ]
+
+
+def test_guard_reads_through_the_bindings_dict_reach_the_graph():
+    # A's Box guard reads bs["i"].label, so B's relabel changes what A
+    # matches: the pair interferes and must not be proven commuting.
+    # The read may sit in nested code (a generator expression).
+    _relabel_interferes_with_fill(
+        lambda b, bs: b.name == bs["i"].label and b.count == 0
+    )
+    _relabel_interferes_with_fill(
+        lambda b, bs: b.count == 0 and any(n == bs["i"].label for n in (b.name,))
+    )
 
 
 def _either_label(item):
@@ -162,6 +170,60 @@ def test_or_shaped_helper_has_no_conjunctive_reading():
     # the statement form of `or` must read as OR on every Python, not as
     # the (empty) intersection of both equalities
     assert guard_constraint_domains(lambda i, bs: _either_label(i)) is None
+
+
+def _label_by_flag(i, bs):
+    if i.flag:
+        return i.label == "x"
+    return i.label == "y"
+
+
+def _any_label_when_unowned(i, bs):
+    if i.owner is None:
+        return True
+    return i.label == "y"
+
+
+def _unowned_only(i, bs):
+    if i.owner is not None:
+        return False
+    return i.label == "y"
+
+
+@pytest.mark.parametrize(
+    "guard",
+    [
+        lambda i, bs: _either_label(i),
+        lambda i, bs: (i.label == "x") if i.flag else (i.label == "y"),
+        _label_by_flag,
+        _any_label_when_unowned,
+        _unowned_only,
+        lambda i, bs: i.label == "y" and i.owner is None,
+    ],
+    ids=["or-helper", "conditional-expression", "if-return-return", "early-accept",
+         "early-reject", "and-chain"],
+)
+def test_guard_domains_hold_every_value_the_guard_accepts(guard):
+    # A branch reads as one arm or the other, never as both arms'
+    # intersection, and an early accept lifts the constraints after it.
+    domains = guard_constraint_domains(guard)
+    items = [
+        SimpleNamespace(label=label, flag=flag, owner=owner)
+        for label in ("x", "y", "z") for flag in (True, False) for owner in (None, "o")
+    ]
+    accepted = [item for item in items if guard(item, {})]
+    assert accepted
+    for item in accepted:
+        assert domains is None or all(
+            getattr(item, attr) in allowed for attr, allowed in domains.items()
+        ), (vars(item), domains)
+
+
+def test_conjunctive_guards_keep_their_domains():
+    assert guard_constraint_domains(_unowned_only) == {"label": {"y"}}
+    assert guard_constraint_domains(
+        lambda i, bs: i.label == "y" and i.flag and i.owner in ("a", "b")
+    ) == {"label": {"y"}, "owner": {"a", "b"}}
 
 
 # -- live compositions ------------------------------------------------------
