@@ -17,7 +17,9 @@ safely.  This module makes that memory survive a crash:
 * :meth:`PolicyService.recover` loads the snapshot, replays the committed
   journal suffix, restores the id counters and the done/failed retention
   sets, and resumes journaling — producing advice byte-identical to a
-  service that never crashed.
+  service that never crashed.  Loading streams both files: one snapshot
+  member or array element, one journal line decoded at a time, each
+  decision record handed to the service's log as soon as it is read.
 
 Facts are serialized generically from their ``__dict__`` (sets become
 sorted lists) and revived without running ``__init__``, so every fact
@@ -32,10 +34,11 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Callable, Iterator, Optional
 
 from repro.rules import Fact
 
@@ -80,6 +83,10 @@ FACT_TYPES: dict[str, type] = {
 }
 
 _SNAPSHOT_VERSION = 1
+
+#: decodes one JSON value starting at an offset (no leading whitespace)
+_DECODE = json.JSONDecoder().raw_decode
+_SPACE = re.compile(r"[ \t\n\r]*").match
 
 
 class JournalError(RuntimeError):
@@ -175,11 +182,94 @@ def fact_from_doc(doc: dict) -> Fact:
 
 
 # --------------------------------------------------------------------------
+# Streamed reading
+# --------------------------------------------------------------------------
+class _JsonCursor:
+    """Walks one JSON object in a text, decoding a value at a time.
+
+    ``members()`` yields each top-level key; the caller reads that
+    member's value with ``value()`` or ``elements()`` before it asks for
+    the next key.  So besides the text only one decoded value is held —
+    for an array read through ``elements()``, one element.  Any defect
+    raises ``ValueError`` (``json.JSONDecodeError`` is one).
+    """
+
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _skip(self, char: str) -> bool:
+        """Skip whitespace; consume ``char`` if it comes next."""
+        self.pos = _SPACE(self.text, self.pos).end()
+        if self.text.startswith(char, self.pos):
+            self.pos += 1
+            return True
+        return False
+
+    def _expect(self, char: str) -> None:
+        if not self._skip(char):
+            raise ValueError(f"expected {char!r} at offset {self.pos}")
+
+    def _items(self, opening: str, closing: str) -> Iterator[None]:
+        """Yield once per item of the container that opens here."""
+        self._expect(opening)
+        if self._skip(closing):
+            return
+        while True:
+            yield
+            if self._skip(closing):
+                return
+            self._expect(",")
+
+    def value(self):
+        value, self.pos = _DECODE(self.text, _SPACE(self.text, self.pos).end())
+        return value
+
+    def elements(self) -> Iterator:
+        for _ in self._items("[", "]"):
+            yield self.value()
+
+    def members(self) -> Iterator[str]:
+        seen = set()
+        for _ in self._items("{", "}"):
+            key = self.value()
+            if not isinstance(key, str) or key in seen:
+                raise ValueError(f"bad or repeated member name {key!r}")
+            seen.add(key)
+            self._expect(":")
+            yield key
+        if _SPACE(self.text, self.pos).end() != len(self.text):
+            raise ValueError(f"extra data at offset {self.pos}")
+
+
+def _journal_lines(path: Path) -> Iterator[str]:
+    """Each non-blank line of the journal file, decoded and stripped.
+
+    Binary read + per-line decode: a torn tail can hold bytes that are
+    not valid UTF-8 at all, which must read as "torn", not as a
+    UnicodeDecodeError out of recover().  ``bytes.splitlines`` also
+    breaks at a bare ``\\r``, as a split of the whole file would.
+    """
+    with open(path, "rb") as handle:
+        for chunk in handle:
+            for raw in chunk.splitlines():
+                try:
+                    text = raw.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    text = "\x00torn"  # cannot be a sealed record; stops replay
+                if text:
+                    yield text
+
+
+# --------------------------------------------------------------------------
 # Recovered state
 # --------------------------------------------------------------------------
 @dataclass
 class RecoveredState:
-    """What :meth:`PolicyJournal.load` reconstructs for the service."""
+    """What :meth:`PolicyJournal.load` reconstructs for the service
+    (decision records go to the ``load`` callback instead)."""
 
     #: live facts keyed by their original fid
     facts: dict[int, Fact] = field(default_factory=dict)
@@ -188,8 +278,6 @@ class RecoveredState:
     )
     done_tids: list[int] = field(default_factory=list)
     failed_tids: list[int] = field(default_factory=list)
-    #: decision-provenance records in their original emission order
-    decisions: list[dict] = field(default_factory=list)
     fingerprint: Optional[dict] = None
     #: committed transactions replayed from the journal
     replayed: int = 0
@@ -391,8 +479,13 @@ class PolicyJournal:
         self.snapshots += 1
 
     # ------------------------------------------------------------------ read
-    def load(self) -> RecoveredState:
+    def load(self, add_decision: Callable[[dict], None]) -> RecoveredState:
         """Snapshot + committed journal suffix -> :class:`RecoveredState`.
+
+        Decision records are handed to ``add_decision`` one at a time, in
+        their original emission order, as each is read: the snapshot's,
+        then each replayed transaction's once its commit record has been
+        read and staged.  Nothing else keeps them.
 
         Only complete transactions (terminated by a ``commit`` record)
         are applied; a torn or uncommitted tail is counted in
@@ -402,46 +495,33 @@ class PolicyJournal:
         JSON or the per-line CRC seal, structurally valid records whose
         facts cannot be revived.  Replay always stops cleanly at the last
         intact committed transaction; it never raises on tail damage.
+        A snapshot is written whole before it is renamed into place, so
+        any defect in it raises :class:`JournalError` naming the file.
         """
         state = RecoveredState()
         if self.snapshot_path.exists():
-            with open(self.snapshot_path, encoding="utf-8") as handle:
-                snap = json.load(handle)
-            if snap.get("version") != _SNAPSHOT_VERSION:
+            try:
+                self._load_snapshot(state, add_decision)
+            except (
+                JournalError, ValueError, KeyError, TypeError, AttributeError
+            ) as exc:
                 raise JournalError(
-                    f"unsupported snapshot version {snap.get('version')!r}"
-                )
-            state.fingerprint = snap.get("fingerprint")
-            state.counters.update(snap.get("counters", {}))
-            state.done_tids = list(snap.get("done", []))
-            state.failed_tids = list(snap.get("failed", []))
-            state.decisions = list(snap.get("decisions", []))
-            for doc in snap.get("facts", []):
-                state.facts[int(doc["fid"])] = fact_from_doc(doc)
+                    f"malformed snapshot {self.snapshot_path}: {exc}"
+                ) from exc
 
         if not self.journal_path.exists():
             return state
 
-        # Binary read + per-line decode: a torn tail can hold bytes that
-        # are not valid UTF-8 at all, which must read as "torn", not as a
-        # UnicodeDecodeError out of recover().
-        raw_lines = self.journal_path.read_bytes().splitlines()
-        lines = []
-        for raw in raw_lines:
-            try:
-                text = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                text = "\x00torn"  # cannot be a sealed record; stops replay
-            if text:
-                lines.append(text)
-
         buffered: list[dict] = []
-        torn_at: Optional[int] = None
-        for lineno, line in enumerate(lines):
+        tail = 0  # lines from the first torn one on
+        for line in _journal_lines(self.journal_path):
+            if tail:
+                tail += 1
+                continue
             record = _open_line(line)
             if record is None:
-                torn_at = lineno  # torn write: discard from here on
-                break
+                tail = 1  # torn write: discard from here on
+                continue
             if record.get("op") != "commit":
                 buffered.append(record)
                 continue
@@ -474,8 +554,8 @@ class PolicyJournal:
                 done = [int(tid) for tid in record.get("done", [])]
                 failed = [int(tid) for tid in record.get("failed", [])]
             except (JournalError, KeyError, TypeError, ValueError):
-                torn_at = lineno
-                break
+                tail = 1
+                continue
             for fid, fact in revived:
                 if fact is None:
                     state.facts.pop(fid, None)
@@ -485,10 +565,43 @@ class PolicyJournal:
             state.counters.update(counters)
             state.done_tids.extend(done)
             state.failed_tids.extend(failed)
-            state.decisions.extend(decided)
+            for decision in decided:
+                add_decision(decision)
             state.replayed += 1
-        if torn_at is not None:
-            state.discarded = len(buffered) + (len(lines) - torn_at)
-        else:
-            state.discarded = len(buffered)
+        state.discarded = len(buffered) + tail
         return state
+
+    def _load_snapshot(
+        self, state: RecoveredState, add_decision: Callable[[dict], None]
+    ) -> None:
+        """Read ``snapshot.json`` member by member into ``state``.
+
+        Its text is held whole, but each fact is revived and each
+        decision record handed on as soon as it is decoded.  The version
+        must be the first member, so it is checked before anything is
+        revived.
+        """
+        cursor = _JsonCursor(self.snapshot_path.read_text(encoding="utf-8"))
+        members = cursor.members()
+        if next(members, None) != "version":
+            raise ValueError("the first member is not 'version'")
+        version = cursor.value()
+        if version != _SNAPSHOT_VERSION:
+            raise JournalError(f"unsupported snapshot version {version!r}")
+        for key in members:
+            if key == "facts":
+                for doc in cursor.elements():
+                    state.facts[int(doc["fid"])] = fact_from_doc(doc)
+            elif key == "decisions":
+                for record in cursor.elements():
+                    add_decision(record)
+            else:
+                value = cursor.value()
+                if key == "fingerprint":
+                    state.fingerprint = value
+                elif key == "counters":
+                    state.counters.update(value)
+                elif key == "done":
+                    state.done_tids = list(value)
+                elif key == "failed":
+                    state.failed_tids = list(value)

@@ -503,11 +503,15 @@ class PolicyService:
         journal = path if isinstance(path, PolicyJournal) else PolicyJournal(
             path, snapshot_interval=snapshot_interval, fsync=fsync
         )
-        state = journal.load()
         service = cls(
             config, clock=clock,
             metrics=metrics, tracer=tracer, profiler=profiler,
         )
+        # Decision records enter the bounded log as they are read, in
+        # their original order, so it evicts exactly as the live one did
+        # and the recovered log is byte-identical.  They are all in before
+        # attach_journal, whose fresh compaction snapshot includes them.
+        state = journal.load(service.decisions.add)
         fingerprint = service.config_fingerprint()
         if state.fingerprint is not None and state.fingerprint != fingerprint:
             diffs = {
@@ -530,12 +534,6 @@ class PolicyService:
             service._done_tids.add(tid)
         for tid in state.failed_tids:
             service._failed_tids.add(tid)
-        # Replay in original order: the bounded log evicts exactly as the
-        # live one did, so the recovered log is byte-identical.  Must run
-        # before attach_journal — the fresh compaction snapshot it writes
-        # includes these records.
-        for record in state.decisions:
-            service.decisions.add(record)
         service.attach_journal(journal)
         return service
 

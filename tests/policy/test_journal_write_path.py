@@ -38,7 +38,7 @@ class FullStateJournal:
     """The per-mutation write path, kept as the oracle.
 
     Same directory layout and line format as :class:`PolicyJournal`, so
-    ``PolicyJournal(path).load()`` reads what it writes.
+    ``PolicyJournal(path).load(...)`` reads what it writes.
     """
 
     def __init__(self, path):
@@ -131,13 +131,14 @@ class TeeJournal(PolicyJournal):
 
 def loaded(path):
     """Everything ``load()`` reconstructs, in comparable form."""
-    state = PolicyJournal(path).load()
+    decided = []
+    state = PolicyJournal(path).load(decided.append)
     return {
         "facts": {fid: fact_to_doc(fact) for fid, fact in state.facts.items()},
         "counters": state.counters,
         "done": state.done_tids,
         "failed": state.failed_tids,
-        "decisions": state.decisions,
+        "decisions": decided,
         "fingerprint": state.fingerprint,
         "replayed": state.replayed,
         "discarded": state.discarded,
@@ -269,8 +270,10 @@ def test_update_after_insert_stays_an_insert_with_the_final_state(tmp_path):
     # first-touch order, one line per fid
     assert [(r["op"], r.get("fid")) for r in ops] == [("i", 4), ("u", 2), ("commit", None)]
     assert ops[0]["fact"]["state"]["status"] == "staged"
-    state = PolicyJournal(tmp_path / "j").load()
+    decided = []
+    state = PolicyJournal(tmp_path / "j").load(decided.append)
     assert state.facts[4].status == "staged" and state.facts[2].lfn == "b"
+    assert decided == []
 
 
 def test_calls_that_change_nothing_durable_write_nothing(tmp_path):
@@ -320,10 +323,12 @@ def test_a_journal_written_before_coalescing_recovers_identically(tmp_path):
     for name in ("snapshot.json", "journal.jsonl"):
         shutil.copy(JOURNAL_V1 / name, copy / name)
 
-    state = PolicyJournal(copy).load()
+    decided = []
+    state = PolicyJournal(copy).load(decided.append)
     assert (state.replayed, state.discarded) == (
         expected["replayed"], expected["discarded"]
     )
+    assert [r["digest"] for r in decided] == expected["decision_digests"]
     recovered = PolicyService.recover(copy, config=v1_config(), clock=lambda: 70.0)
     assert recovered.memory.snapshot() == expected["memory"]
     assert recovered.counters() == expected["counters"]
@@ -411,7 +416,9 @@ def test_a_commit_encodes_each_dirty_fact_once(tmp_path, encodes):
     journal.write_snapshot(service)
     journal.close()
     assert len(encodes) == 1 + len(service.memory) + len(service.decision_records())
-    assert PolicyJournal(tmp_path / "j").load().replayed == 0
+    decided = []
+    assert PolicyJournal(tmp_path / "j").load(decided.append).replayed == 0
+    assert decided == service.decision_records()
 
 
 # ------------------------------------------------------------------ snapshot failure
