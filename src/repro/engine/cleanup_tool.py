@@ -23,7 +23,7 @@ from repro.policy.client import InProcessPolicyClient, PolicyUnavailableError
 __all__ = ["CleanupTool", "CleanupRecord"]
 
 
-@dataclass
+@dataclass(slots=True)
 class CleanupRecord:
     """Outcome of one cleanup job."""
 
@@ -58,7 +58,6 @@ class CleanupTool:
         self.replicas = replicas
         self.host_site = host_site or {}
         self.storage = storage
-        self.records: list[CleanupRecord] = []
 
     def execute(self, workflow_id: str, job: ExecutableJob):
         """Process generator: delete the job's files (as advised)."""
@@ -85,7 +84,6 @@ class CleanupTool:
                 # files in place — a later cleanup (or the operator) gets
                 # them once the service is back.
                 record.deferred += len(job.cleanup_files)
-                self.records.append(record)
                 if span is not None:
                     tracer.end(span, deferred=record.deferred)
                 return record
@@ -104,7 +102,6 @@ class CleanupTool:
                     # The deletions happened; the service's lease reaper
                     # will retire the orphaned cleanup grants.
                     pass
-        self.records.append(record)
         if span is not None:
             tracer.end(span, deleted=record.deleted, skipped=record.skipped)
         return record

@@ -34,7 +34,7 @@ class WorkflowFailed(RuntimeError):
         self.cause = cause
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     """Timing and outcome of one executable job."""
 

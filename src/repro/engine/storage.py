@@ -2,11 +2,11 @@
 
 The paper's motivation for cleanup jobs: "since storage, especially at
 computational sites, is finite, the workflow management system also needs
-to remove data that are no longer needed".  This tracker records the byte
-footprint of a site's scratch space over simulated time — stage-ins and
-produced outputs add to it, cleanup deletions remove from it — so the
-footprint reduction bought by cleanup (and the safety of policy-protected
-cleanup) can be measured.
+to remove data that are no longer needed".  This tracker keeps the byte
+footprint of a site's scratch space — stage-ins and produced outputs add
+to it, cleanup deletions remove from it — and its peak, so the footprint
+reduction bought by cleanup (and the safety of policy-protected cleanup)
+can be measured.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = ["StorageTracker"]
 class StorageTracker:
     """Byte-level scratch accounting for one site.
 
+    ``used`` is the current footprint and ``peak`` its high-water mark.
     ``capacity`` is advisory: exceeding it does not fail the simulation,
     but :attr:`over_capacity_time` accumulates how long the footprint
     stayed above it (a feasibility signal for storage-constrained sites).
@@ -32,7 +33,6 @@ class StorageTracker:
     capacity: float = float("inf")
     used: float = 0.0
     peak: float = 0.0
-    timeline: list[tuple[float, float]] = field(default_factory=list)
     over_capacity_time: float = 0.0
     _over_since: float | None = None
     _files: dict[str, float] = field(default_factory=dict)
@@ -40,7 +40,6 @@ class StorageTracker:
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.timeline.append((self.env.now, 0.0))
 
     # -- events ------------------------------------------------------------
     def add(self, lfn: str, nbytes: float) -> None:
@@ -65,7 +64,6 @@ class StorageTracker:
         was_over = self.used > self.capacity
         self.used = max(0.0, used)
         self.peak = max(self.peak, self.used)
-        self.timeline.append((now, self.used))
         is_over = self.used > self.capacity
         if is_over and not was_over:
             self._over_since = now

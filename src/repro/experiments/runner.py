@@ -310,13 +310,19 @@ class WorkflowExecution:
             if stage_records
             else 0.0
         )
-        compute_records = result.by_kind(JobKind.COMPUTE)
+        # Only finished jobs have a duration; an abort leaves some unfinished.
+        job_durations = {
+            kind.value: [
+                r.duration for r in result.by_kind(kind) if r.state in ("done", "failed")
+            ]
+            for kind in JobKind
+        }
         return RunMetrics(
             workflow_id=self.plan.workflow_id,
             success=result.success,
             makespan=result.makespan,
             staging_time=staging_time,
-            compute_time=sum(r.duration for r in compute_records),
+            compute_time=sum(job_durations[JobKind.COMPUTE.value]),
             bytes_staged=sum(r.bytes_moved for r in stage_records),
             transfers_executed=sum(r.executed for r in stage_records),
             transfers_skipped=sum(r.skipped for r in stage_records),
@@ -329,10 +335,7 @@ class WorkflowExecution:
             ],
             policy_calls=policy.calls if policy else 0,
             policy_overhead=policy.time_in_calls if policy else 0.0,
-            job_durations={
-                kind.value: [r.duration for r in result.by_kind(kind)]
-                for kind in JobKind
-            },
+            job_durations=job_durations,
             peak_footprint=self.storage.peak,
             final_footprint=self.storage.used,
             over_capacity_time=self.storage.over_capacity_time,

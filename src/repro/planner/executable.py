@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -30,7 +31,7 @@ class JobKind(str, Enum):
     CLEANUP = "cleanup"
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferSpec:
     """One file movement inside a staging job."""
 
@@ -46,15 +47,15 @@ class TransferSpec:
             raise PlanningError(f"transfer {self.lfn!r}: negative size")
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutableJob:
     """A planned job.
 
     ``transform`` is set for compute jobs (runtime model lookup);
     ``transfers`` for staging jobs; ``cleanup_files`` (lfn, url) pairs for
-    cleanup jobs.  ``priority`` is filled when the plan options request a
-    structure-based priority algorithm; staging jobs inherit the priority
-    of the compute job they feed.
+    cleanup jobs; a sequence a job does not use is the shared ``()``.
+    ``priority`` is filled when the plan options request a structure-based
+    priority algorithm; staging jobs inherit that of the compute job they feed.
 
     ``input_files`` lists the (lfn, size) pairs a compute job reads from
     the execution site's scratch space — its workflow inputs minus those
@@ -67,10 +68,10 @@ class ExecutableJob:
     kind: JobKind
     transform: Optional[str] = None
     site: str = ""
-    transfers: list[TransferSpec] = field(default_factory=list)
-    cleanup_files: list[tuple[str, str]] = field(default_factory=list)
-    output_files: list[tuple[str, float]] = field(default_factory=list)
-    input_files: list[tuple[str, float]] = field(default_factory=list)
+    transfers: Sequence[TransferSpec] = ()
+    cleanup_files: Sequence[tuple[str, str]] = ()
+    output_files: Sequence[tuple[str, float]] = ()
+    input_files: Sequence[tuple[str, float]] = ()
     priority: int = 0
     source_jobs: tuple[str, ...] = ()
 

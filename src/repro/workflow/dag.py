@@ -21,7 +21,7 @@ class WorkflowError(ValueError):
     """Raised for malformed workflows (cycles, duplicate producers...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class File:
     """A logical file: name + size in bytes."""
 
@@ -39,7 +39,7 @@ class File:
             raise WorkflowError(f"file {self.lfn!r}: size {self.size!r} is not a finite size >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     """An abstract compute job.
 

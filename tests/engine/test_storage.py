@@ -75,12 +75,15 @@ def test_over_capacity_open_interval_closed_by_finish():
     assert tracker.over_capacity_time == pytest.approx(7.0)
 
 
-def test_timeline_recorded():
+def test_add_then_remove_keeps_peak_and_no_over_capacity_time():
     env = Environment()
-    tracker = StorageTracker(env, site="isi")
-    tracker.add("a", 10)
-    tracker.remove("a")
-    assert tracker.timeline == [(0.0, 0.0), (0.0, 10.0), (0.0, 0.0)]
+    tracker = StorageTracker(env, site="isi", capacity=5)
+    tracker.add("a", 10)   # over capacity at t=0 ...
+    tracker.remove("a")    # ... and back under at the same instant
+    tracker.finish()
+    assert tracker.used == 0
+    assert tracker.peak == 10
+    assert tracker.over_capacity_time == 0.0
 
 
 # ------------------------------------------------------- end-to-end footprint
