@@ -1,21 +1,39 @@
 """Core discrete-event simulation primitives.
 
 The kernel follows the classic event-list design: an :class:`Environment`
-owns a binary heap of ``(time, priority, sequence, event)`` entries and pops
-them in order.  A :class:`Process` wraps a generator; each value the
-generator yields must be an :class:`Event`, and the process resumes when
-that event fires.
+fires events in ``(time, priority, sequence)`` order.  A :class:`Process`
+wraps a generator; each value the generator yields must be an
+:class:`Event`, and the process resumes when that event fires.
+
+Most events are due at the instant they are scheduled, so the schedule is
+three lanes rather than one heap:
+
+* ``_urgent``, a FIFO of URGENT events, which the kernel only schedules at
+  the current time (a process's :class:`Initialize`, and the follow-up
+  event of a yield on an event that already fired);
+* ``_due``, a FIFO of NORMAL events due at the current time
+  (``succeed()``, ``fail()``, process ends, ``timeout(0)``, and delays too
+  small to move the clock);
+* ``_queue``, a binary heap of ``(time, sequence, event)`` for times
+  strictly after the current one.
+
+When the clock advances to the heap's head, every heap entry at that time
+moves to the due lane in sequence order.  They were scheduled before the
+clock reached that time, so each precedes anything scheduled at it; the
+lanes therefore fire in exactly the order one heap of
+``(time, priority, sequence)`` would.
 
 Determinism
 -----------
 Two events scheduled for the same time fire in the order they were
-scheduled (a monotonically increasing sequence number breaks ties), so a
-simulation is a pure function of its inputs and seeds.
+scheduled (URGENT ones first), so a simulation is a pure function of its
+inputs and seeds.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs.tracer import as_tracer
@@ -30,11 +48,6 @@ __all__ = [
     "SimulationError",
 ]
 
-#: Event priority for ordinary events.
-NORMAL = 1
-#: Event priority used for urgent bookkeeping (fires before NORMAL at same t).
-URGENT = 0
-
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (running a dead environment, bad yields...)."""
@@ -43,7 +56,7 @@ class SimulationError(RuntimeError):
 class Event:
     """A one-shot occurrence in simulated time.
 
-    Lifecycle: *pending* -> *triggered* (scheduled on the heap) ->
+    Lifecycle: *pending* -> *triggered* (scheduled in a lane) ->
     *processed* (callbacks ran).  An event succeeds with a ``value`` or fails
     with an exception; failures propagate into any process waiting on the
     event.
@@ -77,17 +90,17 @@ class Event:
         return self._value
 
     # -- triggering -------------------------------------------------------
-    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Schedule this event to fire successfully at the current time."""
         if self._triggered:
             raise SimulationError(f"{self!r} already triggered")
         self._triggered = True
         self._ok = True
         self._value = value
-        self.env._schedule(self, priority)
+        self.env._due.append(self)
         return self
 
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Schedule this event to fire as a failure at the current time."""
         if self._triggered:
             raise SimulationError(f"{self!r} already triggered")
@@ -96,7 +109,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.env._schedule(self, priority)
+        self.env._due.append(self)
         return self
 
     def defuse(self) -> None:
@@ -114,14 +127,23 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._triggered = True
-        self._ok = True
+        # ``not >=`` also rejects NaN, which would corrupt the heap order.
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be a number >= 0, got {delay}")
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, NORMAL, delay=delay)
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self._defused = False
+        self.delay = delay
+        at = env._now + delay
+        if at == env._now:
+            env._due.append(self)
+        else:
+            env._seq += 1
+            heappush(env._queue, (at, env._seq, self))
 
 
 class Initialize(Event):
@@ -130,12 +152,14 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self.callbacks.append(process._resume)
-        self._triggered = True
-        self._ok = True
+        self.env = env
+        self.callbacks = [process._resume]
         self._value = None
-        env._schedule(self, URGENT)
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self._defused = False
+        env._urgent.append(self)
 
 
 class Process(Event):
@@ -151,7 +175,13 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"process() requires a generator, got {generator!r}")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
@@ -171,13 +201,13 @@ class Process(Event):
             self._triggered = True
             self._ok = True
             self._value = stop.value
-            env._schedule(self, NORMAL)
+            env._due.append(self)
             return
         except BaseException as exc:
             self._triggered = True
             self._ok = False
             self._value = exc
-            env._schedule(self, NORMAL)
+            env._due.append(self)
             return
 
         if not isinstance(result, Event):
@@ -193,7 +223,7 @@ class Process(Event):
                 follow._defused = True
             follow.callbacks.append(self._resume)
             follow._triggered = True
-            env._schedule(follow, URGENT)
+            env._urgent.append(follow)
         else:
             result.callbacks.append(self._resume)
 
@@ -274,7 +304,10 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0, tracer: Optional[Any] = None):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._urgent: deque[Event] = deque()
+        self._due: deque[Event] = deque()
+        self._queue: list[tuple[float, int, Event]] = []
+        #: heap entries pushed so far (the lanes need no tie-breaker)
         self._seq = 0
         self.tracer = as_tracer(tracer)
         if tracer is not None and getattr(tracer, "clock", None) is None:
@@ -307,18 +340,20 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        if not self._queue:
-            raise SimulationError("step() on an empty schedule")
-        t, _prio, _seq, event = heapq.heappop(self._queue)
-        if t < self._now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        self._now = t
+        if self._urgent:
+            event = self._urgent.popleft()
+        elif self._due:
+            event = self._due.popleft()
+        else:
+            queue = self._queue
+            if not queue:
+                raise SimulationError("step() on an empty schedule")
+            now, _seq, event = heappop(queue)
+            self._now = now
+            while queue and queue[0][0] == now:
+                self._due.append(heappop(queue)[2])
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
         for callback in callbacks:
@@ -334,36 +369,29 @@ class Environment:
         until it fires; its value is returned, failures re-raise), or None
         (run until no events remain).
         """
+        step = self.step
+        urgent, due, queue = self._urgent, self._due, self._queue
         if isinstance(until, Event):
             stop = until
-            if stop._processed:
-                if stop._ok:
-                    return stop._value
-                raise stop._value
-            sentinel: dict[str, Any] = {}
-
-            def _mark(ev: Event) -> None:
-                sentinel["done"] = True
-
-            stop.callbacks.append(_mark)
-            while "done" not in sentinel:
-                if not self._queue:
+            while not stop._processed:
+                if not (urgent or due or queue):
                     raise SimulationError("schedule drained before `until` event fired")
-                self.step()
+                step()
             if stop._ok:
                 return stop._value
-            stop._defused = True
             raise stop._value
 
         if until is None:
-            while self._queue:
-                self.step()
+            while urgent or due or queue:
+                step()
             return None
 
         horizon = float(until)
+        if horizon != horizon:
+            raise ValueError(f"run(until={horizon}) is not a time")
         if horizon < self._now:
             raise ValueError(f"run(until={horizon}) is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        while urgent or due or (queue and queue[0][0] <= horizon):
+            step()
         self._now = max(self._now, horizon)
         return None

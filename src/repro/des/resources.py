@@ -91,14 +91,14 @@ class Resource:
             heapq.heapify(self._queue)
 
     def _schedule_grant(self) -> None:
-        if getattr(self, "_grant_pending", False):
+        if self._grant_pending:
             return
         self._grant_pending = True
         trigger = Event(self.env)
-        trigger.callbacks.append(lambda _ev: self._grant())
+        trigger.callbacks.append(self._grant)
         trigger.succeed()
 
-    def _grant(self) -> None:
+    def _grant(self, _trigger: Event) -> None:
         self._grant_pending = False
         while self._queue and len(self._users) < self._capacity:
             _key, _tie, req = heapq.heappop(self._queue)

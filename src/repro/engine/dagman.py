@@ -112,8 +112,10 @@ class DAGMan:
             raise ValueError(f"no runner for job kinds: {sorted(k.value for k in missing)}")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if retry_backoff < 0 or retry_backoff_max < 0:
-            raise ValueError("retry backoff delays must be >= 0")
+        if not (retry_backoff >= 0 and retry_backoff_max >= 0):  # NaN too
+            raise ValueError(
+                f"retry backoff delays must be >= 0, got {retry_backoff} / {retry_backoff_max}"
+            )
         if not 0 <= retry_jitter <= 1:
             raise ValueError("retry_jitter must be in [0, 1]")
         self.env = env

@@ -103,3 +103,27 @@ def test_nested_process_failure_propagates_two_levels():
     p = env.process(outer())
     with pytest.raises(ValueError, match="deep failure"):
         env.run(until=p)
+
+
+def test_a_nan_delay_is_refused_and_leaves_the_schedule_alone():
+    env = Environment(initial_time=3.0)
+    env.timeout(1.0)
+    with pytest.raises(ValueError, match="got nan"):
+        env.timeout(float("nan"))
+    with pytest.raises(ValueError, match="got -1"):
+        env.timeout(-1)
+    with pytest.raises(ValueError, match=r"until=nan"):
+        env.run(until=float("nan"))
+    env.run()
+    assert env.now == 4.0
+
+
+def test_a_nan_runtime_fails_the_job_instead_of_the_clock():
+    from repro.engine.scheduler import ClusterScheduler
+
+    env = Environment()
+    cluster = ClusterScheduler(env, slots=1)
+    job = env.process(cluster.run_job(runtime=float("nan")))
+    with pytest.raises(ValueError, match="got nan"):
+        env.run(until=job)
+    assert env.now == 0.0

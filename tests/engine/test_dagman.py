@@ -164,6 +164,10 @@ def test_validation():
         DAGMan(env, plan, {JobKind.COMPUTE: runner}, retries=-1)
     with pytest.raises(ValueError):
         DAGMan(env, plan, {JobKind.COMPUTE: runner}, throttles={JobKind.COMPUTE: 0})
+    # A NaN backoff used to pass and then skip every retry's wait.
+    for backoff in ({"retry_backoff": float("nan")}, {"retry_backoff_max": float("nan")}):
+        with pytest.raises(ValueError, match="nan"):
+            DAGMan(env, plan, {JobKind.COMPUTE: runner}, **backoff)
 
 
 def test_retry_backoff_spaces_out_attempts():
@@ -433,7 +437,13 @@ def test_event_budget_of_a_policy_off_run(monkeypatch, lanes, chunks, jobs, even
 
     steps = []
     real_step = Environment.step
-    monkeypatch.setattr(Environment, "step", lambda env: steps.append(1) or real_step(env))
+    monkeypatch.setattr(Environment, "step", lambda env: steps.append(env) or real_step(env))
+    delays = []
+    real_timeout = Environment.timeout
+    monkeypatch.setattr(
+        Environment, "timeout",
+        lambda env, delay, value=None: delays.append(delay) or real_timeout(env, delay, value),
+    )
     metrics = run_workflow(
         ExperimentConfig(policy=None, default_streams=8, seed=1),
         epigenomics_workflow(lanes, chunks),
@@ -441,3 +451,7 @@ def test_event_budget_of_a_policy_off_run(monkeypatch, lanes, chunks, jobs, even
     assert metrics.success
     assert sum(len(d) for d in metrics.job_durations.values()) == jobs
     assert len(steps) == events
+    # Only a timeout that moves the clock goes through the heap; every
+    # event due at the current instant takes a FIFO lane.
+    (env,) = set(steps)
+    assert env._seq == sum(1 for delay in delays if delay > 0)
