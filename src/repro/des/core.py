@@ -249,16 +249,15 @@ class Condition(Event):
             if ev._processed:
                 self._check(ev)
             else:
-                ev.callbacks.append(self._check)
-        # A pre-fired child may have already satisfied the condition.
+                # A pre-fired child may have already satisfied the condition.
+                ev.callbacks.append(_defuse if self._triggered else self._check)
 
     def _collect(self) -> dict:
         return {ev: ev._value for ev in self.events if ev._processed and ev._ok}
 
     def _check(self, event: Event) -> None:
         if self._triggered:
-            if event._ok is False:
-                event._defused = True
+            _defuse(event)
             return
         self._count += 1
         if event._ok is False:
@@ -266,6 +265,21 @@ class Condition(Event):
             self.fail(event._value)
         elif self._satisfied():
             self.succeed(self._collect())
+        else:
+            return
+        # Children that have not fired now only need a late failure
+        # defused.  ``_defuse`` holds no reference to the condition, so a
+        # child that never fires keeps neither it nor what it reaches alive.
+        check = self._check
+        for ev in self.events:
+            if ev.callbacks:
+                ev.callbacks[:] = [_defuse if cb == check else cb for cb in ev.callbacks]
+
+
+def _defuse(event: Event) -> None:
+    """What a fired condition does for a child that fires after it."""
+    if event._ok is False:
+        event._defused = True
 
 
 class AllOf(Condition):

@@ -85,6 +85,9 @@ class Resource:
         """Return a granted slot, or withdraw a request still waiting."""
         if request in self._users:
             self._users.remove(request)
+            # A grant's value is the request itself; dropping it on release
+            # leaves no cycle, so reference counting frees the request.
+            request._value = None
             self._schedule_grant()
         elif not request.triggered:
             self._queue = [entry for entry in self._queue if entry[2] is not request]

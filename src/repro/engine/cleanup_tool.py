@@ -50,8 +50,8 @@ class CleanupTool:
         host_site: Optional[dict[str, str]] = None,
         storage: Optional[StorageTracker] = None,
     ):
-        if per_file_latency < 0:
-            raise ValueError("per_file_latency must be >= 0")
+        if not per_file_latency >= 0:  # NaN too
+            raise ValueError(f"per_file_latency must be >= 0, got {per_file_latency}")
         self.env = env
         self.policy = policy
         self.per_file_latency = per_file_latency

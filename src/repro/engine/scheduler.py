@@ -29,8 +29,8 @@ class ClusterScheduler:
     def __init__(self, env: Environment, slots: int, submit_overhead: float = 0.5):
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        if submit_overhead < 0:
-            raise ValueError("submit_overhead must be >= 0")
+        if not submit_overhead >= 0:  # NaN too
+            raise ValueError(f"submit_overhead must be >= 0, got {submit_overhead}")
         self.env = env
         self.slots = slots
         self.submit_overhead = submit_overhead

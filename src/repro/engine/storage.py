@@ -38,8 +38,8 @@ class StorageTracker:
     _files: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not self.capacity > 0:  # NaN too
+            raise ValueError(f"capacity must be positive, got {self.capacity}")
 
     # -- events ------------------------------------------------------------
     def add(self, lfn: str, nbytes: float) -> None:

@@ -239,18 +239,22 @@ class WorkflowExecution:
         # Keyed by workflow *name* (not the globally-counted plan id) so a
         # given seed reproduces identical runtimes across process lifetimes.
         compute_rng = bed.rng.stream(f"compute:{self.plan.name}")
+        # The runners close over the components, not ``self``: DAGMan holds
+        # them, so capturing ``self`` would put the execution in a cycle.
+        transformations, scheduler, storage = bed.transformations, self.scheduler, self.storage
+        ptt, cleaner = self.ptt, self.cleaner
 
         def run_compute(workflow_id: str, job):
-            runtime = bed.transformations.get(job.transform).sample(compute_rng)
-            yield from self.scheduler.run_job(runtime, priority=job.priority)
+            runtime = transformations.get(job.transform).sample(compute_rng)
+            yield from scheduler.run_job(runtime, priority=job.priority)
             for lfn, nbytes in job.output_files:
-                self.storage.add(lfn, nbytes)
+                storage.add(lfn, nbytes)
 
         def run_staging(workflow_id: str, job):
-            yield from self.ptt.execute(workflow_id, job)
+            yield from ptt.execute(workflow_id, job)
 
         def run_cleanup(workflow_id: str, job):
-            yield from self.cleaner.execute(workflow_id, job)
+            yield from cleaner.execute(workflow_id, job)
 
         self.dagman = DAGMan(
             bed.env,

@@ -49,8 +49,9 @@ class Flow:
     Attributes
     ----------
     done:
-        Event fired with the flow when the last byte arrives (or failed
-        via :meth:`FlowNetwork.abort`).
+        Event fired when the last byte arrives.  Its value is None: the
+        caller holds the flow already, and a value pointing back at it
+        would make every finished flow a reference cycle.
     state:
         ``"setup"`` -> ``"active"`` -> ``"done"``.
     """
@@ -279,7 +280,7 @@ class FlowNetwork:
         self._flows.pop(flow.fid, None)
         self._active.pop(flow.fid, None)
         self.completed.append(flow)
-        flow.done.succeed(flow)
+        flow.done.succeed()
 
     def _finish_due(self) -> None:
         """Complete flows that are done or within one quantum of done."""

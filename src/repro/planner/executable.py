@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from repro.workflow.graph import Dag
+from repro.workflow.graph import Adjacency, Dag
 
 __all__ = [
     "JobKind",
@@ -53,7 +54,8 @@ class ExecutableJob:
 
     ``transform`` is set for compute jobs (runtime model lookup);
     ``transfers`` for staging jobs; ``cleanup_files`` (lfn, url) pairs for
-    cleanup jobs; a sequence a job does not use is the shared ``()``.
+    cleanup jobs; a sequence a job does not use is the shared ``()``, and
+    the planner builds the file sequences as tuples.
     ``priority`` is filled when the plan options request a structure-based
     priority algorithm; staging jobs inherit that of the compute job they feed.
 
@@ -83,7 +85,12 @@ class ExecutableJob:
 
 
 class ExecutableWorkflow(Dag):
-    """A DAG of :class:`ExecutableJob` with explicit edges."""
+    """A DAG of :class:`ExecutableJob` with explicit edges.
+
+    The plan stores its edges once, as the id-sorted ``children`` /
+    ``parents`` lists :meth:`adjacency` returns and DAGMan walks;
+    :meth:`edges` is derived from them.
+    """
 
     error = PlanningError
 
@@ -93,7 +100,8 @@ class ExecutableWorkflow(Dag):
         self.name = name
         self.workflow_id = workflow_id
         self.jobs: dict[str, ExecutableJob] = {}
-        self._edges: set[tuple[str, str]] = set()
+        self._children: dict[str, list[str]] = {}
+        self._parents: dict[str, list[str]] = {}
         #: clustering factor used during planning (None = no clustering)
         self.cluster_factor: Optional[int] = None
 
@@ -101,16 +109,27 @@ class ExecutableWorkflow(Dag):
         if job.id in self.jobs:
             raise PlanningError(f"duplicate executable job {job.id!r}")
         self.jobs[job.id] = job
+        self._children[job.id] = []
+        self._parents[job.id] = []
         self._mutated()
         return job
 
     def add_edge(self, parent_id: str, child_id: str) -> None:
+        """Add ``parent -> child``; adding an edge the plan has is a no-op."""
         self._check_edge(parent_id, child_id)
-        self._edges.add((parent_id, child_id))
+        children = self._children[parent_id]
+        at = bisect_left(children, child_id)  # the end, for an id that sorts last
+        if at < len(children) and children[at] == child_id:
+            return
+        children.insert(at, child_id)
+        insort(self._parents[child_id], parent_id)
         self._mutated()
 
+    def adjacency(self) -> Adjacency:
+        return self._children, self._parents
+
     def edges(self) -> set[tuple[str, str]]:
-        return set(self._edges)
+        return {(parent, child) for parent, cs in self._children.items() for child in cs}
 
     def by_kind(self, kind: JobKind) -> list[ExecutableJob]:
         return [j for jid, j in sorted(self.jobs.items()) if j.kind == kind]

@@ -153,17 +153,19 @@ class Planner:
         produced = {f.lfn for jid in workflow.jobs for f in workflow.jobs[jid].outputs}
         staged: dict[str, str] = {}  # lfn -> stage-in job id that fetches it
 
+        abstract_parents = workflow.adjacency()[1]
+
         # -- compute + stage-in jobs --------------------------------------
         for job_id in workflow.topological_order():
             job = workflow.jobs[job_id]
             # Inputs read from site scratch: everything except files a
             # pre-existing local replica satisfies without any staging.
-            input_files = [
+            input_files = tuple(
                 (f.lfn, f.size)
                 for f in job.inputs
                 if f.lfn in produced
                 or not self.replicas.has(f.lfn, site=execution_site)
-            ]
+            )
             compute = ExecutableJob(
                 id=job_id,
                 kind=JobKind.COMPUTE,
@@ -171,7 +173,7 @@ class Planner:
                 site=execution_site,
                 priority=priorities.get(job_id, 0),
                 source_jobs=(job_id,),
-                output_files=[(f.lfn, f.size) for f in job.outputs],
+                output_files=tuple((f.lfn, f.size) for f in job.outputs),
                 input_files=input_files,
             )
             plan.add_job(compute)
@@ -220,7 +222,7 @@ class Planner:
                     staged[t.lfn] = si.id
             for dep in set(stage_deps):
                 plan.add_edge(dep, job_id)
-            for parent in workflow.parents(job_id):
+            for parent in abstract_parents[job_id]:
                 plan.add_edge(parent, job_id)
 
         # -- stage-out jobs -------------------------------------------------
@@ -279,7 +281,7 @@ class Planner:
                 id=f"cleanup_{lfn}",
                 kind=JobKind.CLEANUP,
                 site=site.name,
-                cleanup_files=[(lfn, site.url_for(lfn))],
+                cleanup_files=((lfn, site.url_for(lfn)),),
             )
             plan.add_job(cleanup)
             for w in waiters:

@@ -315,6 +315,25 @@ def test_all_of_fails_fast():
     assert caught == [(1.0, "child failed")]
 
 
+@pytest.mark.parametrize("prefired", [False, True])
+def test_a_fired_condition_lets_go_of_children_that_have_not_fired(prefired):
+    env = Environment()
+    first = env.timeout(1)
+    if prefired:
+        env.run()
+    never, late = env.event(), env.event()
+    cond = AnyOf(env, [first, never, late])
+    env.run(until=cond)
+    # A child that never fires keeps no reference to the condition ...
+    for child in (never, late):
+        assert child.callbacks
+        assert all(getattr(cb, "__self__", None) is not cond for cb in child.callbacks)
+    # ... and one that fails after it fired is still handled.
+    late.fail(RuntimeError("late"))
+    env.run()
+    assert late.ok is False
+
+
 def test_condition_rejects_cross_environment_events():
     env1, env2 = Environment(), Environment()
     with pytest.raises(SimulationError):

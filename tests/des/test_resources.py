@@ -1,8 +1,11 @@
 """Unit tests for DES resources (Resource, PriorityResource)."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.des import Environment, PriorityResource, Resource
+from repro.des import Environment, PriorityResource, Resource, resources
 
 
 # ---------------------------------------------------------------- Resource
@@ -66,6 +69,31 @@ def test_resource_counts():
     env.run(until=1)
     assert res.count == 2
     assert res.queued == 1
+
+
+def test_a_released_request_is_freed_by_reference_counting(monkeypatch):
+    class WeakRequest(resources.Request):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(resources, "Request", WeakRequest)
+    env = Environment()
+    res = Resource(env)
+    refs = []
+
+    def user():
+        req = yield res.request()  # a grant's value is the request itself
+        assert type(req) is WeakRequest and req in res._users
+        refs.append(weakref.ref(req))
+        yield env.timeout(1)
+        res.release(req)
+
+    gc.disable()
+    try:
+        env.process(user())
+        env.run()
+        assert refs and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_resource_cancel_waiting_request():

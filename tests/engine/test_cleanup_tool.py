@@ -84,3 +84,9 @@ def test_validation():
     env = Environment()
     with pytest.raises(ValueError):
         CleanupTool(env, per_file_latency=-1)
+
+
+def test_nan_per_file_latency_is_refused():
+    # ``nan < 0`` is False: a NaN latency would make every delete take 0 s.
+    with pytest.raises(ValueError, match="per_file_latency must be >= 0, got nan"):
+        CleanupTool(Environment(), per_file_latency=float("nan"))

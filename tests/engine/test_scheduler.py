@@ -22,6 +22,12 @@ def test_validation():
         env.run(until=p)
 
 
+def test_nan_submit_overhead_is_refused():
+    # ``nan < 0`` is False: a NaN overhead would reach every job's timeout.
+    with pytest.raises(ValueError, match="submit_overhead must be >= 0, got nan"):
+        ClusterScheduler(Environment(), slots=1, submit_overhead=float("nan"))
+
+
 def test_slots_limit_concurrency():
     env = Environment()
     sched = ClusterScheduler(env, slots=2, submit_overhead=0.0)

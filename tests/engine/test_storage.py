@@ -43,6 +43,13 @@ def test_validation():
         tracker.add("a", -1)
 
 
+def test_nan_capacity_is_refused():
+    # Every ``used > nan`` is False: a NaN capacity would never count
+    # over-capacity time.
+    with pytest.raises(ValueError, match="capacity must be positive, got nan"):
+        StorageTracker(Environment(), site="isi", capacity=float("nan"))
+
+
 def test_over_capacity_time_tracked():
     env = Environment()
     tracker = StorageTracker(env, site="isi", capacity=100)

@@ -126,6 +126,78 @@ def test_dag_queries_agree_with_networkx(build, edges):
         assert all(graph.has_edge(p, c) for p, c in zip(named, named[1:]))
 
 
+# A plan grown one call at a time: jobs in any id order (``n10`` sorts
+# before ``n2``), edges repeated, out of order, onto themselves or onto
+# jobs the plan does not have yet.
+IDS = [f"n{i}" for i in (0, 1, 2, 10, 11, 20)]
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("job"), st.sampled_from(IDS)),
+        st.tuples(st.just("edge"), st.sampled_from(IDS), st.sampled_from(IDS)),
+    ),
+    max_size=40,
+)
+
+
+def derived_adjacency(plan):
+    """The adjacency the plan used to rebuild: appended from its sorted edges."""
+    children = {jid: [] for jid in plan.jobs}
+    parents = {jid: [] for jid in plan.jobs}
+    for parent, child in sorted(plan.edges()):
+        children[parent].append(child)
+        parents[child].append(parent)
+    return children, parents
+
+
+@settings(max_examples=300, deadline=None)
+@given(operations)
+def test_stored_adjacency_is_the_sorted_edge_derivation(ops):
+    plan = ExecutableWorkflow("w", "w#1")
+    edges: set[tuple[str, str]] = set()
+    for op in ops:
+        if op[0] == "job":
+            if op[1] in plan.jobs:
+                with pytest.raises(PlanningError, match="duplicate"):
+                    plan.add_job(ExecutableJob(id=op[1], kind=JobKind.COMPUTE, transform="t"))
+            else:
+                plan.add_job(ExecutableJob(id=op[1], kind=JobKind.COMPUTE, transform="t"))
+            continue
+        _, parent, child = op
+        unknown = next((j for j in (parent, child) if j not in plan.jobs), None)
+        if unknown is not None:
+            with pytest.raises(PlanningError, match=f"unknown job {unknown!r}"):
+                plan.add_edge(parent, child)
+        elif parent == child:
+            with pytest.raises(PlanningError, match="self edge"):
+                plan.add_edge(parent, child)
+        else:
+            plan.add_edge(parent, child)  # a second time is a no-op
+            edges.add((parent, child))
+        assert plan.edges() == edges
+    children, parents = plan.adjacency()
+    assert (children, parents) == derived_adjacency(plan)
+    assert list(children) == list(parents) == list(plan.jobs)
+    assert plan.adjacency()[0] is children  # stored and shared, not rebuilt
+    assert plan.edges() is not plan.edges()
+
+    graph = oracle(plan)
+    if nx.is_directed_acyclic_graph(graph):
+        plan.validate()
+        assert plan.topological_order() == list(nx.lexicographical_topological_sort(graph))
+        depth: dict[str, int] = {}
+        for node in nx.topological_sort(graph):
+            depth[node] = 1 + max((depth[p] for p in graph.predecessors(node)), default=-1)
+        assert plan.levels() == depth
+        return
+    cycle = plan.find_cycle()
+    assert all(graph.has_edge(p, c) for p, c in zip(cycle, [*cycle[1:], cycle[0]]))
+    message = f"'w' has a cycle: {' -> '.join([*cycle, cycle[0]])}"
+    for query in (plan.validate, plan.topological_order, plan.levels):
+        with pytest.raises(PlanningError) as failure:
+            query()
+        assert str(failure.value) == message
+
+
 @pytest.mark.parametrize("build", [plan_of, workflow_of], ids=["plan", "workflow"])
 def test_unknown_job_raises_the_dag_error(build):
     dag = build({("n0", "n1")})

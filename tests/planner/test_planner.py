@@ -134,9 +134,9 @@ def test_cleanup_jobs_gated_on_all_consumers(planner, replicas):
     parents = plan.parents(cleanup.id)
     assert len(parents) == 9
     assert all(p.startswith("mBackground_") for p in parents)
-    assert cleanup.cleanup_files == [
-        ("corrections.tbl", "gsiftp://obelix/nfs/scratch/corrections.tbl")
-    ]
+    assert cleanup.cleanup_files == (
+        ("corrections.tbl", "gsiftp://obelix/nfs/scratch/corrections.tbl"),
+    )
 
 
 def test_cleanup_for_unconsumed_output_waits_for_producer(planner, replicas):
