@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Type
 
 from repro.rules.compiler import RulePlan
 from repro.rules.engine import Rule
-from repro.rules.facts import Fact, WorkingMemory
+from repro.rules.facts import Fact, WorkingMemory, decode_fact, encode_fact
 from repro.rules.patterns import Collect, Pattern
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "FactFactory",
     "entry_defaults",
     "snapshot_fact",
-    "clone_fact",
     "snapshot_memory",
     "clone_memory",
     "rule_set_functions",
@@ -305,32 +304,9 @@ _MISSING = object()
 # --------------------------------------------------------------------------
 # Fact snapshot / clone (probe-session caching and counterexample replay)
 # --------------------------------------------------------------------------
-def _copy_value(value: Any) -> Any:
-    if isinstance(value, (set, frozenset)):
-        return set(value)
-    if isinstance(value, list):
-        return [_copy_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _copy_value(v) for k, v in value.items()}
-    if isinstance(value, tuple):
-        return tuple(_copy_value(v) for v in value)
-    return value
-
-
 def snapshot_fact(fact: Fact) -> tuple[Type[Fact], dict]:
-    """(type, attribute dict) capturing one fact; values are deep-copied
-    far enough (sets/lists/dicts) that mutating the original or a clone
-    cannot leak through."""
-    return type(fact), {name: _copy_value(v) for name, v in vars(fact).items()}
-
-
-def clone_fact(spec: tuple[Type[Fact], dict]) -> Fact:
-    """Rebuild a fact from a :func:`snapshot_fact` spec without calling its
-    constructor (constructors validate/derive; snapshots are literal)."""
-    fact_type, attrs = spec
-    fact = object.__new__(fact_type)
-    fact.__dict__.update({name: _copy_value(v) for name, v in attrs.items()})
-    return fact
+    """(type, encoded state) of one fact: its clones share no container."""
+    return type(fact), encode_fact(fact)
 
 
 def snapshot_memory(memory) -> list[tuple[Type[Fact], dict]]:
@@ -342,8 +318,8 @@ def clone_memory(soup: Iterable[tuple[Type[Fact], dict]]):
     """A fresh WorkingMemory holding clones of the snapshotted facts,
     inserted in snapshot order (fact ids restart from 1)."""
     memory = WorkingMemory()
-    for spec in soup:
-        memory.insert(clone_fact(spec))
+    for fact_type, state in soup:
+        memory.insert(decode_fact(fact_type, state))
     return memory
 
 

@@ -36,11 +36,11 @@ from repro.analysis.probing import (
 )
 from repro.analysis.verifier.interaction import InteractionGraph
 from repro.analysis.verifier.replay import (
-    _type_ref,
     counterexample_doc,
     minimize_soup,
     replay_counterexample,
     run_ledger_scenario,
+    type_ref,
 )
 from repro.rules.engine import Rule
 from repro.rules.facts import Fact
@@ -107,7 +107,7 @@ def check_ledgers(
     if not subjects:
         return
     defaults = {
-        _type_ref(fact_type): {
+        type_ref(fact_type): {
             attr: value
             for attr, value in entry_defaults(fact_type, factory).items()
             if isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -19,17 +19,16 @@ from __future__ import annotations
 import copy
 import importlib
 import json
-from typing import Any, Callable, Iterable, Optional, Sequence, Type
+from typing import Any, Callable, Optional, Sequence
 
 from repro.analysis.probing import clone_memory
 from repro.rules.engine import Rule, Session
-from repro.rules.facts import Fact, WorkingMemory
+from repro.rules.facts import WorkingMemory, decode_value, encode_value
 from repro.rules.reference import ReferenceSession
 
 __all__ = [
     "canonical_state",
-    "encode_soup",
-    "decode_soup",
+    "type_ref",
     "encode_globals",
     "decode_globals",
     "tie_break_for",
@@ -93,9 +92,10 @@ def canonical_state(memory: WorkingMemory) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# JSON-safe encoding of fact soups and globals
+# Type references and session globals in documents
 # --------------------------------------------------------------------------
-def _type_ref(cls: type) -> str:
+def type_ref(cls: type) -> str:
+    """The ``module:qualname`` a document names a class or function by."""
     return f"{cls.__module__}:{cls.__qualname__}"
 
 
@@ -107,86 +107,30 @@ def _resolve_type(ref: str) -> type:
     return obj
 
 
-def _encode_value(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (set, frozenset)):
-        return {"__set__": sorted(_encode_value(v) for v in value)}
-    if isinstance(value, tuple):
-        return {"__tuple__": [_encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, dict):
-        if all(isinstance(k, str) for k in value):
-            return {k: _encode_value(v) for k, v in value.items()}
-        return {
-            "__pairs__": [[_encode_value(k), _encode_value(v)] for k, v in value.items()]
-        }
-    # dataclass-ish objects (PolicyConfig): rebuild from attribute dict
-    if hasattr(value, "__dict__") and type(value).__module__ != "builtins":
-        return {
-            "__object__": _type_ref(type(value)),
-            "attrs": {k: _encode_value(v) for k, v in vars(value).items()},
-        }
-    raise TypeError(f"cannot encode {value!r} for counterexample replay")
+def _encode_object(value: Any) -> dict:
+    """Globals such as ``PolicyConfig``: rebuilt from their attribute dict."""
+    if not hasattr(value, "__dict__") or type(value).__module__ == "builtins":
+        raise TypeError(f"cannot encode {value!r} for counterexample replay")
+    return {
+        "__object__": type_ref(type(value)),
+        "attrs": encode_value(vars(value), _encode_object),
+    }
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    if isinstance(value, dict):
-        if "__set__" in value:
-            return set(_decode_value(v) for v in value["__set__"])
-        if "__tuple__" in value:
-            return tuple(_decode_value(v) for v in value["__tuple__"])
-        if "__pairs__" in value:
-            return {
-                _make_hashable(_decode_value(k)): _decode_value(v)
-                for k, v in value["__pairs__"]
-            }
-        if "__object__" in value:
-            cls = _resolve_type(value["__object__"])
-            obj = object.__new__(cls)
-            obj.__dict__.update(
-                {k: _decode_value(v) for k, v in value["attrs"].items()}
-            )
-            return obj
-        return {k: _decode_value(v) for k, v in value.items()}
-    return value
-
-
-def _make_hashable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_make_hashable(v) for v in value)
-    if isinstance(value, set):
-        return frozenset(value)
-    return value
-
-
-def encode_soup(soup: Iterable[tuple[Type[Fact], dict]]) -> list[dict]:
-    """Encode a :func:`snapshot_memory` soup as JSON-safe fact specs."""
-    return [
-        {"type": _type_ref(fact_type), "attrs": {k: _encode_value(v) for k, v in attrs.items()}}
-        for fact_type, attrs in soup
-    ]
-
-
-def decode_soup(specs: Sequence[dict]) -> list[tuple[Type[Fact], dict]]:
-    return [
-        (
-            _resolve_type(spec["type"]),
-            {k: _decode_value(v) for k, v in spec["attrs"].items()},
-        )
-        for spec in specs
-    ]
+def _revive_object(doc: dict) -> Any:
+    if "__object__" not in doc:
+        return doc
+    obj = object.__new__(_resolve_type(doc["__object__"]))
+    obj.__dict__.update(doc["attrs"])
+    return obj
 
 
 def encode_globals(session_globals: dict) -> dict:
-    return {k: _encode_value(v) for k, v in session_globals.items()}
+    return encode_value(session_globals, _encode_object)
 
 
 def decode_globals(doc: dict) -> dict:
-    return {k: _decode_value(v) for k, v in doc.items()}
+    return decode_value(doc, _revive_object)
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +235,7 @@ def run_ledger_scenario(
             continue  # the subject's own bookkeeping dies with it
         base = baseline.get(fid)
         if base is None:
-            base_values = defaults.get(_type_ref(type(fact)), {})
+            base_values = defaults.get(type_ref(type(fact)), {})
         else:
             base_values = base[1]
         for attr, value in values.items():
@@ -318,7 +262,7 @@ def run_ledger_scenario(
             leaks.append(
                 {
                     "fact_type": type(fact).__name__,
-                    "type_ref": _type_ref(type(fact)),
+                    "type_ref": type_ref(type(fact)),
                     "attr": attr,
                     "expected": expected,
                     "residual": residual,
@@ -392,9 +336,10 @@ def counterexample_doc(
     """
     doc = {
         "kind": kind,
-        "rule_builders": [_type_ref(b) for b in rule_builders],
+        "rule_builders": [type_ref(b) for b in rule_builders],
         "globals": encode_globals(session_globals),
-        "facts": encode_soup(soup),
+        # a soup's states are encoded already (snapshot_memory)
+        "facts": [{"type": type_ref(fact_type), "attrs": state} for fact_type, state in soup],
     }
     doc.update(scenario)
     json.dumps(doc)  # fail fast on anything not JSON-safe
@@ -409,7 +354,7 @@ def replay_counterexample(doc: dict) -> dict:
     """
     kind = doc["kind"]
     rules, session_globals = _pack_rules(doc)
-    soup = decode_soup(doc["facts"])
+    soup = [(_resolve_type(spec["type"]), spec["attrs"]) for spec in doc["facts"]]
 
     if kind == "confluence":
         baseline = run_confluence_scenario(

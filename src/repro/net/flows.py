@@ -116,7 +116,6 @@ class FlowNetwork:
         self._gen = 0                              # reschedule generation
         self._last_update = env.now
         # metrics
-        self.completed: list[Flow] = []
         self.peak_streams: dict[str, int] = {}     # link name -> max observed
         self.bytes_moved = 0.0
         # last traced per-link stream counts / flow census (emit on change
@@ -279,7 +278,6 @@ class FlowNetwork:
         flow.remaining = 0.0
         self._flows.pop(flow.fid, None)
         self._active.pop(flow.fid, None)
-        self.completed.append(flow)
         flow.done.succeed()
 
     def _finish_due(self) -> None:

@@ -21,9 +21,14 @@ safely.  This module makes that memory survive a crash:
   member or array element, one journal line decoded at a time, each
   decision record handed to the service's log as soon as it is read.
 
-Facts are serialized generically from their ``__dict__`` (sets become
-sorted lists) and revived without running ``__init__``, so every fact
-type round-trips exactly, including attributes added after construction.
+A fact's state (its ``__dict__``, attributes added after construction
+included) is written by the one state codec in :mod:`repro.rules.facts`:
+``encode_fact`` tags sets (as sorted lists), tuples and dicts with
+non-string keys, and ``decode_fact`` revives the fact without
+running ``__init__``.  So every fact type round-trips exactly: each JSON
+scalar, list, dict, tuple and set comes back equal and of the same type
+(a frozenset as a set).  Types resolve only through the closed
+``FACT_TYPES`` table; nothing read from disk names a module to import.
 Fact handles (fids) are preserved *relatively*: facts re-enter memory in
 fid order, which keeps the rule engine's FIFO activation ordering — the
 property the byte-identical-advice guarantee rests on.
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterator, Optional
 
-from repro.rules import Fact
+from repro.rules.facts import Fact, decode_fact, encode_fact
 
 from repro.policy.model import (
     CleanupFact,
@@ -138,18 +143,6 @@ def _open_line(line: str) -> Optional[dict]:
 # --------------------------------------------------------------------------
 # Fact (de)serialization
 # --------------------------------------------------------------------------
-def _encode_value(value):
-    if isinstance(value, set):
-        return {"__set__": sorted(value)}
-    return value
-
-
-def _decode_value(value):
-    if isinstance(value, dict) and "__set__" in value:
-        return set(value["__set__"])
-    return value
-
-
 def _write_array(handle: IO[str], docs) -> None:
     """Stream ``docs`` to ``handle`` as one JSON array, one encode each."""
     handle.write("[")
@@ -165,10 +158,7 @@ def fact_to_doc(fact: Fact) -> dict:
     name = type(fact).__name__
     if name not in FACT_TYPES:
         raise JournalError(f"cannot journal unknown fact type {name!r}")
-    return {
-        "type": name,
-        "state": {k: _encode_value(v) for k, v in fact.__dict__.items()},
-    }
+    return {"type": name, "state": encode_fact(fact)}
 
 
 def fact_from_doc(doc: dict) -> Fact:
@@ -176,9 +166,7 @@ def fact_from_doc(doc: dict) -> Fact:
     cls = FACT_TYPES.get(doc.get("type"))
     if cls is None:
         raise JournalError(f"journal names unknown fact type {doc.get('type')!r}")
-    fact = cls.__new__(cls)
-    fact.__dict__.update({k: _decode_value(v) for k, v in doc["state"].items()})
-    return fact
+    return decode_fact(cls, doc["state"])
 
 
 # --------------------------------------------------------------------------
@@ -553,7 +541,7 @@ class PolicyJournal:
                 }
                 done = [int(tid) for tid in record.get("done", [])]
                 failed = [int(tid) for tid in record.get("failed", [])]
-            except (JournalError, KeyError, TypeError, ValueError):
+            except (JournalError, KeyError, TypeError, ValueError, AttributeError):
                 tail = 1
                 continue
             for fid, fact in revived:

@@ -11,15 +11,20 @@ every insert / update / retract afterwards.  Rule condition elements use
 ``lookup`` (via their ``keys`` parameter) to fetch only the facts that can
 possibly join instead of scanning the whole type extent, and sessions use
 the memory's **change log** to re-match only what actually changed.
+
+A fact's state is its ``__dict__``: :func:`encode_fact` writes it as a
+JSON-safe document and :func:`decode_fact` revives it without ``__init__``
+(the one codec of the journal, the verifier's documents and probe soups).
 """
 
 from __future__ import annotations
 
+import json
 import weakref
 from collections import deque
-from typing import Any, Iterator, Optional, Type, TypeVar
+from typing import Any, Callable, Iterator, Optional, Type, TypeVar
 
-__all__ = ["Fact", "WorkingMemory"]
+__all__ = ["Fact", "WorkingMemory", "encode_fact", "decode_fact", "encode_value", "decode_value"]
 
 F = TypeVar("F", bound="Fact")
 
@@ -54,6 +59,81 @@ class Fact:
         else:
             inner = ""
         return f"{type(self).__name__}({inner})"
+
+
+# --------------------------------------------------------------------------
+# The state codec
+# --------------------------------------------------------------------------
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+_TAGS = ("__set__", "__tuple__", "__pairs__")
+
+
+def encode_value(value: Any, default: Optional[Callable] = None) -> Any:
+    """``value`` made JSON-safe so that :func:`decode_value` of its
+    ``json.loads`` round trip gives it back: a set or frozenset becomes
+    ``{"__set__": [...]}`` (sorted; by canonical JSON text if its members
+    do not compare), a tuple ``{"__tuple__": [...]}``, a dict with a
+    non-string or tag key ``{"__pairs__": [[key, value], ...]}``.  Any
+    other value goes to ``default`` if one is given, else is kept."""
+    if type(value) in _PLAIN or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, list):
+        return [encode_value(item, default) for item in value]
+    if isinstance(value, (set, frozenset)):
+        items = encode_value(list(value), default)
+        try:
+            items.sort()
+        except TypeError:
+            items.sort(key=lambda item: json.dumps(item, sort_keys=True, default=repr))
+        return {"__set__": items}
+    if isinstance(value, tuple):
+        return {"__tuple__": encode_value(list(value), default)}
+    if not isinstance(value, dict):
+        return value if default is None else default(value)
+    if all(isinstance(key, str) and key not in _TAGS for key in value):
+        return {key: encode_value(item, default) for key, item in value.items()}
+    return {"__pairs__": encode_value([list(pair) for pair in value.items()], default)}
+
+
+def decode_value(value: Any, object_hook: Optional[Callable] = None, frozen: bool = False) -> Any:
+    """The inverse of :func:`encode_value`.  A set that must hash (a dict
+    key, or inside a set or a tuple that must) comes back frozen; any
+    other dict goes to ``object_hook``, its members decoded, if given."""
+    if isinstance(value, list):
+        return [decode_value(item, object_hook) for item in value]
+    if not isinstance(value, dict):
+        return value
+    if "__set__" in value:
+        items = [decode_value(item, object_hook, True) for item in value["__set__"]]
+        return frozenset(items) if frozen else set(items)
+    if "__tuple__" in value:
+        return tuple([decode_value(item, object_hook, frozen) for item in value["__tuple__"]])
+    if "__pairs__" in value:
+        return {
+            decode_value(key, object_hook, True): decode_value(item, object_hook)
+            for key, item in value["__pairs__"]
+        }
+    doc = {key: decode_value(item, object_hook) for key, item in value.items()}
+    return doc if object_hook is None else object_hook(doc)
+
+
+def encode_fact(fact: Fact) -> dict:
+    """The JSON-safe document of a fact's state (:func:`encode_value`)."""
+    return {
+        key: value if type(value) in _PLAIN else encode_value(value)
+        for key, value in fact.__dict__.items()
+    }
+
+
+def decode_fact(fact_type: Type[F], state: dict) -> F:
+    """A ``fact_type`` holding :func:`encode_fact`'s ``state``, built without
+    running ``__init__`` (constructors validate and derive; a state is literal)."""
+    fact = fact_type.__new__(fact_type)
+    fact.__dict__.update({
+        key: value if type(value) in _PLAIN else decode_value(value)
+        for key, value in state.items()
+    })
+    return fact
 
 
 class _Entry:
