@@ -18,15 +18,36 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import math
 import signal
 import sys
 import threading
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.policy.sharding import ShardedPolicyService
 
 __all__ = ["main", "build_parser"]
 
 
 _POLICIES = ("greedy", "balanced", "fifo", "none")
+
+
+def _minimum(low: int, kind: type = int):
+    """An argparse ``type``: a finite ``kind`` value >= ``low``, so a bad
+    count or size is a usage error (exit 2) rather than a traceback."""
+    what = f"a finite number >= {low}" if kind is float else f"an integer >= {low}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+        if not low <= value < math.inf:  # NaN too
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_cell_arguments(parser, extra_mb, images, policies=_POLICIES, sized=True) -> None:
@@ -36,15 +57,15 @@ def _add_cell_arguments(parser, extra_mb, images, policies=_POLICIES, sized=True
     instead of being a flag.
     """
     if sized:
-        parser.add_argument("--extra-mb", type=float, default=extra_mb,
+        parser.add_argument("--extra-mb", type=_minimum(0, float), default=extra_mb,
                             help="extra staged file size per staging job (MB)")
-    parser.add_argument("--streams", type=int, default=4,
+    parser.add_argument("--streams", type=_minimum(1), default=4,
                         help="default parallel streams per transfer")
     parser.add_argument("--policy", choices=list(policies), default="greedy")
-    parser.add_argument("--threshold", type=int, default=50,
+    parser.add_argument("--threshold", type=_minimum(1), default=50,
                         help="max streams between a host pair")
     if sized:
-        parser.add_argument("--images", type=int, default=images,
+        parser.add_argument("--images", type=_minimum(1), default=images,
                             help="Montage input images (= staging jobs)")
     else:
         parser.set_defaults(extra_mb=extra_mb, images=images)
@@ -109,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="0 picks a free port")
     serve.add_argument("--policy", choices=["greedy", "balanced", "fifo"],
                        default="greedy")
-    serve.add_argument("--threshold", type=int, default=50)
-    serve.add_argument("--default-streams", type=int, default=4)
-    serve.add_argument("--cluster-count", type=int, default=None)
+    serve.add_argument("--threshold", type=_minimum(1), default=50)
+    serve.add_argument("--default-streams", type=_minimum(1), default=4)
+    serve.add_argument("--cluster-count", type=_minimum(1), default=None)
     serve.add_argument("--access-control", action="store_true",
                        help="enable host denials and staging quotas")
-    serve.add_argument("--shards", type=int, default=0,
+    serve.add_argument("--shards", type=_minimum(0), default=0,
                        help="partition policy memory across N shards behind "
                             "a consistent-hash router (0 = single service)")
     serve.add_argument("--journal-root", default=None,
@@ -201,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("tid", type=int, help="transfer id to explain")
     # no "none": a cell without policy has no decision to explain
     _add_cell_arguments(explain, extra_mb=20.0, images=12, policies=_POLICIES[:-1])
-    explain.add_argument("--shards", type=int, default=0,
+    explain.add_argument("--shards", type=_minimum(0), default=0,
                          help="shard the policy service N ways "
                               "(0 = single service; records are identical)")
     explain.add_argument("--format", choices=["text", "json"], default="text")
@@ -325,10 +346,10 @@ def _cmd_campaign(args, out) -> int:
 
 
 def _cmd_serve(args, out) -> int:
-    from repro.policy import PolicyConfig, PolicyService
     from repro.policy.journal import JournalError, PolicyJournal
+    from repro.policy.model import PolicyConfig
     from repro.policy.rest import PolicyRestServer
-    from repro.policy.sharding import ShardedPolicyService
+    from repro.policy.service import PolicyService
 
     config = PolicyConfig(
         policy=args.policy,
@@ -339,8 +360,10 @@ def _cmd_serve(args, out) -> int:
     )
     service: PolicyService | ShardedPolicyService
     if args.shards >= 1:
+        from repro.policy import sharding
+
         try:
-            service = ShardedPolicyService(
+            service = sharding.ShardedPolicyService(
                 config,
                 num_shards=args.shards,
                 journal_root=args.journal_root,

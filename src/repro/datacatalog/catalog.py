@@ -17,7 +17,7 @@ import json
 import zlib
 from typing import Optional
 
-from repro.net.gridftp import parse_url
+from repro.net.urls import parse_url
 
 from repro.datacatalog.model import (
     CatalogConfig,

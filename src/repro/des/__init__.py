@@ -22,27 +22,19 @@ Public API
     Named deterministic random substreams per simulation component.
 """
 
-from repro.des.core import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.des.resources import PriorityResource, Resource
-from repro.des.rng import RngRegistry
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "PriorityResource",
-    "Process",
-    "Resource",
-    "RngRegistry",
-    "SimulationError",
-    "Timeout",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.des.core import AllOf, AnyOf, Environment, Event, Process, SimulationError, Timeout
+    from repro.des.resources import PriorityResource, Resource
+    from repro.des.rng import RngRegistry
+
+_EXPORTS = {  # name -> the module it is imported from
+    "AllOf": ".core", "AnyOf": ".core", "Environment": ".core", "Event": ".core",
+    "PriorityResource": ".resources", "Process": ".core", "Resource": ".resources",
+    "RngRegistry": ".rng", "SimulationError": ".core", "Timeout": ".core",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,7 +16,7 @@ from typing import Optional
 from repro.catalogs.replica import ReplicaCatalog
 from repro.engine.storage import StorageTracker
 from repro.des import Environment
-from repro.net.gridftp import parse_url
+from repro.net.urls import parse_url
 from repro.planner.executable import ExecutableJob
 from repro.policy.client import InProcessPolicyClient, PolicyUnavailableError
 

@@ -36,7 +36,8 @@ from typing import Optional
 
 from repro.catalogs.replica import ReplicaCatalog
 from repro.engine.storage import StorageTracker
-from repro.net.gridftp import GridFTPClient, TransferError, parse_url
+from repro.net.gridftp import GridFTPClient, TransferError
+from repro.net.urls import parse_url
 from repro.planner.executable import ExecutableJob
 from repro.policy.client import InProcessPolicyClient, PolicyUnavailableError
 from repro.policy.model import TransferAdvice

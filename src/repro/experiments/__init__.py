@@ -19,41 +19,29 @@
   Table IV and Figs. 5-9, and their terminal tables and plots.
 """
 
-from repro.experiments.environment import TestbedParams, build_testbed
-from repro.experiments.figures import Series, ascii_series_plot, format_series_table
-from repro.experiments.runner import (
-    EnsembleResult,
-    ExperimentConfig,
-    RunMetrics,
-    run_cell,
-    run_replicates,
-    run_tenant_ensemble,
-)
-from repro.experiments.tracing import (
-    TracedRun,
-    ascii_timeline,
-    run_provenance,
-    run_traced_cell,
-    run_traced_ensemble,
-    run_traced_workflow,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "EnsembleResult",
-    "ExperimentConfig",
-    "RunMetrics",
-    "Series",
-    "TestbedParams",
-    "TracedRun",
-    "ascii_series_plot",
-    "ascii_timeline",
-    "build_testbed",
-    "format_series_table",
-    "run_cell",
-    "run_provenance",
-    "run_replicates",
-    "run_tenant_ensemble",
-    "run_traced_cell",
-    "run_traced_ensemble",
-    "run_traced_workflow",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.environment import TestbedParams, build_testbed
+    from repro.experiments.figures import Series, ascii_series_plot, format_series_table
+    from repro.experiments.runner import (
+        EnsembleResult, ExperimentConfig, RunMetrics, run_cell, run_replicates,
+        run_tenant_ensemble,
+    )
+    from repro.experiments.tracing import (
+        TracedRun, ascii_timeline, run_provenance, run_traced_cell, run_traced_ensemble,
+        run_traced_workflow,
+    )
+
+_EXPORTS = {  # name -> the module it is imported from
+    "EnsembleResult": ".runner", "ExperimentConfig": ".runner", "RunMetrics": ".runner",
+    "Series": ".figures", "TestbedParams": ".environment", "TracedRun": ".tracing",
+    "ascii_series_plot": ".figures", "ascii_timeline": ".tracing", "build_testbed": ".environment",
+    "format_series_table": ".figures", "run_cell": ".runner", "run_provenance": ".tracing",
+    "run_replicates": ".runner", "run_tenant_ensemble": ".runner", "run_traced_cell": ".tracing",
+    "run_traced_ensemble": ".tracing", "run_traced_workflow": ".tracing",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

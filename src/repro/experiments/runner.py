@@ -21,15 +21,11 @@ from repro.datacatalog.model import CatalogConfig
 from repro.engine import CleanupTool, ClusterScheduler, DAGMan, PegasusTransferTool, StorageTracker
 from repro.experiments.environment import Testbed, TestbedParams, build_testbed
 from repro.planner import JobKind, Planner, PlanOptions
-from repro.policy import (
-    InProcessPolicyClient,
-    PolicyConfig,
-    PolicyJournal,
-    PolicyRefusedError,
-    PolicyService,
-    ShardedPolicyService,
-)
+from repro.policy.client import InProcessPolicyClient
+from repro.policy.journal import PolicyJournal
+from repro.policy.model import PolicyConfig
 from repro.policy.provenance import FrozenDecisions
+from repro.policy.service import PolicyRefusedError, PolicyService
 from repro.workflow.dag import Workflow
 from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
@@ -136,6 +132,8 @@ def build_policy_service(
         profiler=profiler,
     )
     if cfg.shards >= 1:
+        from repro.policy.sharding import ShardedPolicyService
+
         return ShardedPolicyService(
             config, num_shards=cfg.shards, journal_root=cfg.journal_root, **kwargs
         )

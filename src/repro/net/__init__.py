@@ -10,7 +10,9 @@ the ISI Obelix cluster) is replaced by a fluid-flow network simulation:
   kernel: active transfers share link capacity in proportion to their
   parallel-stream counts;
 * :mod:`repro.net.gridftp` — a GridFTP-like transfer client with
-  session/stream setup costs and failure injection.
+  session/stream setup costs and failure injection;
+* :mod:`repro.net.urls` — ``parse_url``, numpy-free so the Policy
+  Service can check URLs without loading the simulator.
 
 The model is calibrated so the qualitative findings of the paper hold: more
 parallel streams help until the pipe fills; allocating far beyond a
@@ -18,21 +20,21 @@ congestion knee degrades throughput; very large transfers are dominated by
 the bandwidth floor regardless of allocation (see DESIGN.md §5).
 """
 
-from repro.net.flows import Flow, FlowNetwork
-from repro.net.gridftp import GridFTPClient, TransferError, parse_url
-from repro.net.tcp import StreamModel
-from repro.net.topology import Host, Link, Network, Route, Site
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Flow",
-    "FlowNetwork",
-    "GridFTPClient",
-    "Host",
-    "Link",
-    "Network",
-    "Route",
-    "Site",
-    "StreamModel",
-    "TransferError",
-    "parse_url",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.net.flows import Flow, FlowNetwork
+    from repro.net.gridftp import GridFTPClient, TransferError
+    from repro.net.tcp import StreamModel
+    from repro.net.topology import Host, Link, Network, Route, Site
+    from repro.net.urls import parse_url
+
+_EXPORTS = {  # name -> the module it is imported from
+    "Flow": ".flows", "FlowNetwork": ".flows", "GridFTPClient": ".gridftp", "Host": ".topology",
+    "Link": ".topology", "Network": ".topology", "Route": ".topology", "Site": ".topology",
+    "StreamModel": ".tcp", "TransferError": ".gridftp", "parse_url": ".urls",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

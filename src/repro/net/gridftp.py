@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.net.flows import FlowNetwork
+from repro.net.urls import parse_url
 
 __all__ = ["GridFTPClient", "TransferError", "TransferRecord", "parse_url"]
 
@@ -31,23 +32,6 @@ class TransferError(RuntimeError):
         super().__init__(message)
         self.src_url = src_url
         self.dst_url = dst_url
-
-
-def parse_url(url: str) -> tuple[str, str]:
-    """Split ``scheme://host/path`` into (host, path).
-
-    Accepts ``gsiftp``, ``http``, ``https``, and ``file`` schemes (the
-    Pegasus Transfer Tool is protocol-agnostic; so are we).
-    """
-    scheme, sep, rest = url.partition("://")
-    if not sep or not scheme:
-        raise ValueError(f"malformed url: {url!r}")
-    if scheme not in ("gsiftp", "http", "https", "file", "ftp"):
-        raise ValueError(f"unsupported scheme {scheme!r} in {url!r}")
-    host, slash, path = rest.partition("/")
-    if not host:
-        raise ValueError(f"missing host in url: {url!r}")
-    return host, "/" + path
 
 
 @dataclass

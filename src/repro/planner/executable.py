@@ -84,12 +84,18 @@ class ExecutableJob:
             raise PlanningError(f"compute job {self.id!r} requires a transform")
 
 
+#: the neighbour list of a job without edges on that side, shared by all
+#: of them (a plan's cleanup jobs never get a child); never modified
+_NO_EDGES: list[str] = []
+
+
 class ExecutableWorkflow(Dag):
     """A DAG of :class:`ExecutableJob` with explicit edges.
 
     The plan stores its edges once, as the id-sorted ``children`` /
     ``parents`` lists :meth:`adjacency` returns and DAGMan walks;
-    :meth:`edges` is derived from them.
+    :meth:`edges` is derived from them.  A job's list on either side is
+    the shared empty ``_NO_EDGES`` until its first edge there.
     """
 
     error = PlanningError
@@ -109,8 +115,7 @@ class ExecutableWorkflow(Dag):
         if job.id in self.jobs:
             raise PlanningError(f"duplicate executable job {job.id!r}")
         self.jobs[job.id] = job
-        self._children[job.id] = []
-        self._parents[job.id] = []
+        self._children[job.id] = self._parents[job.id] = _NO_EDGES
         self._mutated()
         return job
 
@@ -121,8 +126,13 @@ class ExecutableWorkflow(Dag):
         at = bisect_left(children, child_id)  # the end, for an id that sorts last
         if at < len(children) and children[at] == child_id:
             return
+        if children is _NO_EDGES:
+            children = self._children[parent_id] = []
         children.insert(at, child_id)
-        insort(self._parents[child_id], parent_id)
+        parents = self._parents[child_id]
+        if parents is _NO_EDGES:
+            parents = self._parents[child_id] = []
+        insort(parents, parent_id)
         self._mutated()
 
     def adjacency(self) -> Adjacency:

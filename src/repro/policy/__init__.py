@@ -34,43 +34,32 @@ Layering (paper Fig. 1):
   ``docs/sharding.md``).
 """
 
-from repro.policy.allocation import greedy_allocation_trace, max_streams_table
-from repro.policy.client import (
-    CircuitBreaker,
-    CircuitOpenError,
-    InProcessPolicyClient,
-    PolicyUnavailableError,
-    RetryPolicy,
-)
-from repro.policy.controller import PolicyController, PolicyRequestError
-from repro.policy.journal import JournalError, PolicyJournal
-from repro.policy.model import PolicyConfig, TransferAdvice
-from repro.policy.rest import PolicyRestServer
-from repro.policy.service import PolicyRefusedError, PolicyService
-from repro.policy.sharding import (
-    HashRing,
-    ShardedPolicyService,
-    ShardUnavailableError,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "HashRing",
-    "InProcessPolicyClient",
-    "JournalError",
-    "PolicyConfig",
-    "PolicyController",
-    "PolicyJournal",
-    "PolicyRefusedError",
-    "PolicyRequestError",
-    "PolicyRestServer",
-    "PolicyService",
-    "PolicyUnavailableError",
-    "RetryPolicy",
-    "ShardUnavailableError",
-    "ShardedPolicyService",
-    "TransferAdvice",
-    "greedy_allocation_trace",
-    "max_streams_table",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.policy.allocation import greedy_allocation_trace, max_streams_table
+    from repro.policy.client import (
+        CircuitBreaker, CircuitOpenError, InProcessPolicyClient, PolicyUnavailableError,
+        RetryPolicy,
+    )
+    from repro.policy.controller import PolicyController, PolicyRequestError
+    from repro.policy.journal import JournalError, PolicyJournal
+    from repro.policy.model import PolicyConfig, TransferAdvice
+    from repro.policy.rest import PolicyRestServer
+    from repro.policy.service import PolicyRefusedError, PolicyService
+    from repro.policy.sharding import HashRing, ShardedPolicyService, ShardUnavailableError
+
+_EXPORTS = {  # name -> the module it is imported from
+    "CircuitBreaker": ".client", "CircuitOpenError": ".client", "HashRing": ".sharding",
+    "InProcessPolicyClient": ".client", "JournalError": ".journal", "PolicyConfig": ".model",
+    "PolicyController": ".controller", "PolicyJournal": ".journal",
+    "PolicyRefusedError": ".service", "PolicyRequestError": ".controller",
+    "PolicyRestServer": ".rest", "PolicyService": ".service", "PolicyUnavailableError": ".client",
+    "RetryPolicy": ".client", "ShardUnavailableError": ".sharding",
+    "ShardedPolicyService": ".sharding", "TransferAdvice": ".model",
+    "greedy_allocation_trace": ".allocation", "max_streams_table": ".allocation",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

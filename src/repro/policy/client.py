@@ -33,9 +33,11 @@ from inspect import Parameter, Signature
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 from urllib.parse import urlsplit
 
-from repro.des.core import Environment
 from repro.policy.controller import REQUIRED, ROUTES, Route
 from repro.policy.service import PolicyService
+
+if TYPE_CHECKING:
+    from repro.des.core import Environment
 
 __all__ = [
     "HTTPPolicyClient",

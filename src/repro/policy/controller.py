@@ -23,7 +23,7 @@ from functools import partial
 from typing import Any, Callable, NamedTuple, Optional
 from urllib.parse import quote, unquote
 
-from repro.net.gridftp import parse_url
+from repro.net.urls import parse_url
 from repro.policy.model import CleanupAdvice, TransferAdvice
 from repro.policy.service import PolicyRefusedError, PolicyService
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.datacatalog.model import CatalogConfig
-from repro.net.gridftp import parse_url
+from repro.net.urls import parse_url
 from repro.rules import Fact
 
 __all__ = [
@@ -122,7 +122,7 @@ class PolicyConfig:
             raise ValueError("adaptive thresholds require the greedy policy")
         if self.completed_tid_retention < 0:
             raise ValueError("completed_tid_retention must be >= 0")
-        if self.lease_seconds is not None and self.lease_seconds <= 0:
+        if self.lease_seconds is not None and not self.lease_seconds > 0:  # NaN too
             raise ValueError("lease_seconds must be positive (or None)")
         if self.decision_log_cap < 1:
             raise ValueError("decision_log_cap must be >= 1")

@@ -47,7 +47,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional, Tuple,
 )
 
-from repro.net.gridftp import parse_url
+from repro.net.urls import parse_url
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import as_tracer
 

@@ -192,8 +192,8 @@ def augmented_montage(
     extra input per ``mProjectPP`` yields exactly one extra file per
     staging job.  ``extra_file_size == 0`` returns the plain workflow.
     """
-    if extra_file_size < 0:
-        raise ValueError("extra_file_size must be >= 0")
+    if not 0 <= extra_file_size < math.inf:  # NaN too
+        raise ValueError(f"extra_file_size must be finite and >= 0, got {extra_file_size}")
     cfg = config or MontageConfig()
     if extra_file_size == 0:
         return montage_workflow(cfg)

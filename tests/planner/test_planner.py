@@ -146,6 +146,24 @@ def test_cleanup_for_unconsumed_output_waits_for_producer(planner, replicas):
     assert plan.parents("cleanup_mosaic.jpg") == ["mJPEG"]
 
 
+def test_jobs_without_edges_share_one_empty_list(planner, replicas):
+    # A plan's cleanup jobs never get a child, and its roots no parent:
+    # each such side is one shared empty list, not a fresh one per job.
+    wf = small_montage()
+    register_montage_inputs(replicas, wf)
+    plan = planner.plan(wf, "isi", PlanOptions(cleanup=True))
+    children, parents = plan.adjacency()
+    leaves = [children[job.id] for job in plan.by_kind(JobKind.CLEANUP)]
+    roots = [parents[jid] for jid in plan.roots()]
+    assert len(leaves) > 1 and len(roots) > 1
+    assert all(ids is leaves[0] for ids in leaves + roots)
+    assert leaves[0] == []
+    # a first edge gives the job its own list; the shared one stays empty
+    first, second = (job.id for job in plan.by_kind(JobKind.CLEANUP)[:2])
+    plan.add_edge(first, second)
+    assert children[first] == [second] and leaves[0] == []
+
+
 def test_cleanup_disabled(planner, replicas):
     wf = small_montage()
     register_montage_inputs(replicas, wf)

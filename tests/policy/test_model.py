@@ -31,6 +31,15 @@ def test_config_validation():
         PolicyConfig(policy="balanced", cluster_count=4, cluster_threshold=0)
 
 
+@pytest.mark.parametrize("lease", [0.0, -1.0, float("nan")])
+def test_lease_seconds_must_be_positive(lease):
+    # A NaN lease passed a `<= 0` check: every grant carried a NaN
+    # deadline that never expired, and a journaled service then refused
+    # its own journal (nan != nan in the configuration fingerprint).
+    with pytest.raises(ValueError, match="lease_seconds must be positive"):
+        PolicyConfig(lease_seconds=lease)
+
+
 def test_threshold_for_with_pair_override():
     cfg = PolicyConfig(max_streams=50, pair_thresholds={("a", "b"): 10})
     assert cfg.threshold_for("a", "b") == 10

@@ -286,6 +286,27 @@ def test_serve_parser_accepts_shards():
     assert args.shards == 4 and args.journal_root == "/tmp/j"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--images", "0"], "repro run: error: argument --images: must be an integer >= 1"),
+    (["run", "--threshold", "0"], "repro run: error: argument --threshold: must be an integer"),
+    (["run", "--streams", "0"], "repro run: error: argument --streams: must be an integer"),
+    (["run", "--extra-mb", "-5"], "repro run: error: argument --extra-mb: must be a finite"),
+    (["run", "--extra-mb", "nan"], "repro run: error: argument --extra-mb: must be a finite"),
+    (["run", "--images", "many"], "repro run: error: argument --images: must be an integer"),
+    (["trace", "--streams", "0"], "repro trace: error: argument --streams"),
+    # a negative count used to start a single, unsharded service
+    (["serve", "--shards", "-1"], "repro serve: error: argument --shards: must be an integer >= 0"),
+    (["explain", "1", "--shards", "-2"], "repro explain: error: argument --shards"),
+])
+def test_out_of_range_flags_are_usage_errors(argv, message, capsys):
+    # Parsed only: when these were plain ints, --shards -1 served forever
+    # and the others ran into a traceback.
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(argv)
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def _serve(*argv: str):
     """A ``repro serve`` subprocess and the URL it listens on."""
     import os

@@ -85,6 +85,13 @@ def test_augmented_negative_rejected():
         augmented_montage(-1)
 
 
+@pytest.mark.parametrize("size", [float("nan"), float("inf")])
+def test_augmented_non_finite_size_rejected(size):
+    # NaN passed a `< 0` check and then died converting to an int
+    with pytest.raises(ValueError, match="extra_file_size must be finite and >= 0"):
+        augmented_montage(size)
+
+
 def test_augmented_name_encodes_size():
     assert "100MB" in augmented_montage(100 * MB).name
 
