@@ -2,20 +2,20 @@
 
 Three analyzers over a shared findings model:
 
-* :mod:`repro.analysis.rulelint` — checks built rule sets one rule at a
-  time for unsound ``keys`` hints, unknown fact attributes, salience
-  ties/shadowing, divergence risk, unreachable rules, and dependency
-  cycles (R001–R010).
+* :mod:`repro.analysis.rulelint` — checks built rule sets for salience
+  hygiene, the join network's fast path, and duplicate rule names
+  (R008-R010).
 * :mod:`repro.analysis.planlint` — checks planner output DAGs for cycles,
   useless stage-ins, premature cleanup, and unproduced inputs
-  (P001–P004).
-* :mod:`repro.analysis.verifier` — checks whole *compositions* of rule
-  packs for confluence, ledger balance, retract-while-referenced, engine
-  parity, and compiler agreement (V001–V005); every dynamic error carries
-  a machine-replayed counterexample.
+  (P001-P004).
+* :mod:`repro.analysis.verifier` — checks every composition the Policy
+  Service instantiates for agreement between the rule compiler's plans
+  and the rules (V005).
 
-Reports export as text, JSON, or SARIF 2.1.0
-(:mod:`repro.analysis.sarif`); dead suppressions surface as S001
+Each check here is the only catcher of some defect the mutation
+scorecard (``docs/analysis.md``, ``python -m tests.tools.scorecard``)
+plants in a shipped pack: no dynamic oracle catches it.  Reports export
+as text, JSON, or SARIF 2.1.0 (:mod:`repro.analysis.sarif`); dead suppressions surface as S001
 warnings (:func:`flag_dead_suppressions`).  Run everything from the
 command line with ``python -m repro lint --all --verify``.
 """
@@ -31,8 +31,6 @@ from repro.analysis.rulelint import lint_rule_set, lint_rules, shipped_rule_sets
 from repro.analysis.sarif import render_sarif, to_sarif
 from repro.analysis.verifier import (
     VERIFY_SUPPRESSIONS,
-    VerifyOptions,
-    replay_counterexample,
     verify_compositions,
     verify_pack,
 )
@@ -49,8 +47,6 @@ __all__ = [
     "render_sarif",
     "to_sarif",
     "VERIFY_SUPPRESSIONS",
-    "VerifyOptions",
-    "replay_counterexample",
     "verify_compositions",
     "verify_pack",
 ]

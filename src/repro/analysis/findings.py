@@ -3,7 +3,7 @@
 Both analyzers — the rule-set linter (:mod:`repro.analysis.rulelint`) and
 the plan validator (:mod:`repro.analysis.planlint`) — emit
 :class:`Finding` records collected into a :class:`Report`.  A finding
-carries a stable check id (``R001`` ... rule checks, ``P001`` ... plan
+carries a stable check id (``R008`` ... rule checks, ``P001`` ... plan
 checks), a severity, the subject it is about (a rule name or job id), and
 a ``file:line`` location when one is resolvable (rule actions and guards
 are ordinary Python functions, so usually it is).
@@ -11,8 +11,8 @@ are ordinary Python functions, so usually it is).
 Suppressions
 ------------
 A suppression spec is ``CHECK`` or ``CHECK:substring`` — e.g.
-``R003`` silences every salience-tie finding, while
-``R003:Remove a transfer`` silences only findings whose subject contains
+``R009`` silences every fast-path finding, while
+``R009:Remove a transfer`` silences only findings whose subject contains
 that substring.  ``Report.suppress`` applies a list of specs and records
 how many findings each one consumed, so dead suppressions are visible:
 :func:`flag_dead_suppressions` turns specs that consumed nothing across a
@@ -49,7 +49,7 @@ class Severity:
 class Finding:
     """One defect (or observation) surfaced by an analyzer."""
 
-    check: str          #: stable check id, e.g. "R001"
+    check: str          #: stable check id, e.g. "R009"
     severity: str       #: Severity.ERROR / WARNING / INFO
     subject: str        #: rule name or plan job id the finding is about
     message: str        #: human-readable explanation

@@ -11,7 +11,7 @@ validator, or verifier — into one SARIF log with a single ``run``:
 * every finding becomes a ``result`` with the severity mapped onto SARIF
   levels (``info`` → ``note``), the ``file:line`` location parsed into a
   ``physicalLocation``, and the report target plus any JSON-safe detail
-  (counterexamples included) preserved under ``properties``;
+  preserved under ``properties``;
 * suppression accounting is preserved per run under
   ``properties.suppressed`` so a SARIF archive still shows what was
   silenced and why that is visible.
@@ -34,16 +34,6 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 #: check id -> one-line description surfaced as the SARIF rule metadata
 CHECK_DESCRIPTIONS = {
-    "R001": "keys hint is not implied by the guard: keyed lookups lose "
-            "guard-accepted facts",
-    "R002": "guard or keys function reads an attribute "
-            "the fact class does not have",
-    "R003": "equal-salience rules interfere without a deterministic order",
-    "R004": "higher-salience rule shadows a lower one on the same facts",
-    "R005": "rule keeps firing on its own output (divergence risk)",
-    "R006": "no rule action or service entry point inserts a positive "
-            "condition type, so the rule can never activate",
-    "R007": "rules form a read/write dependency cycle",
     "R008": "salience is not a named policy tier",
     "R009": "multi-pattern rule misses the join plan or its keys hints",
     "R010": "rule name is defined more than once across packs",
@@ -51,14 +41,7 @@ CHECK_DESCRIPTIONS = {
     "P002": "stage-in transfers a file no job consumes",
     "P003": "cleanup removes a file a later job still needs",
     "P004": "job consumes a file nothing produces or stages",
-    "V001": "rule pack is not confluent: final state depends on the "
-            "agenda tie-break (counterexample attached)",
-    "V002": "reserve-shaped charge is never released on a terminal path",
-    "V003": "higher tier retracts facts a lower tier still matches",
-    "V004": "join network and reference session reach different final "
-            "states on the same fact soup "
-            "(counterexample attached)",
-    "V005": "compiler plan or dispatch disagrees with the interaction graph",
+    "V005": "compiler plan or dispatch disagrees with the rule's conditions",
     "S001": "suppression spec matched no finding (dead suppression)",
 }
 

@@ -33,17 +33,19 @@ __all__ = ["main", "build_parser"]
 _POLICIES = ("greedy", "balanced", "fifo", "none")
 
 
-def _minimum(low: int, kind: type = int):
-    """An argparse ``type``: a finite ``kind`` value >= ``low``, so a bad
-    count or size is a usage error (exit 2) rather than a traceback."""
-    what = f"a finite number >= {low}" if kind is float else f"an integer >= {low}"
+def _minimum(low: int, kind: type = int, strict: bool = False):
+    """An argparse ``type``: a finite ``kind`` value >= ``low`` (> ``low``
+    when ``strict``), so a bad count or size is a usage error (exit 2)
+    rather than a traceback."""
+    bound = f"> {low}" if strict else f">= {low}"
+    what = f"a finite number {bound}" if kind is float else f"an integer {bound}"
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
-        if not low <= value < math.inf:  # NaN too
+        if not (low < value if strict else low <= value) or not value < math.inf:  # NaN too
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
@@ -110,17 +112,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="regenerate one of Figs. 5-9")
     figure.add_argument("number", type=int, choices=[5, 6, 7, 8, 9])
-    figure.add_argument("--replicates", type=int, default=3)
+    figure.add_argument("--replicates", type=_minimum(1), default=3)
     figure.add_argument("--quick", action="store_true",
                         help="reduced sweep (endpoints only)")
 
     campaign = sub.add_parser("campaign", help="run a steady staging campaign")
-    campaign.add_argument("--transfers", type=int, default=200)
-    campaign.add_argument("--mb", type=float, default=200.0)
-    campaign.add_argument("--workers", type=int, default=20)
-    campaign.add_argument("--streams", type=int, default=8)
+    campaign.add_argument("--transfers", type=_minimum(1), default=200)
+    campaign.add_argument("--mb", type=_minimum(0, float, strict=True), default=200.0)
+    campaign.add_argument("--workers", type=_minimum(1), default=20)
+    campaign.add_argument("--streams", type=_minimum(1), default=8)
     campaign.add_argument("--policy", choices=["greedy", "none"], default="greedy")
-    campaign.add_argument("--threshold", type=int, default=50)
+    campaign.add_argument("--threshold", type=_minimum(1), default=50)
     campaign.add_argument("--adaptive", action="store_true")
     campaign.add_argument("--seed", type=int, default=0)
 
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run the repro.analysis checkers: the rule-set linter over "
             "shipped (or all) rule sets, the plan validator over a "
-            "planned Montage workflow, and (with --verify) the semantic "
+            "planned Montage workflow, and (with --verify) the "
             "verifier over every composed rule pack.  Exits 1 when any "
             "error-severity finding survives suppression; dead "
             "suppressions are surfaced as S001 warnings."
@@ -163,26 +165,19 @@ def build_parser() -> argparse.ArgumentParser:
                            "greedy_leases")
     lint.add_argument("--plan", choices=["montage"], default=None,
                       help="also lint a freshly planned workflow")
-    lint.add_argument("--images", type=int, default=20,
+    lint.add_argument("--images", type=_minimum(1), default=20,
                       help="Montage input images for --plan (default 20)")
     lint.add_argument("--format", choices=["text", "json", "sarif"],
                       default="text")
-    lint.add_argument("--seed", type=int, default=0,
-                      help="probing RNG seed (results are deterministic)")
-    lint.add_argument("--trials", type=int, default=25,
-                      help="randomized probe memories per rule set")
     lint.add_argument("--suppress", action="append", default=[],
                       metavar="CHECK[:substring]",
                       help="suppress findings of a check id, optionally "
                            "only for subjects containing the substring "
                            "(repeatable)")
     lint.add_argument("--verify", action="store_true",
-                      help="run the semantic verifier (V001-V005: "
-                           "confluence, ledger balance, reference parity, "
-                           "compiler agreement) over every composition "
-                           "the Policy Service instantiates — or only "
-                           "those named in --rules; every dynamic error "
-                           "carries a machine-replayed counterexample")
+                      help="run the verifier (V005: compiler agreement) "
+                           "over every composition the Policy Service "
+                           "instantiates — or only those named in --rules")
 
     trace = sub.add_parser(
         "trace",
@@ -448,7 +443,6 @@ def _cmd_lint(args, out) -> int:
     import json
 
     from repro.analysis import (
-        VerifyOptions,
         flag_dead_suppressions,
         lint_plan,
         lint_rule_set,
@@ -481,15 +475,14 @@ def _cmd_lint(args, out) -> int:
 
     reports = []
     for name in rule_sets:
-        reports.append(lint_rule_set(name, seed=args.seed, trials=args.trials))
+        reports.append(lint_rule_set(name))
     for target in plan_targets:
         reports.append(lint_plan(_lint_montage_plan(args.images)))
     for report in reports:
         report.suppress(args.suppress)
 
-    options = VerifyOptions(seed=args.seed, extra_suppressions=tuple(args.suppress))
-    for name, (_rules, session_globals, builders) in compositions.items():
-        reports.append(verify_pack(name, builders, session_globals, options))
+    for name, (rules, _globals) in compositions.items():
+        reports.append(verify_pack(name, rules, args.suppress))
 
     dead = flag_dead_suppressions(reports)
     if dead.findings:

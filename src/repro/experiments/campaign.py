@@ -40,7 +40,7 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.n_transfers < 1 or self.workers < 1:
             raise ValueError("n_transfers and workers must be >= 1")
-        if self.transfer_mb <= 0:
+        if not self.transfer_mb > 0:  # NaN too
             raise ValueError("transfer_mb must be positive")
 
 

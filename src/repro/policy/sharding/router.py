@@ -96,6 +96,21 @@ class _FleetMemoryView:
         return facts
 
 
+class _Children(dict):
+    """A one-label family's children by label value: each made on first
+    use and kept, so an increment is a dict lookup, not a ``labels()``
+    call."""
+
+    def __init__(self, family):
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, value):
+        (name,) = self.family.labelnames
+        child = self[value] = self.family.labels(**{name: value})
+        return child
+
+
 class ShardedPolicyService:
     """N independent `PolicyService` shards behind one routing facade.
 
@@ -201,6 +216,8 @@ class ShardedPolicyService:
     # ------------------------------------------------------------------ metrics
     def _init_metrics(self) -> None:
         m = self.metrics
+        # hot-path children by label value, kept once made (on first use,
+        # so the exported text lists only the values seen)
         self._m_requests = m.counter(
             "repro_policy_router_requests_total",
             "Requests handled by the shard router",
@@ -216,6 +233,9 @@ class ShardedPolicyService:
             "Requests served degraded because a shard was unavailable",
             labelnames=("kind",),
         )
+        self._requests = _Children(self._m_requests)
+        self._dispatches = _Children(self._m_dispatch)
+        self._degraded = _Children(self._m_degraded)
         self._m_breaker_state = m.gauge(
             "repro_policy_client_breaker_state",
             "Per-shard circuit breaker state (0=closed,1=half_open,2=open)",
@@ -289,7 +309,7 @@ class ShardedPolicyService:
         Yields a dict the body fills with the span's closing arguments.
         A call that raises closes its span with the error's type alone.
         """
-        self._m_requests.inc(call=name)
+        self._requests[name].inc()
         tracer = self.tracer
         span = None
         if tracer.enabled:
@@ -361,7 +381,7 @@ class ShardedPolicyService:
             except ShardUnavailableError:
                 if owed is not None:
                     self.shards[shard].owe(name, *args, **kwargs)
-                    self._m_degraded.inc(kind=owed)
+                    self._degraded[owed].inc()
                     continue
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 if error is None:
@@ -443,7 +463,7 @@ class ShardedPolicyService:
                 for shard, entries in per_shard.items()
             }
             for shard in calls:
-                self._m_dispatch.inc(shard=str(shard))
+                self._dispatches[shard].inc()
             merged: dict[int, TransferAdvice] = {}
             evaluated: dict[int, int] = {}  # tid -> shard that evaluated it
             for shard, result in self._dispatch("submit_transfers", calls):
@@ -451,7 +471,7 @@ class ShardedPolicyService:
                 if result is None:
                     # Shard unavailable: policy-free advice for just this
                     # sub-batch, mirroring the transfer tool's degraded mode.
-                    self._m_degraded.inc(len(entries), kind="transfers")
+                    self._degraded["transfers"].inc(len(entries))
                     for tid, spec in entries:
                         merged[tid] = self._degraded_advice(workflow, tid, spec, shard)
                     continue
@@ -606,7 +626,7 @@ class ShardedPolicyService:
                 for shard, entries in per_shard.items()
             }
             for shard in calls:
-                self._m_dispatch.inc(shard=str(shard))
+                self._dispatches[shard].inc()
             for shard, result in self._dispatch("submit_cleanups", calls):
                 if result is None:
                     # A dead shard holds the refcounts that prove deletion
@@ -631,7 +651,7 @@ class ShardedPolicyService:
     ) -> CleanupAdvice:
         """A conservative ``skip`` and its policy-free record: no shard
         could prove that deleting ``url`` is safe."""
-        self._m_degraded.inc(kind="cleanups")
+        self._degraded["cleanups"].inc()
         self._decisions.add(degraded_cleanup_record(
             cid, workflow, lfn, url, shard=shard, reason=reason,
         ))
@@ -680,7 +700,7 @@ class ShardedPolicyService:
                 try:
                     return self.shards[shard_idx].call("staging_state", lfn, dst_url)
                 except ShardUnavailableError:
-                    self._m_degraded.inc(kind="queries")
+                    self._degraded["queries"].inc()
                     return "unknown"
             for state in self._gather("staging_state", lfn, dst_url):
                 if state != "unknown":
@@ -696,7 +716,7 @@ class ShardedPolicyService:
             try:
                 return self.shards[home[0]].call("transfer_state", tid)
             except ShardUnavailableError:
-                self._m_degraded.inc(kind="queries")
+                self._degraded["queries"].inc()
                 return "unknown"
 
     def explain(self, tid: int) -> Optional[dict]:
@@ -722,7 +742,7 @@ class ShardedPolicyService:
             try:
                 record = self.shards[home[0]].call("explain", tid)
             except ShardUnavailableError:
-                self._m_degraded.inc(kind="queries")
+                self._degraded["queries"].inc()
                 return None
             return None if record is None else self._canonical_record(record)
 
@@ -877,7 +897,7 @@ class ShardedPolicyService:
                 try:
                     return self.shards[shard_idx].call("catalog_pin", url, pinned)
                 except ShardUnavailableError:
-                    self._m_degraded.inc(kind="queries")
+                    self._degraded["queries"].inc()
                     continue
                 except KeyError as exc:
                     missing = exc

@@ -11,13 +11,13 @@ from repro.analysis.sarif import CHECK_DESCRIPTIONS
 
 def _sample_reports():
     lint = Report("rules:greedy")
-    lint.add("R003", Severity.WARNING, "rule a", "ambiguous tie",
+    lint.add("R008", Severity.WARNING, "rule a", "magic salience",
              location="/src/pack.py:12")
-    lint.add("R007", Severity.INFO, "rule b", "dependency cycle")
-    lint.suppress(["R006"])
+    lint.add("R009", Severity.INFO, "rule b", "delta plan")
+    lint.suppress(["R010"])
     verify = Report("verify:greedy")
-    verify.add("V001", Severity.ERROR, "pack:greedy", "not confluent",
-               counterexample={"kind": "confluence", "soup": []})
+    verify.add("V005", Severity.ERROR, "rule c", "plan kind disagrees",
+               counterexample={"kind": "plan", "soup": []})
     return [lint, verify]
 
 
@@ -28,29 +28,29 @@ def test_sarif_document_shape():
     (run,) = doc["runs"]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-        "R003", "R007", "V001"
+        "R008", "R009", "V005"
     ]
     assert run["properties"]["targets"] == ["rules:greedy", "verify:greedy"]
-    assert run["properties"]["suppressed"] == {"R006": 0}
+    assert run["properties"]["suppressed"] == {"R010": 0}
 
 
 def test_sarif_results_map_severities_and_locations():
     doc = to_sarif(_sample_reports())
     results = {r["ruleId"]: r for r in doc["runs"][0]["results"]}
-    assert results["V001"]["level"] == "error"
-    assert results["R003"]["level"] == "warning"
-    assert results["R007"]["level"] == "note"
-    location = results["R003"]["locations"][0]["physicalLocation"]
+    assert results["V005"]["level"] == "error"
+    assert results["R008"]["level"] == "warning"
+    assert results["R009"]["level"] == "note"
+    location = results["R008"]["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "/src/pack.py"
     assert location["region"]["startLine"] == 12
-    assert "locations" not in results["R007"]
+    assert "locations" not in results["R009"]
 
 
 def test_sarif_preserves_counterexample_detail():
     doc = to_sarif(_sample_reports())
     results = {r["ruleId"]: r for r in doc["runs"][0]["results"]}
-    detail = results["V001"]["properties"]["detail"]
-    assert detail["counterexample"]["kind"] == "confluence"
+    detail = results["V005"]["properties"]["detail"]
+    assert detail["counterexample"]["kind"] == "plan"
 
 
 def test_render_sarif_is_valid_json():

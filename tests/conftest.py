@@ -3,7 +3,7 @@
 from contextlib import nullcontext
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from tests.reference import reference_engine
 
@@ -17,6 +17,12 @@ settings.register_profile(
 )
 settings.register_profile(
     "long", settings.get_profile("tier1"), max_examples=400, stateful_step_count=60
+)
+# The same examples without shrinking: the mutation scorecard
+# (tests/tools/scorecard.py) needs the first failure, not the smallest.
+settings.register_profile(
+    "scorecard", settings.get_profile("tier1"),
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
 )
 settings.load_profile("tier1")
 

@@ -18,6 +18,8 @@ def test_validation():
         CampaignConfig(workers=0)
     with pytest.raises(ValueError):
         CampaignConfig(transfer_mb=0)
+    with pytest.raises(ValueError):
+        CampaignConfig(transfer_mb=float("nan"))
 
 
 def test_campaign_moves_all_bytes():

@@ -23,6 +23,7 @@ from repro.experiments.runner import (
     cell_workflow,
 )
 from repro.obs import Tracer
+from repro.obs import metrics as metrics_module
 from repro.obs import profiler as profiler_module
 from repro.obs import tracer as tracer_module
 from repro.obs.tracer import as_tracer
@@ -36,14 +37,14 @@ tracers = pytest.mark.parametrize(
 )
 
 
-def calls_into_obs(workload) -> dict:
+def calls_into_obs(workload, watched=WATCHED) -> dict:
     """``{"tracer.py:end": n, ...}`` for the Python calls ``workload()``
-    makes into the watched ``repro/obs`` modules."""
+    makes into the ``watched`` ``repro/obs`` modules."""
     counts: dict = {}
 
     def hook(frame, event, _arg):
         code = frame.f_code
-        if event == "call" and code.co_filename in WATCHED:
+        if event == "call" and code.co_filename in watched:
             key = f"{os.path.basename(code.co_filename)}:{code.co_name}"
             counts[key] = counts.get(key, 0) + 1
 
@@ -112,6 +113,18 @@ def test_fleet_calls_make_no_call_into_obs(make_tracer):
 
     assert calls_into_obs(lambda: policy_workload(router)) == {}
     assert as_tracer(tracer).events == []
+
+
+def test_a_warmed_fleet_resolves_no_metric_label():
+    """The router keeps each counter child it has made, as the service
+    does: once a workload has seen its label values, repeating it makes
+    no ``labels()`` lookup (keyword increments made 2,013 of them on the
+    89-image cell on 4 shards)."""
+    router = ShardedPolicyService(POLICY, num_shards=2)
+    policy_workload(router)
+
+    counts = calls_into_obs(lambda: policy_workload(router), {metrics_module.__file__})
+    assert "metrics.py:labels" not in counts, counts
 
 
 @tracers

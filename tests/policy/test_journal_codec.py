@@ -15,12 +15,12 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.analysis.probing import FactFactory
 from repro.policy import PolicyConfig, PolicyJournal, PolicyService
 from repro.policy.journal import FACT_TYPES, _sealed_line, fact_from_doc, fact_to_doc
 from repro.rules.facts import encode_value
 
 from tests.policy.conftest import spec
+from tests.rules.soups import FactFactory
 
 CONFIG = PolicyConfig(policy="greedy", default_streams=4, max_streams=8)
 

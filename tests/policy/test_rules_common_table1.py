@@ -73,6 +73,19 @@ def test_resource_not_duplicated_for_same_destination(service):
     assert len(service.memory.facts_of(StagedFileFact)) == 1
 
 
+def test_transfer_associated_with_a_resource_no_dedup_row_claims(service):
+    # A resource still staging with no transfer of it in flight (the
+    # service's own call order never leaves one; a direct insert does):
+    # neither dedup row claims the new transfer, so the association row
+    # adds its workflow to the resource's users.
+    url = spec("a")["dst_url"]
+    service.memory.insert(StagedFileFact("a", url, owner_tid=0, workflow="wf1"))
+    (advice,) = service.submit_transfers("wf2", "j2", [spec("a")])
+    assert advice.action == "transfer"
+    (resource,) = service.memory.facts_of(StagedFileFact)
+    assert resource.users == {"wf1", "wf2"}
+
+
 # -- "Generate a unique group ID ..." / "Assign the group ID ..." ------------
 def test_group_ids_are_unique_and_stable(service):
     first = service.submit_transfers("wf", "j1", [spec("a")])

@@ -6,9 +6,11 @@ through a hash index on the keyed attributes.  If a guard ever accepts a
 fact the keyed lookup does not return, that match is *silently lost*
 (``src/repro/rules/patterns.py`` says so outright).  This test rebuilds the
 shipped rule-set compositions and checks the implication directly over
-hypothesis-generated working memories — a regression guard independent of
-the ``repro.analysis`` linter, which checks the same property with its own
-probing machinery.
+hypothesis-generated working memories; it is the one direct check of the
+property.  The memories hold several transfers with distinct tids, half
+of them new, so the joins of two transfers on one file (batch dedup) are
+exercised: the mutation scorecard's three unsound-keys mutants
+(``docs/analysis.md``) fail here.
 """
 
 import pytest
@@ -64,7 +66,8 @@ def transfer_facts(draw):
         cluster=draw(st.one_of(st.none(), st.sampled_from(CLUSTERS))),
         batch=draw(st.integers(0, 2)),
     )
-    fact.status = draw(st.sampled_from(TRANSFER_STATUSES))
+    # half the transfers are new: the joins of two of them need a pair
+    fact.status = draw(st.one_of(st.just("new"), st.sampled_from(TRANSFER_STATUSES)))
     fact.allocated_streams = draw(st.one_of(st.none(), st.integers(1, 8)))
     fact.group_id = draw(st.one_of(st.none(), st.integers(1, 3)))
     fact.quota_charged = draw(st.booleans())
@@ -154,18 +157,30 @@ def _quota_facts(draw):
     return fact
 
 
+def _numbered(transfers):
+    """Distinct tids, as the service hands out: a join on ``tid >``
+    needs two."""
+    for tid, fact in enumerate(transfers):
+        fact.tid = tid
+    return transfers
+
+
 def memories():
-    return st.lists(
-        st.one_of(
-            transfer_facts(),
-            staged_file_facts(),
-            host_pair_facts(),
-            cluster_allocation_facts(),
-            cleanup_facts(),
-            _misc_facts(),
+    # Transfers come in their own list: a join of two transfers on one
+    # file (batch dedup, in-flight dedup) needs several of them.
+    return st.builds(
+        lambda transfers, others: _numbered(transfers) + others,
+        st.lists(transfer_facts(), min_size=2, max_size=8),
+        st.lists(
+            st.one_of(
+                staged_file_facts(),
+                host_pair_facts(),
+                cluster_allocation_facts(),
+                cleanup_facts(),
+                _misc_facts(),
+            ),
+            max_size=10,
         ),
-        min_size=2,
-        max_size=14,
     )
 
 

@@ -11,7 +11,6 @@ from repro.rules import (
     RuleEngineError,
     Session,
 )
-from repro.rules.reference import ReferenceSession
 
 
 class Ticket(Fact):
@@ -389,32 +388,3 @@ def test_shared_memory_across_sessions():
     s2.insert(Ticket("A2", 1))
     s2.fire_all()
     assert counted == [1, 2]
-
-
-def test_tie_break_hook_permutes_equal_salience_order():
-    """The default within-tier rank is (fact-id tuple, definition order);
-    the reference session's tie_break hook can invert the definition-order component, which is
-    what the confluence verifier uses to probe agenda sensitivity."""
-    fired = []
-
-    def claim(label):
-        return lambda ctx: fired.append(label)
-
-    def rules():
-        return [
-            Rule("first claimer", when=[Pattern(Ticket, "t")], then=claim("a")),
-            Rule("second claimer", when=[Pattern(Ticket, "t")], then=claim("b")),
-        ]
-
-    default = ReferenceSession(rules())
-    default.insert(Ticket("A1", 10))
-    default.fire_all()
-    assert fired == ["a", "b"]
-
-    fired.clear()
-    inverted = ReferenceSession(
-        rules(), tie_break=lambda rule, order, key: (key[1], -order)
-    )
-    inverted.insert(Ticket("A1", 10))
-    inverted.fire_all()
-    assert fired == ["b", "a"]

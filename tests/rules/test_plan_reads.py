@@ -31,7 +31,11 @@ from pathlib import Path
 import pytest
 
 import repro.rules.network as network_module
-from repro.analysis.probing import (
+from repro.analysis.verifier import verify_compositions
+from repro.rules import Fact, Pattern, Rule, Session, WorkingMemory, compile_rules
+from repro.rules.reference import ReferenceSession
+
+from tests.rules.soups import (
     FactFactory,
     fact_schema,
     harvest_constants,
@@ -39,9 +43,6 @@ from repro.analysis.probing import (
     random_memory,
     rule_set_functions,
 )
-from repro.analysis.verifier.composition import verify_compositions
-from repro.rules import Fact, Pattern, Rule, Session, WorkingMemory, compile_rules
-from repro.rules.reference import ReferenceSession
 
 
 # ------------------------------------------------------------------ oracle
@@ -110,7 +111,7 @@ def test_recorded_guard_reads_stay_inside_the_plan_read_set(monkeypatch):
     compositions = verify_compositions()
     plans = {
         name: compile_rules(rules).plans
-        for name, (rules, _globals, _builders) in compositions.items()
+        for name, (rules, _globals) in compositions.items()
     }
     recorder = _Recorder()
     getattribute = object.__getattribute__
@@ -122,7 +123,7 @@ def test_recorded_guard_reads_stay_inside_the_plan_read_set(monkeypatch):
 
     monkeypatch.setattr(Fact, "__getattribute__", recording_getattribute)
     checked, gates_checked = set(), set()
-    for name, (rules, session_globals, _builders) in compositions.items():
+    for name, (rules, session_globals) in compositions.items():
         universe = probe_universe(rules)
         pools = harvest_constants(rule_set_functions(rules))
         for seed in range(3):
@@ -183,7 +184,7 @@ def test_shipped_gate_read_sets_hold_what_each_gate_consults():
     set are what gates the rebuilds."""
     factory = FactFactory(random.Random(0))
     found = {}
-    for rules, _globals, _builders in verify_compositions().values():
+    for rules, _globals in verify_compositions().values():
         for plan in compile_rules(rules).plans:
             gates = [el for el in plan.rule.when if not isinstance(el, Pattern)]
             for gate, reads in zip(gates, plan.gate_reads):

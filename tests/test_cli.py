@@ -157,14 +157,14 @@ def test_lint_rejects_unknown_rule_set():
 
 
 def test_lint_single_rule_set_text():
-    code, text = run_cli("lint", "--rules", "greedy", "--trials", "5")
+    code, text = run_cli("lint", "--rules", "greedy")
     assert code == 0
     assert "rules:greedy" in text
     assert "0 error(s)" in text
 
 
 def test_lint_all_is_clean_and_json_renders():
-    code, text = run_cli("lint", "--all", "--trials", "5", "--images", "6",
+    code, text = run_cli("lint", "--all", "--images", "6",
                          "--format", "json")
     assert code == 0
     docs = json.loads(text)
@@ -180,15 +180,14 @@ def test_lint_plan_only():
 
 
 def test_lint_suppression_is_reported():
-    code, text = run_cli("lint", "--rules", "fifo", "--trials", "3",
-                         "--suppress", "R007")
+    code, text = run_cli("lint", "--rules", "catalog", "--suppress", "R009")
     assert code == 0
-    assert "suppressed" in text and "R007" in text
+    assert "suppressed" in text and "R009" in text
+    assert "S001" not in text
 
 
 def test_lint_verify_single_composition():
-    code, text = run_cli("lint", "--verify", "--rules", "greedy",
-                         "--trials", "3")
+    code, text = run_cli("lint", "--verify", "--rules", "greedy")
     assert code == 0
     assert "verify:greedy" in text
     assert "0 error(s)" in text
@@ -208,8 +207,7 @@ def test_lint_verify_selects_a_verifier_only_composition():
 
 
 def test_lint_sarif_output():
-    code, text = run_cli("lint", "--rules", "fifo", "--trials", "3",
-                         "--format", "sarif")
+    code, text = run_cli("lint", "--rules", "fifo", "--format", "sarif")
     assert code == 0
     doc = json.loads(text)
     assert doc["version"] == "2.1.0"
@@ -219,8 +217,7 @@ def test_lint_sarif_output():
 
 
 def test_lint_dead_suppression_is_flagged_s001():
-    code, text = run_cli("lint", "--rules", "fifo", "--trials", "3",
-                         "--suppress", "R042:never matches")
+    code, text = run_cli("lint", "--rules", "fifo", "--suppress", "R042:never matches")
     assert code == 0
     assert "S001" in text and "dead" in text
 
@@ -297,6 +294,19 @@ def test_serve_parser_accepts_shards():
     # a negative count used to start a single, unsharded service
     (["serve", "--shards", "-1"], "repro serve: error: argument --shards: must be an integer >= 0"),
     (["explain", "1", "--shards", "-2"], "repro explain: error: argument --shards"),
+    # lint takes no trial count: every check is static
+    (["lint", "--trials", "0"], "repro: error: unrecognized arguments: --trials 0"),
+    (["lint", "--trials", "-3"], "repro: error: unrecognized arguments: --trials -3"),
+    (["lint", "--plan", "montage", "--images", "0"], "repro lint: error: argument --images"),
+    (["campaign", "--workers", "0"], "repro campaign: error: argument --workers"),
+    (["campaign", "--transfers", "0"], "repro campaign: error: argument --transfers"),
+    (["campaign", "--streams", "0"], "repro campaign: error: argument --streams"),
+    (["campaign", "--threshold", "0"], "repro campaign: error: argument --threshold"),
+    (["campaign", "--mb", "-5"], "repro campaign: error: argument --mb: must be a finite number > 0"),
+    (["campaign", "--mb", "0"], "repro campaign: error: argument --mb"),
+    # NaN used to run to the end and print "throughput 0.0 MB/s"
+    (["campaign", "--mb", "nan"], "repro campaign: error: argument --mb"),
+    (["figure", "7", "--replicates", "0"], "repro figure: error: argument --replicates"),
 ])
 def test_out_of_range_flags_are_usage_errors(argv, message, capsys):
     # Parsed only: when these were plain ints, --shards -1 served forever
