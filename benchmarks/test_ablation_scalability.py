@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_concurrent_workflows
-from repro.obs import MetricsRegistry
+from repro.obs import Hooks, MetricsRegistry
 from repro.workflow.montage import MB, MontageConfig, augmented_montage
 
 FLEETS = (1, 2, 4, 8)
@@ -33,7 +33,7 @@ def run_fleet(n_workflows: int, seed: int, metrics=None):
         )
         for i in range(n_workflows)
     ]
-    return run_concurrent_workflows(cfg, workflows, stagger=10.0, metrics=metrics)
+    return run_concurrent_workflows(cfg, workflows, stagger=10.0, hooks=Hooks(metrics=metrics))
 
 
 def test_service_scales_with_concurrent_workflows(benchmark, archive):

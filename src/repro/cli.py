@@ -616,7 +616,7 @@ def _cmd_trace(args, out) -> int:
         )
         outdir = Path(args.out) if args.out else Path("traces") / args.scenario
         paths = run.write_artifacts(outdir)
-        summary = run.tracer.summary()
+        summary = run.hooks.tracer.summary()
         ok = all(m.success for m in run.result.metrics)
         print(f"workflows: {len(run.result.metrics)} "
               f"({', '.join(run.result.admission_order)})", file=out)
@@ -633,7 +633,7 @@ def _cmd_trace(args, out) -> int:
         run = run_traced_cell(cfg)
     outdir = Path(args.out) if args.out else Path("traces") / args.scenario
     paths = run.write_artifacts(outdir)
-    summary = run.tracer.summary()
+    summary = run.hooks.tracer.summary()
     print(f"workflow : {run.metrics.workflow_id}", file=out)
     print(f"success  : {run.metrics.success}", file=out)
     print(f"makespan : {run.metrics.makespan:.1f} s", file=out)
@@ -643,7 +643,7 @@ def _cmd_trace(args, out) -> int:
         print(f"  {name:<16s} {paths[name]}", file=out)
     if cfg.policy is not None:
         print(file=out)
-        print(run.profiler.report(), file=out)
+        print(run.hooks.profiler.report(), file=out)
     return 0 if run.metrics.success else 1
 
 

@@ -36,7 +36,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.obs.tracer import as_tracer
+from repro.obs.tracer import NULL_TRACER, as_tracer
 
 __all__ = [
     "Environment",
@@ -324,8 +324,8 @@ class Environment:
         #: heap entries pushed so far (the lanes need no tie-breaker)
         self._seq = 0
         self.tracer = as_tracer(tracer)
-        if tracer is not None and getattr(tracer, "clock", None) is None:
-            tracer.clock = lambda: self._now
+        if self.tracer is not NULL_TRACER and getattr(self.tracer, "clock", None) is None:
+            self.tracer.clock = lambda: self._now
 
     @property
     def now(self) -> float:

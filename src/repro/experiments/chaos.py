@@ -32,6 +32,7 @@ from repro.experiments.runner import (
     catalog_census_of,
     cell_workflow,
 )
+from repro.obs.hooks import NO_HOOKS, Hooks
 from repro.policy import CircuitBreaker, InProcessPolicyClient, PolicyService, RetryPolicy
 from repro.policy.model import CleanupFact, TransferFact
 
@@ -76,9 +77,7 @@ def run_chaos_montage(
     cfg: ExperimentConfig,
     plan: Optional[FaultPlan] = None,
     breaker_threshold: int = 3,
-    tracer=None,
-    metrics=None,
-    profiler=None,
+    hooks: Hooks = NO_HOOKS,
 ) -> ChaosResult:
     """Run the augmented-Montage cell under a fault plan.
 
@@ -89,14 +88,14 @@ def run_chaos_montage(
     and without one an outage models a hang (same process resumes).  A
     fleet sits behind the plain client, because the router degrades per
     shard behind its own breakers, and accepts the plan's shard faults.
-    ``tracer`` observes the run including the injector's ``fault`` track.
+    The run reports to ``hooks``; its tracer observes the injector's
+    ``fault`` track too, and a restarted service reports to them again.
     """
     workflow = cell_workflow(cfg)
-    bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=tracer)
+    bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=hooks.tracer)
     fleet = cfg.shards >= 1
     service = build_policy_service(
-        cfg, bed, metrics=metrics, profiler=profiler,
-        **({"breaker_threshold": breaker_threshold} if fleet else {}),
+        cfg, bed, hooks, **({"breaker_threshold": breaker_threshold} if fleet else {}),
     )
     resilience = {} if fleet else dict(
         retry=RetryPolicy(retries=2, base_delay=1.0, max_delay=30.0),
@@ -114,8 +113,7 @@ def run_chaos_montage(
     if not fleet and cfg.journal_root is not None:
         def restart():
             return PolicyService.recover(
-                cfg.journal_root, config=service.config, clock=service.clock,
-                metrics=metrics, tracer=tracer, profiler=profiler,
+                cfg.journal_root, config=service.config, clock=service.clock, hooks=hooks,
             )
     injector.attach_policy(client, restart=restart)
     injector.attach_gridftp(bed.gridftp)

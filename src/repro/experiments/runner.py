@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from repro.datacatalog.model import CatalogConfig
 from repro.engine import CleanupTool, ClusterScheduler, DAGMan, PegasusTransferTool, StorageTracker
 from repro.experiments.environment import Testbed, TestbedParams, build_testbed
+from repro.obs.hooks import NO_HOOKS, Hooks
 from repro.planner import JobKind, Planner, PlanOptions
 from repro.policy.client import InProcessPolicyClient
 from repro.policy.journal import PolicyJournal
@@ -114,23 +115,20 @@ def cell_workflow(cfg: ExperimentConfig) -> Workflow:
 
 
 def build_policy_service(
-    cfg: ExperimentConfig, bed: Testbed, metrics=None, profiler=None, **kwargs
+    cfg: ExperimentConfig, bed: Testbed, hooks: Hooks = NO_HOOKS, **kwargs
 ):
     """The one place an :class:`ExperimentConfig` becomes a policy service.
 
     ``cfg.shards >= 1`` gives a :class:`ShardedPolicyService` (shard *i*
     journals under ``<cfg.journal_root>/shard-i``), otherwise one
     :class:`PolicyService`, journaled under ``cfg.journal_root`` when that
-    is set.  The service runs on the testbed's clock and inherits its
-    tracer (``bed.env.tracer``) plus an optional shared
-    :class:`~repro.obs.MetricsRegistry` and :class:`~repro.obs.RuleProfiler`;
-    ``kwargs`` reach the constructor (the chaos runner's ``breaker_threshold``).
+    is set.  The service runs on the testbed's clock and reports to
+    ``hooks`` with the testbed's tracer (``bed.env.tracer``) in place of
+    the hooks' own; ``kwargs`` reach the constructor (the chaos runner's
+    ``breaker_threshold``).
     """
     config = policy_config_of(cfg, bed)
-    kwargs.update(
-        clock=lambda: bed.env.now, metrics=metrics, tracer=bed.env.tracer,
-        profiler=profiler,
-    )
+    kwargs.update(clock=lambda: bed.env.now, hooks=replace(hooks, tracer=bed.env.tracer))
     if cfg.shards >= 1:
         from repro.policy.sharding import ShardedPolicyService
 
@@ -142,15 +140,12 @@ def build_policy_service(
 
 
 def build_policy_client(
-    cfg: ExperimentConfig,
-    bed: Testbed,
-    metrics=None,
-    profiler=None,
+    cfg: ExperimentConfig, bed: Testbed, hooks: Hooks = NO_HOOKS
 ) -> Optional[InProcessPolicyClient]:
     """The in-simulation policy client for a cell (None when policy off)."""
     if cfg.policy is None:
         return None
-    service = build_policy_service(cfg, bed, metrics=metrics, profiler=profiler)
+    service = build_policy_service(cfg, bed, hooks)
     return InProcessPolicyClient(service, bed.env, latency=cfg.testbed.policy_latency)
 
 
@@ -349,19 +344,19 @@ def execute_workflow(
     workflow: Workflow,
     bed: Optional[Testbed] = None,
     policy_client: Optional[InProcessPolicyClient] = None,
-    metrics=None,
-    profiler=None,
+    hooks: Hooks = NO_HOOKS,
 ) -> WorkflowExecution:
     """Plan + run one workflow (fresh testbed/policy unless provided).
 
-    Returns the *finished* execution, which keeps what a caller may want
-    to interrogate: the testbed, the policy client (so the service's
+    A fresh testbed and policy service report to ``hooks``.  Returns the
+    *finished* execution, which keeps what a caller may want to
+    interrogate: the testbed, the policy client (so the service's
     ``explain`` / ``decision_records``), ``ptt.staged_log``, DAGMan's
     ``result`` and :meth:`WorkflowExecution.metrics`.
     """
-    bed = bed or build_testbed(cfg.testbed, seed=cfg.seed)
+    bed = bed or build_testbed(cfg.testbed, seed=cfg.seed, tracer=hooks.tracer)
     if policy_client is None:
-        policy_client = build_policy_client(cfg, bed, metrics=metrics, profiler=profiler)
+        policy_client = build_policy_client(cfg, bed, hooks)
     execution = WorkflowExecution(cfg, workflow, bed, policy_client)
     bed.env.run(until=execution.start())
     return execution
@@ -382,22 +377,21 @@ def run_concurrent_workflows(
     workflows: Sequence[Workflow],
     stagger: float = 0.0,
     share_policy: bool = True,
-    metrics=None,
+    hooks: Hooks = NO_HOOKS,
 ) -> list[RunMetrics]:
     """Run several workflows concurrently on one testbed.
 
     With ``share_policy`` they all consult one Policy Service instance —
     the setting in which cross-workflow de-duplication and cleanup
     protection matter.  ``stagger`` delays each workflow's start by its
-    index times that many seconds.  Every policy service counts into
-    ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) when one is given.
+    index times that many seconds.  The run reports to ``hooks``.
     """
-    bed = build_testbed(cfg.testbed, seed=cfg.seed)
-    shared = build_policy_client(cfg, bed, metrics=metrics) if share_policy else None
+    bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=hooks.tracer)
+    shared = build_policy_client(cfg, bed, hooks) if share_policy else None
     executions = []
     processes = []
     for idx, workflow in enumerate(workflows):
-        policy = shared if share_policy else build_policy_client(cfg, bed, metrics=metrics)
+        policy = shared if share_policy else build_policy_client(cfg, bed, hooks)
         execution = WorkflowExecution(cfg, workflow, bed, policy)
         executions.append(execution)
         processes.append(execution.start(delay=idx * stagger))
@@ -461,9 +455,7 @@ def run_tenant_ensemble(
     admission: Optional["AdmissionConfig"] = None,
     scheduler: str = "fair",
     initial_charges: Optional[dict[str, float]] = None,
-    tracer=None,
-    metrics=None,
-    profiler=None,
+    hooks: Hooks = NO_HOOKS,
 ) -> EnsembleResult:
     """Run a multi-tenant ensemble against one testbed and Policy Service.
 
@@ -476,7 +468,8 @@ def run_tenant_ensemble(
 
     ``initial_charges`` seeds the scheduler's per-tenant byte ledgers —
     pass a recovered service's ``bytes_staged`` census to reproduce the
-    admission decisions an uninterrupted run would have made.
+    admission decisions an uninterrupted run would have made.  The run
+    reports to ``hooks``.
     """
     from repro.tenancy import (
         AdmissionConfig,
@@ -491,8 +484,8 @@ def run_tenant_ensemble(
     for spec in tenants:
         registry.register(spec if isinstance(spec, TenantSpec) else TenantSpec(**spec))
 
-    bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=tracer)
-    shared = build_policy_client(cfg, bed, metrics=metrics, profiler=profiler)
+    bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=hooks.tracer)
+    shared = build_policy_client(cfg, bed, hooks)
     if shared is not None:
         for spec in registry:
             shared.service.register_tenant(
@@ -511,7 +504,7 @@ def run_tenant_ensemble(
     if shared is not None and admission.backpressure_high is not None:
         probe = lambda: float(len(shared.service.memory))
     controller = AdmissionController(
-        bed.env, sched, admission, tracer=bed.env.tracer, pressure_probe=probe
+        bed.env, sched, admission, pressure_probe=probe
     )
 
     executions: dict[int, WorkflowExecution] = {}

@@ -1,11 +1,11 @@
 """Traced experiment runs: one call, a full set of trace artifacts.
 
 :func:`run_traced_cell` is :func:`~repro.experiments.runner.run_cell`
-with the observability stack attached: a :class:`~repro.obs.Tracer`
-bound to the DES clock, a shared :class:`~repro.obs.MetricsRegistry`,
-and a :class:`~repro.obs.RuleProfiler` on every rule session.  The
-returned :class:`TracedRun` holds the live objects and writes the
-standard artifact set:
+with the observability stack attached: one :class:`~repro.obs.Hooks`
+holding a :class:`~repro.obs.Tracer` bound to the DES clock, a shared
+:class:`~repro.obs.MetricsRegistry`, and a :class:`~repro.obs.RuleProfiler`
+on every rule session.  The returned :class:`TracedRun` holds the hooks
+and writes the standard artifact set:
 
 ========================  ==================================================
 ``trace.json``            Chrome ``trace_event`` JSON — open in Perfetto
@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.engine.dagman import DAGManResult
 
-from repro.experiments.environment import build_testbed
 from repro.experiments.runner import (
     EnsembleResult,
     ExperimentConfig,
@@ -51,6 +50,7 @@ from repro.experiments.runner import (
     run_tenant_ensemble,
 )
 from repro.obs import (
+    Hooks,
     MetricsRegistry,
     RuleProfiler,
     Tracer,
@@ -80,11 +80,9 @@ __all__ = [
 
 @dataclass
 class TracedRun:
-    """A finished run (or tenant ensemble) plus the live observability objects."""
+    """A finished run (or tenant ensemble) plus the hooks that observed it."""
 
-    tracer: Tracer
-    registry: MetricsRegistry
-    profiler: RuleProfiler
+    hooks: Hooks
     provenance: dict
     #: a single run's metrics (None for an ensemble)
     metrics: Optional[RunMetrics] = None
@@ -97,7 +95,7 @@ class TracedRun:
 
     def jsonl(self) -> list[str]:
         """The canonical JSONL event lines (deterministic per seed)."""
-        return jsonl_lines(self.tracer)
+        return jsonl_lines(self.hooks.tracer)
 
     def write_artifacts(self, outdir) -> dict[str, str]:
         """Write the standard artifact set; returns {artifact: path}."""
@@ -111,10 +109,11 @@ class TracedRun:
             "provenance.json": out / "provenance.json",
             "decisions.jsonl": out / "decisions.jsonl",
         }
-        write_chrome_trace(self.tracer, paths["trace.json"])
-        write_jsonl(self.tracer, paths["events.jsonl"])
-        write_prometheus(self.registry, paths["metrics.prom"])
-        write_rule_profile(self.profiler, paths["rule_profile.txt"])
+        hooks = self.hooks
+        write_chrome_trace(hooks.tracer, paths["trace.json"])
+        write_jsonl(hooks.tracer, paths["events.jsonl"])
+        write_prometheus(hooks.metrics, paths["metrics.prom"])
+        write_rule_profile(hooks.profiler, paths["rule_profile.txt"])
         paths["provenance.json"].write_text(
             json.dumps(self.provenance, indent=2, sort_keys=True, default=repr) + "\n"
         )
@@ -129,45 +128,37 @@ class TracedRun:
         return {name: str(path) for name, path in paths.items()}
 
 
-def _traced(run, tracer: Optional[Tracer] = None) -> TracedRun:
-    """Call ``run(tracer, registry, profiler)`` with a fresh stack attached.
+def _traced(run) -> TracedRun:
+    """Call ``run(hooks)`` with a fresh stack attached.
 
     ``run`` returns the remaining :class:`TracedRun` fields.  Workflow
     ids carry a process-global plan sequence; it restarts here so the
     event stream is identical no matter what was planned before.
     """
-    tracer = tracer if tracer is not None else Tracer()
-    registry, profiler = MetricsRegistry(), RuleProfiler()
+    hooks = Hooks(tracer=Tracer(), metrics=MetricsRegistry(), profiler=RuleProfiler())
     with fresh_plan_ids():
-        fields = run(tracer, registry, profiler)
-    fields["decisions"] = link_decisions_to_trace(list(fields["decisions"]), tracer)
-    return TracedRun(tracer=tracer, registry=registry, profiler=profiler, **fields)
+        fields = run(hooks)
+    fields["decisions"] = link_decisions_to_trace(list(fields["decisions"]), hooks.tracer)
+    return TracedRun(hooks=hooks, **fields)
 
 
-def run_traced_workflow(
-    cfg: ExperimentConfig,
-    workflow: Workflow,
-    tracer: Optional[Tracer] = None,
-) -> TracedRun:
+def run_traced_workflow(cfg: ExperimentConfig, workflow: Workflow) -> TracedRun:
     """Plan + execute one workflow with the observability stack attached."""
-    def run(tracer, registry, profiler):
-        bed = build_testbed(cfg.testbed, seed=cfg.seed, tracer=tracer)
-        execution = execute_workflow(
-            cfg, workflow, bed, metrics=registry, profiler=profiler
-        )
+    def run(hooks):
+        execution = execute_workflow(cfg, workflow, hooks=hooks)
         metrics = execution.metrics()
         service = execution.policy.service if execution.policy is not None else None
         return dict(
             metrics=metrics,
             provenance=run_provenance(
-                metrics, result=execution.result, config=cfg, tracer=tracer,
+                metrics, result=execution.result, config=cfg, tracer=hooks.tracer,
                 frontend="in-process",
             ),
             decisions=service.decision_records() if service is not None else [],
             catalog_census=catalog_census_of(service) if service is not None else None,
         )
 
-    return _traced(run, tracer)
+    return _traced(run)
 
 
 def run_traced_ensemble(
@@ -186,7 +177,7 @@ def run_traced_ensemble(
     deterministic function of (workflows, config, seed).  The returned
     :class:`TracedRun` carries the :class:`EnsembleResult` as ``result``.
     """
-    def run(tracer, registry, profiler):
+    def run(hooks):
         result = run_tenant_ensemble(
             cfg,
             tenants,
@@ -194,9 +185,7 @@ def run_traced_ensemble(
             admission=admission,
             scheduler=scheduler,
             initial_charges=initial_charges,
-            tracer=tracer,
-            metrics=registry,
-            profiler=profiler,
+            hooks=hooks,
         )
         provenance = {
             "kind": "tenant-ensemble",
@@ -214,7 +203,7 @@ def run_traced_ensemble(
             "tenant_bytes": dict(sorted(result.tenant_bytes.items())),
             "tenant_shares": dict(sorted(result.tenant_shares.items())),
             "workflows": [m.workflow_id for m in result.metrics],
-            "trace": tracer.summary(),
+            "trace": hooks.tracer.summary(),
         }
         return dict(
             result=result,
@@ -243,12 +232,10 @@ def run_traced_chaos(cfg: ExperimentConfig, plan=None) -> TracedRun:
 
     plan = plan if plan is not None else FaultPlan.single_crash(at=60.0, duration=30.0)
 
-    def run(tracer, registry, profiler):
-        result = run_chaos_montage(
-            cfg, plan=plan, tracer=tracer, metrics=registry, profiler=profiler
-        )
+    def run(hooks):
+        result = run_chaos_montage(cfg, plan=plan, hooks=hooks)
         provenance = run_provenance(
-            result.metrics, config=cfg, tracer=tracer, frontend="in-process"
+            result.metrics, config=cfg, tracer=hooks.tracer, frontend="in-process"
         )
         provenance["fault_log"] = [[t, what] for t, what in result.fault_log]
         return dict(

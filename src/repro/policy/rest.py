@@ -63,40 +63,34 @@ stalls timeouts, 503s or accepts.  Two flow-control rules bound what a
 connection may hold: while the client is not reading its responses
 (``pause_writing``) no further pipelined request is consumed, and once
 unparsed input exceeds ``max_request_bytes`` + 64 KiB the socket is not
-read until some is consumed, so TCP stops a sender that outruns policy.
-Measured per request on ``rest_loopback``-shaped traffic (two client
-threads, 5,688 requests; per-thread CPU from ``/proc/self/task`` of the
-serving process on a shared 2-vCPU VM): loop thread 0.26-0.40 ms of
-CPU, policy worker 0.68-0.97 ms, of whose time ~91% is spent inside
-service calls (``docs/engine.md``, "REST frontend").
+read until some is consumed, so TCP stops a sender that outruns policy
+(CPU per request by thread: ``docs/engine.md``, "REST frontend").
 
-Observability
--------------
-Every request carries a **request id**: the client's ``X-Repro-Request-Id``
-header when present, a server-generated ``req-N`` otherwise.  The id is
-echoed in the response header, included in every error body, recorded in
-the per-request access log (host, method, path, status, wall-clock
-latency; see :attr:`PolicyRestServer.access_log`), and attached to the
-span emitted for the request — **including** 400/413/500/503 responses —
-when the server is built with a tracer.
+Every request carries a **request id**, the client's ``X-Repro-Request-Id``
+or a server-generated ``req-N``: echoed in the response header and every
+error body, and recorded in the request's access-log entry and span, both
+from one :class:`~repro.policy.service.Envelope` per request
+(``docs/observability.md``, "REST request observability").
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import threading
-import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import NamedTuple, Optional
 
-from repro.obs.tracer import as_tracer
+from repro.obs.hooks import Hooks
 from repro.policy.controller import (
     PolicyController,
     PolicyRequestError,
     PolicyRouteError,
 )
-from repro.policy.service import PolicyService
+from repro.policy.service import Envelope, PolicyService
 
 __all__ = ["PolicyRestServer"]
 
@@ -133,31 +127,17 @@ class _Head(NamedTuple):
 
 
 class _ServerState:
-    """In-flight request accounting, request ids, and the access log."""
+    """In-flight request accounting and request ids."""
 
-    def __init__(self, max_request_bytes: int, tracer=None, access_log_cap: int = 1024):
+    def __init__(self, max_request_bytes: int):
         self.max_request_bytes = int(max_request_bytes)
-        self.tracer = as_tracer(tracer)
-        self.access_log: list[dict] = []
-        self._access_log_cap = int(access_log_cap)
-        self._request_seq = 0
+        #: server-generated request ids, drawn on the loop thread only
+        self.request_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._in_flight = 0
         self._stopping = False
         self._idle = threading.Event()
         self._idle.set()
-
-    def next_request_id(self) -> str:
-        with self._lock:
-            self._request_seq += 1
-            return f"req-{self._request_seq}"
-
-    def log_request(self, entry: dict) -> None:
-        with self._lock:
-            self.access_log.append(entry)
-            overflow = len(self.access_log) - self._access_log_cap
-            if overflow > 0:
-                del self.access_log[:overflow]
 
     def enter(self) -> bool:
         with self._lock:
@@ -203,6 +183,11 @@ class PolicyRestServer:
     ``drain_timeout`` seconds for in-flight ones, then closes the
     listening socket, aborts the open connections and closes the loop;
     returns whether the drain completed.
+
+    ``hooks`` (the service's when omitted) gives the tracer that spans
+    each request — bind a REST tracer to wall time, e.g.
+    ``Tracer(clock=time.monotonic)`` — and the access log, a private
+    1,024-entry one when it has none.
     """
 
     def __init__(
@@ -214,7 +199,7 @@ class PolicyRestServer:
         drain_timeout: float = 5.0,
         idle_timeout: Optional[float] = 60.0,
         read_timeout: Optional[float] = 10.0,
-        tracer=None,
+        hooks: Optional[Hooks] = None,
     ):
         if max_request_bytes < 1:
             raise ValueError("max_request_bytes must be >= 1")
@@ -235,11 +220,11 @@ class PolicyRestServer:
         self.read_timeout = read_timeout
         self._host = host
         self._port = port
-        # A tracer given here should be wall-clock bound (e.g.
-        # ``Tracer(clock=time.monotonic)``); defaults to the service's.
-        self._state = _ServerState(
-            max_request_bytes, tracer=tracer if tracer is not None else service.tracer
-        )
+        hooks = hooks if hooks is not None else service.hooks
+        if hooks.access_log is None:
+            hooks = replace(hooks, access_log=deque(maxlen=1024))
+        self.hooks = hooks
+        self._state = _ServerState(max_request_bytes)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server = None
         self._thread: Optional[threading.Thread] = None
@@ -260,7 +245,7 @@ class PolicyRestServer:
     def access_log(self) -> list[dict]:
         """One entry per handled request (request id, host, method, path,
         status, wall-clock latency), oldest first, bounded."""
-        return list(self._state.access_log)
+        return list(self.hooks.access_log)
 
     def start(self) -> "PolicyRestServer":
         if self._thread is not None:
@@ -471,14 +456,11 @@ class _Connection(asyncio.Protocol):
         disqualifies it, so the body bytes never enter memory."""
         state = self.state
         self.head, self.length, self.keep_alive = head, 0, True
-        self.rid = head.headers.get("x-repro-request-id") or state.next_request_id()
-        self.t0 = time.perf_counter()
-        self.span = None
-        if state.tracer.enabled:
-            self.span = state.tracer.begin(
-                "rest", f"{head.method} {head.path}", track="rest",
-                request_id=self.rid, host=self.host,
-            )
+        self.rid = head.headers.get("x-repro-request-id") or f"req-{next(state.request_ids)}"
+        self.call = Envelope(self.server.hooks.tracer, (
+            "rest", f"{head.method} {head.path}", "rest",
+            {"request_id": self.rid, "host": self.host},
+        ))
         self.entered = state.enter()
         if not self.entered:
             return self._refuse(503, "server is shutting down")
@@ -546,15 +528,17 @@ class _Connection(asyncio.Protocol):
     # ---------------------------------------------------------- responses
     def _finish(self, code: int) -> None:
         head, self.head = self.head, None
-        self.state.log_request({
+        call = self.call
+        call.closing["status"] = code
+        call.close()
+        self.server.hooks.access_log.append({
             "request_id": self.rid,
             "host": self.host,
             "method": head.method,
             "path": head.path,
             "status": code,
-            "latency_s": time.perf_counter() - self.t0,
+            "latency_s": call.elapsed,
         })
-        self.state.tracer.end(self.span, status=code)
 
     def _leave(self) -> None:
         if self.entered:

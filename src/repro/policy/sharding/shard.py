@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Optional
 
+from repro.obs.hooks import NO_HOOKS, Hooks
 from repro.policy.client import CircuitBreaker
 from repro.policy.journal import PolicyJournal
 from repro.policy.model import HostPairFact, PolicyConfig, StagedFileFact, TransferFact
@@ -73,7 +74,8 @@ class ShardHandle:
     ``service`` is None while the shard is crashed.  With a journal
     directory, :meth:`recover` replays the WAL/snapshot; without one,
     recovery starts from empty memory (pure equivalence tests don't need
-    durability).
+    durability).  Every service it builds reports to ``hooks``; one
+    without a registry gives each service a registry of its own.
     """
 
     def __init__(
@@ -85,14 +87,11 @@ class ShardHandle:
         journal_dir=None,
         snapshot_interval: int = 1000,
         fsync: bool = False,
-        tracer=None,
-        profiler=None,
+        hooks: Hooks = NO_HOOKS,
     ) -> None:
         self.index = index
         self.journal_dir = journal_dir
-        self._service_kwargs: dict[str, Any] = dict(
-            config=config, clock=clock, tracer=tracer, profiler=profiler
-        )
+        self._service_kwargs: dict[str, Any] = dict(config=config, clock=clock, hooks=hooks)
         self._journal_kwargs: dict[str, Any] = dict(
             snapshot_interval=snapshot_interval, fsync=fsync
         )

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.des.core import Environment, Event
-from repro.obs.tracer import as_tracer
 from repro.tenancy.scheduler import EnsembleScheduler, Submission, TenantQuotaError
 
 __all__ = ["AdmissionConfig", "AdmissionController"]
@@ -68,13 +67,12 @@ class AdmissionController:
         env: Environment,
         scheduler: EnsembleScheduler,
         config: Optional[AdmissionConfig] = None,
-        tracer=None,
         pressure_probe: Optional[Callable[[], float]] = None,
     ):
         self.env = env
         self.scheduler = scheduler
         self.config = config or AdmissionConfig()
-        self.tracer = as_tracer(tracer)
+        self.tracer = env.tracer
         self.pressure_probe = pressure_probe
         #: submission names in the order they were admitted (determinism witness)
         self.admission_order: list[str] = []

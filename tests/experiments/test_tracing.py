@@ -29,7 +29,7 @@ def traced_run():
 
 def test_traced_run_succeeds_and_collects_events(traced_run):
     assert traced_run.metrics.success
-    summary = traced_run.tracer.summary()
+    summary = traced_run.hooks.tracer.summary()
     assert summary["events"] > 0
     assert summary["spans"] > 0
     for cat in ("dagman", "ptt", "policy", "rpc", "net"):
@@ -61,16 +61,16 @@ def test_profile_covers_every_rule_in_the_active_set(traced_run):
         max_streams=SMALL.threshold,
     ))
     expected = {rule.name for rule in reference._rules}
-    profiled = {row.name for row in traced_run.profiler.rows()}
+    profiled = {row.name for row in traced_run.hooks.profiler.rows()}
     assert profiled == expected
-    report = traced_run.profiler.report()
+    report = traced_run.hooks.profiler.report()
     for name in expected:
         assert name[:42].rstrip() in report
-    assert traced_run.profiler.total_firings > 0
+    assert traced_run.hooks.profiler.total_firings > 0
 
 
 def test_registry_collected_policy_metrics(traced_run):
-    text = traced_run.registry.render()
+    text = traced_run.hooks.metrics.render()
     assert 'repro_policy_calls_total{call="submit_transfers"}' in text
     assert "repro_policy_call_seconds_bucket" in text
     assert "repro_policy_journal_commits_total 0" in text
@@ -78,7 +78,7 @@ def test_registry_collected_policy_metrics(traced_run):
 
 def test_provenance_carries_trace_summary(traced_run):
     doc = traced_run.provenance
-    assert doc["trace"] == traced_run.tracer.summary()
+    assert doc["trace"] == traced_run.hooks.tracer.summary()
     json.dumps(doc, default=repr)  # must stay JSON-able
 
 
@@ -110,10 +110,10 @@ def test_traced_chaos_marks_fault_windows():
 
     cfg = replace(SMALL, lease_seconds=120.0)
     run = run_traced_chaos(cfg, plan=FaultPlan.single_crash(at=20.0, duration=15.0))
-    names = [e["name"] for e in run.tracer.by_category("fault")]
+    names = [e["name"] for e in run.hooks.tracer.by_category("fault")]
     assert "fault.outage.begin" in names
     assert "fault.outage.end" in names
-    begin = next(e for e in run.tracer.by_category("fault")
+    begin = next(e for e in run.hooks.tracer.by_category("fault")
                  if e["name"] == "fault.outage.begin")
     assert begin["ts"] == 20.0
     assert begin["args"]["duration"] == 15.0
@@ -126,7 +126,7 @@ def test_traced_run_carries_span_linked_decisions(traced_run):
     from repro.policy.provenance import decision_digest
 
     assert traced_run.decisions
-    span_seqs = {e["seq"] for e in traced_run.tracer.events}
+    span_seqs = {e["seq"] for e in traced_run.hooks.tracer.events}
     linked = 0
     for record in traced_run.decisions:
         assert record["digest"] == decision_digest(record)
@@ -170,7 +170,7 @@ def count_failed_transfers(monkeypatch) -> list[str]:
 
 def failed_xfer_spans(run) -> list[str]:
     return [
-        s["name"].removeprefix("xfer:") for s in run.tracer.spans()
+        s["name"].removeprefix("xfer:") for s in run.hooks.tracer.spans()
         if s["name"].startswith("xfer:") and s["args"]["outcome"] == "failed"
     ]
 
@@ -199,7 +199,7 @@ def test_every_failed_degraded_transfer_closes_its_span(monkeypatch):
     run = run_traced_chaos(ExperimentConfig(extra_file_mb=20.0, n_images=12, seed=3), plan)
     assert run.metrics.success
     degraded = [
-        s for s in run.tracer.spans()
+        s for s in run.hooks.tracer.spans()
         if s["name"].startswith("xfer:") and s["args"].get("mode") == "degraded"
     ]
     assert [s["args"]["outcome"] for s in degraded].count("failed") == 2

@@ -80,10 +80,10 @@ def test_traced_fleet_chaos_has_a_rule_profile(tmp_path):
     chaos run could never have a rule profile."""
     run = run_traced_chaos(replace(SMALL, shards=2, lease_seconds=120.0))
     assert run.metrics.success
-    assert run.profiler.total_firings > 0
+    assert run.hooks.profiler.total_firings > 0
     run.write_artifacts(tmp_path)
     profile = (tmp_path / "rule_profile.txt").read_text()
-    assert f"{run.profiler.total_firings} firings" in profile
+    assert f"{run.hooks.profiler.total_firings} firings" in profile
 
 
 def test_traced_cell_without_policy_writes_empty_decisions(tmp_path):

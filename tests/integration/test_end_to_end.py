@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig, run_cell
 from repro.experiments.runner import cell_workflow, execute_workflow, run_workflow
-from repro.obs import MetricsRegistry
+from repro.obs import Hooks, MetricsRegistry
 from tests.conftest import counter
 from tests.workflow.generators import diamond_workflow, fork_join_workflow
 
@@ -34,7 +34,7 @@ def test_greedy_run_completes_and_moves_all_bytes():
 def test_no_policy_run_completes():
     cfg = small(policy=None)
     registry = MetricsRegistry()
-    metrics = execute_workflow(cfg, cell_workflow(cfg), metrics=registry).metrics()
+    metrics = execute_workflow(cfg, cell_workflow(cfg), hooks=Hooks(metrics=registry)).metrics()
     assert metrics.success
     assert metrics.policy_calls == 0
     assert registry.to_dict() == {}  # no policy service ever counted

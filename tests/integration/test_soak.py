@@ -19,7 +19,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig, TestbedParams
 from repro.experiments.runner import run_concurrent_workflows
-from repro.obs import MetricsRegistry
+from repro.obs import Hooks, MetricsRegistry
 from repro.policy.allocation import greedy_allocation_trace
 from repro.policy.model import TransferFact
 from repro.workflow.montage import MB, MontageConfig, augmented_montage
@@ -46,7 +46,7 @@ def test_soak_concurrent_workflows_with_failures(seed):
                                                  lfn_prefix="solo_")),
     ]
     registry = MetricsRegistry()
-    results = run_concurrent_workflows(cfg, workflows, stagger=15.0, metrics=registry)
+    results = run_concurrent_workflows(cfg, workflows, stagger=15.0, hooks=Hooks(metrics=registry))
     transfers = registry.get("repro_policy_transfers_total")
 
     # 1. Everything completed despite injected failures.

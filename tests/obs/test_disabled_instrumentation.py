@@ -1,9 +1,9 @@
 """The disabled-instrumentation contract, held by a count.
 
-With no tracer — or a disabled one — and no profiler attached, a policy
-workload and a simulated cell make **zero** Python calls into
-``repro/obs/tracer.py`` and ``repro/obs/profiler.py`` and record zero
-events: every instrumentation point then costs one attribute test
+With no tracer — or a disabled one — and no profiler in the hooks, a
+policy workload and a simulated cell make **zero** Python calls into
+``repro/obs/tracer.py``, ``repro/obs/profiler.py`` and
+``repro/obs/hooks.py`` and record zero events: every instrumentation point then costs one attribute test
 (``if tracer.enabled:`` / ``if span is not None:``), which is all that
 "near-zero overhead" can mean.  The count repeats exactly per seed, so
 unlike a wall-clock ratio with a 2 % threshold it fails only for a reason
@@ -22,14 +22,15 @@ from repro.experiments.runner import (
     build_policy_client,
     cell_workflow,
 )
-from repro.obs import Tracer
+from repro.obs import Hooks, Tracer
+from repro.obs import hooks as hooks_module
 from repro.obs import metrics as metrics_module
 from repro.obs import profiler as profiler_module
 from repro.obs import tracer as tracer_module
 from repro.obs.tracer import as_tracer
 from repro.policy import PolicyConfig, PolicyService, ShardedPolicyService
 
-WATCHED = {tracer_module.__file__, profiler_module.__file__}
+WATCHED = {tracer_module.__file__, profiler_module.__file__, hooks_module.__file__}
 
 tracers = pytest.mark.parametrize(
     "make_tracer", [lambda: None, lambda: Tracer(enabled=False)],
@@ -70,7 +71,7 @@ def specs(job: int, n: int = 5) -> list:
 
 def test_the_hook_sees_an_enabled_tracer():
     """The counter is live: the same workload with tracing on is counted."""
-    service = PolicyService(PolicyConfig(policy="greedy"), tracer=Tracer())
+    service = PolicyService(PolicyConfig(policy="greedy"), hooks=Hooks(tracer=Tracer()))
     counts = calls_into_obs(lambda: service.submit_transfers("wf", "j", specs(0)))
     assert counts["tracer.py:begin"] == counts["tracer.py:end"] == 1
 
@@ -98,7 +99,7 @@ def policy_workload(service) -> None:
 @tracers
 def test_policy_calls_make_no_call_into_obs(make_tracer):
     tracer = make_tracer()
-    service = PolicyService(POLICY, tracer=tracer)
+    service = PolicyService(POLICY, hooks=Hooks(tracer=tracer))
 
     assert calls_into_obs(lambda: policy_workload(service)) == {}
     assert as_tracer(tracer).events == []
@@ -109,7 +110,7 @@ def test_fleet_calls_make_no_call_into_obs(make_tracer):
     """The same workload through a 2-shard router: its envelope, scatter
     and merge are as silent as the service's."""
     tracer = make_tracer()
-    router = ShardedPolicyService(POLICY, num_shards=2, tracer=tracer)
+    router = ShardedPolicyService(POLICY, num_shards=2, hooks=Hooks(tracer=tracer))
 
     assert calls_into_obs(lambda: policy_workload(router)) == {}
     assert as_tracer(tracer).events == []

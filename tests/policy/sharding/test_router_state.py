@@ -4,7 +4,7 @@ how a shard's refusal reaches the caller."""
 
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import Hooks, Tracer
 from repro.policy import (
     PolicyConfig,
     PolicyController,
@@ -113,7 +113,7 @@ def _spans(tracer):
 def test_every_counted_call_leaves_one_flat_router_span():
     tracer = Tracer()
     router = ShardedPolicyService(
-        PolicyConfig(policy="greedy"), num_shards=2, tracer=tracer,
+        PolicyConfig(policy="greedy"), num_shards=2, hooks=Hooks(tracer=tracer),
     )
     try:
         spec = {"lfn": "b", "src_url": "gsiftp://src0/data/b",

@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import Hooks, Tracer
 from repro.policy import PolicyConfig, PolicyService
 from repro.policy.client import HTTPPolicyClient
 from repro.policy.rest import PolicyRestServer
@@ -23,7 +23,7 @@ def server(tracer):
     service = PolicyService(
         PolicyConfig(policy="greedy", default_streams=4, max_streams=50)
     )
-    with PolicyRestServer(service, tracer=tracer) as srv:
+    with PolicyRestServer(service, hooks=Hooks(tracer=tracer)) as srv:
         yield srv
 
 
@@ -130,12 +130,16 @@ def test_http_policy_client_sends_request_ids(server):
 
 
 def test_access_log_is_bounded():
-    from repro.policy.rest import _ServerState
+    """The access log is the hooks' sink: a bounded one keeps the newest."""
+    from collections import deque
 
-    state = _ServerState(max_request_bytes=100, access_log_cap=3)
-    for i in range(5):
-        state.log_request({"request_id": f"r{i}"})
-    assert [e["request_id"] for e in state.access_log] == ["r2", "r3", "r4"]
+    service = PolicyService(PolicyConfig(policy="greedy"))
+    hooks = Hooks(access_log=deque(maxlen=3))
+    with PolicyRestServer(service, hooks=hooks) as srv:
+        for i in range(5):
+            get(f"{srv.url}/policy/status", headers={"X-Repro-Request-Id": f"r{i}"}).close()
+        assert [e["request_id"] for e in srv.access_log] == ["r2", "r3", "r4"]
+    assert srv.access_log == list(hooks.access_log)
 
 
 def test_metrics_endpoint_exports_rule_profile_families():

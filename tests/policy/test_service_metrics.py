@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import Hooks, MetricsRegistry
 from repro.policy import PolicyConfig, PolicyService
 
 from tests.conftest import counter
@@ -101,7 +101,7 @@ def test_retained_gauge_counts_what_the_service_holds(service):
 
 def test_shared_registry_is_used_not_copied():
     registry = MetricsRegistry()
-    service = PolicyService(PolicyConfig(policy="greedy"), metrics=registry)
+    service = PolicyService(PolicyConfig(policy="greedy"), hooks=Hooks(metrics=registry))
     assert service.metrics is registry
     service.submit_transfers("wf", "j", specs("a"))
     assert registry.get("repro_policy_transfers_total").value(event="approved") == 1
@@ -126,11 +126,11 @@ def test_recovered_service_keeps_the_registry(tmp_path):
     registry = MetricsRegistry()
     config = PolicyConfig(policy="greedy")
     service = PolicyService(
-        config, journal=PolicyJournal(tmp_path), metrics=registry
+        config, journal=PolicyJournal(tmp_path), hooks=Hooks(metrics=registry)
     )
     service.submit_transfers("wf", "j", specs("a"))
     before = registry.get("repro_policy_transfers_total").value(event="approved")
-    recovered = PolicyService.recover(tmp_path, config=config, metrics=registry)
+    recovered = PolicyService.recover(tmp_path, config=config, hooks=Hooks(metrics=registry))
     assert recovered.metrics is registry
     recovered.submit_transfers("wf2", "j2", specs("b"))
     after = registry.get("repro_policy_transfers_total").value(event="approved")

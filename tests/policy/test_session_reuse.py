@@ -31,7 +31,7 @@ class PerCallSessionService(PolicyService):
     def _session(self):
         self._rule_session = self.session_class(
             self._rules, memory=self.memory, globals=self.globals,
-            profiler=self.profiler,
+            profiler=self.hooks.profiler,
         )
         return self._rule_session
 
@@ -347,12 +347,12 @@ def test_a_failed_call_is_visible_and_leaves_no_residue(op, tmp_path, monkeypatc
     """Every traced entry point that raises closes exactly one span with
     the error's type and is timed like any other call; the session keeps
     no listener and the journal neither bytes nor an open transaction."""
-    from repro.obs import Tracer
+    from repro.obs import Hooks, Tracer
 
     tracer = Tracer()
     service = PolicyService(
         PolicyConfig(policy="greedy", max_streams=10),
-        journal=PolicyJournal(tmp_path), tracer=tracer,
+        journal=PolicyJournal(tmp_path), hooks=Hooks(tracer=tracer),
     )
     first, second = service.submit_transfers("wf", "j1", [
         {"lfn": n, "src_url": f"gsiftp://fg-vm/data/{n}", "dst_url": f"{DST}/{n}",

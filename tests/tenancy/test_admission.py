@@ -174,9 +174,7 @@ def test_tracer_event_stream():
     env_tracer = Tracer()
     env = Environment(tracer=env_tracer)
     reg = registry(bronze={"max_bytes": 10.0})
-    controller = AdmissionController(
-        env, FairShareScheduler(reg), tracer=env_tracer
-    )
+    controller = AdmissionController(env, FairShareScheduler(reg))
     controller.submit("bronze", "big", make_starter(env, 1, 0), est_bytes=50)
     controller.submit("gold", "g0", make_starter(env, 3, 123.0))
     env.run(until=controller.run())
