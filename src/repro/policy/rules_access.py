@@ -9,7 +9,8 @@ rule pack adds that class of policy on top of the Table I rules:
   write to specific hosts;
 * **per-workflow staging quotas** — each workflow may move at most a
   configured number of bytes through the service; transfers beyond the
-  quota are denied.
+  quota are denied.  The charge fires below the de-dup tiers, so only a
+  transfer that will move bytes is charged.
 
 Denied transfers are returned to the transfer tool with action
 ``"deny"``; unlike a ``skip`` (the file is already there) a denial means

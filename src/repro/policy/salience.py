@@ -17,10 +17,10 @@ Tier map (higher fires first)::
     90  ACK                 acknowledge newly inserted transfers/cleanups
     88  ACCESS_DENY_HOST    host denials, after ack, before dedup
     87  ACCESS_DENY_QUOTA   quota denials
-    86  ACCESS_CHARGE_QUOTA quota charging for admitted transfers
     85  DEDUP_BATCH         de-dup within the request batch (also cleanups)
     84  DEDUP_STAGED        de-dup against already-staged files
     83  DEDUP_IN_FLIGHT     de-dup against in-flight transfers
+    81  ACCESS_CHARGE_QUOTA quota charging for the transfers de-dup kept
     80  CLEANUP_DETACH      detach a cleanup's workflow from its resource
     70  RESOURCE_CREATE     create staged-file resources
     70  CLEANUP_SKIP_IN_USE skip cleanups for files still in use
@@ -87,10 +87,10 @@ COMPLETION = 94
 ACK = 90
 ACCESS_DENY_HOST = 88
 ACCESS_DENY_QUOTA = 87
-ACCESS_CHARGE_QUOTA = 86
 DEDUP_BATCH = 85
 DEDUP_STAGED = 84
 DEDUP_IN_FLIGHT = 83
+ACCESS_CHARGE_QUOTA = 81
 CLEANUP_DETACH = 80
 RESOURCE_CREATE = 70
 CLEANUP_SKIP_IN_USE = 70
@@ -166,8 +166,14 @@ ORDERING_INVARIANTS: list[tuple[str, str, str]] = [
      "host bans take precedence over quota denials"),
     ("ACCESS_DENY_QUOTA", "ACCESS_CHARGE_QUOTA",
      "a transfer over budget must be denied before it can be charged"),
-    ("ACCESS_CHARGE_QUOTA", "DEDUP_BATCH",
-     "denied transfers never reach de-duplication or claim resources"),
+    ("ACCESS_DENY_QUOTA", "DEDUP_BATCH",
+     "a transfer over budget is denied before de-duplication"),
+    ("DEDUP_IN_FLIGHT", "ACCESS_CHARGE_QUOTA",
+     "only a transfer de-duplication kept is charged: a duplicate, a "
+     "staged file or an in-flight wait moves no bytes"),
+    ("ACCESS_CHARGE_QUOTA", "RESOURCE_CREATE",
+     "a transfer that a charge pushes over budget is denied before it "
+     "claims a resource"),
     ("DEDUP_BATCH", "DEDUP_STAGED",
      "in-batch duplicates resolve before the staged-file check"),
     ("DEDUP_STAGED", "DEDUP_IN_FLIGHT",

@@ -204,3 +204,16 @@ def test_quota_refunded_on_failure():
     assert quota.used_bytes == 0.0  # refunded: the bytes never moved
     retry = service.submit_transfers("wf", "j1-retry", [spec("a", nbytes=1000)])
     assert retry[0].action == "transfer"
+
+
+def test_quota_charges_only_the_transfer_that_moves_bytes():
+    # A same-batch duplicate, a wait on the in-flight copy and a skip of
+    # the staged file move no bytes, so none of them is charged.
+    service = make_service()
+    service.set_quota("wf", 1000.0)
+    batch = service.submit_transfers("wf", "j1", [spec("a", nbytes=100), spec("a", nbytes=100)])
+    assert [a.action for a in batch] == ["transfer", "skip"]
+    assert service.submit_transfers("wf", "j2", [spec("a", nbytes=100)])[0].action == "wait"
+    service.complete_transfers(done=[batch[0].tid])
+    assert service.submit_transfers("wf", "j3", [spec("a", nbytes=100)])[0].action == "skip"
+    assert service.memory.facts_of(WorkflowQuotaFact)[0].used_bytes == 100.0
