@@ -7,8 +7,9 @@ R008      warning   salience is not a named tier from
                     :mod:`repro.policy.salience` (magic number), or —
                     error — the tier ordering invariants are broken.
 R009      warning   compiled-engine fast path — a join-plan rule whose
-                    *last* pattern declares no ``keys``, so the lazy probe
-                    walks the whole prefix frontier instead of one bucket;
+                    *last* pattern states no equality constraint, so the
+                    lazy probe walks the whole prefix frontier instead of
+                    one bucket;
                     info — a multi-pattern rule that falls back to the
                     ``delta`` plan (reported with the compiler's reason)
                     or whose first condition is not a Pattern (no alpha
@@ -173,8 +174,8 @@ def _check_fast_path(plans: Sequence[RulePlan], report: Report) -> None:
                     "R009",
                     Severity.WARNING,
                     rule.name,
-                    "join-plan rule whose last pattern declares no `keys`: "
-                    "the join network's lazy probe walks the whole "
+                    "join-plan rule whose last pattern states no equality "
+                    "constraint: the join network's lazy probe walks the whole "
                     "partial-match frontier instead of one bucket on every "
                     "update of the last position's fact type",
                     location=location_of(rule.then),

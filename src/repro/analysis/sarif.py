@@ -35,7 +35,7 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 #: check id -> one-line description surfaced as the SARIF rule metadata
 CHECK_DESCRIPTIONS = {
     "R008": "salience is not a named policy tier",
-    "R009": "multi-pattern rule misses the join plan or its keys hints",
+    "R009": "multi-pattern rule misses the join plan or its equality constraints",
     "R010": "rule name is defined more than once across packs",
     "P001": "plan DAG contains a dependency cycle",
     "P002": "stage-in transfers a file no job consumes",

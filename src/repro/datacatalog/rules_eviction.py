@@ -28,7 +28,7 @@ matcher happens to discover candidates in.
 
 from __future__ import annotations
 
-from repro.rules import Collect, Pattern, Rule
+from repro.rules import Collect, Pattern, Ref, Rule
 
 from repro.policy import salience
 from repro.policy.model import CleanupFact, StagedFileFact, TransferFact
@@ -134,18 +134,12 @@ def eviction_rules() -> list[Rule]:
                     "c",
                     where=lambda c, b: c.status in ("new", "detached"),
                 ),
-                Pattern(
-                    ReplicaRecordFact,
-                    "rep",
-                    where=lambda r, b: r.url == b["c"].url,
-                    keys={"url": lambda b: b["c"].url},
-                ),
+                Pattern(ReplicaRecordFact, "rep", url=Ref("c", "url")),
                 Pattern(
                     SiteCapacityFact,
                     "cap",
-                    where=lambda s, b: s.site == b["rep"].site
-                    and _under_budget(s),
-                    keys={"site": lambda b: b["rep"].site},
+                    where=lambda s, b: _under_budget(s),
+                    site=Ref("rep", "site"),
                 ),
             ],
             then=_retain_cleanup,
@@ -164,10 +158,9 @@ def eviction_rules() -> list[Rule]:
                 Collect(
                     ReplicaRecordFact,
                     "candidates",
-                    where=lambda r, b: r.site == b["cap"].site
-                    and r.pin_count == 0,
+                    where=lambda r, b: r.pin_count == 0,
                     min_count=1,
-                    keys={"site": lambda b: b["cap"].site},
+                    site=Ref("cap", "site"),
                 ),
             ],
             then=_select_victims,

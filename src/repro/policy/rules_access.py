@@ -10,7 +10,9 @@ rule pack adds that class of policy on top of the Table I rules:
 * **per-workflow staging quotas** — each workflow may move at most a
   configured number of bytes through the service; transfers beyond the
   quota are denied.  The charge fires below the de-dup tiers, so only a
-  transfer that will move bytes is charged.
+  transfer that will move bytes is charged; a transfer denied after
+  de-dup (an earlier charge of its batch used up the budget) takes its
+  same-request duplicates with it.
 
 Denied transfers are returned to the transfer tool with action
 ``"deny"``; unlike a ``skip`` (the file is already there) a denial means
@@ -19,7 +21,7 @@ the data will *not* appear, so the tool fails the staging job.
 
 from __future__ import annotations
 
-from repro.rules import Fact, Pattern, Rule
+from repro.rules import Fact, Pattern, Ref, Rule
 
 from repro.policy import salience
 from repro.policy.model import TransferFact
@@ -55,8 +57,6 @@ class WorkflowQuotaFact(Fact):
 
 def _denied_transfer(t, bindings) -> bool:
     denial = bindings["deny"]
-    if t.status != "new":
-        return False
     if denial.direction in ("src", "any") and t.src_host == denial.host:
         return True
     if denial.direction in ("dst", "any") and t.dst_host == denial.host:
@@ -69,14 +69,18 @@ def _deny_host(ctx):
 
 
 def _deny_quota(ctx):
-    ctx.update(
-        ctx.t,
-        status="denied",
-        reason=(
-            f"workflow {ctx.t.workflow!r} staging quota exceeded "
-            f"({ctx.quota.used_bytes + ctx.t.nbytes:.0f} > {ctx.quota.max_bytes:.0f} bytes)"
-        ),
+    t = ctx.t
+    reason = (
+        f"workflow {t.workflow!r} staging quota exceeded "
+        f"({ctx.quota.used_bytes + t.nbytes:.0f} > {ctx.quota.max_bytes:.0f} bytes)"
     )
+    ctx.update(t, status="denied", reason=reason)
+    # Denied after batch de-dup ran (an earlier charge of the batch used
+    # up the budget), ``t`` is the copy de-dup kept: its duplicates in
+    # this request, the only skipped facts in memory, are denied with it.
+    for dup in ctx._session.memory.lookup(TransferFact, lfn=t.lfn, dst_url=t.dst_url):
+        if dup.status == "skip_duplicate":
+            ctx.update(dup, status="denied", reason=reason)
 
 
 def _charge_quota(ctx):
@@ -103,15 +107,10 @@ def access_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "failed" and t.quota_charged,
-                    keys={"status": lambda b: "failed"},
+                    where=lambda t, b: t.quota_charged,
+                    status="failed",
                 ),
-                Pattern(
-                    WorkflowQuotaFact,
-                    "quota",
-                    where=lambda q, b: q.workflow == b["t"].workflow,
-                    keys={"workflow": lambda b: b["t"].workflow},
-                ),
+                Pattern(WorkflowQuotaFact, "quota", workflow=Ref("t", "workflow")),
             ],
             then=_refund_quota,
         ),
@@ -124,12 +123,7 @@ def access_rules() -> list[Rule]:
                 # the join network walks one status bucket, not the
                 # whole frontier (rulelint R009).
                 Pattern(HostDenialFact, "deny"),
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=_denied_transfer,
-                    keys={"status": lambda b: "new"},
-                ),
+                Pattern(TransferFact, "t", where=_denied_transfer, status="new"),
             ],
             then=_deny_host,
         ),
@@ -137,21 +131,15 @@ def access_rules() -> list[Rule]:
             "Deny transfers that would exceed their workflow's staging quota",
             salience=salience.ACCESS_DENY_QUOTA,
             when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "new",
-                    keys={"status": lambda b: "new"},
-                ),
+                Pattern(TransferFact, "t", status="new"),
                 Pattern(
                     WorkflowQuotaFact,
                     "quota",
                     # A charged transfer's bytes are already inside
                     # used_bytes — never re-judge it against the budget.
-                    where=lambda q, b: q.workflow == b["t"].workflow
-                    and not b["t"].quota_charged
+                    where=lambda q, b: not b["t"].quota_charged
                     and q.used_bytes + b["t"].nbytes > q.max_bytes,
-                    keys={"workflow": lambda b: b["t"].workflow},
+                    workflow=Ref("t", "workflow"),
                 ),
             ],
             then=_deny_quota,
@@ -163,16 +151,14 @@ def access_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "new"
-                    and not t.quota_charged,
-                    keys={"status": lambda b: "new"},
+                    where=lambda t, b: not t.quota_charged,
+                    status="new",
                 ),
                 Pattern(
                     WorkflowQuotaFact,
                     "quota",
-                    where=lambda q, b: q.workflow == b["t"].workflow
-                    and q.used_bytes + b["t"].nbytes <= q.max_bytes,
-                    keys={"workflow": lambda b: b["t"].workflow},
+                    where=lambda q, b: q.used_bytes + b["t"].nbytes <= q.max_bytes,
+                    workflow=Ref("t", "workflow"),
                 ),
             ],
             then=_charge_quota,

@@ -17,7 +17,7 @@ session globals.
 
 from __future__ import annotations
 
-from repro.rules import Absent, Pattern, Rule
+from repro.rules import Absent, Pattern, Ref, Rule
 
 from repro.policy import salience
 from repro.policy.model import ClusterAllocationFact, TransferFact
@@ -27,31 +27,10 @@ __all__ = ["balanced_rules"]
 
 def _needs_allocation(t, bindings) -> bool:
     return (
-        t.status == "new"
-        and t.allocated_streams is None
+        t.allocated_streams is None
         and t.requested_streams is not None
         and t.group_id is not None
         and t.cluster is not None
-    )
-
-
-_NEW_KEYS = {"status": lambda b: "new"}
-
-
-def _cluster_keys():
-    return {
-        "src_host": lambda b: b["t"].src_host,
-        "dst_host": lambda b: b["t"].dst_host,
-        "cluster": lambda b: b["t"].cluster,
-    }
-
-
-def _cluster_of(c, bindings) -> bool:
-    t = bindings["t"]
-    return (
-        c.src_host == t.src_host
-        and c.dst_host == t.dst_host
-        and c.cluster == t.cluster
     )
 
 
@@ -91,11 +70,12 @@ def balanced_rules() -> list[Rule]:
             "cluster between a source and destination host",
             salience=salience.THRESHOLD_RETRIEVE,
             when=[
-                Pattern(TransferFact, "t", where=_needs_allocation, keys=_NEW_KEYS),
+                Pattern(TransferFact, "t", where=_needs_allocation, status="new"),
                 Absent(
                     ClusterAllocationFact,
-                    where=_cluster_of,
-                    keys=_cluster_keys(),
+                    src_host=Ref("t", "src_host"),
+                    dst_host=Ref("t", "dst_host"),
+                    cluster=Ref("t", "cluster"),
                 ),
             ],
             then=_create_cluster_allocation,
@@ -105,13 +85,15 @@ def balanced_rules() -> list[Rule]:
             "fits within its cluster's share",
             salience=salience.ALLOCATION,
             when=[
-                Pattern(TransferFact, "t", where=_needs_allocation, keys=_NEW_KEYS),
+                Pattern(TransferFact, "t", where=_needs_allocation, status="new"),
                 Pattern(
                     ClusterAllocationFact,
                     "alloc",
-                    where=lambda a, b: _cluster_of(a, b)
-                    and a.allocated + b["t"].requested_streams <= _threshold(b),
-                    keys=_cluster_keys(),
+                    where=lambda a, b: a.allocated + b["t"].requested_streams
+                    <= _threshold(b),
+                    src_host=Ref("t", "src_host"),
+                    dst_host=Ref("t", "dst_host"),
+                    cluster=Ref("t", "cluster"),
                 ),
             ],
             then=_grant_full,
@@ -122,14 +104,15 @@ def balanced_rules() -> list[Rule]:
             "its cluster",
             salience=salience.ALLOCATION,
             when=[
-                Pattern(TransferFact, "t", where=_needs_allocation, keys=_NEW_KEYS),
+                Pattern(TransferFact, "t", where=_needs_allocation, status="new"),
                 Pattern(
                     ClusterAllocationFact,
                     "alloc",
-                    where=lambda a, b: _cluster_of(a, b)
-                    and a.allocated < _threshold(b)
+                    where=lambda a, b: a.allocated < _threshold(b)
                     and a.allocated + b["t"].requested_streams > _threshold(b),
-                    keys=_cluster_keys(),
+                    src_host=Ref("t", "src_host"),
+                    dst_host=Ref("t", "dst_host"),
+                    cluster=Ref("t", "cluster"),
                 ),
             ],
             then=_grant_partial,
@@ -139,13 +122,14 @@ def balanced_rules() -> list[Rule]:
             "the defined cluster threshold (share exhausted: single stream)",
             salience=salience.ALLOCATION,
             when=[
-                Pattern(TransferFact, "t", where=_needs_allocation, keys=_NEW_KEYS),
+                Pattern(TransferFact, "t", where=_needs_allocation, status="new"),
                 Pattern(
                     ClusterAllocationFact,
                     "alloc",
-                    where=lambda a, b: _cluster_of(a, b)
-                    and a.allocated >= _threshold(b),
-                    keys=_cluster_keys(),
+                    where=lambda a, b: a.allocated >= _threshold(b),
+                    src_host=Ref("t", "src_host"),
+                    dst_host=Ref("t", "dst_host"),
+                    cluster=Ref("t", "cluster"),
                 ),
             ],
             then=_grant_single,

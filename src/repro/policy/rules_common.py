@@ -5,11 +5,11 @@ Each rule is named after its row in the paper's Table I.  The final row
 ordering concern of the response and is applied by the service when it
 assembles advice (see :meth:`PolicyService.submit_transfers`).
 
-Patterns declare ``keys`` on the join attributes the guards equate —
-``(lfn, dst_url)`` for dedup/staged-file joins, ``(src_host, dst_host)``
-for host-pair joins — so candidate facts come from the working memory's
-hash indexes instead of full type scans; the guards remain authoritative.
-Rule actions use :meth:`WorkingMemory.lookup` for the same reason.
+Patterns state their equalities as constraints — ``(lfn, dst_url)`` for
+dedup/staged-file joins, ``(src_host, dst_host)`` for host-pair joins —
+so candidate facts come from the working memory's hash indexes instead
+of full type scans, and the guards judge only what is left.  Rule
+actions use :meth:`WorkingMemory.lookup` for the same reason.
 
 Salience values come from the named tiers in :mod:`repro.policy.salience`,
 which asserts the cross-file ordering invariants (lease expiry before
@@ -20,7 +20,7 @@ resource creation, ...) at import time; the rule-set linter
 
 from __future__ import annotations
 
-from repro.rules import Absent, Pattern, Rule
+from repro.rules import Absent, Pattern, Ref, Rule
 
 from repro.policy import salience
 from repro.policy.model import (
@@ -33,22 +33,6 @@ from repro.policy.model import (
 )
 
 __all__ = ["common_rules"]
-
-
-# -- index key helpers (keys must be implied by the guards they ride with) --
-def _t_file_keys():
-    return {"lfn": lambda b: b["t"].lfn, "dst_url": lambda b: b["t"].dst_url}
-
-
-def _t_pair_keys():
-    return {
-        "src_host": lambda b: b["t"].src_host,
-        "dst_host": lambda b: b["t"].dst_host,
-    }
-
-
-def _c_url_keys():
-    return {"dst_url": lambda b: b["c"].url}
 
 
 # -- actions ----------------------------------------------------------------
@@ -204,10 +188,9 @@ def common_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "in_progress"
-                    and t.lease_deadline is not None
+                    where=lambda t, b: t.lease_deadline is not None
                     and t.lease_deadline <= b["sweep"].now,
-                    keys={"status": lambda b: "in_progress"},
+                    status="in_progress",
                 ),
             ],
             then=_expire_transfer_lease,
@@ -220,10 +203,9 @@ def common_rules() -> list[Rule]:
                 Pattern(
                     CleanupFact,
                     "c",
-                    where=lambda c, b: c.status == "in_progress"
-                    and c.lease_deadline is not None
+                    where=lambda c, b: c.lease_deadline is not None
                     and c.lease_deadline <= b["sweep"].now,
-                    keys={"status": lambda b: "in_progress"},
+                    status="in_progress",
                 ),
             ],
             then=_expire_cleanup_lease,
@@ -238,41 +220,20 @@ def common_rules() -> list[Rule]:
         Rule(
             "Remove a transfer that has completed",
             salience=salience.COMPLETION,
-            when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "done",
-                    keys={"status": lambda b: "done"},
-                )
-            ],
+            when=[Pattern(TransferFact, "t", status="done")],
             then=_remove_completed,
         ),
         Rule(
             "Remove a transfer that has failed",
             salience=salience.COMPLETION,
-            when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "failed",
-                    keys={"status": lambda b: "failed"},
-                )
-            ],
+            when=[Pattern(TransferFact, "t", status="failed")],
             then=_remove_failed,
         ),
         # -- insertion acknowledgement --------------------------------------
         Rule(
             "Insert new transfers into policy memory",
             salience=salience.ACK,
-            when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "submitted",
-                    keys={"status": lambda b: "submitted"},
-                )
-            ],
+            when=[Pattern(TransferFact, "t", status="submitted")],
             then=_ack_transfer,
         ),
         # -- de-duplication ---------------------------------------------------
@@ -280,20 +241,13 @@ def common_rules() -> list[Rule]:
             "Remove duplicate transfers from the transfer list",
             salience=salience.DEDUP_BATCH,
             when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "new",
-                    keys={"status": lambda b: "new"},
-                ),
+                Pattern(TransferFact, "t", status="new"),
                 Pattern(
                     TransferFact,
                     "dup",
-                    where=lambda d, b: d.status == "new"
-                    and d.tid > b["t"].tid
-                    and d.lfn == b["t"].lfn
-                    and d.dst_url == b["t"].dst_url,
-                    keys=_t_file_keys(),
+                    where=lambda d, b: d.status == "new" and d.tid > b["t"].tid,
+                    lfn=Ref("t", "lfn"),
+                    dst_url=Ref("t", "dst_url"),
                 ),
             ],
             then=_skip_batch_duplicate,
@@ -302,19 +256,13 @@ def common_rules() -> list[Rule]:
             "Remove transfers whose file is already staged",
             salience=salience.DEDUP_STAGED,
             when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "new",
-                    keys={"status": lambda b: "new"},
-                ),
+                Pattern(TransferFact, "t", status="new"),
                 Pattern(
                     StagedFileFact,
                     "r",
-                    where=lambda r, b: r.status == "staged"
-                    and r.lfn == b["t"].lfn
-                    and r.dst_url == b["t"].dst_url,
-                    keys=_t_file_keys(),
+                    where=lambda r, b: r.status == "staged",
+                    lfn=Ref("t", "lfn"),
+                    dst_url=Ref("t", "dst_url"),
                 ),
             ],
             then=_skip_already_staged,
@@ -323,26 +271,19 @@ def common_rules() -> list[Rule]:
             "Remove transfers from the transfer list that are already in progress",
             salience=salience.DEDUP_IN_FLIGHT,
             when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "new",
-                    keys={"status": lambda b: "new"},
-                ),
+                Pattern(TransferFact, "t", status="new"),
                 Pattern(
                     TransferFact,
                     "other",
-                    where=lambda o, b: o.status == "in_progress"
-                    and o.lfn == b["t"].lfn
-                    and o.dst_url == b["t"].dst_url,
-                    keys=_t_file_keys(),
+                    where=lambda o, b: o.status == "in_progress",
+                    lfn=Ref("t", "lfn"),
+                    dst_url=Ref("t", "dst_url"),
                 ),
                 Pattern(
                     StagedFileFact,
                     "r",
-                    where=lambda r, b: r.lfn == b["t"].lfn
-                    and r.dst_url == b["t"].dst_url,
-                    keys=_t_file_keys(),
+                    lfn=Ref("t", "lfn"),
+                    dst_url=Ref("t", "dst_url"),
                 ),
             ],
             then=_wait_for_in_flight,
@@ -352,18 +293,8 @@ def common_rules() -> list[Rule]:
             "Create a resource for a new transfer to track the resulting staged file",
             salience=salience.RESOURCE_CREATE,
             when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "new",
-                    keys={"status": lambda b: "new"},
-                ),
-                Absent(
-                    StagedFileFact,
-                    where=lambda r, b: r.lfn == b["t"].lfn
-                    and r.dst_url == b["t"].dst_url,
-                    keys=_t_file_keys(),
-                ),
+                Pattern(TransferFact, "t", status="new"),
+                Absent(StagedFileFact, lfn=Ref("t", "lfn"), dst_url=Ref("t", "dst_url")),
             ],
             then=_create_resource,
         ),
@@ -372,19 +303,13 @@ def common_rules() -> list[Rule]:
             "workflows using the staged file",
             salience=salience.RESOURCE_ASSOCIATE,
             when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "new",
-                    keys={"status": lambda b: "new"},
-                ),
+                Pattern(TransferFact, "t", status="new"),
                 Pattern(
                     StagedFileFact,
                     "r",
-                    where=lambda r, b: r.lfn == b["t"].lfn
-                    and r.dst_url == b["t"].dst_url
-                    and b["t"].workflow not in r.users,
-                    keys=_t_file_keys(),
+                    where=lambda r, b: b["t"].workflow not in r.users,
+                    lfn=Ref("t", "lfn"),
+                    dst_url=Ref("t", "dst_url"),
                 ),
             ],
             then=_associate_resource,
@@ -394,17 +319,11 @@ def common_rules() -> list[Rule]:
             "Generate a unique group ID for a source and destination host pair",
             salience=salience.GROUP_CREATE,
             when=[
-                Pattern(
-                    TransferFact,
-                    "t",
-                    where=lambda t, b: t.status == "new",
-                    keys={"status": lambda b: "new"},
-                ),
+                Pattern(TransferFact, "t", status="new"),
                 Absent(
                     HostPairFact,
-                    where=lambda p, b: p.src_host == b["t"].src_host
-                    and p.dst_host == b["t"].dst_host,
-                    keys=_t_pair_keys(),
+                    src_host=Ref("t", "src_host"),
+                    dst_host=Ref("t", "dst_host"),
                 ),
             ],
             then=_create_host_pair,
@@ -417,15 +336,14 @@ def common_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "new" and t.group_id is None,
-                    keys={"status": lambda b: "new"},
+                    where=lambda t, b: t.group_id is None,
+                    status="new",
                 ),
                 Pattern(
                     HostPairFact,
                     "pair",
-                    where=lambda p, b: p.src_host == b["t"].src_host
-                    and p.dst_host == b["t"].dst_host,
-                    keys=_t_pair_keys(),
+                    src_host=Ref("t", "src_host"),
+                    dst_host=Ref("t", "dst_host"),
                 ),
             ],
             then=_assign_group,
@@ -438,9 +356,8 @@ def common_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "new"
-                    and t.requested_streams is None,
-                    keys={"status": lambda b: "new"},
+                    where=lambda t, b: t.requested_streams is None,
+                    status="new",
                 )
             ],
             then=_assign_default_streams,
@@ -452,10 +369,9 @@ def common_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "new"
-                    and t.requested_streams is not None
+                    where=lambda t, b: t.requested_streams is not None
                     and t.requested_streams < 1,
-                    keys={"status": lambda b: "new"},
+                    status="new",
                 )
             ],
             then=_ensure_min_stream,
@@ -464,33 +380,20 @@ def common_rules() -> list[Rule]:
         Rule(
             "Insert new cleanups into policy memory",
             salience=salience.ACK,
-            when=[
-                Pattern(
-                    CleanupFact,
-                    "c",
-                    where=lambda c, b: c.status == "submitted",
-                    keys={"status": lambda b: "submitted"},
-                )
-            ],
+            when=[Pattern(CleanupFact, "c", status="submitted")],
             then=_ack_cleanup,
         ),
         Rule(
             "Remove duplicate cleanup requests that are in progress or completed",
             salience=salience.DEDUP_BATCH,
             when=[
-                Pattern(
-                    CleanupFact,
-                    "c",
-                    where=lambda c, b: c.status == "new",
-                    keys={"status": lambda b: "new"},
-                ),
+                Pattern(CleanupFact, "c", status="new"),
                 Pattern(
                     CleanupFact,
                     "other",
                     where=lambda o, b: o.cid != b["c"].cid
-                    and o.url == b["c"].url
                     and o.status in ("approved", "in_progress"),
-                    keys={"url": lambda b: b["c"].url},
+                    url=Ref("c", "url"),
                 ),
             ],
             then=_skip_duplicate_cleanup,
@@ -500,18 +403,12 @@ def common_rules() -> list[Rule]:
             "the resource's staged file",
             salience=salience.CLEANUP_DETACH,
             when=[
-                Pattern(
-                    CleanupFact,
-                    "c",
-                    where=lambda c, b: c.status == "new",
-                    keys={"status": lambda b: "new"},
-                ),
+                Pattern(CleanupFact, "c", status="new"),
                 Pattern(
                     StagedFileFact,
                     "r",
-                    where=lambda r, b: r.dst_url == b["c"].url
-                    and b["c"].workflow in r.users,
-                    keys=_c_url_keys(),
+                    where=lambda r, b: b["c"].workflow in r.users,
+                    dst_url=Ref("c", "url"),
                 ),
             ],
             then=_detach_from_resource,
@@ -529,8 +426,8 @@ def common_rules() -> list[Rule]:
                 Pattern(
                     StagedFileFact,
                     "r",
-                    where=lambda r, b: r.dst_url == b["c"].url and len(r.users) > 0,
-                    keys=_c_url_keys(),
+                    where=lambda r, b: len(r.users) > 0,
+                    dst_url=Ref("c", "url"),
                 ),
             ],
             then=_skip_cleanup_in_use,
@@ -547,8 +444,8 @@ def common_rules() -> list[Rule]:
                 ),
                 Absent(
                     StagedFileFact,
-                    where=lambda r, b: r.dst_url == b["c"].url and len(r.users) > 0,
-                    keys=_c_url_keys(),
+                    where=lambda r, b: len(r.users) > 0,
+                    dst_url=Ref("c", "url"),
                 ),
             ],
             then=_approve_cleanup,

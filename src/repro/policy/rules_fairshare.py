@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.rules import Fact, Pattern, Rule
+from repro.rules import Fact, Pattern, Ref, Rule
 
 from repro.policy import salience
 from repro.policy.model import TransferFact
@@ -91,10 +91,6 @@ class TenantWorkflowFact(Fact):
     def __init__(self, workflow: str, tenant: str):
         self.workflow = workflow
         self.tenant = tenant
-
-
-def _tenant_keys():
-    return {"tenant": lambda b: b["t"].tenant}
 
 
 def _stamp_tenant(ctx):
@@ -160,15 +156,10 @@ def fairshare_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "new" and t.tenant is None,
-                    keys={"status": lambda b: "new"},
+                    where=lambda t, b: t.tenant is None,
+                    status="new",
                 ),
-                Pattern(
-                    TenantWorkflowFact,
-                    "owner",
-                    where=lambda m, b: m.workflow == b["t"].workflow,
-                    keys={"workflow": lambda b: b["t"].workflow},
-                ),
+                Pattern(TenantWorkflowFact, "owner", workflow=Ref("t", "workflow")),
             ],
             then=_stamp_tenant,
         ),
@@ -180,18 +171,16 @@ def fairshare_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "new"
-                    and t.tenant is not None
+                    where=lambda t, b: t.tenant is not None
                     and t.requested_streams is not None
                     and t.tenant_streams_reserved == 0,
-                    keys={"status": lambda b: "new"},
+                    status="new",
                 ),
                 Pattern(
                     TenantFact,
                     "ten",
-                    where=lambda ten, b: ten.tenant == b["t"].tenant
-                    and ten.max_streams is not None,
-                    keys=_tenant_keys(),
+                    where=lambda ten, b: ten.max_streams is not None,
+                    tenant=Ref("t", "tenant"),
                 ),
             ],
             then=_reserve,
@@ -204,17 +193,11 @@ def fairshare_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "new"
-                    and t.allocated_streams is not None
+                    where=lambda t, b: t.allocated_streams is not None
                     and t.tenant_streams_reserved > t.allocated_streams,
-                    keys={"status": lambda b: "new"},
+                    status="new",
                 ),
-                Pattern(
-                    TenantFact,
-                    "ten",
-                    where=lambda ten, b: ten.tenant == b["t"].tenant,
-                    keys=_tenant_keys(),
-                ),
+                Pattern(TenantFact, "ten", tenant=Ref("t", "tenant")),
             ],
             then=_adjust,
         ),
@@ -226,17 +209,11 @@ def fairshare_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "done"
-                    and t.tenant is not None
+                    where=lambda t, b: t.tenant is not None
                     and not t.tenant_settled,
-                    keys={"status": lambda b: "done"},
+                    status="done",
                 ),
-                Pattern(
-                    TenantFact,
-                    "ten",
-                    where=lambda ten, b: ten.tenant == b["t"].tenant,
-                    keys=_tenant_keys(),
-                ),
+                Pattern(TenantFact, "ten", tenant=Ref("t", "tenant")),
             ],
             then=_release_done,
         ),
@@ -247,17 +224,11 @@ def fairshare_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "failed"
-                    and t.tenant is not None
+                    where=lambda t, b: t.tenant is not None
                     and not t.tenant_settled,
-                    keys={"status": lambda b: "failed"},
+                    status="failed",
                 ),
-                Pattern(
-                    TenantFact,
-                    "ten",
-                    where=lambda ten, b: ten.tenant == b["t"].tenant,
-                    keys=_tenant_keys(),
-                ),
+                Pattern(TenantFact, "ten", tenant=Ref("t", "tenant")),
             ],
             then=_release_failed,
         ),

@@ -17,7 +17,7 @@ FIFO processing of each request batch.
 
 from __future__ import annotations
 
-from repro.rules import Pattern, Rule
+from repro.rules import Pattern, Ref, Rule
 
 from repro.policy import salience
 from repro.policy.model import HostPairFact, TransferFact
@@ -27,26 +27,10 @@ __all__ = ["greedy_rules"]
 
 def _needs_allocation(t, bindings) -> bool:
     return (
-        t.status == "new"
-        and t.allocated_streams is None
+        t.allocated_streams is None
         and t.requested_streams is not None
         and t.group_id is not None
     )
-
-
-_NEW_KEYS = {"status": lambda b: "new"}
-
-
-def _pair_keys():
-    return {
-        "src_host": lambda b: b["t"].src_host,
-        "dst_host": lambda b: b["t"].dst_host,
-    }
-
-
-def _pair_of(p, bindings) -> bool:
-    t = bindings["t"]
-    return p.src_host == t.src_host and p.dst_host == t.dst_host
 
 
 def _retrieve_threshold(ctx):
@@ -91,14 +75,14 @@ def greedy_rules() -> list[Rule]:
             "Enforce the maximum number of parallel streams on a transfer",
             salience=salience.ALLOCATION,
             when=[
-                Pattern(TransferFact, "t", where=_needs_allocation, keys=_NEW_KEYS),
+                Pattern(TransferFact, "t", where=_needs_allocation, status="new"),
                 Pattern(
                     HostPairFact,
                     "pair",
-                    where=lambda p, b: _pair_of(p, b)
-                    and p.threshold is not None
+                    where=lambda p, b: p.threshold is not None
                     and p.allocated + b["t"].requested_streams <= p.threshold,
-                    keys=_pair_keys(),
+                    src_host=Ref("t", "src_host"),
+                    dst_host=Ref("t", "dst_host"),
                 ),
             ],
             then=_grant_full,
@@ -109,15 +93,15 @@ def greedy_rules() -> list[Rule]:
             "does not exceed the threshold",
             salience=salience.ALLOCATION,
             when=[
-                Pattern(TransferFact, "t", where=_needs_allocation, keys=_NEW_KEYS),
+                Pattern(TransferFact, "t", where=_needs_allocation, status="new"),
                 Pattern(
                     HostPairFact,
                     "pair",
-                    where=lambda p, b: _pair_of(p, b)
-                    and p.threshold is not None
+                    where=lambda p, b: p.threshold is not None
                     and p.allocated < p.threshold
                     and p.allocated + b["t"].requested_streams > p.threshold,
-                    keys=_pair_keys(),
+                    src_host=Ref("t", "src_host"),
+                    dst_host=Ref("t", "dst_host"),
                 ),
             ],
             then=_grant_partial,
@@ -127,14 +111,14 @@ def greedy_rules() -> list[Rule]:
             "stream for the new transfer",
             salience=salience.ALLOCATION,
             when=[
-                Pattern(TransferFact, "t", where=_needs_allocation, keys=_NEW_KEYS),
+                Pattern(TransferFact, "t", where=_needs_allocation, status="new"),
                 Pattern(
                     HostPairFact,
                     "pair",
-                    where=lambda p, b: _pair_of(p, b)
-                    and p.threshold is not None
+                    where=lambda p, b: p.threshold is not None
                     and p.allocated >= p.threshold,
-                    keys=_pair_keys(),
+                    src_host=Ref("t", "src_host"),
+                    dst_host=Ref("t", "dst_host"),
                 ),
             ],
             then=_grant_single,

@@ -9,7 +9,7 @@ data feeding root jobs or high-fan-out jobs) is performed first.
 
 from __future__ import annotations
 
-from repro.rules import Fact, Pattern, Rule
+from repro.rules import Fact, Pattern, Ref, Rule
 
 from repro.policy import salience
 from repro.policy.model import TransferFact
@@ -40,19 +40,15 @@ def priority_rules() -> list[Rule]:
                 Pattern(
                     TransferFact,
                     "t",
-                    where=lambda t, b: t.status == "new" and t.priority == 0,
-                    keys={"status": lambda b: "new"},
+                    where=lambda t, b: t.priority == 0,
+                    status="new",
                 ),
                 Pattern(
                     JobPriorityFact,
                     "p",
-                    where=lambda p, b: p.workflow == b["t"].workflow
-                    and p.job == b["t"].job
-                    and p.priority != 0,
-                    keys={
-                        "workflow": lambda b: b["t"].workflow,
-                        "job": lambda b: b["t"].job,
-                    },
+                    where=lambda p, b: p.priority != 0,
+                    workflow=Ref("t", "workflow"),
+                    job=Ref("t", "job"),
                 ),
             ],
             then=_stamp_priority,

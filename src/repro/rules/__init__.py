@@ -14,7 +14,9 @@ Concepts
     The fact store with per-type indexes and insert/update/retract.
 ``Pattern`` / ``Absent`` / ``Collect``
     Rule condition elements: positive match, negation-as-absence, and
-    collect-all (Drools ``collect``).
+    collect-all (Drools ``collect``).  Each states its equalities as
+    keyword constraints (``status="new"``, ``lfn=Ref("t", "lfn")``), the
+    index its candidates come from.
 ``Rule``
     Named conditions + action with a salience (priority) and optional
     ``no_loop`` protection.
@@ -32,7 +34,7 @@ from repro.rules.compiler import CompiledRuleset, compile_rules
 from repro.rules.engine import Rule, RuleEngineError, Session
 from repro.rules.facts import Fact, WorkingMemory
 from repro.rules.network import JoinNetwork
-from repro.rules.patterns import Absent, Collect, Pattern
+from repro.rules.patterns import Absent, Collect, Pattern, Ref
 
 __all__ = [
     "Absent",
@@ -41,6 +43,7 @@ __all__ = [
     "Fact",
     "JoinNetwork",
     "Pattern",
+    "Ref",
     "Rule",
     "RuleEngineError",
     "Session",

@@ -28,11 +28,12 @@ Each :class:`RulePlan` records its assignment and the reason a rule fell
 off the fast path; the rule linter reads ``compile_rules(rules).plans``
 to flag packs that will not compile to the join network.
 
-Each plan also carries ``reads``: every attribute name the rule's guards
-and key functions may read, derived from their bytecode (``None`` when
-the scan cannot bound it).  An update that changes none of them leaves
-every condition of the rule as it was, so the network re-offers what the
-rule already stores instead of re-deriving it (``docs/engine.md``,
+Each plan also carries ``reads``: every attribute name the rule's
+constraints and guards may read, the guards' derived from their
+bytecode (``None`` when the scan cannot bound it).  An update that
+changes none of them leaves every condition of the rule as it was, so
+the network re-offers what the rule already stores instead of
+re-deriving it (``docs/engine.md``,
 "Read-gated updates").  ``gate_reads`` holds the same scan per gate, so
 a delta rule skips re-enumerating for an update no gate reads.
 """
@@ -41,10 +42,9 @@ from __future__ import annotations
 
 import builtins
 import dis
-import functools
 import sys
 import types
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.rules.engine import Rule
 from repro.rules.patterns import Pattern
@@ -60,29 +60,6 @@ __all__ = [
 
 PLAN_JOIN = "join"
 PLAN_DELTA = "delta"
-
-
-@functools.lru_cache(maxsize=None)
-def _is_constant(code) -> bool:
-    """Can only constants reach the result of a one-argument function
-    with this code — no names, no closure, the argument never touched?"""
-    return (
-        code.co_argcount == 1
-        and not (code.co_names or code.co_freevars or code.co_kwonlyargcount)
-        and not any(
-            ins.argval == code.co_varnames[0] for ins in dis.get_instructions(code)
-        )
-    )
-
-
-def _constant_keys(element: Pattern) -> tuple[tuple[str, Any], ...]:
-    """``(attribute, value)`` for every key function of ``element`` that
-    never reads its bindings; such a key is evaluated here, once."""
-    return tuple(
-        (attr, fn(None))
-        for attr, fn in sorted((element.keys or {}).items())
-        if hasattr(fn, "__code__") and _is_constant(fn.__code__)
-    )
 
 
 # ------------------------------------------------------------ read sets
@@ -199,15 +176,12 @@ def _computed(value) -> bool:
 
 
 def _scan(element) -> Optional[frozenset]:
-    """Every name ``element``'s guard and key functions may read, plus
-    its key attributes; None when one reaches state the scan cannot
-    bound."""
-    keys = element.keys or {}
-    names = set(keys)
-    for fn in (element.where, *keys.values()):
-        if fn is None:
-            continue
-        found = _function_reads(fn)
+    """Every name ``element``'s guard may read, plus its constrained
+    attributes and the attributes its references read; None when the
+    guard reaches state the scan cannot bound."""
+    names = set(element.constraints) | {ref.attr for ref in element.refs()}
+    if element.where is not None:
+        found = _function_reads(element.where)
         if found is None:
             return None
         names |= found
@@ -246,11 +220,11 @@ class PositionPlan:
         self.binding = element.binding
         #: sorted attribute names of the position's join key (the bucket
         #: key of the beta memory feeding this position), None when the
-        #: pattern declares no access-path keys.
+        #: pattern states no equality constraint.
         self.key_attrs: Optional[tuple[str, ...]] = element.key_attrs
-        #: key equalities that hold whatever the bindings: a fact whose
-        #: attributes differ cannot pass the guard (keys are implied by it)
-        self.const_keys = _constant_keys(element)
+        #: the constant constraints: a fact whose attributes differ
+        #: cannot match the position, whatever the bindings
+        self.const_keys = element.const_keys
 
 
 class RulePlan:
@@ -290,13 +264,13 @@ class RulePlan:
         )
         reads = _element_reads(rule)
         bounded = [r for r in reads if r is not None]
-        #: every attribute name the rule's guards and key functions may
+        #: every attribute name the rule's constraints and guards may
         #: read (None: unbounded) — an update changing none of them
         #: cannot change what the rule matches
         self.reads: Optional[frozenset] = (
             frozenset().union(*bounded) if len(bounded) == len(reads) else None
         )
-        #: per gate, what its guard and key functions may read (None:
+        #: per gate, what its constraints and guard may read (None:
         #: unbounded) — an update changing none of it leaves the gate's
         #: truth, and a Collect's membership, as it was
         self.gate_reads: tuple[Optional[frozenset], ...] = tuple(

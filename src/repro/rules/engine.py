@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Sequence
 
 from repro.rules.facts import Fact, WorkingMemory
-from repro.rules.patterns import ConditionElement
+from repro.rules.patterns import ConditionElement, Pattern
 
 __all__ = ["Rule", "Session", "RuleEngineError", "ActivationContext"]
 
@@ -71,11 +71,19 @@ class Rule:
         when = list(when)
         if not when:
             raise ValueError(f"rule {name!r}: needs at least one condition element")
+        bound: set = set()
         for element in when:
             if not isinstance(element, ConditionElement):
                 raise TypeError(
                     f"rule {name!r}: condition {element!r} is not a ConditionElement"
                 )
+            for ref in element.refs():
+                if ref.binding not in bound:
+                    raise ValueError(
+                        f"rule {name!r}: {ref!r} names no earlier Pattern binding"
+                    )
+            if isinstance(element, Pattern) and element.binding:
+                bound.add(element.binding)
         self.name = name
         self.when = when
         self.then = then
@@ -97,8 +105,9 @@ class Rule:
         configuration (thresholds etc.) just like Drools globals.
 
         ``restrict=(position, facts)`` limits the Pattern at that condition
-        index to the given candidate facts — the delta-join primitive of
-        the network's ``delta`` plans.
+        index to the given candidate facts (their constraints checked
+        one by one) — the delta-join primitive of the network's ``delta``
+        plans.
         """
         frontier: list[dict] = [dict(seed) if seed else {}]
         restrict_ids: Optional[set] = None

@@ -8,8 +8,8 @@ The memory keeps **hash indexes** over attribute tuples, built lazily the
 first time :meth:`WorkingMemory.lookup` is called for a given
 ``(fact type, attributes)`` combination and maintained incrementally on
 every insert / update / retract afterwards.  Rule condition elements use
-``lookup`` (via their ``keys`` parameter) to fetch only the facts that can
-possibly join instead of scanning the whole type extent, and sessions use
+``lookup`` (on their equality constraints) to fetch only the facts that
+can possibly join instead of scanning the whole type extent, and sessions use
 the memory's **change log** to re-match only what actually changed.
 
 A fact's state is its ``__dict__``: :func:`encode_fact` writes it as a

@@ -19,10 +19,11 @@ driven by the memory's change log:
 * **Candidate heap** — candidates from all rules land in per-salience
   rank heaps keyed ``(sorted fact ids, definition order)``, the
   activation order of the engine's semantics.  Entries are validated at
-  pop time (facts live, guards and gates re-evaluated against current
-  memory), so the store only ever needs to be a *superset* of the true
-  activations: the first valid pop is provably the activation a full
-  rescan (:mod:`repro.rules.reference`) would fire.
+  pop time (facts live, constraints, guards and gates re-evaluated
+  against current memory), so the store only ever needs to be a
+  *superset* of the true activations: the first valid pop is provably
+  the activation a full rescan (:mod:`repro.rules.reference`) would
+  fire.
 * **Alpha routing, tier-lazy sync** — a scan routes the change-log tail
   to the pending lists of the rules each mutation can concern, judged by
   the rule's position-0 alpha memory (``docs/engine.md``); a rule
@@ -63,7 +64,7 @@ _MISSING = object()
 
 def _feeds(later: tuple, fact: Fact) -> bool:
     """Do ``fact``'s attributes equal the constant keys of one of these
-    positions?  (A mismatch refutes the position's guard.)"""
+    positions?  (A mismatch refutes the position's constraints.)"""
     for const_keys in later:
         for attr, value in const_keys:
             if getattr(fact, attr, _MISSING) != value:
@@ -125,34 +126,29 @@ class _Bucket:
 
 
 class _PrefixStore:
-    """Beta memory feeding one join position of one rule."""
+    """Beta memory feeding one join position of one rule: prefixes
+    bucketed by the key the position's constraints compute from them
+    (``()`` for every prefix of an unconstrained position)."""
 
-    __slots__ = ("key_attrs", "key_fns", "entries", "by_fid", "buckets", "wildcard")
+    __slots__ = ("element", "entries", "by_fid", "buckets")
 
     def __init__(self, position) -> None:
-        self.key_attrs = position.key_attrs
-        self.key_fns = position.element.key_fns
+        self.element = position.element
         self.entries: dict[tuple, _PrefixEntry] = {}
         self.by_fid: dict[int, set] = {}
         self.buckets: dict[tuple, _Bucket] = {}
-        self.wildcard = _Bucket()
 
     def add(self, fids: tuple, bindings: dict, facts: tuple) -> Optional[_PrefixEntry]:
+        """Store a prefix; None when it is already stored or extends to
+        nothing here (a reference its constraints cannot read)."""
         if fids in self.entries:  # only live entries are kept there
             return None
-        key, bucket = None, self.wildcard
-        if self.key_fns is not None:
-            try:
-                key = tuple([fn(bindings) for fn in self.key_fns])
-            except AttributeError:
-                # Mirrors Pattern.candidates: a key fn that cannot be
-                # computed falls back to the unkeyed path (the guard
-                # still decides).
-                pass
-            else:
-                bucket = self.buckets.get(key)
-                if bucket is None:
-                    bucket = self.buckets[key] = _Bucket()
+        key = self.element.key(bindings)
+        if key is None:
+            return None
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            bucket = self.buckets[key] = _Bucket()
         entry = self.entries[fids] = _PrefixEntry(fids, bindings, facts, key)
         by_fid = self.by_fid
         for fid in fids:
@@ -178,13 +174,10 @@ class _PrefixStore:
                         refs.discard(fids)
                         if not refs:
                             del self.by_fid[other]
-            bucket = (
-                self.wildcard if entry.bucket_key is None
-                else self.buckets.get(entry.bucket_key)
-            )
+            bucket = self.buckets.get(entry.bucket_key)
             if bucket is not None:
                 bucket.dead += 1
-                if bucket.dead == len(bucket.ranked) and bucket is not self.wildcard:
+                if bucket.dead == len(bucket.ranked):
                     # Nothing alive under this key any more.  Keys are
                     # as many as the values ever joined on (every lfn a
                     # long-lived service has seen), so an empty bucket
@@ -199,22 +192,17 @@ class _PrefixStore:
                 elif bucket.dead > 8 and bucket.dead * 16 >= len(bucket.ranked):
                     bucket.compact(self.entries)
 
-    def buckets_for_fact(self, fact: Fact) -> tuple[_Bucket, _Bucket]:
-        """The keyed bucket matching ``fact`` plus the wildcard bucket."""
-        if self.key_attrs is None:
-            return self.wildcard, self.wildcard
-        key = tuple(getattr(fact, a, _MISSING) for a in self.key_attrs)
-        bucket = self.buckets.get(key)
-        if bucket is None or bucket is self.wildcard:
-            return self.wildcard, self.wildcard
-        return bucket, self.wildcard
+    def bucket_for(self, fact: Fact) -> Optional[_Bucket]:
+        """The bucket of the prefixes ``fact`` may extend: the one keyed
+        by its own attributes, so they meet the constraints; None when
+        no prefix has that key."""
+        return self.buckets.get(self.element.fact_key(fact))
 
     def joinable(self, fact: Fact):
-        """Live prefixes ``fact`` may extend: its keyed bucket, then the
-        wildcard bucket (an entry sits in exactly one of them)."""
-        bucket, wildcard = self.buckets_for_fact(fact)
-        for source in (bucket,) if bucket is wildcard else (bucket, wildcard):
-            for _rank, fids in source.ranked:
+        """Live prefixes ``fact`` may extend."""
+        bucket = self.bucket_for(fact)
+        if bucket is not None:
+            for _rank, fids in bucket.ranked:
                 entry = self.entries.get(fids)
                 if entry is not None and entry.alive:
                     yield entry
@@ -235,64 +223,38 @@ class _Probe:
     """Lazy enumeration of one dirty last-position fact against the
     prefix frontier, in activation-rank order.
 
-    The cursor into each bucket is a plain index validated against the
+    The cursor into the bucket is a plain index validated against the
     bucket's ``gen``; the rank marker (last consumed slot) is only used
     to re-bisect after the bucket mutated underneath the probe, so the
     steady-state walk costs O(1) per slot instead of O(log n)."""
 
-    __slots__ = ("driver", "fid", "store", "bucket", "wildcard",
-                 "marker_b", "marker_w", "gen_b", "gen_w",
-                 "next_b", "next_w", "alive")
+    __slots__ = ("driver", "fid", "store", "bucket", "marker", "gen", "next", "alive")
 
-    def __init__(self, driver: Fact, fid: int, store: _PrefixStore,
-                 bucket: _Bucket, wildcard: _Bucket):
+    def __init__(self, driver: Fact, fid: int, store: _PrefixStore, bucket: _Bucket):
         self.driver = driver
         self.fid = fid
         self.store = store
-        self.bucket, self.wildcard = bucket, wildcard  # store.buckets_for_fact(driver)
-        start = ((), ())
-        self.marker_b = start
-        self.marker_w = start
-        self.gen_b = -1
-        self.gen_w = -1
-        self.next_b = 0
-        self.next_w = 0
+        self.bucket = bucket  # store.bucket_for(driver)
+        self.marker = ((), ())
+        self.gen = -1
+        self.next = 0
         self.alive = True
 
     def next_entry(self) -> Optional[_PrefixEntry]:
         """The next live prefix entry in rank order (guards not applied)."""
-        bucket, wildcard = self.bucket, self.wildcard
-        same = bucket is wildcard
-        if self.gen_b != bucket.gen:
-            self.gen_b = bucket.gen
-            self.next_b = bisect_right(bucket.ranked, self.marker_b)
-        if not same and self.gen_w != wildcard.gen:
-            self.gen_w = wildcard.gen
-            self.next_w = bisect_right(wildcard.ranked, self.marker_w)
-        ranked_b = bucket.ranked
-        ranked_w = wildcard.ranked
+        bucket = self.bucket
+        if self.gen != bucket.gen:
+            self.gen = bucket.gen
+            self.next = bisect_right(bucket.ranked, self.marker)
+        ranked = bucket.ranked
         entries = self.store.entries
-        while True:
-            slot_b = ranked_b[self.next_b] if self.next_b < len(ranked_b) else None
-            slot_w = (
-                None if same
-                else ranked_w[self.next_w] if self.next_w < len(ranked_w) else None
-            )
-            if slot_b is None and slot_w is None:
-                return None
-            if slot_w is None or (slot_b is not None and slot_b <= slot_w):
-                slot = slot_b
-                self.marker_b = slot
-                self.next_b += 1
-                if same:
-                    self.marker_w = slot
-            else:
-                slot = slot_w
-                self.marker_w = slot
-                self.next_w += 1
+        while self.next < len(ranked):
+            slot = self.marker = ranked[self.next]
+            self.next += 1
             entry = entries.get(slot[1])
             if entry is not None and entry.alive and entry.rank == slot[0]:
                 return entry
+        return None
 
 
 class _RuleState:
@@ -312,8 +274,8 @@ class _RuleState:
         # (prefixes over positions 0..p-1); stores[0] is unused.
         self.stores: list[Optional[_PrefixStore]] = []
         self.probes: dict[int, _Probe] = {}
-        # position-0 alpha memory: fids of the facts passing the first
-        # Pattern's guard (None when the first element is no Pattern)
+        # position-0 alpha memory: fids of the facts matching the first
+        # Pattern (None when the first element is no Pattern)
         self.alpha: Optional[set[int]] = None
         # the fid-keyed maps above: a fid in none of them is referenced
         # by nothing this rule stores
@@ -537,7 +499,7 @@ class JoinNetwork:
         """Hand the mutations since the last scan to the rules they concern.
 
         A rule whose first condition element is a Pattern keeps the fids
-        passing that pattern's guard — its position-0 alpha memory, exact
+        matching that pattern — its position-0 alpha memory, exact
         after every call — and is handed a mutation only when the fact
         is in or enters it, when the fid is referenced by what the rule
         stores, or, while the memory is non-empty, when the fact can
@@ -614,10 +576,11 @@ class JoinNetwork:
 
         Returns the rules that read none of ``changed``, whose stored
         candidates binding the fact are re-offered; and the other rules
-        the mutation may concern, grouped by the constant keys of the
-        position 0 it feeds (None: it feeds none) so one comparison
-        refuses a whole group's guards.  A rule with unbounded reads or a
-        Collect gate is never in the first part."""
+        the mutation may concern, grouped by the constraints of the
+        position 0 it feeds (None: it feeds none; constants only, as no
+        binding precedes position 0) so one comparison refuses a whole
+        group.  A rule with unbounded reads or a Collect gate is never in
+        the first part."""
         unread, groups = [], {}
         for plan, route in self.ruleset.dispatch(fact_type):
             state = self._states[plan.rule.name]
@@ -715,7 +678,7 @@ class JoinNetwork:
         for pos in state.plan.positions:
             candidates = [
                 f for f in live if isinstance(f, pos.fact_type)
-                # position 0's guard is the one routing evaluated
+                # position 0's match is the one routing evaluated
                 and (pos.index or alpha is None or fid_of(f) in alpha)
             ]
             if candidates:
@@ -737,12 +700,10 @@ class JoinNetwork:
         last = len(positions) - 1
         for fact in live:
             if isinstance(fact, positions[last].fact_type):
-                bucket, wildcard = stores[last].buckets_for_fact(fact)
-                if bucket.ranked or wildcard.ranked:
+                bucket = stores[last].bucket_for(fact)
+                if bucket is not None:
                     fid = fid_of(fact)
-                    probe = state.probes[fid] = _Probe(
-                        fact, fid, stores[last], bucket, wildcard
-                    )
+                    probe = state.probes[fid] = _Probe(fact, fid, stores[last], bucket)
                     self._advance_probe(state, probe)
         # Re-derive prefixes left to right; these cascades stay eager (a
         # dirty transfer joins few counters).  ``new`` holds the
@@ -772,11 +733,13 @@ class JoinNetwork:
                     continue
                 fid = fid_of(fact)
                 if p == 0:
-                    if fid in state.alpha:  # the guard routing evaluated
+                    if fid in state.alpha:  # the match routing evaluated
                         grown.append(stores[1].add(
                             (fid,), {**self.seed, binding: fact}, (fact,)
                         ))
                     continue
+                # the prefixes' bucket is keyed by the fact's own
+                # attributes: the constraints hold, the guard decides
                 for prefix in stores[p].joinable(fact):
                     if _check(where, fact, prefix.bindings):
                         grown.append(stores[p + 1].add(
@@ -875,7 +838,11 @@ class JoinNetwork:
                     return "dead"
                 if slot < 0:
                     bindings = expanded[0]
-            elif not memory.contains(fact) or not _check(element.where, fact, bindings):
+            elif (
+                not memory.contains(fact)
+                or not element.holds(fact, bindings)
+                or not _check(element.where, fact, bindings)
+            ):
                 return "dead"
             elif element.binding:
                 bindings[element.binding] = fact

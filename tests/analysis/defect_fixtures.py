@@ -55,13 +55,13 @@ def duplicate_name_rules():
 
 
 def unkeyed_join_rules():
-    """R009: a join-plan rule whose last pattern declares no keys."""
+    """R009: a join-plan rule whose last pattern states no equality
+    constraint."""
     return [
         Rule(
             "Join with an unkeyed last position",
             when=[
-                Pattern(ProbeFact, "t", where=lambda t, b: t.status == "new",
-                        keys={"status": lambda b: "new"}),
+                Pattern(ProbeFact, "t", status="new"),
                 Pattern(CounterFact, "c",
                         where=lambda c, b: c.value >= 0),
             ],

@@ -4,6 +4,7 @@ import pytest
 
 from repro.policy import PolicyConfig, PolicyService
 from repro.policy.rules_access import HostDenialFact, WorkflowQuotaFact
+from repro.policy.sharding import ShardedPolicyService
 
 from tests.conftest import counter
 from tests.policy.conftest import spec
@@ -217,3 +218,22 @@ def test_quota_charges_only_the_transfer_that_moves_bytes():
     service.complete_transfers(done=[batch[0].tid])
     assert service.submit_transfers("wf", "j3", [spec("a", nbytes=100)])[0].action == "skip"
     assert service.memory.facts_of(WorkflowQuotaFact)[0].used_bytes == 100.0
+
+
+@pytest.mark.parametrize("shards", [0, 2])
+def test_duplicate_of_a_quota_denied_transfer_is_denied(shards):
+    # The charge of `a` leaves too little budget for `b`, whose denial
+    # comes after batch de-dup skipped its twin: the twin is denied too,
+    # and only the bytes `a` moves are charged.
+    config = PolicyConfig(policy="greedy", default_streams=4, max_streams=50,
+                          access_control=True)
+    service = (
+        ShardedPolicyService(config, num_shards=shards) if shards else PolicyService(config)
+    )
+    service.set_quota("wf", 1000.0)
+    advice = service.submit_transfers(
+        "wf", "j1", [spec("a", nbytes=600), spec("b", nbytes=600), spec("b", nbytes=600)]
+    )
+    assert [a.action for a in sorted(advice, key=lambda a: a.tid)] == ["transfer", "deny", "deny"]
+    assert all("quota exceeded" in a.reason for a in advice if a.action == "deny")
+    assert sum(q.used_bytes for q in service.memory.facts_of(WorkflowQuotaFact)) == 600.0

@@ -402,7 +402,7 @@ def session_census(service):
     sizes["slots"] = sum(
         len(bucket.ranked)
         for store in stores
-        for bucket in [*store.buckets.values(), store.wildcard]
+        for bucket in store.buckets.values()
     )
     return sizes
 

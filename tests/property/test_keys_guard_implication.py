@@ -1,16 +1,16 @@
-"""Property: every ``keys`` hint in the shipped rule sets is implied by its
-guard.
+"""Property: every shipped condition's keyed lookup returns exactly the
+facts its constraints and guard accept.
 
-``Pattern.keys`` is an access-path hint — the engine fetches candidates
-through a hash index on the keyed attributes.  If a guard ever accepts a
-fact the keyed lookup does not return, that match is *silently lost*
-(``src/repro/rules/patterns.py`` says so outright).  This test rebuilds the
-shipped rule-set compositions and checks the implication directly over
-hypothesis-generated working memories; it is the one direct check of the
-property.  The memories hold several transfers with distinct tids, half
-of them new, so the joins of two transfers on one file (batch dedup) are
-exercised: the mutation scorecard's three unsound-keys mutants
-(``docs/analysis.md``) fail here.
+A condition element states its equalities as constraints
+(``lfn=Ref("t", "lfn")``) and the engine fetches its candidates through a
+hash index on the constrained attributes, leaving the guard to judge the
+rest.  This test rebuilds the shipped rule-set compositions and checks,
+over hypothesis-generated working memories, that the index probe agrees
+with a full scan of the type extent filtered by the constraints (read
+here straight off ``element.constraints``, not through the engine) and
+the guard: nothing lost, nothing extra.  The memories hold several
+transfers with distinct tids, half of them new, so the joins of two
+transfers on one file (batch dedup) are exercised.
 """
 
 import pytest
@@ -32,7 +32,7 @@ from repro.policy.rules_common import common_rules
 from repro.policy.rules_greedy import greedy_rules
 from repro.policy.rules_priority import JobPriorityFact, priority_rules
 from repro.rules import WorkingMemory
-from repro.rules.patterns import Absent, Collect, Pattern
+from repro.rules.patterns import Absent, Collect, Pattern, Ref
 
 HOSTS = ["h1", "h2"]
 LFNS = ["f1.dat", "f2.dat"]
@@ -210,35 +210,52 @@ def _guard_ok(guard, fact, bindings):
         return False
 
 
-def _assert_keys_implied(element, memory, bindings):
-    """The keyed lookup must return a superset of the guard's accepts."""
-    try:
-        values = {attr: fn(bindings) for attr, fn in element.keys.items()}
-    except AttributeError:
-        return  # the engine falls back to the full scan here
-    keyed = {id(f) for f in memory.lookup(element.fact_type, **values)}
-    for fact in memory.facts_of(element.fact_type):
-        if _guard_ok(element.where, fact, bindings):
-            assert id(fact) in keyed, (
-                f"keys {values!r} on {element!r} miss guard-accepted fact "
-                f"{fact.describe()} — matches would be silently lost"
-            )
+_MISSING = object()
+
+
+def _constraints_ok(element, fact, bindings):
+    """The element's equalities, evaluated one by one: a reference reads
+    the bound fact's attribute (a missing one matches nothing)."""
+    for attr, value in element.constraints.items():
+        if isinstance(value, Ref):
+            value = getattr(bindings[value.binding], value.attr, _MISSING)
+            if value is _MISSING:
+                return False
+        if getattr(fact, attr, _MISSING) != value:
+            return False
+    return True
+
+
+def _accepted(element, memory, bindings):
+    """Full scan: the facts of the type the constraints and guard accept."""
+    return [
+        f for f in memory.facts_of(element.fact_type)
+        if _constraints_ok(element, f, bindings) and _guard_ok(element.where, f, bindings)
+    ]
+
+
+def _assert_lookup_exact(element, memory, bindings, accepted):
+    """The keyed lookup, guard applied, returns exactly the scan's facts."""
+    keyed = [
+        f for f in element.candidates(memory, bindings)
+        if _guard_ok(element.where, f, bindings)
+    ]
+    assert [id(f) for f in keyed] == [id(f) for f in accepted], (
+        f"constraints {element.constraints!r} on {element!r}: the index "
+        f"returns {[f.describe() for f in keyed]}, a full scan "
+        f"{[f.describe() for f in accepted]}"
+    )
 
 
 def _walk_rule(rule, memory, seed_bindings):
-    """Guard-only LHS walk, checking every keyed element along the way."""
+    """Full-scan LHS walk, checking every keyed element along the way."""
     frontier = [dict(seed_bindings)]
     for element in rule.when:
-        if element.keys:
-            for bindings in frontier:
-                _assert_keys_implied(element, memory, bindings)
         next_frontier = []
         for bindings in frontier:
-            accepted = [
-                f
-                for f in memory.facts_of(element.fact_type)
-                if _guard_ok(element.where, f, bindings)
-            ]
+            accepted = _accepted(element, memory, bindings)
+            if element.constraints:
+                _assert_lookup_exact(element, memory, bindings, accepted)
             if isinstance(element, Pattern):
                 for fact in accepted:
                     new = dict(bindings)

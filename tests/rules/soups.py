@@ -2,8 +2,8 @@
 
 :class:`FactFactory` builds instances of any :class:`~repro.rules.facts.Fact`
 subclass from its ``__init__`` signature, then randomly perturbs their
-attributes.  The value pools are the string and number constants
-harvested from the rules' own guard and action bytecode
+attributes.  The value pools are the string and number constants of the
+rules' own constraints and guard and action bytecode
 (:func:`harvest_constants`), so ``status`` really takes values like
 ``"new"`` and ``"in_progress"`` that the guards compare against, plus
 name-based heuristics for urls, hosts and ids.  :func:`random_memory`
@@ -30,8 +30,9 @@ def _code_objects(code) -> Iterable:
             yield from _code_objects(const)
 
 
-def harvest_constants(functions: Iterable[Callable]) -> dict[str, list]:
-    """Collect literal constants from the given callables' bytecode.
+def harvest_constants(functions: Iterable[Callable], values: Iterable = ()) -> dict[str, list]:
+    """Collect literal constants from the given callables' bytecode,
+    plus ``values`` (the constants of equality constraints).
 
     Returns pools keyed by kind: ``"str"``, ``"int"``, ``"float"`` —
     the raw material for randomized fact attributes.
@@ -39,22 +40,24 @@ def harvest_constants(functions: Iterable[Callable]) -> dict[str, list]:
     strings: set[str] = set()
     ints: set[int] = set()
     floats: set[float] = set()
+    consts = list(values)
     for func in functions:
         code = getattr(func, "__code__", None)
         if code is None:
             continue
         for nested in _code_objects(code):
-            for const in nested.co_consts:
-                if isinstance(const, str):
-                    if const and len(const) <= 32 and "\n" not in const:
-                        strings.add(const)
-                elif isinstance(const, bool):
-                    continue
-                elif isinstance(const, int):
-                    if -1000 <= const <= 1000:
-                        ints.add(const)
-                elif isinstance(const, float):
-                    floats.add(const)
+            consts.extend(nested.co_consts)
+    for const in consts:
+        if isinstance(const, str):
+            if const and len(const) <= 32 and "\n" not in const:
+                strings.add(const)
+        elif isinstance(const, bool):
+            continue
+        elif isinstance(const, int):
+            if -1000 <= const <= 1000:
+                ints.add(const)
+        elif isinstance(const, float):
+            floats.add(const)
     return {
         "str": sorted(strings),
         "int": sorted(ints),
@@ -200,17 +203,20 @@ class FactFactory:
 
 
 def rule_set_functions(rules: Sequence[Rule]) -> list[Callable]:
-    """Every action, guard and key function of ``rules``
-    — where :func:`harvest_constants` finds the value pools."""
+    """Every action and guard of ``rules`` — where
+    :func:`harvest_constants` finds the value pools."""
     funcs: list[Callable] = []
     for rule in rules:
         funcs.append(rule.then)
         for element in rule.when:
             if element.where is not None:
                 funcs.append(element.where)
-            if element.keys:
-                funcs.extend(element.keys.values())
     return funcs
+
+
+def rule_set_constants(rules: Sequence[Rule]) -> list:
+    """The constant values of every equality constraint of ``rules``."""
+    return [value for rule in rules for el in rule.when for _attr, value in el.const_keys]
 
 
 def probe_universe(rules: Sequence[Rule]) -> list[Type[Fact]]:

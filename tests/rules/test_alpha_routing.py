@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import repro.rules.compiler as compiler_module
 import repro.rules.network as network_module
-from repro.rules import Absent, Collect, Fact, Pattern, Rule, Session, WorkingMemory
+from repro.rules import Absent, Collect, Fact, Pattern, Ref, Rule, Session, WorkingMemory
 from repro.rules.patterns import _check
 from repro.rules.reference import ReferenceSession
 
@@ -64,41 +64,34 @@ def soup_rules(trace):
         trace.append(("dup", ctx.o.oid, ctx.d.oid))
         ctx.update(ctx.d, status="dup")
 
-    new = {"status": lambda b: "new"}
-    same_item = {"item": lambda b: b["o"].item}
     return [
         Rule(
             "dup", salience=9,
             when=[
-                Pattern(Order, "o", where=lambda o, b: o.status == "new", keys=new),
+                Pattern(Order, "o", status="new"),
                 Pattern(Order, "d",
                         where=lambda d, b: d.status == "new" and d.oid > b["o"].oid
-                        and d.item == b["o"].item and d.qty == b["o"].qty,
-                        keys=same_item),
+                        and d.qty == b["o"].qty,
+                        item=Ref("o", "item")),
             ],
             then=drop_duplicate,
         ),
         Rule(
             "fill", salience=8,
             when=[
-                Pattern(Order, "o", where=lambda o, b: o.status == "new", keys=new),
-                Pattern(Stock, "s",
-                        where=lambda s, b: s.state == "open" and s.item == b["o"].item
-                        and s.level >= b["o"].qty,
-                        keys={**same_item, "state": lambda b: "open"}),
+                Pattern(Order, "o", status="new"),
+                Pattern(Stock, "s", where=lambda s, b: s.level >= b["o"].qty,
+                        item=Ref("o", "item"), state="open"),
             ],
             then=fill,
         ),
         Rule(
             "backlog", salience=7,
             when=[
-                Pattern(Order, "o", where=lambda o, b: o.status == "filled",
-                        keys={"status": lambda b: "filled"}),
-                Pattern(Stock, "s", where=lambda s, b: s.item == b["o"].item,
-                        keys=same_item),
-                Pattern(Order, "n",
-                        where=lambda n, b: n.status == "new" and n.item == b["o"].item,
-                        keys=same_item),
+                Pattern(Order, "o", status="filled"),
+                Pattern(Stock, "s", item=Ref("o", "item")),
+                Pattern(Order, "n", where=lambda n, b: n.status == "new",
+                        item=Ref("o", "item")),
             ],
             then=lambda ctx: trace.append(("backlog", ctx.o.oid, ctx.s.level, ctx.n.oid)),
         ),
@@ -182,7 +175,8 @@ def network_problems(session):
         if head is not None:
             exact = {
                 memory.fid_of(f) for f in memory.facts_of(head.fact_type)
-                if _check(head.element.where, f, network.seed)
+                if head.element.holds(f, network.seed)
+                and _check(head.element.where, f, network.seed)
             }
             if state.alpha != exact:
                 problems.append(f"{name}: alpha {sorted(state.alpha)} != {sorted(exact)}")

@@ -18,6 +18,7 @@ from repro.rules import (
     Collect,
     Fact,
     Pattern,
+    Ref,
     Rule,
     compile_rules,
 )
@@ -56,11 +57,8 @@ def test_join_rules_salience_and_fifo_order_match():
                 "audit",
                 salience=1,
                 when=[
-                    Pattern(Order, "o",
-                            where=lambda o, b: o.status == "filled",
-                            keys={"status": lambda b: "filled"}),
-                    Pattern(Stock, "s", where=lambda s, b: s.item == b["o"].item,
-                            keys={"item": lambda b: b["o"].item}),
+                    Pattern(Order, "o", status="filled"),
+                    Pattern(Stock, "s", item=Ref("o", "item")),
                 ],
                 then=lambda ctx: trace.append(("audit", ctx.o.oid, ctx.s.level)),
             ),
@@ -68,12 +66,9 @@ def test_join_rules_salience_and_fifo_order_match():
                 "fill",
                 salience=5,
                 when=[
-                    Pattern(Order, "o", where=lambda o, b: o.status == "new",
-                            keys={"status": lambda b: "new"}),
-                    Pattern(Stock, "s",
-                            where=lambda s, b: s.item == b["o"].item
-                            and s.level >= b["o"].qty,
-                            keys={"item": lambda b: b["o"].item}),
+                    Pattern(Order, "o", status="new"),
+                    Pattern(Stock, "s", where=lambda s, b: s.level >= b["o"].qty,
+                            item=Ref("o", "item")),
                 ],
                 then=fill,
             ),
@@ -276,7 +271,7 @@ def test_compiled_plans_classify_rules():
     rules = [
         Rule("join", when=[
             Pattern(Order, "o"),
-            Pattern(Stock, "s", keys={"item": lambda b: b["o"].item}),
+            Pattern(Stock, "s", item=Ref("o", "item")),
         ], then=lambda ctx: None),
         Rule("gated", when=[
             Pattern(Order, "o"),
@@ -325,12 +320,9 @@ def _soup_rules(trace):
             "fill",
             salience=5,
             when=[
-                Pattern(Order, "o", where=lambda o, b: o.status == "new",
-                        keys={"status": lambda b: "new"}),
-                Pattern(Stock, "s",
-                        where=lambda s, b: s.item == b["o"].item
-                        and s.level >= b["o"].qty,
-                        keys={"item": lambda b: b["o"].item}),
+                Pattern(Order, "o", status="new"),
+                Pattern(Stock, "s", where=lambda s, b: s.level >= b["o"].qty,
+                        item=Ref("o", "item")),
             ],
             then=fill,
         ),

@@ -7,6 +7,7 @@ from repro.rules import (
     Collect,
     Fact,
     Pattern,
+    Ref,
     Rule,
     RuleEngineError,
     Session,
@@ -316,6 +317,24 @@ def test_pattern_validation():
         Absent(str)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         Collect(Ticket, binding="")
+
+
+def test_equality_constraints_replace_keys_hints():
+    keys = {"seat": lambda b: "A1"}
+    for element in (
+        lambda: Pattern(Ticket, "t", keys=keys),
+        lambda: Absent(Ticket, keys=keys),
+        lambda: Collect(Ticket, "ts", keys=keys),
+    ):
+        with pytest.raises(TypeError, match="not keys="):
+            element()
+    with pytest.raises(TypeError):
+        Pattern(Ticket, "t", seat=lambda b: "A1")  # a key function is no constant
+    with pytest.raises(TypeError):
+        Pattern(Ticket, "t", seat=["A1"])  # an index key must hash
+    with pytest.raises(ValueError, match="names no earlier Pattern binding"):
+        Rule("forward", when=[Pattern(Ticket, "t", seat=Ref("u", "seat")),
+                              Pattern(Ticket, "u")], then=lambda ctx: None)
 
 
 def test_missing_binding_attribute_error():

@@ -7,7 +7,7 @@ keyed patterns.  Every scenario here runs on both and is compared
 (``run_equivalent`` in ``conftest.py``).
 """
 
-from repro.rules import Absent, Collect, Fact, Pattern, Rule
+from repro.rules import Absent, Collect, Fact, Pattern, Ref, Rule
 from tests.rules.conftest import run_equivalent
 
 
@@ -74,12 +74,9 @@ def test_mid_firing_inserts_and_updates_match():
                 "fill",
                 salience=5,
                 when=[
-                    Pattern(Order, "o", where=lambda o, b: o.status == "new",
-                            keys={"status": lambda b: "new"}),
-                    Pattern(Stock, "stock",
-                            where=lambda s, b: s.item == b["o"].item
-                            and s.level >= b["o"].qty,
-                            keys={"item": lambda b: b["o"].item}),
+                    Pattern(Order, "o", status="new"),
+                    Pattern(Stock, "stock", where=lambda s, b: s.level >= b["o"].qty,
+                            item=Ref("o", "item")),
                 ],
                 then=restock,
             ),
@@ -199,18 +196,17 @@ def test_no_loop_suppression_matches():
 
 
 def test_keyed_pattern_falls_back_on_missing_binding():
-    # A keys= hint whose key function raises AttributeError must degrade to
-    # the full scan, not crash or mis-match.
+    # A constraint referencing an attribute the bound fact lacks matches
+    # nothing, as a guard raising AttributeError does: no crash, no
+    # match, and the network agrees with the reference.
     def make_rules(trace):
         return [
             Rule(
                 "pair",
                 when=[
                     Pattern(Order, "o"),
-                    Pattern(Stock, "s",
-                            where=lambda s, b: s.item == b["o"].item,
-                            # b["o"].missing raises AttributeError
-                            keys={"item": lambda b: b["o"].missing}),
+                    # Order has no attribute "missing"
+                    Pattern(Stock, "s", item=Ref("o", "missing")),
                 ],
                 then=lambda ctx: trace.append(("pair", ctx.o.oid, ctx.s.item)),
             ),
@@ -222,4 +218,33 @@ def test_keyed_pattern_falls_back_on_missing_binding():
         trace.append(("fired", s.fire_all()))
 
     trace = run_equivalent(make_rules, scenario)
-    assert ("pair", 1, "disk") in trace
+    assert trace == [("fired", 0)]
+
+
+def test_constraints_hold_for_a_fact_no_index_probe_returned():
+    # A delta rule (the Absent gate) re-joins a dirty fact at its later
+    # position without the index: its constraint must still be checked,
+    # so the cpu stock never pairs with the disk order.
+    def make_rules(trace):
+        return [
+            Rule(
+                "stocked",
+                when=[
+                    Pattern(Order, "o"),
+                    Pattern(Stock, "s", item=Ref("o", "item")),
+                    Absent(Audit),
+                ],
+                then=lambda ctx: trace.append(("stocked", ctx.o.oid, ctx.s.item)),
+            ),
+        ]
+
+    def scenario(s, trace):
+        s.insert(Order(1, "disk", 1))
+        trace.append(("fired", s.fire_all()))
+        s.insert(Stock("cpu", 5))
+        trace.append(("fired", s.fire_all()))
+        s.insert(Stock("disk", 5))
+        trace.append(("fired", s.fire_all()))
+
+    trace = run_equivalent(make_rules, scenario)
+    assert trace == [("fired", 0), ("fired", 0), ("stocked", 1, "disk"), ("fired", 1)]

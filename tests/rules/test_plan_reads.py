@@ -8,7 +8,7 @@ re-enumerate a gated rule for an update no gate reads.  A name missing
 from a set silently leaves matches stale, so the sets are checked three
 ways:
 
-* an oracle: every shipped composition's guards and key functions run
+* an oracle: every shipped composition's constraints and guards run
   over randomized fact soups while fact instances record each attribute
   read; the reads must fall inside the rule's set and each gate's,
   wherever it is not None, and the shipped gate sets are pinned;
@@ -32,7 +32,7 @@ import pytest
 
 import repro.rules.network as network_module
 from repro.analysis.verifier import verify_compositions
-from repro.rules import Fact, Pattern, Rule, Session, WorkingMemory, compile_rules
+from repro.rules import Fact, Pattern, Ref, Rule, Session, WorkingMemory, compile_rules
 from repro.rules.reference import ReferenceSession
 
 from tests.rules.soups import (
@@ -41,6 +41,7 @@ from tests.rules.soups import (
     harvest_constants,
     probe_universe,
     random_memory,
+    rule_set_constants,
     rule_set_functions,
 )
 
@@ -85,25 +86,21 @@ def _bindings_for(rule, index, memory, session_globals, rng):
 
 
 def _recorded_reads(rule, memory, session_globals, rng, recorder):
-    """Evaluate every guard and key function of ``rule`` over ``memory``;
+    """Evaluate every constraint and guard of ``rule`` over ``memory``;
     per condition element, the attribute names they read off facts."""
     out = []
     for index, element in enumerate(rule.when):
         recorder.names = set()
         out.append(recorder.names)
         for bindings in _bindings_for(rule, index, memory, session_globals, rng):
-            for fn in (element.keys or {}).values():
-                try:
-                    _recording(recorder, fn)(bindings)
-                except Exception:
-                    pass
-            if element.where is None:
-                continue
             for fact in memory.facts_of(element.fact_type):
-                try:
-                    _recording(recorder, element.where)(fact, bindings)
-                except Exception:
-                    pass
+                for fn in (element.holds, element.where):
+                    if fn is None:
+                        continue
+                    try:
+                        _recording(recorder, fn)(fact, bindings)
+                    except Exception:
+                        pass
     return out
 
 
@@ -125,7 +122,7 @@ def test_recorded_guard_reads_stay_inside_the_plan_read_set(monkeypatch):
     checked, gates_checked = set(), set()
     for name, (rules, session_globals) in compositions.items():
         universe = probe_universe(rules)
-        pools = harvest_constants(rule_set_functions(rules))
+        pools = harvest_constants(rule_set_functions(rules), rule_set_constants(rules))
         for seed in range(3):
             rng = random.Random(seed)
             memory = random_memory(universe, FactFactory(rng, pools))
@@ -233,7 +230,7 @@ def _reads_of(where):
         "probe",
         when=[
             Pattern(Tag, "g"),
-            Pattern(Item, "t", where=where, keys={"name": lambda b: b["g"].name}),
+            Pattern(Item, "t", where=where, name=Ref("g", "name")),
         ],
         then=lambda ctx: None,
     )
@@ -289,9 +286,8 @@ def test_nested_code_and_keys_land_in_the_read_set():
     assert "name" in reads and "size" not in reads
     # a generator expression that reads off the candidate
     assert "lfn" in _reads_of(lambda t, b: sum(1 for _ in range(2) if t.lfn))
-    # a key attribute, even when no function names it
-    rule = Rule("keyed", when=[Pattern(Item, "t", keys={"size": lambda b: 3})],
-                then=lambda ctx: None)
+    # a constrained attribute, even when no function names it
+    rule = Rule("keyed", when=[Pattern(Item, "t", size=3)], then=lambda ctx: None)
     assert compile_rules([rule]).plans[0].reads == {"size"}
 
 
@@ -306,8 +302,7 @@ def bookkeeping_rules(trace):
             "watch", salience=2,
             when=[
                 Pattern(Item, "i", where=lambda i, b: i.status == "open"),
-                Pattern(Tag, "g", where=lambda g, b: g.name == b["i"].name,
-                        keys={"name": lambda b: b["i"].name}),
+                Pattern(Tag, "g", name=Ref("i", "name")),
             ],
             then=lambda ctx: trace.append(("watch", ctx.i.name, ctx.i.note)),
         ),

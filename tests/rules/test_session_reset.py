@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rules import Absent, Fact, Pattern, Rule, Session, WorkingMemory
+from repro.rules import Absent, Fact, Pattern, Ref, Rule, Session, WorkingMemory
 from tests.rules.conftest import new_session
 
 MODES = ("reference", "network")
@@ -53,16 +53,13 @@ def soup_rules(trace):
         trace.append(("halt", ctx.o.oid))
         ctx.halt()
 
-    same_item = {"item": lambda b: b["o"].item}
     return [
         Rule(
             "fill", salience=5,
             when=[
-                Pattern(Order, "o", where=lambda o, b: o.status == "new" and o.qty < 3,
-                        keys={"status": lambda b: "new"}),
-                Pattern(Stock, "s",
-                        where=lambda s, b: s.item == b["o"].item and s.level >= b["o"].qty,
-                        keys=same_item),
+                Pattern(Order, "o", where=lambda o, b: o.qty < 3, status="new"),
+                Pattern(Stock, "s", where=lambda s, b: s.level >= b["o"].qty,
+                        item=Ref("o", "item")),
             ],
             then=fill,
         ),
@@ -70,10 +67,8 @@ def soup_rules(trace):
         Rule(
             "shelf", salience=4,
             when=[
-                Pattern(Order, "o", where=lambda o, b: o.status == "filled",
-                        keys={"status": lambda b: "filled"}),
-                Pattern(Stock, "s", where=lambda s, b: s.item == b["o"].item,
-                        keys=same_item),
+                Pattern(Order, "o", status="filled"),
+                Pattern(Stock, "s", item=Ref("o", "item")),
             ],
             then=lambda ctx: trace.append(("shelf", ctx.o.oid, ctx.s.level)),
         ),

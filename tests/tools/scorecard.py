@@ -82,36 +82,11 @@ class Mutant:
 
 
 MUTANTS: tuple[Mutant, ...] = (
-    # -- unsound keys -------------------------------------------------------
-    Mutant(
-        "keys-dedup", "unsound keys", "Remove duplicate transfers (Table I)", COMMON,
-        (('and d.dst_url == b["t"].dst_url,\n                    keys=_t_file_keys(),',
-          'and d.dst_url == b["t"].dst_url,\n'
-          '                    keys={"tid": lambda b: b["t"].tid},'),),
-    ),
-    Mutant(
-        "keys-cell", "unsound keys", "Assign the group ID (Table I, fired)", COMMON,
-        (('"pair",\n                    where=lambda p, b: p.src_host == b["t"].src_host\n'
-          '                    and p.dst_host == b["t"].dst_host,\n'
-          '                    keys=_t_pair_keys(),',
-          '"pair",\n                    where=lambda p, b: p.src_host == b["t"].src_host\n'
-          '                    and p.dst_host == b["t"].dst_host,\n'
-          '                    keys={"src_host": lambda b: b["t"].dst_host,\n'
-          '                          "dst_host": lambda b: b["t"].src_host},'),),
-    ),
-    Mutant(
-        "keys-lease", "unsound keys", "Expire a transfer lease", COMMON,
-        (('and t.lease_deadline <= b["sweep"].now,\n'
-          '                    keys={"status": lambda b: "in_progress"},',
-          'and t.lease_deadline <= b["sweep"].now,\n'
-          '                    keys={"status": lambda b: "failed"},'),),
-        packs="greedy,greedy_leases",
-    ),
     # -- unknown attribute --------------------------------------------------
     Mutant(
         "attr-cell", "unknown attribute", "Detach a cleanup's workflow (Table I, fired)",
         COMMON,
-        (('and b["c"].workflow in r.users,', 'and b["c"].workflow in r.readers,'),),
+        (('b["c"].workflow in r.users,', 'b["c"].workflow in r.readers,'),),
     ),
     Mutant(
         "attr-eviction", "unknown attribute", "Select eviction victims", EVICTION,
@@ -126,8 +101,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "shadow", "shadowing", "Remove transfers already staged (Table I)", COMMON,
-        (('where=lambda r, b: r.status == "staged"\n                    and r.lfn',
-          'where=lambda r, b: r.lfn'),),
+        (('where=lambda r, b: r.status == "staged",\n', ''),),
     ),
     # -- divergent update ---------------------------------------------------
     Mutant(
@@ -160,9 +134,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "unkeyed-join", "unkeyed join", "Remove transfers already staged (Table I)", COMMON,
-        (('r.status == "staged"\n                    and r.lfn == b["t"].lfn\n'
-          '                    and r.dst_url == b["t"].dst_url,\n'
-          '                    keys=_t_file_keys(),\n',
+        (('r.status == "staged",\n                    lfn=Ref("t", "lfn"),\n'
+          '                    dst_url=Ref("t", "dst_url"),\n',
           'r.status == "staged"\n                    and r.lfn == b["t"].lfn\n'
           '                    and r.dst_url == b["t"].dst_url,\n'),),
     ),
@@ -206,15 +179,15 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "stale-globals", "stale globals", "Assign default streams (Table I)", COMMON,
-        (("and t.requested_streams is None,",
-          'and t.requested_streams is None\n'
+        (("t.requested_streams is None,",
+          't.requested_streams is None\n'
           '                    and b["_globals"]["group_counter"] > 1,'),),
     ),
     # -- seeded mutants -----------------------------------------------------
     Mutant(
         "drop-conjunct", "drop a guard conjunct", "Remove duplicate cleanups (Table I)", COMMON,
-        (('and o.url == b["c"].url\n                    and o.status in ("approved", "in_progress"),',
-          'and o.url == b["c"].url,'),),
+        (('o.cid != b["c"].cid\n                    and o.status in ("approved", "in_progress"),',
+          'o.cid != b["c"].cid,'),),
     ),
     Mutant(
         "drop-update-attr", "drop an update attribute", "Wait for an in-flight transfer (Table I)",
