@@ -9,15 +9,14 @@ environment's sweet spot — just under the WAN's congestion knee.
 Run:  python examples/threshold_tuning.py
 """
 
-import numpy as np
-
 from repro import ExperimentConfig, run_cell
+from repro.des.rng import Stream
 from repro.policy.tuning import ThresholdTuner
 
 
 def main() -> None:
     candidates = (30, 50, 80, 130, 200)
-    tuner = ThresholdTuner(candidates, epsilon=0.2, rng=np.random.default_rng(3))
+    tuner = ThresholdTuner(candidates, epsilon=0.2, rng=Stream(3))
     print(f"candidate thresholds: {candidates}")
     print("running 18 tuning iterations (one simulated campaign each)...\n")
 

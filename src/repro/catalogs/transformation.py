@@ -8,8 +8,10 @@ runtimes).  Sampling is deterministic given the caller's RNG stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from repro.des.rng import Stream
 
 __all__ = ["RuntimeModel", "TransformationCatalog"]
 
@@ -32,7 +34,7 @@ class RuntimeModel:
         if self.mean < 0 or self.std < 0 or self.min_runtime < 0:
             raise ValueError(f"transformation {self.name!r}: negative parameter")
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: Stream) -> float:
         value = rng.normal(self.mean, self.std) if self.std > 0 else self.mean
         return max(self.min_runtime, float(value))
 

@@ -24,8 +24,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-import numpy as np
-
+from repro.experiments import stats
 from repro.experiments.runner import ExperimentConfig, run_replicates
 
 
@@ -74,12 +73,12 @@ class Series:
         self.ys.append(values)
 
     def means(self) -> list[float]:
-        return [float(np.mean(v)) for v in self.ys]
+        return [stats.mean(v) for v in self.ys]
 
     def at(self, x) -> tuple[float, float]:
         """(mean, std) at a given x."""
         idx = self.xs.index(x)
-        return float(np.mean(self.ys[idx])), float(np.std(self.ys[idx]))
+        return stats.mean(self.ys[idx]), stats.std(self.ys[idx])
 
     def to_dict(self) -> dict:
         return {"label": self.label, "xs": list(self.xs), "ys": [list(v) for v in self.ys]}

@@ -36,10 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-import numpy as np
-
 from repro.engine.dagman import DAGManResult
-
+from repro.experiments import stats
 from repro.experiments.runner import (
     EnsembleResult,
     ExperimentConfig,
@@ -250,17 +248,17 @@ def run_traced_chaos(cfg: ExperimentConfig, plan=None) -> TracedRun:
 
 def summarize_records(durations: Iterable[float]) -> dict:
     """Summary statistics of a duration population."""
-    arr = np.asarray(list(durations), dtype=float)
-    if arr.size == 0:
+    values = [float(d) for d in durations]
+    if not values:
         return {"count": 0}
     return {
-        "count": int(arr.size),
-        "mean": float(arr.mean()),
-        "std": float(arr.std()),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
+        "count": len(values),
+        "mean": stats.mean(values),
+        "std": stats.std(values),
+        "min": min(values),
+        "max": max(values),
+        "p50": stats.percentile(values, 50),
+        "p95": stats.percentile(values, 95),
     }
 
 

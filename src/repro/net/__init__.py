@@ -11,8 +11,8 @@ the ISI Obelix cluster) is replaced by a fluid-flow network simulation:
   parallel-stream counts;
 * :mod:`repro.net.gridftp` — a GridFTP-like transfer client with
   session/stream setup costs and failure injection;
-* :mod:`repro.net.urls` — ``parse_url``, numpy-free so the Policy
-  Service can check URLs without loading the simulator.
+* :mod:`repro.net.urls` — ``parse_url``, apart from the fabric so the
+  Policy Service can check URLs without loading the simulator.
 
 The model is calibrated so the qualitative findings of the paper hold: more
 parallel streams help until the pipe fills; allocating far beyond a

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from repro.des.rng import Stream
 from repro.net.flows import FlowNetwork
 from repro.net.urls import parse_url
 
@@ -55,7 +54,8 @@ class GridFTPClient:
     fabric:
         The shared :class:`FlowNetwork`.
     rng:
-        numpy Generator for jitter/failures (deterministic per run).
+        Random stream for jitter/failures (deterministic per run): a
+        :class:`~repro.des.rng.Stream` or anything with its methods.
     overhead_jitter:
         Std-dev of the multiplicative protocol-overhead factor applied to
         the byte count (0 disables).
@@ -66,7 +66,7 @@ class GridFTPClient:
     def __init__(
         self,
         fabric: FlowNetwork,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Stream] = None,
         overhead_jitter: float = 0.0,
         failure_rate: float = 0.0,
     ):
@@ -76,7 +76,7 @@ class GridFTPClient:
             raise ValueError("failure_rate must be in [0, 1)")
         self.fabric = fabric
         self.env = fabric.env
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng or Stream(0)
         self.overhead_jitter = overhead_jitter
         self.failure_rate = failure_rate
         self.records: list[TransferRecord] = []

@@ -1,7 +1,7 @@
 """Transfer URLs (``scheme://host/path``).
 
-Kept apart from :mod:`repro.net.gridftp`, which loads numpy and the flow
-fabric, so the Policy Service can check URLs without the simulator.
+Kept apart from :mod:`repro.net.gridftp`, which loads the DES kernel and
+the flow fabric, so the Policy Service can check URLs without the simulator.
 """
 
 from __future__ import annotations

@@ -16,18 +16,19 @@ exponential backoff and jitter (:class:`RetryPolicy`) and a
 retries are exhausted — or the circuit is open — the call raises
 :class:`PolicyUnavailableError`; the transfer tool catches it and degrades
 to policy-free staging rather than wedging the workflow.
+
+The HTTP transport (``http.client``, which loads ``ssl`` and ``email``) is
+imported when an :class:`HTTPPolicyClient` first dials, not with this
+module: a simulation imports this module for its in-process client only.
 """
 
 from __future__ import annotations
 
-import http.client
 import io
 import json
 import random
-import select
 import threading
 import time
-import urllib.error
 from dataclasses import dataclass
 from inspect import Parameter, Signature
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
@@ -37,6 +38,10 @@ from repro.policy.controller import REQUIRED, ROUTES, Route
 from repro.policy.service import PolicyService
 
 if TYPE_CHECKING:
+    import http.client
+    import select
+    import urllib.error
+
     from repro.des.core import Environment
 
 __all__ = [
@@ -249,9 +254,7 @@ class HTTPPolicyClient:
         connection, so the next exchange starts on a new one."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = self._local.connection = http.client.HTTPConnection(
-                self._address.netloc, timeout=self.timeout
-            )
+            connection = self._local.connection = _dial(self._address.netloc, self.timeout)
         elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
             # Readable with no request outstanding: the server closed it
             # while it sat idle.  Redial *before* writing — a request
@@ -314,6 +317,19 @@ class HTTPPolicyClient:
         raise PolicyUnavailableError(
             f"policy service unreachable at {self.base_url}: {last_error}"
         ) from last_error
+
+
+def _dial(netloc: str, timeout: float) -> http.client.HTTPConnection:
+    """A calling thread's connection, made on its first request.  The
+    transport modules are imported here and bound as this module's
+    globals, which :meth:`HTTPPolicyClient._exchange` and ``_request``
+    read from then on."""
+    global http, select, urllib
+    import http.client
+    import select
+    import urllib.error
+
+    return http.client.HTTPConnection(netloc, timeout=timeout)
 
 
 def _http(route: Route):

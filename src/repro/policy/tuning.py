@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
+from repro.des.rng import Stream
+from repro.experiments.stats import mean
 
 __all__ = ["ThresholdTuner"]
 
@@ -30,14 +31,15 @@ class ThresholdTuner:
     epsilon:
         Exploration probability per suggestion.
     rng:
-        numpy Generator (deterministic tuning runs).
+        Random stream (deterministic tuning runs): a
+        :class:`~repro.des.rng.Stream` or anything with its methods.
     """
 
     def __init__(
         self,
         candidates: Sequence[int],
         epsilon: float = 0.2,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Stream] = None,
     ):
         candidates = list(dict.fromkeys(int(c) for c in candidates))
         if not candidates:
@@ -48,7 +50,7 @@ class ThresholdTuner:
             raise ValueError("epsilon must be in [0, 1]")
         self.candidates = candidates
         self.epsilon = epsilon
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng or Stream(0)
         self._times: dict[int, list[float]] = {c: [] for c in candidates}
 
     # -- bandit API -----------------------------------------------------------
@@ -74,11 +76,11 @@ class ThresholdTuner:
         tried = {c: times for c, times in self._times.items() if times}
         if not tried:
             return self.candidates[0]
-        return min(tried, key=lambda c: float(np.mean(tried[c])))
+        return min(tried, key=lambda c: mean(tried[c]))
 
     def mean_time(self, threshold: int) -> Optional[float]:
         times = self._times.get(threshold)
-        return float(np.mean(times)) if times else None
+        return mean(times) if times else None
 
     def observations(self) -> dict[int, int]:
         """Sample count per arm."""

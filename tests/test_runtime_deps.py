@@ -1,7 +1,9 @@
 """What each entry point imports.
 
-The runtime depends on numpy alone: networkx is a test oracle only.  And
-each process loads only the layer it runs: ``repro serve`` never imports
+The runtime depends on the standard library alone: numpy and networkx
+are test oracles only, and a simulation's random streams are numpy's
+generator written out in Python (``repro.des.rng``).  And each process
+loads only the layer it runs: ``repro serve`` never imports
 the simulator, and a simulation never imports the REST server, the shard
 router, the analyzers or the figure, campaign and tracing harnesses.
 Each check runs in a fresh interpreter, since the test process has
@@ -9,6 +11,7 @@ long since imported everything.
 """
 
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +29,18 @@ SIMULATOR = (
 SERVER = (
     "asyncio", "repro.policy.rest", "repro.policy.sharding", "repro.experiments.campaign",
     "repro.experiments.figures", "repro.experiments.tracing", "repro.analysis",
+)
+#: numpy, and the HTTP transport with what it pulls in: what a simulation must not load
+HEAVY = ("numpy", "http.client", "ssl", "email")
+#: a 6-image paper cell and a small policy-off workflow
+SIMULATIONS = (
+    "from repro.experiments import ExperimentConfig, run_cell\n"
+    "from repro.experiments.runner import cell_workflow, run_workflow\n"
+    "from repro.policy.client import HTTPPolicyClient\n"
+    "cell = run_cell(ExperimentConfig(n_images=6, extra_file_mb=1))\n"
+    "assert cell.success\n"
+    "cfg = ExperimentConfig(policy=None, n_images=3, extra_file_mb=1)\n"
+    "assert run_workflow(cfg, cell_workflow(cfg)).success\n"
 )
 LAZY_PACKAGES = (
     "repro", "repro.policy", "repro.experiments", "repro.des", "repro.net", "repro.obs",
@@ -90,6 +105,33 @@ def test_an_unsharded_simulation_never_imports_the_server(code):
     modules = loaded(code)
     assert "repro.engine.dagman" in modules
     assert within(modules, SERVER) == []
+
+
+def test_a_simulation_loads_neither_numpy_nor_the_http_transport():
+    modules = loaded(SIMULATIONS)
+    assert "repro.policy.client" in modules
+    assert within(modules, HEAVY) == []
+
+
+def test_every_module_imports_without_numpy_and_a_cell_is_unchanged():
+    names = [m.name for m in pkgutil.walk_packages([f"{SRC}/repro"], "repro.")
+             if not m.name.endswith("__main__")]
+    digest = (
+        "import dataclasses, hashlib\n"
+        "print(hashlib.sha256(json.dumps(dataclasses.asdict(cell), sort_keys=True)"
+        ".encode()).hexdigest())\n"
+    )
+    runs = {}
+    for blocked in (False, True):
+        code = (f"sys.modules['numpy'] = None\nimport importlib\n"
+                f"for name in {names!r}: importlib.import_module(name)\n" if blocked else "")
+        script = f"import json, sys; sys.path.insert(0, {SRC!r})\n{code}{SIMULATIONS}{digest}"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[blocked] = proc.stdout.split()[-1]
+    assert {"repro.des.rng", "repro.net.gridftp", "repro.experiments.figures"} <= set(names)
+    assert runs[True] == runs[False]
 
 
 def test_lazy_exports_resolve_once_and_are_listed():

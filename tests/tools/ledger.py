@@ -7,7 +7,7 @@ runs the named scenarios (all by default), each in a fresh process, two at a tim
 and each value that differs from the last entry of ``BENCH_e2e.json``.  ``--append`` records
 a full run as a new entry (``--why`` if a value rose over 2%).  *Tracked* values (``cProfile``
 calls, ``tracemalloc`` bytes) depend on the interpreter (3.12 inlines comprehensions): they
-compare only under the same Python and numpy."""
+compare only under the same Python.  Nothing the scenarios run imports numpy."""
 
 import argparse
 import cProfile
@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from pathlib import Path
 
-import numpy
 from repro.experiments import ExperimentConfig, run_cell
 from repro.experiments.runner import execute_workflow
 from repro.policy import PolicyJournal, PolicyService
@@ -240,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     names = args.scenarios or list(SCENARIOS)
     if set(names) - SCENARIOS.keys() or args.append and len(set(names)) < len(SCENARIOS):
         parser.error(f"scenarios are {', '.join(SCENARIOS)}; --append runs them all")
-    interpreter = {"python": platform.python_version(), "numpy": numpy.__version__}
+    interpreter = {"python": platform.python_version()}
     values = {}
     with ProcessPoolExecutor(2, mp_context=get_context("spawn"), max_tasks_per_child=1) as pool:
         for name, run in [(name, pool.submit(measure, name)) for name in names]:
